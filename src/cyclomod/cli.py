@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .boolfn import decompose_boolean, monomial_names, parse_anf, sn_action
 from .decompose import complete_decomposition
-from .endo import SearchConfig, compute_end, find_splitting_element, verify_certificate
+from .endo import SearchConfig, certify
 from .fields import QQ, FieldSpec
 from .modules import action_graph, graph_from_parts, orbit_basis
 from .perms import permutation_module
@@ -24,8 +23,6 @@ from .serialize import (
     automaton_from_json,
     automaton_to_json,
     certificate_to_json,
-    field_from_str,
-    field_to_str,
     graph_to_dot,
     presentation_from_json,
     report_to_json,
@@ -34,42 +31,23 @@ from .serialize import (
 from .wfa import minimize
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by the module-level subcommands."""
-
-    field: Optional[FieldSpec]
-    search: SearchConfig
-    output: Optional[str]
-    dot_dir: Optional[str]
-    cert_only: bool
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if args.exhaustive_cap < 1:
-            raise ValueError("--exhaustive-cap must be at least 1")
-        if args.box_height < 0:
-            raise ValueError("--box-height must not be negative")
-        if args.random_trials < 0:
-            raise ValueError("--random-trials must not be negative")
-        field = field_from_str(args.field, "--field") if args.field is not None else None
-        search = SearchConfig(
-            exhaustive_cap=args.exhaustive_cap,
-            box_height=args.box_height,
-            random_trials=args.random_trials,
-            seed=args.seed,
-        )
-        return cls(
-            field=field,
-            search=search,
-            output=getattr(args, "output", None),
-            dot_dir=getattr(args, "dot", None),
-            cert_only=getattr(args, "cert_only", False),
-        )
+def _search_config(args) -> SearchConfig:
+    """The search budgets from the command line, validated."""
+    if args.exhaustive_cap < 1:
+        raise ValueError("--exhaustive-cap must be at least 1")
+    if args.box_height < 0:
+        raise ValueError("--box-height must not be negative")
+    if args.random_trials < 0:
+        raise ValueError("--random-trials must not be negative")
+    return SearchConfig(
+        exhaustive_cap=args.exhaustive_cap,
+        box_height=args.box_height,
+        random_trials=args.random_trials,
+        seed=args.seed,
+    )
 
 
 def _add_budget_flags(sub):
-    sub.add_argument("--field", default=None, help='scalar field: "0" or "p:<prime>"')
     sub.add_argument("--exhaustive-cap", type=int, default=SearchConfig.exhaustive_cap)
     sub.add_argument("--box-height", type=int, default=SearchConfig.box_height)
     sub.add_argument("--random-trials", type=int, default=SearchConfig.random_trials)
@@ -130,18 +108,16 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_decompose_bool(args) -> int:
-    config = RunConfig.from_args(args)
-    if config.field is not None and config.field.characteristic != 2:
-        raise ValueError("the boolean front end works over p:2 only")
+    config = _search_config(args)
     f = parse_anf(args.expr, args.n)
-    report = decompose_boolean(f, config.search)
+    report = decompose_boolean(f, config)
     names = monomial_names(args.n)
-    if config.dot_dir is not None:
-        _write_dot_files(config.dot_dir, report, names, gf2=True)
-    if config.cert_only:
-        _emit(_summary_lines(report), config.output)
+    if args.dot is not None:
+        _write_dot_files(args.dot, report, names, gf2=True)
+    if args.cert_only:
+        _emit(_summary_lines(report), args.output)
     else:
-        _emit(to_text(report_to_json(report, names)), config.output)
+        _emit(to_text(report_to_json(report, names)), args.output)
     print(
         f"decomposed dim {report.module.dim} module into {len(report.summands)} summands",
         file=sys.stderr,
@@ -150,19 +126,17 @@ def cmd_decompose_bool(args) -> int:
 
 
 def cmd_decompose_perm(args) -> int:
-    config = RunConfig.from_args(args)
-    if config.field is not None and config.field.characteristic != 0:
-        raise ValueError('the permutation front end works over the rationals ("0") only')
+    config = _search_config(args)
     presentation = presentation_from_json(_read_json(args.input))
     g = _parse_generator_vector(args.generator, QQ, presentation.degree)
     module = permutation_module(presentation, g)
-    report = complete_decomposition(module, config.search)
-    if config.dot_dir is not None:
-        _write_dot_files(config.dot_dir, report, None, gf2=False)
-    if config.cert_only:
-        _emit(_summary_lines(report), config.output)
+    report = complete_decomposition(module, config)
+    if args.dot is not None:
+        _write_dot_files(args.dot, report, None, gf2=False)
+    if args.cert_only:
+        _emit(_summary_lines(report), args.output)
     else:
-        _emit(to_text(report_to_json(report)), config.output)
+        _emit(to_text(report_to_json(report)), args.output)
     print(
         f"decomposed dim {report.module.dim} module into {len(report.summands)} summands",
         file=sys.stderr,
@@ -171,21 +145,17 @@ def cmd_decompose_perm(args) -> int:
 
 
 def cmd_cert(args) -> int:
-    config = RunConfig.from_args(args)
+    config = _search_config(args)
     if args.bool_expr is not None and args.perm is not None:
         raise ValueError("choose one module source: --bool or --perm")
     if args.bool_expr is not None:
         if args.n is None:
             raise ValueError("--bool needs -n (number of variables)")
-        if config.field is not None and config.field.characteristic != 2:
-            raise ValueError("the boolean front end works over p:2 only")
         f = parse_anf(args.bool_expr, args.n)
         module = orbit_basis(sn_action(args.n), f.vector())
     elif args.perm is not None:
         if args.generator is None:
             raise ValueError("--perm needs --generator")
-        if config.field is not None and config.field.characteristic != 0:
-            raise ValueError('the permutation front end works over the rationals ("0") only')
         presentation = presentation_from_json(_read_json(args.perm))
         g = _parse_generator_vector(args.generator, QQ, presentation.degree)
         module = permutation_module(presentation, g)
@@ -193,10 +163,8 @@ def cmd_cert(args) -> int:
         raise ValueError("choose a module source: --bool EXPR -n N or --perm FILE --generator V")
     if module.dim == 0:
         raise ValueError("the generator is zero: nothing to certify")
-    e = compute_end(module)
-    cert = find_splitting_element(e, config.search)
-    verify_certificate(e, cert)
-    _emit(to_text(certificate_to_json(cert)), config.output)
+    cert = certify(module, config)
+    _emit(to_text(certificate_to_json(cert)), args.output)
     print(f"verdict: {cert.verdict} (mode {cert.mode})", file=sys.stderr)
     return 0
 

@@ -1,10 +1,15 @@
 """Complete direct-sum decomposition of cyclic modules.
 
-The driver splits a module along certified splitting elements, then
-recurses into both sides until every leaf is certified indecomposable
-or the search budget gives out.  A split produces bases in the
-coordinates of the block being split; they are pulled back to the
-original ambient space so every leaf is a subspace of the input module.
+The decomposition is one step applied until nothing is left to split.
+decompose_once is that step: it certifies a module or block
+(endo.certify: endomorphism algebra, splitting-element search, re-check
+of the certificate) and, when the certificate is decomposable, splits
+it along the certificate.  complete_decomposition runs the step depth
+first from the whole module until every leaf is certified
+indecomposable or the search budget gives out.  A split produces bases
+in the coordinates of the block being split; they are pulled back to
+the original ambient space so every leaf is a subspace of the input
+module.
 
 Each leaf gets a generator search: the first leaf basis vector whose
 orbit under the ambient action spans the leaf.  Direct summands of a
@@ -23,8 +28,8 @@ from .endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
-    commutant_basis,
-    find_splitting_element,
+    certify,
+    compute_end,
     verify_certificate,
 )
 from .linalg import DenseMatrix, SpanSolver, Vector
@@ -35,6 +40,7 @@ from .modules import AlgebraAction, CyclicModule, orbit_basis
 class SummandBlock:
     """One stable subspace: ambient basis plus the action restricted to it."""
 
+    action: AlgebraAction
     ambient_basis: tuple
     restricted: dict
     module: Optional[CyclicModule]
@@ -65,7 +71,7 @@ def block_from_vectors(action: AlgebraAction, vectors: Sequence[Vector]) -> Summ
     for v in vectors:
         sub = orbit_basis(action, v)
         if sub.dim == n and all(solver.contains(w) for w in sub.basis_vectors):
-            return SummandBlock(sub.basis_vectors, dict(sub.restricted), sub, sub.generator)
+            return SummandBlock(action, sub.basis_vectors, dict(sub.restricted), sub, sub.generator)
     restricted = {}
     for label in action.labels:
         mat = action.matrices[label]
@@ -76,13 +82,7 @@ def block_from_vectors(action: AlgebraAction, vectors: Sequence[Vector]) -> Summ
                 raise RuntimeError(f"block is not stable under generator {label!r}")
             columns.append(coords)
         restricted[label] = DenseMatrix.from_columns(field, columns, rows=n)
-    return SummandBlock(tuple(vectors), restricted, None, None)
-
-
-def block_endo(field, labels: Sequence[str], block: SummandBlock) -> EndoAlgebra:
-    mats = [block.restricted[s] for s in labels]
-    basis = commutant_basis(field, block.dim, mats)
-    return EndoAlgebra(field, block.dim, basis, tuple((s, block.restricted[s]) for s in labels))
+    return SummandBlock(action, tuple(vectors), restricted, None, None)
 
 
 def _block_to_ambient(field, block: SummandBlock, coords: Vector) -> Vector:
@@ -93,29 +93,35 @@ def _block_to_ambient(field, block: SummandBlock, coords: Vector) -> Vector:
     return tuple(out)
 
 
-def _split_block(action: AlgebraAction, block: SummandBlock, cert: Certificate):
-    field = action.field
+def _split_block(block: SummandBlock, cert: Certificate):
+    field = block.action.field
     halves = []
     for side in cert.summands:
         vectors = [_block_to_ambient(field, block, coords) for coords in side]
-        halves.append(block_from_vectors(action, vectors))
+        halves.append(block_from_vectors(block.action, vectors))
     if halves[0].dim + halves[1].dim != block.dim:
         raise RuntimeError("split does not preserve dimension")
     return halves[0], halves[1]
 
 
-def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
-    """One split attempt; returns (certificate, None or a pair of blocks)."""
+def _root_block(m: CyclicModule) -> SummandBlock:
+    return SummandBlock(m.action, m.basis_vectors, dict(m.restricted), m, m.generator)
+
+
+def decompose_once(m, config: Optional[SearchConfig] = None):
+    """complete_decomposition's single step, on a CyclicModule or a SummandBlock.
+
+    Certifies m and splits it along a decomposable certificate.  Returns
+    (certificate, None) for a leaf and (certificate, pair of blocks) for
+    a split.
+    """
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
-    config = config or SearchConfig()
-    root = SummandBlock(m.basis_vectors, dict(m.restricted), m, m.generator)
-    e = block_endo(m.field, m.action.labels, root)
-    cert = find_splitting_element(e, config)
-    verify_certificate(e, cert)
+    block = m if isinstance(m, SummandBlock) else _root_block(m)
+    cert = certify(block, config)
     if cert.verdict != "decomposable":
         return cert, None
-    return cert, _split_block(m.action, root, cert)
+    return cert, _split_block(block, cert)
 
 
 @dataclass(frozen=True)
@@ -150,21 +156,17 @@ def complete_decomposition(
     config = config or SearchConfig()
     if m.dim == 0:
         return DecompositionReport(m, (), (), (), (), config)
-    action = m.action
-    root = SummandBlock(m.basis_vectors, dict(m.restricted), m, m.generator)
     leaves = []
     splits = []
-    stack = [root]
+    stack = [_root_block(m)]
     while stack:
         block = stack.pop()
-        e = block_endo(m.field, action.labels, block)
-        cert = find_splitting_element(e, config)
-        verify_certificate(e, cert)
-        if cert.verdict != "decomposable":
+        cert, halves = decompose_once(block, config)
+        if halves is None:
             leaves.append((block, cert))
             continue
         splits.append(cert)
-        left, right = _split_block(action, block, cert)
+        left, right = halves
         # depth-first, left side first
         stack.append(right)
         stack.append(left)
@@ -218,10 +220,9 @@ def check_report(report: DecompositionReport):
             if block.generator is None:
                 raise RuntimeError("cyclic leaf without a generator")
             regen = orbit_basis(m.action, block.generator)
-            if regen.dim != block.dim:
+            if regen.dim != block.dim or not all(span.contains(v) for v in regen.basis_vectors):
                 raise RuntimeError("leaf generator does not regenerate the leaf")
     for block, cert in zip(report.summands, report.certificates):
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")
-        e = block_endo(m.field, m.action.labels, block)
-        verify_certificate(e, cert)
+        verify_certificate(compute_end(block), cert)

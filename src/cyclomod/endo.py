@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .fields import FieldScalar, FieldSpec
+from .fields import FieldSpec
 from .linalg import (
     DenseMatrix,
     SpanSolver,
@@ -137,11 +137,26 @@ class EndoAlgebra:
 
 
 def compute_end(m: CyclicModule) -> EndoAlgebra:
-    """Endomorphism algebra of a cyclic module, from its restricted action."""
+    """Endomorphism algebra of a cyclic module, from its restricted action.
+
+    Reads only m.action, m.dim and m.restricted, so a decompose.SummandBlock
+    serves as well as a CyclicModule.
+    """
     labels = m.action.labels
     mats = [m.restricted[s] for s in labels]
-    basis = commutant_basis(m.field, m.dim, mats)
-    return EndoAlgebra(m.field, m.dim, basis, tuple((s, m.restricted[s]) for s in labels))
+    basis = commutant_basis(m.action.field, m.dim, mats)
+    return EndoAlgebra(m.action.field, m.dim, basis, tuple((s, m.restricted[s]) for s in labels))
+
+
+def certify(m: CyclicModule, config: Optional[SearchConfig] = None) -> Certificate:
+    """Search End(m) for a splitting element and re-check the certificate found.
+
+    Like compute_end, this takes a CyclicModule or a SummandBlock.
+    """
+    e = compute_end(m)
+    cert = find_splitting_element(e, config)
+    verify_certificate(e, cert)
+    return cert
 
 
 def _require_member(e: "EndoAlgebra", mat: DenseMatrix):

@@ -28,10 +28,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: FieldScalar, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
@@ -104,9 +100,6 @@ class DenseMatrix:
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
 
     def _check_same_shape(self, other: "DenseMatrix"):
         if not isinstance(other, DenseMatrix):

@@ -2,20 +2,20 @@
 
 An AlgebraAction is an ordered list of labeled square matrices over one
 field; the algebra they generate acts on the ambient coordinate space.
-orbit_basis grows the cyclic module A*g breadth first: a word wa is kept
-exactly when applying generator a to the vector of w leaves the span,
-letters tried in generator order.  The kept words are prefix closed and
-their vectors are a basis of A*g.  This is the covering-tree reduction
-from wfa.py run on column vectors instead of row vectors.
+orbit_basis grows the cyclic module A*g with wfa.covering_tree, the same
+routine that reduces automata, stepping column vectors by the generator
+matrices: a word wa is kept exactly when applying generator a to the
+vector of w leaves the span, letters tried in generator order.  The kept
+words are prefix closed and their vectors are a basis of A*g.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .fields import FieldSpec
-from .linalg import DenseMatrix, SpanSolver, Vector, vec_add, vec_is_zero, vec_scale, zero_vector
+from .linalg import DenseMatrix, Vector, vec_add, vec_is_zero, vec_scale, zero_vector
+from .wfa import covering_tree
 
 
 class AlgebraAction:
@@ -56,9 +56,6 @@ class AlgebraAction:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraAction is immutable")
-
-    def matrix(self, label: str) -> DenseMatrix:
-        return self.matrices[label]
 
     def apply_word(self, word: Sequence[str], v: Vector) -> Vector:
         """First letter acts first: apply_word((a, b), v) = mu(b) mu(a) v."""
@@ -132,34 +129,10 @@ def orbit_basis(action: AlgebraAction, g: Vector) -> CyclicModule:
     g = tuple(field.scalar(x) for x in g)
     if len(g) != action.dim:
         raise ValueError(f"generator length {len(g)}, expected {action.dim}")
-    solver = SpanSolver(field, action.dim)
-    if not solver.add(g):
-        # zero generator: the zero module
-        return CyclicModule(action, g, (), (), {s: DenseMatrix.zeros(field, 0, 0) for s in action.labels}, solver)
-    words = [()]
-    vectors = [g]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        base = vectors[i]
-        for label in action.labels:
-            v = action.matrices[label].apply(base)
-            if solver.add(v):
-                words.append(words[i] + (label,))
-                vectors.append(v)
-                queue.append(len(vectors) - 1)
-    n = len(vectors)
-    restricted = {}
-    for label in action.labels:
-        mat = action.matrices[label]
-        columns = []
-        for v in vectors:
-            coords = solver.coordinates(mat.apply(v))
-            if coords is None:
-                raise RuntimeError("orbit basis failed to span its own images")
-            columns.append(coords)
-        restricted[label] = DenseMatrix.from_columns(field, columns, rows=n)
-    return CyclicModule(action, g, words, vectors, restricted, solver)
+    tree = covering_tree(field, action.dim, g, action.labels, lambda s, v: action.matrices[s].apply(v))
+    n = len(tree.vectors)
+    restricted = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in action.labels}
+    return CyclicModule(action, g, tree.words, tree.vectors, restricted, tree.solver)
 
 
 def restricted_matrix(m: CyclicModule, label: str) -> DenseMatrix:

@@ -13,7 +13,7 @@ import json
 from typing import Optional, Sequence
 
 from .decompose import DecompositionReport, SummandBlock
-from .endo import Certificate, SearchConfig
+from .endo import Certificate
 from .fields import FieldSpec, QQ, gf
 from .linalg import DenseMatrix
 from .modules import ActionGraph, CyclicModule, render_vector
@@ -183,15 +183,6 @@ def presentation_from_json(obj) -> PermutationPresentation:
 # certificates and reports
 
 
-def config_to_json(config: SearchConfig) -> dict:
-    return {
-        "exhaustive_cap": config.exhaustive_cap,
-        "box_height": config.box_height,
-        "random_trials": config.random_trials,
-        "seed": config.seed,
-    }
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "verdict": cert.verdict,
@@ -247,7 +238,7 @@ def report_to_json(report: DecompositionReport, names: Optional[Sequence[str]] =
         "signature": list(report.signature),
         "fully_decomposed": report.fully_decomposed,
         "undecided_count": report.undecided_count,
-        "config": config_to_json(report.config),
+        "config": report.config.as_dict(),
         "summands": [
             summand_to_json(block, cert, names)
             for block, cert in zip(report.summands, report.certificates)

@@ -2,19 +2,20 @@
 
 An automaton (lambda, mu, gamma) realizes the series
     weight(w) = lambda * mu(w_1) * ... * mu(w_k) * gamma.
-left_reduce grows a covering tree over the row vectors lambda*mu(w): a
-word wa is kept exactly when its vector is independent of the vectors
-kept before it, in breadth-first order with letters tried in alphabet
-order.  The kept words form a prefix-closed set whose vectors are a
-basis of the reachability space.  right_reduce is the mirror on the
-transposed automaton, and minimize chains the two, which is dimension
-minimal for series over a field.
+covering_tree is the one routine behind every reduction here and behind
+modules.orbit_basis: from a root vector it keeps a word wa exactly when
+step(a, vector of w) is independent of the vectors kept before it, in
+breadth-first order with letters tried in the given order.  The kept
+words form a prefix-closed set whose vectors are a basis of everything
+the root reaches.  left_reduce runs it on the row vectors lambda*mu(w)
+(reachability), right_reduce on the column vectors mu(w)*gamma
+(observability, words read backwards), and minimize chains the two,
+which is dimension minimal for series over a field.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import FieldSpec
 from .linalg import (
@@ -22,8 +23,6 @@ from .linalg import (
     SpanSolver,
     Vector,
     vec_dot,
-    vec_is_zero,
-    zero_vector,
 )
 
 
@@ -124,55 +123,83 @@ def transpose(a: WeightedAutomaton) -> WeightedAutomaton:
     )
 
 
+class CoveringTree(NamedTuple):
+    """Kept words and vectors, their span, and each label's step in coordinates.
+
+    images[label][i] holds the coordinates, over the kept vectors, of
+    step(label, vectors[i]).
+    """
+
+    words: list
+    vectors: list
+    solver: SpanSolver
+    images: dict
+
+
+def covering_tree(
+    field: FieldSpec,
+    length: int,
+    root: Vector,
+    labels: Sequence,
+    step: Callable[[object, Vector], Vector],
+) -> CoveringTree:
+    """Breadth-first covering tree of root under step; empty when root is zero.
+
+    Each label's step is applied once to each kept vector; the images
+    are rewritten in coordinates once the tree is complete.
+    """
+    solver = SpanSolver(field, length)
+    words, vectors = [], []
+    successors = {label: [] for label in labels}
+    if solver.add(root):
+        words.append(())
+        vectors.append(root)
+    # kept vectors are appended behind the one being expanded, so walking
+    # the list in index order is the breadth-first queue
+    i = 0
+    while i < len(vectors):
+        for label in labels:
+            v = step(label, vectors[i])
+            if solver.add(v):
+                words.append(words[i] + (label,))
+                vectors.append(v)
+            successors[label].append(v)
+        i += 1
+    images = {}
+    for label in labels:
+        images[label] = [solver.coordinates(v) for v in successors[label]]
+        if any(coords is None for coords in images[label]):
+            raise RuntimeError("covering tree failed to span its own successors")
+    return CoveringTree(words, vectors, solver, images)
+
+
 def left_reduce(a: WeightedAutomaton):
     """Reachability reduction; returns (reduced automaton, PrefixBasis).
 
     The reduced lambda is (1, 0, ..., 0) whenever lambda is nonzero,
     because the root vector of the covering tree is lambda itself.
     """
-    field = a.field
-    if vec_is_zero(a.lam):
-        return WeightedAutomaton.zero(field, a.alphabet), PrefixBasis((), ())
-    solver = SpanSolver(field, a.dim)
-    solver.add(a.lam)
-    words = [()]
-    vectors = [a.lam]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        base = vectors[i]
-        for letter in a.alphabet:
-            v = a.mu[letter].apply_row(base)
-            if solver.add(v):
-                words.append(words[i] + (letter,))
-                vectors.append(v)
-                queue.append(len(vectors) - 1)
-    n = len(vectors)
-    lam = solver.coordinates(a.lam)
-    mu = {}
-    for letter in a.alphabet:
-        rows = []
-        for v in vectors:
-            coords = solver.coordinates(a.mu[letter].apply_row(v))
-            if coords is None:
-                raise RuntimeError("covering tree failed to span its own successors")
-            rows.append(coords)
-        mu[letter] = DenseMatrix(field, rows, cols=n)
-    gamma = tuple(vec_dot(v, a.gamma) for v in vectors)
-    reduced = WeightedAutomaton(field, a.alphabet, lam, mu, gamma)
-    return reduced, PrefixBasis(words, vectors)
+    tree = covering_tree(a.field, a.dim, a.lam, a.alphabet, lambda s, v: a.mu[s].apply_row(v))
+    n = len(tree.vectors)
+    mu = {s: DenseMatrix(a.field, tree.images[s], cols=n) for s in a.alphabet}
+    gamma = tuple(vec_dot(v, a.gamma) for v in tree.vectors)
+    reduced = WeightedAutomaton(a.field, a.alphabet, tree.solver.coordinates(a.lam), mu, gamma)
+    return reduced, PrefixBasis(tree.words, tree.vectors)
 
 
 def right_reduce(a: WeightedAutomaton):
-    """Observability reduction: left_reduce on the transpose, words reversed.
+    """Observability reduction: the covering tree of the columns mu(w) * gamma.
 
-    The returned word set is suffix-closed rather than prefix-closed;
-    its vectors are the columns mu(w) * gamma.
+    The returned word set is suffix-closed rather than prefix-closed,
+    because the tree grows words from their last letter.
     """
-    reduced_t, basis_t = left_reduce(transpose(a))
-    reduced = transpose(reduced_t)
-    words = tuple(tuple(reversed(w)) for w in basis_t.words)
-    return reduced, PrefixBasis(words, basis_t.vectors)
+    tree = covering_tree(a.field, a.dim, a.gamma, a.alphabet, lambda s, v: a.mu[s].apply(v))
+    n = len(tree.vectors)
+    lam = tuple(vec_dot(v, a.lam) for v in tree.vectors)
+    mu = {s: DenseMatrix.from_columns(a.field, tree.images[s], rows=n) for s in a.alphabet}
+    reduced = WeightedAutomaton(a.field, a.alphabet, lam, mu, tree.solver.coordinates(a.gamma))
+    words = tuple(tuple(reversed(w)) for w in tree.words)
+    return reduced, PrefixBasis(words, tree.vectors)
 
 
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:

@@ -159,20 +159,6 @@ def test_decompose_bool_parse_error(capsys):
     assert "error:" in err and "position" in err
 
 
-def test_decompose_bool_rejects_char0_field(capsys):
-    code, _, err = run(capsys, ["decompose-bool", "x1", "-n", "3", "--field", "0"])
-    assert code == 2
-    assert "p:2" in err
-
-
-def test_decompose_bool_accepts_p2_field(capsys):
-    code, out, _ = run(
-        capsys, ["decompose-bool", SWAP_INVARIANT, "-n", "3", "--field", "p:2", "--cert-only"]
-    )
-    assert code == 0
-    assert out.startswith("signature: 1,2")
-
-
 def test_decompose_bool_bad_budget(capsys):
     code, _, err = run(
         capsys, ["decompose-bool", "x1", "-n", "3", "--exhaustive-cap", "0"]
@@ -230,15 +216,6 @@ def test_decompose_perm_non_bijection(tmp_path, capsys):
     code, _, err = run(capsys, ["decompose-perm", path, "--generator", "1,0,0"])
     assert code == 2
     assert "bijection" in err
-
-
-def test_decompose_perm_rejects_finite_field(tmp_path, capsys):
-    path = write_json(tmp_path / "s3.json", s3_presentation())
-    code, _, err = run(
-        capsys, ["decompose-perm", path, "--generator", "1,0,0", "--field", "p:3"]
-    )
-    assert code == 2
-    assert "rationals" in err
 
 
 def test_decompose_perm_dot_over_q(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """End-to-end decomposition against brute-force subspace oracles."""
 
+import dataclasses
 import random
 
 import pytest
@@ -150,6 +151,21 @@ def test_check_report_catches_dropped_leaf():
         report.signature[:1],
         report.config,
     )
+    with pytest.raises(RuntimeError):
+        check_report(broken)
+
+
+def test_check_report_catches_generator_of_another_leaf():
+    m = orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0))
+    report = complete_decomposition(m)
+    assert report.signature == (1, 1, 2, 2)
+    a, b = report.summands[2:]
+    # each generator still regenerates a 2-dim leaf, but the other one
+    swapped = (
+        dataclasses.replace(a, module=b.module, generator=b.generator),
+        dataclasses.replace(b, module=a.module, generator=a.generator),
+    )
+    broken = dataclasses.replace(report, summands=report.summands[:2] + swapped)
     with pytest.raises(RuntimeError):
         check_report(broken)
 
