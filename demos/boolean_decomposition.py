@@ -33,7 +33,7 @@ print(f"\nsignature: {report.signature}")
 print(f"fully decomposed: {report.fully_decomposed}")
 for k, (block, cert) in enumerate(zip(report.summands, report.certificates)):
     print(f"\nsummand {k}: dim {block.dim}, verdict {cert.verdict} ({cert.mode})")
-    for v in block.ambient_basis:
+    for v in block.basis_vectors:
         terms = " + ".join(NAMES[i] for i, c in enumerate(v) if c)
         print(f"  basis  {terms}")
 

@@ -29,12 +29,13 @@ report = complete_decomposition(m)
 print(f"signature: {report.signature}")
 for k, block in enumerate(report.summands):
     print(f"  summand {k}: dim {block.dim}")
-    for v in block.ambient_basis:
+    for v in block.basis_vectors:
         print(f"    ({', '.join(str(x) for x in v)})")
 
-# The 1-dim piece is the invariant line Q*(1,1,1), printed as whatever
-# scalar multiple the splitting produced; the 2-dim piece is the
-# standard representation {v : v1+v2+v3 = 0}.
+# Each piece is the orbit of the projection of the generator (1,0,0)
+# onto it: the 1-dim piece is the invariant line Q*(1,1,1), generated by
+# (1/3,1/3,1/3); the 2-dim piece is the standard representation
+# {v : v1+v2+v3 = 0}, generated by (2/3,-1/3,-1/3).
 
 # --- the regular module: S_3 acting on itself ----------------------------
 

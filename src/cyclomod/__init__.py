@@ -22,8 +22,6 @@ from .boolfn import (
 )
 from .decompose import (
     DecompositionReport,
-    SummandBlock,
-    block_from_vectors,
     check_report,
     complete_decomposition,
     decompose_once,
@@ -33,7 +31,6 @@ from .endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
-    commutant_basis,
     compute_end,
     find_splitting_element,
     fitting_split,
@@ -126,7 +123,6 @@ __all__ = [
     "Certificate",
     "EndoAlgebra",
     "SearchConfig",
-    "commutant_basis",
     "compute_end",
     "find_splitting_element",
     "fitting_split",
@@ -135,8 +131,6 @@ __all__ = [
     "radical_char0",
     "verify_certificate",
     "DecompositionReport",
-    "SummandBlock",
-    "block_from_vectors",
     "check_report",
     "complete_decomposition",
     "decompose_once",

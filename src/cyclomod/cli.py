@@ -17,7 +17,7 @@ from .boolfn import decompose_boolean, monomial_names, parse_anf, sn_action
 from .decompose import complete_decomposition
 from .endo import SearchConfig, certify
 from .fields import QQ, FieldSpec
-from .modules import action_graph, graph_from_parts, orbit_basis
+from .modules import action_graph, orbit_basis
 from .perms import permutation_module
 from .serialize import (
     automaton_from_json,
@@ -79,9 +79,8 @@ def _write_dot_files(directory: str, report, names, gf2: bool):
     graph = action_graph(report.module, names)
     with open(os.path.join(directory, "module.dot"), "w", encoding="utf-8") as handle:
         handle.write(graph_to_dot(graph, "module", gf2=gf2))
-    labels = report.module.action.labels
     for k, block in enumerate(report.summands):
-        graph = graph_from_parts(labels, block.ambient_basis, block.restricted, names)
+        graph = action_graph(block, names)
         path = os.path.join(directory, f"summand_{k:02d}.dot")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(graph_to_dot(graph, f"summand_{k:02d}", gf2=gf2))

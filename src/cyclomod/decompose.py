@@ -1,28 +1,27 @@
 """Complete direct-sum decomposition of cyclic modules.
 
 The decomposition is one step applied until nothing is left to split.
-decompose_once is that step: it certifies a module or block
+decompose_once is that step: it certifies a cyclic module
 (endo.certify: endomorphism algebra, splitting-element search, re-check
 of the certificate) and, when the certificate is decomposable, splits
 it along the certificate.  complete_decomposition runs the step depth
 first from the whole module until every leaf is certified
-indecomposable or the search budget gives out.  A split produces bases
-in the coordinates of the block being split; they are pulled back to
-the original ambient space so every leaf is a subspace of the input
-module.
+indecomposable or the search budget gives out.
 
-Each leaf gets a generator search: the first leaf basis vector whose
-orbit under the ambient action spans the leaf.  Direct summands of a
-cyclic module are always cyclic (project the generator), but the
-projection is not computed here, so a leaf where no basis vector works
-is kept with its basis and flagged rather than guessed at.
+Every block of the tree is a CyclicModule over the original ambient
+action.  A direct summand of a cyclic module A*g is cyclic, generated
+by the projection of g onto it along the other summand: a split writes
+the block's generator e_0 in the basis of both summands, maps each part
+back to ambient coordinates, and takes its orbit, which must fill its
+summand.  So no generator is searched for, and the endomorphism algebra
+of every block is spun from its generator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .endo import (
     Certificate,
@@ -32,96 +31,48 @@ from .endo import (
     compute_end,
     verify_certificate,
 )
-from .linalg import DenseMatrix, SpanSolver, Vector
-from .modules import AlgebraAction, CyclicModule, orbit_basis
+from .linalg import DenseMatrix, SpanSolver, unit_vector
+from .modules import CyclicModule, orbit_basis
 
 
-@dataclass(frozen=True)
-class SummandBlock:
-    """One stable subspace: ambient basis plus the action restricted to it."""
+def _split_block(block: CyclicModule, cert: Certificate):
+    """The two summands of a decomposable certificate, as cyclic modules.
 
-    action: AlgebraAction
-    ambient_basis: tuple
-    restricted: dict
-    module: Optional[CyclicModule]
-    generator: Optional[Vector]
-
-    @property
-    def dim(self) -> int:
-        return len(self.ambient_basis)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.module is not None
-
-
-def block_from_vectors(action: AlgebraAction, vectors: Sequence[Vector]) -> SummandBlock:
-    """Restrict the action to the span of the given stable vectors.
-
-    Raises RuntimeError when the span is not generator stable, and runs
-    the generator search over the given vectors in order.
+    Each summand is the orbit of the projection of the block's generator
+    onto it along the other summand.
     """
-    field = action.field
-    vectors = [tuple(field.scalar(x) for x in v) for v in vectors]
-    solver = SpanSolver(field, action.dim)
-    for v in vectors:
+    field, n = block.field, block.dim
+    left, right = cert.summands
+    solver = SpanSolver(field, n)
+    for v in left + right:
         if not solver.add(v):
-            raise RuntimeError("block basis is linearly dependent")
-    n = len(vectors)
-    for v in vectors:
-        sub = orbit_basis(action, v)
-        if sub.dim == n and all(solver.contains(w) for w in sub.basis_vectors):
-            return SummandBlock(action, sub.basis_vectors, dict(sub.restricted), sub, sub.generator)
-    restricted = {}
-    for label in action.labels:
-        mat = action.matrices[label]
-        columns = []
-        for v in vectors:
-            coords = solver.coordinates(mat.apply(v))
-            if coords is None:
-                raise RuntimeError(f"block is not stable under generator {label!r}")
-            columns.append(coords)
-        restricted[label] = DenseMatrix.from_columns(field, columns, rows=n)
-    return SummandBlock(action, tuple(vectors), restricted, None, None)
-
-
-def _block_to_ambient(field, block: SummandBlock, coords: Vector) -> Vector:
-    out = [field.zero()] * len(block.ambient_basis[0])
-    for c, b in zip(coords, block.ambient_basis):
-        if c:
-            out = [acc + c * x for acc, x in zip(out, b)]
-    return tuple(out)
-
-
-def _split_block(block: SummandBlock, cert: Certificate):
-    field = block.action.field
+            raise RuntimeError("summand bases are not independent")
+    coords = solver.coordinates(unit_vector(field, n, 0))
+    if coords is None:
+        raise RuntimeError("summands do not span the block")
     halves = []
-    for side in cert.summands:
-        vectors = [_block_to_ambient(field, block, coords) for coords in side]
-        halves.append(block_from_vectors(block.action, vectors))
-    if halves[0].dim + halves[1].dim != block.dim:
-        raise RuntimeError("split does not preserve dimension")
+    for side, part in ((left, coords[:len(left)]), (right, coords[len(left):])):
+        projection = DenseMatrix.from_columns(field, side, rows=n).apply(part)
+        half = orbit_basis(block.action, block.ambient_vector(projection))
+        if half.dim != len(side):
+            raise RuntimeError("projected generator does not generate its summand")
+        halves.append(half)
     return halves[0], halves[1]
 
 
-def _root_block(m: CyclicModule) -> SummandBlock:
-    return SummandBlock(m.action, m.basis_vectors, dict(m.restricted), m, m.generator)
-
-
-def decompose_once(m, config: Optional[SearchConfig] = None):
-    """complete_decomposition's single step, on a CyclicModule or a SummandBlock.
+def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
+    """complete_decomposition's single step.
 
     Certifies m and splits it along a decomposable certificate.  Returns
-    (certificate, None) for a leaf and (certificate, pair of blocks) for
-    a split.
+    (certificate, None) for a leaf and (certificate, pair of modules)
+    for a split.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
-    block = m if isinstance(m, SummandBlock) else _root_block(m)
-    cert = certify(block, config)
+    cert = certify(m, config)
     if cert.verdict != "decomposable":
         return cert, None
-    return cert, _split_block(block, cert)
+    return cert, _split_block(m, cert)
 
 
 @dataclass(frozen=True)
@@ -129,7 +80,7 @@ class DecompositionReport:
     """Leaves of the decomposition tree with their certificates."""
 
     module: CyclicModule
-    summands: tuple                 # SummandBlock leaves, sorted
+    summands: tuple                 # CyclicModule leaves, sorted
     certificates: tuple             # one per leaf, same order
     split_certificates: tuple       # the decomposable certificates, in discovery order
     signature: tuple                # leaf dimensions, ascending
@@ -144,8 +95,8 @@ class DecompositionReport:
         return sum(1 for c in self.certificates if c.verdict == "undecided")
 
 
-def _leaf_sort_key(block: SummandBlock):
-    basis_key = tuple(tuple(x.sort_key() for x in v) for v in block.ambient_basis)
+def _leaf_sort_key(block: CyclicModule):
+    basis_key = tuple(tuple(x.sort_key() for x in v) for v in block.basis_vectors)
     return (block.dim, basis_key)
 
 
@@ -158,7 +109,7 @@ def complete_decomposition(
         return DecompositionReport(m, (), (), (), (), config)
     leaves = []
     splits = []
-    stack = [_root_block(m)]
+    stack = [m]
     while stack:
         block = stack.pop()
         cert, halves = decompose_once(block, config)
@@ -195,34 +146,36 @@ def enumerate_idempotents(e: EndoAlgebra, cap: int = SearchConfig.exhaustive_cap
 
 
 def check_report(report: DecompositionReport):
-    """Independent consistency pass over a finished report; raises on failure."""
+    """Independent consistency pass over a finished report; raises on failure.
+
+    Every leaf is regenerated from its generator; the regenerated module
+    must be the leaf, and it is what the remaining checks and the
+    certificate re-check run on.
+    """
     m = report.module
     if sum(b.dim for b in report.summands) != m.dim:
         raise RuntimeError("leaf dimensions do not sum to the module dimension")
     if report.signature != tuple(sorted(b.dim for b in report.summands)):
         raise RuntimeError("signature does not match the leaves")
+    if len(report.certificates) != len(report.summands):
+        raise RuntimeError("leaves and certificates differ in number")
     combined = SpanSolver(m.field, m.action.dim)
-    for block in report.summands:
-        for v in block.ambient_basis:
+    for block, cert in zip(report.summands, report.certificates):
+        leaf = orbit_basis(m.action, block.generator)
+        if leaf.basis_vectors != block.basis_vectors:
+            raise RuntimeError("leaf generator does not regenerate the leaf")
+        span = SpanSolver(m.field, m.action.dim)
+        for v in leaf.basis_vectors:
             if not m.contains(v):
                 raise RuntimeError("leaf vector escapes the module")
             if not combined.add(v):
                 raise RuntimeError("leaf bases overlap")
-        span = SpanSolver(m.field, m.action.dim)
-        for v in block.ambient_basis:
             span.add(v)
         for label in m.action.labels:
             mat = m.action.matrices[label]
-            for v in block.ambient_basis:
+            for v in leaf.basis_vectors:
                 if not span.contains(mat.apply(v)):
                     raise RuntimeError(f"leaf is not stable under generator {label!r}")
-        if block.is_cyclic:
-            if block.generator is None:
-                raise RuntimeError("cyclic leaf without a generator")
-            regen = orbit_basis(m.action, block.generator)
-            if regen.dim != block.dim or not all(span.contains(v) for v in regen.basis_vectors):
-                raise RuntimeError("leaf generator does not regenerate the leaf")
-    for block, cert in zip(report.summands, report.certificates):
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")
-        verify_certificate(compute_end(block), cert)
+        verify_certificate(compute_end(leaf), cert)

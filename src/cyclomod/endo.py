@@ -1,7 +1,13 @@
 """Endomorphism algebras of cyclic modules and splitting-element search.
 
 compute_end builds the commutant of the restricted generator matrices:
-all module-coordinate matrices commuting with every generator.  The
+all module-coordinate matrices commuting with every generator.  An
+endomorphism of a cyclic module is fixed by the image v of its
+generator, so the commutant is spun from the generator along the
+covering-tree words (Lux & Szoke, Exp. Math. 12, 2003): the conditions
+are linear in the n entries of v rather than in all n^2 entries of the
+matrix, and the result is put in the basis that n^2-unknown solve would
+give, so the search sees the same candidates in the same order.  The
 module decomposes exactly when that algebra holds an idempotent other
 than 0 and 1, and any element that is neither nilpotent nor invertible
 yields a splitting through its stable kernel/image pair, so the search
@@ -23,7 +29,6 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .fields import FieldSpec
 from .linalg import (
     DenseMatrix,
     SpanSolver,
@@ -35,39 +40,6 @@ from .linalg import (
 )
 from .modules import CyclicModule
 from .polynomials import factor, min_poly
-
-
-def commutant_basis(field: FieldSpec, dim: int, matrices: Sequence[DenseMatrix]) -> list:
-    """Basis of all dim x dim matrices commuting with every given matrix.
-
-    The unknown matrix is flattened row major; each given matrix S
-    contributes the dim^2 linear conditions (X S - S X)_{ij} = 0.
-    """
-    if dim == 0:
-        return []
-    for s in matrices:
-        if s.field != field:
-            raise ValueError(f"matrix in {s.field}, expected {field}")
-        if (s.rows, s.cols) != (dim, dim):
-            raise ValueError(f"matrix is {s.rows}x{s.cols}, expected {dim}x{dim}")
-    zero = field.zero()
-    rows = []
-    for s in matrices:
-        for i in range(dim):
-            for j in range(dim):
-                row = [zero] * (dim * dim)
-                for k in range(dim):
-                    # x_{ik} s_{kj} from X S
-                    row[i * dim + k] = row[i * dim + k] + s.entries[k][j]
-                    # -s_{ik} x_{kj} from S X
-                    row[k * dim + j] = row[k * dim + j] - s.entries[i][k]
-                rows.append(row)
-    constraint = DenseMatrix(field, rows, cols=dim * dim)
-    basis = []
-    for flat in kernel_basis(constraint):
-        entries = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
-        basis.append(DenseMatrix(field, entries, cols=dim))
-    return basis
 
 
 class EndoAlgebra:
@@ -137,22 +109,57 @@ class EndoAlgebra:
 
 
 def compute_end(m: CyclicModule) -> EndoAlgebra:
-    """Endomorphism algebra of a cyclic module, from its restricted action.
+    """Endomorphism algebra of a cyclic module, spun from its generator.
 
-    Reads only m.action, m.dim and m.restricted, so a decompose.SummandBlock
-    serves as well as a CyclicModule.
+    For the word basis w_0 = (), ..., w_{n-1}, an endomorphism X is fixed
+    by v = X e_0: when w_j = w_p a, X e_j = R_a X e_p, so spinning the
+    identity along the words gives W_j with X e_j = W_j v.  X commutes
+    with R_s exactly when sum_k (R_s)_{kj} W_k v = R_s W_j v for every
+    label s and index j, a system in the n entries of v; a tree edge
+    (w_j s is a basis word) gives an identity and is skipped.  The
+    solutions are returned in the basis the n^2-unknown commutant solve
+    would give: the reduced echelon form of the row-major flattened
+    matrices with pivots at their last nonzero entries.
     """
+    field, n = m.field, m.dim
+    index = {w: j for j, w in enumerate(m.basis_words)}
+    spun = []
+    tree_edges = set()
+    for word in m.basis_words:
+        if not word:
+            spun.append(DenseMatrix.identity(field, n))
+            continue
+        parent = index[word[:-1]]
+        spun.append(m.restricted[word[-1]] * spun[parent])
+        tree_edges.add((word[-1], parent))
+    rows = []
+    for s in m.action.labels:
+        r = m.restricted[s]
+        for j in range(n):
+            if (s, j) in tree_edges:
+                continue
+            lhs = DenseMatrix.zeros(field, n, n)
+            for k in range(n):
+                if r.entries[k][j]:
+                    lhs = lhs + spun[k].scale(r.entries[k][j])
+            rows.extend((lhs - r * spun[j]).entries)
+    solutions = kernel_basis(DenseMatrix(field, rows, cols=n))
+    # X_v = [W_0 v | ... | W_{n-1} v], flattened and reduced from the right
+    flats = [
+        DenseMatrix.from_columns(field, [w.apply(v) for w in spun], rows=n).flatten()[::-1]
+        for v in solutions
+    ]
+    red = rref(DenseMatrix(field, flats, cols=n * n))
+    basis = [
+        DenseMatrix(field, [flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
+        for flat in (row[::-1] for row in reversed(red.matrix.entries[:red.rank]))
+    ]
     labels = m.action.labels
-    mats = [m.restricted[s] for s in labels]
-    basis = commutant_basis(m.action.field, m.dim, mats)
-    return EndoAlgebra(m.action.field, m.dim, basis, tuple((s, m.restricted[s]) for s in labels))
+    return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
 
 
 def certify(m: CyclicModule, config: Optional[SearchConfig] = None) -> Certificate:
-    """Search End(m) for a splitting element and re-check the certificate found.
-
-    Like compute_end, this takes a CyclicModule or a SummandBlock.
-    """
+    """Search End(m) for a splitting element and re-check the certificate found."""
     e = compute_end(m)
     cert = find_splitting_element(e, config)
     verify_certificate(e, cert)
@@ -405,16 +412,22 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
                     if not part_solver.contains(s.apply(v)):
                         raise RuntimeError(f"summand is not stable under generator {label!r}")
     elif cert.verdict == "indecomposable":
-        if cert.mode == "dimension-1" and e.dim != 1:
-            raise RuntimeError("dimension-1 verdict on a larger algebra")
-        if cert.mode == "field-generated":
+        if cert.mode == "dimension-1":
+            if e.dim != 1:
+                raise RuntimeError("dimension-1 verdict on a larger algebra")
+        elif cert.mode == "field-generated":
             if cert.element is None:
                 raise RuntimeError("field-generated certificate is missing its element")
+            if not e.contains(cert.element):
+                raise RuntimeError("field-generated element is not in the endomorphism algebra")
             factors = factor(min_poly(cert.element))
             if len(factors) != 1 or factors[0][1] != 1 or factors[0][0].degree != e.dim:
                 raise RuntimeError("element does not generate a field of full dimension")
-        if cert.mode == "exhaustive" and e.field.characteristic == 0:
-            raise RuntimeError("exhaustive verdict claimed over an infinite field")
+        elif cert.mode == "exhaustive":
+            if e.field.characteristic == 0:
+                raise RuntimeError("exhaustive verdict claimed over an infinite field")
+        else:
+            raise RuntimeError(f"unknown indecomposable mode {cert.mode!r}")
     elif cert.verdict == "undecided":
         if cert.element is not None or cert.summands is not None:
             raise RuntimeError("undecided certificate carries witness data")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .decompose import DecompositionReport, SummandBlock
+from .decompose import DecompositionReport
 from .endo import Certificate
 from .fields import FieldSpec, QQ, gf
 from .linalg import DenseMatrix
@@ -209,25 +209,6 @@ def module_to_json(m: CyclicModule, names: Optional[Sequence[str]] = None) -> di
     return out
 
 
-def summand_to_json(block: SummandBlock, cert: Certificate, names=None) -> dict:
-    out = {
-        "dim": block.dim,
-        "cyclic": block.is_cyclic,
-        "generator": None if block.generator is None else vector_to_json(block.generator),
-        "basis": [vector_to_json(v) for v in block.ambient_basis],
-        "basis_words": None
-        if block.module is None
-        else [list(w) for w in block.module.basis_words],
-        "certificate": certificate_to_json(cert),
-    }
-    if names is not None:
-        out["generator_display"] = (
-            None if block.generator is None else render_vector(block.generator, names)
-        )
-        out["basis_display"] = [render_vector(v, names) for v in block.ambient_basis]
-    return out
-
-
 def report_to_json(report: DecompositionReport, names: Optional[Sequence[str]] = None) -> dict:
     m = report.module
     return {
@@ -240,7 +221,7 @@ def report_to_json(report: DecompositionReport, names: Optional[Sequence[str]] =
         "undecided_count": report.undecided_count,
         "config": report.config.as_dict(),
         "summands": [
-            summand_to_json(block, cert, names)
+            dict(module_to_json(block, names), certificate=certificate_to_json(cert))
             for block, cert in zip(report.summands, report.certificates)
         ],
         "split_certificates": [certificate_to_json(c) for c in report.split_certificates],

@@ -112,17 +112,6 @@ class WeightedAutomaton:
         return f"WeightedAutomaton(dim={self.dim}, alphabet={list(self.alphabet)}, {self.field})"
 
 
-def transpose(a: WeightedAutomaton) -> WeightedAutomaton:
-    """Swap lambda and gamma and transpose every mu; reverses all words."""
-    return WeightedAutomaton(
-        a.field,
-        a.alphabet,
-        a.gamma,
-        {s: m.transpose() for s, m in a.mu.items()},
-        a.lam,
-    )
-
-
 class CoveringTree(NamedTuple):
     """Kept words and vectors, their span, and each label's step in coordinates.
 

@@ -1,14 +1,19 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here works on raw Python values (ints mod p, Fractions, int
-bitmasks over GF(2)) and reimplements the math naively, so that a bug in
-the library's linear algebra cannot hide inside its own oracle.
+Everything here but commutant_basis works on raw Python values (ints
+mod p, Fractions, int bitmasks over GF(2)) and reimplements the math
+naively, so that a bug in the library's linear algebra cannot hide
+inside its own oracle.  commutant_basis is the general n^2-unknown
+commutant solve on the library's matrices: the reference the spun
+endo.compute_end must match basis for basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from cyclomod.linalg import DenseMatrix, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +321,43 @@ def count_idempotents_brute(p, basis_matrices):
         if raw_mat_mul(p, e, e) == e:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# commutant by the direct n^2-unknown solve
+
+
+def commutant_basis(field, dim, matrices):
+    """Basis of all dim x dim matrices commuting with every given matrix.
+
+    The unknown matrix is flattened row major; each given matrix S
+    contributes the dim^2 linear conditions (X S - S X)_{ij} = 0.  This
+    is the general solve that endo.compute_end replaces by spinning from
+    the generator, kept here on the library's matrices so the two bases
+    can be compared entry for entry.
+    """
+    if dim == 0:
+        return []
+    for s in matrices:
+        if s.field != field:
+            raise ValueError(f"matrix in {s.field}, expected {field}")
+        if (s.rows, s.cols) != (dim, dim):
+            raise ValueError(f"matrix is {s.rows}x{s.cols}, expected {dim}x{dim}")
+    zero = field.zero()
+    rows = []
+    for s in matrices:
+        for i in range(dim):
+            for j in range(dim):
+                row = [zero] * (dim * dim)
+                for k in range(dim):
+                    # x_{ik} s_{kj} from X S
+                    row[i * dim + k] = row[i * dim + k] + s.entries[k][j]
+                    # -s_{ik} x_{kj} from S X
+                    row[k * dim + j] = row[k * dim + j] - s.entries[i][k]
+                rows.append(row)
+    constraint = DenseMatrix(field, rows, cols=dim * dim)
+    basis = []
+    for flat in kernel_basis(constraint):
+        entries = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
+        basis.append(DenseMatrix(field, entries, cols=dim))
+    return basis

@@ -84,7 +84,7 @@ def test_02_fixture_decomposition():
     line, plane = report.summands
     # the 1-dim summand is exactly span{x1+x2+x3+x1*x2*x3}
     assert line.dim == 1
-    assert raw_vector(line.ambient_basis[0]) == F_VEC
+    assert raw_vector(line.basis_vectors[0]) == F_VEC
     # the 2-dim summand equals span{A2, B2} with A2 = x1*x3+x2*x3,
     # B2 = x1*x2+x2*x3, and in that basis s2 swaps A2, B2 while s1
     # fixes A2 and sends B2 to A2+B2
@@ -92,7 +92,7 @@ def test_02_fixture_decomposition():
     b2 = anf_vector({3, 6})
     assert plane.dim == 2
     solver = SpanSolver(GF2, 8)
-    for v in plane.ambient_basis:
+    for v in plane.basis_vectors:
         solver.add(v)
     assert solver.contains(tuple(GF2.scalar(c) for c in a2))
     assert solver.contains(tuple(GF2.scalar(c) for c in b2))
@@ -220,7 +220,7 @@ def test_06_rational_permutation_modules():
     check_report(report)
     assert report.signature == (1, 2)
     assert report.fully_decomposed
-    line = report.summands[0].ambient_basis[0]
+    line = report.summands[0].basis_vectors[0]
     assert line[0] == line[1] == line[2] != 0
 
     elements = symmetric_group(3)

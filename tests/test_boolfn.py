@@ -154,7 +154,7 @@ def test_decompose_swap_invariant_generator():
     assert report.signature == (1, 2)
     assert report.fully_decomposed
     line = report.summands[0]
-    g = function_from_vector(3, line.ambient_basis[0])
+    g = function_from_vector(3, line.basis_vectors[0])
     assert g.anf() == "x1 + x2 + x3 + x1*x2*x3"
 
 

@@ -1,17 +1,16 @@
 """End-to-end decomposition against brute-force subspace oracles."""
 
-import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclomod import GF2, QQ
-from cyclomod.linalg import DenseMatrix
-from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.endo import EndoAlgebra, SearchConfig, commutant_basis, compute_end
+from cyclomod import GF2, QQ, gf
+from cyclomod.linalg import DenseMatrix, rref, solve, unit_vector
+from cyclomod.modules import AlgebraAction, CyclicModule, orbit_basis
+from cyclomod.endo import EndoAlgebra, SearchConfig, compute_end
 from cyclomod.decompose import (
     DecompositionReport,
-    block_from_vectors,
     check_report,
     complete_decomposition,
     decompose_once,
@@ -25,7 +24,7 @@ from fixtures import (
     swap_invariant_module,
 )
 
-from oracles import count_idempotents_brute, gf2_decomposable
+from oracles import commutant_basis, count_idempotents_brute, gf2_decomposable
 
 
 def test_swap_invariant_module_splits_one_two():
@@ -36,13 +35,11 @@ def test_swap_invariant_module_splits_one_two():
     check_report(report)
     line = report.summands[0]
     assert line.dim == 1
-    assert line.is_cyclic
     # the invariant line is spanned by F = A+B+C
-    v = line.ambient_basis[0]
+    v = line.basis_vectors[0]
     assert tuple(int(bool(x)) for x in v) == F_VEC
     plane = report.summands[1]
     assert plane.dim == 2
-    assert plane.is_cyclic
     assert report.certificates[0].mode == "dimension-1"
     assert report.certificates[1].mode == "dimension-1"
     assert len(report.split_certificates) == 1
@@ -75,9 +72,8 @@ def test_rational_natural_module():
     assert report.fully_decomposed
     check_report(report)
     line = report.summands[0]
-    v = line.ambient_basis[0]
+    v = line.basis_vectors[0]
     assert v[0] == v[1] == v[2] != 0
-    assert all(b.is_cyclic for b in report.summands)
 
 
 def test_regular_module_signature():
@@ -95,7 +91,7 @@ def test_reports_are_deterministic():
     b = complete_decomposition(m)
     assert a.signature == b.signature
     for x, y in zip(a.summands, b.summands):
-        assert x.ambient_basis == y.ambient_basis
+        assert x.basis_vectors == y.basis_vectors
     assert a.config.seed == 0
     assert a.config == b.config
 
@@ -132,14 +128,6 @@ def test_zero_module_report():
     check_report(report)
 
 
-def test_block_from_vectors_rejects_unstable_span():
-    action = s3_natural_action()
-    with pytest.raises(RuntimeError):
-        block_from_vectors(action, [(1, 0, 0)])
-    block = block_from_vectors(action, [(1, 1, 1)])
-    assert block.dim == 1 and block.is_cyclic
-
-
 def test_check_report_catches_dropped_leaf():
     m = swap_invariant_module()
     report = complete_decomposition(m)
@@ -153,6 +141,16 @@ def test_check_report_catches_dropped_leaf():
     )
     with pytest.raises(RuntimeError):
         check_report(broken)
+    unchecked = DecompositionReport(
+        m,
+        report.summands,
+        report.certificates[:1],
+        report.split_certificates,
+        report.signature,
+        report.config,
+    )
+    with pytest.raises(RuntimeError):
+        check_report(unchecked)
 
 
 def test_check_report_catches_generator_of_another_leaf():
@@ -162,10 +160,17 @@ def test_check_report_catches_generator_of_another_leaf():
     a, b = report.summands[2:]
     # each generator still regenerates a 2-dim leaf, but the other one
     swapped = (
-        dataclasses.replace(a, module=b.module, generator=b.generator),
-        dataclasses.replace(b, module=a.module, generator=a.generator),
+        CyclicModule(a.action, b.generator, a.basis_words, a.basis_vectors, a.restricted, None),
+        CyclicModule(b.action, a.generator, b.basis_words, b.basis_vectors, b.restricted, None),
     )
-    broken = dataclasses.replace(report, summands=report.summands[:2] + swapped)
+    broken = DecompositionReport(
+        m,
+        report.summands[:2] + swapped,
+        report.certificates,
+        report.split_certificates,
+        report.signature,
+        report.config,
+    )
     with pytest.raises(RuntimeError):
         check_report(broken)
 
@@ -196,3 +201,36 @@ def test_random_gf2_corpus_matches_subspace_oracle():
         assert (len(report.summands) > 1) == expected
         checked += 1
     assert checked >= 30
+
+
+def _leaf_outcomes(report):
+    return sorted((b.dim, c.verdict, c.mode) for b, c in zip(report.summands, report.certificates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([GF2, gf(3), QQ]), st.randoms(use_true_random=False))
+def test_decomposition_is_invariant_under_change_of_basis(field, rng):
+    n = rng.randint(2, 4)
+    lo, hi = (-1, 1) if field.characteristic == 0 else (0, field.characteristic - 1)
+
+    def random_matrix(density):
+        return DenseMatrix(
+            field,
+            [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)],
+        )
+
+    gens = [("u", random_matrix(0.4)), ("v", random_matrix(0.4))]
+    g = tuple(field.scalar(rng.randint(lo, hi)) for _ in range(n))
+    p = random_matrix(1.0)
+    assume(any(g) and rref(p).rank == n)
+    p_inv = DenseMatrix.from_columns(field, [solve(p, unit_vector(field, n, i)) for i in range(n)])
+    # small characteristic-0 budgets keep undecided leaves cheap; the
+    # outcome must not depend on the basis whatever the budgets are
+    config = SearchConfig(box_height=1, random_trials=8)
+    base = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g), config)
+    moved_gens = [(s, p * mat * p_inv) for s, mat in reversed(gens)]
+    moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), p.apply(g)), config)
+    check_report(moved)
+    assert moved.signature == base.signature
+    assert _leaf_outcomes(moved) == _leaf_outcomes(base)

@@ -1,15 +1,17 @@
 """Commutant computation and the staged splitting-element search."""
 
+import random
+
 import pytest
 
 from cyclomod import GF2, QQ, gf
 from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
 from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.decompose import complete_decomposition
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
-    commutant_basis,
     compute_end,
     find_splitting_element,
     fitting_split,
@@ -21,7 +23,8 @@ from cyclomod.endo import (
 
 from fixtures import s3_anf_action, swap_invariant_module, s3_natural_action, G, F_VEC
 
-from oracles import count_idempotents_brute
+from oracles import commutant_basis, count_idempotents_brute
+from test_acceptance import krull_schmidt_corpus
 
 
 def ones_matrix(field, n):
@@ -242,6 +245,50 @@ def test_verify_certificate_rejects_tampering():
         verify_certificate(
             e, Certificate("decomposable", "fitting-scan", None, None, cert.budgets)
         )
+
+
+def test_verify_certificate_rejects_forged_indecomposable():
+    # diag(1, 2) with g = (1, 1) splits into two lines; End is the 2-dim
+    # diagonal algebra, so no indecomposable certificate may pass
+    action = AlgebraAction(QQ, [("u", [[1, 0], [0, 2]])])
+    e = compute_end(orbit_basis(action, (1, 1)))
+    assert e.dim == 2
+    # x^2 - 2 is irreducible of degree dim E, but the element is not in E
+    outside = DenseMatrix(QQ, [[0, 2], [1, 0]])
+    assert not e.contains(outside)
+    with pytest.raises(RuntimeError):
+        verify_certificate(e, Certificate("indecomposable", "field-generated", outside, None, {}))
+    with pytest.raises(RuntimeError):
+        verify_certificate(e, Certificate("indecomposable", "trust-me", None, None, {}))
+
+
+def _random_modules(rng, field, count):
+    lo, hi = (-1, 1) if field.characteristic == 0 else (0, field.characteristic - 1)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        density = rng.choice([0.2, 0.4, 0.8])
+        gens = [
+            (label, [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)])
+            for label in ("u", "v")[:rng.randint(1, 2)]
+        ]
+        m = orbit_basis(AlgebraAction(field, gens), [rng.randint(lo, hi) for _ in range(n)])
+        if m.dim > 0:
+            out.append(m)
+    return out
+
+
+def test_spun_commutant_equals_general_solve():
+    rng = random.Random(2004)
+    modules = [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 15)]
+    for field, gens, g in krull_schmidt_corpus():
+        m = orbit_basis(AlgebraAction(field, gens), g)
+        # the leaves are generated by projected generators
+        modules += [m, *complete_decomposition(m).summands]
+    for m in modules:
+        expected = commutant_basis(m.field, m.dim, [m.restricted[s] for s in m.action.labels])
+        assert list(compute_end(m).basis) == expected
 
 
 def test_radical_semisimple_is_zero():

@@ -15,7 +15,6 @@ from cyclomod.wfa import (
     minimize,
     right_reduce,
     scale,
-    transpose,
 )
 
 from oracles import all_words, hankel_rank, naive_weight
@@ -184,13 +183,6 @@ def test_zero_automata():
     dead_end = WeightedAutomaton(QQ, ("a",), [1, 1], {"a": [[0, 1], [1, 0]]}, [0, 0])
     assert minimize(dead_end).dim == 0
     assert equivalent(dead_end, WeightedAutomaton.zero(QQ, ("a",)))
-
-
-def test_transpose_reverses_words():
-    a = counting_automaton()
-    t = transpose(a)
-    for w in all_words(("a", "b"), 4):
-        assert t.weight(w) == a.weight(tuple(reversed(w)))
 
 
 def test_prefix_basis_validation():
