@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
+from .fields import FieldScalar
 from .linalg import (
     DenseMatrix,
     SpanSolver,
@@ -386,21 +387,41 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
     return Certificate("undecided", "budget-exhausted", None, None, budgets, diagnostics)
 
 
+def _check_element(e: EndoAlgebra, element):
+    n = e.module_dim
+    if not isinstance(element, DenseMatrix) or element.field != e.field:
+        raise RuntimeError(f"certificate element is not a matrix over {e.field}")
+    if (element.rows, element.cols) != (n, n):
+        raise RuntimeError(f"certificate element is {element.rows}x{element.cols}, expected {n}x{n}")
+
+
 def verify_certificate(e: EndoAlgebra, cert: Certificate):
-    """Re-check a certificate against the algebra; raises RuntimeError on failure."""
+    """Re-check a certificate against the algebra; raises RuntimeError on failure.
+
+    A malformed certificate (an element or a summand vector of the wrong
+    shape or field) fails the check like any other wrong one.
+    """
     if cert.verdict == "decomposable":
         if cert.element is None or cert.summands is None:
             raise RuntimeError("decomposable certificate is missing its witness")
+        _check_element(e, cert.element)
         for label, s in e.action_mats:
             if cert.element * s != s * cert.element:
                 raise RuntimeError(f"witness does not commute with generator {label!r}")
+        if len(cert.summands) != 2:
+            raise RuntimeError(f"{len(cert.summands)} summands, expected 2")
         left, right = cert.summands
         if not left or not right:
             raise RuntimeError("a summand is zero")
         if len(left) + len(right) != e.module_dim:
             raise RuntimeError("summand dimensions do not sum to the module dimension")
+        vectors = list(left) + list(right)
+        if any(len(v) != e.module_dim for v in vectors):
+            raise RuntimeError(f"a summand vector does not have length {e.module_dim}")
+        if any(isinstance(x, FieldScalar) and x.field != e.field for v in vectors for x in v):
+            raise RuntimeError(f"a summand vector is not over {e.field}")
         solver = SpanSolver(e.field, e.module_dim)
-        for v in list(left) + list(right):
+        for v in vectors:
             if not solver.add(v):
                 raise RuntimeError("summand bases are not independent")
         for part in (left, right):
@@ -418,6 +439,7 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
         elif cert.mode == "field-generated":
             if cert.element is None:
                 raise RuntimeError("field-generated certificate is missing its element")
+            _check_element(e, cert.element)
             if not e.contains(cert.element):
                 raise RuntimeError("field-generated element is not in the endomorphism algebra")
             factors = factor(min_poly(cert.element))

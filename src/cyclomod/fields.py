@@ -4,6 +4,13 @@ Scalars are thin immutable wrappers around a canonical representative:
 an int in [0, p) for prime characteristic, a reduced Fraction for
 characteristic 0.  All arithmetic stays exact; nothing here ever touches
 floating point.
+
+FieldScalar is the boundary representation: what parsing produces,
+what serialization reads, and every entry linalg hands out.  The
+linalg kernel does not compute with FieldScalars; it unboxes its
+arguments to the canonical values once per call, runs its loops on
+those, and boxes its results once.  Operators on FieldScalar serve the
+code outside that kernel (polynomials, single scalars).
 """
 
 from __future__ import annotations

@@ -1,12 +1,23 @@
 """Dense exact linear algebra over a FieldSpec.
 
 Vectors are tuples of FieldScalar; matrices are immutable row-major
-grids.  Everything is written for desk-scale dimensions (a few hundred),
-favoring exactness and determinism over asymptotics.
+grids of FieldScalar.  Everything is written for desk-scale dimensions
+(a few hundred), favoring exactness and determinism over asymptotics.
+
+Boxing happens only at this module's boundary.  The kernel (rref,
+SpanSolver, matrix products, apply, apply_row, sums and scaling) runs
+its loops on canonical raw values, ints in [0, p) for GF(p) and
+Fractions for Q, and skips every entry whose multiplier is zero.  A
+call unboxes its vector arguments once, checking that each FieldScalar
+belongs to the kernel's field (plain ints are coerced as
+FieldSpec.scalar does), and boxes its results once.  A matrix stores
+its rows as raw values, unboxed once when it is built; its entries are
+boxed when they are first read, unless it was built from FieldScalars.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import FieldScalar, FieldSpec
@@ -47,41 +58,123 @@ def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 
 
+_QZERO = Fraction(0)
+
+
+def _zero(p: int):
+    return 0 if p else _QZERO
+
+
+def _inv(p: int, a):
+    return pow(a, -1, p) if p else 1 / a
+
+
+def _neg(p: int, a):
+    return (p - a) % p if p else -a
+
+
+def _times(p: int, a, b):
+    return a * b % p if p else a * b
+
+
+def _addmul(p: int, x: list, c, y: Sequence) -> list:
+    """x + c*y on raw values, for nonzero c; entries where y is zero are copied."""
+    if p == 2:
+        return [a ^ b for a, b in zip(x, y)]
+    if p:
+        return [(a + c * b) % p if b else a for a, b in zip(x, y)]
+    return [a + c * b if b else a for a, b in zip(x, y)]
+
+
+def _scale(p: int, c, x: Sequence) -> list:
+    if p:
+        return [c * a % p for a in x]
+    return [c * a if a else a for a in x]
+
+
+def _unbox(field: FieldSpec, xs: Sequence) -> list:
+    """Canonical raw values of xs; a FieldScalar of another field is rejected."""
+    if not isinstance(xs, (tuple, list)):
+        xs = list(xs)
+    p = field.characteristic
+    try:
+        raw = [x.value for x in xs if x.field.characteristic == p]
+        if len(raw) == len(xs):
+            return raw
+    except AttributeError:
+        if all(type(x) is int for x in xs):
+            return [x % p for x in xs] if p else [Fraction(x) for x in xs]
+    out = []
+    for x in xs:
+        if isinstance(x, FieldScalar) and x.field != field:
+            raise ValueError(f"mixed fields: {x.field} and {field}")
+        out.append(field.scalar(x).value)
+    return out
+
+
+def _box(field: FieldSpec, raw: Iterable) -> Vector:
+    return tuple([FieldScalar(field, x) for x in raw])
+
+
 class DenseMatrix:
     """Immutable exact matrix with entries in one field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "_entries", "_raw")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], cols: int | None = None):
-        grid = tuple(tuple(field.scalar(x) for x in row) for row in entries)
-        if grid:
-            cols = len(grid[0])
+        rows = [tuple(row) for row in entries]
+        raw = [_unbox(field, row) for row in rows]
+        if raw:
+            cols = len(raw[0])
         elif cols is None:
             cols = 0
-        for i, row in enumerate(grid):
+        for i, row in enumerate(raw):
             if len(row) != cols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
+        # rows given as FieldScalars are kept, so reading them back allocates nothing
+        boxed = all(type(x) is FieldScalar for row in rows for x in row)
+        self._store(field, raw, cols, tuple(rows) if boxed else None)
+
+    @classmethod
+    def _from_raw(cls, field: FieldSpec, raw: list, cols: int) -> "DenseMatrix":
+        """A matrix from rows of canonical raw values, without per-entry coercion.
+
+        The caller hands over raw and must not change it afterwards.
+        """
+        m = object.__new__(cls)
+        m._store(field, raw, cols, None)
+        return m
+
+    def _store(self, field: FieldSpec, raw: list, cols: int, entries: Optional[tuple]):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(grid))
+        object.__setattr__(self, "rows", len(raw))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "_entries", entries)
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of FieldScalar, boxed on first use."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(_box(self.field, row) for row in self._raw))
+        return self._entries
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "DenseMatrix":
-        z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        z = _zero(field.characteristic)
+        return cls._from_raw(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "DenseMatrix":
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        z, o = _zero(field.characteristic), field.one().value
+        return cls._from_raw(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence], rows: int | None = None) -> "DenseMatrix":
-        cols = [tuple(field.scalar(x) for x in c) for c in columns]
+        cols = [_unbox(field, c) for c in columns]
         if rows is None:
             if not cols:
                 raise ValueError("from_columns with no columns needs an explicit row count")
@@ -89,7 +182,7 @@ class DenseMatrix:
         for c in cols:
             if len(c) != rows:
                 raise ValueError("column lengths differ")
-        return cls(field, [[c[i] for c in cols] for i in range(rows)], cols=len(cols))
+        return cls._from_raw(field, [[c[i] for c in cols] for i in range(rows)], len(cols))
 
     @property
     def is_square(self) -> bool:
@@ -109,24 +202,23 @@ class DenseMatrix:
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+    def _plus(self, other: "DenseMatrix", sign: int) -> "DenseMatrix":
         self._check_same_shape(other)
-        return DenseMatrix(
-            self.field,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        p = self.field.characteristic
+        c = sign % p if p else Fraction(sign)
+        raw = [_addmul(p, r, c, s) for r, s in zip(self._raw, other._raw)]
+        return DenseMatrix._from_raw(self.field, raw, self.cols)
+
+    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other)
-        return DenseMatrix(
-            self.field,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, [[-a for a in r] for r in self.entries], cols=self.cols)
+        p = self.field.characteristic
+        raw = [[_neg(p, a) for a in r] for r in self._raw]
+        return DenseMatrix._from_raw(self.field, raw, self.cols)
 
     def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if not isinstance(other, DenseMatrix):
@@ -135,62 +227,52 @@ class DenseMatrix:
             raise ValueError(f"mixed fields: {self.field} and {other.field}")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        tcols = other.cols
-        out = []
-        for row in self.entries:
-            acc = [zero] * tcols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = other.entries[k]
-                acc = [acc[j] + a * orow[j] for j in range(tcols)]
-            out.append(acc)
-        return DenseMatrix(self.field, out, cols=tcols)
+        p = self.field.characteristic
+        orows = other._raw
+        raw = [_row_times(p, x, orows, other.cols) for x in self._raw]
+        return DenseMatrix._from_raw(self.field, raw, other.cols)
 
     def scale(self, c) -> "DenseMatrix":
-        c = self.field.scalar(c)
-        return DenseMatrix(self.field, [[c * a for a in r] for r in self.entries], cols=self.cols)
+        c = self.field.scalar(c).value
+        p = self.field.characteristic
+        raw = [_scale(p, c, r) for r in self._raw]
+        return DenseMatrix._from_raw(self.field, raw, self.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} against {self.rows}x{self.cols}")
-        zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        p = self.field.characteristic
+        x = _unbox(self.field, v)
+        nz = [j for j, a in enumerate(x) if a]
+        if p:
+            out = [sum([row[j] * x[j] for j in nz]) % p for row in self._raw]
+        else:
+            out = [sum([row[j] * x[j] for j in nz if row[j]], _QZERO) for row in self._raw]
+        return _box(self.field, out)
 
     def apply_row(self, v: Vector) -> Vector:
         """Row vector times matrix."""
         if len(v) != self.rows:
             raise ValueError(f"row vector length {len(v)} against {self.rows}x{self.cols}")
-        zero = self.field.zero()
-        acc = [zero] * self.cols
-        for x, row in zip(v, self.entries):
-            if not x:
-                continue
-            acc = [acc[j] + x * row[j] for j in range(self.cols)]
-        return tuple(acc)
+        x = _unbox(self.field, v)
+        return _box(self.field, _row_times(self.field.characteristic, x, self._raw, self.cols))
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, [self.column(j) for j in range(self.cols)], cols=self.rows)
+        raw = self._raw
+        columns = [list(c) for c in zip(*raw)] if raw else [[] for _ in range(self.cols)]
+        return DenseMatrix._from_raw(self.field, columns, self.rows)
 
     def trace(self) -> FieldScalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        p = self.field.characteristic
+        raw = self._raw
+        total = sum((raw[i][i] for i in range(self.rows)), _zero(p))
+        return FieldScalar(self.field, total % p if p else total)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(any(row) for row in self._raw)
 
     def flatten(self) -> Vector:
         return tuple(a for row in self.entries for a in row)
@@ -202,7 +284,7 @@ class DenseMatrix:
             other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.entries == self.entries
+            and other._raw == self._raw
         )
 
     def __hash__(self) -> int:
@@ -214,6 +296,22 @@ class DenseMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"DenseMatrix({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
+    """The raw row vector x times the raw rows; zero entries of x are skipped."""
+    if p:
+        # reduce once at the end: the partial sums stay below len(x) * p^2
+        acc = [0] * cols
+        for a, row in zip(x, rows):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, row)]
+        return [s % p for s in acc]
+    acc = [_QZERO] * cols
+    for a, row in zip(x, rows):
+        if a:
+            acc = _addmul(0, acc, a, row)
+    return acc
 
 
 def mat_pow(m: DenseMatrix, k: int) -> DenseMatrix:
@@ -238,48 +336,48 @@ class RrefResult(NamedTuple):
     pivot_columns: tuple
 
 
-def rref(m: DenseMatrix) -> RrefResult:
-    """Reduced row echelon form with pivot bookkeeping."""
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+def _rref_rows(p: int, rows: list, ncols: int) -> list:
+    """Reduce a list of raw rows to reduced echelon form in place; returns the pivots."""
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * a for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = _scale(p, _inv(p, rows[r][c]), rows[r])
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _addmul(p, row, _neg(p, f), prow)
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return RrefResult(DenseMatrix(m.field, rows, cols=ncols), r, tuple(pivots))
+    return pivots
+
+
+def rref(m: DenseMatrix) -> RrefResult:
+    """Reduced row echelon form with pivot bookkeeping."""
+    rows = [list(r) for r in m._raw]
+    pivots = _rref_rows(m.field.characteristic, rows, m.cols)
+    return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols), len(pivots), tuple(pivots))
 
 
 def kernel_basis(m: DenseMatrix) -> list:
     """Deterministic basis of {v : m v = 0}, one vector per free column."""
     red, rank, pivots = rref(m)
     field = m.field
+    p = field.characteristic
+    reduced = red._raw
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
+    for fc in (c for c in range(m.cols) if c not in pivot_set):
+        v = [_zero(p)] * m.cols
+        v[fc] = field.one().value
         for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][fc]
-        basis.append(tuple(v))
+            v[pc] = _neg(p, reduced[r][fc])
+        basis.append(_box(field, v))
     return basis
 
 
@@ -290,15 +388,15 @@ def solve(m: DenseMatrix, b: Vector) -> Optional[Vector]:
     field = m.field
     if m.rows == 0:
         return zero_vector(field, m.cols)
-    aug = DenseMatrix(field, [list(row) + [field.scalar(x)] for row, x in zip(m.entries, b)])
+    rhs = _unbox(field, b)
+    aug = DenseMatrix._from_raw(field, [row + [x] for row, x in zip(m._raw, rhs)], m.cols + 1)
     red, rank, pivots = rref(aug)
     if m.cols in pivots:
         return None
-    zero = field.zero()
-    x = [zero] * m.cols
+    x = [_zero(field.characteristic)] * m.cols
     for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][m.cols]
-    return tuple(x)
+        x[pc] = red._raw[r][m.cols]
+    return _box(field, x)
 
 
 class SpanSolver:
@@ -308,15 +406,16 @@ class SpanSolver:
     far and reports whether it did; coordinates() rewrites any vector of
     the span as a combination of the inserted ones.  Rows are kept fully
     reduced, so the internal basis is canonical for a given insertion
-    order.
+    order.  Rows and combinations are stored as raw values.
     """
 
     def __init__(self, field: FieldSpec, length: int):
         self.field = field
         self.length = length
-        self._rows = []  # reduced vectors, one pivot each
+        self._p = field.characteristic
+        self._rows = []  # reduced raw vectors, one pivot each
         self._pivots = []
-        self._combos = []  # row i as a combination of inserted vectors
+        self._combos = []  # row i as a raw combination of inserted vectors
         self.count = 0
 
     @property
@@ -324,42 +423,43 @@ class SpanSolver:
         return len(self._rows)
 
     def _reduce(self, v: Vector):
-        alphas = [self.field.zero()] * len(self._rows)
-        v = list(v)
-        for i, (row, p) in enumerate(zip(self._rows, self._pivots)):
-            c = v[p]
+        """Raw residual of v against the rows, and the multiple of each row taken off."""
+        if len(v) != self.length:
+            raise ValueError(f"vector length {len(v)}, expected {self.length}")
+        p = self._p
+        v = _unbox(self.field, v)
+        alphas = []
+        for row, piv in zip(self._rows, self._pivots):
+            c = v[piv]
+            alphas.append(c)
             if c:
-                alphas[i] = c
-                v = [a - c * b for a, b in zip(v, row)]
+                v = _addmul(p, v, _neg(p, c), row)
         return v, alphas
 
     def add(self, v: Vector) -> bool:
-        if len(v) != self.length:
-            raise ValueError(f"vector length {len(v)}, expected {self.length}")
         residual, alphas = self._reduce(v)
         pivot = next((j for j, a in enumerate(residual) if a), None)
-        self.count += 1
         if pivot is None:
-            self.count -= 1
             return False
-        inv = residual[pivot].inverse()
-        new_row = [inv * a for a in residual]
-        combo = [self.field.zero()] * self.count
+        p = self._p
+        self.count += 1
+        inv = _inv(p, residual[pivot])
+        new_row = _scale(p, inv, residual)
+        combo = [_zero(p)] * self.count
         combo[-1] = inv
-        for i, alpha in enumerate(alphas):
+        for alpha, old in zip(alphas, self._combos):
             if alpha:
-                f = inv * alpha
-                old = self._combos[i]
-                for k, c in enumerate(old):
-                    combo[k] = combo[k] - f * c
+                k = len(old)
+                combo[:k] = _addmul(p, combo[:k], _neg(p, _times(p, inv, alpha)), old)
         # keep existing rows reduced against the new pivot
         for i, row in enumerate(self._rows):
             c = row[pivot]
             if c:
-                self._rows[i] = [a - c * b for a, b in zip(row, new_row)]
+                minus_c = _neg(p, c)
+                self._rows[i] = _addmul(p, row, minus_c, new_row)
                 old = self._combos[i]
-                merged = list(old) + [self.field.zero()] * (len(combo) - len(old))
-                self._combos[i] = [a - c * b for a, b in zip(merged, combo)]
+                padded = old + [_zero(p)] * (len(combo) - len(old))
+                self._combos[i] = _addmul(p, padded, minus_c, combo)
         self._rows.append(new_row)
         self._pivots.append(pivot)
         self._combos.append(combo)
@@ -370,19 +470,20 @@ class SpanSolver:
         residual, alphas = self._reduce(v)
         if any(residual):
             return None
-        coords = [self.field.zero()] * self.count
+        p = self._p
+        coords = [_zero(p)] * self.count
         for alpha, combo in zip(alphas, self._combos):
             if alpha:
-                for k, c in enumerate(combo):
-                    coords[k] = coords[k] + alpha * c
-        return tuple(coords)
+                k = len(combo)
+                coords[:k] = _addmul(p, coords[:k], alpha, combo)
+        return _box(self.field, coords)
 
     def contains(self, v: Vector) -> bool:
         residual, _ = self._reduce(v)
         return not any(residual)
 
     def basis_rows(self) -> list:
-        return [tuple(r) for r in self._rows]
+        return [_box(self.field, r) for r in self._rows]
 
 
 def column_space_basis(m: DenseMatrix) -> list:

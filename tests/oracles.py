@@ -1,17 +1,22 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but commutant_basis works on raw Python values (ints
-mod p, Fractions, int bitmasks over GF(2)) and reimplements the math
-naively, so that a bug in the library's linear algebra cannot hide
-inside its own oracle.  commutant_basis is the general n^2-unknown
-commutant solve on the library's matrices: the reference the spun
-endo.compute_end must match basis for basis.
+Everything here but commutant_basis and the boxed kernel works on raw
+Python values (ints mod p, Fractions, int bitmasks over GF(2)) and
+reimplements the math naively, so that a bug in the library's linear
+algebra cannot hide inside its own oracle.  commutant_basis is the
+general n^2-unknown commutant solve on the library's matrices: the
+reference the spun endo.compute_end must match basis for basis.  The
+boxed kernel (boxed_rref, BoxedSpanSolver, boxed_mul, boxed_apply,
+boxed_apply_row) runs the same eliminations entry by entry on
+FieldScalars: the reference the raw-value kernel in linalg must match
+entry for entry.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from cyclomod.linalg import DenseMatrix, kernel_basis
 
@@ -361,3 +366,142 @@ def commutant_basis(field, dim, matrices):
         entries = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
         basis.append(DenseMatrix(field, entries, cols=dim))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the boxed elimination kernel
+
+
+class BoxedRref(NamedTuple):
+    rows: list
+    rank: int
+    pivot_columns: tuple
+
+
+def boxed_rref(m):
+    """Reduced row echelon form computed entry by entry on FieldScalars.
+
+    This is the library's rref before its loops moved to raw values,
+    kept as the reference the raw kernel must match entry for entry.
+    """
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return BoxedRref([tuple(row) for row in rows], r, tuple(pivots))
+
+
+class BoxedSpanSolver:
+    """The library's SpanSolver on FieldScalars, before its loops moved to raw values."""
+
+    def __init__(self, field, length):
+        self.field = field
+        self.length = length
+        self._rows = []
+        self._pivots = []
+        self._combos = []
+        self.count = 0
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def _reduce(self, v):
+        alphas = [self.field.zero()] * len(self._rows)
+        v = list(v)
+        for i, (row, p) in enumerate(zip(self._rows, self._pivots)):
+            c = v[p]
+            if c:
+                alphas[i] = c
+                v = [a - c * b for a, b in zip(v, row)]
+        return v, alphas
+
+    def add(self, v):
+        if len(v) != self.length:
+            raise ValueError(f"vector length {len(v)}, expected {self.length}")
+        residual, alphas = self._reduce(v)
+        pivot = next((j for j, a in enumerate(residual) if a), None)
+        if pivot is None:
+            return False
+        self.count += 1
+        inv = residual[pivot].inverse()
+        new_row = [inv * a for a in residual]
+        combo = [self.field.zero()] * self.count
+        combo[-1] = inv
+        for i, alpha in enumerate(alphas):
+            if alpha:
+                f = inv * alpha
+                for k, c in enumerate(self._combos[i]):
+                    combo[k] = combo[k] - f * c
+        for i, row in enumerate(self._rows):
+            c = row[pivot]
+            if c:
+                self._rows[i] = [a - c * b for a, b in zip(row, new_row)]
+                old = self._combos[i]
+                merged = list(old) + [self.field.zero()] * (len(combo) - len(old))
+                self._combos[i] = [a - c * b for a, b in zip(merged, combo)]
+        self._rows.append(new_row)
+        self._pivots.append(pivot)
+        self._combos.append(combo)
+        return True
+
+    def coordinates(self, v):
+        residual, alphas = self._reduce(v)
+        if any(residual):
+            return None
+        coords = [self.field.zero()] * self.count
+        for alpha, combo in zip(alphas, self._combos):
+            if alpha:
+                for k, c in enumerate(combo):
+                    coords[k] = coords[k] + alpha * c
+        return tuple(coords)
+
+    def contains(self, v):
+        residual, _ = self._reduce(v)
+        return not any(residual)
+
+    def basis_rows(self):
+        return [tuple(r) for r in self._rows]
+
+
+def boxed_mul(a, b):
+    """Entries of the product a * b, summed on FieldScalars."""
+    zero = a.field.zero()
+    return [
+        tuple(sum((row[k] * b.entries[k][j] for k in range(a.cols)), zero) for j in range(b.cols))
+        for row in a.entries
+    ]
+
+
+def boxed_apply(m, v):
+    """m times the column vector v, summed on FieldScalars."""
+    zero = m.field.zero()
+    return tuple(sum((a * m.field.scalar(x) for a, x in zip(row, v)), zero) for row in m.entries)
+
+
+def boxed_apply_row(m, v):
+    """The row vector v times m, summed on FieldScalars."""
+    zero = m.field.zero()
+    return tuple(
+        sum((m.field.scalar(x) * m.entries[i][j] for i, x in enumerate(v)), zero)
+        for j in range(m.cols)
+    )

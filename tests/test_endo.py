@@ -262,6 +262,40 @@ def test_verify_certificate_rejects_forged_indecomposable():
         verify_certificate(e, Certificate("indecomposable", "trust-me", None, None, {}))
 
 
+def test_verify_certificate_fails_malformed_shapes_as_a_check():
+    # a malformed certificate is a failed check (RuntimeError, CLI exit 1),
+    # not bad input (ValueError, exit 2)
+    e = compute_end(swap_invariant_module())
+    cert = find_splitting_element(e)
+    assert cert.verdict == "decomposable"
+    too_big = DenseMatrix.identity(GF2, 4)
+    with pytest.raises(RuntimeError, match="4x4, expected 3x3"):
+        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.summands, {}))
+    left, right = cert.summands
+    short = (left[0][:-1],) + tuple(left[1:])
+    with pytest.raises(RuntimeError, match="length 3"):
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, right), {}))
+    foreign = (tuple(gf(3).scalar(x.value) for x in left[0]),) + tuple(left[1:])
+    with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right), {}))
+    with pytest.raises(RuntimeError, match="3 summands"):
+        verify_certificate(
+            e, Certificate("decomposable", cert.mode, cert.element, (left, right, right), {})
+        )
+    line = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
+    assert line.dim == 2
+    with pytest.raises(RuntimeError, match="3x3, expected 2x2"):
+        verify_certificate(
+            line,
+            Certificate("indecomposable", "field-generated", DenseMatrix.identity(QQ, 3), None, {}),
+        )
+    with pytest.raises(RuntimeError, match="not a matrix over QQ"):
+        verify_certificate(
+            line,
+            Certificate("indecomposable", "field-generated", DenseMatrix.identity(GF2, 2), None, {}),
+        )
+
+
 def _random_modules(rng, field, count):
     lo, hi = (-1, 1) if field.characteristic == 0 else (0, field.characteristic - 1)
     out = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomod.fields import GF2, QQ, gf
+from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import (
     DenseMatrix,
     SpanSolver,
@@ -22,6 +22,7 @@ from cyclomod.linalg import (
     zero_vector,
 )
 
+import oracles
 from oracles import rank_by_minors
 
 
@@ -179,3 +180,150 @@ def test_zero_dimensional_edge_cases():
     wide = DenseMatrix.zeros(QQ, 0, 2)
     assert solve(wide, ()) == (QQ.zero(), QQ.zero())
     assert len(kernel_basis(wide)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the kernel boundary: foreign scalars are rejected
+
+
+def test_kernel_rejects_scalars_of_another_field():
+    gf3 = gf(3)
+    foreign = (gf3.one(), gf3.zero())
+    solver = SpanSolver(GF2, 2)
+    with pytest.raises(ValueError, match="mixed fields"):
+        solver.add(foreign)
+    assert solver.rank == 0
+    assert solver.add((GF2.one(), GF2.zero()))
+    for method in (solver.coordinates, solver.contains, solver.add):
+        with pytest.raises(ValueError, match="mixed fields"):
+            method(foreign)
+    zeros = DenseMatrix(GF2, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="mixed fields"):
+        zeros.apply(foreign)
+    with pytest.raises(ValueError, match="mixed fields"):
+        zeros.apply_row(foreign)
+    with pytest.raises(ValueError, match="mixed fields"):
+        solve(zeros, foreign)
+    # a GF(3) entry cannot get into the matrix that rref reduces
+    with pytest.raises(ValueError, match="mixed fields"):
+        rref(DenseMatrix(GF2, [[gf3.one(), 0]]))
+    with pytest.raises(ValueError, match="mixed fields"):
+        DenseMatrix.from_columns(QQ, [foreign])
+
+
+# ---------------------------------------------------------------------------
+# the raw kernel against the boxed reference in oracles
+
+
+ORACLE_FIELDS = (GF2, gf(3), gf(2147483647), QQ)
+
+
+def _oracle_rows(field, rng, rows, cols):
+    """Random raw rows with zero rows, zero columns and dependent rows mixed in."""
+    p = field.characteristic
+    if p:
+        pick = lambda: rng.choice([0, 0, 1, p - 1, rng.randrange(p)])
+    else:
+        pick = lambda: rng.choice([0, 0, 1, Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))])
+    dead_cols = {j for j in range(cols) if rng.random() < 0.2}
+    out = []
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            row = [0] * cols
+        elif roll < 0.4 and out:
+            # a combination of earlier rows: rank deficiency
+            a, b = rng.choice(out), rng.choice(out)
+            c = pick()
+            row = [x + c * y for x, y in zip(a, b)]
+            row = [x % p for x in row] if p else row
+        else:
+            row = [pick() for _ in range(cols)]
+        out.append([0 if j in dead_cols else x for j, x in enumerate(row)])
+    return out
+
+
+def _as_input(field, values, form):
+    """values as FieldScalars ("boxed"), as plain ints where they are integers
+    ("ints"), or as both in turn ("mixed")."""
+    p = field.characteristic
+    out = []
+    for i, x in enumerate(values):
+        if form == "boxed" or (form == "mixed" and i % 2) or Fraction(x).denominator != 1:
+            out.append(field.scalar(x))
+        else:
+            # shift GF(p) values by a multiple of p, so the kernel must reduce them
+            out.append(int(x) + (p * (i % 3 - 1) if p else 0))
+    return tuple(out)
+
+
+def _assert_canonical(field, scalars):
+    p = field.characteristic
+    for x in scalars:
+        assert type(x) is FieldScalar and x.field == field
+        if p:
+            assert type(x.value) is int and 0 <= x.value < p
+        else:
+            assert type(x.value) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    field=st.sampled_from(ORACLE_FIELDS),
+    rows=st.integers(min_value=0, max_value=6),
+    cols=st.integers(min_value=0, max_value=6),
+    inner=st.integers(min_value=0, max_value=4),
+    form=st.sampled_from(["boxed", "ints", "mixed"]),
+)
+def test_raw_kernel_matches_boxed_reference(seed, field, rows, cols, inner, form):
+    rng = random.Random(seed)
+
+    def given(values):
+        return _as_input(field, values, form)
+
+    def box(values):
+        return _as_input(field, values, "boxed")
+
+    raw = _oracle_rows(field, rng, rows, cols)
+    m = DenseMatrix(field, [given(r) for r in raw], cols=cols)
+    m_boxed = DenseMatrix(field, [box(r) for r in raw], cols=cols)
+    assert m == m_boxed and m.entries == m_boxed.entries
+
+    red, rank, pivots = rref(m)
+    ref = oracles.boxed_rref(m_boxed)
+    assert red.entries == tuple(ref.rows)
+    assert (rank, pivots) == (ref.rank, ref.pivot_columns)
+    for row in red.entries:
+        _assert_canonical(field, row)
+
+    solver, reference = SpanSolver(field, cols), oracles.BoxedSpanSolver(field, cols)
+    for r in raw:
+        assert solver.add(given(r)) == reference.add(box(r))
+    assert solver.rank == reference.rank
+    assert solver.basis_rows() == reference.basis_rows()
+    for row in solver.basis_rows():
+        _assert_canonical(field, row)
+    probes = raw + _oracle_rows(field, rng, 3, cols)
+    for v in probes:
+        got = solver.coordinates(given(v))
+        assert got == reference.coordinates(box(v))
+        assert solver.contains(given(v)) == reference.contains(box(v))
+        if got is not None:
+            _assert_canonical(field, got)
+
+    other_raw = _oracle_rows(field, rng, cols, inner)
+    other = DenseMatrix(field, [given(r) for r in other_raw], cols=inner)
+    product = m * other
+    assert (product.rows, product.cols) == (rows, inner)
+    assert product.entries == tuple(oracles.boxed_mul(m_boxed, other))
+    for row in product.entries:
+        _assert_canonical(field, row)
+    for v in _oracle_rows(field, rng, 2, cols):
+        got = m.apply(given(v))
+        assert got == oracles.boxed_apply(m_boxed, box(v))
+        _assert_canonical(field, got)
+    for w in _oracle_rows(field, rng, 2, rows):
+        got = m.apply_row(given(w))
+        assert got == oracles.boxed_apply_row(m_boxed, box(w))
+        _assert_canonical(field, got)
