@@ -17,9 +17,15 @@ find_splitting_element runs fixed stages: the one-dimensional shortcut,
 a deterministic scan of basis elements and their pairwise sums and
 differences, exhaustive enumeration over a finite field when the algebra
 is small enough, and over the rationals minimal-polynomial factorization
-of scanned plus seeded random elements followed by a bounded integer box
-sweep.  Everything is exact; when all budgets run out the verdict is
-"undecided", never a guess.
+of scanned plus seeded random elements, then the local stage, then a
+bounded integer box sweep.  The local stage takes the radical J from the
+trace form and looks for an element whose minimal polynomial modulo J is
+irreducible of degree dim E - dim J; that element makes E/J a field, so
+E is local and the module indecomposable.  No earlier stage can decide
+a local algebra with J != 0: every element is a unit or nilpotent and
+every minimal polynomial is a power of one irreducible.  Everything is
+exact; when all budgets run out the verdict is "undecided", never a
+guess.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .linalg import (
     rref,
 )
 from .modules import CyclicModule
-from .polynomials import factor, min_poly
+from .polynomials import Polynomial, factor, min_poly
 
 
 class EndoAlgebra:
@@ -55,11 +61,13 @@ class EndoAlgebra:
         object.__setattr__(self, "action_mats", tuple(action_mats))
         solver = SpanSolver(field, module_dim * module_dim)
         for b in self.basis:
-            if not solver.add(b.flatten()):
+            if b.field != field:
+                raise ValueError(f"mixed fields: {b.field} and {field}")
+            if not solver.add(b._flat()):
                 raise ValueError("endomorphism basis is linearly dependent")
         object.__setattr__(self, "_solver", solver)
         ident = DenseMatrix.identity(field, module_dim)
-        coords = solver.coordinates(ident.flatten()) if module_dim else ()
+        coords = solver.coordinates(ident._flat()) if module_dim else ()
         if coords is None:
             raise ValueError("identity is outside the proposed endomorphism algebra")
         object.__setattr__(self, "_identity_coords", coords)
@@ -90,7 +98,9 @@ class EndoAlgebra:
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
         if (mat.rows, mat.cols) != (self.module_dim, self.module_dim):
             raise ValueError("matrix shape does not match the module")
-        return self._solver.coordinates(mat.flatten())
+        if mat.field != self.field:
+            raise ValueError(f"mixed fields: {mat.field} and {self.field}")
+        return self._solver.coordinates(mat._flat())
 
     def contains(self, mat: DenseMatrix) -> bool:
         return self.coordinates(mat) is not None
@@ -235,6 +245,7 @@ class Certificate:
     summands: Optional[tuple]         # pair of module-coordinate basis tuples
     budgets: dict
     diagnostics: dict = dc_field(default_factory=dict)
+    radical: Optional[tuple] = None   # "local" only: basis matrices of the radical
 
 
 def _scan_candidates(e: EndoAlgebra):
@@ -363,6 +374,17 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
             return cert
     diagnostics["min_poly_tried"] = tried
 
+    # a local algebra: E/J is a field generated by one element
+    radical = radical_char0(e)
+    if radical:
+        pool = [e.identity()] if e.dim - len(radical) == 1 else candidates
+        for local_tried, mat in enumerate(pool, 1):
+            if _generates_quotient_field(e, mat, radical):
+                diag = dict(diagnostics, radical_dim=len(radical), local_tried=local_tried)
+                return Certificate(
+                    "indecomposable", "local", mat, None, budgets, diag, radical=tuple(radical)
+                )
+
     # bounded integer box sweep, shells of growing height
     height = config.box_height
     while height > 0 and (2 * height + 1) ** e.dim > config.exhaustive_cap:
@@ -387,12 +409,79 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
     return Certificate("undecided", "budget-exhausted", None, None, budgets, diagnostics)
 
 
-def _check_element(e: EndoAlgebra, element):
+def _min_poly_mod(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> Polynomial:
+    """Minimal polynomial of mat modulo span(radical), for independent radical matrices.
+
+    It is the first dependence among I, mat, mat^2, ... modulo the span;
+    for mat in E and radical inside E it comes by degree dim E - len(radical).
+    """
+    field, n = e.field, e.module_dim
+    solver = SpanSolver(field, n * n)
+    for j in radical:
+        solver.add(j._flat())
+    power = e.identity()
+    for _ in range(e.dim - len(radical) + 1):
+        flat = power._flat()
+        if not solver.add(flat):
+            coords = solver.coordinates(flat)[len(radical):]
+            return Polynomial(field, [-c for c in coords] + [field.one()])
+        power = power * mat
+    raise RuntimeError("powers of the element modulo the radical outgrow the algebra")
+
+
+def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> bool:
+    """Whether mat modulo the radical J has an irreducible minimal polynomial of degree dim E/J.
+
+    That polynomial has degree at most dim E/J, so one factor of degree
+    dim E/J can only occur once.
+    """
+    factors = factor(_min_poly_mod(e, mat, radical))
+    return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
+
+
+def _check_element(e: EndoAlgebra, element, what: str = "certificate element"):
     n = e.module_dim
     if not isinstance(element, DenseMatrix) or element.field != e.field:
-        raise RuntimeError(f"certificate element is not a matrix over {e.field}")
+        raise RuntimeError(f"{what} is not a matrix over {e.field}")
     if (element.rows, element.cols) != (n, n):
-        raise RuntimeError(f"certificate element is {element.rows}x{element.cols}, expected {n}x{n}")
+        raise RuntimeError(f"{what} is {element.rows}x{element.cols}, expected {n}x{n}")
+
+
+def _check_local(e: EndoAlgebra, cert: Certificate):
+    """Re-check that J is a nilpotent ideal and E/J = F[x mod J] is a field.
+
+    Then J is the radical and E is local, so the module is indecomposable.
+    Nothing about how J was found is trusted, and no step depends on the field.
+    """
+    radical = cert.radical
+    if not isinstance(radical, (tuple, list)) or not radical:
+        raise RuntimeError("local certificate is missing its radical")
+    _check_element(e, cert.element)
+    span = SpanSolver(e.field, e.module_dim * e.module_dim)
+    for j in radical:
+        _check_element(e, j, "radical matrix")
+        if not e.contains(j):
+            raise RuntimeError("radical matrix is not in the endomorphism algebra")
+        if not span.add(j._flat()):
+            raise RuntimeError("radical matrices are linearly dependent")
+    for b in e.basis:
+        for j in radical:
+            if not (span.contains((b * j)._flat()) and span.contains((j * b)._flat())):
+                raise RuntimeError("radical span is not a two-sided ideal")
+    # J^(k+1) = J^k J shrinks strictly until it vanishes exactly when J is nilpotent
+    power = list(radical)
+    for _ in range(len(radical)):
+        step = SpanSolver(e.field, e.module_dim * e.module_dim)
+        products = (a * j for a in power for j in radical)
+        power = [prod for prod in products if step.add(prod._flat())]
+        if not power:
+            break
+    else:
+        raise RuntimeError("radical span is not nilpotent")
+    if not e.contains(cert.element):
+        raise RuntimeError("local element is not in the endomorphism algebra")
+    if not _generates_quotient_field(e, cert.element, radical):
+        raise RuntimeError("element does not generate a field modulo the radical")
 
 
 def verify_certificate(e: EndoAlgebra, cert: Certificate):
@@ -442,16 +531,17 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             _check_element(e, cert.element)
             if not e.contains(cert.element):
                 raise RuntimeError("field-generated element is not in the endomorphism algebra")
-            factors = factor(min_poly(cert.element))
-            if len(factors) != 1 or factors[0][1] != 1 or factors[0][0].degree != e.dim:
+            if not _generates_quotient_field(e, cert.element, ()):
                 raise RuntimeError("element does not generate a field of full dimension")
+        elif cert.mode == "local":
+            _check_local(e, cert)
         elif cert.mode == "exhaustive":
             if e.field.characteristic == 0:
                 raise RuntimeError("exhaustive verdict claimed over an infinite field")
         else:
             raise RuntimeError(f"unknown indecomposable mode {cert.mode!r}")
     elif cert.verdict == "undecided":
-        if cert.element is not None or cert.summands is not None:
+        if cert.element is not None or cert.summands is not None or cert.radical is not None:
             raise RuntimeError("undecided certificate carries witness data")
     else:
         raise RuntimeError(f"unknown verdict {cert.verdict!r}")
@@ -480,13 +570,13 @@ def radical_char0(e: EndoAlgebra) -> list:
     for coords in kernel_basis(gram):
         mat = e.element(coords)
         rad.append(mat)
-        rad_solver.add(mat.flatten())
+        rad_solver.add(mat._flat())
     for mat in rad:
         # the algebra acts faithfully, so radical elements are nilpotent matrices
         if not mat_pow(mat, e.module_dim).is_zero():
             raise RuntimeError("radical candidate is not nilpotent")
         for b in e.basis:
             for prod in (mat * b, b * mat):
-                if not rad_solver.contains(prod.flatten()):
+                if not rad_solver.contains(prod._flat()):
                     raise RuntimeError("radical candidate span is not a two-sided ideal")
     return rad

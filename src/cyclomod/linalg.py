@@ -92,8 +92,19 @@ def _scale(p: int, c, x: Sequence) -> list:
     return [c * a if a else a for a in x]
 
 
+class _RawVector(list):
+    """Canonical raw values that the kernel takes as they are, without unboxing.
+
+    Nothing records their field, so the caller must check it.
+    """
+
+    __slots__ = ()
+
+
 def _unbox(field: FieldSpec, xs: Sequence) -> list:
     """Canonical raw values of xs; a FieldScalar of another field is rejected."""
+    if type(xs) is _RawVector:
+        return xs
     if not isinstance(xs, (tuple, list)):
         xs = list(xs)
     p = field.characteristic
@@ -276,6 +287,10 @@ class DenseMatrix:
 
     def flatten(self) -> Vector:
         return tuple(a for row in self.entries for a in row)
+
+    def _flat(self) -> _RawVector:
+        """The row-major raw entries, for a SpanSolver of length rows * cols."""
+        return _RawVector([a for row in self._raw for a in row])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):

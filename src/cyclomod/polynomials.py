@@ -659,7 +659,7 @@ def min_poly(m: DenseMatrix) -> Polynomial:
     solver = SpanSolver(field, n * n)
     power = DenseMatrix.identity(field, n)
     for k in range(n + 1):
-        flat = power.flatten()
+        flat = power._flat()
         if not solver.add(flat):
             coords = solver.coordinates(flat)
             coeffs = [-c for c in coords] + [field.one()]

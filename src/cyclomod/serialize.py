@@ -184,7 +184,7 @@ def presentation_from_json(obj) -> PermutationPresentation:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return {
+    out = {
         "verdict": cert.verdict,
         "mode": cert.mode,
         "element": None if cert.element is None else matrix_to_json(cert.element),
@@ -194,6 +194,9 @@ def certificate_to_json(cert: Certificate) -> dict:
         "budgets": dict(cert.budgets),
         "diagnostics": {k: cert.diagnostics[k] for k in sorted(cert.diagnostics)},
     }
+    if cert.mode == "local":
+        out["radical"] = [matrix_to_json(j) for j in cert.radical]
+    return out
 
 
 def module_to_json(m: CyclicModule, names: Optional[Sequence[str]] = None) -> dict:

@@ -8,6 +8,8 @@ with s1 fixing A and swapping B, C and s2 swapping A, B and fixing C.
 The sum F = A+B+C spans the invariant line inside span{A, B, C}.
 """
 
+import random
+
 from cyclomod import GF2, QQ
 from cyclomod.modules import AlgebraAction, orbit_basis
 
@@ -89,3 +91,29 @@ def s3_regular_action():
             rows[index[compose(gen, g)]][j] = 1
         mats.append(rows)
     return AlgebraAction(QQ, [("s1", mats[0]), ("s2", mats[1])])
+
+
+def conjugated_jordan_module(field, d, seed):
+    """The module of P N P^-1 generated by P e_d, for the nilpotent d x d Jordan block N.
+
+    P is a seeded product of elementary integer row operations, so P and
+    P^-1 are both integer matrices.  The module is Q^d (or GF(p)^d) and
+    indecomposable, and its endomorphism algebra F[N]/N^d is local.
+    """
+    rng = random.Random(seed)
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    q = [row[:] for row in p]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        # P <- E P with E = I + c e_ij, and P^-1 <- P^-1 E^-1
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    n = [[int(j == i + 1) for j in range(d)] for i in range(d)]
+    a = _int_mul(_int_mul(p, n), q)
+    return orbit_basis(AlgebraAction(field, [("n", a)]), [row[d - 1] for row in p])
+
+
+def _int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

@@ -1,13 +1,15 @@
 """Commutant computation and the staged splitting-element search."""
 
+import dataclasses
 import random
+import time
 
 import pytest
 
 from cyclomod import GF2, QQ, gf
 from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
 from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.decompose import complete_decomposition
+from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
@@ -21,7 +23,14 @@ from cyclomod.endo import (
     verify_certificate,
 )
 
-from fixtures import s3_anf_action, swap_invariant_module, s3_natural_action, G, F_VEC
+from fixtures import (
+    conjugated_jordan_module,
+    s3_anf_action,
+    swap_invariant_module,
+    s3_natural_action,
+    G,
+    F_VEC,
+)
 
 from oracles import commutant_basis, count_idempotents_brute
 from test_acceptance import krull_schmidt_corpus
@@ -103,6 +112,11 @@ def test_nilpotent_invertible_membership():
     outside = DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         is_nilpotent(e, outside)
+    # the GF(3) identity has the same raw entries as the GF(2) one
+    with pytest.raises(ValueError, match="mixed fields"):
+        e.contains(DenseMatrix.identity(gf(3), 3))
+    with pytest.raises(ValueError, match="mixed fields"):
+        EndoAlgebra(GF2, 3, [DenseMatrix.identity(gf(3), 3)], e.action_mats)
 
 
 def test_fitting_split_on_projection():
@@ -212,8 +226,8 @@ def test_field_generated_indecomposable():
 
 
 def test_undecided_local_jordan_block():
-    # a single nilpotent Jordan block: the commutant is local but not a
-    # field, and no stage certifies either way within budget
+    # a single nilpotent Jordan block: the commutant Q[N]/N^2 is local but
+    # not a field; its radical J = QN with E/J = Q certifies it
     n = [[0, 1], [0, 0]]
     action = AlgebraAction(QQ, [("u", n)])
     m = orbit_basis(action, (0, 1))
@@ -221,10 +235,121 @@ def test_undecided_local_jordan_block():
     e = compute_end(m)
     assert e.dim == 2
     cert = find_splitting_element(e, SearchConfig(box_height=2, random_trials=8))
+    assert cert.verdict == "indecomposable"
+    assert cert.mode == "local"
+    assert cert.element == e.identity()
+    assert len(cert.radical) == 1 and is_nilpotent(e, cert.radical[0])
+    assert "box_swept" not in cert.diagnostics
+    verify_certificate(e, cert)
+
+
+def quaternion_module():
+    """Q^4 = H under left multiplication by i and j, generated by 1; End is H."""
+    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+    return orbit_basis(AlgebraAction(QQ, [("i", left_i), ("j", left_j)]), (1, 0, 0, 0))
+
+
+def test_undecided_quaternion_division_algebra():
+    # End is the quaternions (right multiplication): a division algebra
+    # with J = 0 that is not a field, so no stage can certify it
+    m = quaternion_module()
+    assert m.dim == 4
+    e = compute_end(m)
+    assert e.dim == 4
+    assert radical_char0(e) == []
+    cert = find_splitting_element(e, SearchConfig(box_height=1, random_trials=8))
     assert cert.verdict == "undecided"
     assert cert.mode == "budget-exhausted"
     assert cert.diagnostics["box_swept"] > 0
+    assert cert.radical is None
     verify_certificate(e, cert)
+
+
+def test_local_certificate_with_a_quadratic_residue_field():
+    # A = [[C, I], [0, C]] with C the rotation by 90 degrees: End = Q[A]
+    # has minimal polynomial (t^2 + 1)^2, radical (A^2 + 1), and E/J = Q(i)
+    a = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
+    e = compute_end(orbit_basis(AlgebraAction(QQ, [("a", a)]), (0, 0, 1, 0)))
+    assert e.dim == 4
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert len(cert.radical) == 2
+    verify_certificate(e, cert)
+
+
+def test_local_certificates_for_jordan_blocks_within_budget():
+    start = time.perf_counter()
+    for d in range(2, 7):
+        m = conjugated_jordan_module(QQ, d, seed=d)
+        assert m.dim == d
+        report = complete_decomposition(m)
+        assert report.signature == (d,)
+        (cert,) = report.certificates
+        assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+        assert len(cert.radical) == d - 1
+        check_report(report)
+    assert time.perf_counter() - start < 5.0
+
+
+def _local_forgery(e, cert, reason, **changes):
+    with pytest.raises(RuntimeError, match=reason):
+        verify_certificate(e, dataclasses.replace(cert, **changes))
+
+
+def test_verify_certificate_rejects_forged_local():
+    e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    verify_certificate(e, cert)
+    nil = cert.radical[0]
+    # a radical matrix outside E
+    outside = DenseMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    assert not e.contains(outside)
+    _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=(nil, outside))
+    # not an ideal: the square of a generator of J falls outside its line
+    gen = next(j for j in cert.radical if not (j * j).is_zero())
+    _local_forgery(e, cert, "not a two-sided ideal", radical=(gen,))
+    # not nilpotent: J = E contains the identity
+    _local_forgery(e, cert, "not nilpotent", radical=e.basis)
+    # an empty radical, or none at all
+    _local_forgery(e, cert, "missing its radical", radical=())
+    _local_forgery(e, cert, "missing its radical", radical=None)
+    # dependent radical matrices
+    _local_forgery(e, cert, "linearly dependent", radical=(nil, nil))
+    # J = (N^2) is a nilpotent ideal, but E/J = Q[N]/N^2 is no field:
+    # N modulo J has minimal polynomial t^2, reducible ...
+    square = (gen * gen,)
+    _local_forgery(e, cert, "does not generate a field", radical=square, element=gen)
+    # ... and the identity modulo J has degree 1, not dim E/J = 2
+    _local_forgery(e, cert, "does not generate a field", radical=square, element=e.identity())
+    # no element, or an element outside E
+    _local_forgery(e, cert, "certificate element is not a matrix", element=None)
+    _local_forgery(e, cert, "local element is not in", element=outside)
+    # radical matrices of the wrong shape or over another field
+    _local_forgery(e, cert, "radical matrix is 2x2", radical=(nil, DenseMatrix.zeros(QQ, 2, 2)))
+    foreign = DenseMatrix.zeros(GF2, 3, 3)
+    _local_forgery(e, cert, "radical matrix is not a matrix over QQ", radical=(nil, foreign))
+    _local_forgery(e, cert, "radical matrix is not a matrix", radical=(nil, "not a matrix"))
+    # an undecided certificate may not carry a radical
+    _local_forgery(
+        e, cert, "witness data", verdict="undecided", mode="budget-exhausted", element=None
+    )
+
+
+def test_verify_certificate_rejects_idempotent_radical():
+    # diag(1, 2) with g = (1, 1): End = Q x Q, and J = Q(u - 1), the
+    # projection onto the eigenvalue-2 line, is an ideal with E/J = Q a
+    # field, but J is idempotent, not nilpotent
+    action = AlgebraAction(QQ, [("u", [[1, 0], [0, 2]])])
+    e = compute_end(orbit_basis(action, (1, 1)))
+    assert e.dim == 2
+    (_, u), = e.action_mats
+    idem = u - e.identity()
+    assert idem * idem == idem and e.contains(idem)
+    forged = Certificate("indecomposable", "local", e.identity(), None, {}, radical=(idem,))
+    with pytest.raises(RuntimeError, match="not nilpotent"):
+        verify_certificate(e, forged)
 
 
 def test_verify_certificate_rejects_tampering():

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from cyclomod.decompose import complete_decomposition
+from cyclomod.endo import SearchConfig, compute_end, find_splitting_element
 from cyclomod.fields import GF2, QQ, gf
 from cyclomod.linalg import DenseMatrix
-from cyclomod.modules import action_graph, graph_from_parts, orbit_basis
+from cyclomod.modules import AlgebraAction, action_graph, graph_from_parts, orbit_basis
 from cyclomod.perms import PermutationPresentation, permutation_module
 from cyclomod.serialize import (
     FormatError,
@@ -27,7 +28,7 @@ from cyclomod.serialize import (
 )
 from cyclomod.wfa import WeightedAutomaton
 
-from fixtures import G, s3_anf_action, MONOMIALS
+from fixtures import G, conjugated_jordan_module, s3_anf_action, MONOMIALS
 
 
 def counting_json():
@@ -205,6 +206,39 @@ def test_certificate_json_diagnostic_keys_sorted():
             "budgets",
             "diagnostics",
         }
+
+
+def test_only_local_certificates_carry_a_radical():
+    jordan = complete_decomposition(conjugated_jordan_module(QQ, 3, seed=1))
+    (local,) = jordan.certificates
+    assert local.mode == "local"
+    obj = certificate_to_json(local)
+    assert list(obj)[-1] == "radical"
+    assert obj["radical"] == [
+        [[str(x.value) for x in row] for row in j.entries] for j in local.radical
+    ]
+    assert len(obj["radical"]) == 2
+    assert json.loads(to_text(report_to_json(jordan)))["summands"][0]["certificate"] == obj
+
+    field_line = orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0))
+    gf4_line = orbit_basis(AlgebraAction(GF2, [("u", [[0, 1], [1, 1]])]), (1, 0))
+    s3 = PermutationPresentation(3, [("s1", [1, 0, 2]), ("s2", [0, 2, 1])])
+    reports = [
+        complete_decomposition(orbit_basis(s3_anf_action(), G)),
+        complete_decomposition(permutation_module(s3, (1, 0, 0))),
+        complete_decomposition(field_line),
+        complete_decomposition(gf4_line),
+    ]
+    certs = [c for r in reports for c in list(r.certificates) + list(r.split_certificates)]
+    undecided = find_splitting_element(
+        compute_end(conjugated_jordan_module(GF2, 3, seed=1)), SearchConfig(exhaustive_cap=2)
+    )
+    certs.append(undecided)
+    modes = {c.mode for c in certs}
+    assert {"dimension-1", "field-generated", "exhaustive", "budget-exhausted"} <= modes
+    assert "local" not in modes
+    for cert in certs:
+        assert "radical" not in certificate_to_json(cert)
 
 
 def test_to_text_is_canonical():
