@@ -9,9 +9,13 @@ are linear in the n entries of v rather than in all n^2 entries of the
 matrix, and the result is put in the basis that n^2-unknown solve would
 give, so the search sees the same candidates in the same order.  The
 module decomposes exactly when that algebra holds an idempotent other
-than 0 and 1, and any element that is neither nilpotent nor invertible
-yields a splitting through its stable kernel/image pair, so the search
-never needs the idempotent itself.
+than 0 and 1, and any element M that is neither nilpotent nor invertible
+yields a splitting by Fitting's lemma, so the search never needs the
+idempotent itself.  A Fitting certificate's summands are the kernel and
+the image of the stable power M^(2^k), found by squaring until the rank
+stops falling (linalg.stable_power); the image basis is the first
+independent columns of that power.  An invertible candidate is turned
+down on its rank, before any product.
 
 find_splitting_element runs fixed stages: the one-dimensional shortcut,
 a deterministic scan of basis elements and their pairwise sums and
@@ -40,10 +44,13 @@ from .linalg import (
     DenseMatrix,
     SpanSolver,
     Vector,
+    _addmul,
+    _neg,
+    _zero,
     column_space_basis,
     kernel_basis,
-    mat_pow,
     rref,
+    stable_power,
 )
 from .modules import CyclicModule
 from .polynomials import Polynomial, factor, min_poly
@@ -88,12 +95,14 @@ class EndoAlgebra:
     def element(self, coords: Sequence) -> DenseMatrix:
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for a basis of {self.dim}")
-        acc = DenseMatrix.zeros(self.field, self.module_dim, self.module_dim)
+        field, n = self.field, self.module_dim
+        p = field.characteristic
+        acc = [_zero(p)] * (n * n)
         for c, b in zip(coords, self.basis):
-            c = self.field.scalar(c)
+            c = field.scalar(c).value
             if c:
-                acc = acc + b.scale(c)
-        return acc
+                acc = _addmul(p, acc, c, b._flat())
+        return DenseMatrix._from_raw(field, [acc[i * n:(i + 1) * n] for i in range(n)], n)
 
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
         if (mat.rows, mat.cols) != (self.module_dim, self.module_dim):
@@ -143,27 +152,30 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
         parent = index[word[:-1]]
         spun.append(m.restricted[word[-1]] * spun[parent])
         tree_edges.add((word[-1], parent))
+    # each condition is n rows: (R_s W_j - sum_k (R_s)_{kj} W_k) v = 0, on raw values
+    p = field.characteristic
+    flat_spun = [w._flat() for w in spun]
     rows = []
     for s in m.action.labels:
         r = m.restricted[s]
         for j in range(n):
             if (s, j) in tree_edges:
                 continue
-            lhs = DenseMatrix.zeros(field, n, n)
-            for k in range(n):
-                if r.entries[k][j]:
-                    lhs = lhs + spun[k].scale(r.entries[k][j])
-            rows.extend((lhs - r * spun[j]).entries)
-    solutions = kernel_basis(DenseMatrix(field, rows, cols=n))
+            acc = (r * spun[j])._flat()
+            for k, row in enumerate(r._raw):
+                if row[j]:
+                    acc = _addmul(p, acc, _neg(p, row[j]), flat_spun[k])
+            rows.extend(acc[i * n:(i + 1) * n] for i in range(n))
+    solutions = kernel_basis(DenseMatrix._from_raw(field, rows, n))
     # X_v = [W_0 v | ... | W_{n-1} v], flattened and reduced from the right
     flats = [
-        DenseMatrix.from_columns(field, [w.apply(v) for w in spun], rows=n).flatten()[::-1]
+        DenseMatrix.from_columns(field, [w.apply(v) for w in spun], rows=n)._flat()[::-1]
         for v in solutions
     ]
-    red = rref(DenseMatrix(field, flats, cols=n * n))
+    red = rref(DenseMatrix._from_raw(field, flats, n * n))
     basis = [
-        DenseMatrix(field, [flat[i * n:(i + 1) * n] for i in range(n)], cols=n)
-        for flat in (row[::-1] for row in reversed(red.matrix.entries[:red.rank]))
+        DenseMatrix._from_raw(field, [flat[i * n:(i + 1) * n] for i in range(n)], n)
+        for flat in (row[::-1] for row in reversed(red.matrix._raw[:red.rank]))
     ]
     labels = m.action.labels
     return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
@@ -183,9 +195,9 @@ def _require_member(e: "EndoAlgebra", mat: DenseMatrix):
 
 
 def is_nilpotent(e: EndoAlgebra, mat: DenseMatrix) -> bool:
-    """Whether mat^module_dim vanishes (mat must lie in the algebra)."""
+    """Whether a stable power of mat vanishes (mat must lie in the algebra)."""
     _require_member(e, mat)
-    return mat_pow(mat, e.module_dim).is_zero()
+    return stable_power(mat)[1] == 0
 
 
 def is_invertible(e: EndoAlgebra, mat: DenseMatrix) -> bool:
@@ -194,16 +206,20 @@ def is_invertible(e: EndoAlgebra, mat: DenseMatrix) -> bool:
 
 
 def fitting_split(e: EndoAlgebra, mat: DenseMatrix):
-    """(kernel, image) bases of mat^module_dim, or None when one side is trivial.
+    """(kernel, image) bases of a stable power of mat, or None when one side is trivial.
 
     Both sides are generator stable because mat commutes with the
     action, and they meet trivially because kernel and image of a
-    high enough power always do.
+    stable power always do.
     """
     for label, s in e.action_mats:
         if mat * s != s * mat:
             raise ValueError(f"matrix does not commute with generator {label!r}")
-    power = mat_pow(mat, e.module_dim)
+    return _split_stable(e, stable_power(mat)[0])
+
+
+def _split_stable(e: EndoAlgebra, power: DenseMatrix):
+    """(kernel, image) bases of a stable power, checked to fill the module."""
     ker = kernel_basis(power)
     im = column_space_basis(power)
     if not ker or not im:
@@ -263,17 +279,11 @@ def _scan_candidates(e: EndoAlgebra):
 
 
 def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, mode: str, budgets: dict, diagnostics: dict):
-    if mat.is_zero():
+    """A Fitting certificate for an element of E that is neither nilpotent nor invertible."""
+    power, rank = stable_power(mat)
+    if rank in (0, e.module_dim):
         return None
-    power = mat_pow(mat, e.module_dim)
-    if power.is_zero():
-        return None
-    if rref(mat).rank == e.module_dim:
-        return None
-    split = fitting_split(e, mat)
-    if split is None:
-        return None
-    return Certificate("decomposable", mode, mat, split, budgets, diagnostics)
+    return Certificate("decomposable", mode, mat, _split_stable(e, power), budgets, diagnostics)
 
 
 def _try_min_poly(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict):
@@ -573,7 +583,7 @@ def radical_char0(e: EndoAlgebra) -> list:
         rad_solver.add(mat._flat())
     for mat in rad:
         # the algebra acts faithfully, so radical elements are nilpotent matrices
-        if not mat_pow(mat, e.module_dim).is_zero():
+        if stable_power(mat)[1]:
             raise RuntimeError("radical candidate is not nilpotent")
         for b in e.basis:
             for prod in (mat * b, b * mat):

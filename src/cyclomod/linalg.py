@@ -345,6 +345,27 @@ def mat_pow(m: DenseMatrix, k: int) -> DenseMatrix:
     return acc
 
 
+def stable_power(m: DenseMatrix) -> tuple:
+    """(P, rank P) for a power P = m^(2^k) whose rank has stopped falling.
+
+    The ranks of m, m^2, m^3, ... fall by non-increasing steps, so once
+    rank(P^2) = rank(P) for P = m^a they are constant from a on, and P
+    has the kernel and image of m^n.  Starting from rank(m), that takes
+    at most ceil(log2 n) + 1 squarings; an invertible or zero m is
+    returned as it is, without a product.
+    """
+    if not m.is_square:
+        raise ValueError("powers need a square matrix")
+    power, rank = m, rref(m).rank
+    while 0 < rank < m.rows:
+        square = power * power
+        square_rank = rref(square).rank
+        if square_rank == rank:
+            break
+        power, rank = square, square_rank
+    return power, rank
+
+
 class RrefResult(NamedTuple):
     matrix: DenseMatrix
     rank: int

@@ -93,14 +93,11 @@ def s3_regular_action():
     return AlgebraAction(QQ, [("s1", mats[0]), ("s2", mats[1])])
 
 
-def conjugated_jordan_module(field, d, seed):
-    """The module of P N P^-1 generated by P e_d, for the nilpotent d x d Jordan block N.
+def unimodular_pair(rng, d):
+    """A seeded product P of elementary integer row operations, and P^-1.
 
-    P is a seeded product of elementary integer row operations, so P and
-    P^-1 are both integer matrices.  The module is Q^d (or GF(p)^d) and
-    indecomposable, and its endomorphism algebra F[N]/N^d is local.
+    Both are integer matrices, so P is invertible over Q and every GF(p).
     """
-    rng = random.Random(seed)
     p = [[int(i == j) for j in range(d)] for i in range(d)]
     q = [row[:] for row in p]
     for _ in range(2 * d):
@@ -110,10 +107,20 @@ def conjugated_jordan_module(field, d, seed):
         p[i] = [x + c * y for x, y in zip(p[i], p[j])]
         for row in q:
             row[j] -= c * row[i]
+    return p, q
+
+
+def conjugated_jordan_module(field, d, seed):
+    """The module of P N P^-1 generated by P e_d, for the nilpotent d x d Jordan block N.
+
+    P comes from unimodular_pair.  The module is Q^d (or GF(p)^d) and
+    indecomposable, and its endomorphism algebra F[N]/N^d is local.
+    """
+    p, q = unimodular_pair(random.Random(seed), d)
     n = [[int(j == i + 1) for j in range(d)] for i in range(d)]
-    a = _int_mul(_int_mul(p, n), q)
+    a = int_mul(int_mul(p, n), q)
     return orbit_basis(AlgebraAction(field, [("n", a)]), [row[d - 1] for row in p])
 
 
-def _int_mul(a, b):
+def int_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

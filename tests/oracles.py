@@ -310,6 +310,30 @@ def raw_mat_eq(a, b):
     return a == b
 
 
+def is_fitting_split_by_nth_power(p, element, left, right):
+    """Whether left and right are bases of the kernel and image of element^n.
+
+    Raw values throughout; the power is n - 1 plain products, with no
+    squaring and no rank test, so it shares nothing with the library's
+    stable power.
+    """
+    n = len(element)
+    power = element
+    for _ in range(n - 1):
+        power = raw_mat_mul(p, power, element)
+    rank = raw_rank(p, power)
+    if len(left) != n - rank or len(right) != rank:
+        return False
+    if raw_rank(p, left) != len(left) or raw_rank(p, right) != len(right):
+        return False
+    columns = [list(c) for c in zip(*power)]
+    in_kernel = all(
+        x == 0 for v in left for row in raw_mat_mul(p, power, [[a] for a in v]) for x in row
+    )
+    in_image = all(raw_rank(p, columns + [list(v)]) == rank for v in right)
+    return in_kernel and in_image
+
+
 def count_idempotents_brute(p, basis_matrices):
     """Idempotent count in the span of commuting-candidate basis matrices."""
     if not basis_matrices:

@@ -1,12 +1,15 @@
 """Commutant computation and the staged splitting-element search."""
 
 import dataclasses
+import json
+import os
 import random
 import time
 
 import pytest
 
-from cyclomod import GF2, QQ, gf
+from cyclomod import GF2, QQ, endo, gf
+from cyclomod.boolfn import decompose_boolean, parse_anf
 from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition
@@ -14,6 +17,7 @@ from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
+    _try_fitting,
     compute_end,
     find_splitting_element,
     fitting_split,
@@ -22,9 +26,13 @@ from cyclomod.endo import (
     radical_char0,
     verify_certificate,
 )
+from cyclomod.perms import permutation_module
+from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
     conjugated_jordan_module,
+    int_mul,
+    unimodular_pair,
     s3_anf_action,
     swap_invariant_module,
     s3_natural_action,
@@ -32,8 +40,9 @@ from fixtures import (
     F_VEC,
 )
 
-from oracles import commutant_basis, count_idempotents_brute
+from oracles import commutant_basis, count_idempotents_brute, is_fitting_split_by_nth_power
 from test_acceptance import krull_schmidt_corpus
+from test_golden import GOLDEN, SPLIT_4_6, SWAP_INVARIANT
 
 
 def ones_matrix(field, n):
@@ -135,6 +144,105 @@ def test_fitting_split_on_projection():
     assert fitting_split(e, DenseMatrix.zeros(GF2, 3, 3)) is None
     with pytest.raises(ValueError):
         fitting_split(e, DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _record_products(monkeypatch):
+    """Make DenseMatrix.__mul__ append its operands to the returned list."""
+    products = []
+    mul = DenseMatrix.__mul__
+
+    def recording_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(DenseMatrix, "__mul__", recording_mul)
+    return products
+
+
+def test_try_fitting_pays_for_its_power_once(monkeypatch):
+    products = _record_products(monkeypatch)
+    e = compute_end(swap_invariant_module())
+    products.clear()
+    # invertible: the rank of the candidate decides, with no product
+    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), "fitting-scan", {}, {}) is None
+    assert products == []
+    # a projection is stable at power 1: one squaring shows it
+    cert = _try_fitting(e, ones_matrix(GF2, 3), "fitting-scan", {}, {})
+    assert len(products) == 1
+    assert cert.summands == fitting_split(e, ones_matrix(GF2, 3))
+    # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
+    m = conjugated_jordan_module(QQ, 4, 3)
+    e = compute_end(m)
+    products.clear()
+    assert _try_fitting(e, m.restricted["n"], "fitting-scan", {}, {}) is None
+    assert len(products) == 2
+
+
+def _golden_and_test_modules():
+    modules = [
+        decompose_boolean(parse_anf(SPLIT_4_6, 5)).module,
+        decompose_boolean(parse_anf(SWAP_INVARIANT, 3)).module,
+        swap_invariant_module(),
+        orbit_basis(s3_natural_action(), (1, 0, 0)),
+    ]
+    with open(os.path.join(GOLDEN, "regular_s3.json"), encoding="utf-8") as handle:
+        modules.append(permutation_module(presentation_from_json(json.load(handle)), (1, 0, 0, 0, 0, 0)))
+    modules += [orbit_basis(AlgebraAction(field, gens), g) for field, gens, g in krull_schmidt_corpus()]
+    rng = random.Random(2004)
+    modules += [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 15)]
+    return modules
+
+
+def test_fitting_certificates_match_the_nth_power_oracle():
+    checked = 0
+    for m in _golden_and_test_modules():
+        for cert in complete_decomposition(m).split_certificates:
+            if cert.mode not in ("fitting-scan", "box-fitting"):
+                continue
+            p = m.field.characteristic
+            element = [[x.value for x in row] for row in cert.element.entries]
+            left, right = ([[x.value for x in v] for v in part] for part in cert.summands)
+            assert is_fitting_split_by_nth_power(p, element, left, right)
+            checked += 1
+    assert checked >= 20
+
+
+def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
+    # A = P (J_2(0) + 1) P^-1 on F^3: rank A = 2, rank A^2 = rank A^4 = 1,
+    # so A itself is not a stable power and its kernel meets its image
+    rng = random.Random(11)
+    for field in (GF2, gf(3), QQ):
+        p, q = unimodular_pair(rng, 3)
+        a = int_mul(int_mul(p, [[0, 1, 0], [0, 0, 0], [0, 0, 1]]), q)
+        m = orbit_basis(AlgebraAction(field, [("a", a)]), [sum(row) for row in p])
+        e = compute_end(m)
+        mat = m.restricted["a"]
+        products = _record_products(monkeypatch)
+        cert = _try_fitting(e, mat, "fitting-scan", {}, {})
+        monkeypatch.undo()
+        assert len(products) == 2
+        ker, im = cert.summands
+        assert (len(ker), len(im)) == (2, 1)
+        assert fitting_split(e, mat) == cert.summands
+        raw = [[x.value for x in row] for row in mat.entries]
+        assert is_fitting_split_by_nth_power(
+            field.characteristic, raw, [[x.value for x in v] for v in ker], [[x.value for x in v] for v in im]
+        )
+
+
+def test_element_is_the_basis_combination():
+    rng = random.Random(6)
+    for field in (GF2, gf(3), QQ):
+        for m in _random_modules(rng, field, 6):
+            e = compute_end(m)
+            for _ in range(4):
+                coords = [rng.randint(-3, 3) for _ in range(e.dim)]
+                expected = DenseMatrix.zeros(field, m.dim, m.dim)
+                for c, b in zip(coords, e.basis):
+                    expected = expected + b.scale(c)
+                assert e.element(coords) == expected
+    with pytest.raises(ValueError, match="belongs to"):
+        compute_end(swap_invariant_module()).element((gf(3).one(), GF2.one()))
 
 
 def test_split_search_on_swap_invariant_module():
@@ -464,6 +572,14 @@ def test_radical_of_jordan_commutant():
     assert len(rad) == 1
     assert mat_pow(rad[0], 2).is_zero()
     assert not rad[0].is_zero()
+
+
+def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
+    e = compute_end(orbit_basis(s3_natural_action(), (1, 0, 0)))
+    # a trace-form kernel that wrongly held the identity
+    monkeypatch.setattr(endo, "kernel_basis", lambda gram: [e.identity_coords()])
+    with pytest.raises(RuntimeError, match="radical candidate is not nilpotent"):
+        radical_char0(e)
 
 
 def test_radical_needs_char0():

@@ -17,12 +17,14 @@ from cyclomod.linalg import (
     rref,
     solve,
     span_equal,
+    stable_power,
     unit_vector,
     vec_is_zero,
     zero_vector,
 )
 
 import oracles
+from fixtures import int_mul, unimodular_pair
 from oracles import rank_by_minors
 
 
@@ -124,6 +126,57 @@ def test_mat_pow_matches_naive():
         mat_pow(m, -1)
     with pytest.raises(ValueError):
         mat_pow(DenseMatrix(QQ, [[1, 2]]), 2)
+
+
+def _stable_power_input(field, rng, n, form):
+    """A random n x n matrix, or P D P^-1 for a unimodular P and a shaped D."""
+    if form == "random":
+        return random_matrix(field, rng, n, n)
+    p, q = unimodular_pair(rng, n)
+    if form == "invertible":
+        return DenseMatrix(field, p)
+    k = rng.randrange(1, n + 1)
+    if form == "jordan":
+        # a nilpotent Jordan block of size k next to the identity
+        d = [[int(j == i + 1 and j < k) or int(i == j >= k) for j in range(n)] for i in range(n)]
+    else:
+        # an idempotent of rank k
+        d = [[int(i == j < k) for j in range(n)] for i in range(n)]
+    return DenseMatrix(field, int_mul(int_mul(p, d), q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    field=st.sampled_from([GF2, gf(3), QQ]),
+    n=st.integers(min_value=2, max_value=7),
+    form=st.sampled_from(["random", "jordan", "idempotent", "invertible"]),
+)
+def test_stable_power_has_the_kernel_and_image_of_the_nth_power(seed, field, n, form):
+    m = _stable_power_input(field, random.Random(seed), n, form)
+    power, rank = stable_power(m)
+    nth = mat_pow(m, n)
+    assert rank == rref(power).rank == rref(nth).rank
+    assert kernel_basis(power) == kernel_basis(nth)
+    assert span_equal(field, column_space_basis(power), column_space_basis(nth), n)
+    # P is m^(2^k) for at most ceil(log2 n) + 1 squarings
+    assert power in [mat_pow(m, 2 ** k) for k in range((n - 1).bit_length() + 2)]
+    if form == "invertible":
+        assert power is m and rank == n
+
+
+def test_stable_power_edge_cases():
+    z = DenseMatrix.zeros(QQ, 3, 3)
+    assert stable_power(z) == (z, 0)
+    empty = DenseMatrix.zeros(QQ, 0, 0)
+    assert stable_power(empty) == (empty, 0)
+    five = DenseMatrix(QQ, [[5]])
+    assert stable_power(five) == (five, 1)
+    with pytest.raises(ValueError):
+        stable_power(DenseMatrix(QQ, [[1, 2]]))
+    # a 4x4 Jordan block needs two squarings to vanish
+    jordan = DenseMatrix(QQ, [[int(j == i + 1) for j in range(4)] for i in range(4)])
+    assert stable_power(jordan) == (mat_pow(jordan, 4), 0)
 
 
 def test_span_solver_coordinates():
