@@ -35,13 +35,10 @@ def _search_config(args) -> SearchConfig:
     """The search budgets from the command line, validated."""
     if args.exhaustive_cap < 1:
         raise ValueError("--exhaustive-cap must be at least 1")
-    if args.box_height < 0:
-        raise ValueError("--box-height must not be negative")
     if args.random_trials < 0:
         raise ValueError("--random-trials must not be negative")
     return SearchConfig(
         exhaustive_cap=args.exhaustive_cap,
-        box_height=args.box_height,
         random_trials=args.random_trials,
         seed=args.seed,
     )
@@ -49,7 +46,6 @@ def _search_config(args) -> SearchConfig:
 
 def _add_budget_flags(sub):
     sub.add_argument("--exhaustive-cap", type=int, default=SearchConfig.exhaustive_cap)
-    sub.add_argument("--box-height", type=int, default=SearchConfig.box_height)
     sub.add_argument("--random-trials", type=int, default=SearchConfig.random_trials)
     sub.add_argument("--seed", type=int, default=SearchConfig.seed)
 

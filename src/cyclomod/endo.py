@@ -21,15 +21,15 @@ find_splitting_element runs fixed stages: the one-dimensional shortcut,
 a deterministic scan of basis elements and their pairwise sums and
 differences, exhaustive enumeration over a finite field when the algebra
 is small enough, and over the rationals minimal-polynomial factorization
-of scanned plus seeded random elements, then the local stage, then a
-bounded integer box sweep.  The local stage takes the radical J from the
-trace form and looks for an element whose minimal polynomial modulo J is
-irreducible of degree dim E - dim J; that element makes E/J a field, so
-E is local and the module indecomposable.  No earlier stage can decide
-a local algebra with J != 0: every element is a unit or nilpotent and
-every minimal polynomial is a power of one irreducible.  Everything is
-exact; when all budgets run out the verdict is "undecided", never a
-guess.
+of scanned plus seeded random elements, then the local stage.  The
+local stage takes the radical J from the trace form and looks for an
+element whose minimal polynomial modulo J (polynomials.min_poly with
+J as `modulo`) is irreducible of degree dim E - dim J; that element
+makes E/J a field, so E is local and the module indecomposable.  No
+earlier stage can decide a local algebra with J != 0: every element is
+a unit or nilpotent and every minimal polynomial is a power of one
+irreducible.  Everything is exact; when all budgets run out the
+verdict is "undecided", never a guess.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .linalg import (
     stable_power,
 )
 from .modules import CyclicModule
-from .polynomials import Polynomial, factor, min_poly
+from .polynomials import factor, min_poly
 
 
 class EndoAlgebra:
@@ -238,14 +238,12 @@ class SearchConfig:
     """Budgets for the splitting-element search; defaults decide all small cases."""
 
     exhaustive_cap: int = 2 ** 22
-    box_height: int = 5
     random_trials: int = 64
     seed: int = 0
 
     def as_dict(self) -> dict:
         return {
             "exhaustive_cap": self.exhaustive_cap,
-            "box_height": self.box_height,
             "random_trials": self.random_trials,
             "seed": self.seed,
         }
@@ -395,48 +393,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
                     "indecomposable", "local", mat, None, budgets, diag, radical=tuple(radical)
                 )
 
-    # bounded integer box sweep, shells of growing height
-    height = config.box_height
-    while height > 0 and (2 * height + 1) ** e.dim > config.exhaustive_cap:
-        height -= 1
-    swept = 0
-    for h in range(1, height + 1):
-        for coords in itertools.product(range(-h, h + 1), repeat=e.dim):
-            if max(abs(c) for c in coords) != h:
-                continue
-            swept += 1
-            mat = e.element(coords)
-            diag = dict(diagnostics, box_swept=swept, box_height_used=h)
-            cert = _try_fitting(e, mat, "box-fitting", budgets, diag)
-            if cert is not None:
-                return cert
-            cert = _try_min_poly(e, mat, budgets, diag)
-            if cert is not None:
-                return cert
-    diagnostics["box_swept"] = swept
-    diagnostics["box_height_used"] = height
-
     return Certificate("undecided", "budget-exhausted", None, None, budgets, diagnostics)
-
-
-def _min_poly_mod(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> Polynomial:
-    """Minimal polynomial of mat modulo span(radical), for independent radical matrices.
-
-    It is the first dependence among I, mat, mat^2, ... modulo the span;
-    for mat in E and radical inside E it comes by degree dim E - len(radical).
-    """
-    field, n = e.field, e.module_dim
-    solver = SpanSolver(field, n * n)
-    for j in radical:
-        solver.add(j._flat())
-    power = e.identity()
-    for _ in range(e.dim - len(radical) + 1):
-        flat = power._flat()
-        if not solver.add(flat):
-            coords = solver.coordinates(flat)[len(radical):]
-            return Polynomial(field, [-c for c in coords] + [field.one()])
-        power = power * mat
-    raise RuntimeError("powers of the element modulo the radical outgrow the algebra")
 
 
 def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> bool:
@@ -445,7 +402,7 @@ def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequenc
     That polynomial has degree at most dim E/J, so one factor of degree
     dim E/J can only occur once.
     """
-    factors = factor(_min_poly_mod(e, mat, radical))
+    factors = factor(min_poly(mat, radical))
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
 
 

@@ -6,11 +6,11 @@ characteristic 0.  All arithmetic stays exact; nothing here ever touches
 floating point.
 
 FieldScalar is the boundary representation: what parsing produces,
-what serialization reads, and every entry linalg hands out.  The
-linalg kernel does not compute with FieldScalars; it unboxes its
-arguments to the canonical values once per call, runs its loops on
-those, and boxes its results once.  Operators on FieldScalar serve the
-code outside that kernel (polynomials, single scalars).
+what serialization reads, and every entry linalg and polynomials hand
+out.  Neither computes with FieldScalars: matrices and polynomials
+store the canonical values, unboxed once when they are built, run
+their loops on those, and box what they hand back.  Operators on
+FieldScalar serve single scalars outside those loops.
 """
 
 from __future__ import annotations

@@ -1,7 +1,16 @@
 """Univariate polynomials over a FieldSpec, with exact factorization.
 
-Coefficients are stored low degree first with no trailing zeros; the
-zero polynomial has an empty coefficient tuple and degree -1.
+A Polynomial stores its coefficients the way DenseMatrix stores its
+rows: as canonical raw values, low degree first with no trailing zeros,
+ints in [0, p) for GF(p) and Fractions for Q.  The zero polynomial has
+no coefficients and degree -1.  The constructor unboxes its arguments
+once, and `coeffs` and `leading` box on read.
+
+All coefficient arithmetic is one small set of helpers on linalg's raw
+operations (_trim, _padd, _pmul, _pdivmod), each taking a modulus m:
+m = p for GF(p), m = p^k inside the Hensel lift, and m = 0 for exact
+arithmetic over Q.  Division needs a divisor whose leading coefficient
+is a unit modulo m.
 
 Factorization routes:
   * GF(p): squarefree split, then Berlekamp.  Irreducibility of each
@@ -19,57 +28,110 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
-from typing import Optional
 
 from .fields import FieldScalar, FieldSpec, QQ, _is_prime, gf
-from .linalg import DenseMatrix, SpanSolver, kernel_basis
+from .linalg import (
+    DenseMatrix,
+    SpanSolver,
+    _addmul,
+    _box,
+    _inv,
+    _neg,
+    _scale,
+    _times,
+    _unbox,
+    _zero,
+    kernel_basis,
+)
 
 DEFAULT_DEGREE_CAP = 32
 
 
+# ---------------------------------------------------------------------------
+# raw coefficient lists modulo m (m = 0: exact)
+
+
+def _trim(a: list) -> list:
+    """Drop trailing zeros in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(m: int, a: list, c, b: list) -> list:
+    """a + c*b as a new trimmed list."""
+    out = list(a) + [_zero(m)] * (len(b) - len(a))
+    if c:
+        out[: len(b)] = _addmul(m, out[: len(b)], c, b)
+    return _trim(out)
+
+
+def _pmul(m: int, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [_zero(m)] * (len(a) + len(b) - 1)
+    nb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + nb] = _addmul(m, out[i : i + nb], x, b)
+    return _trim(out)
+
+
+def _pdivmod(m: int, a: list, b: list):
+    """Quotient and remainder of a by a nonzero b whose leading coefficient is a unit mod m."""
+    db = len(b) - 1
+    inv = _inv(m, b[-1])
+    rem = list(a)
+    quo = [_zero(m)] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            q = quo[k] = _times(m, c, inv)
+            rem[k : k + db + 1] = _addmul(m, rem[k : k + db + 1], _neg(m, q), b)
+    return _trim(quo), _trim(rem[:db])
+
+
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_raw")
 
     def __init__(self, field: FieldSpec, coeffs):
-        cs = [field.scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
+        self._store(field, _trim(_unbox(field, coeffs)))
+
+    @classmethod
+    def _from_raw(cls, field: FieldSpec, raw: list) -> "Polynomial":
+        """A polynomial from trimmed canonical raw coefficients, which the caller hands over."""
+        f = object.__new__(cls)
+        f._store(field, raw)
+        return f
+
+    def _store(self, field: FieldSpec, raw: list):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_raw", raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def x(cls, field: FieldSpec) -> "Polynomial":
-        return cls(field, [0, 1])
-
-    @classmethod
-    def constant(cls, field: FieldSpec, c) -> "Polynomial":
-        return cls(field, [c])
+    @property
+    def coeffs(self) -> tuple:
+        return _box(self.field, self._raw)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._raw) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._raw
 
     @property
     def leading(self) -> FieldScalar:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldScalar(self.field, self._raw[-1])
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == self.field.one()
-
-    def coefficient(self, k: int) -> FieldScalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero()
+        return not self.is_zero and self._raw[-1] == 1
 
     def _check_field(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
@@ -77,35 +139,28 @@ class Polynomial:
         if other.field != self.field:
             raise ValueError(f"mixed fields: {self.field} and {other.field}")
 
+    def _new(self, raw: list) -> "Polynomial":
+        return Polynomial._from_raw(self.field, raw)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return self._new(_padd(self.field.characteristic, self._raw, 1, other._raw))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        p = self.field.characteristic
+        return self._new(_padd(p, self._raw, _neg(p, 1), other._raw))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        p = self.field.characteristic
+        return self._new([_neg(p, a) for a in self._raw])
 
     def __mul__(self, other):
-        if isinstance(other, FieldScalar) or isinstance(other, int):
-            c = self.field.scalar(other)
-            return Polynomial(self.field, [c * a for a in self.coeffs])
+        p = self.field.characteristic
+        if isinstance(other, (FieldScalar, int)):
+            return self._new(_trim(_scale(p, self.field.scalar(other).value, self._raw)))
         self._check_field(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.field, [])
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        return self._new(_pmul(p, self._raw, other._raw))
 
     __rmul__ = __mul__
 
@@ -113,20 +168,8 @@ class Polynomial:
         self._check_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(self.field, []), self
-        inv = other.leading.inverse()
-        quo = [self.field.zero()] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if c:
-                q = c * inv
-                quo[k] = q
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = rem[k + i] - q * b
-        return Polynomial(self.field, quo), Polynomial(self.field, rem[: other.degree])
+        q, r = _pdivmod(self.field.characteristic, self._raw, other._raw)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -145,18 +188,12 @@ class Polynomial:
             raise ValueError("cannot make the zero polynomial monic")
         if self.is_monic:
             return self
-        inv = self.leading.inverse()
-        return Polynomial(self.field, [inv * c for c in self.coeffs])
+        p = self.field.characteristic
+        return self._new(_scale(p, _inv(p, self._raw[-1]), self._raw))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x) -> FieldScalar:
-        x = self.field.scalar(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p = self.field.characteristic
+        return self._new(_trim([_times(p, i, c) for i, c in enumerate(self._raw)][1:]))
 
     def evaluate_matrix(self, m: DenseMatrix) -> DenseMatrix:
         if m.field != self.field:
@@ -164,11 +201,10 @@ class Polynomial:
         if not m.is_square:
             raise ValueError("polynomial of a non-square matrix")
         acc = DenseMatrix.zeros(self.field, m.rows, m.cols)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._raw):
             acc = acc * m
             if c:
-                ident = DenseMatrix.identity(self.field, m.rows).scale(c)
-                acc = acc + ident
+                acc = acc + DenseMatrix.identity(self.field, m.rows).scale(c)
         return acc
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -186,27 +222,27 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return other.field == self.field and other.coeffs == self.coeffs
+        return other.field == self.field and other._raw == self._raw
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, tuple(self._raw)))
 
     def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in self.coeffs))
+        return (self.degree, tuple(self._raw))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = self._raw[i]
             if not c:
                 continue
             if i == 0:
                 parts.append(str(c))
             else:
                 t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == self.field.one() else f"{c}*{t}")
+                parts.append(t if c == 1 else f"{c}*{t}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -225,13 +261,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _pth_root(f: Polynomial, p: int) -> Polynomial:
     # over the prime field, (sum c_i t^{ip})^(1/p) has the same coefficients
-    coeffs = []
-    for i, c in enumerate(f.coeffs):
-        if i % p == 0:
-            coeffs.append(c)
-        elif c:
-            raise ValueError("polynomial is not a p-th power")
-    return Polynomial(f.field, coeffs)
+    if any(c for i, c in enumerate(f._raw) if i % p):
+        raise ValueError("polynomial is not a p-th power")
+    return Polynomial._from_raw(f.field, f._raw[::p])
 
 
 def squarefree_decomposition(f: Polynomial) -> list:
@@ -317,22 +349,21 @@ def _berlekamp_splitting(f: Polynomial) -> list:
         return [f]
     # row i holds t^(i*p) mod f; fixed vectors of Frobenius span the
     # splitting algebra, whose dimension counts the irreducible factors
-    xp = _poly_powmod(Polynomial.x(field), p, f)
+    xp = _poly_powmod(Polynomial(field, [0, 1]), p, f)
     rows = []
     power = Polynomial(field, [1])
     for i in range(d):
-        rows.append([power.coefficient(j) for j in range(d)])
+        rows.append(power._raw + [0] * (d - len(power._raw)))
         power = (power * xp) % f
-    q = DenseMatrix(field, rows)
+    q = DenseMatrix._from_raw(field, rows, d)
     b = q - DenseMatrix.identity(field, d)
     kernel = kernel_basis(b.transpose())
     r = len(kernel)
     if r == 1:
         return [f]
     factors = [f]
-    consts = [field.scalar(c) for c in range(p)]
     for v in kernel:
-        h = Polynomial(field, list(v))
+        h = Polynomial(field, v)
         if h.degree < 1:
             continue
         next_factors = []
@@ -342,8 +373,8 @@ def _berlekamp_splitting(f: Polynomial) -> list:
                 continue
             pieces = []
             rest = u
-            for c in consts:
-                g = poly_gcd(rest, h - Polynomial.constant(field, c))
+            for c in range(p):
+                g = poly_gcd(rest, h - Polynomial(field, [c]))
                 if 0 < g.degree < rest.degree:
                     pieces.append(g)
                     rest = rest.exact_div(g)
@@ -376,60 +407,7 @@ def factor_gfp(f: Polynomial) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Rational factorization: integer polynomial helpers (coefficients low first)
-
-
-def _zx_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zx_mul(a: list, b: list, mod: Optional[int] = None) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    if mod is not None:
-        out = [c % mod for c in out]
-    return _zx_trim(out)
-
-
-def _zx_add(a: list, b: list, mod: Optional[int] = None) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    if mod is not None:
-        out = [c % mod for c in out]
-    return _zx_trim(out)
-
-
-def _zx_sub(a: list, b: list, mod: Optional[int] = None) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    if mod is not None:
-        out = [c % mod for c in out]
-    return _zx_trim(out)
-
-
-def _zx_divmod_monic(a: list, b: list, mod: int):
-    """Divide by a monic b, all arithmetic mod `mod`."""
-    a = [c % mod for c in a]
-    db = len(b) - 1
-    if len(a) < len(b):
-        return [], _zx_trim(a)
-    quo = [0] * (len(a) - db)
-    rem = list(a)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + db] % mod
-        if c:
-            quo[k] = c
-            for i, bc in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * bc) % mod
-    return _zx_trim(quo), _zx_trim([c % mod for c in rem[:db]])
+# Rational factorization: integer coefficient lists, low degree first
 
 
 def _zx_content(a: list) -> int:
@@ -449,40 +427,16 @@ def _zx_primitive(a: list) -> list:
     return out
 
 
-def _zx_divides(a: list, b: list) -> bool:
-    """Exact division test of b by a over Z (both nonzero, a primitive)."""
-    rem = list(b)
-    da, db = len(a) - 1, len(rem) - 1
-    if db < da:
-        return False
-    lead = a[-1]
-    for k in range(db - da, -1, -1):
-        c = rem[k + da]
-        if c % lead:
-            return False
-        q = c // lead
-        if q:
-            for i, ac in enumerate(a):
-                rem[k + i] -= q * ac
-    return not any(rem)
+def _zx_quotient(b: list, a: list):
+    """b / a over Z for a primitive a, or None when a does not divide b.
 
-
-def _zx_exact_div(a: list, b: list) -> list:
-    """Exact quotient a / b over Z, assuming divisibility."""
-    rem = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    lead = b[-1]
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + db]
-        q = c // lead
-        quo[k] = q
-        if q:
-            for i, bc in enumerate(b):
-                rem[k + i] -= q * bc
-    if any(rem):
-        raise ValueError("division is not exact")
-    return _zx_trim(quo)
+    By Gauss's lemma a primitive divisor over Q divides over Z, so the
+    exact division over Q decides it and its quotient is integral.
+    """
+    q, r = _pdivmod(0, [Fraction(c) for c in b], [Fraction(c) for c in a])
+    if r:
+        return None
+    return [int(c) for c in q]
 
 
 def _symmetric_mod(c: int, m: int) -> int:
@@ -492,61 +446,56 @@ def _symmetric_mod(c: int, m: int) -> int:
     return c
 
 
-def _hensel_step(F: list, g: list, h: list, s: list, t: list, m: int, m2: int):
-    """Lift F = g*h and s*g + t*h = 1 from mod m to mod m2 = m^2 (g, h monic)."""
-    e = _zx_sub([c % m2 for c in F], _zx_mul(g, h, m2), m2)
-    q, r = _zx_divmod_monic(_zx_mul(s, e, m2), h, m2)
-    g1 = _zx_add(g, _zx_add(_zx_mul(t, e, m2), _zx_mul(q, g, m2), m2), m2)
-    h1 = _zx_add(h, r, m2)
-    b = _zx_sub(_zx_add(_zx_mul(s, g1, m2), _zx_mul(t, h1, m2), m2), [1], m2)
-    c, d = _zx_divmod_monic(_zx_mul(s, b, m2), h1, m2)
-    s1 = _zx_sub(s, d, m2)
-    t1 = _zx_sub(t, _zx_add(_zx_mul(t, b, m2), _zx_mul(c, g1, m2), m2), m2)
+def _hensel_step(F: list, g: list, h: list, s: list, t: list, m2: int):
+    """Lift F = g*h and s*g + t*h = 1 to mod m2, the square of their modulus (g, h monic)."""
+    minus = _neg(m2, 1)
+    e = _padd(m2, [c % m2 for c in F], minus, _pmul(m2, g, h))
+    q, r = _pdivmod(m2, _pmul(m2, s, e), h)
+    g1 = _padd(m2, _padd(m2, g, 1, _pmul(m2, t, e)), 1, _pmul(m2, q, g))
+    h1 = _padd(m2, h, 1, r)
+    b = _padd(m2, _padd(m2, _pmul(m2, s, g1), 1, _pmul(m2, t, h1)), minus, [1])
+    c, d = _pdivmod(m2, _pmul(m2, s, b), h1)
+    s1 = _padd(m2, s, minus, d)
+    t1 = _padd(m2, _padd(m2, t, minus, _pmul(m2, t, b)), minus, _pmul(m2, c, g1))
     if g1[-1] != 1 or h1[-1] != 1:
         raise RuntimeError("Hensel step lost monicity")
     return g1, h1, s1, t1
 
 
-def _gfp_extended_euclid(field: FieldSpec, a: list, b: list):
-    """s, t with s*a + t*b = 1 over GF(p), as int coefficient lists."""
-    pa = Polynomial(field, a)
-    pb = Polynomial(field, b)
-    r0, r1 = pa, pb
-    s0, s1 = Polynomial(field, [1]), Polynomial(field, [])
-    t0, t1 = Polynomial(field, []), Polynomial(field, [1])
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
+def _gfp_extended_euclid(p: int, a: list, b: list):
+    """s, t with s*a + t*b = 1 over GF(p), on raw coefficient lists."""
+    minus = _neg(p, 1)
+    r0, r1 = a, b
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _pdivmod(p, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
+        s0, s1 = s1, _padd(p, s0, minus, _pmul(p, q, s1))
+        t0, t1 = t1, _padd(p, t0, minus, _pmul(p, q, t1))
+    if len(r0) != 1:
         raise ValueError("polynomials are not coprime")
-    inv = r0.coeffs[0].inverse()
-    s0 = s0 * inv
-    t0 = t0 * inv
-    to_ints = lambda poly: [c.value for c in poly.coeffs]
-    return to_ints(s0), to_ints(t0)
+    inv = _inv(p, r0[0])
+    return _scale(p, inv, s0), _scale(p, inv, t0)
 
 
 def _hensel_lift_tree(F: list, factors: list, p: int, target: int) -> list:
     """Lift a monic coprime factorization of F from mod p to mod target = p^k."""
     if len(factors) == 1:
         return [[c % target for c in F]]
-    field = gf(p)
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
     g = [1]
     for u in left:
-        g = _zx_mul(g, u, p)
+        g = _pmul(p, g, u)
     h = [1]
     for u in right:
-        h = _zx_mul(h, u, p)
-    s, t = _gfp_extended_euclid(field, g, h)
+        h = _pmul(p, h, u)
+    s, t = _gfp_extended_euclid(p, g, h)
     m = p
     while m < target:
-        m2 = m * m
-        g, h, s, t = _hensel_step(F, g, h, s, t, m, m2)
-        m = m2
+        m = m * m
+        g, h, s, t = _hensel_step(F, g, h, s, t, m)
     g = [c % target for c in g]
     h = [c % target for c in h]
     return _hensel_lift_tree(g, left, p, target) + _hensel_lift_tree(h, right, p, target)
@@ -558,8 +507,7 @@ def _choose_good_prime(g: list) -> int:
     p = 2
     while True:
         if _is_prime(p) and g[-1] % p:
-            field = gf(p)
-            gp = Polynomial(field, g)
+            gp = Polynomial(gf(p), g)
             if poly_gcd(gp, gp.derivative()).degree == 0:
                 return p
         p += 1
@@ -569,16 +517,13 @@ def _factor_squarefree_q(g: Polynomial) -> list:
     """Monic irreducible factors of a monic squarefree g over Q."""
     if g.degree == 1:
         return [g]
-    field = g.field
     # clear denominators to a primitive integer polynomial
     lcm = 1
-    for c in g.coeffs:
-        lcm = lcm * c.value.denominator // int_gcd(lcm, c.value.denominator)
-    G = _zx_primitive([int(c.value * lcm) for c in g.coeffs])
+    for c in g._raw:
+        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
+    G = _zx_primitive([int(c * lcm) for c in g._raw])
     p = _choose_good_prime(G)
-    field_p = gf(p)
-    monic_mod_p = Polynomial(field_p, G).monic()
-    modular = [[c.value for c in h.coeffs] for h in _berlekamp_splitting(monic_mod_p)]
+    modular = [h._raw for h in _berlekamp_splitting(Polynomial(gf(p), G).monic())]
     if len(modular) == 1:
         return [g]
     # coefficient bound for lc(G) times any monic factor product
@@ -602,27 +547,23 @@ def _factor_squarefree_q(g: Polynomial) -> list:
         for combo in itertools.combinations(pool, size):
             cand = [remaining[-1] % target]
             for i in combo:
-                cand = _zx_mul(cand, lifted[i], target)
-            cand = _zx_trim([_symmetric_mod(c, target) for c in cand])
+                cand = _pmul(target, cand, lifted[i])
+            cand = _zx_primitive(_trim([_symmetric_mod(c, target) for c in cand]))
             if not cand:
                 continue
-            cand = _zx_primitive(cand)
-            if _zx_divides(cand, remaining):
-                hit = (combo, cand)
+            quotient = _zx_quotient(remaining, cand)
+            if quotient is not None:
+                hit = (combo, cand, quotient)
                 break
         if hit is None:
             size += 1
             continue
-        combo, cand = hit
+        combo, cand, remaining = hit
         found.append(cand)
-        remaining = _zx_exact_div(remaining, cand)
         pool = [i for i in pool if i not in combo]
     if len(remaining) > 1:
         found.append(_zx_primitive(remaining))
-    out = []
-    for h in found:
-        lead = Fraction(h[-1])
-        out.append(Polynomial(field, [Fraction(c) / lead for c in h]))
+    out = [Polynomial._from_raw(QQ, [Fraction(c, h[-1]) for c in h]) for h in found]
     return sorted(out, key=Polynomial.sort_key)
 
 
@@ -650,19 +591,25 @@ def factor(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
     return factor_gfp(f)
 
 
-def min_poly(m: DenseMatrix) -> Polynomial:
-    """Minimal polynomial via the first linear dependence among powers."""
+def min_poly(m: DenseMatrix, modulo=()) -> Polynomial:
+    """Minimal polynomial of m modulo the span of the independent matrices `modulo`.
+
+    It is the first dependence among I, m, m^2, ... modulo that span.
+    With `modulo` empty it is the plain minimal polynomial; otherwise it
+    divides the plain one, so n + 1 powers always suffice.
+    """
     if not m.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
     field = m.field
     n = m.rows
     solver = SpanSolver(field, n * n)
+    for j in modulo:
+        solver.add(j._flat())
     power = DenseMatrix.identity(field, n)
-    for k in range(n + 1):
+    for _ in range(n + 1):
         flat = power._flat()
         if not solver.add(flat):
-            coords = solver.coordinates(flat)
-            coeffs = [-c for c in coords] + [field.one()]
-            return Polynomial(field, coeffs)
+            coords = solver.coordinates(flat)[len(modulo):]
+            return Polynomial(field, [-c for c in coords] + [1])
         power = power * m
     raise RuntimeError("no dependence among matrix powers up to the dimension")

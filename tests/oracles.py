@@ -9,7 +9,8 @@ reference the spun endo.compute_end must match basis for basis.  The
 boxed kernel (boxed_rref, BoxedSpanSolver, boxed_mul, boxed_apply,
 boxed_apply_row) runs the same eliminations entry by entry on
 FieldScalars: the reference the raw-value kernel in linalg must match
-entry for entry.
+entry for entry.  The boxed polynomial arithmetic (boxed_poly_*) is the
+same for the raw coefficient helpers in polynomials.
 """
 
 from __future__ import annotations
@@ -529,3 +530,93 @@ def boxed_apply_row(m, v):
         sum((m.field.scalar(x) * m.entries[i][j] for i, x in enumerate(v)), zero)
         for j in range(m.cols)
     )
+
+
+# ---------------------------------------------------------------------------
+# boxed polynomial arithmetic: coefficient tuples, low degree first
+
+
+def boxed_poly_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def boxed_poly_add(field, a, b):
+    """The library's Polynomial.__add__ before its loops moved to raw values."""
+    z = field.zero()
+    n = max(len(a), len(b))
+    return boxed_poly_trim((a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n))
+
+
+def boxed_poly_scale(c, a):
+    return boxed_poly_trim(c * x for x in a)
+
+
+def boxed_poly_mul(field, a, b):
+    """The library's Polynomial.__mul__ before its loops moved to raw values."""
+    if not a or not b:
+        return ()
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return boxed_poly_trim(out)
+
+
+def boxed_poly_divmod(field, a, b):
+    """The library's Polynomial.__divmod__ before its loops moved to raw values."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    dq = len(a) - len(b)
+    if dq < 0:
+        return (), tuple(a)
+    inv = b[-1].inverse()
+    quo = [field.zero()] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + len(b) - 1]
+        if c:
+            q = c * inv
+            quo[k] = q
+            for i, y in enumerate(b):
+                rem[k + i] = rem[k + i] - q * y
+    return boxed_poly_trim(quo), boxed_poly_trim(rem[: len(b) - 1])
+
+
+def boxed_poly_monic(a):
+    return boxed_poly_scale(a[-1].inverse(), a)
+
+
+def boxed_poly_derivative(a):
+    return boxed_poly_trim(i * c for i, c in enumerate(a) if i)
+
+
+def boxed_poly_gcd(field, a, b):
+    while b:
+        a, b = b, boxed_poly_divmod(field, a, b)[1]
+    return boxed_poly_monic(a) if a else a
+
+
+def boxed_poly_pow(field, a, k):
+    acc = (field.one(),)
+    for _ in range(k):
+        acc = boxed_poly_mul(field, acc, a)
+    return acc
+
+
+def boxed_poly_of_matrix(field, a, m):
+    """sum_i a_i m^i by Horner's rule, summed entry by entry on FieldScalars."""
+    n = m.rows
+    acc = [[field.zero()] * n for _ in range(n)]
+    for c in reversed(a):
+        acc = [
+            [sum((row[k] * m.entries[k][j] for k in range(n)), field.zero()) for j in range(n)]
+            for row in acc
+        ]
+        for i in range(n):
+            acc[i][i] = acc[i][i] + c
+    return tuple(tuple(row) for row in acc)

@@ -227,7 +227,7 @@ def test_decomposition_is_invariant_under_change_of_basis(field, rng):
     p_inv = DenseMatrix.from_columns(field, [solve(p, unit_vector(field, n, i)) for i in range(n)])
     # small characteristic-0 budgets keep undecided leaves cheap; the
     # outcome must not depend on the basis whatever the budgets are
-    config = SearchConfig(box_height=1, random_trials=8)
+    config = SearchConfig(random_trials=8)
     base = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g), config)
     moved_gens = [(s, p * mat * p_inv) for s, mat in reversed(gens)]
     moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), p.apply(g)), config)

@@ -35,6 +35,9 @@ CASES = {
     "decompose_perm_regular_s3": [
         "decompose-perm", "{golden}/regular_s3.json", "--generator", "1,0,0,0,0,0",
     ],
+    "decompose_perm_regular_q8": [
+        "decompose-perm", "{golden}/regular_q8.json", "--generator", "1,0,0,0,0,0,0,0",
+    ],
 }
 
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomod.fields import GF2, QQ, gf
+import oracles
+from cyclomod import polynomials
+from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import DenseMatrix
 from cyclomod.polynomials import (
     Polynomial,
@@ -182,6 +184,25 @@ def test_factor_q_seeded_products():
         assert total == f.degree
 
 
+def test_factor_q_lifts_modulo_powers_of_two(monkeypatch):
+    # 2 is the smallest good prime of both products, so the Hensel lift
+    # runs modulo 2^k; in the second, t^2 + t + 2 = t (t + 1) mod 2 and
+    # its two lifted factors must be recombined
+    primes = []
+    lift = polynomials._hensel_lift_tree
+
+    def spy(F, factors, p, target):
+        primes.append(p)
+        return lift(F, factors, p, target)
+
+    monkeypatch.setattr(polynomials, "_hensel_lift_tree", spy)
+    cubic = poly(QQ, [1, 1, 0, 1])
+    for quadratic in (poly(QQ, [1, 1, 1]), poly(QQ, [2, 1, 1])):
+        f = quadratic * cubic * QQ.scalar(Fraction(-3, 7))
+        assert factor_q(f) == [(quadratic, 1), (cubic, 1)]
+    assert primes and set(primes) == {2}
+
+
 def test_factor_q_degree_cap():
     f = poly(QQ, [0] * 33 + [1])
     with pytest.raises(ValueError, match="degree cap exceeded"):
@@ -234,7 +255,98 @@ def test_min_poly_divides_and_annihilates():
                 power = power * m
 
 
+def test_min_poly_modulo_a_span():
+    # a 3x3 Jordan block aI + N: (t - a)^3 in all, t - a modulo span(N, N^2)
+    for field, a in ((QQ, Fraction(-2, 3)), (gf(5), 4)):
+        n = DenseMatrix(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        m = DenseMatrix.identity(field, 3).scale(a) + n
+        root = poly(field, [-field.scalar(a), 1])
+        assert min_poly(m) == root**3
+        assert min_poly(m, (n, n * n)) == root
+        assert min_poly(m, (n * n,)) == root**2
+
+
 def test_min_poly_nilpotent():
     n = DenseMatrix(QQ, [[0, 1], [0, 0]])
     assert min_poly(n) == poly(QQ, [0, 0, 1])
     assert min_poly(DenseMatrix.identity(QQ, 4)) == poly(QQ, [-1, 1])
+
+
+ORACLE_FIELDS = (GF2, gf(3), gf(2147483647), QQ)
+
+
+def _oracle_coeffs(field, rng, degree):
+    """degree + 1 coefficients with some zeros; GF(p) ints are shifted by p so they need reducing."""
+    p = field.characteristic
+    out = []
+    for i in range(degree + 1):
+        if rng.random() < 0.3:
+            out.append(0)
+        elif p:
+            out.append(rng.randrange(p) + p * (i % 3 - 1))
+        else:
+            out.append(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)))
+    if out and rng.random() < 0.5:
+        out[-1] = field.one()
+    return out
+
+
+def _assert_raw_canonical(f):
+    p = f.field.characteristic
+    assert not f._raw or f._raw[-1]
+    for c in f._raw:
+        if p:
+            assert type(c) is int and 0 <= c < p
+        else:
+            assert type(c) is Fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    field=st.sampled_from(ORACLE_FIELDS),
+    da=st.integers(min_value=-1, max_value=6),
+    db=st.integers(min_value=-1, max_value=4),
+)
+def test_raw_polynomial_kernel_matches_boxed_reference(seed, field, da, db):
+    rng = random.Random(seed)
+    a, b = _oracle_coeffs(field, rng, da), _oracle_coeffs(field, rng, db)
+    f, g = Polynomial(field, a), Polynomial(field, b)
+    fa = oracles.boxed_poly_trim(field.scalar(x) for x in a)
+    gb = oracles.boxed_poly_trim(field.scalar(x) for x in b)
+
+    def check(got, want):
+        assert got.field == field and got.coeffs == want
+        assert all(type(c) is FieldScalar for c in got.coeffs)
+        _assert_raw_canonical(got)
+
+    check(f, fa)
+    check(g, gb)
+    check(f + g, oracles.boxed_poly_add(field, fa, gb))
+    check(f - g, oracles.boxed_poly_add(field, fa, oracles.boxed_poly_scale(-field.one(), gb)))
+    check(-f, oracles.boxed_poly_scale(-field.one(), fa))
+    check(f * g, oracles.boxed_poly_mul(field, fa, gb))
+    c = _oracle_coeffs(field, rng, 0)[0]
+    check(f * field.scalar(c), oracles.boxed_poly_scale(field.scalar(c), fa))
+    if type(c) is int:
+        check(c * f, oracles.boxed_poly_scale(field.scalar(c), fa))
+    check(f.derivative(), oracles.boxed_poly_derivative(fa))
+    check(poly_gcd(f, g), oracles.boxed_poly_gcd(field, fa, gb))
+    k = rng.randrange(4)
+    check(f**k, oracles.boxed_poly_pow(field, fa, k))
+    if g.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, g)
+    else:
+        q, r = divmod(f, g)
+        want_q, want_r = oracles.boxed_poly_divmod(field, fa, gb)
+        check(q, want_q)
+        check(r, want_r)
+        check(f // g, want_q)
+        check(f % g, want_r)
+    if not f.is_zero:
+        check(f.monic(), oracles.boxed_poly_monic(fa))
+        assert f.leading == fa[-1]
+    n = rng.randrange(4)
+    m = DenseMatrix(field, [_oracle_coeffs(field, rng, n - 1) for _ in range(n)], cols=n)
+    assert f.evaluate_matrix(m).entries == oracles.boxed_poly_of_matrix(field, fa, m)
