@@ -1,15 +1,17 @@
-"""Walkthrough: a nilpotent Jordan block over Q, certified through its radical.
+"""Walkthrough: a nilpotent Jordan block over Q and over GF(2), certified through its radical.
 
-A single nilpotent Jordan block N acting on Q^d is indecomposable, yet
-no element of its endomorphism algebra E = Q[N]/N^d witnesses that on
+A single nilpotent Jordan block N acting on F^d is indecomposable, yet
+no element of its endomorphism algebra E = F[N]/N^d witnesses that on
 its own: every element is a unit or nilpotent, and every minimal
-polynomial is a power of one irreducible.  The "local" certificate
-names the radical J = (N) and an element x whose minimal polynomial
-modulo J is irreducible of degree dim E - dim J; then E/J is a field,
-E is local, and the module cannot split.
+polynomial is a power of one irreducible.  The search collects the
+nilpotent parts f(x) of the candidates it factors into an ideal J, here
+J = (N).  The "local" certificate names J and an element x whose
+minimal polynomial modulo J is irreducible of degree dim E - dim J;
+then E/J is a field, E is local, and the module cannot split.  The
+same certificate, checked the same way, serves over Q and over GF(2).
 """
 
-from cyclomod import QQ
+from cyclomod import GF2, QQ
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.modules import AlgebraAction, orbit_basis
 
@@ -24,13 +26,15 @@ a = [
     [0, 0, 0, 0],
 ]
 g = (0, 0, 1, 1)
-m = orbit_basis(AlgebraAction(QQ, [("n", a)]), g)
-print(f"module of the conjugated {D}x{D} Jordan block: dim {m.dim}")
+for field in (QQ, GF2):
+    m = orbit_basis(AlgebraAction(field, [("n", a)]), g)
+    print(f"module of the conjugated {D}x{D} Jordan block over {field}: dim {m.dim}")
 
-report = complete_decomposition(m)
-check_report(report)
-print(f"signature: {report.signature}")
-cert = report.certificates[0]
-print(f"verdict: {cert.verdict} ({cert.mode})")
-print(f"dim End = {cert.diagnostics['endo_dim']}, dim J = {len(cert.radical)}")
-# dim End = 4 and dim J = 3: E/J = Q, so the identity is the element x.
+    report = complete_decomposition(m)
+    check_report(report)
+    print(f"  signature: {report.signature}")
+    cert = report.certificates[0]
+    print(f"  verdict: {cert.verdict} ({cert.mode})")
+    print(f"  dim End = {cert.diagnostics['endo_dim']}, dim J = {len(cert.radical)}")
+# dim End = 4 and dim J = 3 over both fields: E/J is the prime field, so
+# the identity is the element x.

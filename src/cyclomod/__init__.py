@@ -2,11 +2,12 @@
 
 The pipeline: a weighted-automaton covering tree turns one generating
 vector into a basis (wfa, modules), the commutant of the restricted
-action is solved exactly (endo), and idempotent/Fitting splittings are
-searched until every summand carries an indecomposability certificate
-or an honest "undecided" (decompose).  Front ends cover boolean
-functions under the symmetric group in characteristic 2 (boolfn) and
-permutation modules in characteristic 0 (perms).
+action is solved exactly (endo), and Fitting and minimal-polynomial
+splittings are searched until every summand carries an
+indecomposability certificate or an honest "undecided" (decompose).
+Front ends cover boolean functions under the symmetric group in
+characteristic 2 (boolfn) and permutation modules in characteristic 0
+(perms).
 """
 
 from .boolfn import (
@@ -25,7 +26,6 @@ from .decompose import (
     check_report,
     complete_decomposition,
     decompose_once,
-    enumerate_idempotents,
 )
 from .endo import (
     Certificate,
@@ -36,7 +36,6 @@ from .endo import (
     fitting_split,
     is_invertible,
     is_nilpotent,
-    radical_char0,
     verify_certificate,
 )
 from .fields import GF2, QQ, FieldScalar, FieldSpec, gf
@@ -128,13 +127,11 @@ __all__ = [
     "fitting_split",
     "is_invertible",
     "is_nilpotent",
-    "radical_char0",
     "verify_certificate",
     "DecompositionReport",
     "check_report",
     "complete_decomposition",
     "decompose_once",
-    "enumerate_idempotents",
     "MAX_VARIABLES",
     "BooleanFunction",
     "ParseError",

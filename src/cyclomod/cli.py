@@ -33,19 +33,12 @@ from .wfa import minimize
 
 def _search_config(args) -> SearchConfig:
     """The search budgets from the command line, validated."""
-    if args.exhaustive_cap < 1:
-        raise ValueError("--exhaustive-cap must be at least 1")
     if args.random_trials < 0:
         raise ValueError("--random-trials must not be negative")
-    return SearchConfig(
-        exhaustive_cap=args.exhaustive_cap,
-        random_trials=args.random_trials,
-        seed=args.seed,
-    )
+    return SearchConfig(random_trials=args.random_trials, seed=args.seed)
 
 
 def _add_budget_flags(sub):
-    sub.add_argument("--exhaustive-cap", type=int, default=SearchConfig.exhaustive_cap)
     sub.add_argument("--random-trials", type=int, default=SearchConfig.random_trials)
     sub.add_argument("--seed", type=int, default=SearchConfig.seed)
 

@@ -19,13 +19,11 @@ of every block is spun from its generator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .endo import (
     Certificate,
-    EndoAlgebra,
     SearchConfig,
     certify,
     compute_end,
@@ -126,23 +124,6 @@ def complete_decomposition(
     certs = tuple(pair[1] for pair in leaves)
     sig = tuple(sorted(b.dim for b in blocks))
     return DecompositionReport(m, blocks, certs, tuple(splits), sig, config)
-
-
-def enumerate_idempotents(e: EndoAlgebra, cap: int = SearchConfig.exhaustive_cap) -> list:
-    """All idempotents of a finite-field algebra, lexicographic in coordinates."""
-    p = e.field.characteristic
-    if p == 0:
-        raise ValueError("idempotent enumeration needs a finite field")
-    total = p ** e.dim
-    if total > cap:
-        raise ValueError(f"{p}^{e.dim} elements exceed the cap of {cap}")
-    elements = [e.field.scalar(v) for v in range(p)]
-    out = []
-    for coords in itertools.product(elements, repeat=e.dim):
-        mat = e.element(coords)
-        if mat * mat == mat:
-            out.append(mat)
-    return out
 
 
 def check_report(report: DecompositionReport):

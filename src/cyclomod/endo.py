@@ -17,19 +17,23 @@ stops falling (linalg.stable_power); the image basis is the first
 independent columns of that power.  An invertible candidate is turned
 down on its rank, before any product.
 
-find_splitting_element runs fixed stages: the one-dimensional shortcut,
-a deterministic scan of basis elements and their pairwise sums and
-differences, exhaustive enumeration over a finite field when the algebra
-is small enough, and over the rationals minimal-polynomial factorization
-of scanned plus seeded random elements, then the local stage.  The
-local stage takes the radical J from the trace form and looks for an
-element whose minimal polynomial modulo J (polynomials.min_poly with
-J as `modulo`) is irreducible of degree dim E - dim J; that element
-makes E/J a field, so E is local and the module indecomposable.  No
-earlier stage can decide a local algebra with J != 0: every element is
-a unit or nilpotent and every minimal polynomial is a power of one
-irreducible.  Everything is exact; when all budgets run out the
-verdict is "undecided", never a guess.
+find_splitting_element runs one search for every field: the
+one-dimensional shortcut, a Fitting scan of the basis elements and their
+pairwise sums and differences, then one loop over the scanned elements
+and seeded random ones that factors each candidate's minimal polynomial
+once.  Two coprime factors split the module along their kernels.  A
+power f^k with k > 1 makes f(x) nilpotent, and f(x) joins a two-sided
+ideal J, closed under multiplication by the basis.  Once some
+candidate's f has degree dim E - dim J and J is nilpotent (checked on
+J V, J J V, ... by matrix-vector products), E/J is a field generated by
+x: the minimal polynomial of x modulo J divides f^k and has degree at
+most dim E/J = deg f, so it is f.  Then E is local and the module
+indecomposable ("field-generated" when J = 0, "local" otherwise, with
+the identity as x when dim E/J = 1).  No Fitting element exists in a
+local algebra with J != 0: every element is a unit or nilpotent, and
+every minimal polynomial is a power of one irreducible.  Everything is
+exact; when the candidates run out the verdict is "undecided", never a
+guess.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .linalg import (
     Vector,
     _addmul,
     _neg,
+    _row_times,
     _zero,
     column_space_basis,
     kernel_basis,
@@ -113,16 +118,6 @@ class EndoAlgebra:
 
     def contains(self, mat: DenseMatrix) -> bool:
         return self.coordinates(mat) is not None
-
-    def left_mult_matrix(self, i: int) -> DenseMatrix:
-        """Left multiplication by basis[i], in algebra coordinates."""
-        columns = []
-        for b in self.basis:
-            coords = self.coordinates(self.basis[i] * b)
-            if coords is None:
-                raise RuntimeError("algebra basis is not multiplicatively closed")
-            columns.append(coords)
-        return DenseMatrix.from_columns(self.field, columns, rows=self.dim)
 
     def __repr__(self) -> str:
         return f"EndoAlgebra(dim={self.dim}, module_dim={self.module_dim}, {self.field})"
@@ -237,16 +232,11 @@ def _split_stable(e: EndoAlgebra, power: DenseMatrix):
 class SearchConfig:
     """Budgets for the splitting-element search; defaults decide all small cases."""
 
-    exhaustive_cap: int = 2 ** 22
     random_trials: int = 64
     seed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "exhaustive_cap": self.exhaustive_cap,
-            "random_trials": self.random_trials,
-            "seed": self.seed,
-        }
+        return {"random_trials": self.random_trials, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -276,6 +266,17 @@ def _scan_candidates(e: EndoAlgebra):
                 yield e.basis[i] - e.basis[j]
 
 
+def _random_candidates(e: EndoAlgebra, config: SearchConfig):
+    """Seeded random combinations of the basis: coordinates in -3..3 over Q, uniform over GF(p)."""
+    rng = random.Random(config.seed)
+    p = e.field.characteristic
+    lo, hi = (-3, 3) if p == 0 else (0, p - 1)
+    for _ in range(config.random_trials):
+        coords = [rng.randint(lo, hi) for _ in range(e.dim)]
+        if any(coords):
+            yield e.element(coords)
+
+
 def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, mode: str, budgets: dict, diagnostics: dict):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible."""
     power, rank = stable_power(mat)
@@ -284,38 +285,61 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, mode: str, budgets: dict, dia
     return Certificate("decomposable", mode, mat, _split_stable(e, power), budgets, diagnostics)
 
 
-def _try_min_poly(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict):
-    """Character zero only: split along coprime factors of the minimal polynomial.
+def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict, diag: dict):
+    """Split along the first primary factor of the minimal polynomial and the rest."""
+    f0, k0 = factors[0]
+    first = f0 ** k0
+    rest = mp.exact_div(first)
+    ker_first = kernel_basis(first.evaluate_matrix(mat))
+    ker_rest = kernel_basis(rest.evaluate_matrix(mat))
+    if not ker_first or not ker_rest:
+        raise RuntimeError("coprime factor kernels cannot be trivial")
+    if len(ker_first) + len(ker_rest) != e.module_dim:
+        raise RuntimeError("coprime factor kernels do not fill the module")
+    return Certificate(
+        "decomposable", "min-poly-split", mat, (tuple(ker_first), tuple(ker_rest)), budgets, diag
+    )
 
-    Returns a certificate (decomposable or indecomposable) or None when
-    the polynomial is a power of one irreducible of degree below dim E.
+
+def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
+    """Add z to the two-sided ideal with basis `ideal` (spanned in `span`), closing it again."""
+    ident = e.identity()
+    others = [b for b in e.basis if b != ident]
+    queue = [z] if span.add(z._flat()) else []
+    ideal.extend(queue)
+    while queue:
+        y = queue.pop()
+        for b in others:
+            for prod in (b * y, y * b):
+                if span.add(prod._flat()):
+                    ideal.append(prod)
+                    queue.append(prod)
+
+
+def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
+    """Whether J^k V = 0 for some k <= module_dim, for J = span(ideal) with J J inside J.
+
+    J V, J J V, ... come from matrix-vector products, reduced by one rref
+    per step.  Each space lies in the one before, so the chain falls to 0 within module_dim steps or
+    stops at a nonzero space.  E acts faithfully on V, so J^k V = 0
+    exactly when J^k = 0.
     """
-    mp = min_poly(mat)
-    factors = factor(mp)
-    diag = dict(diagnostics)
-    diag["min_poly_degree"] = mp.degree
-    diag["factor_shape"] = [[f.degree, k] for f, k in factors]
-    if len(factors) >= 2:
-        f0, k0 = factors[0]
-        first = f0 ** k0
-        rest = mp.exact_div(first)
-        ker_first = kernel_basis(first.evaluate_matrix(mat))
-        ker_rest = kernel_basis(rest.evaluate_matrix(mat))
-        if not ker_first or not ker_rest:
-            raise RuntimeError("coprime factor kernels cannot be trivial")
-        if len(ker_first) + len(ker_rest) != e.module_dim:
-            raise RuntimeError("coprime factor kernels do not fill the module")
-        return Certificate(
-            "decomposable", "min-poly-split", mat, (tuple(ker_first), tuple(ker_rest)), budgets, diag
-        )
-    if factors and factors[0][1] == 1 and factors[0][0].degree == e.dim:
-        # the element generates the whole algebra, which is then a field
-        return Certificate("indecomposable", "field-generated", mat, None, budgets, diag)
-    return None
+    field, n = e.field, e.module_dim
+    p = field.characteristic
+    # a raw row v times the rows of j^T is (j v)^T
+    transposed = [j.transpose()._raw for j in ideal]
+    space = DenseMatrix.identity(field, n)._raw
+    for _ in range(n):
+        images = [_row_times(p, v, rows, n) for rows in transposed for v in space]
+        step = rref(DenseMatrix._from_raw(field, images, n))
+        if step.rank in (0, len(space)):
+            return not step.rank
+        space = step.matrix._raw[:step.rank]
+    return False
 
 
 def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None) -> Certificate:
-    """Staged exact search for a decomposition witness in the algebra."""
+    """Exact search for a decomposition witness or an indecomposability certificate."""
     config = config or SearchConfig()
     budgets = config.as_dict()
     if e.module_dim == 0:
@@ -332,67 +356,48 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
             return cert
     diagnostics["scanned"] = scanned
 
-    p = e.field.characteristic
-    if p != 0:
-        total = p ** e.dim
-        if total <= config.exhaustive_cap:
-            elements = [e.field.scalar(v) for v in range(p)]
-            ident = e.identity()
-            count = 0
-            for coords in itertools.product(elements, repeat=e.dim):
-                count += 1
-                mat = e.element(coords)
-                if mat.is_zero() or mat == ident:
-                    continue
-                if mat * mat == mat:
-                    ker = kernel_basis(mat)
-                    im = column_space_basis(mat)
-                    if len(ker) + len(im) != e.module_dim or not ker or not im:
-                        raise RuntimeError("idempotent with inconsistent kernel and image")
-                    return Certificate(
-                        "decomposable",
-                        "exhaustive-idempotent",
-                        mat,
-                        (tuple(im), tuple(ker)),
-                        budgets,
-                        dict(diagnostics, enumerated=count),
-                    )
-            return Certificate(
-                "indecomposable", "exhaustive", None, None, budgets, dict(diagnostics, enumerated=count)
-            )
-        return Certificate(
-            "undecided", "budget-exhausted", None, None, budgets,
-            dict(diagnostics, reason=f"{p}^{e.dim} elements exceed the exhaustive cap"),
-        )
-
-    # characteristic zero: factor minimal polynomials of scanned then random elements
-    rng = random.Random(config.seed)
-    candidates = list(_scan_candidates(e))
-    for _ in range(config.random_trials):
-        coords = tuple(rng.randint(-3, 3) for _ in range(e.dim))
-        if any(coords):
-            candidates.append(e.element(coords))
+    # one candidate loop for every field: factor each minimal polynomial once;
+    # a power f^k with k > 1 puts the nilpotent f(x) into the ideal J
+    ideal, span = [], SpanSolver(e.field, e.module_dim * e.module_dim)
+    nilpotent = True            # of J; None once J has grown and is not checked yet
+    best, best_degree = e.identity(), 1
     tried = 0
-    for mat in candidates:
+    for mat in itertools.chain(_scan_candidates(e), _random_candidates(e, config)):
         if mat.is_zero():
             continue
         tried += 1
-        cert = _try_min_poly(e, mat, budgets, dict(diagnostics, min_poly_tried=tried))
-        if cert is not None:
-            return cert
+        mp = min_poly(mat)
+        factors = factor(mp)
+        diag = dict(
+            diagnostics,
+            min_poly_tried=tried,
+            min_poly_degree=mp.degree,
+            factor_shape=[[f.degree, k] for f, k in factors],
+        )
+        if len(factors) >= 2:
+            return _coprime_split(e, mat, mp, factors, budgets, diag)
+        ((f, k),) = factors
+        if k > 1 and nilpotent is not False:
+            grown = len(ideal)
+            _grow_ideal(e, ideal, span, f.evaluate_matrix(mat))
+            if len(ideal) > grown:
+                nilpotent = None
+        if f.degree > best_degree:
+            best, best_degree = mat, f.degree
+        # x mod J has a minimal polynomial dividing f^k of degree at most
+        # dim E/J = deg f, so it is f: E/J = F[x mod J] is a field
+        if best_degree != e.dim - len(ideal):
+            continue
+        if nilpotent is None:
+            nilpotent = _nilpotent_span(e, ideal)
+        if not nilpotent:
+            continue
+        if not ideal:
+            return Certificate("indecomposable", "field-generated", best, None, budgets, diag)
+        diag = dict(diagnostics, min_poly_tried=tried, radical_dim=len(ideal))
+        return Certificate("indecomposable", "local", best, None, budgets, diag, radical=tuple(ideal))
+
     diagnostics["min_poly_tried"] = tried
-
-    # a local algebra: E/J is a field generated by one element
-    radical = radical_char0(e)
-    if radical:
-        pool = [e.identity()] if e.dim - len(radical) == 1 else candidates
-        for local_tried, mat in enumerate(pool, 1):
-            if _generates_quotient_field(e, mat, radical):
-                diag = dict(diagnostics, radical_dim=len(radical), local_tried=local_tried)
-                return Certificate(
-                    "indecomposable", "local", mat, None, budgets, diag, radical=tuple(radical)
-                )
-
     return Certificate("undecided", "budget-exhausted", None, None, budgets, diagnostics)
 
 
@@ -431,19 +436,14 @@ def _check_local(e: EndoAlgebra, cert: Certificate):
             raise RuntimeError("radical matrix is not in the endomorphism algebra")
         if not span.add(j._flat()):
             raise RuntimeError("radical matrices are linearly dependent")
+    ident = e.identity()
     for b in e.basis:
+        if b == ident:
+            continue
         for j in radical:
             if not (span.contains((b * j)._flat()) and span.contains((j * b)._flat())):
                 raise RuntimeError("radical span is not a two-sided ideal")
-    # J^(k+1) = J^k J shrinks strictly until it vanishes exactly when J is nilpotent
-    power = list(radical)
-    for _ in range(len(radical)):
-        step = SpanSolver(e.field, e.module_dim * e.module_dim)
-        products = (a * j for a in power for j in radical)
-        power = [prod for prod in products if step.add(prod._flat())]
-        if not power:
-            break
-    else:
+    if not _nilpotent_span(e, radical):
         raise RuntimeError("radical span is not nilpotent")
     if not e.contains(cert.element):
         raise RuntimeError("local element is not in the endomorphism algebra")
@@ -502,9 +502,6 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
                 raise RuntimeError("element does not generate a field of full dimension")
         elif cert.mode == "local":
             _check_local(e, cert)
-        elif cert.mode == "exhaustive":
-            if e.field.characteristic == 0:
-                raise RuntimeError("exhaustive verdict claimed over an infinite field")
         else:
             raise RuntimeError(f"unknown indecomposable mode {cert.mode!r}")
     elif cert.verdict == "undecided":
@@ -512,38 +509,3 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             raise RuntimeError("undecided certificate carries witness data")
     else:
         raise RuntimeError(f"unknown verdict {cert.verdict!r}")
-
-
-def radical_char0(e: EndoAlgebra) -> list:
-    """Basis of the Jacobson radical over Q, via the regular trace form.
-
-    An element is radical exactly when the trace of left multiplication
-    by (it times anything) vanishes; that is the classical criterion in
-    characteristic zero.  Results are verified nilpotent and ideal-stable
-    before returning.
-    """
-    if e.field.characteristic != 0:
-        raise ValueError("the trace-form radical needs characteristic zero")
-    d = e.dim
-    if d == 0:
-        return []
-    left = [e.left_mult_matrix(i) for i in range(d)]
-    gram_rows = []
-    for i in range(d):
-        gram_rows.append([(left[i] * left[j]).trace() for j in range(d)])
-    gram = DenseMatrix(e.field, gram_rows, cols=d)
-    rad = []
-    rad_solver = SpanSolver(e.field, e.module_dim * e.module_dim)
-    for coords in kernel_basis(gram):
-        mat = e.element(coords)
-        rad.append(mat)
-        rad_solver.add(mat._flat())
-    for mat in rad:
-        # the algebra acts faithfully, so radical elements are nilpotent matrices
-        if stable_power(mat)[1]:
-            raise RuntimeError("radical candidate is not nilpotent")
-        for b in e.basis:
-            for prod in (mat * b, b * mat):
-                if not rad_solver.contains(prod._flat()):
-                    raise RuntimeError("radical candidate span is not a two-sided ideal")
-    return rad

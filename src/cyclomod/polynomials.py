@@ -13,9 +13,12 @@ arithmetic over Q.  Division needs a divisor whose leading coefficient
 is a unit modulo m.
 
 Factorization routes:
-  * GF(p): squarefree split, then Berlekamp.  Irreducibility of each
-    output factor is certified by its Berlekamp algebra having
-    dimension 1.
+  * GF(p): squarefree split, then Berlekamp.  The dimension r of the
+    splitting algebra counts the irreducible factors, and its elements
+    h split f until there are r pieces: by gcds with h and h + 1 for
+    p = 2, and for odd p by Cantor-Zassenhaus, gcds with
+    h^((p-1)/2) - 1 for seeded random h, so the cost grows with log p
+    rather than p.
   * Q: squarefree split (Yun), clear denominators, factor modulo a good
     prime, Hensel lift to a coefficient bound, exhaustive subset
     recombination.
@@ -26,6 +29,7 @@ leading unit reconstructs the input.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
@@ -200,11 +204,15 @@ class Polynomial:
             raise ValueError(f"mixed fields: {self.field} and {m.field}")
         if not m.is_square:
             raise ValueError("polynomial of a non-square matrix")
-        acc = DenseMatrix.zeros(self.field, m.rows, m.cols)
-        for c in reversed(self._raw):
+        if self.is_zero:
+            return DenseMatrix.zeros(self.field, m.rows, m.cols)
+        # Horner from the leading coefficient: deg f products
+        ident = DenseMatrix.identity(self.field, m.rows)
+        acc = ident.scale(self._raw[-1])
+        for c in reversed(self._raw[:-1]):
             acc = acc * m
             if c:
-                acc = acc + DenseMatrix.identity(self.field, m.rows).scale(c)
+                acc = acc + ident.scale(c)
         return acc
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -340,6 +348,14 @@ def _poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return acc
 
 
+def _gcd_split(u: Polynomial, a: Polynomial) -> list:
+    """[gcd(u, a), u / gcd(u, a)] when the gcd is a proper factor of u, else [u]."""
+    if u.degree == 1:
+        return [u]
+    g = poly_gcd(u, a)
+    return [g, u.exact_div(g)] if 0 < g.degree < u.degree else [u]
+
+
 def _berlekamp_splitting(f: Polynomial) -> list:
     """Monic irreducible factors of a monic squarefree f over GF(p)."""
     field = f.field
@@ -357,35 +373,34 @@ def _berlekamp_splitting(f: Polynomial) -> list:
         power = (power * xp) % f
     q = DenseMatrix._from_raw(field, rows, d)
     b = q - DenseMatrix.identity(field, d)
-    kernel = kernel_basis(b.transpose())
+    kernel = [_unbox(field, v) for v in kernel_basis(b.transpose())]
     r = len(kernel)
-    if r == 1:
-        return [f]
     factors = [f]
-    for v in kernel:
-        h = Polynomial(field, v)
-        if h.degree < 1:
-            continue
-        next_factors = []
-        for u in factors:
-            if u.degree == 1:
-                next_factors.append(u)
-                continue
-            pieces = []
-            rest = u
-            for c in range(p):
-                g = poly_gcd(rest, h - Polynomial(field, [c]))
-                if 0 < g.degree < rest.degree:
-                    pieces.append(g)
-                    rest = rest.exact_div(g)
-                if rest.degree == 0:
-                    break
-            if rest.degree > 0:
-                pieces.append(rest)
-            next_factors.extend(pieces)
-        factors = next_factors
-        if len(factors) == r:
-            break
+    if p == 2:
+        # h^2 = h modulo f, so h and h + 1 share the factors of f between them
+        for v in kernel:
+            h = Polynomial._from_raw(field, _trim(v))
+            for c in (0, 1):
+                shifted = h - Polynomial(field, [c])
+                factors = [g for u in factors for g in _gcd_split(u, shifted)]
+            if len(factors) == r:
+                break
+    else:
+        # Cantor-Zassenhaus: modulo each irreducible factor a random h of the
+        # splitting algebra is a random constant, and h^((p-1)/2) is 1 for
+        # about half of the nonzero ones
+        rng = random.Random(0)
+        one = Polynomial(field, [1])
+        while len(factors) < r:
+            h = [0] * d
+            for v in kernel:
+                c = rng.randrange(p)
+                if c:
+                    h = _addmul(p, h, c, v)
+            h = Polynomial._from_raw(field, _trim(h))
+            factors = [
+                g for u in factors for g in _gcd_split(u, _poly_powmod(h, (p - 1) // 2, u) - one)
+            ]
     if len(factors) != r:
         raise RuntimeError("Berlekamp splitting did not reach the kernel dimension")
     return sorted(factors, key=Polynomial.sort_key)
@@ -586,6 +601,8 @@ def factor_q(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
 
 def factor(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
     """Field-dispatching irreducible factorization."""
+    if f.degree == 1:
+        return [(f.monic(), 1)]
     if f.field.characteristic == 0:
         return factor_q(f, degree_cap)
     return factor_gfp(f)

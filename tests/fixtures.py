@@ -124,3 +124,10 @@ def conjugated_jordan_module(field, d, seed):
 
 def int_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def quaternion_module():
+    """Q^4 = H under left multiplication by i and j, generated by 1; End is H."""
+    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+    return orbit_basis(AlgebraAction(QQ, [("i", left_i), ("j", left_j)]), (1, 0, 0, 0))

@@ -1,16 +1,21 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but commutant_basis and the boxed kernel works on raw
-Python values (ints mod p, Fractions, int bitmasks over GF(2)) and
-reimplements the math naively, so that a bug in the library's linear
-algebra cannot hide inside its own oracle.  commutant_basis is the
-general n^2-unknown commutant solve on the library's matrices: the
-reference the spun endo.compute_end must match basis for basis.  The
-boxed kernel (boxed_rref, BoxedSpanSolver, boxed_mul, boxed_apply,
-boxed_apply_row) runs the same eliminations entry by entry on
-FieldScalars: the reference the raw-value kernel in linalg must match
-entry for entry.  The boxed polynomial arithmetic (boxed_poly_*) is the
-same for the raw coefficient helpers in polynomials.
+Everything here but commutant_basis, the algebra references and the
+boxed kernel works on raw Python values (ints mod p, Fractions, int
+bitmasks over GF(2)) and reimplements the math naively, so that a bug
+in the library's linear algebra cannot hide inside its own oracle.
+commutant_basis is the general n^2-unknown commutant solve on the
+library's matrices: the reference the spun endo.compute_end must match
+basis for basis.  The algebra references (enumerate_idempotents,
+left_mult_matrix, radical_char0) take an EndoAlgebra: idempotents by
+enumerating every element over GF(p), and the radical over Q by the
+trace form, for the verdicts of the splitting search and the ideal of
+its local certificates.  The boxed kernel (boxed_rref, BoxedSpanSolver,
+boxed_mul, boxed_apply, boxed_apply_row) runs the same eliminations
+entry by entry on FieldScalars: the reference the raw-value kernel in
+linalg must match entry for entry.  The boxed polynomial arithmetic
+(boxed_poly_*) is the same for the raw coefficient helpers in
+polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from cyclomod.linalg import DenseMatrix, kernel_basis
+from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +396,71 @@ def commutant_basis(field, dim, matrices):
         entries = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
         basis.append(DenseMatrix(field, entries, cols=dim))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# references for the endomorphism algebra: idempotents by enumeration, the
+# radical over Q by the trace form
+
+
+def enumerate_idempotents(e, cap=2 ** 22):
+    """All idempotents of a finite-field algebra, lexicographic in coordinates."""
+    p = e.field.characteristic
+    if p == 0:
+        raise ValueError("idempotent enumeration needs a finite field")
+    total = p ** e.dim
+    if total > cap:
+        raise ValueError(f"{p}^{e.dim} elements exceed the cap of {cap}")
+    elements = [e.field.scalar(v) for v in range(p)]
+    out = []
+    for coords in itertools.product(elements, repeat=e.dim):
+        mat = e.element(coords)
+        if mat * mat == mat:
+            out.append(mat)
+    return out
+
+
+def left_mult_matrix(e, i):
+    """Left multiplication by e.basis[i], in algebra coordinates."""
+    columns = []
+    for b in e.basis:
+        coords = e.coordinates(e.basis[i] * b)
+        if coords is None:
+            raise RuntimeError("algebra basis is not multiplicatively closed")
+        columns.append(coords)
+    return DenseMatrix.from_columns(e.field, columns, rows=e.dim)
+
+
+def radical_char0(e):
+    """Basis of the Jacobson radical over Q, via the regular trace form.
+
+    An element is radical exactly when the trace of left multiplication
+    by (it times anything) vanishes; that is the classical criterion in
+    characteristic zero.  Results are verified nilpotent and ideal-stable
+    before returning.
+    """
+    if e.field.characteristic != 0:
+        raise ValueError("the trace-form radical needs characteristic zero")
+    d = e.dim
+    if d == 0:
+        return []
+    left = [left_mult_matrix(e, i) for i in range(d)]
+    gram = DenseMatrix(e.field, [[(left[i] * left[j]).trace() for j in range(d)] for i in range(d)], cols=d)
+    rad = []
+    rad_solver = SpanSolver(e.field, e.module_dim * e.module_dim)
+    for coords in kernel_basis(gram):
+        mat = e.element(coords)
+        rad.append(mat)
+        rad_solver.add(mat.flatten())
+    for mat in rad:
+        # the algebra acts faithfully, so radical elements are nilpotent matrices
+        if not mat_pow(mat, e.module_dim).is_zero():
+            raise RuntimeError("radical candidate is not nilpotent")
+        for b in e.basis:
+            for prod in (mat * b, b * mat):
+                if not rad_solver.contains(prod.flatten()):
+                    raise RuntimeError("radical candidate span is not a two-sided ideal")
+    return rad
 
 
 # ---------------------------------------------------------------------------

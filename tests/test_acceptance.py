@@ -10,11 +10,7 @@ import time
 
 from cyclomod import GF2, QQ
 from cyclomod.boolfn import parse_anf, sn_action
-from cyclomod.decompose import (
-    check_report,
-    complete_decomposition,
-    enumerate_idempotents,
-)
+from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import SearchConfig, compute_end
 from cyclomod.linalg import DenseMatrix, SpanSolver
 from cyclomod.modules import AlgebraAction, orbit_basis
@@ -30,6 +26,7 @@ from fixtures import F_VEC, G, anf_vector, s3_anf_action, swap_invariant_module
 from oracles import (
     all_words,
     count_idempotents_brute,
+    enumerate_idempotents,
     gf2_apply,
     gf2_decomposable,
     gf2_matrix_columns,

@@ -1,12 +1,15 @@
 """End-to-end CLI tests: exit codes, deterministic stdout, file outputs."""
 
 import json
+import os
 
 import pytest
 
 from cyclomod import cli
 from cyclomod.serialize import automaton_from_json
 from cyclomod.wfa import equivalent
+
+from test_golden import GOLDEN
 
 SWAP_INVARIANT = "x1 + x2 + x3 + x1*x3 + x2*x3 + x1*x2*x3"
 
@@ -161,10 +164,10 @@ def test_decompose_bool_parse_error(capsys):
 
 def test_decompose_bool_bad_budget(capsys):
     code, _, err = run(
-        capsys, ["decompose-bool", "x1", "-n", "3", "--exhaustive-cap", "0"]
+        capsys, ["decompose-bool", "x1", "-n", "3", "--random-trials", "-1"]
     )
     assert code == 2
-    assert "--exhaustive-cap" in err
+    assert "--random-trials" in err
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +256,15 @@ def test_cert_bool_indecomposable(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "indecomposable"
-    assert obj["mode"] == "exhaustive"
+    assert obj["mode"] == "local"
+    assert len(obj["radical"]) == obj["diagnostics"]["radical_dim"] == 1
 
 
 def test_cert_budget_exhausted_is_still_success(capsys):
+    # the 4-dim leaf of regular Q8 whose endomorphism algebra is the quaternions
+    q8 = os.path.join(GOLDEN, "regular_q8.json")
     code, out, err = run(
-        capsys, ["cert", "--bool", "x1", "-n", "4", "--exhaustive-cap", "1"]
+        capsys, ["cert", "--perm", q8, "--generator", "1/2,0,0,0,-1/2,0,0,0"]
     )
     assert code == 0
     obj = json.loads(out)

@@ -14,7 +14,6 @@ from cyclomod.decompose import (
     check_report,
     complete_decomposition,
     decompose_once,
-    enumerate_idempotents,
 )
 
 from fixtures import (
@@ -24,7 +23,7 @@ from fixtures import (
     swap_invariant_module,
 )
 
-from oracles import commutant_basis, count_idempotents_brute, gf2_decomposable
+from oracles import commutant_basis, count_idempotents_brute, enumerate_idempotents, gf2_decomposable
 
 
 def test_swap_invariant_module_splits_one_two():

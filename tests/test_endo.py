@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from cyclomod import GF2, QQ, endo, gf
+from cyclomod import GF2, QQ, gf
 from cyclomod.boolfn import decompose_boolean, parse_anf
-from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
+from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow, span_equal
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
@@ -23,7 +23,6 @@ from cyclomod.endo import (
     fitting_split,
     is_invertible,
     is_nilpotent,
-    radical_char0,
     verify_certificate,
 )
 from cyclomod.perms import permutation_module
@@ -32,6 +31,7 @@ from cyclomod.serialize import presentation_from_json
 from fixtures import (
     conjugated_jordan_module,
     int_mul,
+    quaternion_module,
     unimodular_pair,
     s3_anf_action,
     swap_invariant_module,
@@ -40,7 +40,15 @@ from fixtures import (
     F_VEC,
 )
 
-from oracles import commutant_basis, count_idempotents_brute, is_fitting_split_by_nth_power
+import oracles
+from oracles import (
+    commutant_basis,
+    count_idempotents_brute,
+    enumerate_idempotents,
+    is_fitting_split_by_nth_power,
+    left_mult_matrix,
+    radical_char0,
+)
 from test_acceptance import krull_schmidt_corpus
 from test_golden import GOLDEN, SPLIT_4_6, SWAP_INVARIANT
 
@@ -279,7 +287,8 @@ def test_dimension_one_shortcut():
 
 def test_exhaustive_indecomposable_quadratic_extension():
     # multiplication by a root of t^2+t+1 on GF(2)^2: the commutant is the
-    # field with four elements, which has no idempotents besides 0 and 1
+    # field with four elements, generated by an element of minimal
+    # polynomial t^2+t+1
     comp = [[0, 1], [1, 1]]
     action = AlgebraAction(GF2, [("u", comp)])
     m = orbit_basis(action, (1, 0))
@@ -288,18 +297,20 @@ def test_exhaustive_indecomposable_quadratic_extension():
     assert e.dim == 2
     cert = find_splitting_element(e)
     assert cert.verdict == "indecomposable"
-    assert cert.mode == "exhaustive"
-    assert cert.diagnostics["enumerated"] == 4
+    assert cert.mode == "field-generated"
+    assert cert.diagnostics["factor_shape"] == [[2, 1]]
+    assert len(enumerate_idempotents(e)) == 2
     verify_certificate(e, cert)
 
 
 def test_exhaustive_budget_refusal():
-    comp = [[0, 1], [1, 1]]
-    action = AlgebraAction(GF2, [("u", comp)])
-    e = compute_end(orbit_basis(action, (1, 0)))
-    cert = find_splitting_element(e, SearchConfig(exhaustive_cap=3))
+    # the quaternions: no candidate can decide, and with no random trials
+    # the search stops after the scanned elements
+    e = compute_end(quaternion_module())
+    cert = find_splitting_element(e, SearchConfig(random_trials=0))
     assert cert.verdict == "undecided"
     assert cert.mode == "budget-exhausted"
+    assert cert.diagnostics["min_poly_tried"] == cert.diagnostics["scanned"]
     verify_certificate(e, cert)
 
 
@@ -351,13 +362,6 @@ def test_undecided_local_jordan_block():
     verify_certificate(e, cert)
 
 
-def quaternion_module():
-    """Q^4 = H under left multiplication by i and j, generated by 1; End is H."""
-    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-    return orbit_basis(AlgebraAction(QQ, [("i", left_i), ("j", left_j)]), (1, 0, 0, 0))
-
-
 def test_undecided_quaternion_division_algebra():
     # End is the quaternions (right multiplication): a division algebra
     # with J = 0 that is not a field, so no stage can certify it
@@ -374,11 +378,18 @@ def test_undecided_quaternion_division_algebra():
     verify_certificate(e, cert)
 
 
-def test_local_certificate_with_a_quadratic_residue_field():
-    # A = [[C, I], [0, C]] with C the rotation by 90 degrees: End = Q[A]
-    # has minimal polynomial (t^2 + 1)^2, radical (A^2 + 1), and E/J = Q(i)
+def rotation_block_module():
+    """A = [[C, I], [0, C]] on Q^4, C the rotation by 90 degrees, generated by e_2.
+
+    End = Q[A] has minimal polynomial (t^2 + 1)^2, radical (A^2 + 1) and
+    E/J = Q(i).
+    """
     a = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
-    e = compute_end(orbit_basis(AlgebraAction(QQ, [("a", a)]), (0, 0, 1, 0)))
+    return orbit_basis(AlgebraAction(QQ, [("a", a)]), (0, 0, 1, 0))
+
+
+def test_local_certificate_with_a_quadratic_residue_field():
+    e = compute_end(rotation_block_module())
     assert e.dim == 4
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
@@ -398,6 +409,66 @@ def test_local_certificates_for_jordan_blocks_within_budget():
         assert len(cert.radical) == d - 1
         check_report(report)
     assert time.perf_counter() - start < 5.0
+
+
+def test_local_certificates_for_jordan_blocks_over_gf2_and_gf3():
+    # conjugated Jordan blocks over GF(2) and GF(3): E = F[N]/N^d is local
+    # with J = (N), found from the nilpotent candidates themselves
+    blocks = [(GF2, d) for d in range(2, 15)] + [(gf(3), d) for d in range(2, 10)]
+    start = time.perf_counter()
+    for field, d in blocks + [(GF2, 24)]:
+        report = complete_decomposition(conjugated_jordan_module(field, d, seed=d))
+        assert report.signature == (d,)
+        (cert,) = report.certificates
+        assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+        assert len(cert.radical) == cert.diagnostics["radical_dim"] == d - 1
+        check_report(report)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_local_radical_is_the_trace_form_radical():
+    # over Q, J of a local certificate is the whole radical of E
+    modules = [conjugated_jordan_module(QQ, d, seed=d) for d in range(2, 7)]
+    for m in modules + [rotation_block_module()]:
+        e = compute_end(m)
+        cert = find_splitting_element(e)
+        assert cert.mode == "local"
+        flats = [[j.flatten() for j in mats] for mats in (cert.radical, radical_char0(e))]
+        assert span_equal(QQ, *flats, e.module_dim ** 2)
+
+
+def test_verdicts_match_idempotent_enumeration():
+    # the module is indecomposable exactly when E has no idempotents but 0 and 1
+    rng = random.Random(8)
+    checked = 0
+    for field in (GF2, gf(3), gf(5)):
+        for m in _random_modules(rng, field, 150):
+            e = compute_end(m)
+            if field.characteristic ** e.dim > 4096:
+                continue
+            cert = find_splitting_element(e)
+            verify_certificate(e, cert)
+            assert cert.verdict != "undecided"
+            assert (cert.verdict == "indecomposable") == (len(enumerate_idempotents(e)) == 2)
+            checked += 1
+    assert checked >= 300
+
+
+def test_min_poly_split_over_a_large_prime():
+    # diag(2, 3) with g = (1, 1): no scanned element is a Fitting witness, and
+    # the minimal polynomial (t - 2)(t - 3) is factored over GF(2^31 - 1)
+    field = gf(2147483647)
+    e = compute_end(orbit_basis(AlgebraAction(field, [("u", [[2, 0], [0, 3]])]), (1, 1)))
+    start = time.perf_counter()
+    cert = find_splitting_element(e)
+    verify_certificate(e, cert)
+    assert time.perf_counter() - start < 1.0
+    assert (cert.verdict, cert.mode) == ("decomposable", "min-poly-split")
+
+
+def test_search_config_holds_the_trial_budget_and_seed_only():
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["random_trials", "seed"]
+    assert SearchConfig().as_dict() == {"random_trials": 64, "seed": 0}
 
 
 def _local_forgery(e, cert, reason, **changes):
@@ -458,6 +529,16 @@ def test_verify_certificate_rejects_idempotent_radical():
     forged = Certificate("indecomposable", "local", e.identity(), None, {}, radical=(idem,))
     with pytest.raises(RuntimeError, match="not nilpotent"):
         verify_certificate(e, forged)
+
+
+def test_verify_certificate_rejects_forged_exhaustive():
+    # diag(1, 0) with g = (1, 1) over GF(2) splits into two lines; an
+    # "exhaustive" verdict carries nothing to re-check, so it is rejected
+    e = compute_end(orbit_basis(AlgebraAction(GF2, [("u", [[1, 0], [0, 0]])]), (1, 1)))
+    assert e.dim == 2
+    with pytest.raises(RuntimeError, match="unknown indecomposable mode"):
+        verify_certificate(e, Certificate("indecomposable", "exhaustive", None, None, {}))
+    assert find_splitting_element(e).verdict == "decomposable"
 
 
 def test_verify_certificate_rejects_tampering():
@@ -577,7 +658,7 @@ def test_radical_of_jordan_commutant():
 def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
     e = compute_end(orbit_basis(s3_natural_action(), (1, 0, 0)))
     # a trace-form kernel that wrongly held the identity
-    monkeypatch.setattr(endo, "kernel_basis", lambda gram: [e.identity_coords()])
+    monkeypatch.setattr(oracles, "kernel_basis", lambda gram: [e.identity_coords()])
     with pytest.raises(RuntimeError, match="radical candidate is not nilpotent"):
         radical_char0(e)
 
@@ -595,5 +676,5 @@ def test_left_mult_matrix_of_identity():
     acc = DenseMatrix.zeros(e.field, e.dim, e.dim)
     for c, i in zip(ident_coords, range(e.dim)):
         if c:
-            acc = acc + e.left_mult_matrix(i).scale(c)
+            acc = acc + left_mult_matrix(e, i).scale(c)
     assert acc == DenseMatrix.identity(e.field, e.dim)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,24 @@ def test_factor_gfp_seeded_degree6_gf5():
         for g, _ in factors:
             assert g.is_monic
             assert exhaustive_irreducible_check(g)
+
+
+@pytest.mark.parametrize("p", [1000003, 2147483647])
+def test_factor_gfp_splits_over_large_primes(p):
+    # distinct linear and quadratic factors: the Cantor-Zassenhaus split is
+    # polynomial in log p, where trying every constant c in gcd(u, h - c)
+    # would take p gcds
+    field = gf(p)
+    nonresidues = [a for a in range(2, 60) if pow(a, (p - 1) // 2, p) == p - 1][:2]
+    expected = [poly(field, [-c, 1]) for c in (1, 2, 5, 7)]
+    expected += [poly(field, [-a, 0, 1]) for a in nonresidues]  # t^2 - a is irreducible
+    f = poly(field, [3])
+    for g in expected:
+        f = f * g
+    start = time.perf_counter()
+    factors = factor(f)
+    assert time.perf_counter() - start < 1.0
+    assert factors == sorted(((g, 1) for g in expected), key=lambda gm: gm[0].sort_key())
 
 
 def test_factor_gfp_rejects_rationals():

@@ -28,7 +28,7 @@ from cyclomod.serialize import (
 )
 from cyclomod.wfa import WeightedAutomaton
 
-from fixtures import G, conjugated_jordan_module, s3_anf_action, MONOMIALS
+from fixtures import G, conjugated_jordan_module, quaternion_module, s3_anf_action, MONOMIALS
 
 
 def counting_json():
@@ -230,12 +230,10 @@ def test_only_local_certificates_carry_a_radical():
         complete_decomposition(gf4_line),
     ]
     certs = [c for r in reports for c in list(r.certificates) + list(r.split_certificates)]
-    undecided = find_splitting_element(
-        compute_end(conjugated_jordan_module(GF2, 3, seed=1)), SearchConfig(exhaustive_cap=2)
-    )
+    undecided = find_splitting_element(compute_end(quaternion_module()), SearchConfig(random_trials=0))
     certs.append(undecided)
     modes = {c.mode for c in certs}
-    assert {"dimension-1", "field-generated", "exhaustive", "budget-exhausted"} <= modes
+    assert {"dimension-1", "field-generated", "budget-exhausted"} <= modes
     assert "local" not in modes
     for cert in certs:
         assert "radical" not in certificate_to_json(cert)
