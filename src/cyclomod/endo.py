@@ -49,8 +49,9 @@ from .linalg import (
     SpanSolver,
     Vector,
     _addmul,
+    _kernel_from_rref,
     _neg,
-    _row_times,
+    _stable_power,
     _zero,
     column_space_basis,
     kernel_basis,
@@ -210,12 +211,12 @@ def fitting_split(e: EndoAlgebra, mat: DenseMatrix):
     for label, s in e.action_mats:
         if mat * s != s * mat:
             raise ValueError(f"matrix does not commute with generator {label!r}")
-    return _split_stable(e, stable_power(mat)[0])
+    return _split_stable(e, *_stable_power(mat))
 
 
-def _split_stable(e: EndoAlgebra, power: DenseMatrix):
-    """(kernel, image) bases of a stable power, checked to fill the module."""
-    ker = kernel_basis(power)
+def _split_stable(e: EndoAlgebra, power: DenseMatrix, reduction):
+    """(kernel, image) bases of a stable power, from its reduced form; checked to fill the module."""
+    ker = _kernel_from_rref(e.field, power.cols, reduction)
     im = column_space_basis(power)
     if not ker or not im:
         return None
@@ -279,10 +280,11 @@ def _random_candidates(e: EndoAlgebra, config: SearchConfig):
 
 def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, mode: str, budgets: dict, diagnostics: dict):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible."""
-    power, rank = stable_power(mat)
-    if rank in (0, e.module_dim):
+    power, reduction = _stable_power(mat)
+    if reduction.rank in (0, e.module_dim):
         return None
-    return Certificate("decomposable", mode, mat, _split_stable(e, power), budgets, diagnostics)
+    split = _split_stable(e, power, reduction)
+    return Certificate("decomposable", mode, mat, split, budgets, diagnostics)
 
 
 def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict, diag: dict):
@@ -325,12 +327,11 @@ def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
     exactly when J^k = 0.
     """
     field, n = e.field, e.module_dim
-    p = field.characteristic
-    # a raw row v times the rows of j^T is (j v)^T
-    transposed = [j.transpose()._raw for j in ideal]
+    # a raw row v times j^T is (j v)^T
+    transposed = [j.transpose() for j in ideal]
     space = DenseMatrix.identity(field, n)._raw
     for _ in range(n):
-        images = [_row_times(p, v, rows, n) for rows in transposed for v in space]
+        images = [t._times_row(v) for t in transposed for v in space]
         step = rref(DenseMatrix._from_raw(field, images, n))
         if step.rank in (0, len(space)):
             return not step.rank

@@ -7,17 +7,25 @@ grids of FieldScalar.  Everything is written for desk-scale dimensions
 Boxing happens only at this module's boundary.  The kernel (rref,
 SpanSolver, matrix products, apply, apply_row, sums and scaling) runs
 its loops on canonical raw values, ints in [0, p) for GF(p) and
-Fractions for Q, and skips every entry whose multiplier is zero.  A
-call unboxes its vector arguments once, checking that each FieldScalar
-belongs to the kernel's field (plain ints are coerced as
-FieldSpec.scalar does), and boxes its results once.  A matrix stores
-its rows as raw values, unboxed once when it is built; its entries are
-boxed when they are first read, unless it was built from FieldScalars.
+Fractions for Q, and skips every entry whose multiplier is zero.  Over
+Q, elimination and products run on integer rows inside the kernel: a
+row's denominators are cleared once, rows are combined fraction-free
+as a*row - c*pivot_row and divided by their content (Bareiss, Math.
+Comp. 22, 1968), and one Fraction per nonzero entry is made on the way
+out.  Reduced echelon forms and coordinates are unique, so they are the
+ones Fraction arithmetic gives.  A call unboxes its vector arguments
+once, checking that each FieldScalar belongs to the kernel's field
+(plain ints are coerced as FieldSpec.scalar does), and boxes its
+results once.  A matrix stores its rows as raw values, unboxed once
+when it is built; its entries are boxed when they are first read,
+unless it was built from FieldScalars, and a Q matrix keeps its
+integer form once a product or an elimination has needed it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import FieldScalar, FieldSpec
@@ -48,10 +56,15 @@ def vec_dot(u: Vector, v: Vector) -> FieldScalar:
         raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
     if not u:
         raise ValueError("dot of empty vectors has no field to land in")
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    field = next((x.field for x in (*u, *v) if isinstance(x, FieldScalar)), None)
+    if field is None:
+        raise ValueError("dot of plain ints has no field to land in")
+    p = field.characteristic
+    x, y = _unbox(field, u), _unbox(field, v)
+    if p:
+        return FieldScalar(field, sum([a * b for a, b in zip(x, y) if a]) % p)
+    (x, y), d = _clear_denominators([x, y])
+    return FieldScalar(field, Fraction(sum([a * b for a, b in zip(x, y) if a]), d * d))
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -78,7 +91,7 @@ def _times(p: int, a, b):
 
 
 def _addmul(p: int, x: list, c, y: Sequence) -> list:
-    """x + c*y on raw values, for nonzero c; entries where y is zero are copied."""
+    """x + c*y on raw values (ints for p = 0), for nonzero c; entries where y is 0 are copied."""
     if p == 2:
         return [a ^ b for a, b in zip(x, y)]
     if p:
@@ -90,6 +103,27 @@ def _scale(p: int, c, x: Sequence) -> list:
     if p:
         return [c * a % p for a in x]
     return [c * a if a else a for a in x]
+
+
+def _clear_denominators(rows: Sequence) -> tuple:
+    """(A, D) for raw Q rows: D the lcm of their denominators, A the integer rows D * rows."""
+    d = lcm(*{x.denominator for row in rows for x in row})
+    if d == 1:
+        return [[x.numerator for x in row] for row in rows], d
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _fractions(xs: Sequence, d: int) -> list:
+    """The raw Q row xs / d, for integers xs and d != 0."""
+    if d == 1:
+        return [Fraction(a) if a else _QZERO for a in xs]
+    return [Fraction(a, d) if a else _QZERO for a in xs]
+
+
+def _primitive(xs: list) -> list:
+    """An integer row divided by its content; a zero row is returned as it is."""
+    g = gcd(*xs)
+    return [a // g for a in xs] if g > 1 else xs
 
 
 class _RawVector(list):
@@ -130,7 +164,7 @@ def _box(field: FieldSpec, raw: Iterable) -> Vector:
 class DenseMatrix:
     """Immutable exact matrix with entries in one field."""
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_raw")
+    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_ints")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], cols: int | None = None):
         rows = [tuple(row) for row in entries]
@@ -156,6 +190,16 @@ class DenseMatrix:
         m._store(field, raw, cols, None)
         return m
 
+    @classmethod
+    def _from_ints(cls, field: FieldSpec, rows: list, d: int, cols: int) -> "DenseMatrix":
+        """The Q matrix rows / d from integer rows, which become its integer form."""
+        g = gcd(d, *[gcd(*r) for r in rows])
+        if g > 1:
+            rows, d = [[a // g for a in r] for r in rows], d // g
+        m = cls._from_raw(field, [_fractions(r, d) for r in rows], cols)
+        object.__setattr__(m, "_ints", (rows, d))
+        return m
+
     def _store(self, field: FieldSpec, raw: list, cols: int, entries: Optional[tuple]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(raw))
@@ -169,6 +213,14 @@ class DenseMatrix:
         if self._entries is None:
             object.__setattr__(self, "_entries", tuple(_box(self.field, row) for row in self._raw))
         return self._entries
+
+    def _int_form(self) -> tuple:
+        """(A, D) for a Q matrix, A = D * rows integral; computed on first use."""
+        try:
+            return self._ints
+        except AttributeError:  # the slot stays empty until a Q kernel call needs it
+            object.__setattr__(self, "_ints", _clear_denominators(self._raw))
+            return self._ints
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -239,9 +291,14 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.characteristic
-        orows = other._raw
-        raw = [_row_times(p, x, orows, other.cols) for x in self._raw]
-        return DenseMatrix._from_raw(self.field, raw, other.cols)
+        if p:
+            orows = other._raw
+            raw = [_row_times(p, x, orows, other.cols) for x in self._raw]
+            return DenseMatrix._from_raw(self.field, raw, other.cols)
+        a, da = self._int_form()
+        b, db = other._int_form()
+        raw = [_row_times(0, x, b, other.cols) for x in a]
+        return DenseMatrix._from_ints(self.field, raw, da * db, other.cols)
 
     def scale(self, c) -> "DenseMatrix":
         c = self.field.scalar(c).value
@@ -255,19 +312,29 @@ class DenseMatrix:
             raise ValueError(f"vector length {len(v)} against {self.rows}x{self.cols}")
         p = self.field.characteristic
         x = _unbox(self.field, v)
-        nz = [j for j, a in enumerate(x) if a]
         if p:
-            out = [sum([row[j] * x[j] for j in nz]) % p for row in self._raw]
+            rows = self._raw
         else:
-            out = [sum([row[j] * x[j] for j in nz if row[j]], _QZERO) for row in self._raw]
-        return _box(self.field, out)
+            (x,), dx = _clear_denominators([x])
+            rows, d = self._int_form()
+        nz = [j for j, a in enumerate(x) if a]
+        out = [sum([row[j] * x[j] for j in nz]) for row in rows]
+        return _box(self.field, [s % p for s in out] if p else _fractions(out, dx * d))
 
     def apply_row(self, v: Vector) -> Vector:
         """Row vector times matrix."""
         if len(v) != self.rows:
             raise ValueError(f"row vector length {len(v)} against {self.rows}x{self.cols}")
-        x = _unbox(self.field, v)
-        return _box(self.field, _row_times(self.field.characteristic, x, self._raw, self.cols))
+        return _box(self.field, self._times_row(_unbox(self.field, v)))
+
+    def _times_row(self, x: list) -> list:
+        """The raw row vector x times the matrix, as raw values; zero entries of x are skipped."""
+        p = self.field.characteristic
+        if p:
+            return _row_times(p, x, self._raw, self.cols)
+        (x,), dx = _clear_denominators([x])
+        a, d = self._int_form()
+        return _fractions(_row_times(0, x, a, self.cols), dx * d)
 
     def transpose(self) -> "DenseMatrix":
         raw = self._raw
@@ -314,19 +381,16 @@ class DenseMatrix:
 
 
 def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
-    """The raw row vector x times the raw rows; zero entries of x are skipped."""
-    if p:
-        # reduce once at the end: the partial sums stay below len(x) * p^2
-        acc = [0] * cols
-        for a, row in zip(x, rows):
-            if a:
-                acc = [s + a * b for s, b in zip(acc, row)]
-        return [s % p for s in acc]
-    acc = [_QZERO] * cols
+    """The row vector x times the rows, on raw GF(p) values or, for p = 0, on integers.
+
+    Zero entries of x are skipped.
+    """
+    acc = [0] * cols
     for a, row in zip(x, rows):
         if a:
-            acc = _addmul(0, acc, a, row)
-    return acc
+            acc = [s + a * b for s, b in zip(acc, row)]
+    # over GF(p), reduce once at the end: the partial sums stay below len(x) * p^2
+    return [s % p for s in acc] if p else acc
 
 
 def mat_pow(m: DenseMatrix, k: int) -> DenseMatrix:
@@ -354,16 +418,27 @@ def stable_power(m: DenseMatrix) -> tuple:
     at most ceil(log2 n) + 1 squarings; an invertible or zero m is
     returned as it is, without a product.
     """
+    power, red = _stable_power(m)
+    return power, red.rank
+
+
+def _stable_power(m: DenseMatrix) -> tuple:
+    """(P, rref(P)) for the P of stable_power, with no second reduction of P.
+
+    When the squaring stops, the reduced form at hand is the one of P^2.
+    It is the one of P as well: their ranks agree, so ker P = ker P^2,
+    and the row spaces, the annihilators of the kernels, are equal.
+    """
     if not m.is_square:
         raise ValueError("powers need a square matrix")
-    power, rank = m, rref(m).rank
-    while 0 < rank < m.rows:
+    power, red = m, rref(m)
+    while 0 < red.rank < m.rows:
         square = power * power
-        square_rank = rref(square).rank
-        if square_rank == rank:
-            break
-        power, rank = square, square_rank
-    return power, rank
+        square_red = rref(square)
+        if square_red.rank == red.rank:
+            return power, square_red
+        power, red = square, square_red
+    return power, red
 
 
 class RrefResult(NamedTuple):
@@ -372,8 +447,15 @@ class RrefResult(NamedTuple):
     pivot_columns: tuple
 
 
+def _combine(x: list, a: int, c: int, y: list) -> list:
+    """The primitive part of a*x - c*y for integer rows, with a and c divided by their gcd."""
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    return _primitive([a * u - c * v for u, v in zip(x, y)])
+
+
 def _rref_rows(p: int, rows: list, ncols: int) -> list:
-    """Reduce a list of raw rows to reduced echelon form in place; returns the pivots."""
+    """Reduce a list of raw GF(p) rows to reduced echelon form in place; returns the pivots."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -393,23 +475,59 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     return pivots
 
 
+def _rref_ints(rows: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan on integer rows for Q, in place; returns the pivots.
+
+    Each pivot row ends as a primitive multiple of its reduced row.  The
+    inner lists are replaced, never changed.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _combine(row, prow[c], f, prow)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(m: DenseMatrix) -> RrefResult:
     """Reduced row echelon form with pivot bookkeeping."""
-    rows = [list(r) for r in m._raw]
-    pivots = _rref_rows(m.field.characteristic, rows, m.cols)
+    p = m.field.characteristic
+    if p:
+        rows = [list(r) for r in m._raw]
+        pivots = _rref_rows(p, rows, m.cols)
+    else:
+        rows = [_primitive(r) for r in m._int_form()[0]]
+        pivots = _rref_ints(rows, m.cols)
+        rows = [_fractions(r, r[c]) for r, c in zip(rows, pivots)]
+        rows += [[_QZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols), len(pivots), tuple(pivots))
 
 
 def kernel_basis(m: DenseMatrix) -> list:
     """Deterministic basis of {v : m v = 0}, one vector per free column."""
-    red, rank, pivots = rref(m)
-    field = m.field
+    return _kernel_from_rref(m.field, m.cols, rref(m))
+
+
+def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> list:
+    """The kernel_basis of a matrix with cols columns, from its reduced form."""
+    red, rank, pivots = reduction
     p = field.characteristic
     reduced = red._raw
     pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(m.cols) if c not in pivot_set):
-        v = [_zero(p)] * m.cols
+    for fc in (c for c in range(cols) if c not in pivot_set):
+        v = [_zero(p)] * cols
         v[fc] = field.one().value
         for r, pc in enumerate(pivots):
             v[pc] = _neg(p, reduced[r][fc])
@@ -442,16 +560,19 @@ class SpanSolver:
     far and reports whether it did; coordinates() rewrites any vector of
     the span as a combination of the inserted ones.  Rows are kept fully
     reduced, so the internal basis is canonical for a given insertion
-    order.  Rows and combinations are stored as raw values.
+    order.  Over GF(p) rows and combinations are raw values, each row
+    with a 1 at its pivot.  Over Q a row is a primitive integer
+    multiple of the reduced one, and its combination is in the same
+    scale: row_i = sum_k combo_i[k] * (k-th inserted vector).
     """
 
     def __init__(self, field: FieldSpec, length: int):
         self.field = field
         self.length = length
         self._p = field.characteristic
-        self._rows = []  # reduced raw vectors, one pivot each
+        self._rows = []  # reduced rows, one pivot each
         self._pivots = []
-        self._combos = []  # row i as a raw combination of inserted vectors
+        self._combos = []  # row i as a combination of inserted vectors
         self.count = 0
 
     @property
@@ -459,26 +580,52 @@ class SpanSolver:
         return len(self._rows)
 
     def _reduce(self, v: Vector):
-        """Raw residual of v against the rows, and the multiple of each row taken off."""
+        """(residual, alphas, sigma) of v against the rows.
+
+        Over GF(p), residual = v - sum(alpha_i * row_i) on raw values and
+        sigma = 1.  Over Q, residual = sigma * v - sum(alpha_i * row_i) is
+        an integer row, with one integer sigma for all the rows taken off.
+        """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
         p = self._p
         v = _unbox(self.field, v)
-        alphas = []
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            alphas.append(c)
-            if c:
-                v = _addmul(p, v, _neg(p, c), row)
-        return v, alphas
+        if p:
+            alphas = []
+            for row, piv in zip(self._rows, self._pivots):
+                c = v[piv]
+                alphas.append(c)
+                if c:
+                    v = _addmul(p, v, _neg(p, c), row)
+            return v, alphas, 1
+        # the rows are zero at each other's pivots, so the multiple of row i
+        # is fixed by v[piv_i] alone: one common scale m clears them all
+        (v,), d = _clear_denominators([v])
+        hits = []  # (i, t, q): row i is taken off t * m / q times
+        m = 1
+        for i, (row, piv) in enumerate(zip(self._rows, self._pivots)):
+            if v[piv]:
+                g = gcd(v[piv], row[piv])
+                hits.append((i, v[piv] // g, row[piv] // g))
+                m = lcm(m, row[piv] // g)
+        if m != 1:
+            v = [m * a for a in v]
+        alphas = [0] * len(self._rows)
+        for i, t, q in hits:
+            alpha = alphas[i] = t * (m // q)
+            v = _addmul(0, v, -alpha, self._rows[i])
+        return v, alphas, m * d
 
     def add(self, v: Vector) -> bool:
-        residual, alphas = self._reduce(v)
+        residual, alphas, sigma = self._reduce(v)
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
         p = self._p
         self.count += 1
+        if not p:
+            self._add_int_row(residual, alphas, sigma, pivot)
+            return True
         inv = _inv(p, residual[pivot])
         new_row = _scale(p, inv, residual)
         combo = [_zero(p)] * self.count
@@ -501,25 +648,48 @@ class SpanSolver:
         self._combos.append(combo)
         return True
 
+    def _add_int_row(self, residual: list, alphas: list, sigma: int, pivot: int):
+        """Insert a nonzero Q residual of _reduce as a row, its combination in the same scale."""
+        n = self.length
+        combo = [0] * self.count
+        combo[-1] = sigma
+        for alpha, old in zip(alphas, self._combos):
+            if alpha:
+                combo[:len(old)] = _addmul(0, combo, -alpha, old)
+        # a row and its combination are combined, and made primitive, as one integer row
+        new = _primitive(residual + combo)
+        # keep existing rows reduced against the new pivot
+        for i, row in enumerate(self._rows):
+            if row[pivot]:
+                old = self._combos[i]
+                padded = row + old + [0] * (len(combo) - len(old))
+                both = _combine(padded, new[pivot], row[pivot], new)
+                self._rows[i], self._combos[i] = both[:n], both[n:]
+        self._rows.append(new[:n])
+        self._pivots.append(pivot)
+        self._combos.append(new[n:])
+
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""
-        residual, alphas = self._reduce(v)
+        residual, alphas, sigma = self._reduce(v)
         if any(residual):
             return None
         p = self._p
-        coords = [_zero(p)] * self.count
+        coords = [0] * self.count
         for alpha, combo in zip(alphas, self._combos):
             if alpha:
                 k = len(combo)
                 coords[:k] = _addmul(p, coords[:k], alpha, combo)
-        return _box(self.field, coords)
+        return _box(self.field, coords if p else _fractions(coords, sigma))
 
     def contains(self, v: Vector) -> bool:
-        residual, _ = self._reduce(v)
+        residual, _, _ = self._reduce(v)
         return not any(residual)
 
     def basis_rows(self) -> list:
-        return [_box(self.field, r) for r in self._rows]
+        if self._p:
+            return [_box(self.field, r) for r in self._rows]
+        return [_box(self.field, _fractions(r, r[c])) for r, c in zip(self._rows, self._pivots)]
 
 
 def column_space_basis(m: DenseMatrix) -> list:

@@ -10,11 +10,12 @@ object twice gives byte-identical text.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import DecompositionReport
 from .endo import Certificate
-from .fields import FieldSpec, QQ, gf
+from .fields import FieldScalar, FieldSpec, QQ, gf
 from .linalg import DenseMatrix
 from .modules import ActionGraph, CyclicModule, render_vector
 from .perms import PermutationPresentation
@@ -76,12 +77,29 @@ def vector_to_json(v) -> list:
     return [scalar_to_str(x) for x in v]
 
 
-def vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -> tuple:
+def _raw_scalar_from_json(field: FieldSpec, value, path: str):
+    """The canonical raw value of a scalar; integer literals skip the Fraction parse."""
+    if isinstance(value, str) and "/" not in value:
+        try:
+            n = int(value)
+        except ValueError:
+            pass  # scalar_from_json raises it with the message of FieldSpec.parse
+        else:
+            p = field.characteristic
+            return n % p if p else Fraction(n)
+    return scalar_from_json(field, value, path).value
+
+
+def _raw_vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -> list:
     if not isinstance(data, list):
         raise FormatError(path, f"expected a list, got {type(data).__name__}")
     if length is not None and len(data) != length:
         raise FormatError(path, f"expected length {length}, got {len(data)}")
-    return tuple(scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data))
+    return [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+
+
+def vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -> tuple:
+    return tuple(FieldScalar(field, x) for x in _raw_vector_from_json(field, data, length, path))
 
 
 def matrix_to_json(m: DenseMatrix) -> list:
@@ -93,10 +111,8 @@ def matrix_from_json(field: FieldSpec, data, rows: int, cols: int, path: str) ->
         raise FormatError(path, f"expected a list of rows, got {type(data).__name__}")
     if len(data) != rows:
         raise FormatError(path, f"expected {rows} rows, got {len(data)}")
-    entries = [
-        vector_from_json(field, row, cols, f"{path}[{i}]") for i, row in enumerate(data)
-    ]
-    return DenseMatrix(field, entries, cols=cols)
+    raw = [_raw_vector_from_json(field, row, cols, f"{path}[{i}]") for i, row in enumerate(data)]
+    return DenseMatrix._from_raw(field, raw, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from cyclomod.linalg import (
     span_equal,
     stable_power,
     unit_vector,
+    vec_dot,
     vec_is_zero,
     zero_vector,
 )
@@ -380,3 +381,102 @@ def test_raw_kernel_matches_boxed_reference(seed, field, rows, cols, inner, form
         got = m.apply_row(given(w))
         assert got == oracles.boxed_apply_row(m_boxed, box(w))
         _assert_canonical(field, got)
+
+
+def _big_q_rows(rng, rows, cols):
+    """Raw Q rows with numerators up to 10^20 and mixed denominators up to 10^6.
+
+    Zero rows and combinations of earlier rows give rank deficiency.  A
+    "staircase" row is zero left of some column and dense from there, so
+    inserting it after denser rows puts its pivot where the rows held by
+    a SpanSolver are nonzero and forces them to be reduced again.
+    """
+    def pick():
+        roll = rng.random()
+        if roll < 0.25:
+            return Fraction(0)
+        if roll < 0.4:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**6))
+
+    out = []
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.1:
+            row = [Fraction(0)] * cols
+        elif roll < 0.35 and out:
+            a, b = rng.choice(out), rng.choice(out)
+            c, e = pick(), pick()
+            row = [c * x + e * y for x, y in zip(a, b)]
+        elif roll < 0.6:
+            start = rng.randrange(cols) if cols else 0
+            row = [Fraction(0)] * start + [pick() or Fraction(1) for _ in range(cols - start)]
+        else:
+            row = [pick() for _ in range(cols)]
+        out.append(row)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    rows=st.integers(min_value=0, max_value=12),
+    cols=st.integers(min_value=0, max_value=12),
+    inner=st.integers(min_value=0, max_value=12),
+)
+def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, cols, inner):
+    rng = random.Random(seed)
+
+    def box(values):
+        return tuple(QQ.scalar(x) for x in values)
+
+    raw = _big_q_rows(rng, rows, cols)
+    m = DenseMatrix(QQ, [box(r) for r in raw], cols=cols)
+
+    red, rank, pivots = rref(m)
+    ref = oracles.boxed_rref(m)
+    assert red.entries == tuple(ref.rows)
+    assert (rank, pivots) == (ref.rank, ref.pivot_columns)
+    for row in red.entries:
+        _assert_canonical(QQ, row)
+
+    # staircase rows from the left edge on: each new pivot lies right of
+    # the old ones, where the old rows are dense
+    stairs = [[Fraction(0)] * s + [Fraction(rng.randint(1, 10**20), rng.randint(1, 10**6))
+                                    for _ in range(cols - s)] for s in range(cols)]
+    solver, reference = SpanSolver(QQ, cols), oracles.BoxedSpanSolver(QQ, cols)
+    for r in stairs[: rng.randrange(cols + 1)] + raw:
+        assert solver.add(box(r)) == reference.add(box(r))
+    assert solver.rank == reference.rank
+    assert solver.basis_rows() == reference.basis_rows()
+    for row in solver.basis_rows():
+        _assert_canonical(QQ, row)
+    for v in raw + _big_q_rows(rng, 4, cols):
+        got = solver.coordinates(box(v))
+        assert got == reference.coordinates(box(v))
+        assert solver.contains(box(v)) == reference.contains(box(v))
+        if got is not None:
+            _assert_canonical(QQ, got)
+
+    other = DenseMatrix(QQ, [box(r) for r in _big_q_rows(rng, cols, inner)], cols=inner)
+    product = m * other
+    assert product.entries == tuple(oracles.boxed_mul(m, other))
+    for row in product.entries:
+        _assert_canonical(QQ, row)
+    # a product keeps its integer form: use it again in a product and an rref
+    third = DenseMatrix(QQ, [box(r) for r in _big_q_rows(rng, inner, 3)], cols=3)
+    assert (product * third).entries == tuple(oracles.boxed_mul(product, third))
+    assert rref(product).matrix.entries == tuple(oracles.boxed_rref(product).rows)
+    for v in _big_q_rows(rng, 2, cols):
+        got = m.apply(box(v))
+        assert got == oracles.boxed_apply(m, box(v))
+        _assert_canonical(QQ, got)
+        if cols:
+            u = box(_big_q_rows(rng, 1, cols)[0])
+            dot = vec_dot(u, box(v))
+            assert dot == sum((a * b for a, b in zip(u, box(v))), QQ.zero())
+            _assert_canonical(QQ, (dot,))
+    for w in _big_q_rows(rng, 2, rows):
+        got = m.apply_row(box(w))
+        assert got == oracles.boxed_apply_row(m, box(w))
+        _assert_canonical(QQ, got)
