@@ -3,7 +3,7 @@
 A function of n inputs is a GF(2) vector of 2^n ANF coefficients, one
 per monomial, monomials ordered by their variable bitmask (so 1, x1,
 x2, x1*x2, x3, ...).  Adjacent transpositions of variables permute the
-monomials, giving matrices over GF(2); decompose_boolean builds the
+monomials, acting over GF(2) as index maps; decompose_boolean builds the
 cyclic module generated by a function under all of them and runs the
 complete decomposition.
 """
@@ -184,23 +184,21 @@ def _bit_swap(mask: int, i: int, j: int) -> int:
 
 
 def sn_action(n: int, cap: int = MAX_VARIABLES) -> AlgebraAction:
-    """Adjacent variable swaps s1..s{n-1} as monomial permutation matrices.
+    """Adjacent variable swaps s1..s{n-1} as permutations of the 2^n monomials.
 
-    The matrices are dense over 2^n monomials, so n is capped; raise the
-    cap knowingly if you have the memory for it.
+    Each swap is an index map applied as a gather, so a step costs 2^n
+    and no 2^n x 2^n matrix is built (unless .matrices is read).  The
+    cap bounds the ambient dimension 2^n of the vectors that orbit_basis
+    steps and reduces; raise it knowingly if you have the time and
+    memory for it.
     """
     if n < 2:
         raise ValueError("the swap action needs at least two variables")
     if n > cap:
         raise ValueError(f"{n} variables means {1 << n} monomials, over the cap of {cap} variables")
     size = 1 << n
-    generators = []
-    for k in range(1, n):
-        rows = [[0] * size for _ in range(size)]
-        for m in range(size):
-            rows[_bit_swap(m, k - 1, k)][m] = 1
-        generators.append((f"s{k}", rows))
-    return AlgebraAction(GF2, generators)
+    generators = [(f"s{k}", [_bit_swap(m, k - 1, k) for m in range(size)]) for k in range(1, n)]
+    return AlgebraAction.from_permutations(GF2, generators, size)
 
 
 def function_from_vector(n: int, v) -> BooleanFunction:

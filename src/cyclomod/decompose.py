@@ -11,10 +11,12 @@ indecomposable or the search budget gives out.
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
 by the projection of g onto it along the other summand: a split writes
-the block's generator e_0 in the basis of both summands, maps each part
-back to ambient coordinates, and takes its orbit, which must fill its
-summand.  So no generator is searched for, and the endomorphism algebra
-of every block is spun from its generator.
+the block's generator e_0 in the basis of both summands and takes the
+orbit of each part under the block's restricted matrices, which must
+fill its summand; only the kept vectors are mapped back to ambient
+coordinates.  So no generator is searched for, no split steps a vector
+of the ambient space, and the endomorphism algebra of every block is
+spun from its generator.
 """
 
 from __future__ import annotations
@@ -29,15 +31,20 @@ from .endo import (
     compute_end,
     verify_certificate,
 )
-from .linalg import DenseMatrix, SpanSolver, unit_vector
-from .modules import CyclicModule, orbit_basis
+from .linalg import DenseMatrix, SpanSolver, _box, _RawVector, _unbox, unit_vector
+from .modules import CyclicModule, _module_from_tree, orbit_basis
+from .wfa import covering_tree
 
 
 def _split_block(block: CyclicModule, cert: Certificate):
     """The two summands of a decomposable certificate, as cyclic modules.
 
     Each summand is the orbit of the projection of the block's generator
-    onto it along the other summand.
+    onto it along the other summand, spun in block coordinates under
+    the restricted matrices.  The block basis is injective, so the kept
+    words, the coordinate images and hence the restricted matrices are
+    the ones an orbit over the ambient action would give; the kept
+    vectors are mapped to ambient coordinates through the block basis.
     """
     field, n = block.field, block.dim
     left, right = cert.summands
@@ -48,13 +55,17 @@ def _split_block(block: CyclicModule, cert: Certificate):
     coords = solver.coordinates(unit_vector(field, n, 0))
     if coords is None:
         raise RuntimeError("summands do not span the block")
+    labels = block.action.labels
+    steps = {s: block.restricted[s]._times_col for s in labels}
+    basis = DenseMatrix(field, block.basis_vectors, cols=block.action.dim)
     halves = []
     for side, part in ((left, coords[:len(left)]), (right, coords[len(left):])):
-        projection = DenseMatrix.from_columns(field, side, rows=n).apply(part)
-        half = orbit_basis(block.action, block.ambient_vector(projection))
-        if half.dim != len(side):
+        projection = DenseMatrix.from_columns(field, side, rows=n)._times_col(_unbox(field, part))
+        tree = covering_tree(field, n, projection, steps)
+        if not side or len(tree.words) != len(side):
             raise RuntimeError("projected generator does not generate its summand")
-        halves.append(half)
+        vectors = [_box(field, basis._times_row(v)) for v in tree.vectors]
+        halves.append(_module_from_tree(block.action, vectors[0], tree, vectors, None))
     return halves[0], halves[1]
 
 
@@ -152,11 +163,11 @@ def check_report(report: DecompositionReport):
             if not combined.add(v):
                 raise RuntimeError("leaf bases overlap")
             span.add(v)
+        raw = [_unbox(m.field, v) for v in leaf.basis_vectors]
         for label in m.action.labels:
-            mat = m.action.matrices[label]
-            for v in leaf.basis_vectors:
-                if not span.contains(mat.apply(v)):
-                    raise RuntimeError(f"leaf is not stable under generator {label!r}")
+            step = m.action.steps[label]
+            if not all(span.contains(_RawVector(step(x))) for x in raw):
+                raise RuntimeError(f"leaf is not stable under generator {label!r}")
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")
         verify_certificate(compute_end(leaf), cert)

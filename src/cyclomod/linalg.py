@@ -59,12 +59,7 @@ def vec_dot(u: Vector, v: Vector) -> FieldScalar:
     field = next((x.field for x in (*u, *v) if isinstance(x, FieldScalar)), None)
     if field is None:
         raise ValueError("dot of plain ints has no field to land in")
-    p = field.characteristic
-    x, y = _unbox(field, u), _unbox(field, v)
-    if p:
-        return FieldScalar(field, sum([a * b for a, b in zip(x, y) if a]) % p)
-    (x, y), d = _clear_denominators([x, y])
-    return FieldScalar(field, Fraction(sum([a * b for a, b in zip(x, y) if a]), d * d))
+    return FieldScalar(field, _dot(field.characteristic, _unbox(field, u), _unbox(field, v)))
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -103,6 +98,14 @@ def _scale(p: int, c, x: Sequence) -> list:
     if p:
         return [c * a % p for a in x]
     return [c * a if a else a for a in x]
+
+
+def _dot(p: int, x: Sequence, y: Sequence):
+    """The dot product of two raw vectors of one length, as a raw value."""
+    if p:
+        return sum([a * b for a, b in zip(x, y) if a]) % p
+    (x, y), d = _clear_denominators([x, y])
+    return Fraction(sum([a * b for a, b in zip(x, y) if a]), d * d)
 
 
 def _clear_denominators(rows: Sequence) -> tuple:
@@ -310,8 +313,11 @@ class DenseMatrix:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} against {self.rows}x{self.cols}")
+        return _box(self.field, self._times_col(_unbox(self.field, v)))
+
+    def _times_col(self, x: list) -> list:
+        """The matrix times the raw column vector x, as raw values; zero entries of x are skipped."""
         p = self.field.characteristic
-        x = _unbox(self.field, v)
         if p:
             rows = self._raw
         else:
@@ -319,7 +325,7 @@ class DenseMatrix:
             rows, d = self._int_form()
         nz = [j for j, a in enumerate(x) if a]
         out = [sum([row[j] * x[j] for j in nz]) for row in rows]
-        return _box(self.field, [s % p for s in out] if p else _fractions(out, dx * d))
+        return [s % p for s in out] if p else _fractions(out, dx * d)
 
     def apply_row(self, v: Vector) -> Vector:
         """Row vector times matrix."""
@@ -579,17 +585,17 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vector):
-        """(residual, alphas, sigma) of v against the rows.
+    def _reduce(self, v: list):
+        """(residual, alphas, sigma) of the raw vector v against the rows.
 
         Over GF(p), residual = v - sum(alpha_i * row_i) on raw values and
         sigma = 1.  Over Q, residual = sigma * v - sum(alpha_i * row_i) is
         an integer row, with one integer sigma for all the rows taken off.
+        v itself is not changed.
         """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
         p = self._p
-        v = _unbox(self.field, v)
         if p:
             alphas = []
             for row, piv in zip(self._rows, self._pivots):
@@ -617,7 +623,24 @@ class SpanSolver:
         return v, alphas, m * d
 
     def add(self, v: Vector) -> bool:
+        return self._insert(*self._reduce(_unbox(self.field, v)))
+
+    def _place(self, v: list) -> Optional[list]:
+        """Reduce the raw vector v once, then insert it or give its coordinates.
+
+        Returns None when v was independent and is now inserted, and
+        otherwise its raw coordinates over the vectors inserted so far.
+        Those stay its coordinates as more vectors are inserted, with
+        zeros for the newcomers, because the inserted vectors are
+        independent.
+        """
         residual, alphas, sigma = self._reduce(v)
+        if self._insert(residual, alphas, sigma):
+            return None
+        return self._combination(alphas, sigma)
+
+    def _insert(self, residual: list, alphas: list, sigma) -> bool:
+        """Insert a residual of _reduce as a row unless it is zero; reports whether it did."""
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
@@ -671,19 +694,23 @@ class SpanSolver:
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""
-        residual, alphas, sigma = self._reduce(v)
+        residual, alphas, sigma = self._reduce(_unbox(self.field, v))
         if any(residual):
             return None
+        return _box(self.field, self._combination(alphas, sigma))
+
+    def _combination(self, alphas: list, sigma) -> list:
+        """Raw coordinates over the inserted vectors of a vector that _reduce took to zero."""
         p = self._p
         coords = [0] * self.count
         for alpha, combo in zip(alphas, self._combos):
             if alpha:
                 k = len(combo)
                 coords[:k] = _addmul(p, coords[:k], alpha, combo)
-        return _box(self.field, coords if p else _fractions(coords, sigma))
+        return coords if p else _fractions(coords, sigma)
 
     def contains(self, v: Vector) -> bool:
-        residual, _, _ = self._reduce(v)
+        residual, _, _ = self._reduce(_unbox(self.field, v))
         return not any(residual)
 
     def basis_rows(self) -> list:

@@ -1,10 +1,13 @@
 """Cyclic modules over a finitely generated matrix algebra.
 
-An AlgebraAction is an ordered list of labeled square matrices over one
-field; the algebra they generate acts on the ambient coordinate space.
-orbit_basis grows the cyclic module A*g with wfa.covering_tree, the same
-routine that reduces automata, stepping column vectors by the generator
-matrices: a word wa is kept exactly when applying generator a to the
+An AlgebraAction is an ordered list of labeled generators over one
+field, square matrices or permutations of the coordinates; the algebra
+they generate acts on the ambient coordinate space.  Each generator
+keeps one step on raw column vectors: the matrix product, or for a
+permutation a gather by its index map, so no permutation matrix is
+built.  orbit_basis grows the cyclic module A*g with wfa.covering_tree,
+the same routine that reduces automata, stepping column vectors by the
+generators: a word wa is kept exactly when applying generator a to the
 vector of w leaves the span, letters tried in generator order.  The kept
 words are prefix closed and their vectors are a basis of A*g.
 """
@@ -14,14 +17,44 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import FieldSpec
-from .linalg import DenseMatrix, Vector, vec_add, vec_is_zero, vec_scale, zero_vector
+from .linalg import (
+    DenseMatrix,
+    SpanSolver,
+    Vector,
+    _box,
+    _RawVector,
+    _unbox,
+    unit_vector,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vector,
+)
 from .wfa import covering_tree
 
 
-class AlgebraAction:
-    """Ordered labeled generators acting on an ambient coordinate space."""
+def _check_bijection(perm: Sequence[int], degree: int, label: str):
+    if len(perm) != degree:
+        raise ValueError(f"generator {label!r} has length {len(perm)}, expected {degree}")
+    if not all(isinstance(i, int) for i in perm) or set(perm) != set(range(degree)):
+        raise ValueError(f"generator {label!r} is not a bijection of 0..{degree - 1}")
 
-    __slots__ = ("field", "dim", "labels", "matrices")
+
+def _gather(inverse: list):
+    return lambda x: [x[i] for i in inverse]
+
+
+class AlgebraAction:
+    """Ordered labeled generators acting on an ambient coordinate space.
+
+    steps maps each label to the generator's action on a column vector
+    of canonical raw values: the matrix product for a generator given as
+    a matrix, a gather for one given as a permutation (from_permutations).
+    matrices holds every generator as a DenseMatrix; for permutations
+    it is built on first access, which the pipeline never makes.
+    """
+
+    __slots__ = ("field", "dim", "labels", "steps", "_matrices")
 
     def __init__(self, field: FieldSpec, generators: Sequence[tuple], dim: int | None = None):
         labels = []
@@ -49,19 +82,64 @@ class AlgebraAction:
             ambient = dims.pop()
             if dim is not None and dim != ambient:
                 raise ValueError(f"declared dimension {dim} but generators act on {ambient}")
+        self._store(field, ambient, labels, {s: matrices[s]._times_col for s in labels}, matrices)
+
+    @classmethod
+    def from_permutations(cls, field: FieldSpec, generators: Sequence[tuple], dim: int) -> "AlgebraAction":
+        """Generators given as index maps: perm sends basis vector i to basis vector perm[i].
+
+        Each acts by a gather, (g x)[perm[i]] = x[i], so no dim x dim
+        matrix is built.  A map that is not a bijection of 0..dim-1 is
+        rejected.
+        """
+        steps = {}
+        for label, perm in generators:
+            if label in steps:
+                raise ValueError(f"duplicate generator label {label!r}")
+            perm = tuple(perm)
+            _check_bijection(perm, dim, label)
+            inverse = [0] * dim
+            for i, j in enumerate(perm):
+                inverse[j] = i
+            steps[label] = _gather(inverse)
+        action = object.__new__(cls)
+        action._store(field, dim, list(steps), steps, None)
+        return action
+
+    def _store(self, field, dim, labels, steps, matrices):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", ambient)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_matrices", matrices)
+
+    @property
+    def matrices(self) -> dict:
+        """label -> generator as a DenseMatrix; for permutations, built on first access.
+
+        Column i is the step of the generator from the unit vector e_i.
+        """
+        if self._matrices is None:
+            field, n = self.field, self.dim
+            units = [_unbox(field, unit_vector(field, n, i)) for i in range(n)]
+            matrices = {
+                s: DenseMatrix.from_columns(field, [_RawVector(step(e)) for e in units], rows=n)
+                for s, step in self.steps.items()
+            }
+            object.__setattr__(self, "_matrices", matrices)
+        return self._matrices
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraAction is immutable")
 
     def apply_word(self, word: Sequence[str], v: Vector) -> Vector:
         """First letter acts first: apply_word((a, b), v) = mu(b) mu(a) v."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector length {len(v)}, expected {self.dim}")
+        x = _unbox(self.field, v)
         for letter in word:
-            v = self.matrices[letter].apply(v)
-        return v
+            x = self.steps[letter](x)
+        return _box(self.field, x)
 
     def __repr__(self) -> str:
         return f"AlgebraAction(dim={self.dim}, labels={list(self.labels)}, {self.field})"
@@ -103,6 +181,11 @@ class CyclicModule:
         v = tuple(self.field.scalar(x) for x in v)
         if self.dim == 0:
             return () if vec_is_zero(v) else None
+        if self._solver is None:
+            solver = SpanSolver(self.field, self.action.dim)
+            for b in self.basis_vectors:
+                solver.add(b)
+            object.__setattr__(self, "_solver", solver)
         return self._solver.coordinates(v)
 
     def contains(self, v: Vector) -> bool:
@@ -129,10 +212,22 @@ def orbit_basis(action: AlgebraAction, g: Vector) -> CyclicModule:
     g = tuple(field.scalar(x) for x in g)
     if len(g) != action.dim:
         raise ValueError(f"generator length {len(g)}, expected {action.dim}")
-    tree = covering_tree(field, action.dim, g, action.labels, lambda s, v: action.matrices[s].apply(v))
-    n = len(tree.vectors)
+    tree = covering_tree(field, action.dim, _unbox(field, g), action.steps)
+    vectors = [_box(field, v) for v in tree.vectors]
+    return _module_from_tree(action, g, tree, vectors, tree.solver)
+
+
+def _module_from_tree(action: AlgebraAction, g: Vector, tree, vectors, solver) -> CyclicModule:
+    """The CyclicModule of a covering tree under the action's generators, or their restrictions.
+
+    vectors are the ambient vectors of the tree's words; solver, their
+    span over the ambient space, may be None and is then built on first
+    use.
+    """
+    n = len(tree.words)
+    field = action.field
     restricted = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in action.labels}
-    return CyclicModule(action, g, tree.words, tree.vectors, restricted, tree.solver)
+    return CyclicModule(action, g, tree.words, vectors, restricted, solver)
 
 
 def restricted_matrix(m: CyclicModule, label: str) -> DenseMatrix:

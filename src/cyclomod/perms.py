@@ -1,9 +1,11 @@
 """Permutation modules over Q: presentations, Cayley-style translation actions.
 
 A presentation is a degree and an ordered list of labeled generator
-permutations given as index arrays; its action turns each permutation p
-into the d x d matrix with a 1 in row p[i] of column i, so matrices
-compose the same way the permutations do.
+permutations given as index arrays; in its action a permutation p sends
+basis vector i to basis vector p[i] and is applied as a gather, with no
+matrix built.  Its matrix, built only when AlgebraAction.matrices is
+read, has a 1 in row p[i] of column i, so matrices compose the same way
+the permutations do.
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import QQ
-from .modules import AlgebraAction, CyclicModule, orbit_basis
-
-
-def _check_bijection(perm: Sequence[int], degree: int, label: str):
-    if len(perm) != degree:
-        raise ValueError(f"generator {label!r} has length {len(perm)}, expected {degree}")
-    seen = set(perm)
-    if seen != set(range(degree)):
-        raise ValueError(f"generator {label!r} is not a bijection of 0..{degree - 1}")
+from .modules import AlgebraAction, CyclicModule, _check_bijection, orbit_basis
 
 
 class PermutationPresentation:
@@ -46,18 +40,10 @@ class PermutationPresentation:
     def __setattr__(self, name, value):
         raise AttributeError("PermutationPresentation is immutable")
 
-    def matrix_rows(self, label: str) -> list:
-        perm = self.generators[label]
-        rows = [[0] * self.degree for _ in range(self.degree)]
-        for i in range(self.degree):
-            rows[perm[i]][i] = 1
-        return rows
-
     def action(self) -> AlgebraAction:
-        return AlgebraAction(
-            QQ,
-            [(label, self.matrix_rows(label)) for label in self.labels],
-            dim=self.degree,
+        """The generators acting on Q^degree, each by its index map."""
+        return AlgebraAction.from_permutations(
+            QQ, [(label, self.generators[label]) for label in self.labels], self.degree
         )
 
     def __repr__(self) -> str:

@@ -622,11 +622,12 @@ def min_poly(m: DenseMatrix, modulo=()) -> Polynomial:
     solver = SpanSolver(field, n * n)
     for j in modulo:
         solver.add(j._flat())
+    p = field.characteristic
     power = DenseMatrix.identity(field, n)
     for _ in range(n + 1):
-        flat = power._flat()
-        if not solver.add(flat):
-            coords = solver.coordinates(flat)[len(modulo):]
-            return Polynomial(field, [-c for c in coords] + [1])
+        coords = solver._place(power._flat())
+        if coords is not None:
+            coeffs = [_neg(p, c) for c in coords[len(modulo):]]
+            return Polynomial._from_raw(field, coeffs + [field.one().value])
         power = power * m
     raise RuntimeError("no dependence among matrix powers up to the dimension")

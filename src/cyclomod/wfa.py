@@ -4,24 +4,31 @@ An automaton (lambda, mu, gamma) realizes the series
     weight(w) = lambda * mu(w_1) * ... * mu(w_k) * gamma.
 covering_tree is the one routine behind every reduction here and behind
 modules.orbit_basis: from a root vector it keeps a word wa exactly when
-step(a, vector of w) is independent of the vectors kept before it, in
-breadth-first order with letters tried in the given order.  The kept
-words form a prefix-closed set whose vectors are a basis of everything
-the root reaches.  left_reduce runs it on the row vectors lambda*mu(w)
-(reachability), right_reduce on the column vectors mu(w)*gamma
-(observability, words read backwards), and minimize chains the two,
-which is dimension minimal for series over a field.
+the step of a from the vector of w is independent of the vectors kept
+before it, in breadth-first order with letters tried in the given
+order.  It runs on raw field values and reduces each step once.  The
+kept words form a prefix-closed set whose vectors are a basis of
+everything the root reaches.  left_reduce runs it on the row vectors
+lambda*mu(w) (reachability), right_reduce on the column vectors
+mu(w)*gamma (observability, words read backwards), and minimize chains
+the two, which is dimension minimal for series over a field.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import FieldSpec
 from .linalg import (
     DenseMatrix,
     SpanSolver,
     Vector,
+    _box,
+    _dot,
+    _RawVector,
+    _unbox,
+    _zero,
+    unit_vector,
     vec_dot,
 )
 
@@ -115,8 +122,9 @@ class WeightedAutomaton:
 class CoveringTree(NamedTuple):
     """Kept words and vectors, their span, and each label's step in coordinates.
 
-    images[label][i] holds the coordinates, over the kept vectors, of
-    step(label, vectors[i]).
+    vectors holds canonical raw values; images[label][i] is the raw
+    coordinate column, over the kept vectors, of the step of label from
+    vectors[i].
     """
 
     words: list
@@ -125,70 +133,76 @@ class CoveringTree(NamedTuple):
     images: dict
 
 
-def covering_tree(
-    field: FieldSpec,
-    length: int,
-    root: Vector,
-    labels: Sequence,
-    step: Callable[[object, Vector], Vector],
-) -> CoveringTree:
-    """Breadth-first covering tree of root under step; empty when root is zero.
+def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> CoveringTree:
+    """Breadth-first covering tree of the raw root vector; empty when root is zero.
 
-    Each label's step is applied once to each kept vector; the images
-    are rewritten in coordinates once the tree is complete.
+    steps maps each label, in the order letters are tried, to its step
+    on raw vectors.  Each step is applied once to each kept vector and
+    its image reduced once: a kept image's column is the next unit
+    vector, and any other image gets its coordinates from that same
+    reduction.
     """
+    p = field.characteristic
+    zero, one = _zero(p), field.one().value
     solver = SpanSolver(field, length)
     words, vectors = [], []
-    successors = {label: [] for label in labels}
-    if solver.add(root):
+    images = {label: [] for label in steps}
+    if solver._place(root) is None:
         words.append(())
         vectors.append(root)
     # kept vectors are appended behind the one being expanded, so walking
     # the list in index order is the breadth-first queue
     i = 0
     while i < len(vectors):
-        for label in labels:
-            v = step(label, vectors[i])
-            if solver.add(v):
+        for label, step in steps.items():
+            v = step(vectors[i])
+            coords = solver._place(v)
+            if coords is None:
+                coords = [zero] * len(vectors) + [one]
                 words.append(words[i] + (label,))
                 vectors.append(v)
-            successors[label].append(v)
+            images[label].append(coords)
         i += 1
-    images = {}
-    for label in labels:
-        images[label] = [solver.coordinates(v) for v in successors[label]]
-        if any(coords is None for coords in images[label]):
-            raise RuntimeError("covering tree failed to span its own successors")
+    n = len(vectors)
+    for columns in images.values():
+        columns[:] = [_RawVector(c + [zero] * (n - len(c))) for c in columns]
     return CoveringTree(words, vectors, solver, images)
 
 
 def left_reduce(a: WeightedAutomaton):
     """Reachability reduction; returns (reduced automaton, PrefixBasis).
 
-    The reduced lambda is (1, 0, ..., 0) whenever lambda is nonzero,
-    because the root vector of the covering tree is lambda itself.
+    The root vector of the covering tree is lambda itself, so the
+    reduced lambda is (1, 0, ..., 0), or empty when lambda is zero.
     """
-    tree = covering_tree(a.field, a.dim, a.lam, a.alphabet, lambda s, v: a.mu[s].apply_row(v))
+    field = a.field
+    steps = {s: a.mu[s]._times_row for s in a.alphabet}
+    tree = covering_tree(field, a.dim, _unbox(field, a.lam), steps)
     n = len(tree.vectors)
-    mu = {s: DenseMatrix(a.field, tree.images[s], cols=n) for s in a.alphabet}
-    gamma = tuple(vec_dot(v, a.gamma) for v in tree.vectors)
-    reduced = WeightedAutomaton(a.field, a.alphabet, tree.solver.coordinates(a.lam), mu, gamma)
-    return reduced, PrefixBasis(tree.words, tree.vectors)
+    mu = {s: DenseMatrix._from_raw(field, tree.images[s], n) for s in a.alphabet}
+    gamma = _unbox(field, a.gamma)
+    gamma = [_dot(field.characteristic, v, gamma) for v in tree.vectors]
+    reduced = WeightedAutomaton(field, a.alphabet, unit_vector(field, n, 0), mu, gamma)
+    return reduced, PrefixBasis(tree.words, [_box(field, v) for v in tree.vectors])
 
 
 def right_reduce(a: WeightedAutomaton):
     """Observability reduction: the covering tree of the columns mu(w) * gamma.
 
+    The reduced gamma is (1, 0, ..., 0), or empty when gamma is zero.
     The returned word set is suffix-closed rather than prefix-closed,
     because the tree grows words from their last letter.
     """
-    tree = covering_tree(a.field, a.dim, a.gamma, a.alphabet, lambda s, v: a.mu[s].apply(v))
+    field = a.field
+    steps = {s: a.mu[s]._times_col for s in a.alphabet}
+    tree = covering_tree(field, a.dim, _unbox(field, a.gamma), steps)
     n = len(tree.vectors)
-    lam = tuple(vec_dot(v, a.lam) for v in tree.vectors)
-    mu = {s: DenseMatrix.from_columns(a.field, tree.images[s], rows=n) for s in a.alphabet}
-    reduced = WeightedAutomaton(a.field, a.alphabet, lam, mu, tree.solver.coordinates(a.gamma))
+    lam = _unbox(field, a.lam)
+    lam = [_dot(field.characteristic, v, lam) for v in tree.vectors]
+    mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
+    reduced = WeightedAutomaton(field, a.alphabet, lam, mu, unit_vector(field, n, 0))
     words = tuple(tuple(reversed(w)) for w in tree.words)
-    return reduced, PrefixBasis(words, tree.vectors)
+    return reduced, PrefixBasis(words, [_box(field, v) for v in tree.vectors])
 
 
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:

@@ -13,7 +13,9 @@ trace form, for the verdicts of the splitting search and the ideal of
 its local certificates.  The boxed kernel (boxed_rref, BoxedSpanSolver,
 boxed_mul, boxed_apply, boxed_apply_row) runs the same eliminations
 entry by entry on FieldScalars: the reference the raw-value kernel in
-linalg must match entry for entry.  The boxed polynomial arithmetic
+linalg must match entry for entry.  boxed_covering_tree is the
+two-pass covering tree on that kernel, the reference for the one-pass
+raw wfa.covering_tree behind orbit_basis and the automaton reductions.  The boxed polynomial arithmetic
 (boxed_poly_*) is the same for the raw coefficient helpers in
 polynomials.
 """
@@ -576,6 +578,35 @@ class BoxedSpanSolver:
 
     def basis_rows(self):
         return [tuple(r) for r in self._rows]
+
+
+def boxed_covering_tree(field, length, root, labels, step):
+    """The covering tree before it moved to raw values: (words, vectors, images, solver).
+
+    step(label, v) maps boxed vectors to boxed vectors.  Every successor
+    is reduced twice on FieldScalars, by BoxedSpanSolver.add while the
+    tree grows and by coordinates once it is complete: images[label][i]
+    holds the coordinates of step(label, vectors[i]) over the kept
+    vectors.
+    """
+    solver = BoxedSpanSolver(field, length)
+    root = tuple(field.scalar(x) for x in root)
+    words, vectors = [], []
+    successors = {label: [] for label in labels}
+    if solver.add(root):
+        words.append(())
+        vectors.append(root)
+    i = 0
+    while i < len(vectors):
+        for label in labels:
+            v = tuple(step(label, vectors[i]))
+            if solver.add(v):
+                words.append(words[i] + (label,))
+                vectors.append(v)
+            successors[label].append(v)
+        i += 1
+    images = {label: [solver.coordinates(v) for v in successors[label]] for label in labels}
+    return words, vectors, images, solver
 
 
 def boxed_mul(a, b):

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclomod import GF2
 from cyclomod.boolfn import (
+    MAX_VARIABLES,
     BooleanFunction,
     ParseError,
     decompose_boolean,
@@ -15,8 +17,11 @@ from cyclomod.boolfn import (
     parse_anf,
     sn_action,
 )
+from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.serialize import report_to_json, to_text
 
-from fixtures import G
+from fixtures import G, transposition_matrix
 from oracles import anf_from_truth_table, permute_function_truth_table, truth_table
 
 
@@ -139,6 +144,38 @@ def test_sn_action_guards():
     with pytest.raises(ValueError):
         sn_action(13)
     assert sn_action(4).dim == 16
+
+
+def test_sn_action_index_maps_match_dense_generators():
+    # the swaps as gathers against the same swaps as dense GF(2) matrices
+    rng = random.Random(4402)
+    for n in (3, 4):
+        action = sn_action(n)
+        dense = AlgebraAction(GF2, [(f"s{k}", transposition_matrix(n, k)) for k in range(1, n)])
+        names = monomial_names(n)
+        for _ in range(6):
+            f = BooleanFunction(n, [rng.randint(0, 1) for _ in range(1 << n)])
+            if f.is_zero():
+                continue
+            a, b = orbit_basis(action, f.vector()), orbit_basis(dense, f.vector())
+            assert (a.basis_words, a.basis_vectors, a.restricted) == (b.basis_words, b.basis_vectors, b.restricted)
+            report = complete_decomposition(a)
+            assert to_text(report_to_json(report, names)) == to_text(report_to_json(complete_decomposition(b), names))
+        assert action.matrices == dense.matrices
+
+
+def test_max_variables_is_reachable_without_dense_generators(monkeypatch):
+    # at the cap the ambient space has 4096 monomials; a dense generator
+    # would be 4096 x 4096, so reading .matrices anywhere fails the test
+    def no_dense(self):
+        raise AssertionError("a dense generator matrix was built")
+
+    monkeypatch.setattr(AlgebraAction, "matrices", property(no_dense))
+    report = decompose_boolean(parse_anf("x1", MAX_VARIABLES))
+    # span{x1, ..., x12} is the natural permutation module of S12 over
+    # GF(2): the all-ones vector lies in the sum-zero submodule, so it does not split
+    assert report.signature == (MAX_VARIABLES,)
+    check_report(report)
 
 
 def test_decompose_symmetric_function():

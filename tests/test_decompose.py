@@ -15,6 +15,8 @@ from cyclomod.decompose import (
     complete_decomposition,
     decompose_once,
 )
+from cyclomod.boolfn import parse_anf, sn_action
+from cyclomod.perms import left_translation_action, permutation_module, symmetric_group
 
 from fixtures import (
     F_VEC,
@@ -233,3 +235,67 @@ def test_decomposition_is_invariant_under_change_of_basis(field, rng):
     check_report(moved)
     assert moved.signature == base.signature
     assert _leaf_outcomes(moved) == _leaf_outcomes(base)
+
+
+def _splits(m, config):
+    """(block, half) for every split of m's decomposition tree, run step by step
+    as complete_decomposition runs it, internal nodes included."""
+    stack = [m]
+    while stack:
+        block = stack.pop()
+        _, halves = decompose_once(block, config)
+        if halves is not None:
+            for half in halves:
+                yield block, half
+            stack.extend(halves)
+
+
+def _split_corpus():
+    yield GF2, swap_invariant_module()
+    yield GF2, orbit_basis(sn_action(5), parse_anf("x1*x2*x3 + x4*x5", 5).vector())
+    yield QQ, orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0))
+    elements = symmetric_group(4)
+    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    yield QQ, permutation_module(s4, [1] + [0] * 23)
+    for field in (GF2, gf(3)):
+        # regular S4 in characteristics dividing its order
+        action = AlgebraAction.from_permutations(field, [(s, s4.generators[s]) for s in s4.labels], 24)
+        yield field, orbit_basis(action, [1] + [0] * 23)
+    rng = random.Random(6007)
+    for field in (GF2, gf(3), QQ):
+        lo, hi = (-1, 1) if field.characteristic == 0 else (0, field.characteristic - 1)
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            gens = [
+                (s, [[rng.randint(lo, hi) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)])
+                for s in ("u", "v")
+            ]
+            yield field, orbit_basis(AlgebraAction(field, gens), [rng.randint(lo, hi) for _ in range(n)])
+
+
+def test_every_split_half_is_the_ambient_orbit_of_its_generator():
+    # halves are spun in block coordinates; each must be, field by field,
+    # the module an orbit over the ambient action gives for its generator.
+    # check_report regenerates only the leaves, so this covers the
+    # internal nodes too.
+    config = SearchConfig(random_trials=8)
+    halves, internal = {GF2: 0, gf(3): 0, QQ: 0}, 0
+    for field, m in _split_corpus():
+        if m.dim == 0:
+            continue
+        count = 0
+        for block, half in _splits(m, config):
+            ref = orbit_basis(block.action, half.generator)
+            assert half.action is ref.action and half.generator == ref.generator
+            assert half.basis_words == ref.basis_words
+            assert half.basis_vectors == ref.basis_vectors
+            assert half.restricted == ref.restricted
+            assert [half.coordinates(v) for v in ref.basis_vectors] == [
+                ref.coordinates(v) for v in ref.basis_vectors
+            ]
+            count += 1
+        halves[field] += count
+        # two halves per split; every split after the first splits a half
+        internal += max(0, count // 2 - 1)
+    assert min(halves.values()) >= 8, halves
+    assert internal >= 10

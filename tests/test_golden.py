@@ -30,6 +30,8 @@ CASES = {
     "minimize_q": ["minimize", "{golden}/automaton_q.json"],
     "decompose_bool_swap_invariant": ["decompose-bool", SWAP_INVARIANT, "-n", "3"],
     "decompose_bool_split_4_6": ["decompose-bool", SPLIT_4_6, "-n", "5"],
+    # MAX_VARIABLES: 4096 monomials, the swaps applied as index maps
+    "decompose_bool_x1_n12": ["decompose-bool", "x1", "-n", "12", "--cert-only"],
     "cert_bool_swap_invariant": ["cert", "--bool", SWAP_INVARIANT, "-n", "3"],
     "cert_bool_split_4_6": ["cert", "--bool", SPLIT_4_6, "-n", "5"],
     "decompose_perm_regular_s3": [

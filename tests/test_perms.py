@@ -1,12 +1,15 @@
 """Permutation presentations, translation actions, and Maschke spot checks."""
 
 import itertools
+import random
 
 import pytest
 
 from cyclomod import QQ
 from cyclomod.linalg import DenseMatrix, SpanSolver, rref
 from cyclomod.decompose import complete_decomposition, check_report
+from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.serialize import report_to_json, to_text
 from cyclomod.perms import (
     PermutationPresentation,
     compose,
@@ -53,6 +56,54 @@ def test_matrix_composition_order():
     composed = compose(p.generators["s1"], p.generators["s2"])
     expected = PermutationPresentation(3, [("c", composed)]).action().matrices["c"]
     assert s1 * s2 == expected
+
+
+def _dense_rows(perm):
+    """The permutation matrix with a 1 in row perm[i] of column i, built here by hand."""
+    rows = [[0] * len(perm) for _ in perm]
+    for i, j in enumerate(perm):
+        rows[j][i] = 1
+    return rows
+
+
+def test_index_map_action_matches_dense_generators():
+    # the same generators given as index maps (gathers) and as DenseMatrix
+    # must give the same orbit bases, words, reports and matrices
+    rng = random.Random(3301)
+    decomposed = 0
+    for _ in range(30):
+        degree = rng.randint(1, 7)
+        gens = []
+        for k in range(rng.randint(0, 3)):
+            perm = list(range(degree))
+            rng.shuffle(perm)
+            gens.append((f"g{k}", tuple(perm)))
+        p = PermutationPresentation(degree, gens)
+        action = p.action()
+        dense = AlgebraAction(QQ, [(s, DenseMatrix(QQ, _dense_rows(q))) for s, q in gens], dim=degree)
+        g = [rng.randint(-2, 2) for _ in range(degree)]
+        a, b = orbit_basis(action, g), orbit_basis(dense, g)
+        assert (a.basis_words, a.basis_vectors, a.restricted) == (b.basis_words, b.basis_vectors, b.restricted)
+        for word in itertools.product(p.labels, repeat=2):
+            assert action.apply_word(word, g) == dense.apply_word(word, g)
+        if a.dim:
+            report = complete_decomposition(a)
+            check_report(report)
+            assert to_text(report_to_json(report)) == to_text(report_to_json(complete_decomposition(b)))
+            decomposed += 1
+        assert action.matrices == dense.matrices
+    assert decomposed >= 20
+
+
+def test_malformed_index_maps_are_rejected():
+    for perm in [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3), (-1, 0, 1), (0.0, 1, 2)]:
+        with pytest.raises(ValueError):
+            AlgebraAction.from_permutations(QQ, [("s", perm)], 3)
+    with pytest.raises(ValueError):
+        AlgebraAction.from_permutations(QQ, [("s", (1, 0)), ("s", (0, 1))], 2)
+    action = AlgebraAction.from_permutations(QQ, [("s", (1, 2, 0))], 3)
+    with pytest.raises(ValueError):
+        action.apply_word(("s",), (1, 0))
 
 
 def test_natural_module_dimensions():

@@ -1,11 +1,14 @@
 """Weighted automaton reduction against exhaustive word-weight oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclomod import GF2, QQ, gf
+from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.linalg import DenseMatrix
 from cyclomod.wfa import (
     PrefixBasis,
     WeightedAutomaton,
@@ -17,7 +20,14 @@ from cyclomod.wfa import (
     scale,
 )
 
-from oracles import all_words, hankel_rank, naive_weight
+from oracles import (
+    all_words,
+    boxed_apply,
+    boxed_apply_row,
+    boxed_covering_tree,
+    hankel_rank,
+    naive_weight,
+)
 
 
 def counting_automaton():
@@ -210,3 +220,68 @@ def test_minimize_preserves_weights_gf2(bits):
     for w in all_words(("a", "b"), 4):
         assert m.weight(w) == a.weight(w)
     assert minimize(m).dim == m.dim
+
+
+def _columns(m):
+    return [m.column(j) for j in range(m.cols)]
+
+
+def _boxed_dot(field, u, v):
+    return sum((a * b for a, b in zip(u, v)), field.zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([GF2, gf(3), QQ]),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([0.0, 0.25, 0.6]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_covering_trees_match_the_two_pass_boxed_oracle(field, dim, letters, density, zero_root, rng):
+    # words, vectors and images of every covering-tree user against the
+    # boxed tree that reduces each successor with add and again with
+    # coordinates; density 0 gives zero generators, and zero_root a zero root
+    p = field.characteristic
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def vector():
+        return [field.scalar(0 if zero_root else entry()) for _ in range(dim)]
+
+    alphabet = ("a", "b")[:letters]
+    mu = {s: DenseMatrix(field, [[entry() for _ in range(dim)] for _ in range(dim)], cols=dim) for s in alphabet}
+    lam, gamma = vector(), [field.scalar(entry()) for _ in range(dim)]
+    a = WeightedAutomaton(field, alphabet, lam, mu, gamma)
+
+    reduced, basis = left_reduce(a)
+    words, vectors, images, solver = boxed_covering_tree(
+        field, dim, lam, alphabet, lambda s, v: boxed_apply_row(mu[s], v)
+    )
+    assert basis.words == tuple(words) and basis.vectors == tuple(vectors)
+    assert all(list(reduced.mu[s].entries) == images[s] for s in alphabet)
+    assert reduced.lam == solver.coordinates(lam)
+    assert reduced.gamma == tuple(_boxed_dot(field, v, gamma) for v in vectors)
+
+    reduced, basis = right_reduce(WeightedAutomaton(field, alphabet, gamma, mu, lam))
+    words, vectors, images, solver = boxed_covering_tree(
+        field, dim, lam, alphabet, lambda s, v: boxed_apply(mu[s], v)
+    )
+    assert basis.words == tuple(tuple(reversed(w)) for w in words)
+    assert basis.vectors == tuple(vectors)
+    assert all(_columns(reduced.mu[s]) == images[s] for s in alphabet)
+    assert reduced.gamma == solver.coordinates(lam)
+    assert reduced.lam == tuple(_boxed_dot(field, v, gamma) for v in vectors)
+
+    m = orbit_basis(AlgebraAction(field, list(mu.items()), dim=dim), lam)
+    words, vectors, images, _ = boxed_covering_tree(
+        field, dim, lam, alphabet, lambda s, v: boxed_apply(mu[s], v)
+    )
+    assert m.basis_words == tuple(words) and m.basis_vectors == tuple(vectors)
+    assert all(_columns(m.restricted[s]) == images[s] for s in alphabet)
