@@ -15,7 +15,6 @@ from .boolfn import (
     BooleanFunction,
     ParseError,
     decompose_boolean,
-    function_from_vector,
     monomial_name,
     monomial_names,
     parse_anf,
@@ -33,21 +32,16 @@ from .endo import (
     SearchConfig,
     compute_end,
     find_splitting_element,
-    fitting_split,
-    is_invertible,
-    is_nilpotent,
     verify_certificate,
 )
 from .fields import GF2, QQ, FieldScalar, FieldSpec, gf
-from .linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow, rref, solve
+from .linalg import DenseMatrix, SpanSolver, kernel_basis, rref
 from .modules import (
     ActionGraph,
     AlgebraAction,
     CyclicModule,
     action_graph,
     orbit_basis,
-    restricted_action,
-    submodule_generated,
 )
 from .perms import (
     PermutationPresentation,
@@ -94,9 +88,7 @@ __all__ = [
     "DenseMatrix",
     "SpanSolver",
     "kernel_basis",
-    "mat_pow",
     "rref",
-    "solve",
     "Polynomial",
     "factor",
     "factor_gfp",
@@ -117,16 +109,11 @@ __all__ = [
     "CyclicModule",
     "action_graph",
     "orbit_basis",
-    "restricted_action",
-    "submodule_generated",
     "Certificate",
     "EndoAlgebra",
     "SearchConfig",
     "compute_end",
     "find_splitting_element",
-    "fitting_split",
-    "is_invertible",
-    "is_nilpotent",
     "verify_certificate",
     "DecompositionReport",
     "check_report",
@@ -136,7 +123,6 @@ __all__ = [
     "BooleanFunction",
     "ParseError",
     "decompose_boolean",
-    "function_from_vector",
     "monomial_name",
     "monomial_names",
     "parse_anf",

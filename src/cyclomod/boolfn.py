@@ -183,32 +183,24 @@ def _bit_swap(mask: int, i: int, j: int) -> int:
     return mask ^ ((1 << i) | (1 << j))
 
 
-def sn_action(n: int, cap: int = MAX_VARIABLES) -> AlgebraAction:
+def sn_action(n: int) -> AlgebraAction:
     """Adjacent variable swaps s1..s{n-1} as permutations of the 2^n monomials.
 
     Each swap is an index map applied as a gather, so a step costs 2^n
-    and no 2^n x 2^n matrix is built (unless .matrices is read).  The
-    cap bounds the ambient dimension 2^n of the vectors that orbit_basis
-    steps and reduces; raise it knowingly if you have the time and
-    memory for it.
+    and no 2^n x 2^n matrix is built (unless .matrices is read).
+    MAX_VARIABLES bounds n, and with it the ambient dimension 2^n of the
+    vectors that orbit_basis steps and reduces.
     """
     if n < 2:
         raise ValueError("the swap action needs at least two variables")
-    if n > cap:
-        raise ValueError(f"{n} variables means {1 << n} monomials, over the cap of {cap} variables")
+    if n > MAX_VARIABLES:
+        raise ValueError(f"{n} variables means {1 << n} monomials, over the cap of {MAX_VARIABLES} variables")
     size = 1 << n
     generators = [(f"s{k}", [_bit_swap(m, k - 1, k) for m in range(size)]) for k in range(1, n)]
     return AlgebraAction.from_permutations(GF2, generators, size)
 
 
-def function_from_vector(n: int, v) -> BooleanFunction:
-    return BooleanFunction(n, [1 if x else 0 for x in v])
-
-
-def decompose_boolean(
-    f: BooleanFunction, config: Optional[SearchConfig] = None, cap: int = MAX_VARIABLES
-) -> DecompositionReport:
+def decompose_boolean(f: BooleanFunction, config: Optional[SearchConfig] = None) -> DecompositionReport:
     """Complete decomposition of the cyclic module generated by f."""
-    action = sn_action(f.n, cap)
-    module = orbit_basis(action, f.vector())
+    module = orbit_basis(sn_action(f.n), f.vector())
     return complete_decomposition(module, config)

@@ -13,9 +13,10 @@ than 0 and 1, and any element M that is neither nilpotent nor invertible
 yields a splitting by Fitting's lemma, so the search never needs the
 idempotent itself.  A Fitting certificate's summands are the kernel and
 the image of the stable power M^(2^k), found by squaring until the rank
-stops falling (linalg.stable_power); the image basis is the first
-independent columns of that power.  An invertible candidate is turned
-down on its rank, before any product.
+stops falling.  linalg.stable_power hands back that power with its
+reduced form: the kernel basis is read off the reduced form, and the
+image basis is the first independent columns of the power.  An
+invertible candidate is turned down on its rank, before any product.
 
 find_splitting_element runs one search for every field: the
 one-dimensional shortcut, a Fitting scan of the basis elements and their
@@ -51,7 +52,7 @@ from .linalg import (
     _addmul,
     _kernel_from_rref,
     _neg,
-    _stable_power,
+    _unbox,
     _zero,
     column_space_basis,
     kernel_basis,
@@ -164,10 +165,11 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
             rows.extend(acc[i * n:(i + 1) * n] for i in range(n))
     solutions = kernel_basis(DenseMatrix._from_raw(field, rows, n))
     # X_v = [W_0 v | ... | W_{n-1} v], flattened and reduced from the right
-    flats = [
-        DenseMatrix.from_columns(field, [w.apply(v) for w in spun], rows=n)._flat()[::-1]
-        for v in solutions
-    ]
+    flats = []
+    for v in solutions:
+        x = _unbox(field, v)
+        columns = [w._times_col(x) for w in spun]
+        flats.append([a for row in zip(*columns) for a in row][::-1])
     red = rref(DenseMatrix._from_raw(field, flats, n * n))
     basis = [
         DenseMatrix._from_raw(field, [flat[i * n:(i + 1) * n] for i in range(n)], n)
@@ -183,50 +185,6 @@ def certify(m: CyclicModule, config: Optional[SearchConfig] = None) -> Certifica
     cert = find_splitting_element(e, config)
     verify_certificate(e, cert)
     return cert
-
-
-def _require_member(e: "EndoAlgebra", mat: DenseMatrix):
-    if not e.contains(mat):
-        raise ValueError("matrix is not in the endomorphism algebra")
-
-
-def is_nilpotent(e: EndoAlgebra, mat: DenseMatrix) -> bool:
-    """Whether a stable power of mat vanishes (mat must lie in the algebra)."""
-    _require_member(e, mat)
-    return stable_power(mat)[1] == 0
-
-
-def is_invertible(e: EndoAlgebra, mat: DenseMatrix) -> bool:
-    _require_member(e, mat)
-    return rref(mat).rank == e.module_dim
-
-
-def fitting_split(e: EndoAlgebra, mat: DenseMatrix):
-    """(kernel, image) bases of a stable power of mat, or None when one side is trivial.
-
-    Both sides are generator stable because mat commutes with the
-    action, and they meet trivially because kernel and image of a
-    stable power always do.
-    """
-    for label, s in e.action_mats:
-        if mat * s != s * mat:
-            raise ValueError(f"matrix does not commute with generator {label!r}")
-    return _split_stable(e, *_stable_power(mat))
-
-
-def _split_stable(e: EndoAlgebra, power: DenseMatrix, reduction):
-    """(kernel, image) bases of a stable power, from its reduced form; checked to fill the module."""
-    ker = _kernel_from_rref(e.field, power.cols, reduction)
-    im = column_space_basis(power)
-    if not ker or not im:
-        return None
-    if len(ker) + len(im) != e.module_dim:
-        raise RuntimeError("kernel and image dimensions do not add up")
-    check = SpanSolver(e.field, e.module_dim)
-    for v in list(ker) + list(im):
-        if not check.add(v):
-            raise RuntimeError("kernel and image of the stable power overlap")
-    return tuple(ker), tuple(im)
 
 
 @dataclass(frozen=True)
@@ -278,13 +236,27 @@ def _random_candidates(e: EndoAlgebra, config: SearchConfig):
             yield e.element(coords)
 
 
-def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, mode: str, budgets: dict, diagnostics: dict):
-    """A Fitting certificate for an element of E that is neither nilpotent nor invertible."""
-    power, reduction = _stable_power(mat)
+def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict):
+    """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
+
+    The summands are the kernel and the image of a stable power of mat,
+    checked to fill the module.  Both are generator stable because mat
+    commutes with the action, and they meet trivially because the kernel
+    and the image of a stable power always do.
+    """
+    power, reduction = stable_power(mat)
     if reduction.rank in (0, e.module_dim):
         return None
-    split = _split_stable(e, power, reduction)
-    return Certificate("decomposable", mode, mat, split, budgets, diagnostics)
+    ker = _kernel_from_rref(e.field, power.cols, reduction)
+    im = column_space_basis(power)
+    if len(ker) + len(im) != e.module_dim:
+        raise RuntimeError("kernel and image dimensions do not add up")
+    check = SpanSolver(e.field, e.module_dim)
+    for v in ker + im:
+        if not check.add(v):
+            raise RuntimeError("kernel and image of the stable power overlap")
+    split = (tuple(ker), tuple(im))
+    return Certificate("decomposable", "fitting-scan", mat, split, budgets, diagnostics)
 
 
 def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict, diag: dict):
@@ -352,7 +324,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
     scanned = 0
     for mat in _scan_candidates(e):
         scanned += 1
-        cert = _try_fitting(e, mat, "fitting-scan", budgets, dict(diagnostics, scanned=scanned))
+        cert = _try_fitting(e, mat, budgets, dict(diagnostics, scanned=scanned))
         if cert is not None:
             return cert
     diagnostics["scanned"] = scanned

@@ -33,22 +33,9 @@ from .fields import FieldScalar, FieldSpec
 Vector = tuple  # tuple[FieldScalar, ...]
 
 
-def zero_vector(field: FieldSpec, n: int) -> Vector:
-    z = field.zero()
-    return (z,) * n
-
-
 def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
     z, o = field.zero(), field.one()
     return tuple(o if j == i else z for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: FieldScalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u: Vector, v: Vector) -> FieldScalar:
@@ -378,9 +365,6 @@ class DenseMatrix:
     def __hash__(self) -> int:
         return hash((self.field, self.entries))
 
-    def __pow__(self, k: int) -> "DenseMatrix":
-        return mat_pow(self, k)
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"DenseMatrix({self.field}, {self.rows}x{self.cols}: {body})"
@@ -399,41 +383,17 @@ def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
     return [s % p for s in acc] if p else acc
 
 
-def mat_pow(m: DenseMatrix, k: int) -> DenseMatrix:
-    """k-th power by repeated squaring; k = 0 gives the identity."""
-    if not m.is_square:
-        raise ValueError("powers need a square matrix")
-    if k < 0:
-        raise ValueError("negative matrix powers are not supported")
-    acc = DenseMatrix.identity(m.field, m.rows)
-    base = m
-    while k:
-        if k & 1:
-            acc = acc * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    return acc
-
-
 def stable_power(m: DenseMatrix) -> tuple:
-    """(P, rank P) for a power P = m^(2^k) whose rank has stopped falling.
+    """(P, rref(P)) for a power P = m^(2^k) whose rank has stopped falling.
 
     The ranks of m, m^2, m^3, ... fall by non-increasing steps, so once
     rank(P^2) = rank(P) for P = m^a they are constant from a on, and P
     has the kernel and image of m^n.  Starting from rank(m), that takes
     at most ceil(log2 n) + 1 squarings; an invertible or zero m is
-    returned as it is, without a product.
-    """
-    power, red = _stable_power(m)
-    return power, red.rank
-
-
-def _stable_power(m: DenseMatrix) -> tuple:
-    """(P, rref(P)) for the P of stable_power, with no second reduction of P.
-
-    When the squaring stops, the reduced form at hand is the one of P^2.
-    It is the one of P as well: their ranks agree, so ker P = ker P^2,
-    and the row spaces, the annihilators of the kernels, are equal.
+    returned as it is, without a product.  When the squaring stops, the
+    reduced form at hand is the one of P^2.  It is the one of P as well:
+    their ranks agree, so ker P = ker P^2, and the row spaces, the
+    annihilators of the kernels, are equal.
     """
     if not m.is_square:
         raise ValueError("powers need a square matrix")
@@ -539,24 +499,6 @@ def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> lis
             v[pc] = _neg(p, reduced[r][fc])
         basis.append(_box(field, v))
     return basis
-
-
-def solve(m: DenseMatrix, b: Vector) -> Optional[Vector]:
-    """One solution of m x = b, or None when inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError(f"rhs length {len(b)} against {m.rows} rows")
-    field = m.field
-    if m.rows == 0:
-        return zero_vector(field, m.cols)
-    rhs = _unbox(field, b)
-    aug = DenseMatrix._from_raw(field, [row + [x] for row, x in zip(m._raw, rhs)], m.cols + 1)
-    red, rank, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [_zero(field.characteristic)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red._raw[r][m.cols]
-    return _box(field, x)
 
 
 class SpanSolver:
@@ -728,16 +670,3 @@ def column_space_basis(m: DenseMatrix) -> list:
         if solver.add(c):
             basis.append(c)
     return basis
-
-
-def span_equal(field: FieldSpec, us: Iterable[Vector], vs: Iterable[Vector], length: int) -> bool:
-    """Whether two vector families span the same subspace."""
-    a = SpanSolver(field, length)
-    for u in us:
-        a.add(u)
-    b = SpanSolver(field, length)
-    for v in vs:
-        b.add(v)
-    if a.rank != b.rank:
-        return False
-    return all(a.contains(v) for v in b.basis_rows()) and all(b.contains(u) for u in a.basis_rows())

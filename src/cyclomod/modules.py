@@ -25,10 +25,7 @@ from .linalg import (
     _RawVector,
     _unbox,
     unit_vector,
-    vec_add,
     vec_is_zero,
-    vec_scale,
-    zero_vector,
 )
 from .wfa import covering_tree
 
@@ -191,17 +188,6 @@ class CyclicModule:
     def contains(self, v: Vector) -> bool:
         return self.coordinates(v) is not None
 
-    def ambient_vector(self, coords: Vector) -> Vector:
-        """Ambient vector of module coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError(f"coordinate length {len(coords)}, expected {self.dim}")
-        out = zero_vector(self.field, self.action.dim)
-        for c, b in zip(coords, self.basis_vectors):
-            c = self.field.scalar(c)
-            if c:
-                out = vec_add(out, vec_scale(c, b))
-        return out
-
     def __repr__(self) -> str:
         return f"CyclicModule(dim={self.dim}, ambient={self.action.dim}, {self.field})"
 
@@ -228,24 +214,6 @@ def _module_from_tree(action: AlgebraAction, g: Vector, tree, vectors, solver) -
     field = action.field
     restricted = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in action.labels}
     return CyclicModule(action, g, tree.words, vectors, restricted, solver)
-
-
-def restricted_matrix(m: CyclicModule, label: str) -> DenseMatrix:
-    if label not in m.restricted:
-        raise ValueError(f"unknown generator label {label!r}")
-    return m.restricted[label]
-
-
-def restricted_action(m: CyclicModule) -> AlgebraAction:
-    """The same generators acting on module coordinates."""
-    if m.dim == 0:
-        raise ValueError("the zero module has no coordinate action")
-    return AlgebraAction(m.field, [(s, m.restricted[s]) for s in m.action.labels], dim=m.dim)
-
-
-def submodule_generated(m: CyclicModule, coords: Vector) -> CyclicModule:
-    """A*v for v given in module coordinates, as a module over the restricted action."""
-    return orbit_basis(restricted_action(m), coords)
 
 
 class ActionGraph:

@@ -48,8 +48,6 @@ from .linalg import (
     kernel_basis,
 )
 
-DEFAULT_DEGREE_CAP = 32
-
 
 # ---------------------------------------------------------------------------
 # raw coefficient lists modulo m (m = 0: exact)
@@ -582,14 +580,12 @@ def _factor_squarefree_q(g: Polynomial) -> list:
     return sorted(out, key=Polynomial.sort_key)
 
 
-def factor_q(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
+def factor_q(f: Polynomial) -> list:
     """Irreducible monic factors with multiplicity over Q."""
     if f.field != QQ:
         raise ValueError("factor_q needs coefficients in Q")
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree > degree_cap:
-        raise ValueError(f"degree cap exceeded: {f.degree} > {degree_cap}")
     if f.degree == 0:
         return []
     out: dict[Polynomial, int] = {}
@@ -599,12 +595,12 @@ def factor_q(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
     return sorted(out.items(), key=lambda fm: fm[0].sort_key())
 
 
-def factor(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> list:
+def factor(f: Polynomial) -> list:
     """Field-dispatching irreducible factorization."""
     if f.degree == 1:
         return [(f.monic(), 1)]
     if f.field.characteristic == 0:
-        return factor_q(f, degree_cap)
+        return factor_q(f)
     return factor_gfp(f)
 
 

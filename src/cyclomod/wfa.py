@@ -53,9 +53,6 @@ class PrefixBasis:
     def __len__(self) -> int:
         return len(self.words)
 
-    def is_prefix_closed(self) -> bool:
-        return all(w[:-1] in self.word_to_index for w in self.words if w)
-
 
 class WeightedAutomaton:
     """(lambda, mu, gamma) over one field, alphabet order fixed."""

@@ -1,9 +1,12 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but commutant_basis, the algebra references and the
-boxed kernel works on raw Python values (ints mod p, Fractions, int
-bitmasks over GF(2)) and reimplements the math naively, so that a bug
-in the library's linear algebra cannot hide inside its own oracle.
+Everything here but plain_power, span_equal, commutant_basis, the
+algebra references and the boxed kernel works on raw Python values
+(ints mod p, Fractions, int bitmasks over GF(2)) and reimplements the
+math naively, so that a bug in the library's linear algebra cannot hide
+inside its own oracle.
+plain_power (m^k by k products) and span_equal compare the library's
+matrices and spans against its stable powers and kernels.
 commutant_basis is the general n^2-unknown commutant solve on the
 library's matrices: the reference the spun endo.compute_end must match
 basis for basis.  The algebra references (enumerate_idempotents,
@@ -26,7 +29,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow
+from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,22 @@ def raw_row_space(p, rows):
 
 def raw_rank(p, rows):
     return len(raw_row_space(p, rows))
+
+
+def raw_inverse(p, rows):
+    """The inverse of an invertible square raw-value matrix, by Gauss-Jordan on [A | I]."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = raw_inv(p, aug[c][c])
+        aug[c] = [raw_mul(p, inv, x) for x in aug[c]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != c and f != 0:
+                aug[i] = [raw_add(p, x, raw_neg(p, raw_mul(p, f, y))) for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +380,31 @@ def count_idempotents_brute(p, basis_matrices):
 
 
 # ---------------------------------------------------------------------------
+# library matrices: plain powers and span comparison
+
+
+def plain_power(m, k):
+    """m^k as k plain products, with no squaring and no rank test (the identity for k = 0)."""
+    acc = DenseMatrix.identity(m.field, m.rows)
+    for _ in range(k):
+        acc = acc * m
+    return acc
+
+
+def span_equal(field, us, vs, length):
+    """Whether two vector families span the same subspace."""
+    a = SpanSolver(field, length)
+    for u in us:
+        a.add(u)
+    b = SpanSolver(field, length)
+    for v in vs:
+        b.add(v)
+    if a.rank != b.rank:
+        return False
+    return all(a.contains(v) for v in b.basis_rows()) and all(b.contains(u) for u in a.basis_rows())
+
+
+# ---------------------------------------------------------------------------
 # commutant by the direct n^2-unknown solve
 
 
@@ -456,7 +500,7 @@ def radical_char0(e):
         rad_solver.add(mat.flatten())
     for mat in rad:
         # the algebra acts faithfully, so radical elements are nilpotent matrices
-        if not mat_pow(mat, e.module_dim).is_zero():
+        if not plain_power(mat, e.module_dim).is_zero():
             raise RuntimeError("radical candidate is not nilpotent")
         for b in e.basis:
             for prod in (mat * b, b * mat):

@@ -11,7 +11,6 @@ from cyclomod.boolfn import (
     BooleanFunction,
     ParseError,
     decompose_boolean,
-    function_from_vector,
     monomial_name,
     monomial_names,
     parse_anf,
@@ -125,14 +124,14 @@ def test_swap_action_matches_truth_table_oracle():
         f = BooleanFunction.from_indices(3, support)
         for label in ("s1", "s2"):
             image = action.matrices[label].apply(f.vector())
-            g = function_from_vector(3, image)
+            g = BooleanFunction(3, image)
             expected_table = permute_function_truth_table(
                 3, truth_table(3, support), perms[label]
             )
             assert [g.evaluate(a) for a in range(8)] == expected_table
         # a two-letter word, applied first letter first
         image = action.apply_word(("s1", "s2"), f.vector())
-        g = function_from_vector(3, image)
+        g = BooleanFunction(3, image)
         table = permute_function_truth_table(3, truth_table(3, support), perms["s1"])
         table = permute_function_truth_table(3, table, perms["s2"])
         assert [g.evaluate(a) for a in range(8)] == table
@@ -191,7 +190,7 @@ def test_decompose_swap_invariant_generator():
     assert report.signature == (1, 2)
     assert report.fully_decomposed
     line = report.summands[0]
-    g = function_from_vector(3, line.basis_vectors[0])
+    g = BooleanFunction(3, line.basis_vectors[0])
     assert g.anf() == "x1 + x2 + x3 + x1*x2*x3"
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from cyclomod import GF2, QQ, gf
 from cyclomod.boolfn import decompose_boolean, parse_anf
-from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis, mat_pow, span_equal
+from cyclomod.linalg import DenseMatrix, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
@@ -20,9 +20,6 @@ from cyclomod.endo import (
     _try_fitting,
     compute_end,
     find_splitting_element,
-    fitting_split,
-    is_invertible,
-    is_nilpotent,
     verify_certificate,
 )
 from cyclomod.perms import permutation_module
@@ -48,6 +45,7 @@ from oracles import (
     is_fitting_split_by_nth_power,
     left_mult_matrix,
     radical_char0,
+    span_equal,
 )
 from test_acceptance import krull_schmidt_corpus
 from test_golden import GOLDEN, SPLIT_4_6, SWAP_INVARIANT
@@ -117,18 +115,18 @@ def test_all_four_elements_idempotent():
     assert count_idempotents_brute(2, raw_basis) == 4
 
 
+def _is_nilpotent(mat):
+    return stable_power(mat)[1].rank == 0
+
+
 def test_nilpotent_invertible_membership():
     e = compute_end(swap_invariant_module())
     ident = DenseMatrix.identity(GF2, 3)
     j = ones_matrix(GF2, 3)
-    assert is_invertible(e, ident)
-    assert not is_nilpotent(e, ident)
-    assert not is_invertible(e, j)
-    assert not is_nilpotent(e, j)
-    assert is_nilpotent(e, DenseMatrix.zeros(GF2, 3, 3))
-    outside = DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        is_nilpotent(e, outside)
+    assert not _is_nilpotent(ident)
+    assert not _is_nilpotent(j)
+    assert _is_nilpotent(DenseMatrix.zeros(GF2, 3, 3))
+    assert not e.contains(DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     # the GF(3) identity has the same raw entries as the GF(2) one
     with pytest.raises(ValueError, match="mixed fields"):
         e.contains(DenseMatrix.identity(gf(3), 3))
@@ -140,18 +138,16 @@ def test_fitting_split_on_projection():
     m = swap_invariant_module()
     e = compute_end(m)
     j = ones_matrix(GF2, 3)
-    split = fitting_split(e, j)
-    assert split is not None
-    ker, im = split
+    cert = _try_fitting(e, j, {}, {})
+    assert cert is not None
+    ker, im = cert.summands
     assert len(ker) == 2 and len(im) == 1
     # the image is the invariant line through (1,1,1), which is F in ambient terms
     line = im[0]
     assert all(x == line[0] for x in line)
-    assert m.ambient_vector(line) == tuple(GF2.scalar(x) for x in F_VEC) or m.ambient_vector(line) == F_VEC
-    assert fitting_split(e, DenseMatrix.identity(GF2, 3)) is None
-    assert fitting_split(e, DenseMatrix.zeros(GF2, 3, 3)) is None
-    with pytest.raises(ValueError):
-        fitting_split(e, DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert m.coordinates(F_VEC) == line
+    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), {}, {}) is None
+    assert _try_fitting(e, DenseMatrix.zeros(GF2, 3, 3), {}, {}) is None
 
 
 def _record_products(monkeypatch):
@@ -172,17 +168,18 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     e = compute_end(swap_invariant_module())
     products.clear()
     # invertible: the rank of the candidate decides, with no product
-    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), "fitting-scan", {}, {}) is None
+    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), {}, {}) is None
     assert products == []
     # a projection is stable at power 1: one squaring shows it
-    cert = _try_fitting(e, ones_matrix(GF2, 3), "fitting-scan", {}, {})
+    cert = _try_fitting(e, ones_matrix(GF2, 3), {}, {})
     assert len(products) == 1
-    assert cert.summands == fitting_split(e, ones_matrix(GF2, 3))
+    left, right = ([[x.value for x in v] for v in part] for part in cert.summands)
+    assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, left, right)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
     m = conjugated_jordan_module(QQ, 4, 3)
     e = compute_end(m)
     products.clear()
-    assert _try_fitting(e, m.restricted["n"], "fitting-scan", {}, {}) is None
+    assert _try_fitting(e, m.restricted["n"], {}, {}) is None
     assert len(products) == 2
 
 
@@ -226,12 +223,11 @@ def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
         e = compute_end(m)
         mat = m.restricted["a"]
         products = _record_products(monkeypatch)
-        cert = _try_fitting(e, mat, "fitting-scan", {}, {})
+        cert = _try_fitting(e, mat, {}, {})
         monkeypatch.undo()
         assert len(products) == 2
         ker, im = cert.summands
         assert (len(ker), len(im)) == (2, 1)
-        assert fitting_split(e, mat) == cert.summands
         raw = [[x.value for x in row] for row in mat.entries]
         assert is_fitting_split_by_nth_power(
             field.characteristic, raw, [[x.value for x in v] for v in ker], [[x.value for x in v] for v in im]
@@ -344,6 +340,19 @@ def test_field_generated_indecomposable():
     verify_certificate(e, cert)
 
 
+def test_field_leaf_of_degree_33():
+    # the companion matrix of t^33 - 2, irreducible by Eisenstein at 2:
+    # End = Q[A] is a field of degree 33, decided by one minimal polynomial
+    # of degree 33, which is factored however large its degree
+    d = 33
+    comp = [[int(i == j + 1) + 2 * int((i, j) == (0, d - 1)) for j in range(d)] for i in range(d)]
+    report = complete_decomposition(orbit_basis(AlgebraAction(QQ, [("a", comp)]), [1] + [0] * (d - 1)))
+    assert report.signature == (d,)
+    (cert,) = report.certificates
+    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    check_report(report)
+
+
 def test_undecided_local_jordan_block():
     # a single nilpotent Jordan block: the commutant Q[N]/N^2 is local but
     # not a field; its radical J = QN with E/J = Q certifies it
@@ -357,7 +366,7 @@ def test_undecided_local_jordan_block():
     assert cert.verdict == "indecomposable"
     assert cert.mode == "local"
     assert cert.element == e.identity()
-    assert len(cert.radical) == 1 and is_nilpotent(e, cert.radical[0])
+    assert len(cert.radical) == 1 and _is_nilpotent(cert.radical[0])
     assert "box_swept" not in cert.diagnostics
     verify_certificate(e, cert)
 
@@ -651,7 +660,7 @@ def test_radical_of_jordan_commutant():
     e = compute_end(orbit_basis(action, (0, 1)))
     rad = radical_char0(e)
     assert len(rad) == 1
-    assert mat_pow(rad[0], 2).is_zero()
+    assert (rad[0] * rad[0]).is_zero()
     assert not rad[0].is_zero()
 
 

@@ -1,4 +1,4 @@
-"""Exact matrices: rref, kernels, solving, incremental spans."""
+"""Exact matrices: rref, kernels, stable powers, incremental spans."""
 
 import random
 from fractions import Fraction
@@ -13,20 +13,16 @@ from cyclomod.linalg import (
     SpanSolver,
     column_space_basis,
     kernel_basis,
-    mat_pow,
     rref,
-    solve,
-    span_equal,
     stable_power,
     unit_vector,
     vec_dot,
     vec_is_zero,
-    zero_vector,
 )
 
 import oracles
 from fixtures import int_mul, unimodular_pair
-from oracles import rank_by_minors
+from oracles import plain_power, rank_by_minors, span_equal
 
 
 def raw_entries(m):
@@ -103,32 +99,6 @@ def test_kernel_basis_annihilates_and_spans():
             assert len(basis) == m.cols - rref(m).rank
 
 
-def test_solve_residual_and_inconsistency():
-    m = DenseMatrix(QQ, [[1, 1], [2, 2]])
-    assert solve(m, (QQ.scalar(1), QQ.scalar(2))) is not None
-    assert solve(m, (QQ.scalar(1), QQ.scalar(3))) is None
-    rng = random.Random(5)
-    for _ in range(20):
-        a = random_matrix(gf(3), rng, 3, 3)
-        x = tuple(gf(3).scalar(rng.randrange(3)) for _ in range(3))
-        b = a.apply(x)
-        got = solve(a, b)
-        assert got is not None
-        assert a.apply(got) == b
-
-
-def test_mat_pow_matches_naive():
-    m = DenseMatrix(QQ, [[1, 1], [0, 1]])
-    naive = DenseMatrix.identity(QQ, 2)
-    for k in range(6):
-        assert mat_pow(m, k) == naive
-        naive = naive * m
-    with pytest.raises(ValueError):
-        mat_pow(m, -1)
-    with pytest.raises(ValueError):
-        mat_pow(DenseMatrix(QQ, [[1, 2]]), 2)
-
-
 def _stable_power_input(field, rng, n, form):
     """A random n x n matrix, or P D P^-1 for a unimodular P and a shaped D."""
     if form == "random":
@@ -155,29 +125,31 @@ def _stable_power_input(field, rng, n, form):
 )
 def test_stable_power_has_the_kernel_and_image_of_the_nth_power(seed, field, n, form):
     m = _stable_power_input(field, random.Random(seed), n, form)
-    power, rank = stable_power(m)
-    nth = mat_pow(m, n)
-    assert rank == rref(power).rank == rref(nth).rank
+    power, red = stable_power(m)
+    nth = plain_power(m, n)
+    assert red == rref(power)
+    assert red.rank == rref(nth).rank
     assert kernel_basis(power) == kernel_basis(nth)
     assert span_equal(field, column_space_basis(power), column_space_basis(nth), n)
     # P is m^(2^k) for at most ceil(log2 n) + 1 squarings
-    assert power in [mat_pow(m, 2 ** k) for k in range((n - 1).bit_length() + 2)]
+    assert power in [plain_power(m, 2 ** k) for k in range((n - 1).bit_length() + 2)]
     if form == "invertible":
-        assert power is m and rank == n
+        assert power is m and red.rank == n
 
 
 def test_stable_power_edge_cases():
     z = DenseMatrix.zeros(QQ, 3, 3)
-    assert stable_power(z) == (z, 0)
+    assert stable_power(z) == (z, rref(z))
     empty = DenseMatrix.zeros(QQ, 0, 0)
-    assert stable_power(empty) == (empty, 0)
+    assert stable_power(empty) == (empty, rref(empty))
     five = DenseMatrix(QQ, [[5]])
-    assert stable_power(five) == (five, 1)
+    assert stable_power(five) == (five, rref(five))
     with pytest.raises(ValueError):
         stable_power(DenseMatrix(QQ, [[1, 2]]))
     # a 4x4 Jordan block needs two squarings to vanish
     jordan = DenseMatrix(QQ, [[int(j == i + 1) for j in range(4)] for i in range(4)])
-    assert stable_power(jordan) == (mat_pow(jordan, 4), 0)
+    power, red = stable_power(jordan)
+    assert power == plain_power(jordan, 4) and red.rank == 0
 
 
 def test_span_solver_coordinates():
@@ -228,11 +200,7 @@ def test_zero_dimensional_edge_cases():
     z = DenseMatrix.zeros(QQ, 0, 0)
     assert rref(z).rank == 0
     assert kernel_basis(z) == []
-    assert mat_pow(z, 3) == z
-    assert solve(z, ()) == ()
-    assert zero_vector(QQ, 0) == ()
     wide = DenseMatrix.zeros(QQ, 0, 2)
-    assert solve(wide, ()) == (QQ.zero(), QQ.zero())
     assert len(kernel_basis(wide)) == 2
 
 
@@ -256,8 +224,6 @@ def test_kernel_rejects_scalars_of_another_field():
         zeros.apply(foreign)
     with pytest.raises(ValueError, match="mixed fields"):
         zeros.apply_row(foreign)
-    with pytest.raises(ValueError, match="mixed fields"):
-        solve(zeros, foreign)
     # a GF(3) entry cannot get into the matrix that rref reduces
     with pytest.raises(ValueError, match="mixed fields"):
         rref(DenseMatrix(GF2, [[gf3.one(), 0]]))
