@@ -6,16 +6,28 @@ endomorphism of a cyclic module is fixed by the image v of its
 generator, so the commutant is spun from the generator along the
 covering-tree words (Lux & Szoke, Exp. Math. 12, 2003): the conditions
 are linear in the n entries of v rather than in all n^2 entries of the
-matrix, and the result is put in the basis that n^2-unknown solve would
-give, so the search sees the same candidates in the same order.  The
-module decomposes exactly when that algebra holds an idempotent other
-than 0 and 1, and any element M that is neither nilpotent nor invertible
-yields a splitting by Fitting's lemma, so the search never needs the
-idempotent itself.  A Fitting certificate's summands are the kernel and
-the image of the stable power M^(2^k), found by squaring until the rank
-stops falling.  linalg.stable_power hands back that power with its
-reduced form: the kernel basis is read off the reduced form, and the
-image basis is the first independent columns of the power.  An
+matrix.  The solve is one spin on kernel rows, raw values over GF(p) and
+integer rows over one denominator over Q.  A basis K of the solutions
+found so far is spun along the words, each non-tree edge's conditions
+are read on K and cut it down, and the last spin holds every solution
+matrix.  Only the final reduction makes Fractions; it puts the result
+in the basis the n^2-unknown solve would give, so the search sees the
+same candidates in the same order.
+
+Because an endomorphism X is fixed by X e_0, EndoAlgebra reads
+coordinates from the first column: a solve of length n over the first
+columns of the basis, then one exact check that the matrix is the
+combination found.  That is exact: two elements with the same first
+column are equal, and a matrix outside the algebra fails the check.
+
+The module decomposes exactly when the algebra holds an idempotent
+other than 0 and 1, and any element M that is neither nilpotent nor
+invertible yields a splitting by Fitting's lemma, so the search never
+needs the idempotent itself.  A Fitting certificate's summands are the
+kernel and the image of the stable power M^(2^k), found by squaring
+until the rank stops falling.  linalg.stable_power hands back that power
+with its reduced form: the kernel basis is read off the reduced form,
+and the image basis is the first independent columns of the power.  An
 invertible candidate is turned down on its rank, before any product.
 
 find_splitting_element runs one search for every field: the
@@ -42,6 +54,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from math import lcm
 from typing import Optional, Sequence
 
 from .fields import FieldScalar
@@ -50,10 +63,17 @@ from .linalg import (
     SpanSolver,
     Vector,
     _addmul,
+    _combine,
     _kernel_from_rref,
+    _lowest_terms,
     _neg,
+    _primitive,
+    _RawVector,
+    _row_times,
+    _rref_ints,
+    _rref_rows,
+    _sum_of_multiples,
     _unbox,
-    _zero,
     column_space_basis,
     kernel_basis,
     rref,
@@ -64,27 +84,37 @@ from .polynomials import factor, min_poly
 
 
 class EndoAlgebra:
-    """The commutant algebra, with coordinates over a fixed matrix basis."""
+    """The commutant algebra, with coordinates over a fixed matrix basis.
 
-    __slots__ = ("field", "module_dim", "basis", "action_mats", "_solver", "_identity_coords")
+    An element is fixed by its leading columns.  In the endomorphism
+    algebra of a cyclic module generated by e_0 the first column is
+    enough, X being fixed by X e_0, so coordinates() solves for the first
+    column over the basis' first columns, a solve of length module_dim,
+    and then checks exactly that the matrix is the combination found.  A
+    basis that its first columns do not tell apart, which no cyclic
+    module has, is read from as many leading columns as it takes.
+    """
+
+    __slots__ = ("field", "module_dim", "basis", "action_mats", "_width", "_solver")
 
     def __init__(self, field, module_dim, basis, action_mats):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "module_dim", module_dim)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "action_mats", tuple(action_mats))
-        solver = SpanSolver(field, module_dim * module_dim)
         for b in self.basis:
             if b.field != field:
                 raise ValueError(f"mixed fields: {b.field} and {field}")
-            if not solver.add(b._flat()):
-                raise ValueError("endomorphism basis is linearly dependent")
+        for width in range(min(1, module_dim), module_dim + 1):
+            solver = SpanSolver(field, width * module_dim)
+            if all(solver.add(_leading_columns(b, width)) for b in self.basis):
+                break
+        else:
+            raise ValueError("endomorphism basis is linearly dependent")
+        object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_solver", solver)
-        ident = DenseMatrix.identity(field, module_dim)
-        coords = solver.coordinates(ident._flat()) if module_dim else ()
-        if coords is None:
+        if not self.contains(self.identity()):
             raise ValueError("identity is outside the proposed endomorphism algebra")
-        object.__setattr__(self, "_identity_coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("EndoAlgebra is immutable")
@@ -96,27 +126,31 @@ class EndoAlgebra:
     def identity(self) -> DenseMatrix:
         return DenseMatrix.identity(self.field, self.module_dim)
 
-    def identity_coords(self) -> Vector:
-        return self._identity_coords
-
     def element(self, coords: Sequence) -> DenseMatrix:
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for a basis of {self.dim}")
         field, n = self.field, self.module_dim
         p = field.characteristic
-        acc = [_zero(p)] * (n * n)
-        for c, b in zip(coords, self.basis):
-            c = field.scalar(c).value
-            if c:
-                acc = _addmul(p, acc, c, b._flat())
-        return DenseMatrix._from_raw(field, [acc[i * n:(i + 1) * n] for i in range(n)], n)
+        raw = [field.scalar(c).value for c in coords]
+        terms = [(c, b._int_form()) for c, b in zip(raw, self.basis) if c]
+        # on kernel rows, c = u / q times A / e adds u (d / (q e)) A over one
+        # denominator d; over GF(p), q = e = d = 1 (an int is its own numerator)
+        d = lcm(*[c.denominator * e for c, (_, e) in terms])
+        acc = [[0] * n for _ in range(n)]
+        for c, (rows, e) in terms:
+            f = c.numerator * (d // (c.denominator * e))
+            acc = [_addmul(p, r, f, s) for r, s in zip(acc, rows)]
+        return DenseMatrix._from_raw(field, acc, n) if p else DenseMatrix._from_ints(field, acc, d, n)
 
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
         if (mat.rows, mat.cols) != (self.module_dim, self.module_dim):
             raise ValueError("matrix shape does not match the module")
         if mat.field != self.field:
             raise ValueError(f"mixed fields: {mat.field} and {self.field}")
-        return self._solver.coordinates(mat._flat())
+        coords = self._solver.coordinates(_leading_columns(mat, self._width))
+        if coords is None or self.element(coords) != mat:
+            return None
+        return coords
 
     def contains(self, mat: DenseMatrix) -> bool:
         return self.coordinates(mat) is not None
@@ -125,58 +159,125 @@ class EndoAlgebra:
         return f"EndoAlgebra(dim={self.dim}, module_dim={self.module_dim}, {self.field})"
 
 
+def _leading_columns(mat: DenseMatrix, width: int) -> _RawVector:
+    """The first width columns of mat, one after the other, as raw values."""
+    return _RawVector([row[c] for c in range(width) for row in mat._raw])
+
+
 def compute_end(m: CyclicModule) -> EndoAlgebra:
-    """Endomorphism algebra of a cyclic module, spun from its generator.
+    """Endomorphism algebra of a cyclic module, as one spin solve on kernel rows.
 
     For the word basis w_0 = (), ..., w_{n-1}, an endomorphism X is fixed
-    by v = X e_0: when w_j = w_p a, X e_j = R_a X e_p, so spinning the
-    identity along the words gives W_j with X e_j = W_j v.  X commutes
-    with R_s exactly when sum_k (R_s)_{kj} W_k v = R_s W_j v for every
-    label s and index j, a system in the n entries of v; a tree edge
-    (w_j s is a basis word) gives an identity and is skipped.  The
-    solutions are returned in the basis the n^2-unknown commutant solve
-    would give: the reduced echelon form of the row-major flattened
-    matrices with pivots at their last nonzero entries.
+    by v = X e_0: when w_j = w_p a, X e_j = R_a X e_p, so spinning v along
+    the words gives X e_j = W_j v, with W_j the product of the R_a along
+    w_j.  X commutes with R_s exactly when
+    (R_s W_j - sum_k (R_s)_{kj} W_k) v = 0 for every label s and index j;
+    a tree edge (w_j s is a basis word) gives an identity and is skipped.
+    The solve spins a basis K of the solutions found so far instead of
+    single vectors, U_j = W_j K, starting from K = I.  Each other edge's
+    conditions on K are then R_s U_j - sum_k (R_s)_{kj} U_k, n rows of
+    length dim K; K shrinks to their kernel and is spun again, which
+    happens only on the edges that cut it.  Everything runs on kernel
+    rows: raw values over GF(p), and over Q integer rows over one
+    denominator for all the U_j, which scales every condition row alike.
+    Once K is the solution space, row i of U_j holds entry (i, j) of X_v
+    for every v in K, so the spin is the matrices themselves.  They are
+    returned in the basis the n^2-unknown commutant solve would give: the
+    reduced echelon form of the row-major flattened matrices with pivots
+    at their last nonzero entries, the one step that makes Fractions.
     """
     field, n = m.field, m.dim
-    index = {w: j for j, w in enumerate(m.basis_words)}
-    spun = []
-    tree_edges = set()
-    for word in m.basis_words:
-        if not word:
-            spun.append(DenseMatrix.identity(field, n))
-            continue
-        parent = index[word[:-1]]
-        spun.append(m.restricted[word[-1]] * spun[parent])
-        tree_edges.add((word[-1], parent))
-    # each condition is n rows: (R_s W_j - sum_k (R_s)_{kj} W_k) v = 0, on raw values
     p = field.characteristic
-    flat_spun = [w._flat() for w in spun]
-    rows = []
+    # each generator as the nonzero (index, value) pairs of its kernel rows, and its denominator
+    gens = {}
     for s in m.action.labels:
-        r = m.restricted[s]
+        a, d = m.restricted[s]._int_form()
+        gens[s] = ([[(l, c) for l, c in enumerate(row) if c] for row in a], d)
+    index = {w: j for j, w in enumerate(m.basis_words)}
+    steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
+    tree_edges = set(steps)
+    cols = [[int(i == t) for i in range(n)] for t in range(n)]
+    spun = _spin(p, gens, steps, cols)
+    for s, (a, _) in gens.items():
+        # column j of R_s, negated: the terms -(R_s)_{kj} U_k
+        columns = [[] for _ in range(n)]
+        for k, terms in enumerate(a):
+            for j, c in terms:
+                columns[j].append((k, _neg(p, c)))
         for j in range(n):
             if (s, j) in tree_edges:
                 continue
-            acc = (r * spun[j])._flat()
-            for k, row in enumerate(r._raw):
-                if row[j]:
-                    acc = _addmul(p, acc, _neg(p, row[j]), flat_spun[k])
-            rows.extend(acc[i * n:(i + 1) * n] for i in range(n))
-    solutions = kernel_basis(DenseMatrix._from_raw(field, rows, n))
-    # X_v = [W_0 v | ... | W_{n-1} v], flattened and reduced from the right
-    flats = []
-    for v in solutions:
-        x = _unbox(field, v)
-        columns = [w._times_col(x) for w in spun]
-        flats.append([a for row in zip(*columns) for a in row][::-1])
-    red = rref(DenseMatrix._from_raw(field, flats, n * n))
-    basis = [
-        DenseMatrix._from_raw(field, [flat[i * n:(i + 1) * n] for i in range(n)], n)
-        for flat in (row[::-1] for row in reversed(red.matrix._raw[:red.rank]))
-    ]
+            u, k, minus = spun[j], len(cols), columns[j]
+            conditions = [
+                _sum_of_multiples(p, [(c, u[l]) for l, c in terms] + [(c, spun[h][i]) for h, c in minus], k)
+                for i, terms in enumerate(a)
+            ]
+            kernel = _kernel_of_rows(p, conditions, k)
+            if kernel is not None:
+                cols = [_row_times(p, x, cols, n) for x in kernel]
+                cols = cols if p else [_primitive(x) for x in cols]
+                spun = _spin(p, gens, steps, cols)
+    # the flats of X_v, reversed for pivots at the last nonzero entries
+    stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
+    flats = [list(f) for f in zip(*stacked)]
+    if p:
+        pivots = _rref_rows(p, flats, n * n)
+    else:
+        flats = [_primitive(f) for f in flats]
+        pivots = _rref_ints(flats, n * n)
+    basis = []
+    for row, c in reversed(list(zip(flats, pivots))):
+        flat = row[::-1]
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        if p:
+            basis.append(DenseMatrix._from_raw(field, rows, n))
+        else:  # the pivot entry is the denominator of the reduced row
+            basis.append(DenseMatrix._from_ints(field, rows, row[c], n))
     labels = m.action.labels
     return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
+
+
+def _spin(p: int, gens: dict, steps: list, cols: list) -> list:
+    """U_j = W_j K as kernel rows on one denominator, for K with the given columns.
+
+    U_0 = K, and U_j = R_a U_i for the step (a, i) that makes word j from word i.
+    """
+    k = len(cols)
+    spun = [([list(r) for r in zip(*cols)], 1)]
+    for s, parent in steps:
+        (a, da), (u, du) = gens[s], spun[parent]
+        rows, d = [_sum_of_multiples(p, [(c, u[l]) for l, c in terms], k) for terms in a], da * du
+        spun.append(_lowest_terms(rows, d) if d > 1 else (rows, d))
+    denom = lcm(*[d for _, d in spun])
+    return [u if d == denom else [[x * (denom // d) for x in r] for r in u] for u, d in spun]
+
+
+def _kernel_of_rows(p: int, rows: list, k: int) -> Optional[list]:
+    """A basis of the vectors of length k on which every row vanishes, as kernel rows.
+
+    It starts from the unit vectors and cuts one dimension off for each
+    row that does not vanish on what is left.  None stands for the unit
+    vectors, when every row vanishes.
+    """
+    basis = transposed = None
+    for x in rows:
+        if not any(x):
+            continue
+        t = x if basis is None else _row_times(p, x, transposed, len(basis))
+        q = next((i for i, y in enumerate(t) if y), None)
+        if q is None:
+            continue
+        if basis is None:
+            basis = [[int(i == j) for i in range(k)] for j in range(k)]
+        # t[q] b - t[i] b_q vanishes on x; over Q it is made primitive
+        tq, bq = t[q], basis[q]
+        basis = [
+            (_combine(b, tq, t[i], bq) if not p else [(tq * u - t[i] * v) % p for u, v in zip(b, bq)])
+            if t[i] else b
+            for i, b in enumerate(basis) if i != q
+        ]
+        transposed = [list(r) for r in zip(*basis)]
+    return basis
 
 
 def certify(m: CyclicModule, config: Optional[SearchConfig] = None) -> Certificate:
@@ -449,18 +550,19 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             raise RuntimeError(f"a summand vector does not have length {e.module_dim}")
         if any(isinstance(x, FieldScalar) and x.field != e.field for v in vectors for x in v):
             raise RuntimeError(f"a summand vector is not over {e.field}")
+        # unboxed once; each generator steps them on raw values
+        raw = [_RawVector(_unbox(e.field, v)) for v in vectors]
         solver = SpanSolver(e.field, e.module_dim)
-        for v in vectors:
-            if not solver.add(v):
+        for x in raw:
+            if not solver.add(x):
                 raise RuntimeError("summand bases are not independent")
-        for part in (left, right):
+        for part in (raw[:len(left)], raw[len(left):]):
             part_solver = SpanSolver(e.field, e.module_dim)
-            for v in part:
-                part_solver.add(v)
+            for x in part:
+                part_solver.add(x)
             for label, s in e.action_mats:
-                for v in part:
-                    if not part_solver.contains(s.apply(v)):
-                        raise RuntimeError(f"summand is not stable under generator {label!r}")
+                if not all(part_solver.contains(_RawVector(s._times_col(x))) for x in part):
+                    raise RuntimeError(f"summand is not stable under generator {label!r}")
     elif cert.verdict == "indecomposable":
         if cert.mode == "dimension-1":
             if e.dim != 1:

@@ -19,7 +19,8 @@ once, checking that each FieldScalar belongs to the kernel's field
 results once.  A matrix stores its rows as raw values, unboxed once
 when it is built; its entries are boxed when they are first read,
 unless it was built from FieldScalars, and a Q matrix keeps its
-integer form once a product or an elimination has needed it.
+integer form once a product, a sum or an elimination has needed it;
+products and sums over Q are built on integer forms and start with one.
 """
 
 from __future__ import annotations
@@ -110,6 +111,14 @@ def _fractions(xs: Sequence, d: int) -> list:
     return [Fraction(a, d) if a else _QZERO for a in xs]
 
 
+def _lowest_terms(rows: list, d: int) -> tuple:
+    """(rows / g, d / g) for integer rows over d, with g the gcd of d and every entry."""
+    g = gcd(d, *[gcd(*r) for r in rows])
+    if g > 1:
+        return [[a // g for a in r] for r in rows], d // g
+    return rows, d
+
+
 def _primitive(xs: list) -> list:
     """An integer row divided by its content; a zero row is returned as it is."""
     g = gcd(*xs)
@@ -182,10 +191,10 @@ class DenseMatrix:
 
     @classmethod
     def _from_ints(cls, field: FieldSpec, rows: list, d: int, cols: int) -> "DenseMatrix":
-        """The Q matrix rows / d from integer rows, which become its integer form."""
-        g = gcd(d, *[gcd(*r) for r in rows])
-        if g > 1:
-            rows, d = [[a // g for a in r] for r in rows], d // g
+        """The Q matrix rows / d from integer rows, which become its integer form; d != 0."""
+        if d < 0:
+            rows, d = [[-a for a in r] for r in rows], -d
+        rows, d = _lowest_terms(rows, d)
         m = cls._from_raw(field, [_fractions(r, d) for r in rows], cols)
         object.__setattr__(m, "_ints", (rows, d))
         return m
@@ -205,7 +214,9 @@ class DenseMatrix:
         return self._entries
 
     def _int_form(self) -> tuple:
-        """(A, D) for a Q matrix, A = D * rows integral; computed on first use."""
+        """(A, D) with A = D * rows: integer rows over Q, computed on first use; over GF(p), (rows, 1)."""
+        if self.field.characteristic:
+            return self._raw, 1
         try:
             return self._ints
         except AttributeError:  # the slot stays empty until a Q kernel call needs it
@@ -258,9 +269,16 @@ class DenseMatrix:
     def _plus(self, other: "DenseMatrix", sign: int) -> "DenseMatrix":
         self._check_same_shape(other)
         p = self.field.characteristic
-        c = sign % p if p else Fraction(sign)
-        raw = [_addmul(p, r, c, s) for r, s in zip(self._raw, other._raw)]
-        return DenseMatrix._from_raw(self.field, raw, self.cols)
+        if p:
+            raw = [_addmul(p, r, sign % p, s) for r, s in zip(self._raw, other._raw)]
+            return DenseMatrix._from_raw(self.field, raw, self.cols)
+        # over Q, on the integer forms, so that the sum keeps one for products and rref
+        a, da = self._int_form()
+        b, db = other._int_form()
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        rows = [[fa * x + fb * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        return DenseMatrix._from_ints(self.field, rows, d, self.cols)
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self._plus(other, 1)
@@ -281,13 +299,11 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.characteristic
-        if p:
-            orows = other._raw
-            raw = [_row_times(p, x, orows, other.cols) for x in self._raw]
-            return DenseMatrix._from_raw(self.field, raw, other.cols)
         a, da = self._int_form()
         b, db = other._int_form()
-        raw = [_row_times(0, x, b, other.cols) for x in a]
+        raw = [_row_times(p, x, b, other.cols) for x in a]
+        if p:
+            return DenseMatrix._from_raw(self.field, raw, other.cols)
         return DenseMatrix._from_ints(self.field, raw, da * db, other.cols)
 
     def scale(self, c) -> "DenseMatrix":
@@ -380,6 +396,21 @@ def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
         if a:
             acc = [s + a * b for s, b in zip(acc, row)]
     # over GF(p), reduce once at the end: the partial sums stay below len(x) * p^2
+    return [s % p for s in acc] if p else acc
+
+
+def _sum_of_multiples(p: int, terms: Sequence, cols: int) -> list:
+    """The sum of c * y over the (c, y) in terms, as _row_times does for a sparse x.
+
+    The terms are the nonzero (x_i, row_i) only, so a long, mostly zero x
+    costs nothing for its zeros.
+    """
+    if not terms:
+        return [0] * cols
+    c, y = terms[0]
+    acc = [c * b for b in y]
+    for c, y in terms[1:]:
+        acc = [s + c * b for s, b in zip(acc, y)]
     return [s % p for s in acc] if p else acc
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from cyclomod.endo import (
     find_splitting_element,
     verify_certificate,
 )
-from cyclomod.perms import permutation_module
+from cyclomod.perms import left_translation_action, permutation_module, symmetric_group
 from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
@@ -31,6 +32,7 @@ from fixtures import (
     quaternion_module,
     unimodular_pair,
     s3_anf_action,
+    s3_regular_action,
     swap_invariant_module,
     s3_natural_action,
     G,
@@ -636,6 +638,27 @@ def _random_modules(rng, field, count):
     return out
 
 
+def _fractional_modules(rng, count):
+    """Q modules of dimension up to 8 from generators with entries such as -1/2, 1/3 and 3/2."""
+    entries = [Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 1, -1, 2]
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 8)
+        gens = [
+            (label, [[rng.choice(entries) if rng.random() < 0.35 else 0 for _ in range(n)]
+                     for _ in range(n)])
+            for label in ("u", "v")[:rng.randint(1, 2)]
+        ]
+        m = orbit_basis(AlgebraAction(QQ, gens), [rng.choice(entries) for _ in range(n)])
+        if m.dim > 0:
+            out.append(m)
+    return out
+
+
+def _has_denominators(m):
+    return any(x.value.denominator > 1 for s in m.action.labels for row in m.restricted[s].entries for x in row)
+
+
 def test_spun_commutant_equals_general_solve():
     rng = random.Random(2004)
     modules = [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 15)]
@@ -643,9 +666,64 @@ def test_spun_commutant_equals_general_solve():
         m = orbit_basis(AlgebraAction(field, gens), g)
         # the leaves are generated by projected generators
         modules += [m, *complete_decomposition(m).summands]
+    # restricted matrices with denominators: the Q spin runs on integer rows over one denominator
+    fractional = _fractional_modules(rng, 20)
+    elements = symmetric_group(4)
+    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    g = [0] * 24
+    g[elements.index((0, 1, 2, 3))], g[elements.index((1, 0, 2, 3))] = 1, -1
+    top = permutation_module(s4, g)
+    leaves = complete_decomposition(top).summands
+    assert sorted(leaf.dim for leaf in leaves) == [1, 2, 3, 3, 3]
+    assert sum(map(_has_denominators, fractional)) >= 10
+    modules += [*fractional, top, *leaves]
     for m in modules:
         expected = commutant_basis(m.field, m.dim, [m.restricted[s] for s in m.action.labels])
         assert list(compute_end(m).basis) == expected
+
+
+def _off_first_column(mat):
+    """mat with 1 added at (0, 1): the same first column, so an element of E becomes a non-element."""
+    field, n = mat.field, mat.rows
+    bump = DenseMatrix(field, [[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+    return mat + bump
+
+
+def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
+    # an element of E is fixed by its first column, so coordinates() solves
+    # on that column alone; the exact check must turn away a matrix that
+    # agrees with an element there and nowhere else
+    rng = random.Random(12)
+    modules = [orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0)), swap_invariant_module()]
+    modules += [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 6) if m.dim >= 2]
+    modules += [m for m in _fractional_modules(rng, 4) if m.dim >= 2]
+    for m in modules:
+        e = compute_end(m)
+        coords = [rng.randint(-2, 2) for _ in range(e.dim)]
+        x = e.element(coords)
+        assert e.coordinates(x) == tuple(m.field.scalar(c) for c in coords)
+        forged = _off_first_column(x)
+        assert forged.column(0) == x.column(0)
+        assert e.coordinates(forged) is None
+        assert not e.contains(forged)
+
+
+def test_verify_certificate_rejects_elements_that_only_agree_in_the_first_column():
+    # field-generated: the rotation module, E = Q[i]
+    e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    forged = dataclasses.replace(cert, element=_off_first_column(cert.element))
+    with pytest.raises(RuntimeError, match="field-generated element is not in the endomorphism"):
+        verify_certificate(e, forged)
+    # local: a conjugated Jordan block, in the element and in the radical
+    e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    verify_certificate(e, cert)
+    _local_forgery(e, cert, "local element is not in", element=_off_first_column(cert.element))
+    radical = (_off_first_column(cert.radical[0]),) + tuple(cert.radical[1:])
+    _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=radical)
 
 
 def test_radical_semisimple_is_zero():
@@ -667,7 +745,7 @@ def test_radical_of_jordan_commutant():
 def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
     e = compute_end(orbit_basis(s3_natural_action(), (1, 0, 0)))
     # a trace-form kernel that wrongly held the identity
-    monkeypatch.setattr(oracles, "kernel_basis", lambda gram: [e.identity_coords()])
+    monkeypatch.setattr(oracles, "kernel_basis", lambda gram: [e.coordinates(e.identity())])
     with pytest.raises(RuntimeError, match="radical candidate is not nilpotent"):
         radical_char0(e)
 
@@ -680,7 +758,7 @@ def test_radical_needs_char0():
 
 def test_left_mult_matrix_of_identity():
     e = compute_end(swap_invariant_module())
-    ident_coords = e.identity_coords()
+    ident_coords = e.coordinates(e.identity())
     # left multiplication by the identity element is the identity map
     acc = DenseMatrix.zeros(e.field, e.dim, e.dim)
     for c, i in zip(ident_coords, range(e.dim)):
