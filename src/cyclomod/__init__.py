@@ -54,7 +54,6 @@ from .polynomials import (
     factor,
     factor_gfp,
     factor_q,
-    min_poly,
     poly_gcd,
     squarefree_decomposition,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "factor",
     "factor_gfp",
     "factor_q",
-    "min_poly",
     "poly_gcd",
     "squarefree_decomposition",
     "PrefixBasis",

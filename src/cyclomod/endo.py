@@ -14,11 +14,12 @@ matrix.  Only the final reduction makes Fractions; it puts the result
 in the basis the n^2-unknown solve would give, so the search sees the
 same candidates in the same order.
 
-Because an endomorphism X is fixed by X e_0, EndoAlgebra reads
-coordinates from the first column: a solve of length n over the first
-columns of the basis, then one exact check that the matrix is the
-combination found.  That is exact: two elements with the same first
-column are equal, and a matrix outside the algebra fails the check.
+An element X of E is fixed by its first column X e_0, and all work
+after compute_end is on that column: EndoAlgebra's coordinates (with one
+exact check of the whole matrix), the span and products of the ideal J,
+and the minimal polynomial of x modulo J, the first dependence among
+e_0, x e_0, x^2 e_0, ... modulo J e_0.  A column step is exact only for
+a matrix in E, so the verifier checks membership first.
 
 The module decomposes exactly when the algebra holds an idempotent
 other than 0 and 1, and any element M that is neither nilpotent nor
@@ -38,9 +39,9 @@ once.  Two coprime factors split the module along their kernels.  A
 power f^k with k > 1 makes f(x) nilpotent, and f(x) joins a two-sided
 ideal J, closed under multiplication by the basis.  Once some
 candidate's f has degree dim E - dim J and J is nilpotent (checked on
-J V, J J V, ... by matrix-vector products), E/J is a field generated by
-x: the minimal polynomial of x modulo J divides f^k and has degree at
-most dim E/J = deg f, so it is f.  Then E is local and the module
+J e_0, J^2 e_0, ...), E/J is a field generated by x: the minimal
+polynomial of x modulo J divides f^k and has degree at most
+dim E/J = deg f, so it is f.  Then E is local and the module
 indecomposable ("field-generated" when J = 0, "local" otherwise, with
 the identity as x when dim E/J = 1).  No Fitting element exists in a
 local algebra with J != 0: every element is a unit or nilpotent, and
@@ -57,7 +58,6 @@ from dataclasses import dataclass, field as dc_field
 from math import lcm
 from typing import Optional, Sequence
 
-from .fields import FieldScalar
 from .linalg import (
     DenseMatrix,
     SpanSolver,
@@ -80,22 +80,19 @@ from .linalg import (
     stable_power,
 )
 from .modules import CyclicModule
-from .polynomials import factor, min_poly
+from .polynomials import Polynomial, factor
 
 
 class EndoAlgebra:
     """The commutant algebra, with coordinates over a fixed matrix basis.
 
-    An element is fixed by its leading columns.  In the endomorphism
-    algebra of a cyclic module generated by e_0 the first column is
-    enough, X being fixed by X e_0, so coordinates() solves for the first
-    column over the basis' first columns, a solve of length module_dim,
-    and then checks exactly that the matrix is the combination found.  A
-    basis that its first columns do not tell apart, which no cyclic
-    module has, is read from as many leading columns as it takes.
+    An element X is fixed by its first column X e_0, so coordinates()
+    solves for it over the basis' first columns, a solve of length
+    module_dim, then checks exactly that the matrix is the combination
+    found.  A basis with dependent first columns is turned down.
     """
 
-    __slots__ = ("field", "module_dim", "basis", "action_mats", "_width", "_solver")
+    __slots__ = ("field", "module_dim", "basis", "action_mats", "_solver")
 
     def __init__(self, field, module_dim, basis, action_mats):
         object.__setattr__(self, "field", field)
@@ -105,13 +102,9 @@ class EndoAlgebra:
         for b in self.basis:
             if b.field != field:
                 raise ValueError(f"mixed fields: {b.field} and {field}")
-        for width in range(min(1, module_dim), module_dim + 1):
-            solver = SpanSolver(field, width * module_dim)
-            if all(solver.add(_leading_columns(b, width)) for b in self.basis):
-                break
-        else:
-            raise ValueError("endomorphism basis is linearly dependent")
-        object.__setattr__(self, "_width", width)
+        solver = SpanSolver(field, module_dim)
+        if not all(solver.add(_first_column(b)) for b in self.basis):
+            raise ValueError("the first columns of the endomorphism basis are linearly dependent")
         object.__setattr__(self, "_solver", solver)
         if not self.contains(self.identity()):
             raise ValueError("identity is outside the proposed endomorphism algebra")
@@ -147,7 +140,7 @@ class EndoAlgebra:
             raise ValueError("matrix shape does not match the module")
         if mat.field != self.field:
             raise ValueError(f"mixed fields: {mat.field} and {self.field}")
-        coords = self._solver.coordinates(_leading_columns(mat, self._width))
+        coords = self._solver.coordinates(_first_column(mat))
         if coords is None or self.element(coords) != mat:
             return None
         return coords
@@ -159,9 +152,14 @@ class EndoAlgebra:
         return f"EndoAlgebra(dim={self.dim}, module_dim={self.module_dim}, {self.field})"
 
 
-def _leading_columns(mat: DenseMatrix, width: int) -> _RawVector:
-    """The first width columns of mat, one after the other, as raw values."""
-    return _RawVector([row[c] for c in range(width) for row in mat._raw])
+def _first_column(mat: DenseMatrix) -> _RawVector:
+    """X e_0 as raw values: for X in E, the vector that fixes X."""
+    return _RawVector([row[0] for row in mat._raw])
+
+
+def _image(mat: DenseMatrix, x: _RawVector) -> _RawVector:
+    """mat times the raw column x, as raw values."""
+    return _RawVector(mat._times_col(x))
 
 
 def compute_end(m: CyclicModule) -> EndoAlgebra:
@@ -377,39 +375,66 @@ def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict,
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
-    """Add z to the two-sided ideal with basis `ideal` (spanned in `span`), closing it again."""
+    """Add z to the two-sided ideal with basis `ideal` (first columns in `span`), closing it again.
+
+    A product in E is fixed by its first column, b (y e_0) or y (b e_0),
+    so only the products that join J are formed.
+    """
     ident = e.identity()
-    others = [b for b in e.basis if b != ident]
-    queue = [z] if span.add(z._flat()) else []
+    others = [(b, _first_column(b)) for b in e.basis if b != ident]
+    queue = [z] if span.add(_first_column(z)) else []
     ideal.extend(queue)
     while queue:
         y = queue.pop()
-        for b in others:
-            for prod in (b * y, y * b):
-                if span.add(prod._flat()):
+        y0 = _first_column(y)
+        for b, b0 in others:
+            for left, right, col in ((b, y, _image(b, y0)), (y, b, _image(y, b0))):
+                if span.add(col):
+                    prod = left * right
                     ideal.append(prod)
                     queue.append(prod)
 
 
 def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
-    """Whether J^k V = 0 for some k <= module_dim, for J = span(ideal) with J J inside J.
+    """Whether J^k = 0 for some k, for J = span(ideal) inside E with J J inside J.
 
-    J V, J J V, ... come from matrix-vector products, reduced by one rref
-    per step.  Each space lies in the one before, so the chain falls to 0 within module_dim steps or
-    stops at a nonzero space.  E acts faithfully on V, so J^k V = 0
-    exactly when J^k = 0.
+    An element of E is fixed by its first column, so J^k = 0 exactly when
+    J^k e_0 = 0.  The chain J e_0, J^2 e_0, ... comes from matrix-vector
+    products j w, for j in the ideal and w in a basis of the step before,
+    reduced by one rref per step.  Each space lies in the one before, so
+    the chain falls to 0 or stops at a nonzero space.
     """
-    field, n = e.field, e.module_dim
-    # a raw row v times j^T is (j v)^T
+    # a raw row w times j^T is (j w)^T
     transposed = [j.transpose() for j in ideal]
-    space = DenseMatrix.identity(field, n)._raw
-    for _ in range(n):
-        images = [t._times_row(v) for t in transposed for v in space]
-        step = rref(DenseMatrix._from_raw(field, images, n))
-        if step.rank in (0, len(space)):
-            return not step.rank
+    space = [_first_column(j) for j in ideal]
+    while space:
+        images = [t._times_row(w) for t in transposed for w in space]
+        step = rref(DenseMatrix._from_raw(e.field, images, e.module_dim))
+        if step.rank >= len(space):
+            return False
         space = step.matrix._raw[:step.rank]
-    return False
+    return True
+
+
+def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
+    """Minimal polynomial of x in E modulo the span J of the independent matrices `ideal` in E.
+
+    f(x) lies in J exactly when f(x) e_0 lies in J e_0, so it is the first
+    dependence among e_0, x e_0, x^2 e_0, ... modulo J e_0; n + 1 vectors suffice.
+    """
+    field, n = x.field, x.rows
+    p = field.characteristic
+    solver = SpanSolver(field, n)
+    for j in ideal:
+        solver.add(_first_column(j))
+    v = _first_column(DenseMatrix.identity(field, n))
+    for _ in range(n + 1):
+        coords = solver._place(v)
+        if coords is not None:
+            coeffs = [_neg(p, c) for c in coords[len(ideal):]]
+            return Polynomial._from_raw(field, coeffs + [field.one().value])
+        v = _image(x, v)
+    raise RuntimeError("no dependence among the first columns of the powers")
 
 
 def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None) -> Certificate:
@@ -432,7 +457,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
 
     # one candidate loop for every field: factor each minimal polynomial once;
     # a power f^k with k > 1 puts the nilpotent f(x) into the ideal J
-    ideal, span = [], SpanSolver(e.field, e.module_dim * e.module_dim)
+    ideal, span = [], SpanSolver(e.field, e.module_dim)
     nilpotent = True            # of J; None once J has grown and is not checked yet
     best, best_degree = e.identity(), 1
     tried = 0
@@ -440,7 +465,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         if mat.is_zero():
             continue
         tried += 1
-        mp = min_poly(mat)
+        mp = _min_poly(mat)
         factors = factor(mp)
         diag = dict(
             diagnostics,
@@ -481,7 +506,7 @@ def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequenc
     That polynomial has degree at most dim E/J, so one factor of degree
     dim E/J can only occur once.
     """
-    factors = factor(min_poly(mat, radical))
+    factors = factor(_min_poly(mat, radical))
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
 
 
@@ -498,24 +523,28 @@ def _check_local(e: EndoAlgebra, cert: Certificate):
 
     Then J is the radical and E is local, so the module is indecomposable.
     Nothing about how J was found is trusted, and no step depends on the field.
+    Once J is checked to lie in E, b j and j b are in J exactly when
+    b (j e_0) and j (b e_0) are in J e_0.
     """
     radical = cert.radical
     if not isinstance(radical, (tuple, list)) or not radical:
         raise RuntimeError("local certificate is missing its radical")
     _check_element(e, cert.element)
-    span = SpanSolver(e.field, e.module_dim * e.module_dim)
+    span, firsts = SpanSolver(e.field, e.module_dim), []
     for j in radical:
         _check_element(e, j, "radical matrix")
         if not e.contains(j):
             raise RuntimeError("radical matrix is not in the endomorphism algebra")
-        if not span.add(j._flat()):
+        firsts.append(_first_column(j))
+        if not span.add(firsts[-1]):
             raise RuntimeError("radical matrices are linearly dependent")
     ident = e.identity()
     for b in e.basis:
         if b == ident:
             continue
-        for j in radical:
-            if not (span.contains((b * j)._flat()) and span.contains((j * b)._flat())):
+        b0 = _first_column(b)
+        for j, j0 in zip(radical, firsts):
+            if not (span.contains(_image(b, j0)) and span.contains(_image(j, b0))):
                 raise RuntimeError("radical span is not a two-sided ideal")
     if not _nilpotent_span(e, radical):
         raise RuntimeError("radical span is not nilpotent")
@@ -548,10 +577,11 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
         vectors = list(left) + list(right)
         if any(len(v) != e.module_dim for v in vectors):
             raise RuntimeError(f"a summand vector does not have length {e.module_dim}")
-        if any(isinstance(x, FieldScalar) and x.field != e.field for v in vectors for x in v):
-            raise RuntimeError(f"a summand vector is not over {e.field}")
         # unboxed once; each generator steps them on raw values
-        raw = [_RawVector(_unbox(e.field, v)) for v in vectors]
+        try:
+            raw = [_RawVector(_unbox(e.field, v)) for v in vectors]
+        except (TypeError, ValueError):
+            raise RuntimeError(f"a summand vector is not over {e.field}") from None
         solver = SpanSolver(e.field, e.module_dim)
         for x in raw:
             if not solver.add(x):

@@ -364,10 +364,6 @@ class DenseMatrix:
     def flatten(self) -> Vector:
         return tuple(a for row in self.entries for a in row)
 
-    def _flat(self) -> _RawVector:
-        """The row-major raw entries, for a SpanSolver of length rows * cols."""
-        return _RawVector([a for row in self._raw for a in row])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented

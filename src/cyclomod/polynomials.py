@@ -36,7 +36,6 @@ from math import gcd as int_gcd, isqrt
 from .fields import FieldScalar, FieldSpec, QQ, _is_prime, gf
 from .linalg import (
     DenseMatrix,
-    SpanSolver,
     _addmul,
     _box,
     _inv,
@@ -602,28 +601,3 @@ def factor(f: Polynomial) -> list:
     if f.field.characteristic == 0:
         return factor_q(f)
     return factor_gfp(f)
-
-
-def min_poly(m: DenseMatrix, modulo=()) -> Polynomial:
-    """Minimal polynomial of m modulo the span of the independent matrices `modulo`.
-
-    It is the first dependence among I, m, m^2, ... modulo that span.
-    With `modulo` empty it is the plain minimal polynomial; otherwise it
-    divides the plain one, so n + 1 powers always suffice.
-    """
-    if not m.is_square:
-        raise ValueError("minimal polynomial of a non-square matrix")
-    field = m.field
-    n = m.rows
-    solver = SpanSolver(field, n * n)
-    for j in modulo:
-        solver.add(j._flat())
-    p = field.characteristic
-    power = DenseMatrix.identity(field, n)
-    for _ in range(n + 1):
-        coords = solver._place(power._flat())
-        if coords is not None:
-            coeffs = [_neg(p, c) for c in coords[len(modulo):]]
-            return Polynomial._from_raw(field, coeffs + [field.one().value])
-        power = power * m
-    raise RuntimeError("no dependence among matrix powers up to the dimension")

@@ -1,12 +1,15 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but plain_power, span_equal, commutant_basis, the
+Everything here but plain_power, span_equal, min_poly, commutant_basis, the
 algebra references and the boxed kernel works on raw Python values
 (ints mod p, Fractions, int bitmasks over GF(2)) and reimplements the
 math naively, so that a bug in the library's linear algebra cannot hide
 inside its own oracle.
 plain_power (m^k by k products) and span_equal compare the library's
-matrices and spans against its stable powers and kernels.
+matrices and spans against its stable powers and kernels.  min_poly is
+the minimal polynomial, modulo a span of matrices, as the first
+dependence among the flattened powers I, m, m^2, ...: the reference for
+endo's first-column minimal polynomial of an element of E modulo J.
 commutant_basis is the general n^2-unknown commutant solve on the
 library's matrices: the reference the spun endo.compute_end must match
 basis for basis.  The algebra references (enumerate_idempotents,
@@ -30,6 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis
+from cyclomod.polynomials import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def count_idempotents_brute(p, basis_matrices):
 
 
 # ---------------------------------------------------------------------------
-# library matrices: plain powers and span comparison
+# library matrices: plain powers, span comparison, minimal polynomials
 
 
 def plain_power(m, k):
@@ -402,6 +406,30 @@ def span_equal(field, us, vs, length):
     if a.rank != b.rank:
         return False
     return all(a.contains(v) for v in b.basis_rows()) and all(b.contains(u) for u in a.basis_rows())
+
+
+def min_poly(m, modulo=()):
+    """Minimal polynomial of m modulo the span of the independent matrices `modulo`.
+
+    It is the first dependence among the flattened I, m, m^2, ... modulo
+    that span, n^2 entries each.  With `modulo` empty it is the plain
+    minimal polynomial; otherwise it divides the plain one, so n + 1
+    powers always suffice.
+    """
+    if not m.is_square:
+        raise ValueError("minimal polynomial of a non-square matrix")
+    field, n = m.field, m.rows
+    solver = SpanSolver(field, n * n)
+    for j in modulo:
+        solver.add(j.flatten())
+    power = DenseMatrix.identity(field, n)
+    for _ in range(n + 1):
+        coords = solver.coordinates(power.flatten())
+        if coords is not None:
+            return Polynomial(field, [-c for c in coords[len(modulo):]] + [field.one()])
+        solver.add(power.flatten())
+        power = power * m
+    raise RuntimeError("no dependence among matrix powers up to the dimension")
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,39 @@ def test_enumerate_idempotents_swap_module():
     assert count_idempotents_brute(2, raw_basis) == 4
 
 
+def _left_multiplication(a):
+    """X -> A X on 2x2 matrices X, in the coordinates X_00, X_01, X_10, X_11."""
+    return [[a[i][k] if j == l else 0 for k in range(2) for l in range(2)] for i in range(2) for j in range(2)]
+
+
 def test_enumerate_idempotents_full_matrix_algebra():
-    basis = commutant_basis(GF2, 2, [DenseMatrix.identity(GF2, 2)])
-    e = EndoAlgebra(GF2, 2, basis, (("u", DenseMatrix.identity(GF2, 2)),))
+    # the left regular module of M_2(GF(2)), generated by the identity:
+    # the swap and E_11 generate M_2, and End is M_2 acting on the right
+    swap, e11 = [[0, 1], [1, 0]], [[1, 0], [0, 0]]
+    action = AlgebraAction(GF2, [("swap", _left_multiplication(swap)), ("e11", _left_multiplication(e11))])
+    m = orbit_basis(action, (1, 0, 0, 1))
+    assert m.dim == 4
+    e = compute_end(m)
     assert e.dim == 4
     idems = enumerate_idempotents(e)
     assert len(idems) == 8
     with pytest.raises(ValueError):
         enumerate_idempotents(e, cap=8)
+    report = complete_decomposition(m)
+    assert report.signature == (2, 2)
+    check_report(report)
     rational = EndoAlgebra(QQ, 1, [DenseMatrix.identity(QQ, 1)], (("u", DenseMatrix.identity(QQ, 1)),))
     with pytest.raises(ValueError):
         enumerate_idempotents(rational)
+
+
+def test_endo_algebra_rejects_a_basis_with_dependent_first_columns():
+    # all of M_2(GF(2)) commutes with the identity, but E_01 and E_11 have
+    # zero first columns: no cyclic module generated by e_0 has this algebra
+    basis = commutant_basis(GF2, 2, [DenseMatrix.identity(GF2, 2)])
+    assert len(basis) == 4
+    with pytest.raises(ValueError, match="first columns .* linearly dependent"):
+        EndoAlgebra(GF2, 2, basis, (("u", DenseMatrix.identity(GF2, 2)),))
 
 
 def test_zero_module_report():

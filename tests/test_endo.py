@@ -18,6 +18,9 @@ from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
+    _min_poly,
+    _random_candidates,
+    _scan_candidates,
     _try_fitting,
     compute_end,
     find_splitting_element,
@@ -603,6 +606,11 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     foreign = (tuple(gf(3).scalar(x.value) for x in left[0]),) + tuple(left[1:])
     with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
         verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right), {}))
+    # entries that are no value of the field at all
+    for bad in (Fraction(1, 2), 0.5, None, "x"):
+        odd = ((bad,) + tuple(left[0][1:]),) + tuple(left[1:])
+        with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
+            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, right), {}))
     with pytest.raises(RuntimeError, match="3 summands"):
         verify_certificate(
             e, Certificate("decomposable", cert.mode, cert.element, (left, right, right), {})
@@ -724,6 +732,40 @@ def test_verify_certificate_rejects_elements_that_only_agree_in_the_first_column
     _local_forgery(e, cert, "local element is not in", element=_off_first_column(cert.element))
     radical = (_off_first_column(cert.radical[0]),) + tuple(cert.radical[1:])
     _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=radical)
+
+
+def test_first_column_min_poly_equals_the_matrix_power_oracle():
+    # an element of E is fixed by its first column, so the first dependence
+    # among e_0, x e_0, x^2 e_0, ... is the dependence among I, x, x^2, ...
+    rng = random.Random(13)
+    modules = [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 20)]
+    modules += _fractional_modules(rng, 10)
+    modules.append(orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0)))
+    checked = 0
+    for m in modules:
+        e = compute_end(m)
+        elements = list(_scan_candidates(e)) + list(_random_candidates(e, SearchConfig(random_trials=4)))
+        for x in elements:
+            assert _min_poly(x) == oracles.min_poly(x)
+            checked += 1
+    assert checked >= 400
+
+
+def test_first_column_min_poly_modulo_every_local_radical():
+    # modulo J, f(x) lies in J exactly when f(x) e_0 lies in J e_0
+    leaves = [conjugated_jordan_module(QQ, d, seed=d) for d in range(2, 7)]
+    leaves += [conjugated_jordan_module(GF2, d, seed=d) for d in range(2, 9)]
+    leaves += [conjugated_jordan_module(gf(3), d, seed=d) for d in range(2, 7)]
+    leaves.append(rotation_block_module())
+    boolean = complete_decomposition(decompose_boolean(parse_anf(SPLIT_4_6, 5)).module)
+    assert [c.mode for c in boolean.certificates].count("local") == 1
+    leaves += [leaf for leaf, c in zip(boolean.summands, boolean.certificates) if c.mode == "local"]
+    for m in leaves:
+        e = compute_end(m)
+        cert = find_splitting_element(e)
+        assert cert.mode == "local"
+        for x in [cert.element, *_scan_candidates(e)]:
+            assert _min_poly(x, cert.radical) == oracles.min_poly(x, cert.radical)
 
 
 def test_radical_semisimple_is_zero():

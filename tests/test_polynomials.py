@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, squarefree split, factorization, minimal polynomials."""
+"""Polynomial arithmetic, squarefree split, factorization, and the minimal-polynomial oracle."""
 
 import itertools
 import random
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import min_poly
 from cyclomod import polynomials
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import DenseMatrix
@@ -18,7 +19,6 @@ from cyclomod.polynomials import (
     factor,
     factor_gfp,
     factor_q,
-    min_poly,
     poly_gcd,
     squarefree_decomposition,
 )
