@@ -12,21 +12,29 @@ Q, elimination and products run on integer rows inside the kernel: a
 row's denominators are cleared once, rows are combined fraction-free
 as a*row - c*pivot_row and divided by their content (Bareiss, Math.
 Comp. 22, 1968), and one Fraction per nonzero entry is made on the way
-out.  Reduced echelon forms and coordinates are unique, so they are the
-ones Fraction arithmetic gives.  A call unboxes its vector arguments
-once, checking that each FieldScalar belongs to the kernel's field
-(plain ints are coerced as FieldSpec.scalar does), and boxes its
-results once.  A matrix stores its rows as raw values, unboxed once
-when it is built; its entries are boxed when they are first read,
-unless it was built from FieldScalars, and a Q matrix keeps its
-integer form once a product, a sum or an elimination has needed it;
-products and sums over Q are built on integer forms and start with one.
+out.  Over GF(2) the kernel packs a row into one int, entry j in byte
+j, so a row sum is a XOR and a matrix-vector product is the XOR of the
+packed rows or columns that the vector selects; a matrix packs its rows
+and its columns once, when a product first needs them.  No packed int
+leaves this module.  Reduced echelon forms and coordinates are unique,
+so they are the ones Fraction or list arithmetic gives.  A call unboxes
+its vector arguments once, checking that each FieldScalar belongs to
+the kernel's field (plain ints are coerced as FieldSpec.scalar does),
+and boxes its results once.  A matrix stores its rows as raw values,
+unboxed once when it is built; its entries are boxed when they are
+first read, unless it was built from FieldScalars, and a Q matrix keeps
+its integer form once a product, a sum or an elimination has needed
+it; products and sums over Q are built on integer forms and start with
+one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import gcd, lcm
+from operator import xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import FieldScalar, FieldSpec
@@ -90,6 +98,8 @@ def _scale(p: int, c, x: Sequence) -> list:
 
 def _dot(p: int, x: Sequence, y: Sequence):
     """The dot product of two raw vectors of one length, as a raw value."""
+    if p == 2:
+        return (_pack(x) & _pack(y)).bit_count() & 1
     if p:
         return sum([a * b for a, b in zip(x, y) if a]) % p
     (x, y), d = _clear_denominators([x, y])
@@ -123,6 +133,25 @@ def _primitive(xs: list) -> list:
     """An integer row divided by its content; a zero row is returned as it is."""
     g = gcd(*xs)
     return [a // g for a in xs] if g > 1 else xs
+
+
+def _pack(xs: Sequence) -> int:
+    """A raw GF(2) vector as one int, entry j in byte j; a row sum is then a XOR.
+
+    A byte per entry, not a bit, because bytes() packs and to_bytes
+    unpacks in C, where packing bits would take a Python loop.
+    """
+    return int.from_bytes(bytes(xs), "little")
+
+
+def _unpack(x: int, n: int) -> list:
+    """The raw GF(2) vector of length n packed in x."""
+    return list(x.to_bytes(n, "little"))
+
+
+def _xor_of(packed: list, x: Sequence, n: int) -> list:
+    """The sum of the packed GF(2) vectors of length n where x is 1, unpacked: x times their matrix."""
+    return _unpack(reduce(xor, compress(packed, x), 0), n)
 
 
 class _RawVector(list):
@@ -163,7 +192,7 @@ def _box(field: FieldSpec, raw: Iterable) -> Vector:
 class DenseMatrix:
     """Immutable exact matrix with entries in one field."""
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_ints")
+    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_ints", "_packed_rows", "_packed_cols")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], cols: int | None = None):
         rows = [tuple(row) for row in entries]
@@ -222,6 +251,16 @@ class DenseMatrix:
         except AttributeError:  # the slot stays empty until a Q kernel call needs it
             object.__setattr__(self, "_ints", _clear_denominators(self._raw))
             return self._ints
+
+    def _packed(self, columns: bool) -> list:
+        """The GF(2) rows, or columns, packed into ints, computed on first use."""
+        slot = "_packed_cols" if columns else "_packed_rows"
+        try:
+            return getattr(self, slot)
+        except AttributeError:  # the slot stays empty until a GF(2) product needs it
+            lines = zip(*self._raw) if columns else self._raw
+            object.__setattr__(self, slot, [_pack(r) for r in lines])
+            return getattr(self, slot)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -299,6 +338,8 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.characteristic
+        if p == 2:
+            return DenseMatrix._from_raw(self.field, [other._times_row(x) for x in self._raw], other.cols)
         a, da = self._int_form()
         b, db = other._int_form()
         raw = [_row_times(p, x, b, other.cols) for x in a]
@@ -321,6 +362,8 @@ class DenseMatrix:
     def _times_col(self, x: list) -> list:
         """The matrix times the raw column vector x, as raw values; zero entries of x are skipped."""
         p = self.field.characteristic
+        if p == 2:
+            return _xor_of(self._packed(True), x, self.rows)
         if p:
             rows = self._raw
         else:
@@ -339,6 +382,8 @@ class DenseMatrix:
     def _times_row(self, x: list) -> list:
         """The raw row vector x times the matrix, as raw values; zero entries of x are skipped."""
         p = self.field.characteristic
+        if p == 2:
+            return _xor_of(self._packed(False), x, self.cols)
         if p:
             return _row_times(p, x, self._raw, self.cols)
         (x,), dx = _clear_denominators([x])
@@ -449,6 +494,17 @@ def _combine(x: list, a: int, c: int, y: list) -> list:
 
 def _rref_rows(p: int, rows: list, ncols: int) -> list:
     """Reduce a list of raw GF(p) rows to reduced echelon form in place; returns the pivots."""
+    if p == 2:
+        # row by row on packed rows; the reduced echelon form is unique, so
+        # it is the one the column-by-column elimination below gives
+        kept, mask = {}, 0
+        for x in map(_pack, rows):
+            x = _xor_reduce(kept, mask, x)
+            if x:
+                mask |= _xor_insert(kept, x)
+        order = sorted(kept)
+        rows[:] = [_unpack(kept[b], ncols) for b in order] + [[0] * ncols for _ in range(len(rows) - len(kept))]
+        return [(b.bit_length() - 1) >> 3 for b in order]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -466,6 +522,31 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _xor_reduce(kept: dict, mask: int, x: int) -> int:
+    """The packed GF(2) row x reduced against kept, a dict pivot bit -> row.
+
+    The pivot of a kept row is its lowest set bit, mask holds every pivot
+    bit, and the rows are zero at each other's pivots, so the pivot bits
+    x holds name at once the rows to add.
+    """
+    hits = x & mask
+    while hits:
+        low = hits & -hits
+        x ^= kept[low]
+        hits ^= low
+    return x
+
+
+def _xor_insert(kept: dict, x: int) -> int:
+    """Keep the nonzero reduced row x and clear its pivot bit from the other kept rows; returns that bit."""
+    low = x & -x
+    for b, y in kept.items():
+        if y & low:
+            kept[b] = y ^ x
+    kept[low] = x
+    return low
 
 
 def _rref_ints(rows: list, ncols: int) -> list:
@@ -536,18 +617,23 @@ class SpanSolver:
     the span as a combination of the inserted ones.  Rows are kept fully
     reduced, so the internal basis is canonical for a given insertion
     order.  Over GF(p) rows and combinations are raw values, each row
-    with a 1 at its pivot.  Over Q a row is a primitive integer
-    multiple of the reduced one, and its combination is in the same
-    scale: row_i = sum_k combo_i[k] * (k-th inserted vector).
+    with a 1 at its pivot.  Over GF(2) a row and its combination are one
+    packed int, the combination in the bytes above the first length,
+    and the rows are a dict from each row's pivot, its lowest set bit,
+    to the row.  Over Q a row is a primitive integer multiple of the
+    reduced one, and its combination is in the same scale:
+    row_i = sum_k combo_i[k] * (k-th inserted vector).
     """
 
     def __init__(self, field: FieldSpec, length: int):
         self.field = field
         self.length = length
         self._p = field.characteristic
-        self._rows = []  # reduced rows, one pivot each
+        self._rows = {} if self._p == 2 else []  # reduced rows, one pivot each
         self._pivots = []
         self._combos = []  # row i as a combination of inserted vectors
+        self._mask = 0  # over GF(2): every pivot bit
+        self._vector_bits = (1 << 8 * length) - 1  # over GF(2): the bytes of a vector
         self.count = 0
 
     @property
@@ -558,13 +644,18 @@ class SpanSolver:
         """(residual, alphas, sigma) of the raw vector v against the rows.
 
         Over GF(p), residual = v - sum(alpha_i * row_i) on raw values and
-        sigma = 1.  Over Q, residual = sigma * v - sum(alpha_i * row_i) is
-        an integer row, with one integer sigma for all the rows taken off.
-        v itself is not changed.
+        sigma = 1.  Over GF(2) the residual is packed, and in place of the
+        alphas comes their combination, sum(alpha_i * combo_i), packed.
+        Over Q, residual = sigma * v - sum(alpha_i * row_i) is an integer
+        row, with one integer sigma for all the rows taken off.  v itself
+        is not changed.
         """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
         p = self._p
+        if p == 2:
+            x = _xor_reduce(self._rows, self._mask, _pack(v))
+            return x & self._vector_bits, x >> 8 * self.length, 1
         if p:
             alphas = []
             for row, piv in zip(self._rows, self._pivots):
@@ -608,12 +699,19 @@ class SpanSolver:
             return None
         return self._combination(alphas, sigma)
 
-    def _insert(self, residual: list, alphas: list, sigma) -> bool:
+    def _insert(self, residual, alphas, sigma) -> bool:
         """Insert a residual of _reduce as a row unless it is zero; reports whether it did."""
+        p = self._p
+        if p == 2:
+            if not residual:
+                return False
+            # the combination sits above the residual, so the row's lowest set bit is the residual's
+            self._mask |= _xor_insert(self._rows, residual | (alphas | 1 << 8 * self.count) << 8 * self.length)
+            self.count += 1
+            return True
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
-        p = self._p
         self.count += 1
         if not p:
             self._add_int_row(residual, alphas, sigma, pivot)
@@ -664,13 +762,18 @@ class SpanSolver:
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""
         residual, alphas, sigma = self._reduce(_unbox(self.field, v))
-        if any(residual):
+        if self._nonzero(residual):
             return None
         return _box(self.field, self._combination(alphas, sigma))
 
-    def _combination(self, alphas: list, sigma) -> list:
+    def _nonzero(self, residual) -> bool:
+        return residual != 0 if self._p == 2 else any(residual)
+
+    def _combination(self, alphas, sigma) -> list:
         """Raw coordinates over the inserted vectors of a vector that _reduce took to zero."""
         p = self._p
+        if p == 2:
+            return _unpack(alphas, self.count)
         coords = [0] * self.count
         for alpha, combo in zip(alphas, self._combos):
             if alpha:
@@ -680,9 +783,11 @@ class SpanSolver:
 
     def contains(self, v: Vector) -> bool:
         residual, _, _ = self._reduce(_unbox(self.field, v))
-        return not any(residual)
+        return not self._nonzero(residual)
 
     def basis_rows(self) -> list:
+        if self._p == 2:
+            return [_box(self.field, _unpack(r & self._vector_bits, self.length)) for r in self._rows.values()]
         if self._p:
             return [_box(self.field, r) for r in self._rows]
         return [_box(self.field, _fractions(r, r[c])) for r, c in zip(self._rows, self._pivots)]

@@ -95,6 +95,14 @@ def _raw_vector_from_json(field: FieldSpec, data, length: Optional[int], path: s
         raise FormatError(path, f"expected a list, got {type(data).__name__}")
     if length is not None and len(data) != length:
         raise FormatError(path, f"expected length {length}, got {len(data)}")
+    try:
+        # _raw_scalar_from_json's fast path for the whole vector: only strings join, and none has a "/"
+        if "/" not in "".join(data):
+            ints = list(map(int, data))
+            p = field.characteristic
+            return [n % p for n in ints] if p else list(map(Fraction, ints))
+    except (TypeError, ValueError):
+        pass  # the loop below raises it with the path of the entry
     return [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
 
 

@@ -172,6 +172,12 @@ def left_reduce(a: WeightedAutomaton):
     The root vector of the covering tree is lambda itself, so the
     reduced lambda is (1, 0, ..., 0), or empty when lambda is zero.
     """
+    reduced, tree = _left_reduction(a)
+    return reduced, PrefixBasis(tree.words, [_box(a.field, v) for v in tree.vectors])
+
+
+def _left_reduction(a: WeightedAutomaton):
+    """left_reduce's automaton, and its covering tree in place of the PrefixBasis."""
     field = a.field
     steps = {s: a.mu[s]._times_row for s in a.alphabet}
     tree = covering_tree(field, a.dim, _unbox(field, a.lam), steps)
@@ -179,8 +185,7 @@ def left_reduce(a: WeightedAutomaton):
     mu = {s: DenseMatrix._from_raw(field, tree.images[s], n) for s in a.alphabet}
     gamma = _unbox(field, a.gamma)
     gamma = [_dot(field.characteristic, v, gamma) for v in tree.vectors]
-    reduced = WeightedAutomaton(field, a.alphabet, unit_vector(field, n, 0), mu, gamma)
-    return reduced, PrefixBasis(tree.words, [_box(field, v) for v in tree.vectors])
+    return WeightedAutomaton(field, a.alphabet, unit_vector(field, n, 0), mu, gamma), tree
 
 
 def right_reduce(a: WeightedAutomaton):
@@ -190,6 +195,13 @@ def right_reduce(a: WeightedAutomaton):
     The returned word set is suffix-closed rather than prefix-closed,
     because the tree grows words from their last letter.
     """
+    reduced, tree = _right_reduction(a)
+    words = tuple(tuple(reversed(w)) for w in tree.words)
+    return reduced, PrefixBasis(words, [_box(a.field, v) for v in tree.vectors])
+
+
+def _right_reduction(a: WeightedAutomaton):
+    """right_reduce's automaton, and its covering tree in place of the PrefixBasis."""
     field = a.field
     steps = {s: a.mu[s]._times_col for s in a.alphabet}
     tree = covering_tree(field, a.dim, _unbox(field, a.gamma), steps)
@@ -197,16 +209,12 @@ def right_reduce(a: WeightedAutomaton):
     lam = _unbox(field, a.lam)
     lam = [_dot(field.characteristic, v, lam) for v in tree.vectors]
     mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
-    reduced = WeightedAutomaton(field, a.alphabet, lam, mu, unit_vector(field, n, 0))
-    words = tuple(tuple(reversed(w)) for w in tree.words)
-    return reduced, PrefixBasis(words, [_box(field, v) for v in tree.vectors])
+    return WeightedAutomaton(field, a.alphabet, lam, mu, unit_vector(field, n, 0)), tree
 
 
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:
     """Minimal automaton realizing the same series (right then left reduction)."""
-    b, _ = right_reduce(a)
-    c, _ = left_reduce(b)
-    return c
+    return _left_reduction(_right_reduction(a)[0])[0]
 
 
 def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:

@@ -12,6 +12,7 @@ import random
 
 from cyclomod import GF2, QQ
 from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.wfa import WeightedAutomaton
 
 
 def bit_swap(mask, i, j):
@@ -131,3 +132,37 @@ def quaternion_module():
     left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
     return orbit_basis(AlgebraAction(QQ, [("i", left_i), ("j", left_j)]), (1, 0, 0, 0))
+
+
+def gf2_redundant_automaton(dim, seed):
+    """A seeded GF(2) automaton a + b - b on dim states, its states shuffled.
+
+    a has dim / 4 states and b 3 dim / 8, each with random entries, and
+    over GF(2) -b is b itself; the direct sum is laid out block by block
+    and then every state i is renamed perm[i].  Its series is a's, so
+    it minimizes to at most dim / 4 states.
+    """
+    rng = random.Random(seed)
+    alphabet = ("a", "b")
+
+    def part(k):
+        bits = lambda: [rng.randrange(2) for _ in range(k)]
+        return bits(), {s: [bits() for _ in range(k)] for s in alphabet}, bits()
+
+    b = part(3 * dim // 8)
+    parts = [part(dim // 4), b, b]
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    lam, gamma = [0] * dim, [0] * dim
+    mu = {s: [[0] * dim for _ in range(dim)] for s in alphabet}
+    offset = 0
+    for part_lam, part_mu, part_gamma in parts:
+        k = len(part_lam)
+        for i in range(k):
+            lam[perm[offset + i]] = part_lam[i]
+            gamma[perm[offset + i]] = part_gamma[i]
+            for s in alphabet:
+                for j in range(k):
+                    mu[s][perm[offset + i]][perm[offset + j]] = part_mu[s][i][j]
+        offset += k
+    return WeightedAutomaton(GF2, alphabet, lam, mu, gamma)

@@ -3,8 +3,10 @@
 Every case is a CLI argument list run against the input files in
 tests/golden/; its stdout must equal the committed file
 tests/golden/<case>.out byte for byte.  The other CLI tests check that
-output repeats across runs; these pin what it is.  After a change that
-is meant to alter the output, rewrite the files with
+output repeats across runs; these pin what it is.  One more golden,
+minimize_gf2_160.out, is the JSON text of a minimized automaton that
+tests/fixtures.py builds in-process.  After a change that is meant to
+alter the output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,6 +19,10 @@ import sys
 import pytest
 
 from cyclomod import cli
+from cyclomod.serialize import automaton_to_json, to_text
+from cyclomod.wfa import equivalent, minimize
+
+from fixtures import gf2_redundant_automaton
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -55,6 +61,27 @@ def test_cli_stdout_matches_golden_bytes(name, capsys):
         assert out == handle.read()
 
 
+def minimized_gf2_160():
+    """A seeded 160-state GF(2) automaton a + b - b and the text of its minimization."""
+    source = gf2_redundant_automaton(160, seed=1)
+    result = minimize(source)
+    return source, result, to_text(automaton_to_json(result))
+
+
+def test_minimize_large_gf2_automaton_matches_golden_bytes():
+    source, result, text = minimized_gf2_160()
+    assert result.dim == 40
+    with open(os.path.join(GOLDEN, "minimize_gf2_160.out"), encoding="utf-8", newline="") as handle:
+        assert text == handle.read()
+    assert equivalent(source, result)
+
+
+def _write(name, text):
+    with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    print(f"wrote {name}.out", file=sys.stderr)
+
+
 def main():
     import contextlib
     import io
@@ -65,9 +92,8 @@ def main():
             code = cli.main(case_argv(name))
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
-        with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
-        print(f"wrote {name}.out", file=sys.stderr)
+        _write(name, buffer.getvalue())
+    _write("minimize_gf2_160", minimized_gf2_160()[2])
 
 
 if __name__ == "__main__":

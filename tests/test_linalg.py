@@ -446,3 +446,82 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
         got = m.apply_row(box(w))
         assert got == oracles.boxed_apply_row(m, box(w))
         _assert_canonical(QQ, got)
+
+
+# column counts on both sides of the 8-, 64- and 128-entry boundaries of the packed GF(2) rows
+PACKED_COLS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    rows=st.integers(min_value=0, max_value=40),
+    cols=st.sampled_from(PACKED_COLS),
+    inner=st.sampled_from((0, 1, 7, 8, 9, 65)),
+    form=st.sampled_from(["boxed", "ints", "mixed"]),
+)
+def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form):
+    """rref, SpanSolver, products, apply, apply_row and dot over GF(2) on packed rows.
+
+    The "ints" and "mixed" forms hand in -2, -1, 2 and 3 as well as 0
+    and 1, which must be reduced before they are packed.
+    """
+    rng = random.Random(seed)
+    rows = min(rows, 12) if cols * inner > 1000 else rows  # keep the boxed product small
+
+    def given(values):
+        return _as_input(GF2, values, form)
+
+    def box(values):
+        return _as_input(GF2, values, "boxed")
+
+    raw = _oracle_rows(GF2, rng, rows, cols)
+    m = DenseMatrix(GF2, [given(r) for r in raw], cols=cols)
+    m_boxed = DenseMatrix(GF2, [box(r) for r in raw], cols=cols)
+    assert m == m_boxed
+
+    red, rank, pivots = rref(m)
+    ref = oracles.boxed_rref(m_boxed)
+    assert red.entries == tuple(ref.rows)
+    assert (rank, pivots) == (ref.rank, ref.pivot_columns)
+    for row in red.entries:
+        _assert_canonical(GF2, row)
+
+    # probes are compared before and after each insertion, so the packed
+    # combinations are read while they grow
+    solver, reference = SpanSolver(GF2, cols), oracles.BoxedSpanSolver(GF2, cols)
+    probes = raw[::5] + _oracle_rows(GF2, rng, 2, cols)
+    for i, r in enumerate(raw):
+        assert solver.add(given(r)) == reference.add(box(r))
+        if i % 8 == 0 or i == len(raw) - 1:
+            for v in probes:
+                got = solver.coordinates(given(v))
+                assert got == reference.coordinates(box(v))
+                assert solver.contains(given(v)) == (got is not None)
+                if got is not None:
+                    _assert_canonical(GF2, got)
+    assert solver.rank == reference.rank == rank
+    assert solver.basis_rows() == reference.basis_rows()
+    for row in solver.basis_rows():
+        _assert_canonical(GF2, row)
+
+    other_raw = _oracle_rows(GF2, rng, cols, inner)
+    other = DenseMatrix(GF2, [given(r) for r in other_raw], cols=inner)
+    product = m * other
+    assert (product.rows, product.cols) == (rows, inner)
+    assert product.entries == tuple(oracles.boxed_mul(m_boxed, other))
+    for row in product.entries:
+        _assert_canonical(GF2, row)
+    for v in _oracle_rows(GF2, rng, 2, cols):
+        got = m.apply(given(v))
+        assert got == oracles.boxed_apply(m_boxed, box(v))
+        _assert_canonical(GF2, got)
+        if cols:
+            u = _oracle_rows(GF2, rng, 1, cols)[0]
+            dot = vec_dot(box(u), given(v))
+            assert dot == sum((a * b for a, b in zip(box(u), box(v))), GF2.zero())
+            _assert_canonical(GF2, (dot,))
+    for w in _oracle_rows(GF2, rng, 2, rows):
+        got = m.apply_row(given(w))
+        assert got == oracles.boxed_apply_row(m_boxed, box(w))
+        _assert_canonical(GF2, got)

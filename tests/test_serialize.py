@@ -1,8 +1,11 @@
 """JSON and DOT format tests: round trips, path-tagged errors, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomod.decompose import complete_decomposition
 from cyclomod.endo import SearchConfig, compute_end, find_splitting_element
@@ -25,6 +28,8 @@ from cyclomod.serialize import (
     scalar_from_json,
     to_text,
     vector_from_json,
+    _raw_scalar_from_json,
+    _raw_vector_from_json,
 )
 from cyclomod.wfa import WeightedAutomaton
 
@@ -144,6 +149,39 @@ def test_vector_matrix_helpers():
     with pytest.raises(FormatError) as err:
         matrix_from_json(QQ, [["1", "2"]], 2, 2, "m")
     assert err.value.path == "m"
+
+
+MIXED_ENTRIES = ["3", " 3", "-7", "1/3", "-7/2", 3, -1, "x", "", "4/0", True, 1.5, None, [1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(st.sampled_from(MIXED_ENTRIES), max_size=6),
+    field=st.sampled_from([GF2, gf(3), QQ]),
+)
+def test_vector_parse_matches_the_per_entry_parse(entries, field):
+    """The whole-vector fast path gives the raw values, or the FormatError, of parsing entry by entry."""
+    path = "mu.a[0]"
+    try:
+        expected = [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(entries)]
+    except FormatError as err:
+        with pytest.raises(FormatError) as got:
+            _raw_vector_from_json(field, entries, len(entries), path)
+        assert (got.value.path, str(got.value)) == (err.path, str(err))
+    else:
+        got = _raw_vector_from_json(field, entries, len(entries), path)
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in expected]
+
+
+def test_vector_parse_mixed_entries():
+    assert _raw_vector_from_json(QQ, ["3", " 3", "1/3", 3], 4, "v") == [3, 3, Fraction(1, 3), 3]
+    assert _raw_vector_from_json(gf(5), ["3", " 8", "1/3", -2], 4, "v") == [3, 3, 2, 3]
+    with pytest.raises(FormatError) as err:
+        _raw_vector_from_json(QQ, ["3", " 3", "1/3", 3, "x"], 5, "mu.a[0]")
+    assert err.value.path == "mu.a[0][4]"
+    with pytest.raises(FormatError) as err:
+        _raw_vector_from_json(gf(3), ["3", " 3", "1/3", 3, "x"], 5, "mu.a[0]")
+    assert err.value.path == "mu.a[0][2]" and "denominator vanishes" in str(err.value)
 
 
 def test_presentation_round_trip():
