@@ -10,9 +10,11 @@ matrix.  The solve is one spin on kernel rows, raw values over GF(p) and
 integer rows over one denominator over Q.  A basis K of the solutions
 found so far is spun along the words, each non-tree edge's conditions
 are read on K and cut it down, and the last spin holds every solution
-matrix.  Only the final reduction makes Fractions; it puts the result
-in the basis the n^2-unknown solve would give, so the search sees the
-same candidates in the same order.
+matrix.  Over GF(2) every row of K, of the spin and of the conditions
+is one int packed as linalg packs rows, so a row sum is a XOR; the rows
+are unpacked once, for the final reduction.  Only that reduction makes
+Fractions; it puts the result in the basis the n^2-unknown solve would
+give, so the search sees the same candidates in the same order.
 
 An element X of E is fixed by its first column X e_0, and all work
 after compute_end is on that column: EndoAlgebra's coordinates (with one
@@ -55,7 +57,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from math import lcm
+from operator import or_, xor
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -67,6 +71,8 @@ from .linalg import (
     _kernel_from_rref,
     _lowest_terms,
     _neg,
+    _pack,
+    _packed_unit,
     _primitive,
     _RawVector,
     _row_times,
@@ -74,6 +80,9 @@ from .linalg import (
     _rref_rows,
     _sum_of_multiples,
     _unbox,
+    _unpack,
+    _xor_insert,
+    _xor_reduce,
     column_space_basis,
     kernel_basis,
     rref,
@@ -178,6 +187,11 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     happens only on the edges that cut it.  Everything runs on kernel
     rows: raw values over GF(p), and over Q integer rows over one
     denominator for all the U_j, which scales every condition row alike.
+    Over GF(2) each row of K and of the U_j is one packed int of width
+    dim K: a row of R_s U_j is the XOR of the rows of U_j that R_s
+    selects, a condition row XORs in the U_h of column j of R_s (mod 2,
+    -1 is 1), and row i of the cut K holds the parities of row i of K
+    against each kernel vector.  No packed int is returned.
     Once K is the solution space, row i of U_j holds entry (i, j) of X_v
     for every v in K, so the spin is the matrices themselves.  They are
     returned in the basis the n^2-unknown commutant solve would give: the
@@ -186,35 +200,58 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     """
     field, n = m.field, m.dim
     p = field.characteristic
-    # each generator as the nonzero (index, value) pairs of its kernel rows, and its denominator
+    # each generator as the nonzero (index, value) pairs of its kernel rows, and its
+    # denominator; over GF(2), where every value is 1, as the indices alone
     gens = {}
     for s in m.action.labels:
         a, d = m.restricted[s]._int_form()
-        gens[s] = ([[(l, c) for l, c in enumerate(row) if c] for row in a], d)
+        if p == 2:
+            gens[s] = ([[l for l, c in enumerate(row) if c] for row in a], d)
+        else:
+            gens[s] = ([[(l, c) for l, c in enumerate(row) if c] for row in a], d)
     index = {w: j for j, w in enumerate(m.basis_words)}
     steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
     tree_edges = set(steps)
-    cols = [[int(i == t) for i in range(n)] for t in range(n)]
-    spun = _spin(p, gens, steps, cols)
+    # K by its columns; over GF(2) by its rows, packed
+    k = n
+    kmat = [_packed_unit(i) for i in range(n)] if p == 2 else [[int(i == t) for i in range(n)] for t in range(n)]
+    spun = _spin(p, gens, steps, kmat)
     for s, (a, _) in gens.items():
-        # column j of R_s, negated: the terms -(R_s)_{kj} U_k
+        # column j of R_s, negated: the terms -(R_s)_{hj} U_h; mod 2, the indices h
         columns = [[] for _ in range(n)]
-        for k, terms in enumerate(a):
-            for j, c in terms:
-                columns[j].append((k, _neg(p, c)))
+        for h, terms in enumerate(a):
+            if p == 2:
+                for j in terms:
+                    columns[j].append(h)
+            else:
+                for j, c in terms:
+                    columns[j].append((h, _neg(p, c)))
         for j in range(n):
             if (s, j) in tree_edges:
                 continue
-            u, k, minus = spun[j], len(cols), columns[j]
-            conditions = [
-                _sum_of_multiples(p, [(c, u[l]) for l, c in terms] + [(c, spun[h][i]) for h, c in minus], k)
-                for i, terms in enumerate(a)
-            ]
+            u, minus = spun[j], columns[j]
+            if p == 2:
+                # R_s U_j, then each U_h XORed in row by row
+                conditions = _times_packed(a, u)
+                for h in minus:
+                    conditions = list(map(xor, conditions, spun[h]))
+            else:
+                conditions = [
+                    _sum_of_multiples(p, [(c, u[l]) for l, c in terms] + [(c, spun[h][i]) for h, c in minus], k)
+                    for i, terms in enumerate(a)
+                ]
             kernel = _kernel_of_rows(p, conditions, k)
             if kernel is not None:
-                cols = [_row_times(p, x, cols, n) for x in kernel]
-                cols = cols if p else [_primitive(x) for x in cols]
-                spun = _spin(p, gens, steps, cols)
+                if p == 2:
+                    # row i of the new K: row i of K times each kernel vector
+                    kmat = [_pack([(r & x).bit_count() & 1 for x in kernel]) for r in kmat]
+                else:
+                    kmat = [_row_times(p, x, kmat, n) for x in kernel]
+                    kmat = kmat if p else [_primitive(x) for x in kmat]
+                k = len(kernel)
+                spun = _spin(p, gens, steps, kmat)
+    if p == 2:
+        spun = [[_unpack(r, k) for r in u] for u in spun]
     # the flats of X_v, reversed for pivots at the last nonzero entries
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
     flats = [list(f) for f in zip(*stacked)]
@@ -235,13 +272,20 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
 
 
-def _spin(p: int, gens: dict, steps: list, cols: list) -> list:
-    """U_j = W_j K as kernel rows on one denominator, for K with the given columns.
+def _spin(p: int, gens: dict, steps: list, kmat: list) -> list:
+    """U_j = W_j K as kernel rows on one denominator, for K given by its columns.
 
-    U_0 = K, and U_j = R_a U_i for the step (a, i) that makes word j from word i.
+    U_0 = K, and U_j = R_a U_i for the step (a, i) that makes word j from
+    word i.  Over GF(2), K is given by its rows packed into ints, and row
+    i of U_j is the XOR of the rows of U_i that row i of R_a selects.
     """
-    k = len(cols)
-    spun = [([list(r) for r in zip(*cols)], 1)]
+    if p == 2:
+        spun = [kmat]
+        for s, parent in steps:
+            spun.append(_times_packed(gens[s][0], spun[parent]))
+        return spun
+    k = len(kmat)
+    spun = [([list(r) for r in zip(*kmat)], 1)]
     for s, parent in steps:
         (a, da), (u, du) = gens[s], spun[parent]
         rows, d = [_sum_of_multiples(p, [(c, u[l]) for l, c in terms], k) for terms in a], da * du
@@ -250,13 +294,32 @@ def _spin(p: int, gens: dict, steps: list, cols: list) -> list:
     return [u if d == denom else [[x * (denom // d) for x in r] for r in u] for u, d in spun]
 
 
+def _times_packed(a: list, u: list) -> list:
+    """R U over GF(2), for R given by the indices of the ones in each row and U by its packed rows."""
+    pick = u.__getitem__
+    return [reduce(xor, map(pick, ls), 0) for ls in a]
+
+
 def _kernel_of_rows(p: int, rows: list, k: int) -> Optional[list]:
     """A basis of the vectors of length k on which every row vanishes, as kernel rows.
 
-    It starts from the unit vectors and cuts one dimension off for each
-    row that does not vanish on what is left.  None stands for the unit
-    vectors, when every row vanishes.
+    None stands for the unit vectors, when every row vanishes.  Otherwise
+    it starts from the unit vectors and cuts one dimension off for each
+    row that does not vanish on what is left.  Over GF(2) the rows and
+    the basis are packed ints instead: the rows are reduced to echelon
+    form, and each free column f gives the vector with a 1 at f and at
+    the pivot of every reduced row that holds f.
     """
+    if p == 2:
+        kept, mask = {}, 0
+        for x in filter(None, rows):
+            x = _xor_reduce(kept, mask, x)
+            if x:
+                mask |= _xor_insert(kept, x)
+        if not kept:
+            return None
+        free = [u for u in map(_packed_unit, range(k)) if not mask & u]
+        return [reduce(or_, [b for b, y in kept.items() if y & u], u) for u in free]
     basis = transposed = None
     for x in rows:
         if not any(x):

@@ -16,8 +16,10 @@ out.  Over GF(2) the kernel packs a row into one int, entry j in byte
 j, so a row sum is a XOR and a matrix-vector product is the XOR of the
 packed rows or columns that the vector selects; a matrix packs its rows
 and its columns once, when a product first needs them.  No packed int
-leaves this module.  Reduced echelon forms and coordinates are unique,
-so they are the ones Fraction or list arithmetic gives.  A call unboxes
+leaves this module; endo.compute_end packs the rows of its GF(2) spin
+with the same _pack and unpacks them before its final elimination.
+Reduced echelon forms and coordinates are unique, so they are the ones
+Fraction or list arithmetic gives.  A call unboxes
 its vector arguments once, checking that each FieldScalar belongs to
 the kernel's field (plain ints are coerced as FieldSpec.scalar does),
 and boxes its results once.  A matrix stores its rows as raw values,
@@ -147,6 +149,11 @@ def _pack(xs: Sequence) -> int:
 def _unpack(x: int, n: int) -> list:
     """The raw GF(2) vector of length n packed in x."""
     return list(x.to_bytes(n, "little"))
+
+
+def _packed_unit(j: int) -> int:
+    """The unit vector e_j, packed."""
+    return 1 << 8 * j
 
 
 def _xor_of(packed: list, x: Sequence, n: int) -> list:

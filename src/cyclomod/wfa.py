@@ -223,16 +223,13 @@ def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     if a.alphabet != b.alphabet:
         raise ValueError("direct sum needs identical alphabets")
     field = a.field
-    zero = field.zero()
-    n, m = a.dim, b.dim
+    z = _zero(field.characteristic)
+    left, right = [z] * a.dim, [z] * b.dim
     mu = {}
     for s in a.alphabet:
-        rows = []
-        for i in range(n):
-            rows.append(list(a.mu[s].row(i)) + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + list(b.mu[s].row(i)))
-        mu[s] = DenseMatrix(field, rows, cols=n + m)
+        # the block rows on raw values, so no entry is boxed
+        rows = [[*r, *right] for r in a.mu[s]._raw] + [[*left, *r] for r in b.mu[s]._raw]
+        mu[s] = DenseMatrix._from_raw(field, rows, a.dim + b.dim)
     return WeightedAutomaton(
         field, a.alphabet, a.lam + b.lam, mu, a.gamma + b.gamma
     )

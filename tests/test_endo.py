@@ -1,6 +1,7 @@
 """Commutant computation and the staged splitting-element search."""
 
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -8,16 +9,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomod import GF2, QQ, gf
-from cyclomod.boolfn import decompose_boolean, parse_anf
-from cyclomod.linalg import DenseMatrix, stable_power
+from cyclomod import endo
+from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
+from cyclomod.linalg import DenseMatrix, _pack, _unpack, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
     SearchConfig,
+    _kernel_of_rows,
     _min_poly,
     _random_candidates,
     _scan_candidates,
@@ -667,9 +672,58 @@ def _has_denominators(m):
     return any(x.value.denominator > 1 for s in m.action.labels for row in m.restricted[s].entries for x in row)
 
 
-def test_spun_commutant_equals_general_solve():
+def _gf2_modules_that_cut_twice(rng, count, monkeypatch):
+    """Random GF(2) modules of dim >= 9 on which compute_end spins K at least three times.
+
+    The first spin is of K = I, so each further one is a non-tree edge
+    whose conditions cut K.  Every other module is the direct sum of two
+    random actions, so that E holds the two projections as well.
+    """
+    spins, spin = [], endo._spin
+    out = []
+    with monkeypatch.context() as patch:
+        patch.setattr(endo, "_spin", lambda *args: spins.append(1) or spin(*args))
+        while len(out) < count:
+            labels = ("u", "v", "w")[:rng.randint(2, 3)]
+            sizes = [rng.randint(9, 12)] if len(out) % 2 else [rng.randint(4, 7), rng.randint(4, 7)]
+            n = sum(sizes)
+            gens = {label: [[0] * n for _ in range(n)] for label in labels}
+            offset = 0
+            for size in sizes:
+                for rows in gens.values():
+                    for i in range(offset, offset + size):
+                        rows[i][offset:offset + size] = [int(rng.random() < 0.25) for _ in range(size)]
+                offset += size
+            m = orbit_basis(AlgebraAction(GF2, list(gens.items())), [rng.randint(0, 1) for _ in range(n)])
+            if m.dim < 9:
+                continue
+            spins.clear()
+            compute_end(m)
+            if len(spins) >= 3:
+                out.append(m)
+    return out
+
+
+BOOLEAN_COMMUTANT_CASES = (
+    ("x1*x2 + x3*x4 + x1*x3", 4),
+    ("x1*x2*x3 + x4", 4),
+    ("x1*x2*x3 + x3*x4*x5", 5),
+    ("x1*x2*x3 + x4*x5", 5),
+    ("x1*x2 + x3*x4*x5", 5),
+    ("x1*x2*x3 + x4*x5*x6", 6),
+    ("x1*x2*x3*x4 + x5*x6", 6),
+    ("x1 + x2*x3", 6),
+)
+
+
+def test_spun_commutant_equals_general_solve(monkeypatch):
     rng = random.Random(2004)
     modules = [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 15)]
+    # the packed GF(2) spin: boolean modules and their leaves, and modules that re-spin K
+    for text, n in BOOLEAN_COMMUTANT_CASES:
+        m = orbit_basis(sn_action(n), parse_anf(text, n).vector())
+        modules += [m, *complete_decomposition(m).summands]
+    modules += _gf2_modules_that_cut_twice(rng, 6, monkeypatch)
     for field, gens, g in krull_schmidt_corpus():
         m = orbit_basis(AlgebraAction(field, gens), g)
         # the leaves are generated by projected generators
@@ -687,7 +741,58 @@ def test_spun_commutant_equals_general_solve():
     modules += [*fractional, top, *leaves]
     for m in modules:
         expected = commutant_basis(m.field, m.dim, [m.restricted[s] for s in m.action.labels])
-        assert list(compute_end(m).basis) == expected
+        basis = compute_end(m).basis
+        assert list(basis) == expected
+        # canonical raw values: an int in [0, p), or a Fraction over Q
+        p = m.field.characteristic
+        for x in (x for b in basis for row in b._raw for x in row):
+            assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    rows=st.integers(min_value=0, max_value=12),
+    k=st.sampled_from((0, 1, 7, 8, 9, 63, 64, 65)),
+    rank=st.integers(min_value=0, max_value=12),
+    zeros=st.integers(min_value=0, max_value=3),
+)
+def test_packed_kernel_of_rows_is_the_gf2_nullspace(seed, rows, k, rank, zeros):
+    """_kernel_of_rows over GF(2) spans exactly the nullspace of the packed rows.
+
+    The rows are sums of rank random rows, mixed with all-zero rows.
+    Up to 9 columns the nullspace is enumerated; above that the basis
+    must vanish on every row, be independent and have k - rank(rows)
+    vectors, which makes it the nullspace too.
+    """
+    rng = random.Random(seed)
+    base = [[rng.randint(0, 1) for _ in range(k)] for _ in range(rank)]
+    raw = []
+    for _ in range(rows):
+        row = [0] * k
+        for b in base:
+            if rng.random() < 0.5:
+                row = [x ^ y for x, y in zip(row, b)]
+        raw.append(row)
+    for _ in range(zeros):
+        raw.insert(rng.randint(0, len(raw)), [0] * k)
+    kernel = _kernel_of_rows(2, [_pack(r) for r in raw], k)
+    if not any(any(r) for r in raw):
+        assert kernel is None
+        return
+    vectors = [_unpack(x, k) for x in kernel]
+    assert all(x < 1 << 8 * k for x in kernel)
+    assert all(c in (0, 1) for v in vectors for c in v)
+    for v in vectors:
+        assert all(sum(a & b for a, b in zip(r, v)) % 2 == 0 for r in raw)
+    assert oracles.raw_rank(2, vectors) == len(vectors) == k - oracles.raw_rank(2, raw)
+    if k <= 9:
+        bits = lambda v: sum(c << i for i, c in enumerate(v))
+        nullspace = {
+            bits(v) for v in itertools.product((0, 1), repeat=k)
+            if all(sum(a & b for a, b in zip(r, v)) % 2 == 0 for r in raw)
+        }
+        assert oracles.gf2_span_bitmasks([bits(v) for v in vectors]) == nullspace
 
 
 def _off_first_column(mat):

@@ -137,6 +137,30 @@ def test_minimize_counting():
         assert md.weight(w).value == 2 * a.weight(w).value
 
 
+def test_direct_sum_is_the_block_diagonal_of_the_entries():
+    rng = random.Random(77)
+    for field, p in [(GF2, 2), (gf(3), 3), (QQ, 0)]:
+        for dims in [(0, 0), (0, 2), (3, 0), (2, 3), (4, 1)]:
+            a, b = (build(field, ("a", "b"), random_raw(rng, p, d, ("a", "b"))) for d in dims)
+            total = direct_sum(a, b)
+            assert total.lam == a.lam + b.lam and total.gamma == a.gamma + b.gamma
+            zero = field.zero()
+            for s in ("a", "b"):
+                top = [list(r) + [zero] * b.dim for r in a.mu[s].entries]
+                bottom = [[zero] * a.dim + list(r) for r in b.mu[s].entries]
+                assert total.mu[s] == DenseMatrix(field, top + bottom, cols=a.dim + b.dim)
+                for x in (x for row in total.mu[s].entries for x in row):
+                    assert x.field == field
+                    assert type(x.value) is (int if p else Fraction) and (not p or 0 <= x.value < p)
+            for w in all_words(("a", "b"), 3):
+                assert total.weight(w) == a.weight(w) + b.weight(w)
+    a = build(GF2, ("a", "b"), random_raw(rng, 2, 2, ("a", "b")))
+    with pytest.raises(ValueError, match="mixed fields"):
+        direct_sum(a, build(gf(3), ("a", "b"), random_raw(rng, 3, 2, ("a", "b"))))
+    with pytest.raises(ValueError, match="identical alphabets"):
+        direct_sum(a, build(GF2, ("b", "a"), random_raw(rng, 2, 2, ("b", "a"))))
+
+
 def test_minimize_dim_matches_hankel_oracle():
     rng = random.Random(515)
     for field, p in [(GF2, 2), (gf(3), 3), (QQ, 0)]:
