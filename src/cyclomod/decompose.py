@@ -31,7 +31,7 @@ from .endo import (
     compute_end,
     verify_certificate,
 )
-from .linalg import DenseMatrix, SpanSolver, _box, _RawVector, _unbox, unit_vector
+from .linalg import DenseMatrix, SpanSolver, _RawVector, _unit
 from .modules import CyclicModule, _module_from_tree, orbit_basis
 from .wfa import covering_tree
 
@@ -52,19 +52,19 @@ def _split_block(block: CyclicModule, cert: Certificate):
     for v in left + right:
         if not solver.add(v):
             raise RuntimeError("summand bases are not independent")
-    coords = solver.coordinates(unit_vector(field, n, 0))
+    coords = solver._coordinates(_unit(field.characteristic, n, 0))
     if coords is None:
         raise RuntimeError("summands do not span the block")
     labels = block.action.labels
     steps = {s: block.restricted[s]._times_col for s in labels}
-    basis = DenseMatrix(field, block.basis_vectors, cols=block.action.dim)
+    basis = DenseMatrix._from_raw(field, block._raw_vectors, block.action.dim)
     halves = []
     for side, part in ((left, coords[:len(left)]), (right, coords[len(left):])):
-        projection = DenseMatrix.from_columns(field, side, rows=n)._times_col(_unbox(field, part))
+        projection = DenseMatrix.from_columns(field, side, rows=n)._times_col(part)
         tree = covering_tree(field, n, projection, steps)
         if not side or len(tree.words) != len(side):
             raise RuntimeError("projected generator does not generate its summand")
-        vectors = [_box(field, basis._times_row(v)) for v in tree.vectors]
+        vectors = [basis._times_row(v) for v in tree.vectors]
         halves.append(_module_from_tree(block.action, vectors[0], tree, vectors, None))
     return halves[0], halves[1]
 
@@ -104,11 +104,6 @@ class DecompositionReport:
         return sum(1 for c in self.certificates if c.verdict == "undecided")
 
 
-def _leaf_sort_key(block: CyclicModule):
-    basis_key = tuple(tuple(x.sort_key() for x in v) for v in block.basis_vectors)
-    return (block.dim, basis_key)
-
-
 def complete_decomposition(
     m: CyclicModule, config: Optional[SearchConfig] = None
 ) -> DecompositionReport:
@@ -130,7 +125,7 @@ def complete_decomposition(
         # depth-first, left side first
         stack.append(right)
         stack.append(left)
-    leaves.sort(key=lambda pair: _leaf_sort_key(pair[0]))
+    leaves.sort(key=lambda pair: (pair[0].dim, pair[0]._raw_vectors))
     blocks = tuple(pair[0] for pair in leaves)
     certs = tuple(pair[1] for pair in leaves)
     sig = tuple(sorted(b.dim for b in blocks))
@@ -153,20 +148,19 @@ def check_report(report: DecompositionReport):
         raise RuntimeError("leaves and certificates differ in number")
     combined = SpanSolver(m.field, m.action.dim)
     for block, cert in zip(report.summands, report.certificates):
-        leaf = orbit_basis(m.action, block.generator)
-        if leaf.basis_vectors != block.basis_vectors:
+        leaf = orbit_basis(m.action, block._raw_generator)
+        if leaf._raw_vectors != block._raw_vectors:
             raise RuntimeError("leaf generator does not regenerate the leaf")
         span = SpanSolver(m.field, m.action.dim)
-        for v in leaf.basis_vectors:
+        for v in leaf._raw_vectors:
             if not m.contains(v):
                 raise RuntimeError("leaf vector escapes the module")
             if not combined.add(v):
                 raise RuntimeError("leaf bases overlap")
             span.add(v)
-        raw = [_unbox(m.field, v) for v in leaf.basis_vectors]
         for label in m.action.labels:
             step = m.action.steps[label]
-            if not all(span.contains(_RawVector(step(x))) for x in raw):
+            if not all(span.contains(_RawVector(step(x))) for x in leaf._raw_vectors):
                 raise RuntimeError(f"leaf is not stable under generator {label!r}")
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")

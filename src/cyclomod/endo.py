@@ -67,10 +67,12 @@ from .linalg import (
     SpanSolver,
     Vector,
     _addmul,
+    _box,
     _combine,
     _kernel_from_rref,
     _lowest_terms,
     _neg,
+    _one,
     _pack,
     _packed_unit,
     _primitive,
@@ -80,11 +82,11 @@ from .linalg import (
     _rref_rows,
     _sum_of_multiples,
     _unbox,
+    _unit,
     _unpack,
     _xor_insert,
     _xor_reduce,
     column_space_basis,
-    kernel_basis,
     rref,
     stable_power,
 )
@@ -133,8 +135,7 @@ class EndoAlgebra:
             raise ValueError(f"{len(coords)} coordinates for a basis of {self.dim}")
         field, n = self.field, self.module_dim
         p = field.characteristic
-        raw = [field.scalar(c).value for c in coords]
-        terms = [(c, b._int_form()) for c, b in zip(raw, self.basis) if c]
+        terms = [(c, b._int_form()) for c, b in zip(_unbox(field, coords), self.basis) if c]
         # on kernel rows, c = u / q times A / e adds u (d / (q e)) A over one
         # denominator d; over GF(p), q = e = d = 1 (an int is its own numerator)
         d = lcm(*[c.denominator * e for c, (_, e) in terms])
@@ -145,17 +146,22 @@ class EndoAlgebra:
         return DenseMatrix._from_raw(field, acc, n) if p else DenseMatrix._from_ints(field, acc, d, n)
 
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
+        coords = self._coordinates(mat)
+        return None if coords is None else _box(self.field, coords)
+
+    def _coordinates(self, mat: DenseMatrix) -> Optional[list]:
+        """coordinates() as raw values."""
         if (mat.rows, mat.cols) != (self.module_dim, self.module_dim):
             raise ValueError("matrix shape does not match the module")
         if mat.field != self.field:
             raise ValueError(f"mixed fields: {mat.field} and {self.field}")
-        coords = self._solver.coordinates(_first_column(mat))
+        coords = self._solver._coordinates(_first_column(mat))
         if coords is None or self.element(coords) != mat:
             return None
         return coords
 
     def contains(self, mat: DenseMatrix) -> bool:
-        return self.coordinates(mat) is not None
+        return self._coordinates(mat) is not None
 
     def __repr__(self) -> str:
         return f"EndoAlgebra(dim={self.dim}, module_dim={self.module_dim}, {self.field})"
@@ -367,7 +373,7 @@ class Certificate:
     verdict: str                      # "decomposable" | "indecomposable" | "undecided"
     mode: str
     element: Optional[DenseMatrix]
-    summands: Optional[tuple]         # pair of module-coordinate basis tuples
+    summands: Optional[tuple]         # pair of tuples of raw module-coordinate vectors
     budgets: dict
     diagnostics: dict = dc_field(default_factory=dict)
     radical: Optional[tuple] = None   # "local" only: basis matrices of the radical
@@ -426,11 +432,12 @@ def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict,
     f0, k0 = factors[0]
     first = f0 ** k0
     rest = mp.exact_div(first)
-    ker_first = kernel_basis(first.evaluate_matrix(mat))
-    ker_rest = kernel_basis(rest.evaluate_matrix(mat))
+    n = e.module_dim
+    ker_first = _kernel_from_rref(e.field, n, rref(first.evaluate_matrix(mat)))
+    ker_rest = _kernel_from_rref(e.field, n, rref(rest.evaluate_matrix(mat)))
     if not ker_first or not ker_rest:
         raise RuntimeError("coprime factor kernels cannot be trivial")
-    if len(ker_first) + len(ker_rest) != e.module_dim:
+    if len(ker_first) + len(ker_rest) != n:
         raise RuntimeError("coprime factor kernels do not fill the module")
     return Certificate(
         "decomposable", "min-poly-split", mat, (tuple(ker_first), tuple(ker_rest)), budgets, diag
@@ -490,12 +497,12 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
     solver = SpanSolver(field, n)
     for j in ideal:
         solver.add(_first_column(j))
-    v = _first_column(DenseMatrix.identity(field, n))
+    v = _unit(p, n, 0)
     for _ in range(n + 1):
         coords = solver._place(v)
         if coords is not None:
             coeffs = [_neg(p, c) for c in coords[len(ideal):]]
-            return Polynomial._from_raw(field, coeffs + [field.one().value])
+            return Polynomial._from_raw(field, coeffs + [_one(p)])
         v = _image(x, v)
     raise RuntimeError("no dependence among the first columns of the powers")
 

@@ -5,12 +5,10 @@ an int in [0, p) for prime characteristic, a reduced Fraction for
 characteristic 0.  All arithmetic stays exact; nothing here ever touches
 floating point.
 
-FieldScalar is the boundary representation: what parsing produces,
-what serialization reads, and every entry linalg and polynomials hand
-out.  Neither computes with FieldScalars: matrices and polynomials
-store the canonical values, unboxed once when they are built, run
-their loops on those, and box what they hand back.  Operators on
-FieldScalar serve single scalars outside those loops.
+A FieldScalar is made only where input is parsed or a public accessor
+is read.  Everything the package's modules pass to each other stays
+raw, the canonical representative alone; the operators here serve
+callers outside that pipeline.
 """
 
 from __future__ import annotations
@@ -210,10 +208,6 @@ class FieldScalar:
 
     def __hash__(self) -> int:
         return hash((self.field.characteristic, self.value))
-
-    def sort_key(self):
-        # total order inside one field; used for canonical output ordering
-        return self.value
 
     def __str__(self) -> str:
         return str(self.value)

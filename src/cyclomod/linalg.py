@@ -1,33 +1,23 @@
 """Dense exact linear algebra over a FieldSpec.
 
-Vectors are tuples of FieldScalar; matrices are immutable row-major
-grids of FieldScalar.  Everything is written for desk-scale dimensions
-(a few hundred), favoring exactness and determinism over asymptotics.
+Matrices are immutable row-major grids over one field, written for
+desk-scale dimensions (a few hundred), favoring exactness and
+determinism over asymptotics.
 
-Boxing happens only at this module's boundary.  The kernel (rref,
-SpanSolver, matrix products, apply, apply_row, sums and scaling) runs
-its loops on canonical raw values, ints in [0, p) for GF(p) and
-Fractions for Q, and skips every entry whose multiplier is zero.  Over
-Q, elimination and products run on integer rows inside the kernel: a
-row's denominators are cleared once, rows are combined fraction-free
-as a*row - c*pivot_row and divided by their content (Bareiss, Math.
-Comp. 22, 1968), and one Fraction per nonzero entry is made on the way
-out.  Over GF(2) the kernel packs a row into one int, entry j in byte
-j, so a row sum is a XOR and a matrix-vector product is the XOR of the
-packed rows or columns that the vector selects; a matrix packs its rows
-and its columns once, when a product first needs them.  No packed int
-leaves this module; endo.compute_end packs the rows of its GF(2) spin
-with the same _pack and unpacks them before its final elimination.
+Data stays raw: ints in [0, p) for GF(p), Fractions for Q.  A
+FieldScalar is made only where a public call hands a result back or
+`entries` is read; a public call unboxes its vector arguments once,
+checking their field, and the kernel (rref, SpanSolver, products, sums
+and scaling) and every other module pass raw rows to each other.  The
+kernel skips every entry whose multiplier is zero.  Over Q it
+eliminates and multiplies on integer rows, fraction-free as
+a*row - c*pivot_row divided by the content (Bareiss, Math. Comp. 22,
+1968), and a Q matrix keeps that integer form once it has been needed.
+Over GF(2) it packs a row into one int, entry j in byte j, so a row sum
+is a XOR; a matrix packs its rows and its columns when a product first
+needs them, and endo.compute_end packs its spin with the same _pack.
 Reduced echelon forms and coordinates are unique, so they are the ones
-Fraction or list arithmetic gives.  A call unboxes
-its vector arguments once, checking that each FieldScalar belongs to
-the kernel's field (plain ints are coerced as FieldSpec.scalar does),
-and boxes its results once.  A matrix stores its rows as raw values,
-unboxed once when it is built; its entries are boxed when they are
-first read, unless it was built from FieldScalars, and a Q matrix keeps
-its integer form once a product, a sum or an elimination has needed
-it; products and sums over Q are built on integer forms and start with
-one.
+plain Fraction or list arithmetic gives.
 """
 
 from __future__ import annotations
@@ -49,26 +39,22 @@ def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_dot(u: Vector, v: Vector) -> FieldScalar:
-    if len(u) != len(v):
-        raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    if not u:
-        raise ValueError("dot of empty vectors has no field to land in")
-    field = next((x.field for x in (*u, *v) if isinstance(x, FieldScalar)), None)
-    if field is None:
-        raise ValueError("dot of plain ints has no field to land in")
-    return FieldScalar(field, _dot(field.characteristic, _unbox(field, u), _unbox(field, v)))
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return not any(v)
-
-
-_QZERO = Fraction(0)
+_QZERO, _QONE = Fraction(0), Fraction(1)
 
 
 def _zero(p: int):
     return 0 if p else _QZERO
+
+
+def _one(p: int):
+    return 1 if p else _QONE
+
+
+def _unit(p: int, n: int, i: int) -> list:
+    """The raw unit vector e_i of length n."""
+    x = [_zero(p)] * n
+    x[i] = _one(p)
+    return x
 
 
 def _inv(p: int, a):
@@ -184,6 +170,8 @@ def _unbox(field: FieldSpec, xs: Sequence) -> list:
     except AttributeError:
         if all(type(x) is int for x in xs):
             return [x % p for x in xs] if p else [Fraction(x) for x in xs]
+        if not p and all(type(x) is Fraction for x in xs):
+            return list(xs)
     out = []
     for x in xs:
         if isinstance(x, FieldScalar) and x.field != field:
@@ -279,8 +267,8 @@ class DenseMatrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "DenseMatrix":
-        z, o = _zero(field.characteristic), field.one().value
-        return cls._from_raw(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        p = field.characteristic
+        return cls._from_raw(field, [_unit(p, n, i) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence], rows: int | None = None) -> "DenseMatrix":
@@ -297,12 +285,6 @@ class DenseMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
     def _check_same_shape(self, other: "DenseMatrix"):
         if not isinstance(other, DenseMatrix):
@@ -355,16 +337,10 @@ class DenseMatrix:
         return DenseMatrix._from_ints(self.field, raw, da * db, other.cols)
 
     def scale(self, c) -> "DenseMatrix":
-        c = self.field.scalar(c).value
+        (c,) = _unbox(self.field, [c])
         p = self.field.characteristic
         raw = [_scale(p, c, r) for r in self._raw]
         return DenseMatrix._from_raw(self.field, raw, self.cols)
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} against {self.rows}x{self.cols}")
-        return _box(self.field, self._times_col(_unbox(self.field, v)))
 
     def _times_col(self, x: list) -> list:
         """The matrix times the raw column vector x, as raw values; zero entries of x are skipped."""
@@ -379,12 +355,6 @@ class DenseMatrix:
         nz = [j for j, a in enumerate(x) if a]
         out = [sum([row[j] * x[j] for j in nz]) for row in rows]
         return [s % p for s in out] if p else _fractions(out, dx * d)
-
-    def apply_row(self, v: Vector) -> Vector:
-        """Row vector times matrix."""
-        if len(v) != self.rows:
-            raise ValueError(f"row vector length {len(v)} against {self.rows}x{self.cols}")
-        return _box(self.field, self._times_row(_unbox(self.field, v)))
 
     def _times_row(self, x: list) -> list:
         """The raw row vector x times the matrix, as raw values; zero entries of x are skipped."""
@@ -413,9 +383,6 @@ class DenseMatrix:
     def is_zero(self) -> bool:
         return not any(any(row) for row in self._raw)
 
-    def flatten(self) -> Vector:
-        return tuple(a for row in self.entries for a in row)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -427,7 +394,7 @@ class DenseMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.entries))
+        return hash((self.field, tuple(map(tuple, self._raw))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
@@ -597,22 +564,21 @@ def rref(m: DenseMatrix) -> RrefResult:
 
 def kernel_basis(m: DenseMatrix) -> list:
     """Deterministic basis of {v : m v = 0}, one vector per free column."""
-    return _kernel_from_rref(m.field, m.cols, rref(m))
+    return [_box(m.field, v) for v in _kernel_from_rref(m.field, m.cols, rref(m))]
 
 
 def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> list:
-    """The kernel_basis of a matrix with cols columns, from its reduced form."""
+    """The kernel_basis of a matrix with cols columns, from its reduced form, as raw vectors."""
     red, rank, pivots = reduction
     p = field.characteristic
     reduced = red._raw
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(cols) if c not in pivot_set):
-        v = [_zero(p)] * cols
-        v[fc] = field.one().value
+        v = _RawVector(_unit(p, cols, fc))
         for r, pc in enumerate(pivots):
             v[pc] = _neg(p, reduced[r][fc])
-        basis.append(_box(field, v))
+        basis.append(v)
     return basis
 
 
@@ -768,10 +734,15 @@ class SpanSolver:
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""
-        residual, alphas, sigma = self._reduce(_unbox(self.field, v))
+        coords = self._coordinates(_unbox(self.field, v))
+        return None if coords is None else _box(self.field, coords)
+
+    def _coordinates(self, v: list) -> Optional[list]:
+        """coordinates() of the raw vector v, as raw values."""
+        residual, alphas, sigma = self._reduce(v)
         if self._nonzero(residual):
             return None
-        return _box(self.field, self._combination(alphas, sigma))
+        return self._combination(alphas, sigma)
 
     def _nonzero(self, residual) -> bool:
         return residual != 0 if self._p == 2 else any(residual)
@@ -801,11 +772,7 @@ class SpanSolver:
 
 
 def column_space_basis(m: DenseMatrix) -> list:
-    """First-independent columns of m, in column order."""
+    """First-independent columns of m, in column order, as raw vectors."""
     solver = SpanSolver(m.field, m.rows)
-    basis = []
-    for j in range(m.cols):
-        c = m.column(j)
-        if solver.add(c):
-            basis.append(c)
-    return basis
+    columns = map(_RawVector, zip(*m._raw))
+    return [c for c in columns if solver.add(c)]

@@ -17,16 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import FieldSpec
-from .linalg import (
-    DenseMatrix,
-    SpanSolver,
-    Vector,
-    _box,
-    _RawVector,
-    _unbox,
-    unit_vector,
-    vec_is_zero,
-)
+from .linalg import DenseMatrix, SpanSolver, Vector, _box, _RawVector, _unbox, _unit
 from .wfa import covering_tree
 
 
@@ -118,7 +109,7 @@ class AlgebraAction:
         """
         if self._matrices is None:
             field, n = self.field, self.dim
-            units = [_unbox(field, unit_vector(field, n, i)) for i in range(n)]
+            units = [_unit(field.characteristic, n, i) for i in range(n)]
             matrices = {
                 s: DenseMatrix.from_columns(field, [_RawVector(step(e)) for e in units], rows=n)
                 for s, step in self.steps.items()
@@ -147,21 +138,55 @@ class CyclicModule:
 
     basis_vectors[j] is the ambient vector of basis_words[j]; the
     restricted matrix of a generator holds, in column j, the module
-    coordinates of that generator applied to basis vector j.
+    coordinates of that generator applied to basis vector j.  The
+    generator and the basis vectors are stored as raw values and boxed
+    when first read.
     """
 
-    __slots__ = ("action", "generator", "basis_words", "basis_vectors", "restricted", "_solver")
+    __slots__ = (
+        "action", "basis_words", "restricted", "_raw_generator", "_raw_vectors",
+        "_generator", "_basis_vectors", "_solver",
+    )
 
     def __init__(self, action, generator, basis_words, basis_vectors, restricted, solver):
+        field = action.field
+        raw = [_unbox(field, v) for v in basis_vectors]
+        self._store(action, _unbox(field, generator), basis_words, raw, restricted, solver)
+
+    @classmethod
+    def _from_raw(cls, action, generator, basis_words, vectors, restricted, solver) -> "CyclicModule":
+        """A module from a raw generator and raw basis vectors, without per-entry coercion."""
+        m = object.__new__(cls)
+        m._store(action, generator, basis_words, vectors, restricted, solver)
+        return m
+
+    def _store(self, action, generator, basis_words, vectors, restricted, solver):
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "generator", tuple(generator))
         object.__setattr__(self, "basis_words", tuple(tuple(w) for w in basis_words))
-        object.__setattr__(self, "basis_vectors", tuple(tuple(v) for v in basis_vectors))
         object.__setattr__(self, "restricted", dict(restricted))
+        object.__setattr__(self, "_raw_generator", _RawVector(generator))
+        object.__setattr__(self, "_raw_vectors", [_RawVector(v) for v in vectors])
+        object.__setattr__(self, "_generator", None)
+        object.__setattr__(self, "_basis_vectors", None)
         object.__setattr__(self, "_solver", solver)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicModule is immutable")
+
+    @property
+    def generator(self) -> Vector:
+        """The generator g as a tuple of FieldScalar, boxed on first use."""
+        if self._generator is None:
+            object.__setattr__(self, "_generator", _box(self.field, self._raw_generator))
+        return self._generator
+
+    @property
+    def basis_vectors(self) -> tuple:
+        """The basis vectors as tuples of FieldScalar, boxed on first use."""
+        if self._basis_vectors is None:
+            boxed = tuple(_box(self.field, v) for v in self._raw_vectors)
+            object.__setattr__(self, "_basis_vectors", boxed)
+        return self._basis_vectors
 
     @property
     def field(self) -> FieldSpec:
@@ -169,24 +194,23 @@ class CyclicModule:
 
     @property
     def dim(self) -> int:
-        return len(self.basis_vectors)
+        return len(self._raw_vectors)
+
+    def _span(self) -> SpanSolver:
+        """The span of the basis vectors over the ambient space, built on first use."""
+        if self._solver is None:
+            solver = SpanSolver(self.field, self.action.dim)
+            for v in self._raw_vectors:
+                solver.add(v)
+            object.__setattr__(self, "_solver", solver)
+        return self._solver
 
     def coordinates(self, v: Vector):
         """Module coordinates of an ambient vector, or None if outside."""
-        if len(v) != self.action.dim:
-            raise ValueError(f"ambient vector length {len(v)}, expected {self.action.dim}")
-        v = tuple(self.field.scalar(x) for x in v)
-        if self.dim == 0:
-            return () if vec_is_zero(v) else None
-        if self._solver is None:
-            solver = SpanSolver(self.field, self.action.dim)
-            for b in self.basis_vectors:
-                solver.add(b)
-            object.__setattr__(self, "_solver", solver)
-        return self._solver.coordinates(v)
+        return self._span().coordinates(v)
 
     def contains(self, v: Vector) -> bool:
-        return self.coordinates(v) is not None
+        return self._span().contains(v)
 
     def __repr__(self) -> str:
         return f"CyclicModule(dim={self.dim}, ambient={self.action.dim}, {self.field})"
@@ -195,25 +219,24 @@ class CyclicModule:
 def orbit_basis(action: AlgebraAction, g: Vector) -> CyclicModule:
     """Cyclic module generated by g under the action, by breadth-first orbit."""
     field = action.field
-    g = tuple(field.scalar(x) for x in g)
+    g = _unbox(field, g)
     if len(g) != action.dim:
         raise ValueError(f"generator length {len(g)}, expected {action.dim}")
-    tree = covering_tree(field, action.dim, _unbox(field, g), action.steps)
-    vectors = [_box(field, v) for v in tree.vectors]
-    return _module_from_tree(action, g, tree, vectors, tree.solver)
+    tree = covering_tree(field, action.dim, g, action.steps)
+    return _module_from_tree(action, g, tree, tree.vectors, tree.solver)
 
 
-def _module_from_tree(action: AlgebraAction, g: Vector, tree, vectors, solver) -> CyclicModule:
+def _module_from_tree(action: AlgebraAction, g: list, tree, vectors, solver) -> CyclicModule:
     """The CyclicModule of a covering tree under the action's generators, or their restrictions.
 
-    vectors are the ambient vectors of the tree's words; solver, their
-    span over the ambient space, may be None and is then built on first
-    use.
+    g and vectors, the ambient vectors of the tree's words, are raw;
+    solver, their span over the ambient space, may be None and is then
+    built on first use.
     """
     n = len(tree.words)
     field = action.field
     restricted = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in action.labels}
-    return CyclicModule(action, g, tree.words, vectors, restricted, solver)
+    return CyclicModule._from_raw(action, g, tree.words, vectors, restricted, solver)
 
 
 class ActionGraph:
@@ -230,7 +253,7 @@ class ActionGraph:
 
 
 def render_vector(v: Vector, names=None) -> str:
-    """Linear-combination rendering against coordinate names, or the raw tuple."""
+    """Linear-combination rendering against coordinate names, or the tuple; v may be raw."""
     if names is None:
         return "(" + ", ".join(str(x) for x in v) + ")"
     if len(names) != len(v):
@@ -247,7 +270,8 @@ def graph_from_parts(labels, basis_vectors, restricted, names=None) -> ActionGra
     """One node per basis vector, one edge per nonzero restricted entry.
 
     An edge (j, i, label, coeff) says that the generator sends basis
-    vector j to coeff times basis vector i plus terms on other nodes.
+    vector j to coeff times basis vector i plus terms on other nodes;
+    coeff is a raw value, and the basis vectors may be raw or boxed.
     """
     node_labels = [render_vector(v, names) for v in basis_vectors]
     n = len(basis_vectors)
@@ -256,11 +280,11 @@ def graph_from_parts(labels, basis_vectors, restricted, names=None) -> ActionGra
         mat = restricted[label]
         for j in range(n):
             for i in range(n):
-                c = mat.entries[i][j]
+                c = mat._raw[i][j]
                 if c:
                     edges.append((j, i, label, c))
     return ActionGraph(node_labels, edges)
 
 
 def action_graph(m: CyclicModule, names=None) -> ActionGraph:
-    return graph_from_parts(m.action.labels, m.basis_vectors, m.restricted, names)
+    return graph_from_parts(m.action.labels, m._raw_vectors, m.restricted, names)

@@ -39,12 +39,13 @@ from .linalg import (
     _addmul,
     _box,
     _inv,
+    _kernel_from_rref,
     _neg,
     _scale,
     _times,
     _unbox,
     _zero,
-    kernel_basis,
+    rref,
 )
 
 
@@ -370,7 +371,7 @@ def _berlekamp_splitting(f: Polynomial) -> list:
         power = (power * xp) % f
     q = DenseMatrix._from_raw(field, rows, d)
     b = q - DenseMatrix.identity(field, d)
-    kernel = [_unbox(field, v) for v in kernel_basis(b.transpose())]
+    kernel = _kernel_from_rref(field, d, rref(b.transpose()))
     r = len(kernel)
     factors = [f]
     if p == 2:

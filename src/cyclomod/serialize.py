@@ -56,10 +56,6 @@ def field_from_str(text, path: str = "field") -> FieldSpec:
     raise FormatError(path, f"expected \"0\" or \"p:<prime>\", got {text!r}")
 
 
-def scalar_to_str(x) -> str:
-    return str(x.value)
-
-
 def scalar_from_json(field: FieldSpec, value, path: str):
     if isinstance(value, bool):
         raise FormatError(path, "booleans are not scalars")
@@ -74,7 +70,8 @@ def scalar_from_json(field: FieldSpec, value, path: str):
 
 
 def vector_to_json(v) -> list:
-    return [scalar_to_str(x) for x in v]
+    """Decimal strings of a vector of FieldScalars or of raw values."""
+    return [str(x) for x in v]
 
 
 def _raw_scalar_from_json(field: FieldSpec, value, path: str):
@@ -111,7 +108,7 @@ def vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -
 
 
 def matrix_to_json(m: DenseMatrix) -> list:
-    return [[scalar_to_str(x) for x in row] for row in m.entries]
+    return [vector_to_json(row) for row in m._raw]
 
 
 def matrix_from_json(field: FieldSpec, data, rows: int, cols: int, path: str) -> DenseMatrix:
@@ -226,13 +223,13 @@ def certificate_to_json(cert: Certificate) -> dict:
 def module_to_json(m: CyclicModule, names: Optional[Sequence[str]] = None) -> dict:
     out = {
         "dim": m.dim,
-        "generator": vector_to_json(m.generator),
+        "generator": vector_to_json(m._raw_generator),
         "basis_words": [list(w) for w in m.basis_words],
-        "basis": [vector_to_json(v) for v in m.basis_vectors],
+        "basis": [vector_to_json(v) for v in m._raw_vectors],
     }
     if names is not None:
-        out["generator_display"] = render_vector(m.generator, names)
-        out["basis_display"] = [render_vector(v, names) for v in m.basis_vectors]
+        out["generator_display"] = render_vector(m._raw_generator, names)
+        out["basis_display"] = [render_vector(v, names) for v in m._raw_vectors]
     return out
 
 

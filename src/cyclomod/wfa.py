@@ -18,18 +18,19 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .fields import FieldSpec
+from .fields import FieldScalar, FieldSpec
 from .linalg import (
     DenseMatrix,
     SpanSolver,
     Vector,
     _box,
     _dot,
+    _one,
     _RawVector,
+    _scale,
     _unbox,
     _zero,
     unit_vector,
-    vec_dot,
 )
 
 
@@ -103,14 +104,13 @@ class WeightedAutomaton:
 
     def weight(self, word: Iterable[str]):
         """Series coefficient of the given word (any iterable of labels)."""
-        v = self.lam
+        field = self.field
+        x = _unbox(field, self.lam)
         for letter in word:
             if letter not in self.mu:
                 raise ValueError(f"letter {letter!r} is not in the alphabet")
-            v = self.mu[letter].apply_row(v)
-        if self.dim == 0:
-            return self.field.zero()
-        return vec_dot(v, self.gamma)
+            x = self.mu[letter]._times_row(x)
+        return FieldScalar(field, _dot(field.characteristic, x, _unbox(field, self.gamma)))
 
     def __repr__(self) -> str:
         return f"WeightedAutomaton(dim={self.dim}, alphabet={list(self.alphabet)}, {self.field})"
@@ -140,7 +140,7 @@ def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> Cov
     reduction.
     """
     p = field.characteristic
-    zero, one = _zero(p), field.one().value
+    zero, one = _zero(p), _one(p)
     solver = SpanSolver(field, length)
     words, vectors = [], []
     images = {label: [] for label in steps}
@@ -237,10 +237,10 @@ def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
 
 def scale(a: WeightedAutomaton, c) -> WeightedAutomaton:
     """Same series multiplied by the scalar c (rescales lambda)."""
-    c = a.field.scalar(c)
-    return WeightedAutomaton(
-        a.field, a.alphabet, tuple(c * x for x in a.lam), dict(a.mu), a.gamma
-    )
+    field = a.field
+    (c,) = _unbox(field, [c])
+    lam = _scale(field.characteristic, c, _unbox(field, a.lam))
+    return WeightedAutomaton(field, a.alphabet, lam, dict(a.mu), a.gamma)
 
 
 def equivalent(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:

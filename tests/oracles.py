@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but plain_power, span_equal, min_poly, commutant_basis, the
+Everything here but flat, plain_power, span_equal, min_poly, commutant_basis, the
 algebra references and the boxed kernel works on raw Python values
 (ints mod p, Fractions, int bitmasks over GF(2)) and reimplements the
 math naively, so that a bug in the library's linear algebra cannot hide
 inside its own oracle.
+flat is a matrix's entries as one row-major vector of n^2 scalars.
 plain_power (m^k by k products) and span_equal compare the library's
 matrices and spans against its stable powers and kernels.  min_poly is
 the minimal polynomial, modulo a span of matrices, as the first
@@ -387,6 +388,11 @@ def count_idempotents_brute(p, basis_matrices):
 # library matrices: plain powers, span comparison, minimal polynomials
 
 
+def flat(m):
+    """The entries of a matrix, row major, as one vector of n^2 FieldScalars."""
+    return tuple(a for row in m.entries for a in row)
+
+
 def plain_power(m, k):
     """m^k as k plain products, with no squaring and no rank test (the identity for k = 0)."""
     acc = DenseMatrix.identity(m.field, m.rows)
@@ -421,13 +427,13 @@ def min_poly(m, modulo=()):
     field, n = m.field, m.rows
     solver = SpanSolver(field, n * n)
     for j in modulo:
-        solver.add(j.flatten())
+        solver.add(flat(j))
     power = DenseMatrix.identity(field, n)
     for _ in range(n + 1):
-        coords = solver.coordinates(power.flatten())
+        coords = solver.coordinates(flat(power))
         if coords is not None:
             return Polynomial(field, [-c for c in coords[len(modulo):]] + [field.one()])
-        solver.add(power.flatten())
+        solver.add(flat(power))
         power = power * m
     raise RuntimeError("no dependence among matrix powers up to the dimension")
 
@@ -525,14 +531,14 @@ def radical_char0(e):
     for coords in kernel_basis(gram):
         mat = e.element(coords)
         rad.append(mat)
-        rad_solver.add(mat.flatten())
+        rad_solver.add(flat(mat))
     for mat in rad:
         # the algebra acts faithfully, so radical elements are nilpotent matrices
         if not plain_power(mat, e.module_dim).is_zero():
             raise RuntimeError("radical candidate is not nilpotent")
         for b in e.basis:
             for prod in (mat * b, b * mat):
-                if not rad_solver.contains(prod.flatten()):
+                if not rad_solver.contains(flat(prod)):
                     raise RuntimeError("radical candidate span is not a two-sided ideal")
     return rad
 

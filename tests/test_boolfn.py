@@ -123,7 +123,7 @@ def test_swap_action_matches_truth_table_oracle():
         support = {m for m in range(8) if rng.random() < 0.5}
         f = BooleanFunction.from_indices(3, support)
         for label in ("s1", "s2"):
-            image = action.matrices[label].apply(f.vector())
+            image = action.apply_word((label,), f.vector())
             g = BooleanFunction(3, image)
             expected_table = permute_function_truth_table(
                 3, truth_table(3, support), perms[label]

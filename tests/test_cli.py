@@ -6,6 +6,7 @@ import os
 import pytest
 
 from cyclomod import cli
+from cyclomod.fields import FieldScalar
 from cyclomod.serialize import automaton_from_json
 from cyclomod.wfa import equivalent
 
@@ -123,6 +124,30 @@ def test_decompose_bool_cert_only(capsys):
     code, out, _ = run(capsys, ["decompose-bool", SWAP_INVARIANT, "-n", "3", "--cert-only"])
     assert code == 0
     assert out == "signature: 1,2\nundecided_leaves: 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["decompose-bool", "x1*x2*x3 + x4*x5", "-n", "5"], 2 ** 5),
+        (["decompose-perm", os.path.join(GOLDEN, "regular_s3.json"), "--generator", "1,0,0,0,0,0"], 6),
+    ],
+)
+def test_cert_only_boxes_no_scalar_beyond_the_parsed_input(argv, parsed, capsys, monkeypatch):
+    # FieldScalars are made where input is parsed or a public accessor is
+    # read; modules, certificates and the kernel pass raw values to each
+    # other, and --cert-only prints no scalar
+    made = []
+    init = FieldScalar.__init__
+
+    def counting_init(self, field, value):
+        made.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldScalar, "__init__", counting_init)
+    code, out, _ = run(capsys, argv + ["--cert-only"])
+    assert code == 0 and out.startswith("signature: ")
+    assert len(made) <= parsed
 
 
 def test_decompose_bool_dot_directory(tmp_path, capsys):

@@ -26,6 +26,7 @@ from fixtures import (
 )
 
 from oracles import (
+    boxed_apply,
     commutant_basis,
     count_idempotents_brute,
     enumerate_idempotents,
@@ -259,7 +260,7 @@ def test_decomposition_is_invariant_under_change_of_basis(field, rng):
     config = SearchConfig(random_trials=8)
     base = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g), config)
     moved_gens = [(s, p * mat * p_inv) for s, mat in reversed(gens)]
-    moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), p.apply(g)), config)
+    moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), boxed_apply(p, g)), config)
     check_report(moved)
     assert moved.signature == base.signature
     assert _leaf_outcomes(moved) == _leaf_outcomes(base)

@@ -155,7 +155,7 @@ def test_fitting_split_on_projection():
     # the image is the invariant line through (1,1,1), which is F in ambient terms
     line = im[0]
     assert all(x == line[0] for x in line)
-    assert m.coordinates(F_VEC) == line
+    assert m.coordinates(F_VEC) == tuple(line)
     assert _try_fitting(e, DenseMatrix.identity(GF2, 3), {}, {}) is None
     assert _try_fitting(e, DenseMatrix.zeros(GF2, 3, 3), {}, {}) is None
 
@@ -183,8 +183,7 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     # a projection is stable at power 1: one squaring shows it
     cert = _try_fitting(e, ones_matrix(GF2, 3), {}, {})
     assert len(products) == 1
-    left, right = ([[x.value for x in v] for v in part] for part in cert.summands)
-    assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, left, right)
+    assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, *cert.summands)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
     m = conjugated_jordan_module(QQ, 4, 3)
     e = compute_end(m)
@@ -216,8 +215,7 @@ def test_fitting_certificates_match_the_nth_power_oracle():
                 continue
             p = m.field.characteristic
             element = [[x.value for x in row] for row in cert.element.entries]
-            left, right = ([[x.value for x in v] for v in part] for part in cert.summands)
-            assert is_fitting_split_by_nth_power(p, element, left, right)
+            assert is_fitting_split_by_nth_power(p, element, *cert.summands)
             checked += 1
     assert checked >= 20
 
@@ -239,9 +237,7 @@ def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
         ker, im = cert.summands
         assert (len(ker), len(im)) == (2, 1)
         raw = [[x.value for x in row] for row in mat.entries]
-        assert is_fitting_split_by_nth_power(
-            field.characteristic, raw, [[x.value for x in v] for v in ker], [[x.value for x in v] for v in im]
-        )
+        assert is_fitting_split_by_nth_power(field.characteristic, raw, ker, im)
 
 
 def test_element_is_the_basis_combination():
@@ -255,7 +251,7 @@ def test_element_is_the_basis_combination():
                 for c, b in zip(coords, e.basis):
                     expected = expected + b.scale(c)
                 assert e.element(coords) == expected
-    with pytest.raises(ValueError, match="belongs to"):
+    with pytest.raises(ValueError, match="mixed fields"):
         compute_end(swap_invariant_module()).element((gf(3).one(), GF2.one()))
 
 
@@ -452,7 +448,7 @@ def test_local_radical_is_the_trace_form_radical():
         e = compute_end(m)
         cert = find_splitting_element(e)
         assert cert.mode == "local"
-        flats = [[j.flatten() for j in mats] for mats in (cert.radical, radical_char0(e))]
+        flats = [[oracles.flat(j) for j in mats] for mats in (cert.radical, radical_char0(e))]
         assert span_equal(QQ, *flats, e.module_dim ** 2)
 
 
@@ -608,7 +604,7 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     short = (left[0][:-1],) + tuple(left[1:])
     with pytest.raises(RuntimeError, match="length 3"):
         verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, right), {}))
-    foreign = (tuple(gf(3).scalar(x.value) for x in left[0]),) + tuple(left[1:])
+    foreign = (tuple(gf(3).scalar(x) for x in left[0]),) + tuple(left[1:])
     with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
         verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right), {}))
     # entries that are no value of the field at all
@@ -816,7 +812,7 @@ def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
         x = e.element(coords)
         assert e.coordinates(x) == tuple(m.field.scalar(c) for c in coords)
         forged = _off_first_column(x)
-        assert forged.column(0) == x.column(0)
+        assert [r[0] for r in forged.entries] == [r[0] for r in x.entries]
         assert e.coordinates(forged) is None
         assert not e.contains(forged)
 

@@ -125,7 +125,8 @@ def test_restricted_matches_ambient():
     m = orbit_basis(action, G)
     for label in action.labels:
         for j, v in enumerate(m.basis_vectors):
-            assert m.coordinates(action.matrices[label].apply(v)) == m.restricted[label].column(j)
+            column = tuple(row[j] for row in m.restricted[label].entries)
+            assert m.coordinates(action.apply_word((label,), v)) == column
 
 
 def test_submodule_generated_splits():

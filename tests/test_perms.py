@@ -39,11 +39,11 @@ def test_permutation_matrices_are_permutation_matrices():
     action = p.action()
     for label in p.labels:
         mat = action.matrices[label]
-        for i in range(3):
-            row_ones = sum(1 for x in mat.row(i) if x)
-            col_ones = sum(1 for x in mat.column(i) if x)
+        for row, column in zip(mat.entries, zip(*mat.entries)):
+            row_ones = sum(1 for x in row if x)
+            col_ones = sum(1 for x in column if x)
             assert row_ones == col_ones == 1
-            assert all(x.value in (0, 1) for x in mat.row(i))
+            assert all(x.value in (0, 1) for x in row)
         # orthogonality: transpose is the inverse
         assert mat * mat.transpose() == DenseMatrix.identity(QQ, 3)
 
@@ -182,7 +182,7 @@ def _height_one_vectors(d):
 def _canonical_span(vectors, d):
     m = DenseMatrix(QQ, [list(v) for v in vectors], cols=d)
     r = rref(m)
-    return tuple(r.matrix.row(i) for i in range(r.rank))
+    return r.matrix.entries[:r.rank]
 
 
 def _stable_spans(action, max_basis):
@@ -201,8 +201,7 @@ def _stable_spans(action, max_basis):
             solver.add(v)
         ok = True
         for label in action.labels:
-            mat = action.matrices[label]
-            if not all(solver.contains(mat.apply(v)) for v in rows):
+            if not all(solver.contains(action.apply_word((label,), v)) for v in rows):
                 ok = False
                 break
         if ok:

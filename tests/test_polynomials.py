@@ -240,11 +240,10 @@ def test_min_poly_three_cycle():
     one = c
     two = c * c
     assert two * c == i
-    flat = [i.flatten(), one.flatten(), two.flatten()]
     from cyclomod.linalg import SpanSolver
 
     solver = SpanSolver(field, 9)
-    assert all(solver.add(v) for v in flat)
+    assert all(solver.add(oracles.flat(v)) for v in (i, one, two))
 
 
 def test_min_poly_divides_and_annihilates():
@@ -267,7 +266,7 @@ def test_min_poly_divides_and_annihilates():
             solver = SpanSolver(field, n * n)
             power = DenseMatrix.identity(field, n)
             for _ in range(f.degree):
-                assert solver.add(power.flatten())
+                assert solver.add(oracles.flat(power))
                 power = power * m
 
 

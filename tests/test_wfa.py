@@ -245,7 +245,7 @@ def test_minimize_preserves_weights_gf2(bits):
 
 
 def _columns(m):
-    return [m.column(j) for j in range(m.cols)]
+    return list(zip(*m.entries))
 
 
 def _boxed_dot(field, u, v):
