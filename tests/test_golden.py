@@ -3,10 +3,13 @@
 Every case is a CLI argument list run against the input files in
 tests/golden/; its stdout must equal the committed file
 tests/golden/<case>.out byte for byte.  The other CLI tests check that
-output repeats across runs; these pin what it is.  One more golden,
-minimize_gf2_160.out, is the JSON text of a minimized automaton that
-tests/fixtures.py builds in-process.  After a change that is meant to
-alter the output, rewrite the files with
+output repeats across runs; these pin what it is.  Two more goldens are
+built in-process: minimize_gf2_160.out, the JSON text of a minimized
+automaton that tests/fixtures.py builds, and decompose_regular_s4_gf3.out,
+the report of the regular S4 module over GF(3), the one golden that
+runs the odd-p kernel end to end (the CLI decomposes over GF(2) or Q
+only).  After a change that is meant to alter the output, rewrite the
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,8 +21,11 @@ import sys
 
 import pytest
 
-from cyclomod import cli
-from cyclomod.serialize import automaton_to_json, to_text
+from cyclomod import cli, gf
+from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.perms import left_translation_action, symmetric_group
+from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
 
 from fixtures import gf2_redundant_automaton
@@ -76,6 +82,25 @@ def test_minimize_large_gf2_automaton_matches_golden_bytes():
     assert equivalent(source, result)
 
 
+def regular_s4_gf3():
+    """The regular S4 module over GF(3), generated by the identity, and the text of its report."""
+    elements = symmetric_group(4)
+    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    action = AlgebraAction.from_permutations(gf(3), [(s, s4.generators[s]) for s in s4.labels], 24)
+    report = complete_decomposition(orbit_basis(action, [1] + [0] * 23))
+    return report, to_text(report_to_json(report))
+
+
+def test_regular_s4_over_gf3_matches_golden_bytes():
+    report, text = regular_s4_gf3()
+    assert report.signature == (3,) * 8
+    modes = {c.mode for c in report.certificates + report.split_certificates}
+    assert {"local", "fitting-scan", "dimension-1"} <= modes
+    with open(os.path.join(GOLDEN, "decompose_regular_s4_gf3.out"), encoding="utf-8", newline="") as handle:
+        assert text == handle.read()
+    check_report(report)
+
+
 def _write(name, text):
     with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -94,6 +119,7 @@ def main():
             sys.exit(f"{name}: exit code {code}")
         _write(name, buffer.getvalue())
     _write("minimize_gf2_160", minimized_gf2_160()[2])
+    _write("decompose_regular_s4_gf3", regular_s4_gf3()[1])
 
 
 if __name__ == "__main__":
