@@ -37,9 +37,12 @@ find_splitting_element runs one search for every field: the
 one-dimensional shortcut, a Fitting scan of the basis elements and their
 pairwise sums and differences, then one loop over the scanned elements
 and seeded random ones that factors each candidate's minimal polynomial
-once.  Two coprime factors split the module along their kernels.  A
-power f^k with k > 1 makes f(x) nilpotent, and f(x) joins a two-sided
-ideal J, closed under multiplication by the basis.  Once some
+once.  When that polynomial has two coprime primary factors, with f
+the first irreducible one, f(x) is nilpotent on the f-primary summand
+and invertible on the rest: a Fitting element whose stable power splits
+the module along those two ("min-poly-split", with f(x) as its
+element).  A power f^k with k > 1 makes f(x) nilpotent, and f(x) joins
+a two-sided ideal J, closed under multiplication by the basis.  Once some
 candidate's f has degree dim E - dim J and J is nilpotent (checked on
 J e_0, J^2 e_0, ...), E/J is a field generated by x: the minimal
 polynomial of x modulo J divides f^k and has degree at most
@@ -78,7 +81,6 @@ from .linalg import (
     _primitive,
     _RawVector,
     _row_times,
-    _rref_ints,
     _rref_rows,
     _sum_of_multiples,
     _unbox,
@@ -261,11 +263,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     # the flats of X_v, reversed for pivots at the last nonzero entries
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
     flats = [list(f) for f in zip(*stacked)]
-    if p:
-        pivots = _rref_rows(p, flats, n * n)
-    else:
-        flats = [_primitive(f) for f in flats]
-        pivots = _rref_ints(flats, n * n)
+    pivots = _rref_rows(p, flats, n * n)
     basis = []
     for row, c in reversed(list(zip(flats, pivots))):
         flat = row[::-1]
@@ -404,7 +402,7 @@ def _random_candidates(e: EndoAlgebra, config: SearchConfig):
             yield e.element(coords)
 
 
-def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict):
+def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict, mode: str = "fitting-scan"):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
 
     The summands are the kernel and the image of a stable power of mat,
@@ -424,24 +422,7 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: d
         if not check.add(v):
             raise RuntimeError("kernel and image of the stable power overlap")
     split = (tuple(ker), tuple(im))
-    return Certificate("decomposable", "fitting-scan", mat, split, budgets, diagnostics)
-
-
-def _coprime_split(e: EndoAlgebra, mat: DenseMatrix, mp, factors, budgets: dict, diag: dict):
-    """Split along the first primary factor of the minimal polynomial and the rest."""
-    f0, k0 = factors[0]
-    first = f0 ** k0
-    rest = mp.exact_div(first)
-    n = e.module_dim
-    ker_first = _kernel_from_rref(e.field, n, rref(first.evaluate_matrix(mat)))
-    ker_rest = _kernel_from_rref(e.field, n, rref(rest.evaluate_matrix(mat)))
-    if not ker_first or not ker_rest:
-        raise RuntimeError("coprime factor kernels cannot be trivial")
-    if len(ker_first) + len(ker_rest) != n:
-        raise RuntimeError("coprime factor kernels do not fill the module")
-    return Certificate(
-        "decomposable", "min-poly-split", mat, (tuple(ker_first), tuple(ker_rest)), budgets, diag
-    )
+    return Certificate("decomposable", mode, mat, split, budgets, diagnostics)
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
@@ -544,7 +525,8 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
             factor_shape=[[f.degree, k] for f, k in factors],
         )
         if len(factors) >= 2:
-            return _coprime_split(e, mat, mp, factors, budgets, diag)
+            # f0(x) is nilpotent on the f0-primary summand and invertible on the rest
+            return _try_fitting(e, factors[0][0].evaluate_matrix(mat), budgets, diag, "min-poly-split")
         ((f, k),) = factors
         if k > 1 and nilpotent is not False:
             grown = len(ideal)

@@ -9,15 +9,20 @@ FieldScalar is made only where a public call hands a result back or
 `entries` is read; a public call unboxes its vector arguments once,
 checking their field, and the kernel (rref, SpanSolver, products, sums
 and scaling) and every other module pass raw rows to each other.  The
-kernel skips every entry whose multiplier is zero.  Over Q it
-eliminates and multiplies on integer rows, fraction-free as
-a*row - c*pivot_row divided by the content (Bareiss, Math. Comp. 22,
-1968), and a Q matrix keeps that integer form once it has been needed.
-Over GF(2) it packs a row into one int, entry j in byte j, so a row sum
-is a XOR; a matrix packs its rows and its columns when a product first
-needs them, and endo.compute_end packs its spin with the same _pack.
-Reduced echelon forms and coordinates are unique, so they are the ones
-plain Fraction or list arithmetic gives.
+kernel skips every entry whose multiplier is zero.  Over Q it multiplies
+on integer rows, and a Q matrix keeps that integer form once it has been
+needed.  For p != 2, GF(p) and Q share one Gauss-Jordan loop
+(_rref_rows) and one SpanSolver reduction and insertion on kernel rows,
+raw values over GF(p) and integer rows over Q.  The field enters only
+through two steps: _pivot_row makes a pivot row, scaled to 1 over GF(p)
+and primitive over Q, and _clear clears an entry with it, x - c*pivot_row
+over GF(p) and, fraction-free, a*x - c*pivot_row divided by its content
+over Q (Bareiss, Math. Comp. 22, 1968).  Over GF(2) the kernel packs a
+row into one int, entry j in byte j, so a row sum is a XOR; a matrix
+packs its rows and its columns when a product first needs them, and
+endo.compute_end packs its spin with the same _pack.  Reduced echelon
+forms and coordinates are unique, so they are the ones plain Fraction or
+list arithmetic gives.
 """
 
 from __future__ import annotations
@@ -280,7 +285,8 @@ class DenseMatrix:
         for c in cols:
             if len(c) != rows:
                 raise ValueError("column lengths differ")
-        return cls._from_raw(field, [[c[i] for c in cols] for i in range(rows)], len(cols))
+        raw = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(rows)]
+        return cls._from_raw(field, raw, len(cols))
 
     @property
     def is_square(self) -> bool:
@@ -466,8 +472,23 @@ def _combine(x: list, a: int, c: int, y: list) -> list:
     return _primitive([a * u - c * v for u, v in zip(x, y)])
 
 
+def _pivot_row(p: int, x: list, c: int) -> list:
+    """x made a pivot row at column c: scaled to 1 there over GF(p), primitive over Q."""
+    return _scale(p, _inv(p, x[c]), x) if p else _primitive(x)
+
+
+def _clear(p: int, x: list, c: int, prow: list) -> list:
+    """x with its entry in column c cleared by the pivot row prow; primitive over Q."""
+    return _addmul(p, x, _neg(p, x[c]), prow) if p else _combine(x, prow[c], x[c], prow)
+
+
 def _rref_rows(p: int, rows: list, ncols: int) -> list:
-    """Reduce a list of raw GF(p) rows to reduced echelon form in place; returns the pivots."""
+    """Gauss-Jordan on kernel rows in place; returns the pivots.
+
+    The rows are raw GF(p) values or, over Q, integer rows, and each
+    pivot row ends as a primitive multiple of its reduced row.  The
+    inner lists are replaced, never changed.
+    """
     if p == 2:
         # row by row on packed rows; the reduced echelon form is unique, so
         # it is the one the column-by-column elimination below gives
@@ -488,11 +509,10 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r] = _scale(p, _inv(p, rows[r][c]), rows[r])
+        prow = rows[r] = _pivot_row(p, rows[r], c)
         for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = _addmul(p, row, _neg(p, f), prow)
+            if row[c] and i != r:
+                rows[i] = _clear(p, row, c, prow)
         pivots.append(c)
         r += 1
     return pivots
@@ -523,40 +543,12 @@ def _xor_insert(kept: dict, x: int) -> int:
     return low
 
 
-def _rref_ints(rows: list, ncols: int) -> list:
-    """Fraction-free Gauss-Jordan on integer rows for Q, in place; returns the pivots.
-
-    Each pivot row ends as a primitive multiple of its reduced row.  The
-    inner lists are replaced, never changed.
-    """
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = _combine(row, prow[c], f, prow)
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rref(m: DenseMatrix) -> RrefResult:
     """Reduced row echelon form with pivot bookkeeping."""
     p = m.field.characteristic
-    if p:
-        rows = [list(r) for r in m._raw]
-        pivots = _rref_rows(p, rows, m.cols)
-    else:
-        rows = [_primitive(r) for r in m._int_form()[0]]
-        pivots = _rref_ints(rows, m.cols)
+    rows = list(m._int_form()[0])
+    pivots = _rref_rows(p, rows, m.cols)
+    if not p:
         rows = [_fractions(r, r[c]) for r, c in zip(rows, pivots)]
         rows += [[_QZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols), len(pivots), tuple(pivots))
@@ -589,13 +581,14 @@ class SpanSolver:
     far and reports whether it did; coordinates() rewrites any vector of
     the span as a combination of the inserted ones.  Rows are kept fully
     reduced, so the internal basis is canonical for a given insertion
-    order.  Over GF(p) rows and combinations are raw values, each row
-    with a 1 at its pivot.  Over GF(2) a row and its combination are one
-    packed int, the combination in the bytes above the first length,
-    and the rows are a dict from each row's pivot, its lowest set bit,
-    to the row.  Over Q a row is a primitive integer multiple of the
-    reduced one, and its combination is in the same scale:
-    row_i = sum_k combo_i[k] * (k-th inserted vector).
+    order.  For p != 2 a row and its combination are kept in one form,
+    row_i = sum_k combo_i[k] * (k-th inserted vector), and are made a
+    pivot row and cleared as one row: raw values over GF(p), each row
+    with a 1 at its pivot, and over Q a primitive integer multiple of
+    the reduced row, its combination in the same scale.  Over GF(2) a
+    row and its combination are one packed int, the combination in the
+    bytes above the first length, and the rows are a dict from each
+    row's pivot, its lowest set bit, to the row.
     """
 
     def __init__(self, field: FieldSpec, length: int):
@@ -616,12 +609,12 @@ class SpanSolver:
     def _reduce(self, v: list):
         """(residual, alphas, sigma) of the raw vector v against the rows.
 
-        Over GF(p), residual = v - sum(alpha_i * row_i) on raw values and
-        sigma = 1.  Over GF(2) the residual is packed, and in place of the
-        alphas comes their combination, sum(alpha_i * combo_i), packed.
-        Over Q, residual = sigma * v - sum(alpha_i * row_i) is an integer
-        row, with one integer sigma for all the rows taken off.  v itself
-        is not changed.
+        residual = sigma * v - sum(alpha_i * row_i), one scale sigma for
+        all the rows taken off: an integer row over Q, raw values over
+        GF(p), where every pivot entry is 1 and so sigma is 1.  Over GF(2)
+        the residual is packed, and in place of the alphas comes their
+        combination, sum(alpha_i * combo_i), packed.  v itself is not
+        changed.
         """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
@@ -629,17 +622,11 @@ class SpanSolver:
         if p == 2:
             x = _xor_reduce(self._rows, self._mask, _pack(v))
             return x & self._vector_bits, x >> 8 * self.length, 1
-        if p:
-            alphas = []
-            for row, piv in zip(self._rows, self._pivots):
-                c = v[piv]
-                alphas.append(c)
-                if c:
-                    v = _addmul(p, v, _neg(p, c), row)
-            return v, alphas, 1
+        d = 1
+        if not p:
+            (v,), d = _clear_denominators([v])
         # the rows are zero at each other's pivots, so the multiple of row i
         # is fixed by v[piv_i] alone: one common scale m clears them all
-        (v,), d = _clear_denominators([v])
         hits = []  # (i, t, q): row i is taken off t * m / q times
         m = 1
         for i, (row, piv) in enumerate(zip(self._rows, self._pivots)):
@@ -652,7 +639,7 @@ class SpanSolver:
         alphas = [0] * len(self._rows)
         for i, t, q in hits:
             alpha = alphas[i] = t * (m // q)
-            v = _addmul(0, v, -alpha, self._rows[i])
+            v = _addmul(p, v, -alpha, self._rows[i])
         return v, alphas, m * d
 
     def add(self, v: Vector) -> bool:
@@ -686,51 +673,25 @@ class SpanSolver:
         if pivot is None:
             return False
         self.count += 1
-        if not p:
-            self._add_int_row(residual, alphas, sigma, pivot)
-            return True
-        inv = _inv(p, residual[pivot])
-        new_row = _scale(p, inv, residual)
-        combo = [_zero(p)] * self.count
-        combo[-1] = inv
-        for alpha, old in zip(alphas, self._combos):
-            if alpha:
-                k = len(old)
-                combo[:k] = _addmul(p, combo[:k], _neg(p, _times(p, inv, alpha)), old)
-        # keep existing rows reduced against the new pivot
-        for i, row in enumerate(self._rows):
-            c = row[pivot]
-            if c:
-                minus_c = _neg(p, c)
-                self._rows[i] = _addmul(p, row, minus_c, new_row)
-                old = self._combos[i]
-                padded = old + [_zero(p)] * (len(combo) - len(old))
-                self._combos[i] = _addmul(p, padded, minus_c, combo)
-        self._rows.append(new_row)
-        self._pivots.append(pivot)
-        self._combos.append(combo)
-        return True
-
-    def _add_int_row(self, residual: list, alphas: list, sigma: int, pivot: int):
-        """Insert a nonzero Q residual of _reduce as a row, its combination in the same scale."""
         n = self.length
         combo = [0] * self.count
         combo[-1] = sigma
         for alpha, old in zip(alphas, self._combos):
             if alpha:
-                combo[:len(old)] = _addmul(0, combo, -alpha, old)
-        # a row and its combination are combined, and made primitive, as one integer row
-        new = _primitive(residual + combo)
+                combo[:len(old)] = _addmul(p, combo, -alpha, old)
+        # a row and its combination are made a pivot row, and cleared, as one row
+        new = _pivot_row(p, residual + combo, pivot)
         # keep existing rows reduced against the new pivot
         for i, row in enumerate(self._rows):
             if row[pivot]:
                 old = self._combos[i]
                 padded = row + old + [0] * (len(combo) - len(old))
-                both = _combine(padded, new[pivot], row[pivot], new)
+                both = _clear(p, padded, pivot, new)
                 self._rows[i], self._combos[i] = both[:n], both[n:]
         self._rows.append(new[:n])
         self._pivots.append(pivot)
         self._combos.append(new[n:])
+        return True
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .decompose import DecompositionReport
 from .endo import Certificate
 from .fields import FieldScalar, FieldSpec, QQ, gf
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _RawVector
 from .modules import ActionGraph, CyclicModule, render_vector
 from .perms import PermutationPresentation
 from .wfa import WeightedAutomaton
@@ -129,9 +129,9 @@ def automaton_to_json(a: WeightedAutomaton) -> dict:
         "field": field_to_str(a.field),
         "alphabet": list(a.alphabet),
         "dim": a.dim,
-        "lambda": vector_to_json(a.lam),
+        "lambda": vector_to_json(a._raw_lam),
         "mu": {s: matrix_to_json(a.mu[s]) for s in a.alphabet},
-        "gamma": vector_to_json(a.gamma),
+        "gamma": vector_to_json(a._raw_gamma),
     }
 
 
@@ -150,8 +150,8 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise FormatError("dim", "expected a nonnegative integer")
-    lam = vector_from_json(field, obj["lambda"], dim, "lambda")
-    gamma = vector_from_json(field, obj["gamma"], dim, "gamma")
+    lam = _RawVector(_raw_vector_from_json(field, obj["lambda"], dim, "lambda"))
+    gamma = _RawVector(_raw_vector_from_json(field, obj["gamma"], dim, "gamma"))
     mu_obj = obj["mu"]
     if not isinstance(mu_obj, dict):
         raise FormatError("mu", "expected an object keyed by letters")

@@ -29,8 +29,8 @@ from .linalg import (
     _RawVector,
     _scale,
     _unbox,
+    _unit,
     _zero,
-    unit_vector,
 )
 
 
@@ -56,9 +56,12 @@ class PrefixBasis:
 
 
 class WeightedAutomaton:
-    """(lambda, mu, gamma) over one field, alphabet order fixed."""
+    """(lambda, mu, gamma) over one field, alphabet order fixed.
 
-    __slots__ = ("field", "alphabet", "dim", "lam", "mu", "gamma")
+    lambda and gamma are stored as raw values and boxed when first read.
+    """
+
+    __slots__ = ("field", "alphabet", "dim", "mu", "_raw_lam", "_raw_gamma", "_lam", "_gamma")
 
     def __init__(
         self,
@@ -71,8 +74,7 @@ class WeightedAutomaton:
         alphabet = tuple(alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet labels must be distinct")
-        lam = tuple(field.scalar(x) for x in lam)
-        gamma = tuple(field.scalar(x) for x in gamma)
+        lam, gamma = _unbox(field, lam), _unbox(field, gamma)
         dim = len(lam)
         if len(gamma) != dim:
             raise ValueError(f"lambda has length {dim} but gamma has length {len(gamma)}")
@@ -91,12 +93,28 @@ class WeightedAutomaton:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mats)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "_raw_lam", _RawVector(lam))
+        object.__setattr__(self, "_raw_gamma", _RawVector(gamma))
+        object.__setattr__(self, "_lam", None)
+        object.__setattr__(self, "_gamma", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedAutomaton is immutable")
+
+    @property
+    def lam(self) -> Vector:
+        """lambda as a tuple of FieldScalar, boxed on first use."""
+        if self._lam is None:
+            object.__setattr__(self, "_lam", _box(self.field, self._raw_lam))
+        return self._lam
+
+    @property
+    def gamma(self) -> Vector:
+        """gamma as a tuple of FieldScalar, boxed on first use."""
+        if self._gamma is None:
+            object.__setattr__(self, "_gamma", _box(self.field, self._raw_gamma))
+        return self._gamma
 
     @classmethod
     def zero(cls, field: FieldSpec, alphabet: Sequence[str]) -> "WeightedAutomaton":
@@ -105,12 +123,12 @@ class WeightedAutomaton:
     def weight(self, word: Iterable[str]):
         """Series coefficient of the given word (any iterable of labels)."""
         field = self.field
-        x = _unbox(field, self.lam)
+        x = self._raw_lam
         for letter in word:
             if letter not in self.mu:
                 raise ValueError(f"letter {letter!r} is not in the alphabet")
             x = self.mu[letter]._times_row(x)
-        return FieldScalar(field, _dot(field.characteristic, x, _unbox(field, self.gamma)))
+        return FieldScalar(field, _dot(field.characteristic, x, self._raw_gamma))
 
     def __repr__(self) -> str:
         return f"WeightedAutomaton(dim={self.dim}, alphabet={list(self.alphabet)}, {self.field})"
@@ -180,12 +198,11 @@ def _left_reduction(a: WeightedAutomaton):
     """left_reduce's automaton, and its covering tree in place of the PrefixBasis."""
     field = a.field
     steps = {s: a.mu[s]._times_row for s in a.alphabet}
-    tree = covering_tree(field, a.dim, _unbox(field, a.lam), steps)
+    tree = covering_tree(field, a.dim, a._raw_lam, steps)
     n = len(tree.vectors)
     mu = {s: DenseMatrix._from_raw(field, tree.images[s], n) for s in a.alphabet}
-    gamma = _unbox(field, a.gamma)
-    gamma = [_dot(field.characteristic, v, gamma) for v in tree.vectors]
-    return WeightedAutomaton(field, a.alphabet, unit_vector(field, n, 0), mu, gamma), tree
+    gamma = _RawVector([_dot(field.characteristic, v, a._raw_gamma) for v in tree.vectors])
+    return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma), tree
 
 
 def right_reduce(a: WeightedAutomaton):
@@ -204,12 +221,16 @@ def _right_reduction(a: WeightedAutomaton):
     """right_reduce's automaton, and its covering tree in place of the PrefixBasis."""
     field = a.field
     steps = {s: a.mu[s]._times_col for s in a.alphabet}
-    tree = covering_tree(field, a.dim, _unbox(field, a.gamma), steps)
+    tree = covering_tree(field, a.dim, a._raw_gamma, steps)
     n = len(tree.vectors)
-    lam = _unbox(field, a.lam)
-    lam = [_dot(field.characteristic, v, lam) for v in tree.vectors]
+    lam = _RawVector([_dot(field.characteristic, v, a._raw_lam) for v in tree.vectors])
     mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
-    return WeightedAutomaton(field, a.alphabet, lam, mu, unit_vector(field, n, 0)), tree
+    return WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n)), tree
+
+
+def _first_unit(field: FieldSpec, n: int) -> _RawVector:
+    """The raw e_0 of length n, the root's coordinates in its own tree; empty when n = 0."""
+    return _RawVector(_unit(field.characteristic, n, 0) if n else [])
 
 
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:
@@ -230,17 +251,16 @@ def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
         # the block rows on raw values, so no entry is boxed
         rows = [[*r, *right] for r in a.mu[s]._raw] + [[*left, *r] for r in b.mu[s]._raw]
         mu[s] = DenseMatrix._from_raw(field, rows, a.dim + b.dim)
-    return WeightedAutomaton(
-        field, a.alphabet, a.lam + b.lam, mu, a.gamma + b.gamma
-    )
+    lam, gamma = _RawVector(a._raw_lam + b._raw_lam), _RawVector(a._raw_gamma + b._raw_gamma)
+    return WeightedAutomaton(field, a.alphabet, lam, mu, gamma)
 
 
 def scale(a: WeightedAutomaton, c) -> WeightedAutomaton:
     """Same series multiplied by the scalar c (rescales lambda)."""
     field = a.field
     (c,) = _unbox(field, [c])
-    lam = _scale(field.characteristic, c, _unbox(field, a.lam))
-    return WeightedAutomaton(field, a.alphabet, lam, dict(a.mu), a.gamma)
+    lam = _RawVector(_scale(field.characteristic, c, a._raw_lam))
+    return WeightedAutomaton(field, a.alphabet, lam, dict(a.mu), a._raw_gamma)
 
 
 def equivalent(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:

@@ -207,17 +207,27 @@ def _golden_and_test_modules():
     return modules
 
 
+def _min_poly_split_modules():
+    """Modules whose decomposition takes a min-poly-split: every scanned
+    element is a unit or nilpotent, and some minimal polynomial has coprime factors."""
+    yield orbit_basis(AlgebraAction(QQ, [("u", [[0, 4], [1, 0]])]), (1, 0))
+    yield orbit_basis(AlgebraAction(gf(2147483647), [("u", [[2, 0], [0, 3]])]), (1, 1))
+    elements = symmetric_group(4)
+    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    action = AlgebraAction.from_permutations(gf(5), [(s, s4.generators[s]) for s in s4.labels], 24)
+    yield orbit_basis(action, [1] + [0] * 23)
+
+
 def test_fitting_certificates_match_the_nth_power_oracle():
-    checked = 0
-    for m in _golden_and_test_modules():
+    # a min-poly-split certificate is a Fitting one too, for the element f(x)
+    checked = {"fitting-scan": 0, "min-poly-split": 0}
+    for m in itertools.chain(_golden_and_test_modules(), _min_poly_split_modules()):
         for cert in complete_decomposition(m).split_certificates:
-            if cert.mode != "fitting-scan":
-                continue
             p = m.field.characteristic
             element = [[x.value for x in row] for row in cert.element.entries]
             assert is_fitting_split_by_nth_power(p, element, *cert.summands)
-            checked += 1
-    assert checked >= 20
+            checked[cert.mode] += 1
+    assert checked["fitting-scan"] >= 20 and checked["min-poly-split"] >= 4
 
 
 def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):

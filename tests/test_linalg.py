@@ -452,6 +452,39 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
         _assert_canonical(QQ, got)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    rows=st.integers(min_value=0, max_value=12),
+    cols=st.integers(min_value=0, max_value=12),
+)
+def test_span_solver_staircase_over_a_large_prime(seed, rows, cols):
+    # the staircase re-reduction of the large-entry Q test over GF(2^31 - 1),
+    # where inserting a row also clears it from the rows, and combinations, held
+    field = gf(2147483647)
+    p = field.characteristic
+    rng = random.Random(seed)
+
+    def box(values):
+        return tuple(field.scalar(x) for x in values)
+
+    raw = _oracle_rows(field, rng, rows, cols)
+    stairs = [[0] * s + [rng.randrange(1, p) for _ in range(cols - s)] for s in range(cols)]
+    solver, reference = SpanSolver(field, cols), oracles.BoxedSpanSolver(field, cols)
+    for r in stairs[: rng.randrange(cols + 1)] + raw:
+        assert solver.add(box(r)) == reference.add(box(r))
+    assert solver.rank == reference.rank
+    assert solver.basis_rows() == reference.basis_rows()
+    for row in solver.basis_rows():
+        _assert_canonical(field, row)
+    for v in raw + stairs + _oracle_rows(field, rng, 4, cols):
+        got = solver.coordinates(box(v))
+        assert got == reference.coordinates(box(v))
+        assert solver.contains(box(v)) == reference.contains(box(v))
+        if got is not None:
+            _assert_canonical(field, got)
+
+
 # column counts on both sides of the 8-, 64- and 128-entry boundaries of the packed GF(2) rows
 PACKED_COLS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
 
