@@ -12,6 +12,7 @@ import random
 
 from cyclomod import GF2, QQ
 from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.perms import left_translation_action, symmetric_group
 from cyclomod.wfa import WeightedAutomaton
 
 
@@ -92,6 +93,17 @@ def s3_regular_action():
             rows[index[compose(gen, g)]][j] = 1
         mats.append(rows)
     return AlgebraAction(QQ, [("s1", mats[0]), ("s2", mats[1])])
+
+
+def regular_s4_module(field):
+    """The regular S4 module over field, generated by the identity.
+
+    The generators are left translation by (0 1) and by the 4-cycle.
+    """
+    elements = symmetric_group(4)
+    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    action = AlgebraAction.from_permutations(field, [(s, s4.generators[s]) for s in s4.labels], 24)
+    return orbit_basis(action, [1] + [0] * 23)
 
 
 def unimodular_pair(rng, d):

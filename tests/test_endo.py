@@ -38,6 +38,7 @@ from fixtures import (
     conjugated_jordan_module,
     int_mul,
     quaternion_module,
+    regular_s4_module,
     unimodular_pair,
     s3_anf_action,
     s3_regular_action,
@@ -212,10 +213,7 @@ def _min_poly_split_modules():
     element is a unit or nilpotent, and some minimal polynomial has coprime factors."""
     yield orbit_basis(AlgebraAction(QQ, [("u", [[0, 4], [1, 0]])]), (1, 0))
     yield orbit_basis(AlgebraAction(gf(2147483647), [("u", [[2, 0], [0, 3]])]), (1, 1))
-    elements = symmetric_group(4)
-    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
-    action = AlgebraAction.from_permutations(gf(5), [(s, s4.generators[s]) for s in s4.labels], 24)
-    yield orbit_basis(action, [1] + [0] * 23)
+    yield regular_s4_module(gf(5))
 
 
 def test_fitting_certificates_match_the_nth_power_oracle():

@@ -23,12 +23,10 @@ import pytest
 
 from cyclomod import cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
-from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.perms import left_translation_action, symmetric_group
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
 
-from fixtures import gf2_redundant_automaton
+from fixtures import gf2_redundant_automaton, regular_s4_module
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -83,11 +81,8 @@ def test_minimize_large_gf2_automaton_matches_golden_bytes():
 
 
 def regular_s4_gf3():
-    """The regular S4 module over GF(3), generated by the identity, and the text of its report."""
-    elements = symmetric_group(4)
-    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
-    action = AlgebraAction.from_permutations(gf(3), [(s, s4.generators[s]) for s in s4.labels], 24)
-    report = complete_decomposition(orbit_basis(action, [1] + [0] * 23))
+    """The decomposition of the regular S4 module over GF(3), and the text of its report."""
+    report = complete_decomposition(regular_s4_module(gf(3)))
     return report, to_text(report_to_json(report))
 
 
