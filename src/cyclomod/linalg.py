@@ -485,9 +485,9 @@ def _clear(p: int, x: list, c: int, prow: list) -> list:
 def _rref_rows(p: int, rows: list, ncols: int) -> list:
     """Gauss-Jordan on kernel rows in place; returns the pivots.
 
-    The rows are raw GF(p) values or, over Q, integer rows, and each
-    pivot row ends as a primitive multiple of its reduced row.  The
-    inner lists are replaced, never changed.
+    The rows are raw GF(p) values, and each pivot row ends reduced, or,
+    over Q, integer rows, and each pivot row ends as a primitive multiple
+    of its reduced row.  The inner lists are replaced, never changed.
     """
     if p == 2:
         # row by row on packed rows; the reduced echelon form is unique, so
