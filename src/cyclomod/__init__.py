@@ -49,14 +49,7 @@ from .perms import (
     permutation_module,
     symmetric_group,
 )
-from .polynomials import (
-    Polynomial,
-    factor,
-    factor_gfp,
-    factor_q,
-    poly_gcd,
-    squarefree_decomposition,
-)
+from .polynomials import Polynomial, factor
 from .serialize import (
     FormatError,
     automaton_from_json,
@@ -90,10 +83,6 @@ __all__ = [
     "rref",
     "Polynomial",
     "factor",
-    "factor_gfp",
-    "factor_q",
-    "poly_gcd",
-    "squarefree_decomposition",
     "PrefixBasis",
     "WeightedAutomaton",
     "direct_sum",

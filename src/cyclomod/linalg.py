@@ -39,11 +39,6 @@ from .fields import FieldScalar, FieldSpec
 Vector = tuple  # tuple[FieldScalar, ...]
 
 
-def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
-    z, o = field.zero(), field.one()
-    return tuple(o if j == i else z for j in range(n))
-
-
 _QZERO, _QONE = Fraction(0), Fraction(1)
 
 
@@ -319,11 +314,6 @@ class DenseMatrix:
 
     def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
         return self._plus(other, -1)
-
-    def __neg__(self) -> "DenseMatrix":
-        p = self.field.characteristic
-        raw = [[_neg(p, a) for a in r] for r in self._raw]
-        return DenseMatrix._from_raw(self.field, raw, self.cols)
 
     def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if not isinstance(other, DenseMatrix):
@@ -731,9 +721,3 @@ class SpanSolver:
             return [_box(self.field, r) for r in self._rows]
         return [_box(self.field, _fractions(r, r[c])) for r, c in zip(self._rows, self._pivots)]
 
-
-def column_space_basis(m: DenseMatrix) -> list:
-    """First-independent columns of m, in column order, as raw vectors."""
-    solver = SpanSolver(m.field, m.rows)
-    columns = map(_RawVector, zip(*m._raw))
-    return [c for c in columns if solver.add(c)]

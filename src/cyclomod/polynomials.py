@@ -7,21 +7,26 @@ no coefficients and degree -1.  The constructor unboxes its arguments
 once, and `coeffs` and `leading` box on read.
 
 All coefficient arithmetic is one small set of helpers on linalg's raw
-operations (_trim, _padd, _pmul, _pdivmod), each taking a modulus m:
-m = p for GF(p), m = p^k inside the Hensel lift, and m = 0 for exact
-arithmetic over Q.  Division needs a divisor whose leading coefficient
-is a unit modulo m.
+operations (_trim, _padd, _pmul, _pdivmod, and on them _monic, _deriv,
+_gcd, _powmod), each taking a modulus m: m = p for GF(p), m = p^k
+inside the Hensel lift, and m = 0 for exact arithmetic over Q.
+Division needs a divisor whose leading coefficient is a unit modulo m.
 
-Factorization routes:
-  * GF(p): squarefree split, then Berlekamp.  The dimension r of the
-    splitting algebra counts the irreducible factors, and its elements
-    h split f until there are r pieces: by gcds with h and h + 1 for
-    p = 2, and for odd p by Cantor-Zassenhaus, gcds with
-    h^((p-1)/2) - 1 for seeded random h, so the cost grows with log p
-    rather than p.
-  * Q: squarefree split (Yun), clear denominators, factor modulo a good
-    prime, Hensel lift to a coefficient bound, exhaustive subset
-    recombination.
+Factorization: `factor` is the one entry point, and everything under
+it works on raw coefficient lists with the modulus m of the field.
+  * Squarefree split, one loop for every field (Musser's; von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 14): gcds with the
+    derivative peel off the factors of each multiplicity that p does
+    not divide.  What the loop leaves, or a polynomial whose derivative
+    vanishes, is a p-th power over GF(p), and its p-th root is f[::p];
+    over Q it leaves 1.
+  * GF(p): Berlekamp.  The dimension r of the splitting algebra counts
+    the irreducible factors, and its elements h split f until there
+    are r pieces: by gcds with h and h + 1 for p = 2, and for odd p by
+    Cantor-Zassenhaus, gcds with h^((p-1)/2) - 1 for seeded random h,
+    so the cost grows with log p rather than p.
+  * Q: clear denominators, factor modulo a good prime, Hensel lift to
+    a coefficient bound, exhaustive subset recombination.
 Factors are returned monic with multiplicities; the product times the
 leading unit reconstructs the input.
 """
@@ -31,16 +36,19 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import isqrt
 
-from .fields import FieldScalar, FieldSpec, QQ, _is_prime, gf
+from .fields import FieldScalar, FieldSpec, _is_prime, gf
 from .linalg import (
     DenseMatrix,
     _addmul,
     _box,
+    _clear_denominators,
     _inv,
     _kernel_from_rref,
     _neg,
+    _one,
+    _primitive,
     _scale,
     _times,
     _unbox,
@@ -91,6 +99,35 @@ def _pdivmod(m: int, a: list, b: list):
             q = quo[k] = _times(m, c, inv)
             rem[k : k + db + 1] = _addmul(m, rem[k : k + db + 1], _neg(m, q), b)
     return _trim(quo), _trim(rem[:db])
+
+
+def _monic(m: int, a: list) -> list:
+    """a scaled to leading coefficient 1; the zero polynomial stays zero."""
+    return a if not a or a[-1] == 1 else _scale(m, _inv(m, a[-1]), a)
+
+
+def _deriv(m: int, a: list) -> list:
+    return _trim([_times(m, i, c) for i, c in enumerate(a)][1:])
+
+
+def _gcd(m: int, a: list, b: list) -> list:
+    """Monic gcd by the Euclidean algorithm."""
+    while b:
+        a, b = b, _pdivmod(m, a, b)[1]
+    return _monic(m, a)
+
+
+def _powmod(m: int, a: list, e: int, f: list) -> list:
+    """a^e modulo f."""
+    acc = [_one(m)]
+    a = _pdivmod(m, a, f)[1]
+    while e:
+        if e & 1:
+            acc = _pdivmod(m, _pmul(m, acc, a), f)[1]
+        if e > 1:
+            a = _pdivmod(m, _pmul(m, a, a), f)[1]
+        e >>= 1
+    return acc
 
 
 class Polynomial:
@@ -179,23 +216,11 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("cannot make the zero polynomial monic")
-        if self.is_monic:
-            return self
-        p = self.field.characteristic
-        return self._new(_scale(p, _inv(p, self._raw[-1]), self._raw))
+        return self._new(_monic(self.field.characteristic, self._raw))
 
     def derivative(self) -> "Polynomial":
-        p = self.field.characteristic
-        return self._new(_trim([_times(p, i, c) for i, c in enumerate(self._raw)][1:]))
+        return self._new(_deriv(self.field.characteristic, self._raw))
 
     def evaluate_matrix(self, m: DenseMatrix) -> DenseMatrix:
         if m.field != self.field:
@@ -255,132 +280,75 @@ class Polynomial:
         return f"Polynomial({self.field}, {self})"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    a._check_field(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+def _squarefree(m: int, f: list) -> list:
+    """[(g, k)] with g monic, squarefree and coprime, and f the product of the g^k, for a monic f.
 
-
-def _pth_root(f: Polynomial, p: int) -> Polynomial:
-    # over the prime field, (sum c_i t^{ip})^(1/p) has the same coefficients
-    if any(c for i, c in enumerate(f._raw) if i % p):
-        raise ValueError("polynomial is not a p-th power")
-    return Polynomial._from_raw(f.field, f._raw[::p])
-
-
-def squarefree_decomposition(f: Polynomial) -> list:
-    """[(factor, multiplicity)] with the factors monic, squarefree, coprime.
-
-    The product of factor^multiplicity equals f up to the leading unit.
-    Characteristic p handles vanishing derivatives via p-th roots.
+    Each pass peels off the factors whose multiplicity p does not divide:
+    with a = gcd(f, f'), b = f / a holds each factor of f once, and
+    b / gcd(a, b) the ones of multiplicity i at the i-th step.  What is
+    left of a is a p-th power (1 over Q), whose p-th root the next pass
+    splits with multiplicities scaled by p.
     """
-    if f.is_zero:
-        raise ValueError("cannot decompose the zero polynomial")
-    if f.degree == 0:
-        return []
-    f = f.monic()
-    p = f.field.characteristic
-    acc: dict[Polynomial, int] = {}
-
-    def note(g: Polynomial, m: int):
-        if g.degree > 0:
-            acc[g] = acc.get(g, 0) + m
-
-    if p == 0:
-        df = f.derivative()
-        g = poly_gcd(f, df)
-        if g.degree == 0:
-            return [(f, 1)]
-        b = f.exact_div(g)
-        c = df.exact_div(g)
-        d = c - b.derivative()
+    out = []
+    scale = 1
+    while True:
+        a = _gcd(m, f, _deriv(m, f))
+        b = _pdivmod(m, f, a)[0]
         i = 1
-        while b.degree > 0:
-            a = poly_gcd(b, d)
-            note(a, i)
-            b = b.exact_div(a)
-            c = d.exact_div(a)
-            d = c - b.derivative()
+        while len(b) > 1:
+            if len(a) == 1:
+                # no multiplicity above i is left: b is the part of multiplicity i
+                out.append((b, i * scale))
+                break
+            c = _gcd(m, a, b)
+            g = _pdivmod(m, b, c)[0]
+            if len(g) > 1:
+                out.append((g, i * scale))
+            b = c
+            a = _pdivmod(m, a, c)[0]
             i += 1
-    else:
-
-        def sqf_p(f: Polynomial, scale: int):
-            df = f.derivative()
-            if df.is_zero:
-                sqf_p(_pth_root(f, p), scale * p)
-                return
-            a = poly_gcd(f, df)
-            b = f.exact_div(a)
-            i = 1
-            while b.degree > 0:
-                c = poly_gcd(a, b)
-                note(b.exact_div(c), i * scale)
-                b = c
-                a = a.exact_div(c)
-                i += 1
-            if a.degree > 0:
-                sqf_p(_pth_root(a, p), scale * p)
-
-        sqf_p(f, 1)
-
-    out = sorted(acc.items(), key=lambda fm: fm[0].sort_key())
-    return out
+        if len(a) == 1:
+            return out
+        f = a[::m]
+        scale *= m
 
 
 # ---------------------------------------------------------------------------
 # Berlekamp factorization over GF(p)
 
 
-def _poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    acc = Polynomial(base.field, [1])
-    base = base % mod
-    while e:
-        if e & 1:
-            acc = (acc * base) % mod
-        base = (base * base) % mod if e > 1 else base
-        e >>= 1
-    return acc
-
-
-def _gcd_split(u: Polynomial, a: Polynomial) -> list:
+def _gcd_split(p: int, u: list, a: list) -> list:
     """[gcd(u, a), u / gcd(u, a)] when the gcd is a proper factor of u, else [u]."""
-    if u.degree == 1:
+    if len(u) == 2:
         return [u]
-    g = poly_gcd(u, a)
-    return [g, u.exact_div(g)] if 0 < g.degree < u.degree else [u]
+    g = _gcd(p, u, a)
+    return [g, _pdivmod(p, u, g)[0]] if 1 < len(g) < len(u) else [u]
 
 
-def _berlekamp_splitting(f: Polynomial) -> list:
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
-    field = f.field
+def _berlekamp(field: FieldSpec, f: list) -> list:
+    """Monic irreducible factors of a monic squarefree f over field = GF(p)."""
     p = field.characteristic
-    d = f.degree
+    d = len(f) - 1
     if d == 1:
         return [f]
     # row i holds t^(i*p) mod f; fixed vectors of Frobenius span the
     # splitting algebra, whose dimension counts the irreducible factors
-    xp = _poly_powmod(Polynomial(field, [0, 1]), p, f)
+    xp = _powmod(p, [0, 1], p, f)
     rows = []
-    power = Polynomial(field, [1])
+    power = [1]
     for i in range(d):
-        rows.append(power._raw + [0] * (d - len(power._raw)))
-        power = (power * xp) % f
-    q = DenseMatrix._from_raw(field, rows, d)
-    b = q - DenseMatrix.identity(field, d)
+        rows.append(power + [0] * (d - len(power)))
+        power = _pdivmod(p, _pmul(p, power, xp), f)[1]
+    b = DenseMatrix._from_raw(field, rows, d) - DenseMatrix.identity(field, d)
     kernel = _kernel_from_rref(field, d, rref(b.transpose()))
     r = len(kernel)
     factors = [f]
     if p == 2:
         # h^2 = h modulo f, so h and h + 1 share the factors of f between them
         for v in kernel:
-            h = Polynomial._from_raw(field, _trim(v))
-            for c in (0, 1):
-                shifted = h - Polynomial(field, [c])
-                factors = [g for u in factors for g in _gcd_split(u, shifted)]
+            h = _trim(list(v))
+            for shifted in (h, _padd(p, h, 1, [1])):
+                factors = [g for u in factors for g in _gcd_split(p, u, shifted)]
             if len(factors) == r:
                 break
     else:
@@ -388,56 +356,31 @@ def _berlekamp_splitting(f: Polynomial) -> list:
         # splitting algebra is a random constant, and h^((p-1)/2) is 1 for
         # about half of the nonzero ones
         rng = random.Random(0)
-        one = Polynomial(field, [1])
+        minus = _neg(p, 1)
         while len(factors) < r:
             h = [0] * d
             for v in kernel:
                 c = rng.randrange(p)
                 if c:
                     h = _addmul(p, h, c, v)
-            h = Polynomial._from_raw(field, _trim(h))
+            h = _trim(h)
             factors = [
-                g for u in factors for g in _gcd_split(u, _poly_powmod(h, (p - 1) // 2, u) - one)
+                g
+                for u in factors
+                for g in _gcd_split(p, u, _padd(p, _powmod(p, h, (p - 1) // 2, u), minus, [1]))
             ]
     if len(factors) != r:
         raise RuntimeError("Berlekamp splitting did not reach the kernel dimension")
-    return sorted(factors, key=Polynomial.sort_key)
-
-
-def factor_gfp(f: Polynomial) -> list:
-    """Irreducible monic factors with multiplicity over a prime field."""
-    if f.field.characteristic == 0:
-        raise ValueError("factor_gfp needs a finite prime field")
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return []
-    out: dict[Polynomial, int] = {}
-    for g, mult in squarefree_decomposition(f):
-        for h in _berlekamp_splitting(g):
-            out[h] = out.get(h, 0) + mult
-    return sorted(out.items(), key=lambda fm: fm[0].sort_key())
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # Rational factorization: integer coefficient lists, low degree first
-
-
-def _zx_content(a: list) -> int:
-    g = 0
-    for c in a:
-        g = int_gcd(g, abs(c))
-    return g
-
-
-def _zx_primitive(a: list) -> list:
-    g = _zx_content(a)
-    if g == 0:
-        return []
-    out = [c // g for c in a]
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
+#
+# Every integer polynomial here has a positive leading coefficient: G is
+# a positive multiple of a monic g, a recombination candidate leads with
+# lc(remaining) < target / 2, and exact quotients of such polynomials lead
+# positive as well.  So _primitive needs no sign fix.
 
 
 def _zx_quotient(b: list, a: list):
@@ -520,23 +463,20 @@ def _choose_good_prime(g: list) -> int:
     p = 2
     while True:
         if _is_prime(p) and g[-1] % p:
-            gp = Polynomial(gf(p), g)
-            if poly_gcd(gp, gp.derivative()).degree == 0:
+            gp = [c % p for c in g]
+            if len(_gcd(p, gp, _deriv(p, gp))) == 1:
                 return p
         p += 1
 
 
-def _factor_squarefree_q(g: Polynomial) -> list:
+def _factor_squarefree_q(g: list) -> list:
     """Monic irreducible factors of a monic squarefree g over Q."""
-    if g.degree == 1:
+    if len(g) == 2:
         return [g]
     # clear denominators to a primitive integer polynomial
-    lcm = 1
-    for c in g._raw:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    G = _zx_primitive([int(c * lcm) for c in g._raw])
+    G = _primitive(_clear_denominators([g])[0][0])
     p = _choose_good_prime(G)
-    modular = [h._raw for h in _berlekamp_splitting(Polynomial(gf(p), G).monic())]
+    modular = _berlekamp(gf(p), _monic(p, [c % p for c in G]))
     if len(modular) == 1:
         return [g]
     # coefficient bound for lc(G) times any monic factor product
@@ -561,9 +501,7 @@ def _factor_squarefree_q(g: Polynomial) -> list:
             cand = [remaining[-1] % target]
             for i in combo:
                 cand = _pmul(target, cand, lifted[i])
-            cand = _zx_primitive(_trim([_symmetric_mod(c, target) for c in cand]))
-            if not cand:
-                continue
+            cand = _primitive(_trim([_symmetric_mod(c, target) for c in cand]))
             quotient = _zx_quotient(remaining, cand)
             if quotient is not None:
                 hit = (combo, cand, quotient)
@@ -575,30 +513,18 @@ def _factor_squarefree_q(g: Polynomial) -> list:
         found.append(cand)
         pool = [i for i in pool if i not in combo]
     if len(remaining) > 1:
-        found.append(_zx_primitive(remaining))
-    out = [Polynomial._from_raw(QQ, [Fraction(c, h[-1]) for c in h]) for h in found]
-    return sorted(out, key=Polynomial.sort_key)
-
-
-def factor_q(f: Polynomial) -> list:
-    """Irreducible monic factors with multiplicity over Q."""
-    if f.field != QQ:
-        raise ValueError("factor_q needs coefficients in Q")
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return []
-    out: dict[Polynomial, int] = {}
-    for g, mult in squarefree_decomposition(f):
-        for h in _factor_squarefree_q(g):
-            out[h] = out.get(h, 0) + mult
-    return sorted(out.items(), key=lambda fm: fm[0].sort_key())
+        found.append(remaining)
+    return [[Fraction(c, h[-1]) for c in h] for h in found]
 
 
 def factor(f: Polynomial) -> list:
-    """Field-dispatching irreducible factorization."""
-    if f.degree == 1:
-        return [(f.monic(), 1)]
-    if f.field.characteristic == 0:
-        return factor_q(f)
-    return factor_gfp(f)
+    """Irreducible monic factors of f with multiplicity, by degree and then coefficients."""
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    field = f.field
+    m = field.characteristic
+    out = []
+    for g, k in _squarefree(m, _monic(m, f._raw)):
+        out += [(h, k) for h in (_berlekamp(field, g) if m else _factor_squarefree_q(g))]
+    out.sort(key=lambda hk: (len(hk[0]), hk[0]))
+    return [(Polynomial._from_raw(field, h), k) for h, k in out]

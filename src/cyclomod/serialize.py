@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .decompose import DecompositionReport
 from .endo import Certificate
-from .fields import FieldScalar, FieldSpec, QQ, gf
+from .fields import FieldSpec, QQ, gf
 from .linalg import DenseMatrix, _RawVector
 from .modules import ActionGraph, CyclicModule, render_vector
 from .perms import PermutationPresentation
@@ -101,10 +101,6 @@ def _raw_vector_from_json(field: FieldSpec, data, length: Optional[int], path: s
     except (TypeError, ValueError):
         pass  # the loop below raises it with the path of the entry
     return [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
-
-
-def vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -> tuple:
-    return tuple(FieldScalar(field, x) for x in _raw_vector_from_json(field, data, length, path))
 
 
 def matrix_to_json(m: DenseMatrix) -> list:

@@ -1,11 +1,12 @@
 """End-to-end decomposition against brute-force subspace oracles."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclomod import GF2, QQ, gf
+from cyclomod import GF2, QQ, decompose, gf
 from cyclomod.linalg import DenseMatrix, rref
 from cyclomod.modules import AlgebraAction, CyclicModule, orbit_basis
 from cyclomod.endo import EndoAlgebra, SearchConfig, compute_end
@@ -203,6 +204,48 @@ def test_check_report_catches_generator_of_another_leaf():
     )
     with pytest.raises(RuntimeError):
         check_report(broken)
+
+
+def _diagonal_report():
+    """diag(1, 2, 3) on Q^3 and its module generated by (1, 1, 0): the lines through e_0 and e_1."""
+    action = AlgebraAction(QQ, [("u", [[1, 0, 0], [0, 2, 0], [0, 0, 3]])])
+    report = complete_decomposition(orbit_basis(action, (1, 1, 0)))
+    assert report.signature == (1, 1)
+    check_report(report)
+    return action, report
+
+
+def _forged(report, reason, **changes):
+    with pytest.raises(RuntimeError, match=reason):
+        check_report(dataclasses.replace(report, **changes))
+
+
+def test_check_report_rejects_each_forged_report():
+    action, report = _diagonal_report()
+    first, second = report.summands
+    _forged(report, "signature does not match the leaves", signature=(2,))
+    # the line through e_2 regenerates itself, but lies outside the module
+    outside = orbit_basis(action, (0, 0, 1))
+    _forged(report, "leaf vector escapes the module", summands=(outside, second))
+    _forged(report, "leaf bases overlap", summands=(first, first))
+    split = report.split_certificates[0]
+    _forged(report, "a leaf carries a decomposable certificate", certificates=(split,) + report.certificates[1:])
+
+
+def test_check_report_rejects_a_leaf_that_is_not_stable(monkeypatch):
+    # a covering tree that stopped after the generator: the line through e_0
+    # is no submodule of the 2-dim Jordan block generated by e_0
+    action = AlgebraAction(QQ, [("u", [[0, 0], [1, 0]])])
+    report = complete_decomposition(orbit_basis(action, (1, 0)))
+    assert report.signature == (2,)
+
+    def first_word_only(action, g):
+        return CyclicModule(action, g, [()], [g], {}, None)
+
+    monkeypatch.setattr(decompose, "orbit_basis", first_word_only)
+    halves = (first_word_only(action, (1, 0)), first_word_only(action, (0, 1)))
+    certs = report.certificates * 2
+    _forged(report, "leaf is not stable under generator 'u'", summands=halves, certificates=certs, signature=(1, 1))
 
 
 def test_random_gf2_corpus_matches_subspace_oracle():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _pack, _unpack, stable_power
+from cyclomod.linalg import DenseMatrix, _pack, _unit, _unpack, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
@@ -636,6 +636,84 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
             line,
             Certificate("indecomposable", "field-generated", DenseMatrix.identity(GF2, 2), None, {}),
         )
+
+
+def test_verify_certificate_rejects_each_forged_split():
+    e = compute_end(swap_invariant_module())
+    cert = find_splitting_element(e)
+    assert cert.verdict == "decomposable"
+    verify_certificate(e, cert)
+    (line,), plane = cert.summands
+    # a matrix outside E: it moves e_0 to e_0 and e_1 to e_0 + e_1
+    sheared = DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    _local_forgery(e, cert, "witness does not commute with generator 's1'", element=sheared)
+    _local_forgery(e, cert, "a summand is zero", summands=((line,) + plane, ()))
+    _local_forgery(e, cert, "summand bases are not independent", summands=(plane, (plane[0],)))
+    # e_0 and span(e_1, e_2) fill the module but are not submodules
+    units = ((_unit(2, 3, 0),), (_unit(2, 3, 1), _unit(2, 3, 2)))
+    _local_forgery(e, cert, "summand is not stable under generator 's2'", summands=units)
+
+
+def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
+    # diag(1, 2) with g = (1, 1): E = Q x Q is 2-dimensional
+    e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[1, 0], [0, 2]])]), (1, 1)))
+    assert e.dim == 2
+
+    def rejects(reason, *fields):
+        with pytest.raises(RuntimeError, match=reason):
+            verify_certificate(e, Certificate(*fields, None, {}))
+
+    rejects("dimension-1 verdict on a larger algebra", "indecomposable", "dimension-1", None)
+    rejects("field-generated certificate is missing its element", "indecomposable", "field-generated", None)
+    # the identity is in E, but its minimal polynomial t - 1 has degree 1, not 2
+    rejects("does not generate a field of full dimension", "indecomposable", "field-generated", e.identity())
+    rejects("unknown verdict 'maybe'", "maybe", "dimension-1", None)
+
+
+def _regular_m2_times_gf2_module():
+    """The regular module of A = M_2(GF(2)) x GF(2), generated by 1_A.
+
+    Coordinates in the basis E11, E12, E21, E22, f of A, where f = (0, 1);
+    the generators are left multiplication by E12, E21 and f.
+    """
+
+    def left(images):
+        m = [[0] * 5 for _ in range(5)]
+        for j, i in enumerate(images):
+            if i is not None:
+                m[i][j] = 1
+        return m
+
+    e12 = left([None, None, 0, 1, None])  # E12 E21 = E11, E12 E22 = E12
+    e21 = left([2, 3, None, None, None])  # E21 E11 = E21, E21 E12 = E22
+    f = left([None, None, None, None, 4])
+    return orbit_basis(AlgebraAction(GF2, [("e12", e12), ("e21", e21), ("f", f)]), (1, 0, 0, 1, 1))
+
+
+def test_search_passes_over_an_ideal_that_is_not_nilpotent(monkeypatch):
+    # E = A^op holds the 4-dim M_2 part as a two-sided ideal.  Scanning only
+    # the two nilpotent basis elements, the first one's minimal polynomial
+    # t^2 grows J to that whole part, which is not nilpotent, so the search
+    # turns J down and goes on to the random candidates
+    m = _regular_m2_times_gf2_module()
+    e = compute_end(m)
+    assert (m.dim, e.dim) == (5, 5)
+    nilpotent = [b for b in e.basis if _is_nilpotent(b)]
+    assert len(nilpotent) == 2
+    monkeypatch.setattr(endo, "_scan_candidates", lambda e: iter(nilpotent))
+    checks = []
+    nilpotent_span = endo._nilpotent_span
+
+    def spy(e, ideal):
+        checks.append((len(ideal), nilpotent_span(e, ideal)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(endo, "_nilpotent_span", spy)
+    cert = find_splitting_element(e)
+    assert checks == [(4, False)]
+    assert (cert.verdict, cert.mode) == ("decomposable", "min-poly-split")
+    assert cert.diagnostics["min_poly_tried"] > len(nilpotent)
+    verify_certificate(e, cert)
 
 
 def _random_modules(rng, field, count):

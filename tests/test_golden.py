@@ -8,15 +8,19 @@ built in-process: minimize_gf2_160.out, the JSON text of a minimized
 automaton that tests/fixtures.py builds, and decompose_regular_s4_gf3.out,
 the report of the regular S4 module over GF(3), the one golden that
 runs the odd-p kernel end to end (the CLI decomposes over GF(2) or Q
-only).  After a change that is meant to alter the output, rewrite the
-files with
+only).  Each demo in demos/ is run in-process as well, and its stdout
+must equal tests/golden/demo_<name>.out.  After a change that is meant
+to alter the output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff.
 """
 
+import contextlib
+import io
 import os
+import runpy
 import sys
 
 import pytest
@@ -29,6 +33,8 @@ from cyclomod.wfa import equivalent, minimize
 from fixtures import gf2_redundant_automaton, regular_s4_module
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMO_NAMES = sorted(name[:-3] for name in os.listdir(DEMOS) if name.endswith(".py"))
 
 SWAP_INVARIANT = "x1 + x2 + x3 + x1*x3 + x2*x3 + x1*x2*x3"
 SPLIT_4_6 = "x1*x2*x3 + x4*x5"
@@ -96,6 +102,20 @@ def test_regular_s4_over_gf3_matches_golden_bytes():
     check_report(report)
 
 
+def demo_stdout(name):
+    """The stdout of demos/<name>.py, run as a script in this process."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        runpy.run_path(os.path.join(DEMOS, f"{name}.py"), run_name="__main__")
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_stdout_matches_golden_bytes(name):
+    with open(os.path.join(GOLDEN, f"demo_{name}.out"), encoding="utf-8", newline="") as handle:
+        assert demo_stdout(name) == handle.read()
+
+
 def _write(name, text):
     with open(os.path.join(GOLDEN, f"{name}.out"), "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -103,9 +123,6 @@ def _write(name, text):
 
 
 def main():
-    import contextlib
-    import io
-
     for name in sorted(CASES):
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
@@ -115,6 +132,8 @@ def main():
         _write(name, buffer.getvalue())
     _write("minimize_gf2_160", minimized_gf2_160()[2])
     _write("decompose_regular_s4_gf3", regular_s4_gf3()[1])
+    for name in DEMO_NAMES:
+        _write(f"demo_{name}", demo_stdout(name))
 
 
 if __name__ == "__main__":

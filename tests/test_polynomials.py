@@ -14,18 +14,21 @@ from oracles import min_poly
 from cyclomod import polynomials
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import DenseMatrix
-from cyclomod.polynomials import (
-    Polynomial,
-    factor,
-    factor_gfp,
-    factor_q,
-    poly_gcd,
-    squarefree_decomposition,
-)
+from cyclomod.polynomials import Polynomial, factor
 
 
 def poly(field, coeffs):
     return Polynomial(field, coeffs)
+
+
+def poly_gcd(a, b):
+    return Polynomial._from_raw(a.field, polynomials._gcd(a.field.characteristic, a._raw, b._raw))
+
+
+def squarefree_decomposition(f):
+    """The raw squarefree split of f as sorted (Polynomial, multiplicity) pairs."""
+    parts = polynomials._squarefree(f.field.characteristic, f.monic()._raw)
+    return sorted(((Polynomial._from_raw(f.field, g), k) for g, k in parts), key=lambda gk: gk[0].sort_key())
 
 
 def reassemble(f, factors):
@@ -117,7 +120,7 @@ def exhaustive_irreducible_check(g):
 
 def test_factor_gfp_trivial_example():
     f = poly(GF2, [0, 1]) * poly(GF2, [1, 1]) ** 2
-    assert factor_gfp(f) == [(poly(GF2, [0, 1]), 1), (poly(GF2, [1, 1]), 2)]
+    assert factor(f) == [(poly(GF2, [0, 1]), 1), (poly(GF2, [1, 1]), 2)]
 
 
 def test_factor_gfp_seeded_degree6_gf5():
@@ -127,7 +130,7 @@ def test_factor_gfp_seeded_degree6_gf5():
     for _ in range(12):
         coeffs = [rng.randrange(5) for _ in range(6)] + [rng.randrange(1, 5)]
         f = poly(field, coeffs)
-        factors = factor_gfp(f)
+        factors = factor(f)
         assert reassemble(f, factors) == f
         for g, _ in factors:
             assert g.is_monic
@@ -152,21 +155,16 @@ def test_factor_gfp_splits_over_large_primes(p):
     assert factors == sorted(((g, 1) for g in expected), key=lambda gm: gm[0].sort_key())
 
 
-def test_factor_gfp_rejects_rationals():
-    with pytest.raises(ValueError):
-        factor_gfp(poly(QQ, [1, 1]))
-
-
 def test_factor_q_trivial_examples():
     # (t^2+1)(t-3) expanded, both factors irreducible over Q
     f = poly(QQ, [1, 0, 1]) * poly(QQ, [-3, 1])
-    assert factor_q(f) == [(poly(QQ, [-3, 1]), 1), (poly(QQ, [1, 0, 1]), 1)]
+    assert factor(f) == [(poly(QQ, [-3, 1]), 1), (poly(QQ, [1, 0, 1]), 1)]
     # cyclotomic-style: t^4 + t^3 + t^2 + t + 1 irreducible
     f = poly(QQ, [1, 1, 1, 1, 1])
-    assert factor_q(f) == [(f, 1)]
+    assert factor(f) == [(f, 1)]
     # non-monic with rational coefficients
     f = poly(QQ, [Fraction(1, 2), 1]) * poly(QQ, [2, 1]) * 3
-    got = factor_q(f)
+    got = factor(f)
     assert reassemble(f, got) == f
     assert all(g.is_monic for g, _ in got)
 
@@ -174,10 +172,10 @@ def test_factor_q_trivial_examples():
 def test_factor_q_needs_recombination():
     # x^4 + 1 is irreducible over Q but splits modulo every prime
     f = poly(QQ, [1, 0, 0, 0, 1])
-    assert factor_q(f) == [(f, 1)]
+    assert factor(f) == [(f, 1)]
     # (x^2-2)(x^2-3): each quadratic stays whole only after recombination
     f = poly(QQ, [-2, 0, 1]) * poly(QQ, [-3, 0, 1])
-    assert factor_q(f) == [(poly(QQ, [-3, 0, 1]), 1), (poly(QQ, [-2, 0, 1]), 1)]
+    assert factor(f) == [(poly(QQ, [-3, 0, 1]), 1), (poly(QQ, [-2, 0, 1]), 1)]
 
 
 def test_factor_q_seeded_products():
@@ -197,7 +195,7 @@ def test_factor_q_seeded_products():
         f = poly(QQ, [lead])
         for g in picks:
             f = f * g
-        got = factor_q(f)
+        got = factor(f)
         assert reassemble(f, got) == f
         total = sum(g.degree * m for g, m in got)
         assert total == f.degree
@@ -218,17 +216,40 @@ def test_factor_q_lifts_modulo_powers_of_two(monkeypatch):
     cubic = poly(QQ, [1, 1, 0, 1])
     for quadratic in (poly(QQ, [1, 1, 1]), poly(QQ, [2, 1, 1])):
         f = quadratic * cubic * QQ.scalar(Fraction(-3, 7))
-        assert factor_q(f) == [(quadratic, 1), (cubic, 1)]
+        assert factor(f) == [(quadratic, 1), (cubic, 1)]
     assert primes and set(primes) == {2}
 
 
 def test_factor_q_degree_cap():
-    assert factor_q(poly(QQ, [0] * 33 + [1])) == [(poly(QQ, [0, 1]), 33)]
+    assert factor(poly(QQ, [0] * 33 + [1])) == [(poly(QQ, [0, 1]), 33)]
+
+
+def test_factor_multiplicities_past_the_characteristic():
+    # multiplicities 1..9 of known irreducibles, p | k included, so the
+    # squarefree loop takes p-th roots, once and twice over GF(2) and GF(3)
+    rng = random.Random(77)
+    cases = {
+        GF2: [[0, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1]],
+        gf(3): [[0, 1], [1, 1], [1, 0, 1], [1, 2, 0, 1]],
+        QQ: [[0, 1], [2, 1], [-2, 0, 1], [1, 1, 1]],
+    }
+    for field, irreducibles in cases.items():
+        for _ in range(8):
+            picks = rng.sample(irreducibles, rng.randrange(1, 4))
+            expected = sorted(((poly(field, g), rng.randrange(1, 10)) for g in picks), key=lambda gk: gk[0].sort_key())
+            f = poly(field, [2 if field.characteristic != 2 else 1])
+            for g, k in expected:
+                f = f * g**k
+            assert factor(f) == expected
+            assert reassemble(f, squarefree_decomposition(f)) == f
 
 
 def test_factor_dispatch():
     assert factor(poly(GF2, [1, 1, 1])) == [(poly(GF2, [1, 1, 1]), 1)]
     assert factor(poly(QQ, [1, 2, 1])) == [(poly(QQ, [1, 1]), 2)]
+    assert factor(poly(gf(5), [3])) == []
+    with pytest.raises(ValueError, match="zero polynomial"):
+        factor(poly(GF2, []))
 
 
 def test_min_poly_three_cycle():
