@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 from .boolfn import decompose_boolean, monomial_names, parse_anf, sn_action
-from .decompose import complete_decomposition
-from .endo import SearchConfig, certify
+from .decompose import complete_decomposition, decompose_once
+from .endo import SearchConfig
 from .fields import QQ, FieldSpec
 from .modules import action_graph, orbit_basis
 from .perms import permutation_module
@@ -56,23 +57,24 @@ def _read_json(path: str):
 def _emit(text: str, output: Optional[str]):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write {output}: {err}") from None
 
 
 def _write_dot_files(directory: str, report, names, gf2: bool):
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    graph = action_graph(report.module, names)
-    with open(os.path.join(directory, "module.dot"), "w", encoding="utf-8") as handle:
-        handle.write(graph_to_dot(graph, "module", gf2=gf2))
-    for k, block in enumerate(report.summands):
-        graph = action_graph(block, names)
-        path = os.path.join(directory, f"summand_{k:02d}.dot")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(graph, f"summand_{k:02d}", gf2=gf2))
+    blocks = [("module", report.module)] + [(f"summand_{k:02d}", b) for k, b in enumerate(report.summands)]
+    dots = [(name, graph_to_dot(action_graph(block, names), name, gf2=gf2)) for name, block in blocks]
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in dots:
+            with open(os.path.join(directory, f"{name}.dot"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write DOT files to {directory}: {err}") from None
 
 
 def _summary_lines(report) -> str:
@@ -151,7 +153,7 @@ def cmd_cert(args) -> int:
         raise ValueError("choose a module source: --bool EXPR -n N or --perm FILE --generator V")
     if module.dim == 0:
         raise ValueError("the generator is zero: nothing to certify")
-    cert = certify(module, config)
+    cert = decompose_once(module, config)[0]
     _emit(to_text(certificate_to_json(cert)), args.output)
     print(f"verdict: {cert.verdict} (mode {cert.mode})", file=sys.stderr)
     return 0

@@ -1,19 +1,20 @@
 """Complete direct-sum decomposition of cyclic modules.
 
 The decomposition is one step applied until nothing is left to split.
-decompose_once is that step: it certifies a cyclic module
-(endo.certify: endomorphism algebra, splitting-element search, re-check
-of the certificate) and, when the certificate is decomposable, splits
-it along the certificate.  complete_decomposition runs the step depth
-first from the whole module until every leaf is certified
-indecomposable or the search budget gives out.
+decompose_once is that step: it computes the endomorphism algebra of a
+cyclic module, searches it for a splitting element, re-checks the
+certificate found and, when the certificate is decomposable, splits the
+module along it.  complete_decomposition runs the step depth first from
+the whole module until every leaf is certified indecomposable or the
+search budget gives out.
 
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
-by the projection of g onto it along the other summand: a split writes
-the block's generator e_0 in the basis of both summands and takes the
-orbit of each part under the block's restricted matrices, which must
-fill its summand; only the kept vectors are mapped back to ambient
+by the projection of g onto it along the other summand.  The check of a
+decomposable certificate writes the block's generator e_0 in the basis
+of both summands and spins each part under the block's restricted
+matrices; each orbit must be its summand.  Those two covering trees are
+the split: only their kept vectors are mapped back to ambient
 coordinates.  So no generator is searched for, no split steps a vector
 of the ambient space, and the endomorphism algebra of every block is
 spun from its generator.
@@ -24,49 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .endo import (
-    Certificate,
-    SearchConfig,
-    certify,
-    compute_end,
-    verify_certificate,
-)
-from .linalg import DenseMatrix, SpanSolver, _RawVector, _unit
+from .endo import SearchConfig, compute_end, find_splitting_element, verify_certificate
+from .linalg import DenseMatrix, SpanSolver, _RawVector
 from .modules import CyclicModule, _module_from_tree, orbit_basis
-from .wfa import covering_tree
-
-
-def _split_block(block: CyclicModule, cert: Certificate):
-    """The two summands of a decomposable certificate, as cyclic modules.
-
-    Each summand is the orbit of the projection of the block's generator
-    onto it along the other summand, spun in block coordinates under
-    the restricted matrices.  The block basis is injective, so the kept
-    words, the coordinate images and hence the restricted matrices are
-    the ones an orbit over the ambient action would give; the kept
-    vectors are mapped to ambient coordinates through the block basis.
-    """
-    field, n = block.field, block.dim
-    left, right = cert.summands
-    solver = SpanSolver(field, n)
-    for v in left + right:
-        if not solver.add(v):
-            raise RuntimeError("summand bases are not independent")
-    coords = solver._coordinates(_unit(field.characteristic, n, 0))
-    if coords is None:
-        raise RuntimeError("summands do not span the block")
-    labels = block.action.labels
-    steps = {s: block.restricted[s]._times_col for s in labels}
-    basis = DenseMatrix._from_raw(field, block._raw_vectors, block.action.dim)
-    halves = []
-    for side, part in ((left, coords[:len(left)]), (right, coords[len(left):])):
-        projection = DenseMatrix.from_columns(field, side, rows=n)._times_col(part)
-        tree = covering_tree(field, n, projection, steps)
-        if not side or len(tree.words) != len(side):
-            raise RuntimeError("projected generator does not generate its summand")
-        vectors = [basis._times_row(v) for v in tree.vectors]
-        halves.append(_module_from_tree(block.action, vectors[0], tree, vectors, None))
-    return halves[0], halves[1]
 
 
 def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
@@ -74,14 +35,25 @@ def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
 
     Certifies m and splits it along a decomposable certificate.  Returns
     (certificate, None) for a leaf and (certificate, pair of modules)
-    for a split.
+    for a split.  The halves are the covering trees that the
+    certificate check spun in block coordinates; the block basis is
+    injective, so their kept words and restricted matrices are the ones
+    an orbit over the ambient action would give, and only the kept
+    vectors are mapped to ambient coordinates through the block basis.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
-    cert = certify(m, config)
-    if cert.verdict != "decomposable":
+    e = compute_end(m)
+    cert = find_splitting_element(e, config)
+    trees = verify_certificate(e, cert)
+    if trees is None:
         return cert, None
-    return cert, _split_block(m, cert)
+    basis = DenseMatrix._from_raw(m.field, m._raw_vectors, m.action.dim)
+    halves = []
+    for tree in trees:
+        vectors = [basis._times_row(v) for v in tree.vectors]
+        halves.append(_module_from_tree(m.action, vectors[0], tree, vectors, None))
+    return cert, tuple(halves)
 
 
 @dataclass(frozen=True)
@@ -151,16 +123,14 @@ def check_report(report: DecompositionReport):
         leaf = orbit_basis(m.action, block._raw_generator)
         if leaf._raw_vectors != block._raw_vectors:
             raise RuntimeError("leaf generator does not regenerate the leaf")
-        span = SpanSolver(m.field, m.action.dim)
         for v in leaf._raw_vectors:
             if not m.contains(v):
                 raise RuntimeError("leaf vector escapes the module")
             if not combined.add(v):
                 raise RuntimeError("leaf bases overlap")
-            span.add(v)
         for label in m.action.labels:
             step = m.action.steps[label]
-            if not all(span.contains(_RawVector(step(x))) for x in leaf._raw_vectors):
+            if not all(leaf.contains(_RawVector(step(x))) for x in leaf._raw_vectors):
                 raise RuntimeError(f"leaf is not stable under generator {label!r}")
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")

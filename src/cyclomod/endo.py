@@ -94,6 +94,7 @@ from .linalg import (
 )
 from .modules import CyclicModule
 from .polynomials import Polynomial, factor
+from .wfa import covering_tree
 
 
 class EndoAlgebra:
@@ -345,14 +346,6 @@ def _kernel_of_rows(p: int, rows: list, k: int) -> Optional[list]:
     return basis
 
 
-def certify(m: CyclicModule, config: Optional[SearchConfig] = None) -> Certificate:
-    """Search End(m) for a splitting element and re-check the certificate found."""
-    e = compute_end(m)
-    cert = find_splitting_element(e, config)
-    verify_certificate(e, cert)
-    return cert
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets for the splitting-element search; defaults decide all small cases."""
@@ -414,8 +407,9 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: d
     the image from the columns of the power at the pivots.  Both are
     generator stable because mat commutes with the action, they meet
     trivially because the kernel and the image of a stable power always
-    do, and by rank-nullity they fill the module; verify_certificate
-    checks all three.
+    do, and by rank-nullity they fill the module.  verify_certificate
+    checks that they are independent and that each is the orbit of the
+    generator's part in it, which gives all three.
     """
     power, reduction = stable_power(mat)
     if reduction.rank in (0, e.module_dim):
@@ -610,6 +604,17 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
 
     A malformed certificate (an element or a summand vector of the wrong
     shape or field) fails the check like any other wrong one.
+
+    A decomposable certificate's summands L and R are checked on the
+    split they claim.  One solver over L and R checks that they are
+    independent and writes e_0 = a + b along them.  The module is
+    A e_0, which lies in A a + A b, so when the orbit of a has dim |L|,
+    that of b has dim |R| and |L| + |R| is the module dimension, the
+    module is A a + A b, a direct sum.  When L also lies in A a, the
+    dimensions agree and L spans A a, a submodule; R likewise.  Returns
+    the covering trees of a and b under the restricted matrices, whose
+    kept vectors span L and R, for a decomposable certificate, and None
+    for any other verdict.
     """
     if cert.verdict == "decomposable":
         if cert.element is None or cert.summands is None:
@@ -623,27 +628,34 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
         left, right = cert.summands
         if not left or not right:
             raise RuntimeError("a summand is zero")
-        if len(left) + len(right) != e.module_dim:
+        field, n = e.field, e.module_dim
+        if len(left) + len(right) != n:
             raise RuntimeError("summand dimensions do not sum to the module dimension")
         vectors = list(left) + list(right)
-        if any(len(v) != e.module_dim for v in vectors):
-            raise RuntimeError(f"a summand vector does not have length {e.module_dim}")
-        # unboxed once; each generator steps them on raw values
+        if any(len(v) != n for v in vectors):
+            raise RuntimeError(f"a summand vector does not have length {n}")
+        # unboxed once; the spins step them on raw values
         try:
-            raw = [_RawVector(_unbox(e.field, v)) for v in vectors]
+            raw = [_RawVector(_unbox(field, v)) for v in vectors]
         except (TypeError, ValueError):
-            raise RuntimeError(f"a summand vector is not over {e.field}") from None
-        solver = SpanSolver(e.field, e.module_dim)
+            raise RuntimeError(f"a summand vector is not over {field}") from None
+        solver = SpanSolver(field, n)
         for x in raw:
             if not solver.add(x):
                 raise RuntimeError("summand bases are not independent")
-        for part in (raw[:len(left)], raw[len(left):]):
-            part_solver = SpanSolver(e.field, e.module_dim)
-            for x in part:
-                part_solver.add(x)
-            for label, s in e.action_mats:
-                if not all(part_solver.contains(_RawVector(s._times_col(x))) for x in part):
-                    raise RuntimeError(f"summand is not stable under generator {label!r}")
+        # n independent vectors span the module, e_0 among it
+        coords = solver._coordinates(_unit(field.characteristic, n, 0))
+        steps = {label: s._times_col for label, s in e.action_mats}
+        trees = []
+        for part, c in ((raw[:len(left)], coords[:len(left)]), (raw[len(left):], coords[len(left):])):
+            projection = DenseMatrix.from_columns(field, part, rows=n)._times_col(c)
+            tree = covering_tree(field, n, projection, steps)
+            if len(tree.words) != len(part):
+                raise RuntimeError("orbit of the generator's part in a summand has the wrong dimension")
+            if not all(tree.solver.contains(x) for x in part):
+                raise RuntimeError("summand is not the orbit of the generator's part in it")
+            trees.append(tree)
+        return tuple(trees)
     elif cert.verdict == "indecomposable":
         if cert.mode == "dimension-1":
             if e.dim != 1:

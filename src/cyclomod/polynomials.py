@@ -4,7 +4,7 @@ A Polynomial stores its coefficients the way DenseMatrix stores its
 rows: as canonical raw values, low degree first with no trailing zeros,
 ints in [0, p) for GF(p) and Fractions for Q.  The zero polynomial has
 no coefficients and degree -1.  The constructor unboxes its arguments
-once, and `coeffs` and `leading` box on read.
+once, and `coeffs` boxes on read.
 
 All coefficient arithmetic is one small set of helpers on linalg's raw
 operations (_trim, _padd, _pmul, _pdivmod, and on them _monic, _deriv,
@@ -38,7 +38,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .fields import FieldScalar, FieldSpec, _is_prime, gf
+from .fields import FieldSpec, _is_prime, gf
 from .linalg import (
     DenseMatrix,
     _addmul,
@@ -162,66 +162,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._raw
 
-    @property
-    def leading(self) -> FieldScalar:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldScalar(self.field, self._raw[-1])
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self._raw[-1] == 1
-
-    def _check_field(self, other: "Polynomial"):
-        if not isinstance(other, Polynomial):
-            raise TypeError("expected a Polynomial")
-        if other.field != self.field:
-            raise ValueError(f"mixed fields: {self.field} and {other.field}")
-
-    def _new(self, raw: list) -> "Polynomial":
-        return Polynomial._from_raw(self.field, raw)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        return self._new(_padd(self.field.characteristic, self._raw, 1, other._raw))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        p = self.field.characteristic
-        return self._new(_padd(p, self._raw, _neg(p, 1), other._raw))
-
-    def __neg__(self) -> "Polynomial":
-        p = self.field.characteristic
-        return self._new([_neg(p, a) for a in self._raw])
-
-    def __mul__(self, other):
-        p = self.field.characteristic
-        if isinstance(other, (FieldScalar, int)):
-            return self._new(_trim(_scale(p, self.field.scalar(other).value, self._raw)))
-        self._check_field(other)
-        return self._new(_pmul(p, self._raw, other._raw))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial"):
-        self._check_field(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _pdivmod(self.field.characteristic, self._raw, other._raw)
-        return self._new(q), self._new(r)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        return self._new(_monic(self.field.characteristic, self._raw))
-
-    def derivative(self) -> "Polynomial":
-        return self._new(_deriv(self.field.characteristic, self._raw))
-
     def evaluate_matrix(self, m: DenseMatrix) -> DenseMatrix:
         if m.field != self.field:
             raise ValueError(f"mixed fields: {self.field} and {m.field}")
@@ -238,18 +178,6 @@ class Polynomial:
                 acc = acc + ident.scale(c)
         return acc
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial powers")
-        acc = Polynomial(self.field, [1])
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -257,9 +185,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.field, tuple(self._raw)))
-
-    def sort_key(self):
-        return (self.degree, tuple(self._raw))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -723,7 +723,7 @@ def boxed_poly_trim(cs):
 
 
 def boxed_poly_add(field, a, b):
-    """The library's Polynomial.__add__ before its loops moved to raw values."""
+    """a + b summed on FieldScalars: the reference for polynomials._padd."""
     z = field.zero()
     n = max(len(a), len(b))
     return boxed_poly_trim((a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n))
@@ -734,7 +734,7 @@ def boxed_poly_scale(c, a):
 
 
 def boxed_poly_mul(field, a, b):
-    """The library's Polynomial.__mul__ before its loops moved to raw values."""
+    """a * b summed on FieldScalars: the reference for polynomials._pmul."""
     if not a or not b:
         return ()
     out = [field.zero()] * (len(a) + len(b) - 1)
@@ -747,7 +747,7 @@ def boxed_poly_mul(field, a, b):
 
 
 def boxed_poly_divmod(field, a, b):
-    """The library's Polynomial.__divmod__ before its loops moved to raw values."""
+    """Quotient and remainder on FieldScalars: the reference for polynomials._pdivmod."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)

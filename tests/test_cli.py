@@ -69,6 +69,22 @@ def test_minimize_output_file_matches_stdout(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == out
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "dir" / "out.json")
+    code, out, err = run(capsys, ["decompose-bool", "x1", "-n", "3", "-o", target])
+    assert code == 2
+    assert out == "" and f"error: cannot write {target}" in err
+
+
+def test_unwritable_dot_directory_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    target = str(blocker / "dots")
+    code, _, err = run(capsys, ["decompose-bool", "x1", "-n", "3", "--dot", target])
+    assert code == 2
+    assert f"error: cannot write DOT files to {target}" in err
+
+
 def test_minimize_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, ["minimize", str(tmp_path / "nope.json")])
     assert code == 2

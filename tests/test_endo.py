@@ -649,9 +649,38 @@ def test_verify_certificate_rejects_each_forged_split():
     _local_forgery(e, cert, "witness does not commute with generator 's1'", element=sheared)
     _local_forgery(e, cert, "a summand is zero", summands=((line,) + plane, ()))
     _local_forgery(e, cert, "summand bases are not independent", summands=(plane, (plane[0],)))
-    # e_0 and span(e_1, e_2) fill the module but are not submodules
+    # e_0 and span(e_1, e_2) fill the module but are not submodules: e_0
+    # is its own part of the generator, and its orbit is the whole module
     units = ((_unit(2, 3, 0),), (_unit(2, 3, 1), _unit(2, 3, 2)))
-    _local_forgery(e, cert, "summand is not stable under generator 's2'", summands=units)
+    _local_forgery(e, cert, "orbit of the generator's part in a summand has the wrong dimension", summands=units)
+
+
+def test_verify_certificate_rejects_a_summand_that_is_not_its_orbit():
+    # e_0 = (1, 1, 1) + (0, 1, 1): the part (0, 1, 1) spins a 2-dim orbit,
+    # the dimension of span(e_2, e_1), but that orbit is not span(e_2, e_1)
+    e = compute_end(swap_invariant_module())
+    cert = find_splitting_element(e)
+    forged = (([1, 1, 1],), ([0, 0, 1], [0, 1, 0]))
+    _local_forgery(e, cert, "summand is not the orbit of the generator's part in it", summands=forged)
+
+
+def test_verify_certificate_returns_the_split_it_checked():
+    e = compute_end(swap_invariant_module())
+    cert = find_splitting_element(e)
+    assert cert.verdict == "decomposable"
+    trees = verify_certificate(e, cert)
+    assert len(trees) == 2
+    for tree, summand in zip(trees, cert.summands):
+        assert len(tree.words) == len(summand)
+        assert span_equal(GF2, tree.vectors, summand, e.module_dim)
+    leaf = compute_end(orbit_basis(s3_natural_action(), (1, 1, 1)))
+    indecomposable = find_splitting_element(leaf)
+    assert indecomposable.verdict == "indecomposable"
+    assert verify_certificate(leaf, indecomposable) is None
+    q = compute_end(quaternion_module())
+    undecided = find_splitting_element(q, SearchConfig(random_trials=0))
+    assert undecided.verdict == "undecided"
+    assert verify_certificate(q, undecided) is None
 
 
 def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
