@@ -38,22 +38,36 @@ find_splitting_element runs one search for every field: the
 one-dimensional shortcut, a Fitting scan of the basis elements and their
 pairwise sums and differences, then one loop over the scanned elements
 and seeded random ones that factors each candidate's minimal polynomial
-once.  When that polynomial has two coprime primary factors, with f
-the first irreducible one, f(x) is nilpotent on the f-primary summand
-and invertible on the rest: a Fitting element whose stable power splits
-the module along those two ("min-poly-split", with f(x) as its
-element).  A power f^k with k > 1 makes f(x) nilpotent, and f(x) joins
-a two-sided ideal J, closed under multiplication by the basis.  Once some
-candidate's f has degree dim E - dim J and J is nilpotent (checked on
-J e_0, J^2 e_0, ...), E/J is a field generated by x: the minimal
-polynomial of x modulo J divides f^k and has degree at most
-dim E/J = deg f, so it is f.  Then E is local and the module
-indecomposable ("field-generated" when J = 0, "local" otherwise, with
-the identity as x when dim E/J = 1).  No Fitting element exists in a
-local algebra with J != 0: every element is a unit or nilpotent, and
-every minimal polynomial is a power of one irreducible.  Everything is
-exact; when the candidates run out the verdict is "undecided", never a
-guess.
+once.  The scan takes one stable power per candidate, which sorts it
+into a Fitting witness, a unit, or a nilpotent element (stable rank 0).
+The first time the nilpotent candidates span a hyperplane J of E, J is
+tested once for being a two-sided ideal (on first columns) and
+nilpotent.  If it is, the identity is not in J, so E = F 1 + J,
+E/J = F and E is local: a "local" certificate with the identity as x,
+and no minimal polynomial is tried.  In a local algebra with residue
+field F the nilpotent elements are exactly J, so the test passes once
+the nilpotent candidates span J: after about dim E rank tests on the
+Jordan blocks and on the local leaves of the boolean modules and of
+regular S4 and S5 over GF(2) and GF(3).  In any other algebra it fails,
+and the scan goes on as if it had not been made.
+
+In the candidate loop, when a minimal polynomial has two coprime
+primary factors, with f the first irreducible one, f(x) is nilpotent on
+the f-primary summand and invertible on the rest: a Fitting element
+whose stable power splits the module along those two ("min-poly-split",
+with f(x) as its element).  A power f^k with k > 1 makes f(x)
+nilpotent, and f(x) joins a two-sided ideal J, closed under
+multiplication by the basis.  Once some candidate's f has degree
+dim E - dim J and J is nilpotent (checked on J e_0, J^2 e_0, ...), E/J
+is a field generated by x: the minimal polynomial of x modulo J divides
+f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
+and the module indecomposable ("field-generated" when J = 0, "local"
+otherwise, with the identity as x when dim E/J = 1).  This loop decides
+the fields, the local algebras whose residue field is larger than F,
+and those whose nilpotent candidates span less than J.  No Fitting element exists in a local
+algebra with J != 0: every element is a unit or nilpotent, and every
+minimal polynomial is a power of one irreducible.  Everything is exact;
+when the candidates run out the verdict is "undecided", never a guess.
 """
 
 from __future__ import annotations
@@ -399,19 +413,22 @@ def _random_candidates(e: EndoAlgebra, config: SearchConfig):
             yield e.element(coords)
 
 
-def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, budgets: dict, diagnostics: dict, mode: str = "fitting-scan"):
+def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, budgets: dict, diagnostics: dict,
+                 mode: str = "fitting-scan"):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
 
-    The summands are the kernel and the image of a stable power of mat,
-    both read off its one reduced form: the kernel from the free columns,
-    the image from the columns of the power at the pivots.  Both are
-    generator stable because mat commutes with the action, they meet
-    trivially because the kernel and the image of a stable power always
-    do, and by rank-nullity they fill the module.  verify_certificate
-    checks that they are independent and that each is the orbit of the
-    generator's part in it, which gives all three.
+    stable is stable_power(mat), whose rank the caller has already read,
+    so no product is formed here.  The summands are the kernel and the
+    image of that stable power, both read off its one reduced form: the
+    kernel from the free columns, the image from the columns of the
+    power at the pivots.  Both are generator stable because mat commutes
+    with the action, they meet trivially because the kernel and the
+    image of a stable power always do, and by rank-nullity they fill the
+    module.  verify_certificate checks that they are independent and
+    that each is the orbit of the generator's part in it, which gives
+    all three.
     """
-    power, reduction = stable_power(mat)
+    power, reduction = stable
     if reduction.rank in (0, e.module_dim):
         return None
     ker = _kernel_from_rref(e.field, power.cols, reduction)
@@ -439,6 +456,26 @@ def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
                     prod = left * right
                     ideal.append(prod)
                     queue.append(prod)
+
+
+def _is_two_sided_ideal(e: EndoAlgebra, ideal: Sequence, span: SpanSolver) -> bool:
+    """Whether b j and j b lie in J for every basis element b and every j in `ideal`.
+
+    J is the span of the matrices `ideal` in E, whose first columns span
+    `span`.  A product in E is fixed by its first column, so b j and j b
+    are in J exactly when b (j e_0) and j (b e_0) are in J e_0.  The
+    identity is skipped, and the test stops at the first product outside.
+    """
+    ident = e.identity()
+    firsts = [_first_column(j) for j in ideal]
+    for b in e.basis:
+        if b == ident:
+            continue
+        b0 = _first_column(b)
+        for j, j0 in zip(ideal, firsts):
+            if not (span.contains(_image(b, j0)) and span.contains(_image(j, b0))):
+                return False
+    return True
 
 
 def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
@@ -493,12 +530,27 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         return Certificate("indecomposable", "dimension-1", None, None, budgets, {"endo_dim": 1})
 
     diagnostics = {"endo_dim": e.dim}
+    n, hyperplane = e.module_dim, e.dim - 1
+    # the nilpotent candidates with independent first columns, until they
+    # span a hyperplane of E, which is then tested once as the radical
+    radical, span = [], SpanSolver(e.field, n)
     scanned = 0
     for mat in _scan_candidates(e):
         scanned += 1
-        cert = _try_fitting(e, mat, budgets, dict(diagnostics, scanned=scanned))
-        if cert is not None:
-            return cert
+        stable = stable_power(mat)
+        rank = stable[1].rank
+        if 0 < rank < n:
+            return _try_fitting(e, mat, stable, budgets, dict(diagnostics, scanned=scanned))
+        if rank or len(radical) == hyperplane or not span.add(_first_column(mat)):
+            continue
+        radical.append(mat)
+        # a nilpotent ideal of codimension 1 misses the identity, so
+        # E = F 1 + J and E/J = F: E is local, and the identity generates E/J
+        if len(radical) < hyperplane or not _is_two_sided_ideal(e, radical, span):
+            continue
+        if _nilpotent_span(e, radical):
+            diag = dict(diagnostics, scanned=scanned, radical_dim=hyperplane)
+            return Certificate("indecomposable", "local", e.identity(), None, budgets, diag, radical=tuple(radical))
     diagnostics["scanned"] = scanned
 
     # one candidate loop for every field: factor each minimal polynomial once;
@@ -519,7 +571,8 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         )
         if len(factors) >= 2:
             # f0(x) is nilpotent on the f0-primary summand and invertible on the rest
-            return _try_fitting(e, factors[0][0].evaluate_matrix(mat), budgets, diag, "min-poly-split")
+            split = factors[0][0].evaluate_matrix(mat)
+            return _try_fitting(e, split, stable_power(split), budgets, diag, "min-poly-split")
         ((f, k),) = factors
         if k > 1 and nilpotent is not False:
             grown = len(ideal)
@@ -568,29 +621,22 @@ def _check_local(e: EndoAlgebra, cert: Certificate):
 
     Then J is the radical and E is local, so the module is indecomposable.
     Nothing about how J was found is trusted, and no step depends on the field.
-    Once J is checked to lie in E, b j and j b are in J exactly when
-    b (j e_0) and j (b e_0) are in J e_0.
+    J is checked to lie in E before the ideal test reads products on first
+    columns.
     """
     radical = cert.radical
     if not isinstance(radical, (tuple, list)) or not radical:
         raise RuntimeError("local certificate is missing its radical")
     _check_element(e, cert.element)
-    span, firsts = SpanSolver(e.field, e.module_dim), []
+    span = SpanSolver(e.field, e.module_dim)
     for j in radical:
         _check_element(e, j, "radical matrix")
         if not e.contains(j):
             raise RuntimeError("radical matrix is not in the endomorphism algebra")
-        firsts.append(_first_column(j))
-        if not span.add(firsts[-1]):
+        if not span.add(_first_column(j)):
             raise RuntimeError("radical matrices are linearly dependent")
-    ident = e.identity()
-    for b in e.basis:
-        if b == ident:
-            continue
-        b0 = _first_column(b)
-        for j, j0 in zip(radical, firsts):
-            if not (span.contains(_image(b, j0)) and span.contains(_image(j, b0))):
-                raise RuntimeError("radical span is not a two-sided ideal")
+    if not _is_two_sided_ideal(e, radical, span):
+        raise RuntimeError("radical span is not a two-sided ideal")
     if not _nilpotent_span(e, radical):
         raise RuntimeError("radical span is not nilpotent")
     if not e.contains(cert.element):

@@ -312,12 +312,25 @@ def _zx_quotient(b: list, a: list):
     """b / a over Z for a primitive a, or None when a does not divide b.
 
     By Gauss's lemma a primitive divisor over Q divides over Z, so the
-    exact division over Q decides it and its quotient is integral.
+    quotient is integral: a divisor's leading and constant coefficients
+    divide b's, and every step of the long division divides exactly by
+    the leading coefficient of a.  The first of these that fails turns a
+    down, most candidates before any step.
     """
-    q, r = _pdivmod(0, [Fraction(c) for c in b], [Fraction(c) for c in a])
-    if r:
+    if b[-1] % a[-1] or (b[0] % a[0] if a[0] else b[0]):
         return None
-    return [int(c) for c in q]
+    da, lead = len(a) - 1, a[-1]
+    rem = list(b)
+    quo = [0] * (len(b) - da)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + da]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quo[k] = q
+            rem[k : k + da + 1] = [x - q * y for x, y in zip(rem[k : k + da + 1], a)]
+    return None if any(rem[:da]) else quo
 
 
 def _symmetric_mod(c: int, m: int) -> int:

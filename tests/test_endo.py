@@ -145,11 +145,16 @@ def test_nilpotent_invertible_membership():
         EndoAlgebra(GF2, 3, [DenseMatrix.identity(gf(3), 3)], e.action_mats)
 
 
+def _fitting(e, mat):
+    """_try_fitting on mat's own stable power, as the search hands it in."""
+    return _try_fitting(e, mat, stable_power(mat), {}, {})
+
+
 def test_fitting_split_on_projection():
     m = swap_invariant_module()
     e = compute_end(m)
     j = ones_matrix(GF2, 3)
-    cert = _try_fitting(e, j, {}, {})
+    cert = _fitting(e, j)
     assert cert is not None
     ker, im = cert.summands
     assert len(ker) == 2 and len(im) == 1
@@ -157,8 +162,8 @@ def test_fitting_split_on_projection():
     line = im[0]
     assert all(x == line[0] for x in line)
     assert m.coordinates(F_VEC) == tuple(line)
-    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), {}, {}) is None
-    assert _try_fitting(e, DenseMatrix.zeros(GF2, 3, 3), {}, {}) is None
+    assert _fitting(e, DenseMatrix.identity(GF2, 3)) is None
+    assert _fitting(e, DenseMatrix.zeros(GF2, 3, 3)) is None
 
 
 def _record_products(monkeypatch):
@@ -179,17 +184,20 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     e = compute_end(swap_invariant_module())
     products.clear()
     # invertible: the rank of the candidate decides, with no product
-    assert _try_fitting(e, DenseMatrix.identity(GF2, 3), {}, {}) is None
+    assert _fitting(e, DenseMatrix.identity(GF2, 3)) is None
     assert products == []
-    # a projection is stable at power 1: one squaring shows it
-    cert = _try_fitting(e, ones_matrix(GF2, 3), {}, {})
+    # a projection is stable at power 1: one squaring shows it, and the
+    # certificate is read off the power handed in, with no product of its own
+    stable = stable_power(ones_matrix(GF2, 3))
+    assert len(products) == 1
+    cert = _try_fitting(e, ones_matrix(GF2, 3), stable, {}, {})
     assert len(products) == 1
     assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, *cert.summands)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
     m = conjugated_jordan_module(QQ, 4, 3)
     e = compute_end(m)
     products.clear()
-    assert _try_fitting(e, m.restricted["n"], {}, {}) is None
+    assert _fitting(e, m.restricted["n"]) is None
     assert len(products) == 2
 
 
@@ -239,7 +247,7 @@ def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
         e = compute_end(m)
         mat = m.restricted["a"]
         products = _record_products(monkeypatch)
-        cert = _try_fitting(e, mat, {}, {})
+        cert = _fitting(e, mat)
         monkeypatch.undo()
         assert len(products) == 2
         ker, im = cert.summands
@@ -417,6 +425,9 @@ def test_local_certificate_with_a_quadratic_residue_field():
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert len(cert.radical) == 2
+    # E/J = Q(i) is larger than Q, so the nilpotent candidates never span a
+    # hyperplane and the minimal-polynomial loop decides the leaf
+    assert cert.diagnostics["min_poly_tried"] >= 1
     verify_certificate(e, cert)
 
 
@@ -447,6 +458,64 @@ def test_local_certificates_for_jordan_blocks_over_gf2_and_gf3():
         assert len(cert.radical) == cert.diagnostics["radical_dim"] == d - 1
         check_report(report)
     assert time.perf_counter() - start < 10.0
+
+
+def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeypatch):
+    # E = GF(2)[N]/N^24: its 23 nilpotent basis elements span the radical,
+    # a hyperplane, so the scan stops there with one rank test per candidate
+    calls = []
+    power = endo.stable_power
+    monkeypatch.setattr(endo, "stable_power", lambda mat: calls.append(1) or power(mat))
+    e = compute_end(conjugated_jordan_module(GF2, 24, seed=24))
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert cert.diagnostics == {"endo_dim": 24, "scanned": 23, "radical_dim": 23}
+    assert len(calls) == 23
+    assert cert.element == e.identity() and len(cert.radical) == 23
+    verify_certificate(e, cert)
+
+
+def _regular_m2_module(field):
+    """The regular module of M_2(F), generated by 1; End is M_2(F)^op, not local.
+
+    Coordinates in the basis E11, E12, E21, E22; the generators are left
+    multiplication by E12 and E21.
+    """
+    e12 = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]  # E12 E21 = E11, E12 E22 = E12
+    e21 = [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]  # E21 E11 = E21, E21 E12 = E22
+    return orbit_basis(AlgebraAction(field, [("e12", e12), ("e21", e21)]), (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), QQ], ids=str)
+def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, monkeypatch):
+    # the nilpotent elements of M_2(F) span the trace-zero hyperplane, which
+    # is not an ideal: with three of them scanned first, the hyperplane is
+    # tested once, turned down, and the scan goes on to a Fitting witness
+    m = _regular_m2_module(field)
+    e = compute_end(m)
+    assert (m.dim, e.dim) == (4, 4)
+    span, nilpotent = endo.SpanSolver(field, 4), []
+    lo, hi = (-2, 2) if field == QQ else (0, field.characteristic - 1)
+    for coords in itertools.product(range(lo, hi + 1), repeat=4):
+        mat = e.element(coords)
+        if any(coords) and _is_nilpotent(mat) and span.add(endo._first_column(mat)):
+            nilpotent.append(mat)
+    assert len(nilpotent) == 3
+    scan = endo._scan_candidates
+    monkeypatch.setattr(endo, "_scan_candidates", lambda e: itertools.chain(nilpotent, scan(e)))
+    checks = []
+    is_ideal = endo._is_two_sided_ideal
+
+    def spy(e, ideal, span):
+        checks.append((len(ideal), is_ideal(e, ideal, span)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(endo, "_is_two_sided_ideal", spy)
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("decomposable", "fitting-scan")
+    assert checks == [(3, False)]
+    assert cert.diagnostics["scanned"] > len(nilpotent)
+    verify_certificate(e, cert)
 
 
 def test_local_radical_is_the_trace_form_radical():

@@ -217,6 +217,31 @@ def test_factor_q_seeded_products():
         assert reassemble(f, got) == f
         total = sum(g.degree * m for g, m in got)
         assert total == f.degree
+    # t^12 - 1: six cyclotomic factors, recombined from more modular ones
+    cyclotomic = [[-1, 1], [1, 1], [1, -1, 1], [1, 0, 1], [1, 1, 1], [1, 0, -1, 0, 1]]
+    got = factor(poly(QQ, [-1] + [0] * 11 + [1]))
+    assert sorted(g._raw for g, _ in got) == sorted(poly(QQ, c)._raw for c in cyclotomic)
+    assert all(k == 1 for _, k in got)
+    # a product whose integer form is not monic: its factors lead with 2, 3 and 1
+    parts = [poly(QQ, [1, 2]), poly(QQ, [5, -1, 3]), poly(QQ, [-2, 0, 0, 1])]
+    f = mul(poly(QQ, [Fraction(5, 7)]), *parts)
+    assert sorted(g._raw for g, _ in factor(f)) == sorted(monic(g)._raw for g in parts)
+    assert reassemble(f, factor(f)) == f
+
+
+def test_zx_quotient_divides_exactly_on_integers():
+    quotient = polynomials._zx_quotient
+    # (2t + 1)(3t^2 - t + 5) = 6t^3 + t^2 + 9t + 5
+    b = [5, 9, 1, 6]
+    assert quotient(b, [1, 2]) == [5, -1, 3]
+    assert quotient(b, [5, -1, 3]) == [1, 2]
+    assert quotient(b, [1, 4]) is None          # 4 does not divide the leading 6
+    assert quotient(b, [2, 1]) is None          # 2 does not divide the constant 5
+    assert quotient(b, [5, 0, 3]) is None       # a step that does not divide by 3
+    assert quotient(b, [1, 1]) is None          # exact steps, a remainder of -9
+    # a divisor with a zero constant: t divides b only when b(0) = 0
+    assert quotient([0, 3, 0, 6], [0, 1]) == [3, 0, 6]
+    assert quotient(b, [0, 1]) is None
 
 
 def test_factor_q_lifts_modulo_powers_of_two(monkeypatch):
