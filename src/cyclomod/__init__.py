@@ -29,7 +29,6 @@ from .decompose import (
 from .endo import (
     Certificate,
     EndoAlgebra,
-    SearchConfig,
     compute_end,
     find_splitting_element,
     verify_certificate,
@@ -98,7 +97,6 @@ __all__ = [
     "orbit_basis",
     "Certificate",
     "EndoAlgebra",
-    "SearchConfig",
     "compute_end",
     "find_splitting_element",
     "verify_certificate",

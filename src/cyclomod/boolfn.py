@@ -10,9 +10,9 @@ complete decomposition.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .decompose import DecompositionReport, SearchConfig, complete_decomposition
+from .decompose import DecompositionReport, complete_decomposition
 from .fields import GF2
 from .modules import AlgebraAction, orbit_basis
 
@@ -200,7 +200,7 @@ def sn_action(n: int) -> AlgebraAction:
     return AlgebraAction.from_permutations(GF2, generators, size)
 
 
-def decompose_boolean(f: BooleanFunction, config: Optional[SearchConfig] = None) -> DecompositionReport:
+def decompose_boolean(f: BooleanFunction) -> DecompositionReport:
     """Complete decomposition of the cyclic module generated by f."""
     module = orbit_basis(sn_action(f.n), f.vector())
-    return complete_decomposition(module, config)
+    return complete_decomposition(module)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (an undecided verdict is still success), 1 on
 an internal invariant failure, 2 on bad input.  All JSON on stdout is
-deterministic for a fixed input and configuration; human-oriented
+deterministic for a fixed input; human-oriented
 summaries go to stderr.
 """
 
@@ -16,7 +16,6 @@ from typing import Optional
 
 from .boolfn import decompose_boolean, monomial_names, parse_anf, sn_action
 from .decompose import complete_decomposition, decompose_once
-from .endo import SearchConfig
 from .fields import QQ, FieldSpec
 from .modules import action_graph, orbit_basis
 from .perms import permutation_module
@@ -30,18 +29,6 @@ from .serialize import (
     to_text,
 )
 from .wfa import minimize
-
-
-def _search_config(args) -> SearchConfig:
-    """The search budgets from the command line, validated."""
-    if args.random_trials < 0:
-        raise ValueError("--random-trials must not be negative")
-    return SearchConfig(random_trials=args.random_trials, seed=args.seed)
-
-
-def _add_budget_flags(sub):
-    sub.add_argument("--random-trials", type=int, default=SearchConfig.random_trials)
-    sub.add_argument("--seed", type=int, default=SearchConfig.seed)
 
 
 def _read_json(path: str):
@@ -98,9 +85,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_decompose_bool(args) -> int:
-    config = _search_config(args)
     f = parse_anf(args.expr, args.n)
-    report = decompose_boolean(f, config)
+    report = decompose_boolean(f)
     names = monomial_names(args.n)
     if args.dot is not None:
         _write_dot_files(args.dot, report, names, gf2=True)
@@ -116,11 +102,10 @@ def cmd_decompose_bool(args) -> int:
 
 
 def cmd_decompose_perm(args) -> int:
-    config = _search_config(args)
     presentation = presentation_from_json(_read_json(args.input))
     g = _parse_generator_vector(args.generator, QQ, presentation.degree)
     module = permutation_module(presentation, g)
-    report = complete_decomposition(module, config)
+    report = complete_decomposition(module)
     if args.dot is not None:
         _write_dot_files(args.dot, report, None, gf2=False)
     if args.cert_only:
@@ -135,17 +120,20 @@ def cmd_decompose_perm(args) -> int:
 
 
 def cmd_cert(args) -> int:
-    config = _search_config(args)
     if args.bool_expr is not None and args.perm is not None:
         raise ValueError("choose one module source: --bool or --perm")
     if args.bool_expr is not None:
         if args.n is None:
             raise ValueError("--bool needs -n (number of variables)")
+        if args.generator is not None:
+            raise ValueError("--generator goes with --perm, not --bool")
         f = parse_anf(args.bool_expr, args.n)
         module = orbit_basis(sn_action(args.n), f.vector())
     elif args.perm is not None:
         if args.generator is None:
             raise ValueError("--perm needs --generator")
+        if args.n is not None:
+            raise ValueError("-n goes with --bool, not --perm")
         presentation = presentation_from_json(_read_json(args.perm))
         g = _parse_generator_vector(args.generator, QQ, presentation.degree)
         module = permutation_module(presentation, g)
@@ -153,7 +141,7 @@ def cmd_cert(args) -> int:
         raise ValueError("choose a module source: --bool EXPR -n N or --perm FILE --generator V")
     if module.dim == 0:
         raise ValueError("the generator is zero: nothing to certify")
-    cert = decompose_once(module, config)[0]
+    cert = decompose_once(module)[0]
     _emit(to_text(certificate_to_json(cert)), args.output)
     print(f"verdict: {cert.verdict} (mode {cert.mode})", file=sys.stderr)
     return 0
@@ -177,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bool.add_argument("-o", "--output", default=None)
     p_bool.add_argument("--dot", default=None, help="directory for DOT files")
     p_bool.add_argument("--cert-only", action="store_true", help="print only signature lines")
-    _add_budget_flags(p_bool)
     p_bool.set_defaults(func=cmd_decompose_bool)
 
     p_perm = subs.add_parser("decompose-perm", help="decompose a permutation module over Q")
@@ -186,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perm.add_argument("-o", "--output", default=None)
     p_perm.add_argument("--dot", default=None, help="directory for DOT files")
     p_perm.add_argument("--cert-only", action="store_true", help="print only signature lines")
-    _add_budget_flags(p_perm)
     p_perm.set_defaults(func=cmd_decompose_perm)
 
     p_cert = subs.add_parser("cert", help="one splitting-element certificate, no recursion")
@@ -195,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--perm", default=None, help="presentation JSON path")
     p_cert.add_argument("--generator", default=None, help="generator vector (with --perm)")
     p_cert.add_argument("-o", "--output", default=None)
-    _add_budget_flags(p_cert)
     p_cert.set_defaults(func=cmd_cert)
 
     return parser

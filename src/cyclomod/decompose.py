@@ -6,7 +6,7 @@ cyclic module, searches it for a splitting element, re-checks the
 certificate found and, when the certificate is decomposable, splits the
 module along it.  complete_decomposition runs the step depth first from
 the whole module until every leaf is certified indecomposable or the
-search budget gives out.
+search runs out of candidates.
 
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
@@ -23,14 +23,12 @@ spun from its generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from .endo import SearchConfig, compute_end, find_splitting_element, verify_certificate
+from .endo import compute_end, find_splitting_element, verify_certificate
 from .linalg import DenseMatrix, SpanSolver, _RawVector
 from .modules import CyclicModule, _module_from_tree, orbit_basis
 
 
-def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
+def decompose_once(m: CyclicModule):
     """complete_decomposition's single step.
 
     Certifies m and splits it along a decomposable certificate.  Returns
@@ -44,7 +42,7 @@ def decompose_once(m: CyclicModule, config: Optional[SearchConfig] = None):
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
     e = compute_end(m)
-    cert = find_splitting_element(e, config)
+    cert = find_splitting_element(e)
     trees = verify_certificate(e, cert)
     if trees is None:
         return cert, None
@@ -65,7 +63,6 @@ class DecompositionReport:
     certificates: tuple             # one per leaf, same order
     split_certificates: tuple       # the decomposable certificates, in discovery order
     signature: tuple                # leaf dimensions, ascending
-    config: SearchConfig
 
     @property
     def fully_decomposed(self) -> bool:
@@ -76,19 +73,16 @@ class DecompositionReport:
         return sum(1 for c in self.certificates if c.verdict == "undecided")
 
 
-def complete_decomposition(
-    m: CyclicModule, config: Optional[SearchConfig] = None
-) -> DecompositionReport:
+def complete_decomposition(m: CyclicModule) -> DecompositionReport:
     """Split until every leaf is certified indecomposable or undecided."""
-    config = config or SearchConfig()
     if m.dim == 0:
-        return DecompositionReport(m, (), (), (), (), config)
+        return DecompositionReport(m, (), (), (), ())
     leaves = []
     splits = []
     stack = [m]
     while stack:
         block = stack.pop()
-        cert, halves = decompose_once(block, config)
+        cert, halves = decompose_once(block)
         if halves is None:
             leaves.append((block, cert))
             continue
@@ -101,7 +95,7 @@ def complete_decomposition(
     blocks = tuple(pair[0] for pair in leaves)
     certs = tuple(pair[1] for pair in leaves)
     sig = tuple(sorted(b.dim for b in blocks))
-    return DecompositionReport(m, blocks, certs, tuple(splits), sig, config)
+    return DecompositionReport(m, blocks, certs, tuple(splits), sig)
 
 
 def check_report(report: DecompositionReport):

@@ -34,12 +34,13 @@ and the image basis is the power's columns at its pivot columns, which
 are its first independent columns.  An invertible candidate is turned
 down on its rank, before any product.
 
-find_splitting_element runs one search for every field: the
-one-dimensional shortcut, a Fitting scan of the basis elements and their
-pairwise sums and differences, then one loop over the scanned elements
-and seeded random ones that factors each candidate's minimal polynomial
-once.  The scan takes one stable power per candidate, which sorts it
-into a Fitting witness, a unit, or a nilpotent element (stable rank 0).
+find_splitting_element runs one search for every field over one fixed
+candidate list, the basis elements and their pairwise sums and
+differences: the one-dimensional shortcut, a Fitting scan of that list,
+then one loop over the same list, and a primitive-element step after
+it, that factors each candidate's minimal polynomial once.  The scan
+takes one stable power per candidate, which sorts it into a Fitting
+witness, a unit, or a nilpotent element (stable rank 0).
 The first time the nilpotent candidates span a hyperplane J of E, J is
 tested once for being a two-sided ideal (on first columns) and
 nilpotent.  If it is, the identity is not in J, so E = F 1 + J,
@@ -64,16 +65,21 @@ f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable ("field-generated" when J = 0, "local"
 otherwise, with the identity as x when dim E/J = 1).  This loop decides
 the fields, the local algebras whose residue field is larger than F,
-and those whose nilpotent candidates span less than J.  No Fitting element exists in a local
-algebra with J != 0: every element is a unit or nilpotent, and every
-minimal polynomial is a power of one irreducible.  Everything is exact;
-when the candidates run out the verdict is "undecided", never a guess.
+and those whose nilpotent candidates span less than J.  When the list
+leaves E/J generated by no candidate, as for Q(sqrt 2, sqrt 3, sqrt 5)
+whose elements all have degree at most 4 over Q, the loop goes on with
+x + c b for the best x so far, each basis element b in turn and
+c = 1, 2, ...: over Q, where E/J is a field, all but deg x (deg b - 1)
+values of c give a generator of F(x, b), so after the last b the best x
+generates E/J; over GF(p) only c < p exist, and no bound is promised.
+No Fitting element exists in a local algebra with J != 0: every element
+is a unit or nilpotent, and every minimal polynomial is a power of one
+irreducible.  Everything is exact; when the candidates run out the
+verdict is "undecided", never a guess.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from math import lcm
@@ -361,17 +367,6 @@ def _kernel_of_rows(p: int, rows: list, k: int) -> Optional[list]:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """Budgets for the splitting-element search; defaults decide all small cases."""
-
-    random_trials: int = 64
-    seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {"random_trials": self.random_trials, "seed": self.seed}
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Outcome of one splitting-element search, with enough data to re-check."""
 
@@ -379,7 +374,6 @@ class Certificate:
     mode: str
     element: Optional[DenseMatrix]
     summands: Optional[tuple]         # pair of tuples of raw module-coordinate vectors
-    budgets: dict
     diagnostics: dict = dc_field(default_factory=dict)
     radical: Optional[tuple] = None   # "local" only: basis matrices of the radical
 
@@ -387,8 +381,8 @@ class Certificate:
 def _scan_candidates(e: EndoAlgebra):
     """Basis elements, then pairwise sums, then pairwise differences.
 
-    None is zero: the basis is independent, so b_i + b_j and b_i - b_j
-    for i < j are not.
+    None of them is zero: the basis is independent, so b_i + b_j and
+    b_i - b_j for i < j are not.
     """
     for b in e.basis:
         yield b
@@ -402,19 +396,7 @@ def _scan_candidates(e: EndoAlgebra):
                 yield e.basis[i] - e.basis[j]
 
 
-def _random_candidates(e: EndoAlgebra, config: SearchConfig):
-    """Seeded random combinations of the basis: coordinates in -3..3 over Q, uniform over GF(p)."""
-    rng = random.Random(config.seed)
-    p = e.field.characteristic
-    lo, hi = (-3, 3) if p == 0 else (0, p - 1)
-    for _ in range(config.random_trials):
-        coords = [rng.randint(lo, hi) for _ in range(e.dim)]
-        if any(coords):
-            yield e.element(coords)
-
-
-def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, budgets: dict, diagnostics: dict,
-                 mode: str = "fitting-scan"):
+def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: dict, mode: str = "fitting-scan"):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
 
     stable is stable_power(mat), whose rank the caller has already read,
@@ -434,7 +416,7 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, budgets: dict,
     ker = _kernel_from_rref(e.field, power.cols, reduction)
     im = [_RawVector([row[c] for row in power._raw]) for c in reduction.pivot_columns]
     split = (tuple(ker), tuple(im))
-    return Certificate("decomposable", mode, mat, split, budgets, diagnostics)
+    return Certificate("decomposable", mode, mat, split, diagnostics)
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
@@ -520,14 +502,12 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
     raise RuntimeError("no dependence among the first columns of the powers")
 
 
-def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None) -> Certificate:
+def find_splitting_element(e: EndoAlgebra) -> Certificate:
     """Exact search for a decomposition witness or an indecomposability certificate."""
-    config = config or SearchConfig()
-    budgets = config.as_dict()
     if e.module_dim == 0:
         raise ValueError("the zero module has no decomposition question")
     if e.dim == 1:
-        return Certificate("indecomposable", "dimension-1", None, None, budgets, {"endo_dim": 1})
+        return Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
 
     diagnostics = {"endo_dim": e.dim}
     n, hyperplane = e.module_dim, e.dim - 1
@@ -540,7 +520,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         stable = stable_power(mat)
         rank = stable[1].rank
         if 0 < rank < n:
-            return _try_fitting(e, mat, stable, budgets, dict(diagnostics, scanned=scanned))
+            return _try_fitting(e, mat, stable, dict(diagnostics, scanned=scanned))
         if rank or len(radical) == hyperplane or not span.add(_first_column(mat)):
             continue
         radical.append(mat)
@@ -550,7 +530,7 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
             continue
         if _nilpotent_span(e, radical):
             diag = dict(diagnostics, scanned=scanned, radical_dim=hyperplane)
-            return Certificate("indecomposable", "local", e.identity(), None, budgets, diag, radical=tuple(radical))
+            return Certificate("indecomposable", "local", e.identity(), None, diag, radical=tuple(radical))
     diagnostics["scanned"] = scanned
 
     # one candidate loop for every field: factor each minimal polynomial once;
@@ -558,8 +538,21 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
     ideal, span = [], SpanSolver(e.field, e.module_dim)
     nilpotent = True            # of J; None once J has grown and is not checked yet
     best, best_degree = e.identity(), 1
+    degrees = []                # of the basis elements modulo the radical
+    p = e.field.characteristic
+
+    def candidates():
+        yield from _scan_candidates(e)
+        # the primitive-element step, read against the best x so far
+        for b, degree in zip(e.basis, degrees):
+            if degree == 1:
+                continue
+            x, count = best, best_degree * (degree - 1) + 1
+            for c in range(1, (min(count, p - 1) if p else count) + 1):
+                yield x + b.scale(c)
+
     tried = 0
-    for mat in itertools.chain(_scan_candidates(e), _random_candidates(e, config)):
+    for mat in candidates():
         tried += 1
         mp = _min_poly(mat)
         factors = factor(mp)
@@ -572,8 +565,10 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         if len(factors) >= 2:
             # f0(x) is nilpotent on the f0-primary summand and invertible on the rest
             split = factors[0][0].evaluate_matrix(mat)
-            return _try_fitting(e, split, stable_power(split), budgets, diag, "min-poly-split")
+            return _try_fitting(e, split, stable_power(split), diag, "min-poly-split")
         ((f, k),) = factors
+        if tried <= e.dim:
+            degrees.append(f.degree)
         if k > 1 and nilpotent is not False:
             grown = len(ideal)
             _grow_ideal(e, ideal, span, f.evaluate_matrix(mat))
@@ -590,12 +585,12 @@ def find_splitting_element(e: EndoAlgebra, config: Optional[SearchConfig] = None
         if not nilpotent:
             continue
         if not ideal:
-            return Certificate("indecomposable", "field-generated", best, None, budgets, diag)
+            return Certificate("indecomposable", "field-generated", best, None, diag)
         diag = dict(diagnostics, min_poly_tried=tried, radical_dim=len(ideal))
-        return Certificate("indecomposable", "local", best, None, budgets, diag, radical=tuple(ideal))
+        return Certificate("indecomposable", "local", best, None, diag, radical=tuple(ideal))
 
     diagnostics["min_poly_tried"] = tried
-    return Certificate("undecided", "budget-exhausted", None, None, budgets, diagnostics)
+    return Certificate("undecided", "budget-exhausted", None, None, diagnostics)
 
 
 def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> bool:

@@ -208,7 +208,6 @@ def certificate_to_json(cert: Certificate) -> dict:
         "summands": None
         if cert.summands is None
         else [[vector_to_json(v) for v in side] for side in cert.summands],
-        "budgets": dict(cert.budgets),
         "diagnostics": {k: cert.diagnostics[k] for k in sorted(cert.diagnostics)},
     }
     if cert.mode == "local":
@@ -239,7 +238,6 @@ def report_to_json(report: DecompositionReport, names: Optional[Sequence[str]] =
         "signature": list(report.signature),
         "fully_decomposed": report.fully_decomposed,
         "undecided_count": report.undecided_count,
-        "config": report.config.as_dict(),
         "summands": [
             dict(module_to_json(block, names), certificate=certificate_to_json(cert))
             for block, cert in zip(report.summands, report.certificates)

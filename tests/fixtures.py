@@ -146,6 +146,34 @@ def quaternion_module():
     return orbit_basis(AlgebraAction(QQ, [("i", left_i), ("j", left_j)]), (1, 0, 0, 0))
 
 
+def multiquadratic_module(primes, dual=False):
+    """K = Q(sqrt p for p in primes) under multiplication by each sqrt p, generated by 1; End is K.
+
+    Basis vector s, a set of bits, is the product of the sqrt p over those
+    bits.  With dual, K[eps]/(eps^2) under those and eps, whose End is
+    K[eps]: local, with radical eps K and residue field K.
+    """
+    n = 1 << len(primes)
+    size = 2 * n if dual else n
+
+    def matrix(entries):
+        m = [[0] * size for _ in range(size)]
+        for row, col, value in entries:
+            m[row][col] = value
+        return m
+
+    copies = (0, n) if dual else (0,)
+    gens = []
+    for i, p in enumerate(primes):
+        bit = 1 << i
+        gens.append((f"sqrt{p}", matrix(
+            (o + (s ^ bit), o + s, p if s & bit else 1) for o in copies for s in range(n)
+        )))
+    if dual:
+        gens.append(("eps", matrix((n + s, s, 1) for s in range(n))))
+    return orbit_basis(AlgebraAction(QQ, gens), [1] + [0] * (size - 1))
+
+
 def gf2_redundant_automaton(dim, seed):
     """A seeded GF(2) automaton a + b - b on dim states, its states shuffled.
 

@@ -208,12 +208,18 @@ def test_decompose_bool_parse_error(capsys):
     assert "error:" in err and "position" in err
 
 
-def test_decompose_bool_bad_budget(capsys):
-    code, _, err = run(
-        capsys, ["decompose-bool", "x1", "-n", "3", "--random-trials", "-1"]
-    )
-    assert code == 2
-    assert "--random-trials" in err
+def test_removed_search_flags_are_rejected(capsys):
+    # the search walks one fixed candidate list, so it has no budget or seed to set
+    commands = [
+        ["decompose-bool", "x1", "-n", "3"],
+        ["decompose-perm", "s3.json", "--generator", "1,0,0"],
+        ["cert", "--bool", "x1", "-n", "3"],
+    ]
+    for command in commands:
+        for flag in (["--seed", "1"], ["--random-trials", "8"]):
+            code, out, err = run(capsys, command + flag)
+            assert code == 2 and out == ""
+            assert "unrecognized arguments" in err and flag[0] in err
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +346,11 @@ def test_cert_source_validation(tmp_path, capsys):
     assert code == 2 and "-n" in err
     code, _, err = run(capsys, ["cert", "--perm", path])
     assert code == 2 and "--generator" in err
+    # the other source's flag is an error, not ignored
+    code, out, err = run(capsys, ["cert", "--bool", "x1", "-n", "3", "--generator", "1,0,0"])
+    assert code == 2 and out == "" and "error:" in err and "--generator" in err
+    code, out, err = run(capsys, ["cert", "--perm", path, "--generator", "1,0,0", "-n", "7"])
+    assert code == 2 and out == "" and "error:" in err and "-n" in err
 
 
 def test_cert_zero_generator(capsys):

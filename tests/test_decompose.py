@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclomod import GF2, QQ, decompose, gf
 from cyclomod.linalg import DenseMatrix, rref
 from cyclomod.modules import AlgebraAction, CyclicModule, orbit_basis
-from cyclomod.endo import EndoAlgebra, SearchConfig, compute_end
+from cyclomod.endo import EndoAlgebra, compute_end
 from cyclomod.decompose import (
     DecompositionReport,
     check_report,
@@ -101,8 +101,7 @@ def test_reports_are_deterministic():
     assert a.signature == b.signature
     for x, y in zip(a.summands, b.summands):
         assert x.basis_vectors == y.basis_vectors
-    assert a.config.seed == 0
-    assert a.config == b.config
+    assert a.certificates == b.certificates
 
 
 def test_enumerate_idempotents_swap_module():
@@ -168,7 +167,6 @@ def test_check_report_catches_dropped_leaf():
         report.certificates[:1],
         report.split_certificates,
         report.signature[:1],
-        report.config,
     )
     with pytest.raises(RuntimeError):
         check_report(broken)
@@ -178,7 +176,6 @@ def test_check_report_catches_dropped_leaf():
         report.certificates[:1],
         report.split_certificates,
         report.signature,
-        report.config,
     )
     with pytest.raises(RuntimeError):
         check_report(unchecked)
@@ -200,7 +197,6 @@ def test_check_report_catches_generator_of_another_leaf():
         report.certificates,
         report.split_certificates,
         report.signature,
-        report.config,
     )
     with pytest.raises(RuntimeError):
         check_report(broken)
@@ -298,24 +294,22 @@ def test_decomposition_is_invariant_under_change_of_basis(field, rng):
     p = random_matrix(1.0)
     assume(any(g) and rref(p).rank == n)
     p_inv = DenseMatrix(field, raw_inverse(field.characteristic, [[x.value for x in row] for row in p.entries]))
-    # small characteristic-0 budgets keep undecided leaves cheap; the
-    # outcome must not depend on the basis whatever the budgets are
-    config = SearchConfig(random_trials=8)
-    base = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g), config)
+    # the outcome, undecided leaves included, must not depend on the basis
+    base = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g))
     moved_gens = [(s, p * mat * p_inv) for s, mat in reversed(gens)]
-    moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), boxed_apply(p, g)), config)
+    moved = complete_decomposition(orbit_basis(AlgebraAction(field, moved_gens), boxed_apply(p, g)))
     check_report(moved)
     assert moved.signature == base.signature
     assert _leaf_outcomes(moved) == _leaf_outcomes(base)
 
 
-def _splits(m, config):
+def _splits(m):
     """(block, half) for every split of m's decomposition tree, run step by step
     as complete_decomposition runs it, internal nodes included."""
     stack = [m]
     while stack:
         block = stack.pop()
-        _, halves = decompose_once(block, config)
+        _, halves = decompose_once(block)
         if halves is not None:
             for half in halves:
                 yield block, half
@@ -350,13 +344,12 @@ def test_every_split_half_is_the_ambient_orbit_of_its_generator():
     # the module an orbit over the ambient action gives for its generator.
     # check_report regenerates only the leaves, so this covers the
     # internal nodes too.
-    config = SearchConfig(random_trials=8)
     halves, internal = {GF2: 0, gf(3): 0, QQ: 0}, 0
     for field, m in _split_corpus():
         if m.dim == 0:
             continue
         count = 0
-        for block, half in _splits(m, config):
+        for block, half in _splits(m):
             ref = orbit_basis(block.action, half.generator)
             assert half.action is ref.action and half.generator == ref.generator
             assert half.basis_words == ref.basis_words

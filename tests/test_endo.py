@@ -21,10 +21,8 @@ from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
-    SearchConfig,
     _kernel_of_rows,
     _min_poly,
-    _random_candidates,
     _scan_candidates,
     _try_fitting,
     compute_end,
@@ -37,6 +35,7 @@ from cyclomod.serialize import presentation_from_json
 from fixtures import (
     conjugated_jordan_module,
     int_mul,
+    multiquadratic_module,
     quaternion_module,
     regular_s4_module,
     unimodular_pair,
@@ -147,7 +146,7 @@ def test_nilpotent_invertible_membership():
 
 def _fitting(e, mat):
     """_try_fitting on mat's own stable power, as the search hands it in."""
-    return _try_fitting(e, mat, stable_power(mat), {}, {})
+    return _try_fitting(e, mat, stable_power(mat), {})
 
 
 def test_fitting_split_on_projection():
@@ -190,7 +189,7 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     # certificate is read off the power handed in, with no product of its own
     stable = stable_power(ones_matrix(GF2, 3))
     assert len(products) == 1
-    cert = _try_fitting(e, ones_matrix(GF2, 3), stable, {}, {})
+    cert = _try_fitting(e, ones_matrix(GF2, 3), stable, {})
     assert len(products) == 1
     assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, *cert.summands)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
@@ -322,13 +321,37 @@ def test_exhaustive_indecomposable_quadratic_extension():
 
 
 def test_exhaustive_budget_refusal():
-    # the quaternions: no candidate can decide, and with no random trials
-    # the search stops after the scanned elements
+    # the quaternions: no candidate can decide, and the search stops after
+    # the 4 basis elements, 6 sums and 6 differences it scanned, and then
+    # x + c b for c = 1, 2, 3 and each of the 3 basis elements b of degree 2
     e = compute_end(quaternion_module())
-    cert = find_splitting_element(e, SearchConfig(random_trials=0))
+    cert = find_splitting_element(e)
     assert cert.verdict == "undecided"
     assert cert.mode == "budget-exhausted"
-    assert cert.diagnostics["min_poly_tried"] == cert.diagnostics["scanned"]
+    assert cert.diagnostics["scanned"] == 16
+    assert cert.diagnostics["min_poly_tried"] == 16 + 3 * 3
+    verify_certificate(e, cert)
+
+
+def test_primitive_element_step_decides_a_multiquadratic_field():
+    # Q(sqrt 2, sqrt 3, sqrt 5): each basis element is a product of square
+    # roots and every scanned sum or difference lies in a subfield of degree
+    # at most 4, so only x + c b past the list reaches a generator of degree 8
+    e = compute_end(multiquadratic_module((2, 3, 5)))
+    assert e.dim == 8
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    assert cert.diagnostics["min_poly_degree"] == 8
+    assert cert.diagnostics["min_poly_tried"] > cert.diagnostics["scanned"] == 64
+    verify_certificate(e, cert)
+    # the same residue field under a radical: K[eps] is local, and the step
+    # finds a generator of K modulo eps K
+    e = compute_end(multiquadratic_module((2, 3, 5), dual=True))
+    assert e.dim == 16
+    cert = find_splitting_element(e)
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert cert.diagnostics["radical_dim"] == 8
+    assert cert.diagnostics["min_poly_tried"] > cert.diagnostics["scanned"] == 256
     verify_certificate(e, cert)
 
 
@@ -384,7 +407,7 @@ def test_undecided_local_jordan_block():
     assert m.dim == 2
     e = compute_end(m)
     assert e.dim == 2
-    cert = find_splitting_element(e, SearchConfig(random_trials=8))
+    cert = find_splitting_element(e)
     assert cert.verdict == "indecomposable"
     assert cert.mode == "local"
     assert cert.element == e.identity()
@@ -558,11 +581,6 @@ def test_min_poly_split_over_a_large_prime():
     assert (cert.verdict, cert.mode) == ("decomposable", "min-poly-split")
 
 
-def test_search_config_holds_the_trial_budget_and_seed_only():
-    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["random_trials", "seed"]
-    assert SearchConfig().as_dict() == {"random_trials": 64, "seed": 0}
-
-
 def _local_forgery(e, cert, reason, **changes):
     with pytest.raises(RuntimeError, match=reason):
         verify_certificate(e, dataclasses.replace(cert, **changes))
@@ -618,7 +636,7 @@ def test_verify_certificate_rejects_idempotent_radical():
     (_, u), = e.action_mats
     idem = u - e.identity()
     assert idem * idem == idem and e.contains(idem)
-    forged = Certificate("indecomposable", "local", e.identity(), None, {}, radical=(idem,))
+    forged = Certificate("indecomposable", "local", e.identity(), None, radical=(idem,))
     with pytest.raises(RuntimeError, match="not nilpotent"):
         verify_certificate(e, forged)
 
@@ -629,7 +647,7 @@ def test_verify_certificate_rejects_forged_exhaustive():
     e = compute_end(orbit_basis(AlgebraAction(GF2, [("u", [[1, 0], [0, 0]])]), (1, 1)))
     assert e.dim == 2
     with pytest.raises(RuntimeError, match="unknown indecomposable mode"):
-        verify_certificate(e, Certificate("indecomposable", "exhaustive", None, None, {}))
+        verify_certificate(e, Certificate("indecomposable", "exhaustive", None, None))
     assert find_splitting_element(e).verdict == "decomposable"
 
 
@@ -639,17 +657,17 @@ def test_verify_certificate_rejects_tampering():
     bad_side = (tuple(GF2.scalar(x) for x in (1, 0, 0)),)
     tampered = Certificate(
         "decomposable", cert.mode, cert.element,
-        (cert.summands[0], bad_side), cert.budgets, cert.diagnostics,
+        (cert.summands[0], bad_side), cert.diagnostics,
     )
     with pytest.raises(RuntimeError):
         verify_certificate(e, tampered)
     with pytest.raises(RuntimeError):
         verify_certificate(
-            e, Certificate("undecided", "budget-exhausted", cert.element, None, cert.budgets)
+            e, Certificate("undecided", "budget-exhausted", cert.element, None)
         )
     with pytest.raises(RuntimeError):
         verify_certificate(
-            e, Certificate("decomposable", "fitting-scan", None, None, cert.budgets)
+            e, Certificate("decomposable", "fitting-scan", None, None)
         )
 
 
@@ -663,9 +681,9 @@ def test_verify_certificate_rejects_forged_indecomposable():
     outside = DenseMatrix(QQ, [[0, 2], [1, 0]])
     assert not e.contains(outside)
     with pytest.raises(RuntimeError):
-        verify_certificate(e, Certificate("indecomposable", "field-generated", outside, None, {}))
+        verify_certificate(e, Certificate("indecomposable", "field-generated", outside, None))
     with pytest.raises(RuntimeError):
-        verify_certificate(e, Certificate("indecomposable", "trust-me", None, None, {}))
+        verify_certificate(e, Certificate("indecomposable", "trust-me", None, None))
 
 
 def test_verify_certificate_fails_malformed_shapes_as_a_check():
@@ -676,34 +694,34 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     assert cert.verdict == "decomposable"
     too_big = DenseMatrix.identity(GF2, 4)
     with pytest.raises(RuntimeError, match="4x4, expected 3x3"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.summands, {}))
+        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.summands))
     left, right = cert.summands
     short = (left[0][:-1],) + tuple(left[1:])
     with pytest.raises(RuntimeError, match="length 3"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, right), {}))
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, right)))
     foreign = (tuple(gf(3).scalar(x) for x in left[0]),) + tuple(left[1:])
     with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right), {}))
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right)))
     # entries that are no value of the field at all
     for bad in (Fraction(1, 2), 0.5, None, "x"):
         odd = ((bad,) + tuple(left[0][1:]),) + tuple(left[1:])
         with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
-            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, right), {}))
+            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, right)))
     with pytest.raises(RuntimeError, match="3 summands"):
         verify_certificate(
-            e, Certificate("decomposable", cert.mode, cert.element, (left, right, right), {})
+            e, Certificate("decomposable", cert.mode, cert.element, (left, right, right))
         )
     line = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
     assert line.dim == 2
     with pytest.raises(RuntimeError, match="3x3, expected 2x2"):
         verify_certificate(
             line,
-            Certificate("indecomposable", "field-generated", DenseMatrix.identity(QQ, 3), None, {}),
+            Certificate("indecomposable", "field-generated", DenseMatrix.identity(QQ, 3), None),
         )
     with pytest.raises(RuntimeError, match="not a matrix over QQ"):
         verify_certificate(
             line,
-            Certificate("indecomposable", "field-generated", DenseMatrix.identity(GF2, 2), None, {}),
+            Certificate("indecomposable", "field-generated", DenseMatrix.identity(GF2, 2), None),
         )
 
 
@@ -747,7 +765,7 @@ def test_verify_certificate_returns_the_split_it_checked():
     assert indecomposable.verdict == "indecomposable"
     assert verify_certificate(leaf, indecomposable) is None
     q = compute_end(quaternion_module())
-    undecided = find_splitting_element(q, SearchConfig(random_trials=0))
+    undecided = find_splitting_element(q)
     assert undecided.verdict == "undecided"
     assert verify_certificate(q, undecided) is None
 
@@ -759,7 +777,7 @@ def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
 
     def rejects(reason, *fields):
         with pytest.raises(RuntimeError, match=reason):
-            verify_certificate(e, Certificate(*fields, None, {}))
+            verify_certificate(e, Certificate(*fields, None))
 
     rejects("dimension-1 verdict on a larger algebra", "indecomposable", "dimension-1", None)
     rejects("field-generated certificate is missing its element", "indecomposable", "field-generated", None)
@@ -789,16 +807,19 @@ def _regular_m2_times_gf2_module():
 
 
 def test_search_passes_over_an_ideal_that_is_not_nilpotent(monkeypatch):
-    # E = A^op holds the 4-dim M_2 part as a two-sided ideal.  Scanning only
-    # the two nilpotent basis elements, the first one's minimal polynomial
-    # t^2 grows J to that whole part, which is not nilpotent, so the search
-    # turns J down and goes on to the random candidates
+    # E = A^op holds the 4-dim M_2 part as a two-sided ideal.  The Fitting
+    # scan sees only the two nilpotent basis elements; the candidate loop
+    # sees them first, and the first one's minimal polynomial t^2 grows J
+    # to that whole part, which is not nilpotent, so the search turns J
+    # down and goes on to the rest of the basis
     m = _regular_m2_times_gf2_module()
     e = compute_end(m)
     assert (m.dim, e.dim) == (5, 5)
     nilpotent = [b for b in e.basis if _is_nilpotent(b)]
     assert len(nilpotent) == 2
-    monkeypatch.setattr(endo, "_scan_candidates", lambda e: iter(nilpotent))
+    rest = [b for b in e.basis if not _is_nilpotent(b)]
+    lists = iter([nilpotent, nilpotent + rest])
+    monkeypatch.setattr(endo, "_scan_candidates", lambda e: iter(next(lists)))
     checks = []
     nilpotent_span = endo._nilpotent_span
 
@@ -1029,7 +1050,10 @@ def test_first_column_min_poly_equals_the_matrix_power_oracle():
     checked = 0
     for m in modules:
         e = compute_end(m)
-        elements = list(_scan_candidates(e)) + list(_random_candidates(e, SearchConfig(random_trials=4)))
+        # a few random combinations of the basis besides the scanned elements
+        lo, hi = (-3, 3) if e.field.characteristic == 0 else (0, e.field.characteristic - 1)
+        extra = [[rng.randint(lo, hi) for _ in range(e.dim)] for _ in range(4)]
+        elements = list(_scan_candidates(e)) + [e.element(c) for c in extra if any(c)]
         for x in elements:
             assert _min_poly(x) == oracles.min_poly(x)
             checked += 1
