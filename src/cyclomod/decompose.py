@@ -23,8 +23,10 @@ spun from its generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+
 from .endo import compute_end, find_splitting_element, verify_certificate
-from .linalg import DenseMatrix, SpanSolver, _RawVector
+from .linalg import DenseMatrix, SpanSolver, _marked
 from .modules import CyclicModule, _module_from_tree, orbit_basis
 
 
@@ -46,7 +48,7 @@ def decompose_once(m: CyclicModule):
     trees = verify_certificate(e, cert)
     if trees is None:
         return cert, None
-    basis = DenseMatrix._from_raw(m.field, m._raw_vectors, m.action.dim)
+    basis = DenseMatrix._from_vectors(m.field, m._raw_vectors, m.action.dim)
     halves = []
     for tree in trees:
         vectors = [basis._times_row(v) for v in tree.vectors]
@@ -91,7 +93,13 @@ def complete_decomposition(m: CyclicModule) -> DecompositionReport:
         # depth-first, left side first
         stack.append(right)
         stack.append(left)
-    leaves.sort(key=lambda pair: (pair[0].dim, pair[0]._raw_vectors))
+    if m.field.characteristic:
+        leaves.sort(key=lambda pair: (pair[0].dim, pair[0]._raw_vectors))
+    else:
+        # the basis vectors over one denominator common to every leaf, so
+        # that their integers compare as the rationals do
+        d = lcm(*[v.den for block, _ in leaves for v in block._raw_vectors])
+        leaves.sort(key=lambda pair: (pair[0].dim, [[a * (d // v.den) for a in v] for v in pair[0]._raw_vectors]))
     blocks = tuple(pair[0] for pair in leaves)
     certs = tuple(pair[1] for pair in leaves)
     sig = tuple(sorted(b.dim for b in blocks))
@@ -124,7 +132,7 @@ def check_report(report: DecompositionReport):
                 raise RuntimeError("leaf bases overlap")
         for label in m.action.labels:
             step = m.action.steps[label]
-            if not all(leaf.contains(_RawVector(step(x))) for x in leaf._raw_vectors):
+            if not all(leaf.contains(_marked(step(x))) for x in leaf._raw_vectors):
                 raise RuntimeError(f"leaf is not stable under generator {label!r}")
         if cert.verdict == "decomposable":
             raise RuntimeError("a leaf carries a decomposable certificate")

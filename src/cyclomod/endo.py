@@ -12,9 +12,11 @@ found so far is spun along the words, each non-tree edge's conditions
 are read on K and cut it down, and the last spin holds every solution
 matrix.  Over GF(2) every row of K, of the spin and of the conditions
 is one int packed as linalg packs rows, so a row sum is a XOR; the rows
-are unpacked once, for the final reduction.  Only that reduction makes
-Fractions; it puts the result in the basis the n^2-unknown solve would
-give, so the search sees the same candidates in the same order.
+are unpacked once, for the final reduction.  That reduction puts the
+result in the basis the n^2-unknown solve would give, so the search sees
+the same candidates in the same order; over Q each basis matrix keeps
+its integer rows over its pivot entry, and no step here makes a Fraction
+but the minimal polynomial's coefficients, which go out to factor.
 
 An element X of E is fixed by its first column X e_0, and all work
 after compute_end is on that column: EndoAlgebra's coordinates (with one
@@ -93,13 +95,17 @@ from .linalg import (
     _addmul,
     _box,
     _combine,
+    _fractions,
     _kernel_from_rref,
     _lowest_terms,
+    _marked,
     _neg,
     _one,
     _pack,
     _packed_unit,
+    _part,
     _primitive,
+    _qvector,
     _RawVector,
     _row_times,
     _rref_rows,
@@ -158,15 +164,16 @@ class EndoAlgebra:
             raise ValueError(f"{len(coords)} coordinates for a basis of {self.dim}")
         field, n = self.field, self.module_dim
         p = field.characteristic
-        terms = [(c, b._int_form()) for c, b in zip(_unbox(field, coords), self.basis) if c]
-        # on kernel rows, c = u / q times A / e adds u (d / (q e)) A over one
-        # denominator d; over GF(p), q = e = d = 1 (an int is its own numerator)
-        d = lcm(*[c.denominator * e for c, (_, e) in terms])
+        coords = _unbox(field, coords)
+        terms = [(u, b) for u, b in zip(coords, self.basis) if u]
+        # on kernel rows, the coordinate u / q times A / e adds u (d / e) A over
+        # the denominator q d, d the lcm of the e; over GF(p), q = e = d = 1
+        d = lcm(*[b._den for _, b in terms])
         acc = [[0] * n for _ in range(n)]
-        for c, (rows, e) in terms:
-            f = c.numerator * (d // (c.denominator * e))
-            acc = [_addmul(p, r, f, s) for r, s in zip(acc, rows)]
-        return DenseMatrix._from_raw(field, acc, n) if p else DenseMatrix._from_ints(field, acc, d, n)
+        for u, b in terms:
+            f = u * (d // b._den)
+            acc = [_addmul(p, r, f, s) for r, s in zip(acc, b._raw)]
+        return DenseMatrix._from_raw(field, acc, n) if p else DenseMatrix._from_ints(field, acc, coords.den * d, n)
 
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
         coords = self._coordinates(mat)
@@ -191,13 +198,13 @@ class EndoAlgebra:
 
 
 def _first_column(mat: DenseMatrix) -> _RawVector:
-    """X e_0 as raw values: for X in E, the vector that fixes X."""
-    return _RawVector([row[0] for row in mat._raw])
+    """X e_0 as a raw vector: for X in E, the vector that fixes X."""
+    return mat._column(0)
 
 
 def _image(mat: DenseMatrix, x: _RawVector) -> _RawVector:
-    """mat times the raw column x, as raw values."""
-    return _RawVector(mat._times_col(x))
+    """mat times the raw column x, as a raw vector."""
+    return _marked(mat._times_col(x))
 
 
 def compute_end(m: CyclicModule) -> EndoAlgebra:
@@ -225,7 +232,8 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     for every v in K, so the spin is the matrices themselves.  They are
     returned in the basis the n^2-unknown commutant solve would give: the
     reduced echelon form of the row-major flattened matrices with pivots
-    at their last nonzero entries, the one step that makes Fractions.
+    at their last nonzero entries, over Q each the integer rows of a
+    primitive reduced row over its pivot entry.
     """
     field, n = m.field, m.dim
     p = field.characteristic
@@ -233,7 +241,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     # denominator; over GF(2), where every value is 1, as the indices alone
     gens = {}
     for s in m.action.labels:
-        a, d = m.restricted[s]._int_form()
+        a, d = m.restricted[s]._raw, m.restricted[s]._den
         if p == 2:
             gens[s] = ([[l for l, c in enumerate(row) if c] for row in a], d)
         else:
@@ -414,7 +422,7 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: d
     if reduction.rank in (0, e.module_dim):
         return None
     ker = _kernel_from_rref(e.field, power.cols, reduction)
-    im = [_RawVector([row[c] for row in power._raw]) for c in reduction.pivot_columns]
+    im = [power._column(c) for c in reduction.pivot_columns]
     split = (tuple(ker), tuple(im))
     return Certificate("decomposable", mode, mat, split, diagnostics)
 
@@ -474,10 +482,13 @@ def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
     space = [_first_column(j) for j in ideal]
     while space:
         images = [t._times_row(w) for t in transposed for w in space]
-        step = rref(DenseMatrix._from_raw(e.field, images, e.module_dim))
+        step = rref(DenseMatrix._from_vectors(e.field, images, e.module_dim))
         if step.rank >= len(space):
             return False
-        space = step.matrix._raw[:step.rank]
+        reduced = step.matrix
+        space = reduced._raw[:step.rank]
+        if not e.field.characteristic:
+            space = [_qvector(r, reduced._den) for r in space]
     return True
 
 
@@ -497,6 +508,8 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
         coords = solver._place(v)
         if coords is not None:
             coeffs = [_neg(p, c) for c in coords[len(ideal):]]
+            if not p:  # the coefficients go out to factor as Fractions
+                coeffs = _fractions(coeffs, coords.den)
             return Polynomial._from_raw(field, coeffs + [_one(p)])
         v = _image(x, v)
     raise RuntimeError("no dependence among the first columns of the powers")
@@ -677,7 +690,7 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             raise RuntimeError(f"a summand vector does not have length {n}")
         # unboxed once; the spins step them on raw values
         try:
-            raw = [_RawVector(_unbox(field, v)) for v in vectors]
+            raw = [_marked(_unbox(field, v)) for v in vectors]
         except (TypeError, ValueError):
             raise RuntimeError(f"a summand vector is not over {field}") from None
         solver = SpanSolver(field, n)
@@ -688,7 +701,8 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
         coords = solver._coordinates(_unit(field.characteristic, n, 0))
         steps = {label: s._times_col for label, s in e.action_mats}
         trees = []
-        for part, c in ((raw[:len(left)], coords[:len(left)]), (raw[len(left):], coords[len(left):])):
+        k = len(left)
+        for part, c in ((raw[:k], _part(coords, 0, k)), (raw[k:], _part(coords, k, n))):
             projection = DenseMatrix.from_columns(field, part, rows=n)._times_col(c)
             tree = covering_tree(field, n, projection, steps)
             if len(tree.words) != len(part):

@@ -4,25 +4,30 @@ Matrices are immutable row-major grids over one field, written for
 desk-scale dimensions (a few hundred), favoring exactness and
 determinism over asymptotics.
 
-Data stays raw: ints in [0, p) for GF(p), Fractions for Q.  A
-FieldScalar is made only where a public call hands a result back or
-`entries` is read; a public call unboxes its vector arguments once,
-checking their field, and the kernel (rref, SpanSolver, products, sums
-and scaling) and every other module pass raw rows to each other.  The
-kernel skips every entry whose multiplier is zero.  Over Q it multiplies
-on integer rows, and a Q matrix keeps that integer form once it has been
-needed.  For p != 2, GF(p) and Q share one Gauss-Jordan loop
-(_rref_rows) and one SpanSolver reduction and insertion on kernel rows,
-raw values over GF(p) and integer rows over Q.  The field enters only
-through two steps: _pivot_row makes a pivot row, scaled to 1 over GF(p)
-and primitive over Q, and _clear clears an entry with it, x - c*pivot_row
-over GF(p) and, fraction-free, a*x - c*pivot_row divided by its content
-over Q (Bareiss, Math. Comp. 22, 1968).  Over GF(2) the kernel packs a
-row into one int, entry j in byte j, so a row sum is a XOR; a matrix
-packs its rows and its columns when a product first needs them, and
-endo.compute_end packs its spin with the same _pack.  Reduced echelon
-forms and coordinates are unique, so they are the ones plain Fraction or
-list arithmetic gives.
+Data stays raw.  Over GF(p) a raw value is an int in [0, p).  Over Q a
+raw vector or matrix is integer rows over one positive denominator, in
+lowest terms: a matrix keeps its integer rows and its denominator, and a
+vector is a _QVector, its integer numerators with the denominator in
+`den`.  Denominators are cleared once, where values come in (_unbox),
+and a FieldScalar, or over Q a Fraction, is made only where a value
+goes out: a public call hands a result back, `entries` is read, or a
+vector is written as text (_decimals, which makes no Fraction at all).
+A public call unboxes its vector arguments once, checking their field,
+and the kernel (rref, SpanSolver, products, sums and scaling) and every
+other module pass raw rows to each other.  The kernel skips every entry
+whose multiplier is zero.  For p != 2, GF(p) and Q share one
+Gauss-Jordan loop (_rref_rows) and one SpanSolver reduction and
+insertion on kernel rows, raw values over GF(p) and integer rows over
+Q.  The field enters only through two steps: _pivot_row makes a pivot
+row, scaled to 1 over GF(p) and primitive over Q, and _clear clears an
+entry with it, x - c*pivot_row over GF(p) and, fraction-free,
+a*x - c*pivot_row divided by its content over Q (Bareiss, Math. Comp.
+22, 1968).  Over GF(2) the kernel packs a row into one int, entry j in
+byte j, so a row sum is a XOR; a matrix packs its rows and its columns
+when a product first needs them, and endo.compute_end packs its spin
+with the same _pack.  Reduced echelon forms, coordinates and lowest
+terms are unique, so they are the ones plain Fraction or list
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .fields import FieldScalar, FieldSpec
 Vector = tuple  # tuple[FieldScalar, ...]
 
 
+# the raw zero and one of polynomial coefficients, which stay Fractions over Q
 _QZERO, _QONE = Fraction(0), Fraction(1)
 
 
@@ -52,9 +58,9 @@ def _one(p: int):
 
 def _unit(p: int, n: int, i: int) -> list:
     """The raw unit vector e_i of length n."""
-    x = [_zero(p)] * n
-    x[i] = _one(p)
-    return x
+    x = [0] * n
+    x[i] = 1
+    return x if p else _qvector(x)
 
 
 def _inv(p: int, a):
@@ -84,29 +90,38 @@ def _scale(p: int, c, x: Sequence) -> list:
     return [c * a if a else a for a in x]
 
 
-def _dot(p: int, x: Sequence, y: Sequence):
-    """The dot product of two raw vectors of one length, as a raw value."""
+def _dots(p: int, vectors: Sequence, y: Sequence) -> list:
+    """The raw vector of the dot products v . y, one entry for each raw vector v of y's length."""
     if p == 2:
-        return (_pack(x) & _pack(y)).bit_count() & 1
+        y = _pack(y)
+        return _RawVector([(_pack(v) & y).bit_count() & 1 for v in vectors])
     if p:
-        return sum([a * b for a, b in zip(x, y) if a]) % p
-    (x, y), d = _clear_denominators([x, y])
-    return Fraction(sum([a * b for a, b in zip(x, y) if a]), d * d)
-
-
-def _clear_denominators(rows: Sequence) -> tuple:
-    """(A, D) for raw Q rows: D the lcm of their denominators, A the integer rows D * rows."""
-    d = lcm(*{x.denominator for row in rows for x in row})
-    if d == 1:
-        return [[x.numerator for x in row] for row in rows], d
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+        return _RawVector([sum([a * b for a, b in zip(v, y) if a]) % p for v in vectors])
+    rows, d = _common(vectors)
+    return _qvector([sum([a * b for a, b in zip(r, y) if a]) for r in rows], d * y.den)
 
 
 def _fractions(xs: Sequence, d: int) -> list:
-    """The raw Q row xs / d, for integers xs and d != 0."""
+    """The Fractions xs / d, for integers xs and d > 0: made only where a Q value goes out."""
     if d == 1:
         return [Fraction(a) if a else _QZERO for a in xs]
     return [Fraction(a, d) if a else _QZERO for a in xs]
+
+
+def _decimals(xs: Sequence, d: int = 1) -> list:
+    """Decimal strings, "3" or "-7/2", of the integers xs over d > 0, with no Fraction made.
+
+    A raw Q vector brings its own denominator; raw GF(p) values and
+    FieldScalars are written as they are.
+    """
+    d = getattr(xs, "den", d)
+    if d == 1:
+        return [str(x) for x in xs]
+    out = []
+    for a in xs:
+        g = gcd(a, d)
+        out.append(str(a // g) if g == d else f"{a // g}/{d // g}")
+    return out
 
 
 def _lowest_terms(rows: list, d: int) -> tuple:
@@ -156,9 +171,57 @@ class _RawVector(list):
     __slots__ = ()
 
 
+class _QVector(_RawVector):
+    """A raw Q vector: integer numerators over one denominator `den` > 0, in lowest terms.
+
+    Lowest terms make the pair unique, so two are equal when both their
+    numerators and their denominators are.
+    """
+
+    __slots__ = ("den",)
+
+    def __eq__(self, other):
+        return isinstance(other, _QVector) and self.den == other.den and list.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
+
+
+def _qvector(xs: Iterable, d: int = 1) -> _QVector:
+    """The raw Q vector xs / d, for integers xs and d != 0, brought to lowest terms."""
+    if d < 0:
+        xs, d = [-a for a in xs], -d
+    if d != 1:
+        g = gcd(d, *xs)
+        if g > 1:
+            xs, d = [a // g for a in xs], d // g
+    v = _QVector(xs)
+    v.den = d
+    return v
+
+
+def _common(vectors: Sequence) -> tuple:
+    """(rows, d): raw Q vectors as plain integer rows over d, the lcm of their denominators.
+
+    Rows over d stay in lowest terms: for each prime power q^k in d, some
+    vector has q^k in its denominator and a numerator that q does not
+    divide, and the factor d / den that scales it is prime to q.
+    """
+    d = lcm(*[v.den for v in vectors])
+    return [v[:] if v.den == d else [a * (d // v.den) for a in v] for v in vectors], d
+
+
+def _from_fractions(xs: Sequence) -> _QVector:
+    """The raw Q vector of Fractions or ints: where values come in, their denominators are cleared."""
+    d = lcm(*[x.denominator for x in xs])
+    return _qvector([x.numerator * (d // x.denominator) for x in xs], d)
+
+
 def _unbox(field: FieldSpec, xs: Sequence) -> list:
-    """Canonical raw values of xs; a FieldScalar of another field is rejected."""
-    if type(xs) is _RawVector:
+    """Canonical raw values of xs, a _QVector over Q; a FieldScalar of another field is rejected."""
+    if isinstance(xs, _RawVector):
         return xs
     if not isinstance(xs, (tuple, list)):
         xs = list(xs)
@@ -166,28 +229,50 @@ def _unbox(field: FieldSpec, xs: Sequence) -> list:
     try:
         raw = [x.value for x in xs if x.field.characteristic == p]
         if len(raw) == len(xs):
-            return raw
+            return raw if p else _from_fractions(raw)
     except AttributeError:
         if all(type(x) is int for x in xs):
-            return [x % p for x in xs] if p else [Fraction(x) for x in xs]
+            return [x % p for x in xs] if p else _qvector(xs)
         if not p and all(type(x) is Fraction for x in xs):
-            return list(xs)
+            return _from_fractions(xs)
     out = []
     for x in xs:
         if isinstance(x, FieldScalar) and x.field != field:
             raise ValueError(f"mixed fields: {x.field} and {field}")
         out.append(field.scalar(x).value)
-    return out
+    return out if p else _from_fractions(out)
 
 
-def _box(field: FieldSpec, raw: Iterable) -> Vector:
+def _part(v: list, start: int, stop: int) -> list:
+    """The raw vector v[start:stop]; over Q brought to lowest terms."""
+    part = v[start:stop]
+    return _qvector(part, v.den) if isinstance(v, _QVector) else part
+
+
+def _marked(xs: list) -> _RawVector:
+    """Raw values marked as such, so that _unbox takes them as they are; a _QVector is already."""
+    return xs if isinstance(xs, _RawVector) else _RawVector(xs)
+
+
+def _box(field: FieldSpec, raw: Sequence, d: int = 1) -> Vector:
+    """A raw vector, or over Q the integers raw over d, as a tuple of FieldScalar.
+
+    A raw Q vector brings its own denominator.
+    """
+    if not field.characteristic:
+        raw = _fractions(raw, getattr(raw, "den", d))
     return tuple([FieldScalar(field, x) for x in raw])
 
 
 class DenseMatrix:
-    """Immutable exact matrix with entries in one field."""
+    """Immutable exact matrix with entries in one field.
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_ints", "_packed_rows", "_packed_cols")
+    _raw holds the kernel rows and _den their denominator: raw values and
+    1 over GF(p), and over Q integer rows over _den > 0, in lowest terms,
+    so that equal matrices have equal _raw and _den however they were made.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_den", "_packed_rows", "_packed_cols")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], cols: int | None = None):
         rows = [tuple(row) for row in entries]
@@ -199,53 +284,62 @@ class DenseMatrix:
         for i, row in enumerate(raw):
             if len(row) != cols:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
+        d = 1
+        if not field.characteristic:
+            raw, d = _common(raw)
         # rows given as FieldScalars are kept, so reading them back allocates nothing
         boxed = all(type(x) is FieldScalar for row in rows for x in row)
-        self._store(field, raw, cols, tuple(rows) if boxed else None)
+        self._store(field, raw, cols, d, tuple(rows) if boxed else None)
 
     @classmethod
-    def _from_raw(cls, field: FieldSpec, raw: list, cols: int) -> "DenseMatrix":
-        """A matrix from rows of canonical raw values, without per-entry coercion.
+    def _from_raw(cls, field: FieldSpec, raw: list, cols: int, d: int = 1) -> "DenseMatrix":
+        """A matrix from canonical kernel rows over d, without per-entry coercion.
 
-        The caller hands over raw and must not change it afterwards.
+        Over GF(p) the rows are raw values and d is 1; over Q they are
+        integers over d > 0, in lowest terms.  The caller hands over raw
+        and must not change it afterwards.
         """
         m = object.__new__(cls)
-        m._store(field, raw, cols, None)
+        m._store(field, raw, cols, d, None)
         return m
 
     @classmethod
     def _from_ints(cls, field: FieldSpec, rows: list, d: int, cols: int) -> "DenseMatrix":
-        """The Q matrix rows / d from integer rows, which become its integer form; d != 0."""
-        if d < 0:
-            rows, d = [[-a for a in r] for r in rows], -d
-        rows, d = _lowest_terms(rows, d)
-        m = cls._from_raw(field, [_fractions(r, d) for r in rows], cols)
-        object.__setattr__(m, "_ints", (rows, d))
-        return m
+        """The Q matrix rows / d from integer rows and d != 0, brought to lowest terms."""
+        if d != 1:
+            if d < 0:
+                rows, d = [[-a for a in r] for r in rows], -d
+            rows, d = _lowest_terms(rows, d)
+        return cls._from_raw(field, rows, cols, d)
 
-    def _store(self, field: FieldSpec, raw: list, cols: int, entries: Optional[tuple]):
+    @classmethod
+    def _from_vectors(cls, field: FieldSpec, vectors: list, cols: int) -> "DenseMatrix":
+        """The matrix whose rows are the raw vectors, each of length cols."""
+        if field.characteristic:
+            return cls._from_raw(field, vectors, cols)
+        rows, d = _common(vectors)
+        return cls._from_raw(field, rows, cols, d)
+
+    def _store(self, field: FieldSpec, raw: list, cols: int, d: int, entries: Optional[tuple]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(raw))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "_den", d)
         object.__setattr__(self, "_entries", entries)
 
     @property
     def entries(self) -> tuple:
         """The rows as tuples of FieldScalar, boxed on first use."""
         if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(_box(self.field, row) for row in self._raw))
+            boxed = tuple(_box(self.field, row, self._den) for row in self._raw)
+            object.__setattr__(self, "_entries", boxed)
         return self._entries
 
-    def _int_form(self) -> tuple:
-        """(A, D) with A = D * rows: integer rows over Q, computed on first use; over GF(p), (rows, 1)."""
-        if self.field.characteristic:
-            return self._raw, 1
-        try:
-            return self._ints
-        except AttributeError:  # the slot stays empty until a Q kernel call needs it
-            object.__setattr__(self, "_ints", _clear_denominators(self._raw))
-            return self._ints
+    def _column(self, j: int) -> _RawVector:
+        """Column j as a raw vector."""
+        column = [row[j] for row in self._raw]
+        return _RawVector(column) if self.field.characteristic else _qvector(column, self._den)
 
     def _packed(self, columns: bool) -> list:
         """The GF(2) rows, or columns, packed into ints, computed on first use."""
@@ -262,13 +356,14 @@ class DenseMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "DenseMatrix":
-        z = _zero(field.characteristic)
-        return cls._from_raw(field, [[z] * cols for _ in range(rows)], cols)
+        return cls._from_raw(field, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "DenseMatrix":
-        p = field.characteristic
-        return cls._from_raw(field, [_unit(p, n, i) for i in range(n)], n)
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls._from_raw(field, rows, n)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence], rows: int | None = None) -> "DenseMatrix":
@@ -280,8 +375,11 @@ class DenseMatrix:
         for c in cols:
             if len(c) != rows:
                 raise ValueError("column lengths differ")
+        d = 1
+        if not field.characteristic:
+            cols, d = _common(cols)
         raw = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(rows)]
-        return cls._from_raw(field, raw, len(cols))
+        return cls._from_raw(field, raw, len(cols), d)
 
     @property
     def is_square(self) -> bool:
@@ -301,12 +399,10 @@ class DenseMatrix:
         if p:
             raw = [_addmul(p, r, sign % p, s) for r, s in zip(self._raw, other._raw)]
             return DenseMatrix._from_raw(self.field, raw, self.cols)
-        # over Q, on the integer forms, so that the sum keeps one for products and rref
-        a, da = self._int_form()
-        b, db = other._int_form()
+        da, db = self._den, other._den
         d = lcm(da, db)
         fa, fb = d // da, sign * (d // db)
-        rows = [[fa * x + fb * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+        rows = [[fa * x + fb * y for x, y in zip(r, s)] for r, s in zip(self._raw, other._raw)]
         return DenseMatrix._from_ints(self.field, rows, d, self.cols)
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -325,56 +421,49 @@ class DenseMatrix:
         p = self.field.characteristic
         if p == 2:
             return DenseMatrix._from_raw(self.field, [other._times_row(x) for x in self._raw], other.cols)
-        a, da = self._int_form()
-        b, db = other._int_form()
-        raw = [_row_times(p, x, b, other.cols) for x in a]
+        b = other._raw
+        raw = [_row_times(p, x, b, other.cols) for x in self._raw]
         if p:
             return DenseMatrix._from_raw(self.field, raw, other.cols)
-        return DenseMatrix._from_ints(self.field, raw, da * db, other.cols)
+        return DenseMatrix._from_ints(self.field, raw, self._den * other._den, other.cols)
 
     def scale(self, c) -> "DenseMatrix":
-        (c,) = _unbox(self.field, [c])
+        c = _unbox(self.field, [c])
         p = self.field.characteristic
-        raw = [_scale(p, c, r) for r in self._raw]
-        return DenseMatrix._from_raw(self.field, raw, self.cols)
+        raw = [_scale(p, c[0], r) for r in self._raw]
+        if p:
+            return DenseMatrix._from_raw(self.field, raw, self.cols)
+        return DenseMatrix._from_ints(self.field, raw, c.den * self._den, self.cols)
 
     def _times_col(self, x: list) -> list:
-        """The matrix times the raw column vector x, as raw values; zero entries of x are skipped."""
+        """The matrix times the raw column vector x, as a raw vector; zero entries of x are skipped."""
         p = self.field.characteristic
         if p == 2:
             return _xor_of(self._packed(True), x, self.rows)
-        if p:
-            rows = self._raw
-        else:
-            (x,), dx = _clear_denominators([x])
-            rows, d = self._int_form()
         nz = [j for j, a in enumerate(x) if a]
-        out = [sum([row[j] * x[j] for j in nz]) for row in rows]
-        return [s % p for s in out] if p else _fractions(out, dx * d)
+        out = [sum([row[j] * x[j] for j in nz]) for row in self._raw]
+        return [s % p for s in out] if p else _qvector(out, x.den * self._den)
 
     def _times_row(self, x: list) -> list:
-        """The raw row vector x times the matrix, as raw values; zero entries of x are skipped."""
+        """The raw row vector x times the matrix, as a raw vector; zero entries of x are skipped."""
         p = self.field.characteristic
         if p == 2:
             return _xor_of(self._packed(False), x, self.cols)
-        if p:
-            return _row_times(p, x, self._raw, self.cols)
-        (x,), dx = _clear_denominators([x])
-        a, d = self._int_form()
-        return _fractions(_row_times(0, x, a, self.cols), dx * d)
+        out = _row_times(p, x, self._raw, self.cols)
+        return out if p else _qvector(out, x.den * self._den)
 
     def transpose(self) -> "DenseMatrix":
         raw = self._raw
         columns = [list(c) for c in zip(*raw)] if raw else [[] for _ in range(self.cols)]
-        return DenseMatrix._from_raw(self.field, columns, self.rows)
+        return DenseMatrix._from_raw(self.field, columns, self.rows, self._den)
 
     def trace(self) -> FieldScalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
         p = self.field.characteristic
         raw = self._raw
-        total = sum((raw[i][i] for i in range(self.rows)), _zero(p))
-        return FieldScalar(self.field, total % p if p else total)
+        total = sum(raw[i][i] for i in range(self.rows))
+        return FieldScalar(self.field, total % p if p else Fraction(total, self._den))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self._raw)
@@ -386,11 +475,12 @@ class DenseMatrix:
             other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
+            and other._den == self._den
             and other._raw == self._raw
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, tuple(map(tuple, self._raw))))
+        return hash((self.field, self._den, tuple(map(tuple, self._raw))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
@@ -536,12 +626,16 @@ def _xor_insert(kept: dict, x: int) -> int:
 def rref(m: DenseMatrix) -> RrefResult:
     """Reduced row echelon form with pivot bookkeeping."""
     p = m.field.characteristic
-    rows = list(m._int_form()[0])
+    rows = list(m._raw)
     pivots = _rref_rows(p, rows, m.cols)
+    d = 1
     if not p:
-        rows = [_fractions(r, r[c]) for r, c in zip(rows, pivots)]
-        rows += [[_QZERO] * m.cols for _ in range(m.rows - len(pivots))]
-    return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols), len(pivots), tuple(pivots))
+        # a pivot row r is primitive, so its reduced row r / r[c] is in lowest
+        # terms, and over the lcm of the pivot entries the rows stay so
+        d = lcm(*[r[c] for r, c in zip(rows, pivots)])
+        rows = [r if r[c] == d else [a * (d // r[c]) for a in r] for r, c in zip(rows, pivots)]
+        rows += [[0] * m.cols for _ in range(m.rows - len(pivots))]
+    return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols, d), len(pivots), tuple(pivots))
 
 
 def kernel_basis(m: DenseMatrix) -> list:
@@ -553,14 +647,16 @@ def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> lis
     """The kernel_basis of a matrix with cols columns, from its reduced form, as raw vectors."""
     red, rank, pivots = reduction
     p = field.characteristic
-    reduced = red._raw
+    reduced, d = red._raw, red._den
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(cols) if c not in pivot_set):
-        v = _RawVector(_unit(p, cols, fc))
+        # e_fc minus the reduced rows' entries in column fc, all over d (1 over GF(p))
+        v = [0] * cols
+        v[fc] = d
         for r, pc in enumerate(pivots):
             v[pc] = _neg(p, reduced[r][fc])
-        basis.append(v)
+        basis.append(_RawVector(v) if p else _qvector(v, d))
     return basis
 
 
@@ -600,11 +696,11 @@ class SpanSolver:
         """(residual, alphas, sigma) of the raw vector v against the rows.
 
         residual = sigma * v - sum(alpha_i * row_i), one scale sigma for
-        all the rows taken off: an integer row over Q, raw values over
-        GF(p), where every pivot entry is 1 and so sigma is 1.  Over GF(2)
-        the residual is packed, and in place of the alphas comes their
-        combination, sum(alpha_i * combo_i), packed.  v itself is not
-        changed.
+        all the rows taken off: an integer row over Q, where sigma takes in
+        v's denominator, and raw values over GF(p), where every pivot entry
+        is 1 and so sigma is 1.  Over GF(2) the residual is packed, and in
+        place of the alphas comes their combination, sum(alpha_i * combo_i),
+        packed.  v itself is not changed.
         """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
@@ -612,9 +708,7 @@ class SpanSolver:
         if p == 2:
             x = _xor_reduce(self._rows, self._mask, _pack(v))
             return x & self._vector_bits, x >> 8 * self.length, 1
-        d = 1
-        if not p:
-            (v,), d = _clear_denominators([v])
+        d = 1 if p else v.den
         # the rows are zero at each other's pivots, so the multiple of row i
         # is fixed by v[piv_i] alone: one common scale m clears them all
         hits = []  # (i, t, q): row i is taken off t * m / q times
@@ -708,7 +802,7 @@ class SpanSolver:
             if alpha:
                 k = len(combo)
                 coords[:k] = _addmul(p, coords[:k], alpha, combo)
-        return coords if p else _fractions(coords, sigma)
+        return coords if p else _qvector(coords, sigma)
 
     def contains(self, v: Vector) -> bool:
         residual, _, _ = self._reduce(_unbox(self.field, v))
@@ -719,5 +813,5 @@ class SpanSolver:
             return [_box(self.field, _unpack(r & self._vector_bits, self.length)) for r in self._rows.values()]
         if self._p:
             return [_box(self.field, r) for r in self._rows]
-        return [_box(self.field, _fractions(r, r[c])) for r, c in zip(self._rows, self._pivots)]
+        return [_box(self.field, _qvector(r, r[c])) for r, c in zip(self._rows, self._pivots)]
 

@@ -14,10 +14,11 @@ words are prefix closed and their vectors are a basis of A*g.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .fields import FieldSpec
-from .linalg import DenseMatrix, SpanSolver, Vector, _box, _RawVector, _unbox, _unit
+from .linalg import DenseMatrix, SpanSolver, Vector, _box, _decimals, _marked, _qvector, _unbox, _unit
 from .wfa import covering_tree
 
 
@@ -28,8 +29,11 @@ def _check_bijection(perm: Sequence[int], degree: int, label: str):
         raise ValueError(f"generator {label!r} is not a bijection of 0..{degree - 1}")
 
 
-def _gather(inverse: list):
-    return lambda x: [x[i] for i in inverse]
+def _gather(inverse: list, p: int):
+    """The step of a permutation on raw vectors: a gather by its inverse index map."""
+    if p:
+        return lambda x: [x[i] for i in inverse]
+    return lambda x: _qvector([x[i] for i in inverse], x.den)
 
 
 class AlgebraAction:
@@ -89,7 +93,7 @@ class AlgebraAction:
             inverse = [0] * dim
             for i, j in enumerate(perm):
                 inverse[j] = i
-            steps[label] = _gather(inverse)
+            steps[label] = _gather(inverse, field.characteristic)
         action = object.__new__(cls)
         action._store(field, dim, list(steps), steps, None)
         return action
@@ -111,7 +115,7 @@ class AlgebraAction:
             field, n = self.field, self.dim
             units = [_unit(field.characteristic, n, i) for i in range(n)]
             matrices = {
-                s: DenseMatrix.from_columns(field, [_RawVector(step(e)) for e in units], rows=n)
+                s: DenseMatrix.from_columns(field, [_marked(step(e)) for e in units], rows=n)
                 for s, step in self.steps.items()
             }
             object.__setattr__(self, "_matrices", matrices)
@@ -164,8 +168,8 @@ class CyclicModule:
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "basis_words", tuple(tuple(w) for w in basis_words))
         object.__setattr__(self, "restricted", dict(restricted))
-        object.__setattr__(self, "_raw_generator", _RawVector(generator))
-        object.__setattr__(self, "_raw_vectors", [_RawVector(v) for v in vectors])
+        object.__setattr__(self, "_raw_generator", _marked(generator))
+        object.__setattr__(self, "_raw_vectors", [_marked(v) for v in vectors])
         object.__setattr__(self, "_generator", None)
         object.__setattr__(self, "_basis_vectors", None)
         object.__setattr__(self, "_solver", solver)
@@ -255,14 +259,14 @@ class ActionGraph:
 def render_vector(v: Vector, names=None) -> str:
     """Linear-combination rendering against coordinate names, or the tuple; v may be raw."""
     if names is None:
-        return "(" + ", ".join(str(x) for x in v) + ")"
+        return "(" + ", ".join(_decimals(v)) + ")"
     if len(names) != len(v):
         raise ValueError(f"{len(names)} names for a vector of length {len(v)}")
-    parts = []
-    for c, name in zip(v, names):
-        if not c:
-            continue
-        parts.append(name if c == 1 else f"{c}*{name}")
+    d = getattr(v, "den", 1)  # a raw Q vector's denominator; an entry is 1 only over 1
+    parts = [
+        name if c == 1 and d == 1 else f"{_decimals([c], d)[0]}*{name}"
+        for c, name in zip(v, names) if c
+    ]
     return " + ".join(parts) if parts else "0"
 
 
@@ -271,18 +275,20 @@ def graph_from_parts(labels, basis_vectors, restricted, names=None) -> ActionGra
 
     An edge (j, i, label, coeff) says that the generator sends basis
     vector j to coeff times basis vector i plus terms on other nodes;
-    coeff is a raw value, and the basis vectors may be raw or boxed.
+    coeff is a raw value, over Q an int or, off a denominator, a Fraction
+    made for the output, and the basis vectors may be raw or boxed.
     """
     node_labels = [render_vector(v, names) for v in basis_vectors]
     n = len(basis_vectors)
     edges = []
     for label in labels:
         mat = restricted[label]
+        d = mat._den
         for j in range(n):
             for i in range(n):
                 c = mat._raw[i][j]
                 if c:
-                    edges.append((j, i, label, c))
+                    edges.append((j, i, label, c if d == 1 else Fraction(c, d)))
     return ActionGraph(node_labels, edges)
 
 

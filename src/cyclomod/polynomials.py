@@ -1,9 +1,11 @@
 """Univariate polynomials over a FieldSpec, with exact factorization.
 
-A Polynomial stores its coefficients the way DenseMatrix stores its
-rows: as canonical raw values, low degree first with no trailing zeros,
-ints in [0, p) for GF(p) and Fractions for Q.  The zero polynomial has
-no coefficients and degree -1.  The constructor unboxes its arguments
+A Polynomial stores its coefficients as canonical raw values, low
+degree first with no trailing zeros: ints in [0, p) for GF(p), and for
+Q Fractions, the one raw Q value that is not integers over a
+denominator: a minimal polynomial leaves the linear algebra here, and
+factor receives its coefficients.  The zero polynomial has no
+coefficients and degree -1.  The constructor unboxes its arguments
 once, and `coeffs` boxes on read.
 
 All coefficient arithmetic is one small set of helpers on linalg's raw
@@ -25,8 +27,10 @@ it works on raw coefficient lists with the modulus m of the field.
     are r pieces: by gcds with h and h + 1 for p = 2, and for odd p by
     Cantor-Zassenhaus, gcds with h^((p-1)/2) - 1 for seeded random h,
     so the cost grows with log p rather than p.
-  * Q: clear denominators, factor modulo a good prime, Hensel lift to
-    a coefficient bound, exhaustive subset recombination.
+  * Q: the primitive integer multiple, factored modulo a good prime,
+    Hensel lifted to a coefficient bound, and recombined by exhaustive
+    subsets.  The gcds of the squarefree loop run on primitive integer
+    lists as well.
 Factors are returned monic with multiplicities; the product times the
 leading unit reconstructs the input.
 """
@@ -36,14 +40,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .fields import FieldSpec, _is_prime, gf
+from .fields import FieldScalar, FieldSpec, _is_prime, gf
 from .linalg import (
     DenseMatrix,
     _addmul,
-    _box,
-    _clear_denominators,
+    _fractions,
     _inv,
     _kernel_from_rref,
     _neg,
@@ -111,10 +114,45 @@ def _deriv(m: int, a: list) -> list:
 
 
 def _gcd(m: int, a: list, b: list) -> list:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd: by the Euclidean algorithm modulo m, and over Q (m = 0) on integer lists.
+
+    Over Q the Euclidean remainders' coefficients grow, so the gcd runs a
+    primitive pseudo-remainder sequence on the primitive integer multiples
+    of a and b (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
+    each remainder is divided by its content, as linalg._combine does
+    for rows, and the last nonzero one is made monic at the end.
+    """
+    if not m:
+        a, b = _zx_primitive(a), _zx_primitive(b)
+        while b:
+            a, b = b, _zx_prem(a, b)
+        return [Fraction(c, a[-1]) for c in a] if a else a
     while b:
         a, b = b, _pdivmod(m, a, b)[1]
     return _monic(m, a)
+
+
+def _zx_primitive(a: list) -> list:
+    """The primitive integer polynomial that is a positive multiple of a polynomial over Q."""
+    d = lcm(*[c.denominator for c in a])
+    return _primitive([c.numerator * (d // c.denominator) for c in a])
+
+
+def _zx_prem(a: list, b: list) -> list:
+    """A primitive multiple of the remainder of a by b, for integer lists and a nonzero b.
+
+    Each division step takes lc(b) a - c t^k b, so the steps stay over Z,
+    and divides the result by its content.
+    """
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem.pop()
+        if c:
+            rem = [lead * x for x in rem]
+            rem[k:] = [x - c * y for x, y in zip(rem[k:], b)]
+            rem = _primitive(rem)
+    return _trim(rem)
 
 
 def _powmod(m: int, a: list, e: int, f: list) -> list:
@@ -134,7 +172,8 @@ class Polynomial:
     __slots__ = ("field", "_raw")
 
     def __init__(self, field: FieldSpec, coeffs):
-        self._store(field, _trim(_unbox(field, coeffs)))
+        raw = _unbox(field, coeffs)
+        self._store(field, _trim(raw if field.characteristic else _fractions(raw, raw.den)))
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, raw: list) -> "Polynomial":
@@ -152,7 +191,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        return _box(self.field, self._raw)
+        return tuple([FieldScalar(self.field, c) for c in self._raw])
 
     @property
     def degree(self) -> int:
@@ -411,8 +450,7 @@ def _factor_squarefree_q(g: list) -> list:
     """Monic irreducible factors of a monic squarefree g over Q."""
     if len(g) == 2:
         return [g]
-    # clear denominators to a primitive integer polynomial
-    G = _primitive(_clear_denominators([g])[0][0])
+    G = _zx_primitive(g)
     p = _choose_good_prime(G)
     modular = _berlekamp(gf(p), _monic(p, [c % p for c in G]))
     if len(modular) == 1:

@@ -10,13 +10,12 @@ object twice gives byte-identical text.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import DecompositionReport
 from .endo import Certificate
 from .fields import FieldSpec, QQ, gf
-from .linalg import DenseMatrix, _RawVector
+from .linalg import DenseMatrix, _decimals, _from_fractions, _marked, _qvector
 from .modules import ActionGraph, CyclicModule, render_vector
 from .perms import PermutationPresentation
 from .wfa import WeightedAutomaton
@@ -70,12 +69,15 @@ def scalar_from_json(field: FieldSpec, value, path: str):
 
 
 def vector_to_json(v) -> list:
-    """Decimal strings of a vector of FieldScalars or of raw values."""
-    return [str(x) for x in v]
+    """Decimal strings of a vector of FieldScalars or of a raw vector."""
+    return _decimals(v)
 
 
 def _raw_scalar_from_json(field: FieldSpec, value, path: str):
-    """The canonical raw value of a scalar; integer literals skip the Fraction parse."""
+    """The value of a scalar, raw over GF(p) and an int or a Fraction over Q.
+
+    Integer literals skip the Fraction parse.
+    """
     if isinstance(value, str) and "/" not in value:
         try:
             n = int(value)
@@ -83,28 +85,30 @@ def _raw_scalar_from_json(field: FieldSpec, value, path: str):
             pass  # scalar_from_json raises it with the message of FieldSpec.parse
         else:
             p = field.characteristic
-            return n % p if p else Fraction(n)
+            return n % p if p else n
     return scalar_from_json(field, value, path).value
 
 
 def _raw_vector_from_json(field: FieldSpec, data, length: Optional[int], path: str) -> list:
+    """The raw vector of a list of scalars; over Q its denominators are cleared here."""
     if not isinstance(data, list):
         raise FormatError(path, f"expected a list, got {type(data).__name__}")
     if length is not None and len(data) != length:
         raise FormatError(path, f"expected length {length}, got {len(data)}")
+    p = field.characteristic
     try:
         # _raw_scalar_from_json's fast path for the whole vector: only strings join, and none has a "/"
         if "/" not in "".join(data):
             ints = list(map(int, data))
-            p = field.characteristic
-            return [n % p for n in ints] if p else list(map(Fraction, ints))
+            return [n % p for n in ints] if p else _qvector(ints)
     except (TypeError, ValueError):
         pass  # the loop below raises it with the path of the entry
-    return [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+    values = [_raw_scalar_from_json(field, x, f"{path}[{i}]") for i, x in enumerate(data)]
+    return values if p else _from_fractions(values)
 
 
 def matrix_to_json(m: DenseMatrix) -> list:
-    return [vector_to_json(row) for row in m._raw]
+    return [_decimals(row, m._den) for row in m._raw]
 
 
 def matrix_from_json(field: FieldSpec, data, rows: int, cols: int, path: str) -> DenseMatrix:
@@ -113,7 +117,7 @@ def matrix_from_json(field: FieldSpec, data, rows: int, cols: int, path: str) ->
     if len(data) != rows:
         raise FormatError(path, f"expected {rows} rows, got {len(data)}")
     raw = [_raw_vector_from_json(field, row, cols, f"{path}[{i}]") for i, row in enumerate(data)]
-    return DenseMatrix._from_raw(field, raw, cols)
+    return DenseMatrix._from_vectors(field, raw, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +150,8 @@ def automaton_from_json(obj) -> WeightedAutomaton:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise FormatError("dim", "expected a nonnegative integer")
-    lam = _RawVector(_raw_vector_from_json(field, obj["lambda"], dim, "lambda"))
-    gamma = _RawVector(_raw_vector_from_json(field, obj["gamma"], dim, "gamma"))
+    lam = _marked(_raw_vector_from_json(field, obj["lambda"], dim, "lambda"))
+    gamma = _marked(_raw_vector_from_json(field, obj["gamma"], dim, "gamma"))
     mu_obj = obj["mu"]
     if not isinstance(mu_obj, dict):
         raise FormatError("mu", "expected an object keyed by letters")

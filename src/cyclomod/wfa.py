@@ -16,21 +16,23 @@ the two, which is dimension minimal for series over a field.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .fields import FieldScalar, FieldSpec
+from .fields import FieldSpec
 from .linalg import (
     DenseMatrix,
     SpanSolver,
     Vector,
     _box,
-    _dot,
-    _one,
+    _common,
+    _dots,
+    _marked,
+    _qvector,
     _RawVector,
     _scale,
     _unbox,
     _unit,
-    _zero,
 )
 
 
@@ -94,8 +96,8 @@ class WeightedAutomaton:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mu", mats)
-        object.__setattr__(self, "_raw_lam", _RawVector(lam))
-        object.__setattr__(self, "_raw_gamma", _RawVector(gamma))
+        object.__setattr__(self, "_raw_lam", _marked(lam))
+        object.__setattr__(self, "_raw_gamma", _marked(gamma))
         object.__setattr__(self, "_lam", None)
         object.__setattr__(self, "_gamma", None)
 
@@ -128,7 +130,7 @@ class WeightedAutomaton:
             if letter not in self.mu:
                 raise ValueError(f"letter {letter!r} is not in the alphabet")
             x = self.mu[letter]._times_row(x)
-        return FieldScalar(field, _dot(field.characteristic, x, self._raw_gamma))
+        return _box(field, _dots(field.characteristic, [x], self._raw_gamma))[0]
 
     def __repr__(self) -> str:
         return f"WeightedAutomaton(dim={self.dim}, alphabet={list(self.alphabet)}, {self.field})"
@@ -158,7 +160,6 @@ def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> Cov
     reduction.
     """
     p = field.characteristic
-    zero, one = _zero(p), _one(p)
     solver = SpanSolver(field, length)
     words, vectors = [], []
     images = {label: [] for label in steps}
@@ -173,14 +174,17 @@ def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> Cov
             v = step(vectors[i])
             coords = solver._place(v)
             if coords is None:
-                coords = [zero] * len(vectors) + [one]
+                coords = _unit(p, len(vectors) + 1, len(vectors))
                 words.append(words[i] + (label,))
                 vectors.append(v)
             images[label].append(coords)
         i += 1
     n = len(vectors)
     for columns in images.values():
-        columns[:] = [_RawVector(c + [zero] * (n - len(c))) for c in columns]
+        if p:
+            columns[:] = [_RawVector(c + [0] * (n - len(c))) for c in columns]
+        else:
+            columns[:] = [_qvector(c + [0] * (n - len(c)), c.den) for c in columns]
     return CoveringTree(words, vectors, solver, images)
 
 
@@ -200,8 +204,8 @@ def _left_reduction(a: WeightedAutomaton):
     steps = {s: a.mu[s]._times_row for s in a.alphabet}
     tree = covering_tree(field, a.dim, a._raw_lam, steps)
     n = len(tree.vectors)
-    mu = {s: DenseMatrix._from_raw(field, tree.images[s], n) for s in a.alphabet}
-    gamma = _RawVector([_dot(field.characteristic, v, a._raw_gamma) for v in tree.vectors])
+    mu = {s: DenseMatrix._from_vectors(field, tree.images[s], n) for s in a.alphabet}
+    gamma = _dots(field.characteristic, tree.vectors, a._raw_gamma)
     return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma), tree
 
 
@@ -223,14 +227,17 @@ def _right_reduction(a: WeightedAutomaton):
     steps = {s: a.mu[s]._times_col for s in a.alphabet}
     tree = covering_tree(field, a.dim, a._raw_gamma, steps)
     n = len(tree.vectors)
-    lam = _RawVector([_dot(field.characteristic, v, a._raw_lam) for v in tree.vectors])
+    lam = _dots(field.characteristic, tree.vectors, a._raw_lam)
     mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
     return WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n)), tree
 
 
 def _first_unit(field: FieldSpec, n: int) -> _RawVector:
     """The raw e_0 of length n, the root's coordinates in its own tree; empty when n = 0."""
-    return _RawVector(_unit(field.characteristic, n, 0) if n else [])
+    p = field.characteristic
+    if n:
+        return _marked(_unit(p, n, 0))
+    return _RawVector() if p else _qvector([])
 
 
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:
@@ -244,22 +251,34 @@ def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     if a.alphabet != b.alphabet:
         raise ValueError("direct sum needs identical alphabets")
     field = a.field
-    z = _zero(field.characteristic)
-    left, right = [z] * a.dim, [z] * b.dim
+    left, right = [0] * a.dim, [0] * b.dim
     mu = {}
     for s in a.alphabet:
-        # the block rows on raw values, so no entry is boxed
-        rows = [[*r, *right] for r in a.mu[s]._raw] + [[*left, *r] for r in b.mu[s]._raw]
-        mu[s] = DenseMatrix._from_raw(field, rows, a.dim + b.dim)
-    lam, gamma = _RawVector(a._raw_lam + b._raw_lam), _RawVector(a._raw_gamma + b._raw_gamma)
+        # the block rows on kernel rows over one denominator (1 over GF(p)), so no entry is boxed
+        x, y = a.mu[s], b.mu[s]
+        d = lcm(x._den, y._den)
+        fx, fy = d // x._den, d // y._den
+        rows = [[fx * c for c in r] + right for r in x._raw] + [left + [fy * c for c in r] for r in y._raw]
+        mu[s] = DenseMatrix._from_raw(field, rows, a.dim + b.dim, d)
+    lam, gamma = _joined(field, a._raw_lam, b._raw_lam), _joined(field, a._raw_gamma, b._raw_gamma)
     return WeightedAutomaton(field, a.alphabet, lam, mu, gamma)
+
+
+def _joined(field: FieldSpec, x: list, y: list) -> _RawVector:
+    """The raw vector x followed by y."""
+    if field.characteristic:
+        return _RawVector(x + y)
+    (x, y), d = _common([x, y])
+    return _qvector(x + y, d)
 
 
 def scale(a: WeightedAutomaton, c) -> WeightedAutomaton:
     """Same series multiplied by the scalar c (rescales lambda)."""
     field = a.field
-    (c,) = _unbox(field, [c])
-    lam = _RawVector(_scale(field.characteristic, c, a._raw_lam))
+    p = field.characteristic
+    c = _unbox(field, [c])
+    lam = _scale(p, c[0], a._raw_lam)
+    lam = _RawVector(lam) if p else _qvector(lam, c.den * a._raw_lam.den)
     return WeightedAutomaton(field, a.alphabet, lam, dict(a.mu), a._raw_gamma)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,50 @@ def test_cert_only_boxes_no_scalar_beyond_the_parsed_input(argv, parsed, capsys,
     code, out, _ = run(capsys, argv)
     assert code == 0 and out.startswith("signature: " if "--cert-only" in argv else "{")
     assert len(made) <= parsed
+
+
+def _scalar_count(automaton):
+    """The number of scalars in an automaton's JSON."""
+    mu = automaton["mu"].values()
+    return len(automaton["lambda"]) + len(automaton["gamma"]) + sum(len(row) for m in mu for row in m)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose-perm", os.path.join(GOLDEN, "regular_s3.json"), "--generator", "1,0,0,0,0,0", "--cert-only"],
+        ["minimize", os.path.join(GOLDEN, "automaton_q.json")],
+    ],
+)
+def test_fractions_are_made_only_where_input_is_parsed_or_output_written(argv, capsys, monkeypatch):
+    # over Q every step hands the next integer rows over one denominator;
+    # a Fraction is made only for an entry parsed or printed, at most one each
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # from Python 3.12 on, Fraction arithmetic makes its results here, past __new__
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            made.append(cls)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    if argv[0] == "minimize":
+        with open(argv[1], encoding="utf-8") as handle:
+            parsed = _scalar_count(json.load(handle))
+        printed = _scalar_count(json.loads(out))
+    else:
+        parsed, printed = 6, 0  # the generator's entries; --cert-only prints none
+    assert len(made) <= parsed + printed
 
 
 def test_decompose_bool_dot_directory(tmp_path, capsys):

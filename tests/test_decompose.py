@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -83,6 +84,22 @@ def test_rational_natural_module():
     line = report.summands[0]
     v = line.basis_vectors[0]
     assert v[0] == v[1] == v[2] != 0
+
+
+def test_leaves_of_one_dimension_sort_as_rationals():
+    # two lines, spanned by u = (1/2, 1) and w = (1/3, 5), the eigenvectors
+    # of a = P diag(1, 2) P^-1; w comes first as rationals (1/3 < 1/2),
+    # although its integers over its denominator, (1, 15) / 3, would sort
+    # after u's, (1, 2) / 2
+    u, w = (Fraction(1, 2), Fraction(1)), (Fraction(1, 3), Fraction(5))
+    det = u[0] * w[1] - w[0] * u[1]
+    inverse = [[w[1] / det, -w[0] / det], [-u[1] / det, u[0] / det]]
+    a = [[u[i] * inverse[0][j] + 2 * w[i] * inverse[1][j] for j in range(2)] for i in range(2)]
+    m = orbit_basis(AlgebraAction(QQ, [("a", a)]), [x + y for x, y in zip(u, w)])
+    report = complete_decomposition(m)
+    boxed = [tuple(QQ.scalar(x) for x in v) for v in (w, u)]
+    assert [leaf.basis_vectors for leaf in report.summands] == [(v,) for v in boxed]
+    check_report(report)
 
 
 def test_regular_module_signature():

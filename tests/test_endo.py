@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import time
@@ -944,10 +945,12 @@ def test_spun_commutant_equals_general_solve(monkeypatch):
         expected = commutant_basis(m.field, m.dim, [m.restricted[s] for s in m.action.labels])
         basis = compute_end(m).basis
         assert list(basis) == expected
-        # canonical raw values: an int in [0, p), or a Fraction over Q
+        # canonical raw values: an int in [0, p), or over Q integer rows
+        # over a positive denominator in lowest terms
         p = m.field.characteristic
-        for x in (x for b in basis for row in b._raw for x in row):
-            assert (type(x) is int and 0 <= x < p) if p else type(x) is Fraction
+        for b in basis:
+            assert all(type(x) is int and (0 <= x < p if p else True) for row in b._raw for x in row)
+            assert b._den == 1 if p else math.gcd(b._den, *(x for row in b._raw for x in row)) == 1 <= b._den
 
 
 @settings(max_examples=60, deadline=None)

@@ -44,6 +44,8 @@ CASES = {
     "minimize_gf2": ["minimize", "{golden}/automaton_gf2.json"],
     "minimize_gf3": ["minimize", "{golden}/automaton_gf3.json"],
     "minimize_q": ["minimize", "{golden}/automaton_q.json"],
+    # entries with denominators, read into and written out of integer rows over one denominator
+    "minimize_q_fractions": ["minimize", "{golden}/automaton_q_fractions.json"],
     "decompose_bool_swap_invariant": ["decompose-bool", SWAP_INVARIANT, "-n", "3"],
     "decompose_bool_split_4_6": ["decompose-bool", SPLIT_4_6, "-n", "5"],
     # MAX_VARIABLES: 4096 monomials, the swaps applied as index maps
@@ -52,6 +54,10 @@ CASES = {
     "cert_bool_split_4_6": ["cert", "--bool", SPLIT_4_6, "-n", "5"],
     "decompose_perm_regular_s3": [
         "decompose-perm", "{golden}/regular_s3.json", "--generator", "1,0,0,0,0,0",
+    ],
+    # a generator with denominators: every basis vector and certificate carries them
+    "decompose_perm_regular_s3_fractional": [
+        "decompose-perm", "{golden}/regular_s3.json", "--generator=1/2,-1/3,0,0,2,0",
     ],
     "decompose_perm_regular_q8": [
         "decompose-perm", "{golden}/regular_q8.json", "--generator", "1,0,0,0,0,0,0,0",

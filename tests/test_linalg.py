@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclomod.endo import compute_end
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import (
     DenseMatrix,
     SpanSolver,
     _box,
-    _dot,
+    _dots,
     _unbox,
     _unit,
     kernel_basis,
     rref,
     stable_power,
 )
+from cyclomod.modules import AlgebraAction, orbit_basis
 
 import oracles
 from fixtures import int_mul, unimodular_pair
@@ -212,6 +214,33 @@ def test_hash_agrees_with_eq_without_boxing():
         boxed = DenseMatrix(field, [[field.scalar(x) for x in r] for r in rows])
         assert plain == boxed and hash(plain) == hash(boxed)
         assert plain._entries is None
+    # a Q matrix is integer rows over one denominator in lowest terms, so
+    # equal matrices with denominators compare and hash alike whichever path made them
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    target = DenseMatrix(QQ, [[h, -t], [0, Fraction(5, 2)]])
+    m = orbit_basis(AlgebraAction(QQ, [("a", [[0, 1], [1, 0]])]), (1, 0))
+    e = compute_end(m)
+    # the combination of the basis that the element path makes, summed on FieldScalars
+    coords = (Fraction(3, 4), Fraction(-1, 6))
+    combination = [[sum((QQ.scalar(c) * b.entries[i][j] for c, b in zip(coords, e.basis)), QQ.zero())
+                     for j in range(2)] for i in range(2)]
+    pairs = [
+        (DenseMatrix(QQ, [[QQ.scalar(h), QQ.scalar(-t)], [QQ.zero(), QQ.scalar(Fraction(5, 2))]]), target),
+        (DenseMatrix._from_ints(QQ, [[6, -4], [0, 30]], 12, 2), target),
+        (DenseMatrix._from_ints(QQ, [[-3, 2], [0, -15]], -6, 2), target),
+        (DenseMatrix.from_columns(QQ, [[h, 0], [-t, Fraction(5, 2)]]), target),
+        (DenseMatrix(QQ, [[1, 0], [0, Fraction(5, 3)]]) * DenseMatrix(QQ, [[h, -t], [0, Fraction(3, 2)]]), target),
+        (DenseMatrix(QQ, [[Fraction(1, 6), 0], [0, 3]]) + DenseMatrix(QQ, [[t, -t], [0, -h]]), target),
+        (DenseMatrix(QQ, [[2 * h, -2 * t], [0, 5]]).scale(h), target),
+        (rref(DenseMatrix(QQ, [[2, 1], [4, 2]])).matrix, DenseMatrix(QQ, [[1, h], [0, 0]])),
+        (e.element(coords), DenseMatrix(QQ, combination)),
+    ]
+    for made, want in pairs:
+        assert made._den > 1
+        assert made == want and hash(made) == hash(want)
+        assert made.entries == want.entries
+    # the same integer rows over another denominator are another matrix
+    assert DenseMatrix._from_raw(QQ, target._raw, 2, target._den * 5) != target
 
 
 def test_kernel_rejects_scalars_of_another_field():
@@ -435,16 +464,16 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
     assert (product * third).entries == tuple(oracles.boxed_mul(product, third))
     assert rref(product).matrix.entries == tuple(oracles.boxed_rref(product).rows)
     for v in _big_q_rows(rng, 2, cols):
-        got = _box(QQ, m._times_col(v))
+        got = _box(QQ, m._times_col(_unbox(QQ, v)))
         assert got == oracles.boxed_apply(m, box(v))
         _assert_canonical(QQ, got)
         if cols:
             u = _big_q_rows(rng, 1, cols)[0]
-            dot = _box(QQ, [_dot(0, u, v)])
+            dot = _box(QQ, _dots(0, [_unbox(QQ, u)], _unbox(QQ, v)))
             assert dot == (sum((a * b for a, b in zip(box(u), box(v))), QQ.zero()),)
             _assert_canonical(QQ, dot)
     for w in _big_q_rows(rng, 2, rows):
-        got = _box(QQ, m._times_row(w))
+        got = _box(QQ, m._times_row(_unbox(QQ, w)))
         assert got == oracles.boxed_apply_row(m, box(w))
         _assert_canonical(QQ, got)
 
@@ -553,7 +582,7 @@ def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form
         _assert_canonical(GF2, got)
         if cols:
             u = _oracle_rows(GF2, rng, 1, cols)[0]
-            dot = _box(GF2, [_dot(2, u, x)])
+            dot = _box(GF2, _dots(2, [u], x))
             assert dot == (sum((a * b for a, b in zip(box(u), box(v))), GF2.zero()),)
             _assert_canonical(GF2, dot)
     for w in _oracle_rows(GF2, rng, 2, rows):

@@ -71,6 +71,22 @@ def test_divmod_and_gcd():
     assert poly_gcd(poly(QQ, []), g) == g
 
 
+def test_q_gcd_with_contents_and_leads_other_than_one():
+    # (gcd, a, b) on integer coefficients with content > 1 and leads other
+    # than 1, a common factor or none, and a remainder sequence of several steps
+    cases = [
+        ([1, 1], [-6, 0, 6], [4, 4]),
+        ([], [], []),
+        ([1], [3, 0, 9], [10, 5]),
+        ([-Fraction(3, 2), 1], [-18, 12, -24, 16], [-12, 8, 6, -4]),
+        ([1], [-5, 2, 8, -3, -3, 0, 1, 0, 1], [21, -9, -4, 0, 5, 0, 3]),  # Knuth's example
+        ([1, 0, 1], [7, -14, 7, -14], [Fraction(2, 3), 0, Fraction(4, 3), 0, Fraction(2, 3)]),
+    ]
+    for want, a, b in cases:
+        got = poly_gcd(poly(QQ, a), poly(QQ, b))
+        assert got == poly(QQ, want) and all(type(c) is Fraction for c in got._raw)
+
+
 def test_derivative_char_p():
     f = poly(gf(3), [1, 0, 0, 2])  # 2t^3 + 1, derivative 6t^2 = 0
     assert derivative(f).is_zero
@@ -409,6 +425,15 @@ def test_raw_polynomial_kernel_matches_boxed_reference(seed, field, da, db):
     check(polynomials._pmul(p, f._raw, g._raw), oracles.boxed_poly_mul(field, fa, gb))
     check(polynomials._deriv(p, f._raw), oracles.boxed_poly_derivative(fa))
     check(polynomials._gcd(p, f._raw, g._raw), oracles.boxed_poly_gcd(field, fa, gb))
+    if not p:
+        # the gcd over Q runs on primitive integer lists: besides the pairs
+        # above, whose gcd is mostly 1, give it a common factor h and
+        # integer multiples, so contents are > 1 and leads are not 1
+        h = Polynomial(field, _oracle_coeffs(field, rng, rng.randrange(3)))._raw
+        fh = polynomials._pmul(p, [6 * c for c in f._raw], h)
+        gh = polynomials._pmul(p, [Fraction(-10, 7) * c for c in g._raw], h)
+        boxed = [oracles.boxed_poly_trim(field.scalar(x) for x in r) for r in (fh, gh)]
+        check(polynomials._gcd(p, fh, gh), oracles.boxed_poly_gcd(field, *boxed))
     if not g.is_zero:
         q, r = polynomials._pdivmod(p, f._raw, g._raw)
         want_q, want_r = oracles.boxed_poly_divmod(field, fa, gb)
