@@ -15,8 +15,8 @@ is one int packed as linalg packs rows, so a row sum is a XOR; the rows
 are unpacked once, for the final reduction.  That reduction puts the
 result in the basis the n^2-unknown solve would give, so the search sees
 the same candidates in the same order; over Q each basis matrix keeps
-its integer rows over its pivot entry, and no step here makes a Fraction
-but the minimal polynomial's coefficients, which go out to factor.
+its integer rows over its pivot entry, and no step here makes a
+Fraction, a minimal polynomial's coefficients included.
 
 An element X of E is fixed by its first column X e_0, and all work
 after compute_end is on that column: EndoAlgebra's coordinates (with one
@@ -95,12 +95,10 @@ from .linalg import (
     _addmul,
     _box,
     _combine,
-    _fractions,
     _kernel_from_rref,
     _lowest_terms,
     _marked,
     _neg,
-    _one,
     _pack,
     _packed_unit,
     _part,
@@ -497,6 +495,7 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
 
     f(x) lies in J exactly when f(x) e_0 lies in J e_0, so it is the first
     dependence among e_0, x e_0, x^2 e_0, ... modulo J e_0; n + 1 vectors suffice.
+    Over Q, with coordinates c over d, f is (-c, d) over d.
     """
     field, n = x.field, x.rows
     p = field.characteristic
@@ -508,9 +507,7 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
         coords = solver._place(v)
         if coords is not None:
             coeffs = [_neg(p, c) for c in coords[len(ideal):]]
-            if not p:  # the coefficients go out to factor as Fractions
-                coeffs = _fractions(coeffs, coords.den)
-            return Polynomial._from_raw(field, coeffs + [_one(p)])
+            return Polynomial._from_raw(field, coeffs + [1] if p else _qvector(coeffs + [coords.den], coords.den))
         v = _image(x, v)
     raise RuntimeError("no dependence among the first columns of the powers")
 

@@ -7,11 +7,12 @@ determinism over asymptotics.
 Data stays raw.  Over GF(p) a raw value is an int in [0, p).  Over Q a
 raw vector or matrix is integer rows over one positive denominator, in
 lowest terms: a matrix keeps its integer rows and its denominator, and a
-vector is a _QVector, its integer numerators with the denominator in
-`den`.  Denominators are cleared once, where values come in (_unbox),
-and a FieldScalar, or over Q a Fraction, is made only where a value
-goes out: a public call hands a result back, `entries` is read, or a
-vector is written as text (_decimals, which makes no Fraction at all).
+vector, or a polynomial's coefficients, is a _QVector, its integer
+numerators with the denominator in `den`.  Denominators are cleared
+once, where values come in (_unbox), and a FieldScalar, or over Q a
+Fraction, is made only where a value goes out: a public call hands a
+result back, `entries` is read, or a vector is written as text
+(_decimals, which makes no Fraction at all).
 A public call unboxes its vector arguments once, checking their field,
 and the kernel (rref, SpanSolver, products, sums and scaling) and every
 other module pass raw rows to each other.  The kernel skips every entry
@@ -44,18 +45,6 @@ from .fields import FieldScalar, FieldSpec
 Vector = tuple  # tuple[FieldScalar, ...]
 
 
-# the raw zero and one of polynomial coefficients, which stay Fractions over Q
-_QZERO, _QONE = Fraction(0), Fraction(1)
-
-
-def _zero(p: int):
-    return 0 if p else _QZERO
-
-
-def _one(p: int):
-    return 1 if p else _QONE
-
-
 def _unit(p: int, n: int, i: int) -> list:
     """The raw unit vector e_i of length n."""
     x = [0] * n
@@ -64,7 +53,8 @@ def _unit(p: int, n: int, i: int) -> list:
 
 
 def _inv(p: int, a):
-    return pow(a, -1, p) if p else 1 / a
+    """The inverse of a unit a modulo p; over Q the kernel divides by no scalar."""
+    return pow(a, -1, p)
 
 
 def _neg(p: int, a):
@@ -104,8 +94,8 @@ def _dots(p: int, vectors: Sequence, y: Sequence) -> list:
 def _fractions(xs: Sequence, d: int) -> list:
     """The Fractions xs / d, for integers xs and d > 0: made only where a Q value goes out."""
     if d == 1:
-        return [Fraction(a) if a else _QZERO for a in xs]
-    return [Fraction(a, d) if a else _QZERO for a in xs]
+        return [Fraction(a) for a in xs]
+    return [Fraction(a, d) for a in xs]
 
 
 def _decimals(xs: Sequence, d: int = 1) -> list:

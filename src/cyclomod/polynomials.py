@@ -1,18 +1,19 @@
 """Univariate polynomials over a FieldSpec, with exact factorization.
 
 A Polynomial stores its coefficients as canonical raw values, low
-degree first with no trailing zeros: ints in [0, p) for GF(p), and for
-Q Fractions, the one raw Q value that is not integers over a
-denominator: a minimal polynomial leaves the linear algebra here, and
-factor receives its coefficients.  The zero polynomial has no
+degree first with no trailing zeros: ints in [0, p) for GF(p), and over
+Q a linalg._QVector, integer numerators over one positive denominator
+in lowest terms, as every other raw Q value.  The zero polynomial has no
 coefficients and degree -1.  The constructor unboxes its arguments
 once, and `coeffs` boxes on read.
 
 All coefficient arithmetic is one small set of helpers on linalg's raw
 operations (_trim, _padd, _pmul, _pdivmod, and on them _monic, _deriv,
-_gcd, _powmod), each taking a modulus m: m = p for GF(p), m = p^k
-inside the Hensel lift, and m = 0 for exact arithmetic over Q.
-Division needs a divisor whose leading coefficient is a unit modulo m.
+_gcd, _powmod), each taking a modulus m: m = p for GF(p) and m = p^k
+inside the Hensel lift.  With m = 0 the coefficients are integers:
+_padd, _pmul, _deriv and _gcd serve over Z, and exact quotients go
+through _zx_quotient.  Division needs a divisor whose leading
+coefficient is a unit modulo m.
 
 Factorization: `factor` is the one entry point, and everything under
 it works on raw coefficient lists with the modulus m of the field.
@@ -27,10 +28,11 @@ it works on raw coefficient lists with the modulus m of the field.
     are r pieces: by gcds with h and h + 1 for p = 2, and for odd p by
     Cantor-Zassenhaus, gcds with h^((p-1)/2) - 1 for seeded random h,
     so the cost grows with log p rather than p.
-  * Q: the primitive integer multiple, factored modulo a good prime,
-    Hensel lifted to a coefficient bound, and recombined by exhaustive
-    subsets.  The gcds of the squarefree loop run on primitive integer
-    lists as well.
+  * Q: a polynomial stands for its primitive integer multiple with a
+    positive leading coefficient (Gauss's lemma; von zur Gathen &
+    Gerhard, ch. 6), and the squarefree loop and the factorization run
+    on those lists: factored modulo a good prime, Hensel lifted to a
+    coefficient bound, and recombined by exhaustive subsets.
 Factors are returned monic with multiplicities; the product times the
 leading unit reconstructs the input.
 """
@@ -39,29 +41,29 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import isqrt, lcm
 
-from .fields import FieldScalar, FieldSpec, _is_prime, gf
+from .fields import FieldSpec, _is_prime, gf
 from .linalg import (
     DenseMatrix,
     _addmul,
-    _fractions,
+    _box,
+    _decimals,
     _inv,
     _kernel_from_rref,
     _neg,
-    _one,
+    _part,
     _primitive,
+    _qvector,
     _scale,
     _times,
     _unbox,
-    _zero,
     rref,
 )
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient lists modulo m (m = 0: exact)
+# raw coefficient lists modulo m (m = 0: over Z)
 
 
 def _trim(a: list) -> list:
@@ -73,7 +75,7 @@ def _trim(a: list) -> list:
 
 def _padd(m: int, a: list, c, b: list) -> list:
     """a + c*b as a new trimmed list."""
-    out = list(a) + [_zero(m)] * (len(b) - len(a))
+    out = list(a) + [0] * (len(b) - len(a))
     if c:
         out[: len(b)] = _addmul(m, out[: len(b)], c, b)
     return _trim(out)
@@ -82,7 +84,7 @@ def _padd(m: int, a: list, c, b: list) -> list:
 def _pmul(m: int, a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [_zero(m)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     nb = len(b)
     for i, x in enumerate(a):
         if x:
@@ -95,7 +97,7 @@ def _pdivmod(m: int, a: list, b: list):
     db = len(b) - 1
     inv = _inv(m, b[-1])
     rem = list(a)
-    quo = [_zero(m)] * (len(a) - db)
+    quo = [0] * (len(a) - db)
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + db]
         if c:
@@ -114,28 +116,21 @@ def _deriv(m: int, a: list) -> list:
 
 
 def _gcd(m: int, a: list, b: list) -> list:
-    """Monic gcd: by the Euclidean algorithm modulo m, and over Q (m = 0) on integer lists.
+    """The gcd: monic modulo m, and over Z (m = 0) primitive with a positive leading coefficient.
 
-    Over Q the Euclidean remainders' coefficients grow, so the gcd runs a
-    primitive pseudo-remainder sequence on the primitive integer multiples
-    of a and b (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
-    each remainder is divided by its content, as linalg._combine does
-    for rows, and the last nonzero one is made monic at the end.
+    Over Z the Euclidean remainders' coefficients grow, so the gcd runs a
+    primitive pseudo-remainder sequence (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 6): each remainder is divided by its content,
+    as linalg._combine does for rows.
     """
     if not m:
-        a, b = _zx_primitive(a), _zx_primitive(b)
         while b:
             a, b = b, _zx_prem(a, b)
-        return [Fraction(c, a[-1]) for c in a] if a else a
+        a = _primitive(a)
+        return [-c for c in a] if a and a[-1] < 0 else a
     while b:
         a, b = b, _pdivmod(m, a, b)[1]
     return _monic(m, a)
-
-
-def _zx_primitive(a: list) -> list:
-    """The primitive integer polynomial that is a positive multiple of a polynomial over Q."""
-    d = lcm(*[c.denominator for c in a])
-    return _primitive([c.numerator * (d // c.denominator) for c in a])
 
 
 def _zx_prem(a: list, b: list) -> list:
@@ -157,7 +152,7 @@ def _zx_prem(a: list, b: list) -> list:
 
 def _powmod(m: int, a: list, e: int, f: list) -> list:
     """a^e modulo f."""
-    acc = [_one(m)]
+    acc = [1]
     a = _pdivmod(m, a, f)[1]
     while e:
         if e & 1:
@@ -173,11 +168,13 @@ class Polynomial:
 
     def __init__(self, field: FieldSpec, coeffs):
         raw = _unbox(field, coeffs)
-        self._store(field, _trim(raw if field.characteristic else _fractions(raw, raw.den)))
+        # a raw vector handed in is copied before it is trimmed; zeros take
+        # no part in the lowest terms, so a trimmed _QVector keeps them
+        self._store(field, _trim(_part(raw, 0, len(raw)) if raw is coeffs else raw))
 
     @classmethod
     def _from_raw(cls, field: FieldSpec, raw: list) -> "Polynomial":
-        """A polynomial from trimmed canonical raw coefficients, which the caller hands over."""
+        """A polynomial from trimmed canonical raw coefficients (a _QVector over Q), which the caller hands over."""
         f = object.__new__(cls)
         f._store(field, raw)
         return f
@@ -191,7 +188,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple([FieldScalar(self.field, c) for c in self._raw])
+        return _box(self.field, self._raw)
 
     @property
     def degree(self) -> int:
@@ -208,14 +205,16 @@ class Polynomial:
             raise ValueError("polynomial of a non-square matrix")
         if self.is_zero:
             return DenseMatrix.zeros(self.field, m.rows, m.cols)
-        # Horner from the leading coefficient: deg f products
+        # Horner from the leading coefficient: deg f products, over Q on the
+        # numerators, whose sum is divided once by the denominator
         ident = DenseMatrix.identity(self.field, m.rows)
         acc = ident.scale(self._raw[-1])
         for c in reversed(self._raw[:-1]):
             acc = acc * m
             if c:
                 acc = acc + ident.scale(c)
-        return acc
+        d = getattr(self._raw, "den", 1)
+        return acc if d == 1 else DenseMatrix._from_ints(self.field, acc._raw, acc._den * d, acc.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -223,21 +222,22 @@ class Polynomial:
         return other.field == self.field and other._raw == self._raw
 
     def __hash__(self) -> int:
-        return hash((self.field, tuple(self._raw)))
+        return hash((self.field, getattr(self._raw, "den", 1), tuple(self._raw)))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        text = _decimals(self._raw)
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self._raw[i]
-            if not c:
+            c = text[i]
+            if c == "0":
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == 1 else f"{c}*{t}")
+                parts.append(t if c == "1" else f"{c}*{t}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -245,19 +245,21 @@ class Polynomial:
 
 
 def _squarefree(m: int, f: list) -> list:
-    """[(g, k)] with g monic, squarefree and coprime, and f the product of the g^k, for a monic f.
+    """[(g, k)] with g squarefree and coprime, and f the product of the g^k.
 
-    Each pass peels off the factors whose multiplicity p does not divide:
-    with a = gcd(f, f'), b = f / a holds each factor of f once, and
-    b / gcd(a, b) the ones of multiplicity i at the i-th step.  What is
-    left of a is a p-th power (1 over Q), whose p-th root the next pass
-    splits with multiplicities scaled by p.
+    f and every g are monic modulo m = p, and over Z (m = 0) primitive
+    with a positive lead.  Each pass peels off the factors whose
+    multiplicity p does not divide: with a = gcd(f, f'), b = f / a holds
+    each factor of f once, and b / gcd(a, b) the ones of multiplicity i
+    at the i-th step.  What is left of a is a p-th power (1 over Z),
+    whose p-th root the next pass splits with multiplicities scaled by p.
     """
+    quotient = (lambda a, b: _pdivmod(m, a, b)[0]) if m else _zx_quotient
     out = []
     scale = 1
     while True:
         a = _gcd(m, f, _deriv(m, f))
-        b = _pdivmod(m, f, a)[0]
+        b = quotient(f, a)
         i = 1
         while len(b) > 1:
             if len(a) == 1:
@@ -265,11 +267,11 @@ def _squarefree(m: int, f: list) -> list:
                 out.append((b, i * scale))
                 break
             c = _gcd(m, a, b)
-            g = _pdivmod(m, b, c)[0]
+            g = quotient(b, c)
             if len(g) > 1:
                 out.append((g, i * scale))
             b = c
-            a = _pdivmod(m, a, c)[0]
+            a = quotient(a, c)
             i += 1
         if len(a) == 1:
             return out
@@ -341,8 +343,8 @@ def _berlekamp(field: FieldSpec, f: list) -> list:
 # ---------------------------------------------------------------------------
 # Rational factorization: integer coefficient lists, low degree first
 #
-# Every integer polynomial here has a positive leading coefficient: G is
-# a positive multiple of a monic g, a recombination candidate leads with
+# Every integer polynomial here has a positive leading coefficient: factor
+# and _squarefree hand over such a G, a recombination candidate leads with
 # lc(remaining) < target / 2, and exact quotients of such polynomials lead
 # positive as well.  So _primitive needs no sign fix.
 
@@ -446,15 +448,14 @@ def _choose_good_prime(g: list) -> int:
         p += 1
 
 
-def _factor_squarefree_q(g: list) -> list:
-    """Monic irreducible factors of a monic squarefree g over Q."""
-    if len(g) == 2:
-        return [g]
-    G = _zx_primitive(g)
+def _factor_squarefree_q(G: list) -> list:
+    """Irreducible factors over Q of a squarefree G, primitive with a positive lead, as such lists."""
+    if len(G) == 2:
+        return [G]
     p = _choose_good_prime(G)
     modular = _berlekamp(gf(p), _monic(p, [c % p for c in G]))
     if len(modular) == 1:
-        return [g]
+        return [G]
     # coefficient bound for lc(G) times any monic factor product
     d = len(G) - 1
     norm2 = isqrt(sum(c * c for c in G)) + 1
@@ -490,17 +491,25 @@ def _factor_squarefree_q(g: list) -> list:
         pool = [i for i in pool if i not in combo]
     if len(remaining) > 1:
         found.append(remaining)
-    return [[Fraction(c, h[-1]) for c in h] for h in found]
+    return found
 
 
 def factor(f: Polynomial) -> list:
-    """Irreducible monic factors of f with multiplicity, by degree and then coefficients."""
+    """Irreducible monic factors of f with multiplicity, by degree and then coefficients.
+
+    Over Q a factor is found as a primitive integer list h, and its
+    coefficients h / lc(h) compare as numerators over one denominator.
+    """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     field = f.field
     m = field.characteristic
-    out = []
-    for g, k in _squarefree(m, _monic(m, f._raw)):
-        out += [(h, k) for h in (_berlekamp(field, g) if m else _factor_squarefree_q(g))]
-    out.sort(key=lambda hk: (len(hk[0]), hk[0]))
+    if m:
+        out = [(h, k) for g, k in _squarefree(m, _monic(m, f._raw)) for h in _berlekamp(field, g)]
+        out.sort(key=lambda hk: (len(hk[0]), hk[0]))
+    else:
+        g = _gcd(0, list(f._raw), [])  # primitive with a positive lead
+        out = [(_qvector(h, h[-1]), k) for g, k in _squarefree(0, g) for h in _factor_squarefree_q(g)]
+        d = lcm(*[h.den for h, _ in out])
+        out.sort(key=lambda hk: (len(hk[0]), [c * (d // hk[0].den) for c in hk[0]]))
     return [(Polynomial._from_raw(field, h), k) for h, k in out]

@@ -3,13 +3,15 @@
 Every case is a CLI argument list run against the input files in
 tests/golden/; its stdout must equal the committed file
 tests/golden/<case>.out byte for byte.  The other CLI tests check that
-output repeats across runs; these pin what it is.  Two more goldens are
-built in-process: minimize_gf2_160.out, the JSON text of a minimized
-automaton that tests/fixtures.py builds, and decompose_regular_s4_gf3.out,
+output repeats across runs; these pin what it is.  Three more goldens
+are built in-process: minimize_gf2_160.out, the JSON text of a minimized
+automaton that tests/fixtures.py builds; decompose_regular_s4_gf3.out,
 the report of the regular S4 module over GF(3), the one golden that
 runs the odd-p kernel end to end (the CLI decomposes over GF(2) or Q
-only).  Each demo in demos/ is run in-process as well, and its stdout
-must equal tests/golden/demo_<name>.out.  After a change that is meant
+only); and decompose_companion_q.out, the one report that carries a
+min-poly-split certificate, whose element depends on the order of the
+factors over Q.  Each demo in demos/ is run in-process as well, and its
+stdout must equal tests/golden/demo_<name>.out.  After a change that is meant
 to alter the output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,11 +24,13 @@ import io
 import os
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
-from cyclomod import cli, gf
+from cyclomod import QQ, cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
 
@@ -108,6 +112,31 @@ def test_regular_s4_over_gf3_matches_golden_bytes():
     check_report(report)
 
 
+def companion_q():
+    """The decomposition of the cyclic module of the companion matrix of (t^2 - 1/2)(t^2 - 2/9) over Q.
+
+    f = t^4 - 13/18 t^2 + 1/9, and the companion matrix C takes e_i to
+    e_(i+1) and e_3 to -(c_0 e_0 + ... + c_3 e_3), so e_0 generates Q^4
+    and End = Q[C] = Q[t]/(f), a product of two quadratic fields.  The
+    split is taken on the minimal polynomial of a candidate, whose first
+    factor, as rationals, is t^2 - 1/2.
+    """
+    c = [Fraction(1, 9), 0, Fraction(-13, 18), 0]
+    companion = [[int(j == i - 1) for j in range(3)] + [-c[i]] for i in range(4)]
+    report = complete_decomposition(orbit_basis(AlgebraAction(QQ, [("c", companion)]), [1, 0, 0, 0]))
+    return report, to_text(report_to_json(report))
+
+
+def test_companion_over_q_min_poly_split_matches_golden_bytes():
+    report, text = companion_q()
+    assert report.signature == (2, 2)
+    modes = sorted(c.mode for c in report.certificates + report.split_certificates)
+    assert modes == ["field-generated", "field-generated", "min-poly-split"]
+    with open(os.path.join(GOLDEN, "decompose_companion_q.out"), encoding="utf-8", newline="") as handle:
+        assert text == handle.read()
+    check_report(report)
+
+
 def demo_stdout(name):
     """The stdout of demos/<name>.py, run as a script in this process."""
     buffer = io.StringIO()
@@ -138,6 +167,7 @@ def main():
         _write(name, buffer.getvalue())
     _write("minimize_gf2_160", minimized_gf2_160()[2])
     _write("decompose_regular_s4_gf3", regular_s4_gf3()[1])
+    _write("decompose_companion_q", companion_q()[1])
     for name in DEMO_NAMES:
         _write(f"demo_{name}", demo_stdout(name))
 

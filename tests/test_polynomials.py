@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import min_poly
-from cyclomod import polynomials
+from cyclomod import endo, polynomials
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
-from cyclomod.linalg import DenseMatrix
+from cyclomod.linalg import DenseMatrix, _primitive, _QVector, _qvector
 from cyclomod.polynomials import Polynomial, factor
 
 
@@ -22,13 +23,25 @@ def poly(field, coeffs):
     return Polynomial(field, coeffs)
 
 
-def _on_raw(helper, f, *args):
-    """A raw kernel helper applied to f's coefficients and args, as a Polynomial."""
-    return Polynomial._from_raw(f.field, helper(f.field.characteristic, f._raw, *args))
+# Over GF(p) the raw kernel helpers take f._raw itself; over Q they take
+# integer lists, so these helpers run them on the numerators of f._raw
+# and put the denominators back.
+
+
+def _den(f):
+    return getattr(f._raw, "den", 1)
+
+
+def _wrap(field, raw, d=1):
+    """A Polynomial from a helper's output: raw GF(p) values, or over Q integers over d."""
+    return Polynomial._from_raw(field, raw if field.characteristic else _qvector(raw, d))
 
 
 def mul(f, *gs):
-    return functools.reduce(lambda acc, g: _on_raw(polynomials._pmul, acc, g._raw), gs, f)
+    p = f.field.characteristic
+    return functools.reduce(
+        lambda acc, g: _wrap(f.field, polynomials._pmul(p, acc._raw, g._raw), _den(acc) * _den(g)), gs, f
+    )
 
 
 def power(f, k):
@@ -36,25 +49,35 @@ def power(f, k):
 
 
 def monic(f):
-    return _on_raw(polynomials._monic, f)
+    if f.field.characteristic or f.is_zero:
+        return _wrap(f.field, polynomials._monic(f.field.characteristic, f._raw))
+    return _wrap(f.field, f._raw, f._raw[-1])
 
 
 def derivative(f):
-    return _on_raw(polynomials._deriv, f)
+    return _wrap(f.field, polynomials._deriv(f.field.characteristic, f._raw), _den(f))
 
 
 def poly_gcd(a, b):
-    return _on_raw(polynomials._gcd, a, b._raw)
+    """The monic gcd; over Q made monic from the primitive integer gcd of the numerators."""
+    return monic(_wrap(a.field, polynomials._gcd(a.field.characteristic, a._raw, b._raw)))
+
+
+def primitive(f):
+    """The integer list, primitive with a positive lead, that a nonzero f over Q stands for."""
+    g = _primitive(list(f._raw))
+    return g if g[-1] > 0 else [-c for c in g]
 
 
 def sort_key(f):
-    return (f.degree, f._raw)
+    return (f.degree, [c.value for c in f.coeffs])
 
 
 def squarefree_decomposition(f):
-    """The raw squarefree split of f as sorted (Polynomial, multiplicity) pairs."""
-    parts = polynomials._squarefree(f.field.characteristic, monic(f)._raw)
-    return sorted(((Polynomial._from_raw(f.field, g), k) for g, k in parts), key=lambda gk: sort_key(gk[0]))
+    """The raw squarefree split of f as sorted (monic Polynomial, multiplicity) pairs."""
+    p = f.field.characteristic
+    parts = polynomials._squarefree(p, monic(f)._raw if p else primitive(f))
+    return sorted(((monic(_wrap(f.field, g)), k) for g, k in parts), key=lambda gk: sort_key(gk[0]))
 
 
 def reassemble(f, factors):
@@ -63,28 +86,39 @@ def reassemble(f, factors):
 
 
 def test_divmod_and_gcd():
-    f = poly(QQ, [-1, 0, 1])  # t^2 - 1
-    g = poly(QQ, [1, 1])  # t + 1
-    q, r = polynomials._pdivmod(0, f._raw, g._raw)
-    assert q == poly(QQ, [-1, 1])._raw and not r
-    assert poly_gcd(f, g) == monic(g)
-    assert poly_gcd(poly(QQ, []), g) == g
+    # t^2 - 1 and t + 1: over Z the quotient is exact and the gcd primitive,
+    # modulo 5 the same division by the long division of _pdivmod
+    f, g = [-1, 0, 1], [1, 1]
+    assert polynomials._zx_quotient(f, g) == [-1, 1]
+    assert polynomials._pdivmod(5, [4, 0, 1], g) == ([4, 1], [])
+    assert polynomials._pdivmod(5, [0, 0, 1], g) == ([4, 1], [1])
+    assert polynomials._gcd(0, f, g) == g
+    assert polynomials._gcd(0, [], g) == g
+    assert polynomials._gcd(0, [], [-2, -4]) == [1, 2]
+    assert poly_gcd(poly(QQ, f), poly(QQ, g)) == poly(QQ, g)
+    assert poly_gcd(poly(QQ, []), poly(QQ, [Fraction(1, 2), 1])) == poly(QQ, [Fraction(1, 2), 1])
 
 
 def test_q_gcd_with_contents_and_leads_other_than_one():
     # (gcd, a, b) on integer coefficients with content > 1 and leads other
-    # than 1, a common factor or none, and a remainder sequence of several steps
+    # than 1 or negative, a common factor or none, and a remainder sequence
+    # of several steps; the gcd over Z is primitive with a positive lead
     cases = [
         ([1, 1], [-6, 0, 6], [4, 4]),
+        ([1, 1], [-1, -1], [-2, -2]),
         ([], [], []),
         ([1], [3, 0, 9], [10, 5]),
-        ([-Fraction(3, 2), 1], [-18, 12, -24, 16], [-12, 8, 6, -4]),
+        ([-3, 2], [-18, 12, -24, 16], [-12, 8, 6, -4]),
         ([1], [-5, 2, 8, -3, -3, 0, 1, 0, 1], [21, -9, -4, 0, 5, 0, 3]),  # Knuth's example
-        ([1, 0, 1], [7, -14, 7, -14], [Fraction(2, 3), 0, Fraction(4, 3), 0, Fraction(2, 3)]),
+        ([1, 0, 1], [7, -14, 7, -14], [2, 0, 4, 0, 2]),
     ]
     for want, a, b in cases:
-        got = poly_gcd(poly(QQ, a), poly(QQ, b))
-        assert got == poly(QQ, want) and all(type(c) is Fraction for c in got._raw)
+        got = polynomials._gcd(0, a, b)
+        assert got == want and all(type(c) is int for c in got)
+    # over Q: the gcd of the numerators, whatever the denominators, made monic
+    a = poly(QQ, [Fraction(-9, 4), Fraction(3, 2), -3, 2])
+    b = poly(QQ, [Fraction(2, 3), 0, Fraction(4, 3), 0, Fraction(2, 3)])
+    assert poly_gcd(a, b) == poly(QQ, [1]) and poly_gcd(a, poly(QQ, [3, -2])) == poly(QQ, [Fraction(-3, 2), 1])
 
 
 def test_derivative_char_p():
@@ -142,6 +176,9 @@ def test_squarefree_yun_rationals():
         (poly(QQ, [1, 1]), 2),
         (poly(QQ, [1, 0, 1]), 1),
     ]
+    # over Z the parts stay primitive integer lists: (2t + 1)^2 (3t - 1) times 4
+    f = [4 * c for c in polynomials._pmul(0, polynomials._pmul(0, [1, 2], [1, 2]), [-1, 3])]
+    assert sorted(polynomials._squarefree(0, _primitive(f))) == [([-1, 3], 1), ([1, 2], 2)]
 
 
 def exhaustive_irreducible_check(g):
@@ -309,6 +346,33 @@ def test_factor_dispatch():
         factor(poly(GF2, []))
 
 
+def test_q_polynomials_are_one_raw_vector_whoever_makes_them():
+    # (t + 1/3)(t + 1/2): monic factors over denominators, in the order of
+    # the rationals 1/3 < 1/2, where the primitive lists 3t + 1 and 2t + 1
+    # would order the other way
+    third, half = poly(QQ, [Fraction(1, 3), 1]), poly(QQ, [Fraction(1, 2), 1])
+    got = factor(poly(QQ, [Fraction(1, 6), Fraction(5, 6), 1]))
+    assert got == [(third, 1), (half, 1)]
+    assert str(got[0][0]) == "t + 1/3" and str(poly(QQ, [Fraction(-7, 2), 0, 2])) == "2*t^2 + -7/2"
+    # t + 1/3 made by the constructor, _from_raw, the minimal polynomial of
+    # the 1x1 matrix (-1/3), and factor; and the zero polynomial made twice
+    from_min_poly = endo._min_poly(DenseMatrix(QQ, [[Fraction(-1, 3)]]))
+    made = [
+        [third, Polynomial._from_raw(QQ, _qvector([1, 3], 3)), from_min_poly, got[0][0]],
+        [poly(QQ, []), poly(QQ, [0, Fraction(0)]), Polynomial._from_raw(QQ, _qvector([]))],
+    ]
+    for same in made:
+        for f in same:
+            assert type(f._raw) is _QVector
+            assert f == same[0] and hash(f) == hash(same[0])
+    assert str(made[1][0]) == "0" and made[1][0].coeffs == ()
+    # every maker hands over a _QVector: a plain list is a different value
+    assert Polynomial._from_raw(QQ, []) != poly(QQ, [])
+    # the constructor trims a copy of a raw vector, not the vector itself
+    v = _qvector([1, 2, 0], 3)
+    assert poly(QQ, v) == poly(QQ, [Fraction(1, 3), Fraction(2, 3)]) and v == _qvector([1, 2, 0], 3)
+
+
 def test_min_poly_three_cycle():
     # powers of the 3-cycle: I, c, c^2 independent, c^3 = I
     field = QQ
@@ -387,11 +451,11 @@ def _oracle_coeffs(field, rng, degree):
 def _assert_raw_canonical(f):
     p = f.field.characteristic
     assert not f._raw or f._raw[-1]
-    for c in f._raw:
-        if p:
-            assert type(c) is int and 0 <= c < p
-        else:
-            assert type(c) is Fraction
+    assert all(type(c) is int for c in f._raw)
+    if p:
+        assert all(0 <= c < p for c in f._raw)
+    else:
+        assert type(f._raw) is _QVector and f._raw.den > 0 and gcd(f._raw.den, *f._raw) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,40 +474,59 @@ def test_raw_polynomial_kernel_matches_boxed_reference(seed, field, da, db):
     p = field.characteristic
 
     def check(raw, want):
-        got = Polynomial._from_raw(field, raw)
+        got = _wrap(field, raw)
         assert got.coeffs == want
         assert all(type(c) is FieldScalar for c in got.coeffs)
         _assert_raw_canonical(got)
 
-    check(f._raw, fa)
-    check(g._raw, gb)
-    check(polynomials._padd(p, f._raw, 1, g._raw), oracles.boxed_poly_add(field, fa, gb))
-    minus = oracles.boxed_poly_scale(-field.one(), gb)
-    check(polynomials._padd(p, f._raw, (-field.one()).value, g._raw), oracles.boxed_poly_add(field, fa, minus))
-    c = field.scalar(_oracle_coeffs(field, rng, 0)[0])
-    check(polynomials._padd(p, [], c.value, f._raw), oracles.boxed_poly_scale(c, fa))
-    check(polynomials._pmul(p, f._raw, g._raw), oracles.boxed_poly_mul(field, fa, gb))
-    check(polynomials._deriv(p, f._raw), oracles.boxed_poly_derivative(fa))
-    check(polynomials._gcd(p, f._raw, g._raw), oracles.boxed_poly_gcd(field, fa, gb))
-    if not p:
-        # the gcd over Q runs on primitive integer lists: besides the pairs
-        # above, whose gcd is mostly 1, give it a common factor h and
-        # integer multiples, so contents are > 1 and leads are not 1
-        h = Polynomial(field, _oracle_coeffs(field, rng, rng.randrange(3)))._raw
-        fh = polynomials._pmul(p, [6 * c for c in f._raw], h)
-        gh = polynomials._pmul(p, [Fraction(-10, 7) * c for c in g._raw], h)
-        boxed = [oracles.boxed_poly_trim(field.scalar(x) for x in r) for r in (fh, gh)]
-        check(polynomials._gcd(p, fh, gh), oracles.boxed_poly_gcd(field, *boxed))
+    assert f.coeffs == fa and g.coeffs == gb
+    _assert_raw_canonical(f)
+    _assert_raw_canonical(g)
+    if p:
+        x, y, xa, yb = f._raw, g._raw, fa, gb
+        c = field.scalar(_oracle_coeffs(field, rng, 0)[0])
+    else:
+        # over Q the helpers run on integer lists: the numerators of f and g,
+        # checked against the boxed reference on the same integer polynomials
+        x, y = list(f._raw), list(g._raw)
+        xa, yb = [oracles.boxed_poly_trim(field.scalar(v) for v in r) for r in (x, y)]
+        c = field.scalar(rng.randrange(-9, 10))
+    check(polynomials._padd(p, x, 1, y), oracles.boxed_poly_add(field, xa, yb))
+    minus = oracles.boxed_poly_scale(-field.one(), yb)
+    # int() of a GF(p) value, or of an integer over Q
+    check(polynomials._padd(p, x, int((-field.one()).value), y), oracles.boxed_poly_add(field, xa, minus))
+    check(polynomials._padd(p, [], int(c.value), x), oracles.boxed_poly_scale(c, xa))
+    check(polynomials._pmul(p, x, y), oracles.boxed_poly_mul(field, xa, yb))
+    check(polynomials._deriv(p, x), oracles.boxed_poly_derivative(xa))
+    if p:
+        check(polynomials._gcd(p, x, y), oracles.boxed_poly_gcd(field, xa, yb))
+    else:
+        # the gcd over Z is primitive with a positive lead, and its monic
+        # multiple is the gcd over Q; besides the pairs above, whose gcd is
+        # mostly 1, give it a common factor h and integer multiples, so
+        # contents are > 1 and leads are not 1
+        h = list(Polynomial(field, _oracle_coeffs(field, rng, rng.randrange(3)))._raw)
+        pairs = [(x, y), (polynomials._pmul(p, [6 * v for v in x], h), polynomials._pmul(p, [-10 * v for v in y], h))]
+        for u, v in pairs:
+            got = polynomials._gcd(p, u, v)
+            assert all(type(e) is int for e in got) and (not got or (got[-1] > 0 and gcd(*got) == 1))
+            boxed = [oracles.boxed_poly_trim(field.scalar(e) for e in r) for r in (u, v)]
+            assert monic(_wrap(field, got)).coeffs == oracles.boxed_poly_gcd(field, *boxed)
     if not g.is_zero:
-        q, r = polynomials._pdivmod(p, f._raw, g._raw)
-        want_q, want_r = oracles.boxed_poly_divmod(field, fa, gb)
-        check(q, want_q)
-        check(r, want_r)
-        k = rng.randrange(1, 4)
-        want = oracles.boxed_poly_divmod(field, oracles.boxed_poly_pow(field, fa, k), gb)[1]
-        check(polynomials._powmod(p, f._raw, k, g._raw), want)
-    if not f.is_zero:
-        check(polynomials._monic(p, f._raw), oracles.boxed_poly_monic(fa))
+        if p:
+            q, r = polynomials._pdivmod(p, x, y)
+            want_q, want_r = oracles.boxed_poly_divmod(field, xa, yb)
+            check(q, want_q)
+            check(r, want_r)
+            k = rng.randrange(1, 4)
+            want = oracles.boxed_poly_divmod(field, oracles.boxed_poly_pow(field, xa, k), yb)[1]
+            check(polynomials._powmod(p, x, k, y), want)
+        elif x:
+            # over Z division serves exact quotients by a primitive divisor
+            divisor = primitive(g)
+            assert polynomials._zx_quotient(polynomials._pmul(p, x, divisor), divisor) == x
+    if p and not f.is_zero:
+        check(polynomials._monic(p, x), oracles.boxed_poly_monic(xa))
     n = rng.randrange(4)
     m = DenseMatrix(field, [_oracle_coeffs(field, rng, n - 1) for _ in range(n)], cols=n)
     assert f.evaluate_matrix(m).entries == oracles.boxed_poly_of_matrix(field, fa, m)
