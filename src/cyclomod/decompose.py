@@ -4,9 +4,14 @@ The decomposition is one step applied until nothing is left to split.
 decompose_once is that step: it computes the endomorphism algebra of a
 cyclic module, searches it for a splitting element, re-checks the
 certificate found and, when the certificate is decomposable, splits the
-module along it.  complete_decomposition runs the step depth first from
-the whole module until every leaf is certified indecomposable or the
-search runs out of candidates.
+module along it.  A local certificate is the one not re-checked there:
+the search makes it only after it has passed the verifier's own test of
+a local certificate, so each local test runs once per leaf in the
+pipeline.  check_report still re-checks every leaf in full, on an
+endomorphism algebra computed again from scratch.
+complete_decomposition runs the step depth first from the whole module
+until every leaf is certified indecomposable or the search runs out of
+candidates.
 
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
@@ -35,7 +40,9 @@ def decompose_once(m: CyclicModule):
 
     Certifies m and splits it along a decomposable certificate.  Returns
     (certificate, None) for a leaf and (certificate, pair of modules)
-    for a split.  The halves are the covering trees that the
+    for a split.  verify_certificate re-checks every certificate found
+    but a local one, which the search makes only once it has passed the
+    same local test.  The halves are the covering trees that the
     certificate check spun in block coordinates; the block basis is
     injective, so their kept words and restricted matrices are the ones
     an orbit over the ambient action would give, and only the kept
@@ -45,6 +52,8 @@ def decompose_once(m: CyclicModule):
         raise ValueError("the zero module has no decomposition question")
     e = compute_end(m)
     cert = find_splitting_element(e)
+    if cert.mode == "local":
+        return cert, None
     trees = verify_certificate(e, cert)
     if trees is None:
         return cert, None

@@ -43,16 +43,19 @@ then one loop over the same list, and a primitive-element step after
 it, that factors each candidate's minimal polynomial once.  The scan
 takes one stable power per candidate, which sorts it into a Fitting
 witness, a unit, or a nilpotent element (stable rank 0).
-The first time the nilpotent candidates span a hyperplane J of E, J is
-tested once for being a two-sided ideal (on first columns) and
-nilpotent.  If it is, the identity is not in J, so E = F 1 + J,
-E/J = F and E is local: a "local" certificate with the identity as x,
-and no minimal polynomial is tried.  In a local algebra with residue
-field F the nilpotent elements are exactly J, so the test passes once
-the nilpotent candidates span J: after about dim E rank tests on the
-Jordan blocks and on the local leaves of the boolean modules and of
-regular S4 and S5 over GF(2) and GF(3).  In any other algebra it fails,
-and the scan goes on as if it had not been made.
+The first time the nilpotent candidates span a hyperplane J of E, J and
+the identity go once through _local_failure, the verifier's own test of
+a local certificate, which finds J a two-sided ideal (on first columns)
+and nilpotent or turns it down.  If it passes, the identity is not in
+J, so E = F 1 + J, E/J = F and E is local: a "local" certificate with
+the identity as x, and no minimal polynomial is tried.  In a local
+algebra with residue field F the nilpotent elements are exactly J, so
+the test passes once the nilpotent candidates span J: after about
+dim E rank tests on the Jordan blocks and on the local leaves of the
+boolean modules and of regular S4 and S5 over GF(2) and GF(3).  In any
+other algebra it fails, and the scan goes on as if it had not been made.
+Both local exits make their certificate only once that test has passed,
+so decompose_once does not run it a second time.
 
 In the candidate loop, when a minimal polynomial has two coprime
 primary factors, with f the first irreducible one, f(x) is nilpotent on
@@ -61,8 +64,9 @@ whose stable power splits the module along those two ("min-poly-split",
 with f(x) as its element).  A power f^k with k > 1 makes f(x)
 nilpotent, and f(x) joins a two-sided ideal J, closed under
 multiplication by the basis.  Once some candidate's f has degree
-dim E - dim J and J is nilpotent (checked on J e_0, J^2 e_0, ...), E/J
-is a field generated by x: the minimal polynomial of x modulo J divides
+dim E - dim J and J is nilpotent (checked on J e_0, J^2 e_0, ..., by
+the same test as the hyperplane, once for each J), E/J is a field
+generated by x: the minimal polynomial of x modulo J divides
 f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable ("field-generated" when J = 0, "local"
 otherwise, with the identity as x when dim E/J = 1).  This loop decides
@@ -447,23 +451,28 @@ def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
 
 
 def _is_two_sided_ideal(e: EndoAlgebra, ideal: Sequence, span: SpanSolver) -> bool:
-    """Whether b j and j b lie in J for every basis element b and every j in `ideal`.
+    """Whether b j and j b lie in J for every b in E and every j in `ideal`.
 
     J is the span of the matrices `ideal` in E, whose first columns span
-    `span`.  A product in E is fixed by its first column, so b j and j b
-    are in J exactly when b (j e_0) and j (b e_0) are in J e_0.  The
-    identity is skipped, and the test stops at the first product outside.
+    `span`.  A product in E is fixed by its first column, so b j is in J
+    exactly when b (j e_0) is in J e_0.  The products j j' of every ordered
+    pair from `ideal` cover each b in J in both orders.  E is spanned by J,
+    the identity and the basis elements whose first columns extend J e_0
+    and e_0, the identity's first column, so only those basis elements
+    still need b j and j b: |J|^2 + 2 |J| (dim E - |J| - 1) products when
+    the identity is outside J, half the 2 |J| (dim E - 1) of every basis
+    element for a hyperplane.  The test stops at the first product outside.
     """
-    ident = e.identity()
     firsts = [_first_column(j) for j in ideal]
+    extended = SpanSolver(e.field, e.module_dim)
+    for x in firsts + [_unit(e.field.characteristic, e.module_dim, 0)]:
+        extended.add(x)
+    products = [(j, y0) for j in ideal for y0 in firsts]
     for b in e.basis:
-        if b == ident:
-            continue
         b0 = _first_column(b)
-        for j, j0 in zip(ideal, firsts):
-            if not (span.contains(_image(b, j0)) and span.contains(_image(j, b0))):
-                return False
-    return True
+        if extended.add(b0):
+            products += [(b, j0) for j0 in firsts] + [(j, b0) for j in ideal]
+    return all(span.contains(_image(x, y0)) for x, y0 in products)
 
 
 def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
@@ -536,17 +545,16 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         radical.append(mat)
         # a nilpotent ideal of codimension 1 misses the identity, so
         # E = F 1 + J and E/J = F: E is local, and the identity generates E/J
-        if len(radical) < hyperplane or not _is_two_sided_ideal(e, radical, span):
-            continue
-        if _nilpotent_span(e, radical):
-            diag = dict(diagnostics, scanned=scanned, radical_dim=hyperplane)
-            return Certificate("indecomposable", "local", e.identity(), None, diag, radical=tuple(radical))
+        if len(radical) == hyperplane:
+            cert = _local_certificate(e, e.identity(), radical, dict(diagnostics, scanned=scanned))
+            if cert is not None:
+                return cert
     diagnostics["scanned"] = scanned
 
     # one candidate loop for every field: factor each minimal polynomial once;
     # a power f^k with k > 1 puts the nilpotent f(x) into the ideal J
     ideal, span = [], SpanSolver(e.field, e.module_dim)
-    nilpotent = True            # of J; None once J has grown and is not checked yet
+    nilpotent = True            # of J; None once J has grown and is not checked yet, False once turned down
     best, best_degree = e.identity(), 1
     degrees = []                # of the basis elements modulo the radical
     p = e.field.characteristic
@@ -590,17 +598,28 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # dim E/J = deg f, so it is f: E/J = F[x mod J] is a field
         if best_degree != e.dim - len(ideal):
             continue
-        if nilpotent is None:
-            nilpotent = _nilpotent_span(e, ideal)
-        if not nilpotent:
-            continue
         if not ideal:
             return Certificate("indecomposable", "field-generated", best, None, diag)
-        diag = dict(diagnostics, min_poly_tried=tried, radical_dim=len(ideal))
-        return Certificate("indecomposable", "local", best, None, diag, radical=tuple(ideal))
+        if nilpotent is None:
+            cert = _local_certificate(e, best, ideal, dict(diagnostics, min_poly_tried=tried))
+            if cert is not None:
+                return cert
+            nilpotent = False
 
     diagnostics["min_poly_tried"] = tried
     return Certificate("undecided", "budget-exhausted", None, None, diagnostics)
+
+
+def _local_certificate(e: EndoAlgebra, element: DenseMatrix, radical: list, diagnostics: dict) -> Optional[Certificate]:
+    """The local certificate for x = element and J = span(radical), or None when _local_failure turns them down.
+
+    Both local exits of the search end here, so no local certificate is
+    made that has not passed the verifier's own test.
+    """
+    if _local_failure(e, element, radical) is not None:
+        return None
+    diag = dict(diagnostics, radical_dim=len(radical))
+    return Certificate("indecomposable", "local", element, None, diag, radical=tuple(radical))
 
 
 def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> bool:
@@ -613,41 +632,63 @@ def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequenc
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
 
 
-def _check_element(e: EndoAlgebra, element, what: str = "certificate element"):
+def _element_failure(e: EndoAlgebra, element, what: str = "certificate element") -> Optional[str]:
+    """Why element is not an n x n matrix over the field of E, or None when it is."""
     n = e.module_dim
     if not isinstance(element, DenseMatrix) or element.field != e.field:
-        raise RuntimeError(f"{what} is not a matrix over {e.field}")
+        return f"{what} is not a matrix over {e.field}"
     if (element.rows, element.cols) != (n, n):
-        raise RuntimeError(f"{what} is {element.rows}x{element.cols}, expected {n}x{n}")
+        return f"{what} is {element.rows}x{element.cols}, expected {n}x{n}"
+    return None
+
+
+def _check_element(e: EndoAlgebra, element, what: str = "certificate element"):
+    failure = _element_failure(e, element, what)
+    if failure is not None:
+        raise RuntimeError(failure)
+
+
+def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
+    """The message of the first failed check that J is a nilpotent ideal and E/J = F[x mod J] a field.
+
+    x is element and J the span of radical.  None when every check
+    passes: then J is the radical and E is local, so the module is
+    indecomposable.  Nothing about how J was found is trusted, and no
+    step depends on the field.  J is checked to lie in E before the ideal
+    test reads products on first columns.  The search accepts a local
+    leaf only through this test, and verify_certificate re-checks a local
+    certificate with it.
+    """
+    if not isinstance(radical, (tuple, list)) or not radical:
+        return "local certificate is missing its radical"
+    failure = _element_failure(e, element)
+    if failure is not None:
+        return failure
+    span = SpanSolver(e.field, e.module_dim)
+    for j in radical:
+        failure = _element_failure(e, j, "radical matrix")
+        if failure is not None:
+            return failure
+        if not e.contains(j):
+            return "radical matrix is not in the endomorphism algebra"
+        if not span.add(_first_column(j)):
+            return "radical matrices are linearly dependent"
+    if not _is_two_sided_ideal(e, radical, span):
+        return "radical span is not a two-sided ideal"
+    if not _nilpotent_span(e, radical):
+        return "radical span is not nilpotent"
+    if not e.contains(element):
+        return "local element is not in the endomorphism algebra"
+    if not _generates_quotient_field(e, element, radical):
+        return "element does not generate a field modulo the radical"
+    return None
 
 
 def _check_local(e: EndoAlgebra, cert: Certificate):
-    """Re-check that J is a nilpotent ideal and E/J = F[x mod J] is a field.
-
-    Then J is the radical and E is local, so the module is indecomposable.
-    Nothing about how J was found is trusted, and no step depends on the field.
-    J is checked to lie in E before the ideal test reads products on first
-    columns.
-    """
-    radical = cert.radical
-    if not isinstance(radical, (tuple, list)) or not radical:
-        raise RuntimeError("local certificate is missing its radical")
-    _check_element(e, cert.element)
-    span = SpanSolver(e.field, e.module_dim)
-    for j in radical:
-        _check_element(e, j, "radical matrix")
-        if not e.contains(j):
-            raise RuntimeError("radical matrix is not in the endomorphism algebra")
-        if not span.add(_first_column(j)):
-            raise RuntimeError("radical matrices are linearly dependent")
-    if not _is_two_sided_ideal(e, radical, span):
-        raise RuntimeError("radical span is not a two-sided ideal")
-    if not _nilpotent_span(e, radical):
-        raise RuntimeError("radical span is not nilpotent")
-    if not e.contains(cert.element):
-        raise RuntimeError("local element is not in the endomorphism algebra")
-    if not _generates_quotient_field(e, cert.element, radical):
-        raise RuntimeError("element does not generate a field modulo the radical")
+    """Re-check a local certificate with _local_failure; raises RuntimeError on failure."""
+    failure = _local_failure(e, cert.element, cert.radical)
+    if failure is not None:
+        raise RuntimeError(failure)
 
 
 def verify_certificate(e: EndoAlgebra, cert: Certificate):

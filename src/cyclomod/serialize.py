@@ -9,7 +9,7 @@ object twice gives byte-identical text.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .decompose import DecompositionReport
@@ -251,8 +251,74 @@ def report_to_json(report: DecompositionReport, names: Optional[Sequence[str]] =
 
 
 def to_text(obj) -> str:
-    """Canonical JSON text: two-space indent, preserved key order, one newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON text: two-space indent, preserved key order, one newline.
+
+    The text is exactly json.dumps(obj, indent=2) + "\\n", written by a
+    small recursive writer: with an indent, json.dumps runs its pure-Python
+    encoder.  Strings are escaped by json.encoder.encode_basestring_ascii,
+    a list of strings is joined in one step, tuples are written as lists, and anything but
+    dicts with str keys, lists, tuples, str, int, float, bool and None
+    raises TypeError.
+    """
+    parts = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, newline: str, out):
+    """Append the json.dumps(indent=2) text of obj, at the indent of newline, through out."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        try:
+            # a non-string item makes the escaper raise TypeError
+            out("[" + inner + ("," + inner).join(map(encode_basestring_ascii, obj)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        out("[")
+        for i, item in enumerate(obj):
+            out("," + inner if i else inner)
+            _write(item, inner, out)
+        out(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        out("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(("," + inner if i else inner) + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 # ---------------------------------------------------------------------------

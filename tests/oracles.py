@@ -14,10 +14,11 @@ endo's first-column minimal polynomial of an element of E modulo J.
 commutant_basis is the general n^2-unknown commutant solve on the
 library's matrices: the reference the spun endo.compute_end must match
 basis for basis.  The algebra references (enumerate_idempotents,
-left_mult_matrix, radical_char0) take an EndoAlgebra: idempotents by
-enumerating every element over GF(p), and the radical over Q by the
-trace form, for the verdicts of the splitting search and the ideal of
-its local certificates.  The boxed kernel (boxed_rref, BoxedSpanSolver,
+is_two_sided_ideal_all_basis, left_mult_matrix, radical_char0) take an
+EndoAlgebra: idempotents by enumerating every element over GF(p), the
+ideal test with every basis element on both sides, and the radical over
+Q by the trace form, for the verdicts of the splitting search and the
+ideal of its local certificates.  The boxed kernel (boxed_rref, BoxedSpanSolver,
 boxed_mul, boxed_apply, boxed_apply_row) runs the same eliminations
 entry by entry on FieldScalars: the reference the raw-value kernel in
 linalg must match entry for entry.  boxed_covering_tree is the
@@ -33,6 +34,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+from cyclomod import endo
 from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis
 from cyclomod.polynomials import Polynomial
 
@@ -498,6 +500,26 @@ def enumerate_idempotents(e, cap=2 ** 22):
         if mat * mat == mat:
             out.append(mat)
     return out
+
+
+def is_two_sided_ideal_all_basis(e, ideal, span):
+    """Whether b j and j b lie in J for every basis element b of E and every j in `ideal`.
+
+    The all-basis test that endo._is_two_sided_ideal replaces by the
+    products inside J and those with a complement of J: 2 |J| (dim E - 1)
+    first-column products, b (j e_0) and j (b e_0) tested in J e_0 =
+    `span`, with the identity skipped.
+    """
+    ident = e.identity()
+    firsts = [endo._first_column(j) for j in ideal]
+    for b in e.basis:
+        if b == ident:
+            continue
+        b0 = endo._first_column(b)
+        for j, j0 in zip(ideal, firsts):
+            if not (span.contains(endo._image(b, j0)) and span.contains(endo._image(j, b0))):
+                return False
+    return True
 
 
 def left_mult_matrix(e, i):

@@ -18,7 +18,7 @@ from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
 from cyclomod.linalg import DenseMatrix, _pack, _unit, _unpack, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
@@ -510,6 +510,19 @@ def _regular_m2_module(field):
     return orbit_basis(AlgebraAction(field, [("e12", e12), ("e21", e21)]), (1, 0, 0, 1))
 
 
+def _nilpotent_hyperplane(e):
+    """Nilpotent elements of E = M_2(F) with independent first columns: a basis of the trace-zero hyperplane."""
+    field = e.field
+    span, nilpotent = endo.SpanSolver(field, 4), []
+    lo, hi = (-2, 2) if field == QQ else (0, field.characteristic - 1)
+    for coords in itertools.product(range(lo, hi + 1), repeat=4):
+        mat = e.element(coords)
+        if any(coords) and _is_nilpotent(mat) and span.add(endo._first_column(mat)):
+            nilpotent.append(mat)
+    assert len(nilpotent) == 3
+    return nilpotent
+
+
 @pytest.mark.parametrize("field", [GF2, gf(3), QQ], ids=str)
 def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, monkeypatch):
     # the nilpotent elements of M_2(F) span the trace-zero hyperplane, which
@@ -518,13 +531,7 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     m = _regular_m2_module(field)
     e = compute_end(m)
     assert (m.dim, e.dim) == (4, 4)
-    span, nilpotent = endo.SpanSolver(field, 4), []
-    lo, hi = (-2, 2) if field == QQ else (0, field.characteristic - 1)
-    for coords in itertools.product(range(lo, hi + 1), repeat=4):
-        mat = e.element(coords)
-        if any(coords) and _is_nilpotent(mat) and span.add(endo._first_column(mat)):
-            nilpotent.append(mat)
-    assert len(nilpotent) == 3
+    nilpotent = _nilpotent_hyperplane(e)
     scan = endo._scan_candidates
     monkeypatch.setattr(endo, "_scan_candidates", lambda e: itertools.chain(nilpotent, scan(e)))
     checks = []
@@ -540,6 +547,74 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     assert checks == [(3, False)]
     assert cert.diagnostics["scanned"] > len(nilpotent)
     verify_certificate(e, cert)
+
+
+@pytest.mark.parametrize("make, min_poly_loop", [
+    (lambda: conjugated_jordan_module(GF2, 24, 1), False),
+    (lambda: multiquadratic_module([2, 3, 5], dual=True), True),
+], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly"])
+def test_each_local_test_runs_once_per_leaf(make, min_poly_loop, monkeypatch):
+    # the search accepts the leaf through the verifier's own local test, and
+    # decompose_once does not run that test a second time
+    calls = {"_is_two_sided_ideal": 0, "_nilpotent_span": 0}
+    for name in calls:
+        def spy(*args, name=name, real=getattr(endo, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(endo, name, spy)
+    cert, halves = decompose_once(make())
+    assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert ("min_poly_tried" in cert.diagnostics) == min_poly_loop
+    assert calls == {"_is_two_sided_ideal": 1, "_nilpotent_span": 1}
+
+
+def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
+    # with every J turned down as not nilpotent, neither local exit of the
+    # search makes a certificate, though decompose_once re-checks none
+    monkeypatch.setattr(endo, "_nilpotent_span", lambda e, ideal: False)
+    cert, halves = decompose_once(conjugated_jordan_module(GF2, 24, 1))
+    assert halves is None and (cert.verdict, cert.mode) == ("undecided", "budget-exhausted")
+
+
+def _ideal_and_oracle(e, ideal):
+    """The ideal test and the all-basis oracle on span(ideal), whose first columns must be independent."""
+    span = endo.SpanSolver(e.field, e.module_dim)
+    assert all(span.add(endo._first_column(j)) for j in ideal)
+    return endo._is_two_sided_ideal(e, ideal, span), oracles.is_two_sided_ideal_all_basis(e, ideal, span)
+
+
+def test_ideal_test_agrees_with_the_all_basis_oracle():
+    # the products inside J and with a complement of J decide what every basis element does
+    # every local radical of the boolean n = 4..7 modules and of regular S4: ideals
+    modules = [orbit_basis(sn_action(n), parse_anf(text, n).vector())
+               for text, n in BOOLEAN_COMMUTANT_CASES + (("x1*x2*x3 + x4*x5*x6 + x7", 7),)]
+    modules += [regular_s4_module(GF2), regular_s4_module(gf(3))]
+    radicals = 0
+    for m in modules:
+        report = complete_decomposition(m)
+        for leaf, cert in zip(report.summands, report.certificates):
+            if cert.mode == "local":
+                radicals += 1
+                assert _ideal_and_oracle(compute_end(leaf), list(cert.radical)) == (True, True)
+    assert radicals == 14
+    rng = random.Random(24)
+    for field in (GF2, gf(3), QQ):
+        m2 = compute_end(_regular_m2_module(field))
+        # the trace-zero hyperplane of M_2(F) is not an ideal
+        assert _ideal_and_oracle(m2, _nilpotent_hyperplane(m2)) == (False, False)
+        # seeded spans of 1 to 3 elements, one of them holding the identity
+        lo, hi = (-2, 2) if field == QQ else (0, field.characteristic - 1)
+        for e in (m2, compute_end(conjugated_jordan_module(field, 4, seed=4))):
+            for k, ideal in ((1, []), (2, []), (3, []), (3, [e.identity()])):
+                span = endo.SpanSolver(field, e.module_dim)
+                for mat in ideal:
+                    span.add(endo._first_column(mat))
+                while len(ideal) < k:
+                    mat = e.element([rng.randint(lo, hi) for _ in range(e.dim)])
+                    if span.add(endo._first_column(mat)):
+                        ideal.append(mat)
+                verdict, oracle = _ideal_and_oracle(e, ideal)
+                assert verdict == oracle
 
 
 def test_local_radical_is_the_trace_form_radical():

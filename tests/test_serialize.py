@@ -1,6 +1,7 @@
 """JSON and DOT format tests: round trips, path-tagged errors, determinism."""
 
 import json
+import os
 from fractions import Fraction
 from math import gcd
 
@@ -287,6 +288,55 @@ def test_to_text_is_canonical():
     assert text.endswith("\n")
     assert text == json.dumps(obj, indent=2) + "\n"
     assert to_text(obj) == to_text({"b": 1, "a": [1, 2]})
+
+
+_json_keys = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\u2028'))
+_json_scalars = (
+    _json_keys
+    | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_to_text_writes_what_json_dumps_writes(obj):
+    assert to_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_to_text_rejects_what_json_dumps_rejects():
+    for obj in ({1, 2}, {"a": [frozenset()]}, [b"x"]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            to_text(obj)
+
+
+def test_every_json_golden_round_trips_through_to_text():
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    checked = 0
+    # the .json files are inputs, and the other .out files are --cert-only summaries or demo stdout
+    for name in sorted(os.listdir(golden)):
+        if not name.endswith(".out"):
+            continue
+        with open(os.path.join(golden, name), encoding="utf-8") as handle:
+            text = handle.read()
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            continue
+        assert to_text(obj) == text, name
+        checked += 1
+    assert checked == 14
 
 
 def test_dot_output_for_swap_invariant_module():
