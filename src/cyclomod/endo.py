@@ -8,15 +8,17 @@ covering-tree words (Lux & Szoke, Exp. Math. 12, 2003): the conditions
 are linear in the n entries of v rather than in all n^2 entries of the
 matrix.  The solve is one spin on kernel rows, raw values over GF(p) and
 integer rows over one denominator over Q.  A basis K of the solutions
-found so far is spun along the words, each non-tree edge's conditions
-are read on K and cut it down, and the last spin holds every solution
-matrix.  Over GF(2) every row of K, of the spin and of the conditions
-is one int packed as linalg packs rows, so a row sum is a XOR; the rows
-are unpacked once, for the final reduction.  That reduction puts the
-result in the basis the n^2-unknown solve would give, so the search sees
-the same candidates in the same order; over Q each basis matrix keeps
-its integer rows over its pivot entry, and no step here makes a
-Fraction, a minimal polynomial's coefficients included.
+found so far, a DenseMatrix, is spun along the words, each non-tree
+edge's conditions are read on K, and K is cut to their kernel by
+linalg's one elimination; the last spin holds every solution matrix.
+Over GF(2) every row of the spin and of the conditions is one int
+packed as linalg packs rows, so a row sum is a XOR; only the conditions
+that cut K are unpacked, and the last spin, for the final reduction.
+That reduction puts the result in the basis the n^2-unknown solve would
+give, so the search sees the same candidates in the same order; over Q
+each basis matrix keeps its integer rows over its pivot entry, and no
+step here makes a Fraction, a minimal polynomial's coefficients
+included.
 
 An element X of E is fixed by its first column X e_0, and all work
 after compute_end is on that column: EndoAlgebra's coordinates (with one
@@ -89,7 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from math import lcm
-from operator import or_, xor
+from operator import xor
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -98,25 +100,18 @@ from .linalg import (
     Vector,
     _addmul,
     _box,
-    _combine,
     _kernel_from_rref,
     _lowest_terms,
     _marked,
     _neg,
-    _pack,
-    _packed_unit,
     _part,
-    _primitive,
     _qvector,
     _RawVector,
-    _row_times,
     _rref_rows,
     _sum_of_multiples,
     _unbox,
     _unit,
     _unpack,
-    _xor_insert,
-    _xor_reduce,
     rref,
     stable_power,
 )
@@ -219,17 +214,19 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     (R_s W_j - sum_k (R_s)_{kj} W_k) v = 0 for every label s and index j;
     a tree edge (w_j s is a basis word) gives an identity and is skipped.
     The solve spins a basis K of the solutions found so far instead of
-    single vectors, U_j = W_j K, starting from K = I.  Each other edge's
-    conditions on K are then R_s U_j - sum_k (R_s)_{kj} U_k, n rows of
-    length dim K; K shrinks to their kernel and is spun again, which
-    happens only on the edges that cut it.  Everything runs on kernel
-    rows: raw values over GF(p), and over Q integer rows over one
-    denominator for all the U_j, which scales every condition row alike.
-    Over GF(2) each row of K and of the U_j is one packed int of width
-    dim K: a row of R_s U_j is the XOR of the rows of U_j that R_s
-    selects, a condition row XORs in the U_h of column j of R_s (mod 2,
-    -1 is 1), and row i of the cut K holds the parities of row i of K
-    against each kernel vector.  No packed int is returned.
+    single vectors, U_j = W_j K, starting from K = I.  K is a DenseMatrix
+    of n rows and dim K columns.  Each other edge's conditions on K are
+    then R_s U_j - sum_k (R_s)_{kj} U_k, n rows of length dim K.  An edge
+    whose rows all vanish is passed over; otherwise N, the kernel basis
+    that linalg reads off the rows' reduced form, cuts K to K N, which
+    is spun again.  Everything runs on kernel rows: raw values over
+    GF(p), and over Q integer rows over one denominator for all the U_j,
+    which scales every condition row alike.
+    Over GF(2) each row of the U_j is one packed int of width dim K: a
+    row of R_s U_j is the XOR of the rows of U_j that R_s selects, and a
+    condition row XORs in the U_h of column j of R_s (mod 2, -1 is 1).
+    The rows are tested for zero while packed, and only the distinct
+    nonzero ones are unpacked for the kernel.  No packed int is returned.
     Once K is the solution space, row i of U_j holds entry (i, j) of X_v
     for every v in K, so the spin is the matrices themselves.  They are
     returned in the basis the n^2-unknown commutant solve would give: the
@@ -251,9 +248,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     index = {w: j for j, w in enumerate(m.basis_words)}
     steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
     tree_edges = set(steps)
-    # K by its columns; over GF(2) by its rows, packed
-    k = n
-    kmat = [_packed_unit(i) for i in range(n)] if p == 2 else [[int(i == t) for i in range(n)] for t in range(n)]
+    kmat = DenseMatrix.identity(field, n)
     spun = _spin(p, gens, steps, kmat)
     for s, (a, _) in gens.items():
         # column j of R_s, negated: the terms -(R_s)_{hj} U_h; mod 2, the indices h
@@ -268,29 +263,27 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
         for j in range(n):
             if (s, j) in tree_edges:
                 continue
-            u, minus = spun[j], columns[j]
+            k, u, minus = kmat.cols, spun[j], columns[j]
             if p == 2:
-                # R_s U_j, then each U_h XORed in row by row
+                # R_s U_j, then each U_h XORed in row by row; only the distinct
+                # nonzero rows are unpacked, and none when every row vanishes
                 conditions = _times_packed(a, u)
                 for h in minus:
                     conditions = list(map(xor, conditions, spun[h]))
+                conditions = [_unpack(r, k) for r in dict.fromkeys(conditions) if r]
             else:
                 conditions = [
                     _sum_of_multiples(p, [(c, u[l]) for l, c in terms] + [(c, spun[h][i]) for h, c in minus], k)
                     for i, terms in enumerate(a)
                 ]
-            kernel = _kernel_of_rows(p, conditions, k)
-            if kernel is not None:
-                if p == 2:
-                    # row i of the new K: row i of K times each kernel vector
-                    kmat = [_pack([(r & x).bit_count() & 1 for x in kernel]) for r in kmat]
-                else:
-                    kmat = [_row_times(p, x, kmat, n) for x in kernel]
-                    kmat = kmat if p else [_primitive(x) for x in kmat]
-                k = len(kernel)
-                spun = _spin(p, gens, steps, kmat)
+                conditions = [r for r in conditions if any(r)]
+            if not conditions:
+                continue
+            null = _kernel_from_rref(field, k, rref(DenseMatrix._from_raw(field, conditions, k)))
+            kmat = kmat * DenseMatrix.from_columns(field, null, rows=k)
+            spun = _spin(p, gens, steps, kmat)
     if p == 2:
-        spun = [[_unpack(r, k) for r in u] for u in spun]
+        spun = [[_unpack(r, kmat.cols) for r in u] for u in spun]
     # the flats of X_v, reversed for pivots at the last nonzero entries
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
     flats = [list(f) for f in zip(*stacked)]
@@ -307,20 +300,22 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
 
 
-def _spin(p: int, gens: dict, steps: list, kmat: list) -> list:
-    """U_j = W_j K as kernel rows on one denominator, for K given by its columns.
+def _spin(p: int, gens: dict, steps: list, kmat: DenseMatrix) -> list:
+    """U_j = W_j K as kernel rows on one denominator.
 
     U_0 = K, and U_j = R_a U_i for the step (a, i) that makes word j from
-    word i.  Over GF(2), K is given by its rows packed into ints, and row
-    i of U_j is the XOR of the rows of U_i that row i of R_a selects.
+    word i.  K matters only up to a scalar, so over Q its integer rows
+    stand for it without their denominator.  Over GF(2) each U_j is a
+    list of packed rows, and row i of U_j is the XOR of the rows of U_i
+    that row i of R_a selects.
     """
     if p == 2:
-        spun = [kmat]
+        spun = [kmat._packed(False)]
         for s, parent in steps:
             spun.append(_times_packed(gens[s][0], spun[parent]))
         return spun
-    k = len(kmat)
-    spun = [([list(r) for r in zip(*kmat)], 1)]
+    k = kmat.cols
+    spun = [(kmat._raw, 1)]
     for s, parent in steps:
         (a, da), (u, du) = gens[s], spun[parent]
         rows, d = [_sum_of_multiples(p, [(c, u[l]) for l, c in terms], k) for terms in a], da * du
@@ -333,47 +328,6 @@ def _times_packed(a: list, u: list) -> list:
     """R U over GF(2), for R given by the indices of the ones in each row and U by its packed rows."""
     pick = u.__getitem__
     return [reduce(xor, map(pick, ls), 0) for ls in a]
-
-
-def _kernel_of_rows(p: int, rows: list, k: int) -> Optional[list]:
-    """A basis of the vectors of length k on which every row vanishes, as kernel rows.
-
-    None stands for the unit vectors, when every row vanishes.  Otherwise
-    it starts from the unit vectors and cuts one dimension off for each
-    row that does not vanish on what is left.  Over GF(2) the rows and
-    the basis are packed ints instead: the rows are reduced to echelon
-    form, and each free column f gives the vector with a 1 at f and at
-    the pivot of every reduced row that holds f.
-    """
-    if p == 2:
-        kept, mask = {}, 0
-        for x in filter(None, rows):
-            x = _xor_reduce(kept, mask, x)
-            if x:
-                mask |= _xor_insert(kept, x)
-        if not kept:
-            return None
-        free = [u for u in map(_packed_unit, range(k)) if not mask & u]
-        return [reduce(or_, [b for b, y in kept.items() if y & u], u) for u in free]
-    basis = transposed = None
-    for x in rows:
-        if not any(x):
-            continue
-        t = x if basis is None else _row_times(p, x, transposed, len(basis))
-        q = next((i for i, y in enumerate(t) if y), None)
-        if q is None:
-            continue
-        if basis is None:
-            basis = [[int(i == j) for i in range(k)] for j in range(k)]
-        # t[q] b - t[i] b_q vanishes on x; over Q it is made primitive
-        tq, bq = t[q], basis[q]
-        basis = [
-            (_combine(b, tq, t[i], bq) if not p else [(tq * u - t[i] * v) % p for u, v in zip(b, bq)])
-            if t[i] else b
-            for i, b in enumerate(basis) if i != q
-        ]
-        transposed = [list(r) for r in zip(*basis)]
-    return basis
 
 
 @dataclass(frozen=True)
@@ -684,13 +638,6 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     return None
 
 
-def _check_local(e: EndoAlgebra, cert: Certificate):
-    """Re-check a local certificate with _local_failure; raises RuntimeError on failure."""
-    failure = _local_failure(e, cert.element, cert.radical)
-    if failure is not None:
-        raise RuntimeError(failure)
-
-
 def verify_certificate(e: EndoAlgebra, cert: Certificate):
     """Re-check a certificate against the algebra; raises RuntimeError on failure.
 
@@ -762,7 +709,9 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             if not _generates_quotient_field(e, cert.element, ()):
                 raise RuntimeError("element does not generate a field of full dimension")
         elif cert.mode == "local":
-            _check_local(e, cert)
+            failure = _local_failure(e, cert.element, cert.radical)
+            if failure is not None:
+                raise RuntimeError(failure)
         else:
             raise RuntimeError(f"unknown indecomposable mode {cert.mode!r}")
     elif cert.verdict == "undecided":

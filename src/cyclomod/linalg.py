@@ -25,10 +25,11 @@ entry with it, x - c*pivot_row over GF(p) and, fraction-free,
 a*x - c*pivot_row divided by its content over Q (Bareiss, Math. Comp.
 22, 1968).  Over GF(2) the kernel packs a row into one int, entry j in
 byte j, so a row sum is a XOR; a matrix packs its rows and its columns
-when a product first needs them, and endo.compute_end packs its spin
-with the same _pack.  Reduced echelon forms, coordinates and lowest
-terms are unique, so they are the ones plain Fraction or list
-arithmetic gives.
+when a product first needs them, and a product keeps the packed rows it
+makes.  endo.compute_end spins on a matrix's packed rows, and its
+kernels, like every kernel in the package, are read off rref here.
+Reduced echelon forms, coordinates and lowest terms are unique, so they
+are the ones plain Fraction or list arithmetic gives.
 """
 
 from __future__ import annotations
@@ -140,11 +141,6 @@ def _pack(xs: Sequence) -> int:
 def _unpack(x: int, n: int) -> list:
     """The raw GF(2) vector of length n packed in x."""
     return list(x.to_bytes(n, "little"))
-
-
-def _packed_unit(j: int) -> int:
-    """The unit vector e_j, packed."""
-    return 1 << 8 * j
 
 
 def _xor_of(packed: list, x: Sequence, n: int) -> list:
@@ -332,11 +328,11 @@ class DenseMatrix:
         return _RawVector(column) if self.field.characteristic else _qvector(column, self._den)
 
     def _packed(self, columns: bool) -> list:
-        """The GF(2) rows, or columns, packed into ints, computed on first use."""
+        """The GF(2) rows, or columns, packed into ints, kept from a product or computed on first use."""
         slot = "_packed_cols" if columns else "_packed_rows"
         try:
             return getattr(self, slot)
-        except AttributeError:  # the slot stays empty until a GF(2) product needs it
+        except AttributeError:  # the slot stays empty until a GF(2) step needs it
             lines = zip(*self._raw) if columns else self._raw
             object.__setattr__(self, slot, [_pack(r) for r in lines])
             return getattr(self, slot)
@@ -410,7 +406,12 @@ class DenseMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.characteristic
         if p == 2:
-            return DenseMatrix._from_raw(self.field, [other._times_row(x) for x in self._raw], other.cols)
+            # each row a XOR of packed rows of other; the product keeps them packed too
+            packed = other._packed(False)
+            sums = [reduce(xor, compress(packed, x), 0) for x in self._raw]
+            product = DenseMatrix._from_raw(self.field, [_unpack(r, other.cols) for r in sums], other.cols)
+            object.__setattr__(product, "_packed_rows", sums)
+            return product
         b = other._raw
         raw = [_row_times(p, x, b, other.cols) for x in self._raw]
         if p:

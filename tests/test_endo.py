@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _pack, _unit, _unpack, stable_power
+from cyclomod.linalg import DenseMatrix, _unit, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
     Certificate,
     EndoAlgebra,
-    _kernel_of_rows,
     _min_poly,
     _scan_candidates,
     _try_fitting,
@@ -1026,52 +1025,6 @@ def test_spun_commutant_equals_general_solve(monkeypatch):
         for b in basis:
             assert all(type(x) is int and (0 <= x < p if p else True) for row in b._raw for x in row)
             assert b._den == 1 if p else math.gcd(b._den, *(x for row in b._raw for x in row)) == 1 <= b._den
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    rows=st.integers(min_value=0, max_value=12),
-    k=st.sampled_from((0, 1, 7, 8, 9, 63, 64, 65)),
-    rank=st.integers(min_value=0, max_value=12),
-    zeros=st.integers(min_value=0, max_value=3),
-)
-def test_packed_kernel_of_rows_is_the_gf2_nullspace(seed, rows, k, rank, zeros):
-    """_kernel_of_rows over GF(2) spans exactly the nullspace of the packed rows.
-
-    The rows are sums of rank random rows, mixed with all-zero rows.
-    Up to 9 columns the nullspace is enumerated; above that the basis
-    must vanish on every row, be independent and have k - rank(rows)
-    vectors, which makes it the nullspace too.
-    """
-    rng = random.Random(seed)
-    base = [[rng.randint(0, 1) for _ in range(k)] for _ in range(rank)]
-    raw = []
-    for _ in range(rows):
-        row = [0] * k
-        for b in base:
-            if rng.random() < 0.5:
-                row = [x ^ y for x, y in zip(row, b)]
-        raw.append(row)
-    for _ in range(zeros):
-        raw.insert(rng.randint(0, len(raw)), [0] * k)
-    kernel = _kernel_of_rows(2, [_pack(r) for r in raw], k)
-    if not any(any(r) for r in raw):
-        assert kernel is None
-        return
-    vectors = [_unpack(x, k) for x in kernel]
-    assert all(x < 1 << 8 * k for x in kernel)
-    assert all(c in (0, 1) for v in vectors for c in v)
-    for v in vectors:
-        assert all(sum(a & b for a, b in zip(r, v)) % 2 == 0 for r in raw)
-    assert oracles.raw_rank(2, vectors) == len(vectors) == k - oracles.raw_rank(2, raw)
-    if k <= 9:
-        bits = lambda v: sum(c << i for i, c in enumerate(v))
-        nullspace = {
-            bits(v) for v in itertools.product((0, 1), repeat=k)
-            if all(sum(a & b for a, b in zip(r, v)) % 2 == 0 for r in raw)
-        }
-        assert oracles.gf2_span_bitmasks([bits(v) for v in vectors]) == nullspace
 
 
 def _off_first_column(mat):

@@ -524,7 +524,7 @@ PACKED_COLS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
     form=st.sampled_from(["boxed", "ints", "mixed"]),
 )
 def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form):
-    """rref, SpanSolver, products, matrix-vector products and dot over GF(2) on packed rows.
+    """rref, kernels, SpanSolver, products, matrix-vector products and dot over GF(2) on packed rows.
 
     The "ints" and "mixed" forms hand in -2, -1, 2 and 3 as well as 0
     and 1, which must be reduced before they are packed.
@@ -567,6 +567,14 @@ def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form
     assert solver.basis_rows() == reference.basis_rows()
     for row in solver.basis_rows():
         _assert_canonical(GF2, row)
+
+    # the kernel that compute_end cuts its solution space with, on these rows
+    # and on all-zero rows: it vanishes on every row, is independent, and has
+    # cols - rank vectors, so it spans the nullspace
+    for a, a_raw in ((m, raw), (DenseMatrix.zeros(GF2, rows, cols), [[0] * cols] * rows)):
+        kernel = [[c.value for c in v] for v in kernel_basis(a)]
+        assert all(sum(x & y for x, y in zip(r, v)) % 2 == 0 for r in a_raw for v in kernel)
+        assert oracles.raw_rank(2, kernel) == len(kernel) == cols - oracles.raw_rank(2, a_raw)
 
     other_raw = _oracle_rows(GF2, rng, cols, inner)
     other = DenseMatrix(GF2, [given(r) for r in other_raw], cols=inner)
