@@ -9,6 +9,7 @@ summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,7 +148,9 @@ def cmd_cert(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cyclomod",
         description="exact cyclic-module decomposition and automaton minimization",

@@ -4,21 +4,11 @@ compute_end builds the commutant of the restricted generator matrices:
 all module-coordinate matrices commuting with every generator.  An
 endomorphism of a cyclic module is fixed by the image v of its
 generator, so the commutant is spun from the generator along the
-covering-tree words (Lux & Szoke, Exp. Math. 12, 2003): the conditions
-are linear in the n entries of v rather than in all n^2 entries of the
-matrix.  The solve is one spin on kernel rows, raw values over GF(p) and
-integer rows over one denominator over Q.  A basis K of the solutions
-found so far, a DenseMatrix, is spun along the words, each non-tree
-edge's conditions are read on K, and K is cut to their kernel by
-linalg's one elimination; the last spin holds every solution matrix.
-Over GF(2) every row of the spin and of the conditions is one int
-packed as linalg packs rows, so a row sum is a XOR; only the conditions
-that cut K are unpacked, and the last spin, for the final reduction.
-That reduction puts the result in the basis the n^2-unknown solve would
-give, so the search sees the same candidates in the same order; over Q
-each basis matrix keeps its integer rows over its pivot entry, and no
-step here makes a Fraction, a minimal polynomial's coefficients
-included.
+covering-tree words (Lux & Szoke, Exp. Math. 12, 2003), in two spins
+with one kernel between them.  Its basis is the one the n^2-unknown
+solve would give, so the search sees the same candidates in the same
+order; over Q no step here makes a Fraction, a minimal polynomial's
+coefficients included.
 
 An element X of E is fixed by its first column X e_0, and all work
 after compute_end is on that column: EndoAlgebra's coordinates (with one
@@ -90,30 +80,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
+from itertools import compress
 from math import lcm
-from operator import xor
+from operator import itemgetter, xor
 from typing import Optional, Sequence
 
 from .linalg import (
-    DenseMatrix,
-    SpanSolver,
-    Vector,
-    _addmul,
-    _box,
-    _kernel_from_rref,
-    _lowest_terms,
-    _marked,
-    _neg,
-    _part,
-    _qvector,
-    _RawVector,
-    _rref_rows,
-    _sum_of_multiples,
-    _unbox,
-    _unit,
-    _unpack,
-    rref,
-    stable_power,
+    DenseMatrix, SpanSolver, Vector, _addmul, _box, _kernel_from_rref, _lowest_terms, _marked, _neg, _pack, _part,
+    _primitive, _qvector, _RawVector, _rref_rows, _sum_of_multiples, _unbox, _unit, _xor_keep, rref, stable_power,
 )
 from .modules import CyclicModule
 from .polynomials import Polynomial, factor
@@ -211,82 +185,64 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     by v = X e_0: when w_j = w_p a, X e_j = R_a X e_p, so spinning v along
     the words gives X e_j = W_j v, with W_j the product of the R_a along
     w_j.  X commutes with R_s exactly when
-    (R_s W_j - sum_k (R_s)_{kj} W_k) v = 0 for every label s and index j;
+    (R_s W_j - sum_h (R_s)_{hj} W_h) v = 0 for every label s and index j;
     a tree edge (w_j s is a basis word) gives an identity and is skipped.
-    The solve spins a basis K of the solutions found so far instead of
-    single vectors, U_j = W_j K, starting from K = I.  K is a DenseMatrix
-    of n rows and dim K columns.  Each other edge's conditions on K are
-    then R_s U_j - sum_k (R_s)_{kj} U_k, n rows of length dim K.  An edge
-    whose rows all vanish is passed over; otherwise N, the kernel basis
-    that linalg reads off the rows' reduced form, cuts K to K N, which
-    is spun again.  Everything runs on kernel rows: raw values over
-    GF(p), and over Q integer rows over one denominator for all the U_j,
-    which scales every condition row alike.
-    Over GF(2) each row of the U_j is one packed int of width dim K: a
-    row of R_s U_j is the XOR of the rows of U_j that R_s selects, and a
-    condition row XORs in the U_h of column j of R_s (mod 2, -1 is 1).
-    The rows are tested for zero while packed, and only the distinct
-    nonzero ones are unpacked for the kernel.  No packed int is returned.
-    Once K is the solution space, row i of U_j holds entry (i, j) of X_v
-    for every v in K, so the spin is the matrices themselves.  They are
-    returned in the basis the n^2-unknown commutant solve would give: the
-    reduced echelon form of the row-major flattened matrices with pivots
-    at their last nonzero entries, over Q each the integer rows of a
-    primitive reduced row over its pivot entry.
+    The identity is spun once, U_j = W_j, and each other edge's n
+    condition rows are read on it.  The rows neither zero nor seen before
+    are reduced into one echelon of at most n rows, whose kernel basis K
+    holds the solutions; a second spin, U_j = W_j K, holds the matrices,
+    entry (i, j) of X_v in row i of U_j for each v in K.  Both spins run
+    on kernel rows, each R_s a gather (_gather_plan): raw values over
+    GF(p), over Q integer rows on one denominator for all the U_j, and
+    over GF(2) packed ints, so a row sum is a XOR, a bit per entry in the
+    first spin and a byte, as linalg packs rows, in the second.  With no
+    condition row, K = I and, but over GF(2), the first spin is the last.
+    The matrices are returned in the basis the n^2-unknown solve gives:
+    the reduced echelon form of the row-major flattened matrices with
+    pivots at their last nonzero entries, over Q each the integer rows
+    of a primitive reduced row over its pivot entry.
     """
     field, n = m.field, m.dim
     p = field.characteristic
-    # each generator as the nonzero (index, value) pairs of its kernel rows, and its
-    # denominator; over GF(2), where every value is 1, as the indices alone
-    gens = {}
-    for s in m.action.labels:
-        a, d = m.restricted[s]._raw, m.restricted[s]._den
-        if p == 2:
-            gens[s] = ([[l for l, c in enumerate(row) if c] for row in a], d)
-        else:
-            gens[s] = ([[(l, c) for l, c in enumerate(row) if c] for row in a], d)
+    labels = m.action.labels
+    # each generator's gather and denominator, and its columns as (-(R_s)_{hj}, h)
+    plans, columns = {}, {}
+    for s in labels:
+        raw = m.restricted[s]._raw
+        plans[s] = (_gather_plan(p, [[(l, r[l]) for l in compress(range(n), r)] for r in raw]), m.restricted[s]._den)
+        columns[s] = [[(_neg(p, c[h]), h) for h in compress(range(n), c)] for c in zip(*raw)]
     index = {w: j for j, w in enumerate(m.basis_words)}
     steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
     tree_edges = set(steps)
-    kmat = DenseMatrix.identity(field, n)
-    spun = _spin(p, gens, steps, kmat)
-    for s, (a, _) in gens.items():
-        # column j of R_s, negated: the terms -(R_s)_{hj} U_h; mod 2, the indices h
-        columns = [[] for _ in range(n)]
-        for h, terms in enumerate(a):
-            if p == 2:
-                for j in terms:
-                    columns[j].append(h)
-            else:
-                for j, c in terms:
-                    columns[j].append((h, _neg(p, c)))
+    spun = _spin(plans, steps, [1 << i for i in range(n)] if p == 2 else DenseMatrix.identity(field, n)._raw, n)
+    seen = {0 if p == 2 else (0,) * n}
+    echelon, mask = {} if p == 2 else [], 0
+    for s in labels:
         for j in range(n):
             if (s, j) in tree_edges:
                 continue
-            k, u, minus = kmat.cols, spun[j], columns[j]
+            fresh = set(_conditions(p, plans[s][0](spun[j], n), columns[s][j], spun, n)) - seen
+            seen |= fresh
             if p == 2:
-                # R_s U_j, then each U_h XORed in row by row; only the distinct
-                # nonzero rows are unpacked, and none when every row vanishes
-                conditions = _times_packed(a, u)
-                for h in minus:
-                    conditions = list(map(xor, conditions, spun[h]))
-                conditions = [_unpack(r, k) for r in dict.fromkeys(conditions) if r]
-            else:
-                conditions = [
-                    _sum_of_multiples(p, [(c, u[l]) for l, c in terms] + [(c, spun[h][i]) for h, c in minus], k)
-                    for i, terms in enumerate(a)
-                ]
-                conditions = [r for r in conditions if any(r)]
-            if not conditions:
-                continue
-            null = _kernel_from_rref(field, k, rref(DenseMatrix._from_raw(field, conditions, k)))
-            kmat = kmat * DenseMatrix.from_columns(field, null, rows=k)
-            spun = _spin(p, gens, steps, kmat)
-    if p == 2:
-        spun = [[_unpack(r, kmat.cols) for r in u] for u in spun]
-    # the flats of X_v, reversed for pivots at the last nonzero entries
+                mask = _xor_keep(echelon, mask, fresh)
+            elif fresh:  # the echelon keeps its nonzero rows only
+                echelon += map(list, fresh)
+                del echelon[len(_rref_rows(p, echelon, n)):]
+    k = n
+    if echelon or p == 2:  # the flats read GF(2) rows packed a byte per entry
+        rows = [[x >> i & 1 for i in range(n)] for x in echelon.values()] if p == 2 else echelon
+        kernel = _kernel_from_rref(field, n, rref(DenseMatrix._from_raw(field, rows, n)))
+        k = len(kernel)
+        rows = [list(r) for r in zip(*kernel)]
+        spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, k)
+    # the flats of X_v, reversed for pivots at the last nonzero entries; over
+    # GF(2) flat c is every k-th byte, from byte c on, of the packed rows
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
-    flats = [list(f) for f in zip(*stacked)]
+    if p == 2:
+        stacked = b"".join([x.to_bytes(k, "little") for x in stacked])
+        flats = [list(stacked[c::k]) for c in range(k)]
+    else:
+        flats = [list(f) for f in zip(*stacked)]
     pivots = _rref_rows(p, flats, n * n)
     basis = []
     for row, c in reversed(list(zip(flats, pivots))):
@@ -296,38 +252,70 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
             basis.append(DenseMatrix._from_raw(field, rows, n))
         else:  # the pivot entry is the denominator of the reduced row
             basis.append(DenseMatrix._from_ints(field, rows, row[c], n))
-    labels = m.action.labels
     return EndoAlgebra(field, n, basis, tuple((s, m.restricted[s]) for s in labels))
 
 
-def _spin(p: int, gens: dict, steps: list, kmat: DenseMatrix) -> list:
-    """U_j = W_j K as kernel rows on one denominator.
+def _gather_plan(p: int, terms: list):
+    """R as the map U -> R U, from the nonzero (index, value) pairs of each kernel row of R.
+
+    U is given by its k-column kernel rows, packed over GF(2).  A row of
+    R with one term, of value 1 unless p = 2, picks that row of U itself
+    through one itemgetter; any other is summed from its terms, mod 2
+    from its indices.  A 1 x 1 R picks by a list, as itemgetter of one
+    index returns no tuple.
+    """
+    picks, fixes = [], []
+    for i, row in enumerate(terms):
+        single = len(row) == 1 and (p == 2 or row[0][1] == 1)
+        picks.append(row[0][0] if single else 0)
+        if not single:
+            fixes.append((i, [l for l, _ in row] if p == 2 else row))
+    pick = itemgetter(*picks) if len(picks) > 1 else lambda u: [u[l] for l in picks]
+
+    def gather(u: Sequence, k: int) -> Sequence:
+        if not fixes:
+            return pick(u)
+        rows = list(pick(u))
+        for i, t in fixes:
+            rows[i] = reduce(xor, map(u.__getitem__, t), 0) if p == 2 else _sum_of_multiples(p, [(c, u[l]) for l, c in t], k)
+        return rows
+    return gather
+
+
+def _conditions(p: int, rows: Sequence, minus: list, spun: list, k: int):
+    """The rows of R_s U_j - sum_h (R_s)_{hj} U_h: packed over GF(2), else tuples, primitive over Q.
+
+    rows are those of R_s U_j and minus the terms of column j of R_s.
+    When that column is a unit vector, as for permutations, a row is
+    zero exactly when its two parts are equal, which is tested first.
+    """
+    if p == 2:
+        for _, h in minus:
+            rows = map(xor, rows, spun[h])
+        return rows
+    unit = minus[0][1] if len(minus) == 1 and minus[0][0] == _neg(p, 1) else None
+    out = []
+    for i, x in enumerate(rows):
+        if unit is None or x != spun[unit][i]:
+            r = _sum_of_multiples(p, [(1, x)] + [(c, spun[h][i]) for c, h in minus], k)
+            out.append(tuple(r if p else _primitive(r)))
+    return out
+
+
+def _spin(plans: dict, steps: list, rows: list, k: int) -> list:
+    """U_j = W_j K as kernel rows on one denominator, for K's k-column kernel rows, packed over GF(2).
 
     U_0 = K, and U_j = R_a U_i for the step (a, i) that makes word j from
     word i.  K matters only up to a scalar, so over Q its integer rows
-    stand for it without their denominator.  Over GF(2) each U_j is a
-    list of packed rows, and row i of U_j is the XOR of the rows of U_i
-    that row i of R_a selects.
+    stand for it without their denominator.
     """
-    if p == 2:
-        spun = [kmat._packed(False)]
-        for s, parent in steps:
-            spun.append(_times_packed(gens[s][0], spun[parent]))
-        return spun
-    k = kmat.cols
-    spun = [(kmat._raw, 1)]
+    spun = [(rows, 1)]
     for s, parent in steps:
-        (a, da), (u, du) = gens[s], spun[parent]
-        rows, d = [_sum_of_multiples(p, [(c, u[l]) for l, c in terms], k) for terms in a], da * du
+        (gather, da), (u, du) = plans[s], spun[parent]
+        rows, d = gather(u, k), da * du
         spun.append(_lowest_terms(rows, d) if d > 1 else (rows, d))
     denom = lcm(*[d for _, d in spun])
     return [u if d == denom else [[x * (denom // d) for x in r] for r in u] for u, d in spun]
-
-
-def _times_packed(a: list, u: list) -> list:
-    """R U over GF(2), for R given by the indices of the ones in each row and U by its packed rows."""
-    pick = u.__getitem__
-    return [reduce(xor, map(pick, ls), 0) for ls in a]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ a*x - c*pivot_row divided by its content over Q (Bareiss, Math. Comp.
 22, 1968).  Over GF(2) the kernel packs a row into one int, entry j in
 byte j, so a row sum is a XOR; a matrix packs its rows and its columns
 when a product first needs them, and a product keeps the packed rows it
-makes.  endo.compute_end spins on a matrix's packed rows, and its
-kernels, like every kernel in the package, are read off rref here.
+makes.  endo.compute_end spins on packed rows too, and its kernel,
+like every kernel in the package, is read off rref here.
 Reduced echelon forms, coordinates and lowest terms are unique, so they
 are the ones plain Fraction or list arithmetic gives.
 """
@@ -563,11 +563,8 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     if p == 2:
         # row by row on packed rows; the reduced echelon form is unique, so
         # it is the one the column-by-column elimination below gives
-        kept, mask = {}, 0
-        for x in map(_pack, rows):
-            x = _xor_reduce(kept, mask, x)
-            if x:
-                mask |= _xor_insert(kept, x)
+        kept = {}
+        _xor_keep(kept, 0, map(_pack, rows))
         order = sorted(kept)
         rows[:] = [_unpack(kept[b], ncols) for b in order] + [[0] * ncols for _ in range(len(rows) - len(kept))]
         return [(b.bit_length() - 1) >> 3 for b in order]
@@ -612,6 +609,15 @@ def _xor_insert(kept: dict, x: int) -> int:
             kept[b] = y ^ x
     kept[low] = x
     return low
+
+
+def _xor_keep(kept: dict, mask: int, xs: Iterable) -> int:
+    """Reduce each packed GF(2) row of xs against kept and keep it unless it vanishes; returns the new mask."""
+    for x in xs:
+        x = _xor_reduce(kept, mask, x)
+        if x:
+            mask |= _xor_insert(kept, x)
+    return mask
 
 
 def rref(m: DenseMatrix) -> RrefResult:

@@ -431,6 +431,21 @@ def test_help_exits_0(capsys):
     assert "minimize" in out and "decompose-bool" in out
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    argv = ["decompose-bool", "x1*x2*x3 + x4*x5", "-n", "5"]
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, argv)
+    assert fresh[0] == 0
+    with open(os.path.join(GOLDEN, "decompose_bool_split_4_6.out"), encoding="utf-8") as handle:
+        assert fresh[1] == handle.read()
+    parser = cli.build_parser()
+    assert run(capsys, ["decompose-bool", "x1", "-n", "three"])[0] == 2
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and "decompose-bool" in out
+    assert run(capsys, argv) == fresh
+    assert cli.build_parser() is parser
+
+
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     path = write_json(tmp_path / "doubled.json", counting_doubled())
 

@@ -948,35 +948,63 @@ def _has_denominators(m):
     return any(x.value.denominator > 1 for s in m.action.labels for row in m.restricted[s].entries for x in row)
 
 
-def _gf2_modules_that_cut_twice(rng, count, monkeypatch):
-    """Random GF(2) modules of dim >= 9 on which compute_end spins K at least three times.
+def _condition_rows_by_edge(m):
+    """The nonzero rows of R_s W_j - sum_h (R_s)_{hj} W_h for each non-tree edge (s, j), from dense products.
 
-    The first spin is of K = I, so each further one is a non-tree edge
-    whose conditions cut K.  Every other module is the direct sum of two
-    random actions, so that E holds the two projections as well.
+    W_j is the product of the restricted generators along word j, so
+    these are the condition rows that compute_end reads on the spin of
+    the identity, here formed apart from it.
     """
-    spins, spin = [], endo._spin
-    out = []
-    with monkeypatch.context() as patch:
-        patch.setattr(endo, "_spin", lambda *args: spins.append(1) or spin(*args))
-        while len(out) < count:
-            labels = ("u", "v", "w")[:rng.randint(2, 3)]
-            sizes = [rng.randint(9, 12)] if len(out) % 2 else [rng.randint(4, 7), rng.randint(4, 7)]
-            n = sum(sizes)
-            gens = {label: [[0] * n for _ in range(n)] for label in labels}
-            offset = 0
-            for size in sizes:
-                for rows in gens.values():
-                    for i in range(offset, offset + size):
-                        rows[i][offset:offset + size] = [int(rng.random() < 0.25) for _ in range(size)]
-                offset += size
-            m = orbit_basis(AlgebraAction(GF2, list(gens.items())), [rng.randint(0, 1) for _ in range(n)])
-            if m.dim < 9:
+    n = m.dim
+    index = {w: j for j, w in enumerate(m.basis_words)}
+    spins = [DenseMatrix.identity(m.field, n)]
+    for w in m.basis_words[1:]:
+        spins.append(m.restricted[w[-1]] * spins[index[w[:-1]]])
+    tree = {(w[-1], index[w[:-1]]) for w in m.basis_words[1:]}
+    rows = {}
+    for s in m.action.labels:
+        r = m.restricted[s]
+        for j in range(n):
+            if (s, j) in tree:
                 continue
-            spins.clear()
-            compute_end(m)
-            if len(spins) >= 3:
-                out.append(m)
+            c = r * spins[j]
+            for h in range(n):
+                if r.entries[h][j]:
+                    c = c - spins[h].scale(r.entries[h][j])
+            rows[s, j] = [row for row in c.entries if any(row)]
+    return rows
+
+
+def _gf2_modules_whose_conditions_repeat(rng, count):
+    """Random GF(2) modules of dim >= 9 whose condition rows on K = I repeat across edges.
+
+    A module is kept when at least two edges give nonzero condition rows
+    and some row comes from two edges, so that compute_end's dedupe drops
+    rows.  Every other module is the direct sum of two random actions, so
+    that E holds the two projections as well.
+    """
+    out = []
+    for _ in range(60):
+        if len(out) == count:
+            break
+        labels = ("u", "v", "w")[:rng.randint(2, 3)]
+        sizes = [rng.randint(9, 12)] if len(out) % 2 else [rng.randint(4, 7), rng.randint(4, 7)]
+        n = sum(sizes)
+        gens = {label: [[0] * n for _ in range(n)] for label in labels}
+        offset = 0
+        for size in sizes:
+            for rows in gens.values():
+                for i in range(offset, offset + size):
+                    rows[i][offset:offset + size] = [int(rng.random() < 0.25) for _ in range(size)]
+            offset += size
+        m = orbit_basis(AlgebraAction(GF2, list(gens.items())), [rng.randint(0, 1) for _ in range(n)])
+        if m.dim < 9:
+            continue
+        by_edge = [set(rows) for rows in _condition_rows_by_edge(m).values() if rows]
+        repeated = any(a & b for a, b in itertools.combinations(by_edge, 2))
+        if len(by_edge) >= 2 and repeated:
+            out.append(m)
+    assert len(out) == count, f"{len(out)} of {count} modules found"
     return out
 
 
@@ -992,14 +1020,14 @@ BOOLEAN_COMMUTANT_CASES = (
 )
 
 
-def test_spun_commutant_equals_general_solve(monkeypatch):
+def test_spun_commutant_equals_general_solve():
     rng = random.Random(2004)
     modules = [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 15)]
-    # the packed GF(2) spin: boolean modules and their leaves, and modules that re-spin K
+    # the packed GF(2) spin: boolean modules and their leaves, and modules whose condition rows repeat
     for text, n in BOOLEAN_COMMUTANT_CASES:
         m = orbit_basis(sn_action(n), parse_anf(text, n).vector())
         modules += [m, *complete_decomposition(m).summands]
-    modules += _gf2_modules_that_cut_twice(rng, 6, monkeypatch)
+    modules += _gf2_modules_whose_conditions_repeat(rng, 6)
     for field, gens, g in krull_schmidt_corpus():
         m = orbit_basis(AlgebraAction(field, gens), g)
         # the leaves are generated by projected generators
@@ -1025,6 +1053,81 @@ def test_spun_commutant_equals_general_solve(monkeypatch):
         for b in basis:
             assert all(type(x) is int and (0 <= x < p if p else True) for row in b._raw for x in row)
             assert b._den == 1 if p else math.gcd(b._den, *(x for row in b._raw for x in row)) == 1 <= b._den
+
+
+def _gathered(r, u):
+    """R U through R's gather plan, for DenseMatrix R and U, as a DenseMatrix; over GF(2) on packed rows."""
+    field, p = r.field, r.field.characteristic
+    terms = [[(l, c) for l, c in enumerate(row) if c] for row in r._raw]
+    out = list(endo._gather_plan(p, terms)(u._packed(False) if p == 2 else u._raw, u.cols))
+    if p == 2:
+        return DenseMatrix._from_raw(field, [list(x.to_bytes(u.cols, "little")) for x in out], u.cols)
+    if p:
+        return DenseMatrix._from_raw(field, out, u.cols)
+    return DenseMatrix._from_ints(field, out, r._den * u._den, u.cols)
+
+
+@pytest.mark.parametrize("field", [GF2, gf(3), QQ], ids=str)
+def test_gather_plans_match_products(field):
+    rng = random.Random(26)
+    p = field.characteristic
+    values = [Fraction(-1, 2), Fraction(2, 3), 1, -1, 3] if not p else list(range(1, p))
+    other = values[0] if not p else p - 1  # a coefficient other than 1, outside GF(2)
+    shaped = [
+        [[1]],                               # 1 x 1: itemgetter of one index returns no tuple
+        [[other]],                           # 1 x 1, one term that is not 1 outside GF(2)
+        [[0]],                               # 1 x 1 and empty
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],   # a nilpotent Jordan block: its last row is empty
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],   # a permutation: one gather and no sum
+        [[other, 0], [1, 1]],                # one term that is not 1, then two terms
+    ]
+    if not p:  # 1/2 is the kernel entry 1 over the denominator 2: picked, then 1 is the entry 2, summed
+        shaped.append([[Fraction(1, 2), 0], [0, 1]])
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        shaped.append([[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)])
+    for rows in shaped:
+        r = DenseMatrix(field, rows)
+        for k in (1, 3):
+            u = DenseMatrix(field, [[rng.choice(values + [0]) for _ in range(k)] for _ in range(r.rows)])
+            assert _gathered(r, u) == r * u
+            if k == 1:
+                assert _gathered(r, u)._column(0) == r._times_col(u._column(0))
+
+
+def _spin_solve_counts(m, monkeypatch):
+    """(spins, kernels) of one compute_end call on m."""
+    spins, kernels = [], []
+    with monkeypatch.context() as patch:
+        spin, kernel = endo._spin, endo._kernel_from_rref
+        patch.setattr(endo, "_spin", lambda *args: spins.append(1) or spin(*args))
+        patch.setattr(endo, "_kernel_from_rref", lambda *args: kernels.append(1) or kernel(*args))
+        compute_end(m)
+    return len(spins), len(kernels)
+
+
+def test_commutant_takes_two_spins_and_one_kernel(monkeypatch):
+    modules = []
+    for text, n in BOOLEAN_COMMUTANT_CASES:
+        m = orbit_basis(sn_action(n), parse_anf(text, n).vector())
+        modules += [m, *complete_decomposition(m).summands]
+    for text, n in (("x1*x2 + x3*x4*x5 + x6*x7", 7), ("x1*x2*x3 + x4*x5 + x6*x7*x8", 8)):
+        modules.append(orbit_basis(sn_action(n), parse_anf(text, n).vector()))
+    s4 = regular_s4_module(QQ)
+    modules += [s4, *complete_decomposition(s4).summands]
+    elements = symmetric_group(4)
+    action = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    g = [0] * 24
+    g[elements.index((0, 1, 2, 3))], g[elements.index((1, 0, 2, 3))] = 1, -1
+    top = permutation_module(action, g)
+    modules += [top, *complete_decomposition(top).summands]
+    for field, d, seed in ((QQ, 2, 1), (QQ, 3, 2), (GF2, 8, 3), (gf(3), 6, 4)):
+        modules.append(conjugated_jordan_module(field, d, seed))
+    assert max(m.dim for m in modules) == 76
+    for m in modules:
+        spins, kernels = _spin_solve_counts(m, monkeypatch)
+        # no second spin when no condition row is left over GF(p) or Q, where K = I
+        assert spins <= 2 and kernels <= 1 and spins == 1 + kernels
 
 
 def _off_first_column(mat):
