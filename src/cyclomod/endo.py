@@ -4,8 +4,8 @@ compute_end builds the commutant of the restricted generator matrices:
 all module-coordinate matrices commuting with every generator.  An
 endomorphism of a cyclic module is fixed by the image v of its
 generator, so the commutant is spun from the generator along the
-covering-tree words (Lux & Szoke, Exp. Math. 12, 2003), in two spins
-with one kernel between them.  Its basis is the one the n^2-unknown
+covering-tree words (Lux & Szoke, Exp. Math. 12, 2003), in at most two
+spins with one kernel between them.  Its basis is the one the n^2-unknown
 solve would give, so the search sees the same candidates in the same
 order; over Q no step here makes a Fraction, a minimal polynomial's
 coefficients included.
@@ -86,8 +86,28 @@ from operator import itemgetter, xor
 from typing import Optional, Sequence
 
 from .linalg import (
-    DenseMatrix, SpanSolver, Vector, _addmul, _box, _kernel_from_rref, _lowest_terms, _marked, _neg, _pack, _part,
-    _primitive, _qvector, _RawVector, _rref_rows, _sum_of_multiples, _unbox, _unit, _xor_keep, rref, stable_power,
+    DenseMatrix,
+    SpanSolver,
+    Vector,
+    _addmul,
+    _box,
+    _kernel_from_rref,
+    _lowest_terms,
+    _marked,
+    _neg,
+    _pack,
+    _part,
+    _primitive,
+    _qvector,
+    _RawVector,
+    _rref_rows,
+    _sum_of_multiples,
+    _unbox,
+    _unit,
+    _unpack,
+    _unpack_columns,
+    rref,
+    stable_power,
 )
 from .modules import CyclicModule
 from .polynomials import Polynomial, factor
@@ -189,14 +209,13 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     a tree edge (w_j s is a basis word) gives an identity and is skipped.
     The identity is spun once, U_j = W_j, and each other edge's n
     condition rows are read on it.  The rows neither zero nor seen before
-    are reduced into one echelon of at most n rows, whose kernel basis K
-    holds the solutions; a second spin, U_j = W_j K, holds the matrices,
-    entry (i, j) of X_v in row i of U_j for each v in K.  Both spins run
-    on kernel rows, each R_s a gather (_gather_plan): raw values over
-    GF(p), over Q integer rows on one denominator for all the U_j, and
-    over GF(2) packed ints, so a row sum is a XOR, a bit per entry in the
-    first spin and a byte, as linalg packs rows, in the second.  With no
-    condition row, K = I and, but over GF(2), the first spin is the last.
+    span the conditions; one rref of them gives the kernel basis K of the
+    solutions, and a second spin, U_j = W_j K, holds the matrices, entry
+    (i, j) of X_v in row i of U_j for each v in K.  With no condition
+    row, K = I and the first spin is the last.  Both spins run on kernel
+    rows, each R_s a gather (_gather_plan): raw values over GF(p), over Q
+    integer rows on one denominator for all the U_j, and over GF(2) rows
+    packed as linalg packs them, so a row sum is a XOR.
     The matrices are returned in the basis the n^2-unknown solve gives:
     the reduced echelon form of the row-major flattened matrices with
     pivots at their last nonzero entries, over Q each the integer rows
@@ -209,40 +228,33 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     plans, columns = {}, {}
     for s in labels:
         raw = m.restricted[s]._raw
-        plans[s] = (_gather_plan(p, [[(l, r[l]) for l in compress(range(n), r)] for r in raw]), m.restricted[s]._den)
+        terms = [[(l, r[l]) for l in compress(range(n), r)] for r in raw]
+        plans[s] = (_gather_plan(p, terms), m.restricted[s]._den)
         columns[s] = [[(_neg(p, c[h]), h) for h in compress(range(n), c)] for c in zip(*raw)]
     index = {w: j for j, w in enumerate(m.basis_words)}
     steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
     tree_edges = set(steps)
-    spun = _spin(plans, steps, [1 << i for i in range(n)] if p == 2 else DenseMatrix.identity(field, n)._raw, n)
-    seen = {0 if p == 2 else (0,) * n}
-    echelon, mask = {} if p == 2 else [], 0
+    rows = DenseMatrix.identity(field, n)._raw
+    spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, n)
+    zero = 0 if p == 2 else (0,) * n
+    seen = {zero}
     for s in labels:
+        gather = plans[s][0]
         for j in range(n):
-            if (s, j) in tree_edges:
-                continue
-            fresh = set(_conditions(p, plans[s][0](spun[j], n), columns[s][j], spun, n)) - seen
-            seen |= fresh
-            if p == 2:
-                mask = _xor_keep(echelon, mask, fresh)
-            elif fresh:  # the echelon keeps its nonzero rows only
-                echelon += map(list, fresh)
-                del echelon[len(_rref_rows(p, echelon, n)):]
+            if (s, j) not in tree_edges:
+                seen.update(_conditions(p, gather(spun[j], n), columns[s][j], spun, n))
+    seen.discard(zero)
     k = n
-    if echelon or p == 2:  # the flats read GF(2) rows packed a byte per entry
-        rows = [[x >> i & 1 for i in range(n)] for x in echelon.values()] if p == 2 else echelon
+    if seen:
+        rows = [_unpack(x, n) for x in seen] if p == 2 else list(map(list, seen))
         kernel = _kernel_from_rref(field, n, rref(DenseMatrix._from_raw(field, rows, n)))
         k = len(kernel)
         rows = [list(r) for r in zip(*kernel)]
         spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, k)
-    # the flats of X_v, reversed for pivots at the last nonzero entries; over
-    # GF(2) flat c is every k-th byte, from byte c on, of the packed rows
+    # the flats of X_v, the columns of the stacked rows, reversed for pivots
+    # at the last nonzero entries
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]
-    if p == 2:
-        stacked = b"".join([x.to_bytes(k, "little") for x in stacked])
-        flats = [list(stacked[c::k]) for c in range(k)]
-    else:
-        flats = [list(f) for f in zip(*stacked)]
+    flats = _unpack_columns(stacked, k) if p == 2 else [list(f) for f in zip(*stacked)]
     pivots = _rref_rows(p, flats, n * n)
     basis = []
     for row, c in reversed(list(zip(flats, pivots))):
@@ -277,7 +289,10 @@ def _gather_plan(p: int, terms: list):
             return pick(u)
         rows = list(pick(u))
         for i, t in fixes:
-            rows[i] = reduce(xor, map(u.__getitem__, t), 0) if p == 2 else _sum_of_multiples(p, [(c, u[l]) for l, c in t], k)
+            if p == 2:
+                rows[i] = reduce(xor, map(u.__getitem__, t), 0)
+            else:
+                rows[i] = _sum_of_multiples(p, [(c, u[l]) for l, c in t], k)
         return rows
     return gather
 
@@ -287,7 +302,8 @@ def _conditions(p: int, rows: Sequence, minus: list, spun: list, k: int):
 
     rows are those of R_s U_j and minus the terms of column j of R_s.
     When that column is a unit vector, as for permutations, a row is
-    zero exactly when its two parts are equal, which is tested first.
+    zero exactly when its two parts are equal, which is tested first:
+    most such rows are zero, and they then cost no arithmetic.
     """
     if p == 2:
         for _, h in minus:

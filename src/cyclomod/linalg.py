@@ -143,6 +143,12 @@ def _unpack(x: int, n: int) -> list:
     return list(x.to_bytes(n, "little"))
 
 
+def _unpack_columns(packed: Sequence, n: int) -> list:
+    """The columns of the matrix whose rows are the packed GF(2) vectors of length n: every n-th byte of them."""
+    stacked = b"".join([x.to_bytes(n, "little") for x in packed])
+    return [list(stacked[c::n]) for c in range(n)]
+
+
 def _xor_of(packed: list, x: Sequence, n: int) -> list:
     """The sum of the packed GF(2) vectors of length n where x is 1, unpacked: x times their matrix."""
     return _unpack(reduce(xor, compress(packed, x), 0), n)
@@ -563,8 +569,11 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     if p == 2:
         # row by row on packed rows; the reduced echelon form is unique, so
         # it is the one the column-by-column elimination below gives
-        kept = {}
-        _xor_keep(kept, 0, map(_pack, rows))
+        kept, mask = {}, 0
+        for x in map(_pack, rows):
+            x = _xor_reduce(kept, mask, x)
+            if x:
+                mask |= _xor_insert(kept, x)
         order = sorted(kept)
         rows[:] = [_unpack(kept[b], ncols) for b in order] + [[0] * ncols for _ in range(len(rows) - len(kept))]
         return [(b.bit_length() - 1) >> 3 for b in order]
@@ -609,15 +618,6 @@ def _xor_insert(kept: dict, x: int) -> int:
             kept[b] = y ^ x
     kept[low] = x
     return low
-
-
-def _xor_keep(kept: dict, mask: int, xs: Iterable) -> int:
-    """Reduce each packed GF(2) row of xs against kept and keep it unless it vanishes; returns the new mask."""
-    for x in xs:
-        x = _xor_reduce(kept, mask, x)
-        if x:
-            mask |= _xor_insert(kept, x)
-    return mask
 
 
 def rref(m: DenseMatrix) -> RrefResult:
