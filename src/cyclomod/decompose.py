@@ -41,18 +41,19 @@ def decompose_once(m: CyclicModule):
     Certifies m and splits it along a decomposable certificate.  Returns
     (certificate, None) for a leaf and (certificate, pair of modules)
     for a split.  verify_certificate re-checks every certificate found
-    but a local one, which the search makes only once it has passed the
-    same local test.  The halves are the covering trees that the
-    certificate check spun in block coordinates; the block basis is
-    injective, so their kept words and restricted matrices are the ones
-    an orbit over the ambient action would give, and only the kept
-    vectors are mapped to ambient coordinates through the block basis.
+    but a local or field-generated one, which the search makes only once
+    it has passed the verifier's own test for its mode.  The halves are
+    the covering trees that the certificate check spun in block
+    coordinates; the block basis is injective, so their kept words and
+    restricted matrices are the ones an orbit over the ambient action
+    would give, and only the kept vectors are mapped to ambient
+    coordinates through the block basis.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
     e = compute_end(m)
     cert = find_splitting_element(e)
-    if cert.mode == "local":
+    if cert.mode in ("local", "field-generated"):
         return cert, None
     trees = verify_certificate(e, cert)
     if trees is None:

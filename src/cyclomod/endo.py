@@ -61,9 +61,12 @@ the same test as the hyperplane, once for each J), E/J is a field
 generated by x: the minimal polynomial of x modulo J divides
 f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable ("field-generated" when J = 0, "local"
-otherwise, with the identity as x when dim E/J = 1).  This loop decides
-the fields, the local algebras whose residue field is larger than F,
-and those whose nilpotent candidates span less than J.  When the list
+otherwise, with the identity as x when dim E/J = 1).  A field-generated
+leaf is accepted through the verifier's own test,
+_generates_quotient_field, on the factors the loop has just found, so
+decompose_once does not run it again either.  This loop decides the
+fields, the local algebras whose residue field is larger than F, and
+those whose nilpotent candidates span less than J.  When the list
 leaves E/J generated by no candidate, as for Q(sqrt 2, sqrt 3, sqrt 5)
 whose elements all have degree at most 4 over Q, the loop goes on with
 x + c b for the best x so far, each basis element b in turn and
@@ -411,26 +414,33 @@ def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
 def _is_two_sided_ideal(e: EndoAlgebra, ideal: Sequence, span: SpanSolver) -> bool:
     """Whether b j and j b lie in J for every b in E and every j in `ideal`.
 
-    J is the span of the matrices `ideal` in E, whose first columns span
-    `span`.  A product in E is fixed by its first column, so b j is in J
-    exactly when b (j e_0) is in J e_0.  The products j j' of every ordered
-    pair from `ideal` cover each b in J in both orders.  E is spanned by J,
-    the identity and the basis elements whose first columns extend J e_0
-    and e_0, the identity's first column, so only those basis elements
-    still need b j and j b: |J|^2 + 2 |J| (dim E - |J| - 1) products when
-    the identity is outside J, half the 2 |J| (dim E - 1) of every basis
-    element for a hyperplane.  The test stops at the first product outside.
+    J is the span of the matrices `ideal` in E, whose first columns were
+    inserted into `span` in that order, and nothing else.  A product in E
+    is fixed by its first column, so b j is in J exactly when b (j e_0) is
+    in J e_0.  The products j j' of every ordered pair from `ideal` cover
+    each b in J in both orders.  E is spanned by J, the identity and the
+    basis elements whose first columns extend J e_0 and e_0, the
+    identity's first column, so only those basis elements still need b j
+    and j b: |J|^2 + 2 |J| (dim E - |J| - 1) products when the identity
+    is outside J, half the 2 |J| (dim E - 1) of every basis element for a
+    hyperplane.  e_0 and those first columns are inserted into `span`
+    behind J's, so a vector lies in J e_0 when its coordinates vanish off
+    J's columns.  The test stops at the first product outside.
     """
+    k = span.count
     firsts = [_first_column(j) for j in ideal]
-    extended = SpanSolver(e.field, e.module_dim)
-    for x in firsts + [_unit(e.field.characteristic, e.module_dim, 0)]:
-        extended.add(x)
+    span.add(_unit(e.field.characteristic, e.module_dim, 0))
     products = [(j, y0) for j in ideal for y0 in firsts]
     for b in e.basis:
         b0 = _first_column(b)
-        if extended.add(b0):
+        if span.add(b0):
             products += [(b, j0) for j0 in firsts] + [(j, b0) for j in ideal]
-    return all(span.contains(_image(x, y0)) for x, y0 in products)
+
+    def in_ideal(x) -> bool:
+        coords = span._coordinates(x)
+        return coords is not None and not any(coords[k:])
+
+    return all(in_ideal(_image(x, y0)) for x, y0 in products)
 
 
 def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
@@ -556,7 +566,9 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # dim E/J = deg f, so it is f: E/J = F[x mod J] is a field
         if best_degree != e.dim - len(ideal):
             continue
-        if not ideal:
+        # with J = 0, best is this candidate (an earlier one would have ended
+        # the loop), so the verifier's own test reads the factors at hand
+        if not ideal and _generates_quotient_field(e, factors, ()):
             return Certificate("indecomposable", "field-generated", best, None, diag)
         if nilpotent is None:
             cert = _local_certificate(e, best, ideal, dict(diagnostics, min_poly_tried=tried))
@@ -580,13 +592,13 @@ def _local_certificate(e: EndoAlgebra, element: DenseMatrix, radical: list, diag
     return Certificate("indecomposable", "local", element, None, diag, radical=tuple(radical))
 
 
-def _generates_quotient_field(e: EndoAlgebra, mat: DenseMatrix, radical: Sequence) -> bool:
-    """Whether mat modulo the radical J has an irreducible minimal polynomial of degree dim E/J.
+def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) -> bool:
+    """Whether x modulo the radical J has an irreducible minimal polynomial of degree dim E/J.
 
-    That polynomial has degree at most dim E/J, so one factor of degree
-    dim E/J can only occur once.
+    factors is the factorization of that minimal polynomial,
+    factor(_min_poly(x, radical)).  The polynomial has degree at most
+    dim E/J, so one factor of degree dim E/J can only occur once.
     """
-    factors = factor(_min_poly(mat, radical))
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
 
 
@@ -637,7 +649,7 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
         return "radical span is not nilpotent"
     if not e.contains(element):
         return "local element is not in the endomorphism algebra"
-    if not _generates_quotient_field(e, element, radical):
+    if not _generates_quotient_field(e, factor(_min_poly(element, radical)), radical):
         return "element does not generate a field modulo the radical"
     return None
 
@@ -710,7 +722,7 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             _check_element(e, cert.element)
             if not e.contains(cert.element):
                 raise RuntimeError("field-generated element is not in the endomorphism algebra")
-            if not _generates_quotient_field(e, cert.element, ()):
+            if not _generates_quotient_field(e, factor(_min_poly(cert.element)), ()):
                 raise RuntimeError("element does not generate a field of full dimension")
         elif cert.mode == "local":
             failure = _local_failure(e, cert.element, cert.radical)

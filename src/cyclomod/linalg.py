@@ -16,26 +16,41 @@ result back, `entries` is read, or a vector is written as text
 A public call unboxes its vector arguments once, checking their field,
 and the kernel (rref, SpanSolver, products, sums and scaling) and every
 other module pass raw rows to each other.  The kernel skips every entry
-whose multiplier is zero.  For p != 2, GF(p) and Q share one
-Gauss-Jordan loop (_rref_rows) and one SpanSolver reduction and
-insertion on kernel rows, raw values over GF(p) and integer rows over
-Q.  The field enters only through two steps: _pivot_row makes a pivot
-row, scaled to 1 over GF(p) and primitive over Q, and _clear clears an
-entry with it, x - c*pivot_row over GF(p) and, fraction-free,
-a*x - c*pivot_row divided by its content over Q (Bareiss, Math. Comp.
-22, 1968).  Over GF(2) the kernel packs a row into one int, entry j in
-byte j, so a row sum is a XOR; a matrix packs its rows and its columns
-when a product first needs them, and a product keeps the packed rows it
-makes.  endo.compute_end spins on packed rows too, and its kernel,
-like every kernel in the package, is read off rref here.
+whose multiplier is zero.
+
+Over GF(p) SpanSolver and the matrix-vector steps _times_col and
+_times_row, every step of wfa.covering_tree, pack a vector into one
+int, entry j in lane j of w bytes, as the MeatAxe packs rows over small
+prime fields (Parker 1984).  Over GF(2) w is 1 and a row sum is a XOR.
+For odd p adding c times a row is one integer multiply-add, and a
+vector is reduced mod p once, when its lanes are read (_read_lanes).
+A step adds at most k multiples c*y, with c and y in [0, p), to a
+reduced vector: k is the vector length in SpanSolver and the number of
+terms in a matrix-vector step.  So w is the smallest of 1, 2, 4 and 8
+bytes, or past 8 the smallest number of bytes, whose lanes hold
+(p - 1) + k (p - 1)^2 (_lane_width).  A matrix packs its rows and its
+columns when a step first needs them, and over GF(2) a product keeps
+the packed rows it makes; endo.compute_end spins on packed GF(2) rows
+too.
+
+Gauss-Jordan elimination, products and compute_end's spins stay on
+lists for odd p, where a packed elimination that reduces after every
+row operation was slower, and Q's SpanSolver stays on lists.  For
+p != 2, GF(p) and Q share one Gauss-Jordan loop (_rref_rows); the field
+enters only through two steps: _pivot_row makes a pivot row, scaled to
+1 over GF(p) and primitive over Q, and _clear clears an entry with it,
+x - c*pivot_row over GF(p) and, fraction-free, a*x - c*pivot_row
+divided by its content over Q (Bareiss, Math. Comp. 22, 1968).  Every
+kernel in the package is read off rref here.
 Reduced echelon forms, coordinates and lowest terms are unique, so they
 are the ones plain Fraction or list arithmetic gives.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd, lcm
 from operator import xor
@@ -149,9 +164,49 @@ def _unpack_columns(packed: Sequence, n: int) -> list:
     return [list(stacked[c::n]) for c in range(n)]
 
 
-def _xor_of(packed: list, x: Sequence, n: int) -> list:
-    """The sum of the packed GF(2) vectors of length n where x is 1, unpacked: x times their matrix."""
-    return _unpack(reduce(xor, compress(packed, x), 0), n)
+@lru_cache(maxsize=None)
+def _lane_width(p: int, terms: int) -> int:
+    """Bytes per lane of a packed GF(p) vector to which one step adds up to terms multiples.
+
+    A lane must hold (p - 1) + terms * (p - 1)^2 without carrying into
+    the next: the smallest of 1, 2, 4 and 8 bytes that does, the widths
+    struct reads in C, and past 8 bytes the smallest number of bytes.
+    Over GF(3) that is 1 byte up to 63 terms and 2 from 64, over
+    GF(2^31 - 1) 9 bytes from 5 terms.  Over GF(2) a sum is a XOR, which
+    never carries: one byte.
+    """
+    if p == 2:
+        return 1
+    w = -(-((p - 1) + terms * (p - 1) ** 2).bit_length() // 8)
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+_LANE_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=None)
+def _mod_table(p: int) -> bytes:
+    """The bytes b % p, for b < 256: reduces a 1-byte lane in C with bytes.translate."""
+    return bytes([b % p for b in range(256)])
+
+
+def _pack_lanes(xs: Sequence, w: int) -> int:
+    """Nonnegative ints below 256^w as one int, entry j in lane j of w bytes."""
+    if w == 1:
+        return int.from_bytes(bytes(xs), "little")
+    if w in _LANE_FORMATS:
+        return int.from_bytes(struct.pack(f"<{len(xs)}{_LANE_FORMATS[w]}", *xs), "little")
+    return int.from_bytes(b"".join([a.to_bytes(w, "little") for a in xs]), "little")
+
+
+def _read_lanes(p: int, x: int, w: int, n: int) -> list:
+    """The raw GF(p) vector of the n lanes of w bytes packed in x, each reduced mod p."""
+    data = x.to_bytes(n * w, "little")
+    if w == 1:
+        return list(data if p == 2 else data.translate(_mod_table(p)))
+    if w in _LANE_FORMATS:
+        return [a % p for a in struct.unpack(f"<{n}{_LANE_FORMATS[w]}", data)]
+    return [int.from_bytes(data[i:i + w], "little") % p for i in range(0, n * w, w)]
 
 
 class _RawVector(list):
@@ -334,13 +389,18 @@ class DenseMatrix:
         return _RawVector(column) if self.field.characteristic else _qvector(column, self._den)
 
     def _packed(self, columns: bool) -> list:
-        """The GF(2) rows, or columns, packed into ints, kept from a product or computed on first use."""
+        """The GF(p) rows, or columns, packed into ints, kept from a product or computed on first use.
+
+        The lanes are as wide as a step that sums them needs: a column is
+        summed with up to cols others, a row with up to rows others.
+        """
         slot = "_packed_cols" if columns else "_packed_rows"
         try:
             return getattr(self, slot)
-        except AttributeError:  # the slot stays empty until a GF(2) step needs it
+        except AttributeError:  # the slot stays empty until a GF(p) step needs it
             lines = zip(*self._raw) if columns else self._raw
-            object.__setattr__(self, slot, [_pack(r) for r in lines])
+            w = _lane_width(self.field.characteristic, self.cols if columns else self.rows)
+            object.__setattr__(self, slot, [_pack_lanes(r, w) for r in lines])
             return getattr(self, slot)
 
     def __setattr__(self, name, value):
@@ -435,19 +495,18 @@ class DenseMatrix:
     def _times_col(self, x: list) -> list:
         """The matrix times the raw column vector x, as a raw vector; zero entries of x are skipped."""
         p = self.field.characteristic
-        if p == 2:
-            return _xor_of(self._packed(True), x, self.rows)
+        if p:
+            return _packed_sum(p, self._packed(True), x, self.cols, self.rows)
         nz = [j for j, a in enumerate(x) if a]
         out = [sum([row[j] * x[j] for j in nz]) for row in self._raw]
-        return [s % p for s in out] if p else _qvector(out, x.den * self._den)
+        return _qvector(out, x.den * self._den)
 
     def _times_row(self, x: list) -> list:
         """The raw row vector x times the matrix, as a raw vector; zero entries of x are skipped."""
         p = self.field.characteristic
-        if p == 2:
-            return _xor_of(self._packed(False), x, self.cols)
-        out = _row_times(p, x, self._raw, self.cols)
-        return out if p else _qvector(out, x.den * self._den)
+        if p:
+            return _packed_sum(p, self._packed(False), x, self.rows, self.cols)
+        return _qvector(_row_times(0, x, self._raw, self.cols), x.den * self._den)
 
     def transpose(self) -> "DenseMatrix":
         raw = self._raw
@@ -482,6 +541,19 @@ class DenseMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"DenseMatrix({self.field}, {self.rows}x{self.cols}: {body})"
+
+
+def _packed_sum(p: int, packed: list, x: Sequence, terms: int, n: int) -> list:
+    """The raw vector sum of x_j * packed_j over the nonzero x_j, for packed GF(p) vectors of length n.
+
+    One integer multiply-add per term, a XOR over GF(2), and one
+    reduction mod p when the lanes are read.
+    """
+    if p == 2:
+        total = reduce(xor, compress(packed, x), 0)
+    else:
+        total = sum([a * y for a, y in zip(x, packed) if a])
+    return _read_lanes(p, total, _lane_width(p, terms), n)
 
 
 def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
@@ -664,25 +736,33 @@ class SpanSolver:
     far and reports whether it did; coordinates() rewrites any vector of
     the span as a combination of the inserted ones.  Rows are kept fully
     reduced, so the internal basis is canonical for a given insertion
-    order.  For p != 2 a row and its combination are kept in one form,
-    row_i = sum_k combo_i[k] * (k-th inserted vector), and are made a
-    pivot row and cleared as one row: raw values over GF(p), each row
-    with a 1 at its pivot, and over Q a primitive integer multiple of
-    the reduced row, its combination in the same scale.  Over GF(2) a
-    row and its combination are one packed int, the combination in the
-    bytes above the first length, and the rows are a dict from each
-    row's pivot, its lowest set bit, to the row.
+    order.  Over GF(p) a row and its combination are one packed int, the
+    combination in the lanes above the first length, and are reduced,
+    and added to a vector, as one.  For odd p each row has a 1 at its
+    pivot and keeps its negated combination, -combo_i, so that taking a
+    row off a vector adds its combination; the rows to take off are read
+    at v's pivot entries, and the sum is read back as raw values.  Over
+    GF(2) the rows are a dict from each row's pivot, its lowest set bit,
+    to the row: a XOR never carries, so one AND with the pivot bits names
+    the rows to take off, and the residual stays packed, where reading
+    the lanes back would cost more than the whole reduction.  Over Q a
+    row and its combination are lists, row_i = sum_k combo_i[k] *
+    (k-th inserted vector), a primitive integer multiple of the reduced
+    row and its combination in the same scale.
     """
 
     def __init__(self, field: FieldSpec, length: int):
         self.field = field
         self.length = length
-        self._p = field.characteristic
-        self._rows = {} if self._p == 2 else []  # reduced rows, one pivot each
+        p = self._p = field.characteristic
+        self._rows = {} if p == 2 else []  # reduced rows, one pivot each
         self._pivots = []
-        self._combos = []  # row i as a combination of inserted vectors
+        self._combos = []  # over Q: row i as a combination of inserted vectors
         self._mask = 0  # over GF(2): every pivot bit
-        self._vector_bits = (1 << 8 * length) - 1  # over GF(2): the bytes of a vector
+        # over GF(p): bytes per lane, at most length rows are taken off a vector at once
+        self._width = _lane_width(p, length) if p else 0
+        self._shift = 8 * self._width * length  # the combination's lanes start here
+        self._vector_bits = (1 << self._shift) - 1
         self.count = 0
 
     @property
@@ -694,20 +774,27 @@ class SpanSolver:
 
         residual = sigma * v - sum(alpha_i * row_i), one scale sigma for
         all the rows taken off: an integer row over Q, where sigma takes in
-        v's denominator, and raw values over GF(p), where every pivot entry
-        is 1 and so sigma is 1.  Over GF(2) the residual is packed, and in
-        place of the alphas comes their combination, sum(alpha_i * combo_i),
-        packed.  v itself is not changed.
+        v's denominator.  Over GF(p) every pivot entry is 1 and so sigma is
+        1, and in place of the alphas comes their combination,
+        sum(alpha_i * combo_i): packed over GF(2), the residual too, and for
+        odd p both read off the lanes of one sum as raw values.  v itself
+        is not changed.
         """
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)}, expected {self.length}")
         p = self._p
         if p == 2:
             x = _xor_reduce(self._rows, self._mask, _pack(v))
-            return x & self._vector_bits, x >> 8 * self.length, 1
-        d = 1 if p else v.den
-        # the rows are zero at each other's pivots, so the multiple of row i
-        # is fixed by v[piv_i] alone: one common scale m clears them all
+            return x & self._vector_bits, x >> self._shift, 1
+        if p:
+            # the rows are zero at each other's pivots, so the multiple of row i
+            # is fixed by v[piv_i] alone, and every multiple goes on in one sum
+            n, w = self.length, self._width
+            taken = [(p - v[piv]) * row for piv, row in zip(self._pivots, self._rows) if v[piv]]
+            lanes = _read_lanes(p, _pack_lanes(v, w) + sum(taken), w, n + self.count)
+            return lanes[:n], lanes[n:], 1
+        # over Q one common scale m clears every pivot entry of v
+        d = v.den
         hits = []  # (i, t, q): row i is taken off t * m / q times
         m = 1
         for i, (row, piv) in enumerate(zip(self._rows, self._pivots)):
@@ -747,14 +834,29 @@ class SpanSolver:
             if not residual:
                 return False
             # the combination sits above the residual, so the row's lowest set bit is the residual's
-            self._mask |= _xor_insert(self._rows, residual | (alphas | 1 << 8 * self.count) << 8 * self.length)
+            self._mask |= _xor_insert(self._rows, residual | (alphas | 1 << 8 * self.count) << self._shift)
             self.count += 1
             return True
         pivot = next((j for j, a in enumerate(residual) if a), None)
         if pivot is None:
             return False
-        self.count += 1
         n = self.length
+        if p:
+            # residual = e_count - sum(alpha_i * combo_i) as a combination, and
+            # alphas holds the sum: the row keeps its negation, scaled to 1 at the pivot
+            w = self._width
+            new = _pack_lanes(_scale(p, _inv(p, residual[pivot]), residual + alphas + [p - 1]), w)
+            self.count += 1
+            # keep existing rows reduced against the new pivot
+            at, lane = 8 * w * pivot, (1 << 8 * w) - 1
+            for i, row in enumerate(self._rows):
+                a = row >> at & lane
+                if a:
+                    self._rows[i] = _pack_lanes(_read_lanes(p, row + (p - a) * new, w, n + self.count), w)
+            self._rows.append(new)
+            self._pivots.append(pivot)
+            return True
+        self.count += 1
         combo = [0] * self.count
         combo[-1] = sigma
         for alpha, old in zip(alphas, self._combos):
@@ -794,21 +896,22 @@ class SpanSolver:
         p = self._p
         if p == 2:
             return _unpack(alphas, self.count)
+        if p:
+            return alphas
         coords = [0] * self.count
         for alpha, combo in zip(alphas, self._combos):
             if alpha:
                 k = len(combo)
                 coords[:k] = _addmul(p, coords[:k], alpha, combo)
-        return coords if p else _qvector(coords, sigma)
+        return _qvector(coords, sigma)
 
     def contains(self, v: Vector) -> bool:
         residual, _, _ = self._reduce(_unbox(self.field, v))
         return not self._nonzero(residual)
 
     def basis_rows(self) -> list:
-        if self._p == 2:
-            return [_box(self.field, _unpack(r & self._vector_bits, self.length)) for r in self._rows.values()]
-        if self._p:
-            return [_box(self.field, r) for r in self._rows]
+        p = self._p
+        if p:
+            rows = self._rows.values() if p == 2 else self._rows
+            return [_box(self.field, _read_lanes(p, r & self._vector_bits, self._width, self.length)) for r in rows]
         return [_box(self.field, _qvector(r, r[c])) for r, c in zip(self._rows, self._pivots)]
-

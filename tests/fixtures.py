@@ -174,23 +174,25 @@ def multiquadratic_module(primes, dual=False):
     return orbit_basis(AlgebraAction(QQ, gens), [1] + [0] * (size - 1))
 
 
-def gf2_redundant_automaton(dim, seed):
-    """A seeded GF(2) automaton a + b - b on dim states, its states shuffled.
+def redundant_automaton(field, dim, seed):
+    """A seeded GF(p) automaton a + b - b on dim states, its states shuffled.
 
-    a has dim / 4 states and b 3 dim / 8, each with random entries, and
-    over GF(2) -b is b itself; the direct sum is laid out block by block
-    and then every state i is renamed perm[i].  Its series is a's, so
-    it minimizes to at most dim / 4 states.
+    a has dim / 4 states and b 3 dim / 8, each with random entries in
+    [0, p), and -b is b with its lambda negated (over GF(2), b itself);
+    the direct sum is laid out block by block and then every state i is
+    renamed perm[i].  Its series is a's, so it minimizes to at most
+    dim / 4 states.
     """
+    p = field.characteristic
     rng = random.Random(seed)
     alphabet = ("a", "b")
 
     def part(k):
-        bits = lambda: [rng.randrange(2) for _ in range(k)]
-        return bits(), {s: [bits() for _ in range(k)] for s in alphabet}, bits()
+        entries = lambda: [rng.randrange(p) for _ in range(k)]
+        return entries(), {s: [entries() for _ in range(k)] for s in alphabet}, entries()
 
-    b = part(3 * dim // 8)
-    parts = [part(dim // 4), b, b]
+    b_lam, b_mu, b_gamma = part(3 * dim // 8)
+    parts = [part(dim // 4), (b_lam, b_mu, b_gamma), ([-x % p for x in b_lam], b_mu, b_gamma)]
     perm = list(range(dim))
     rng.shuffle(perm)
     lam, gamma = [0] * dim, [0] * dim
@@ -205,4 +207,4 @@ def gf2_redundant_automaton(dim, seed):
                 for j in range(k):
                     mu[s][perm[offset + i]][perm[offset + j]] = part_mu[s][i][j]
         offset += k
-    return WeightedAutomaton(GF2, alphabet, lam, mu, gamma)
+    return WeightedAutomaton(field, alphabet, lam, mu, gamma)

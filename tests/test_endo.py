@@ -548,23 +548,35 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     verify_certificate(e, cert)
 
 
-@pytest.mark.parametrize("make, min_poly_loop", [
-    (lambda: conjugated_jordan_module(GF2, 24, 1), False),
-    (lambda: multiquadratic_module([2, 3, 5], dual=True), True),
-], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly"])
-def test_each_local_test_runs_once_per_leaf(make, min_poly_loop, monkeypatch):
-    # the search accepts the leaf through the verifier's own local test, and
-    # decompose_once does not run that test a second time
-    calls = {"_is_two_sided_ideal": 0, "_nilpotent_span": 0}
+@pytest.mark.parametrize("make, mode, min_poly_loop", [
+    (lambda: conjugated_jordan_module(GF2, 24, 1), "local", False),
+    (lambda: multiquadratic_module([2, 3, 5], dual=True), "local", True),
+    (lambda: multiquadratic_module([2, 3, 5]), "field-generated", True),
+], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly", "multiquadratic-field"])
+def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypatch):
+    # the search accepts the leaf through the verifier's own test for its
+    # mode, and decompose_once does not run that test a second time: a
+    # local leaf's ideal, nilpotency and field tests, a field-generated
+    # leaf's field test, on the factors the candidate loop has found
+    calls = {"_is_two_sided_ideal": 0, "_nilpotent_span": 0, "_generates_quotient_field": 0, "factor": 0}
     for name in calls:
         def spy(*args, name=name, real=getattr(endo, name)):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(endo, name, spy)
     cert, halves = decompose_once(make())
-    assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", mode)
     assert ("min_poly_tried" in cert.diagnostics) == min_poly_loop
-    assert calls == {"_is_two_sided_ideal": 1, "_nilpotent_span": 1}
+    # one factorization per candidate tried, and the local test's one of the
+    # element's minimal polynomial modulo J
+    local = mode == "local"
+    tried = cert.diagnostics.get("min_poly_tried", 0)
+    assert calls == {
+        "_is_two_sided_ideal": local,
+        "_nilpotent_span": local,
+        "_generates_quotient_field": 1,
+        "factor": tried + local,
+    }
 
 
 def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
@@ -576,10 +588,14 @@ def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
 
 
 def _ideal_and_oracle(e, ideal):
-    """The ideal test and the all-basis oracle on span(ideal), whose first columns must be independent."""
+    """The ideal test and the all-basis oracle on span(ideal), whose first columns must be independent.
+
+    The test extends the solver it is handed, so the oracle reads it first.
+    """
     span = endo.SpanSolver(e.field, e.module_dim)
     assert all(span.add(endo._first_column(j)) for j in ideal)
-    return endo._is_two_sided_ideal(e, ideal, span), oracles.is_two_sided_ideal_all_basis(e, ideal, span)
+    oracle = oracles.is_two_sided_ideal_all_basis(e, ideal, span)
+    return endo._is_two_sided_ideal(e, ideal, span), oracle
 
 
 def test_ideal_test_agrees_with_the_all_basis_oracle():

@@ -3,9 +3,10 @@
 Every case is a CLI argument list run against the input files in
 tests/golden/; its stdout must equal the committed file
 tests/golden/<case>.out byte for byte.  The other CLI tests check that
-output repeats across runs; these pin what it is.  Three more goldens
-are built in-process: minimize_gf2_160.out, the JSON text of a minimized
-automaton that tests/fixtures.py builds; decompose_regular_s4_gf3.out,
+output repeats across runs; these pin what it is.  More goldens
+are built in-process: minimize_gf2_160.out and
+minimize_gf2147483647_32.out, the JSON text of minimized automata that
+tests/fixtures.py builds; decompose_regular_s4_gf3.out,
 the report of the regular S4 module over GF(3), the one golden that
 runs the odd-p kernel end to end (the CLI decomposes over GF(2) or Q
 only); and decompose_companion_q.out, the one report that carries a
@@ -28,13 +29,13 @@ from fractions import Fraction
 
 import pytest
 
-from cyclomod import QQ, cli, gf
+from cyclomod import GF2, QQ, cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
 
-from fixtures import gf2_redundant_automaton, regular_s4_module
+from fixtures import redundant_automaton, regular_s4_module
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
@@ -47,6 +48,8 @@ SPLIT_4_6 = "x1*x2*x3 + x4*x5"
 CASES = {
     "minimize_gf2": ["minimize", "{golden}/automaton_gf2.json"],
     "minimize_gf3": ["minimize", "{golden}/automaton_gf3.json"],
+    # 72 states: the first covering tree's GF(3) lanes are 2 bytes wide, past 63 entries
+    "minimize_gf3_72": ["minimize", "{golden}/automaton_gf3_72.json"],
     "minimize_q": ["minimize", "{golden}/automaton_q.json"],
     # entries with denominators, read into and written out of integer rows over one denominator
     "minimize_q_fractions": ["minimize", "{golden}/automaton_q_fractions.json"],
@@ -81,19 +84,36 @@ def test_cli_stdout_matches_golden_bytes(name, capsys):
         assert out == handle.read()
 
 
-def minimized_gf2_160():
-    """A seeded 160-state GF(2) automaton a + b - b and the text of its minimization."""
-    source = gf2_redundant_automaton(160, seed=1)
+# in-process minimize goldens: name -> (field, states); over GF(2^31 - 1)
+# the covering trees' packed lanes are 9 bytes wide, past every struct format
+MINIMIZED = {
+    "minimize_gf2_160": (GF2, 160),
+    "minimize_gf2147483647_32": (gf(2147483647), 32),
+}
+
+
+def minimized(name):
+    """A seeded automaton a + b - b and the text of its minimization."""
+    field, dim = MINIMIZED[name]
+    source = redundant_automaton(field, dim, seed=1)
     result = minimize(source)
     return source, result, to_text(automaton_to_json(result))
 
 
-def test_minimize_large_gf2_automaton_matches_golden_bytes():
-    source, result, text = minimized_gf2_160()
-    assert result.dim == 40
-    with open(os.path.join(GOLDEN, "minimize_gf2_160.out"), encoding="utf-8", newline="") as handle:
+def _check_minimized(name, dim):
+    source, result, text = minimized(name)
+    assert result.dim == dim
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8", newline="") as handle:
         assert text == handle.read()
     assert equivalent(source, result)
+
+
+def test_minimize_large_gf2_automaton_matches_golden_bytes():
+    _check_minimized("minimize_gf2_160", 40)
+
+
+def test_minimize_over_a_large_prime_matches_golden_bytes():
+    _check_minimized("minimize_gf2147483647_32", 8)
 
 
 def regular_s4_gf3():
@@ -165,7 +185,8 @@ def main():
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         _write(name, buffer.getvalue())
-    _write("minimize_gf2_160", minimized_gf2_160()[2])
+    for name in MINIMIZED:
+        _write(name, minimized(name)[2])
     _write("decompose_regular_s4_gf3", regular_s4_gf3()[1])
     _write("decompose_companion_q", companion_q()[1])
     for name in DEMO_NAMES:

@@ -14,6 +14,7 @@ from cyclomod.linalg import (
     SpanSolver,
     _box,
     _dots,
+    _lane_width,
     _unbox,
     _unit,
     kernel_basis,
@@ -511,36 +512,65 @@ def test_span_solver_staircase_over_a_large_prime(seed, rows, cols):
             _assert_canonical(field, got)
 
 
-# column counts on both sides of the 8-, 64- and 128-entry boundaries of the packed GF(2) rows
-PACKED_COLS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
+# lengths on both sides of every change of lane width of the packed rows:
+# over GF(2) the 8-, 64- and 128-entry boundaries of one byte per entry, and
+# for odd p each length k at which (p - 1) + k (p - 1)^2 outgrows a width
+PACKED_LENGTHS = {
+    2: (0, 1, 7, 8, 9, 63, 64, 65, 130),
+    3: (0, 1, 63, 64, 65),
+    5: (0, 1, 15, 16),
+    7: (0, 1, 6, 7),
+    251: (0, 1, 2, 3),
+    2147483647: (0, 1, 4, 5, 9),
+}
+# bytes per lane at those lengths, the 9-byte lanes past the widths struct reads
+LANE_WIDTHS = {
+    2: (1,) * 9,
+    3: (1, 1, 1, 2, 2),
+    5: (1, 1, 1, 2),
+    7: (1, 1, 1, 2),
+    251: (1, 2, 4, 4),
+    2147483647: (4, 8, 8, 9, 9),
+}
 
 
+def test_lane_widths_change_at_the_tested_lengths():
+    for p, lengths in PACKED_LENGTHS.items():
+        assert tuple(_lane_width(p, k) for k in lengths) == LANE_WIDTHS[p]
+
+
+@pytest.mark.parametrize("p", sorted(PACKED_LENGTHS))
 @settings(max_examples=30, deadline=None)
 @given(
+    data=st.data(),
     seed=st.integers(min_value=0, max_value=10**6),
-    rows=st.integers(min_value=0, max_value=40),
-    cols=st.sampled_from(PACKED_COLS),
-    inner=st.sampled_from((0, 1, 7, 8, 9, 65)),
     form=st.sampled_from(["boxed", "ints", "mixed"]),
 )
-def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form):
-    """rref, kernels, SpanSolver, products, matrix-vector products and dot over GF(2) on packed rows.
+def test_packed_kernel_matches_boxed_reference(p, data, seed, form):
+    """rref, kernels, SpanSolver, products, matrix-vector products and dot over GF(p) on packed rows.
 
-    The "ints" and "mixed" forms hand in -2, -1, 2 and 3 as well as 0
-    and 1, which must be reduced before they are packed.
+    The "ints" and "mixed" forms hand in values shifted by p, outside
+    [0, p), which must be reduced before they are packed.  Rows and
+    columns are drawn from lengths on both sides of each lane width, as
+    SpanSolver sizes its lanes by the vector length, a matrix-vector
+    product by the number of terms it sums.
     """
+    field = gf(p)
+    rows = data.draw(st.sampled_from(PACKED_LENGTHS[p] + (12, 40)), label="rows")
+    cols = data.draw(st.sampled_from(PACKED_LENGTHS[p]), label="cols")
+    inner = data.draw(st.sampled_from((0, 1, 7, 8, 9, 65)), label="inner")
     rng = random.Random(seed)
     rows = min(rows, 12) if cols * inner > 1000 else rows  # keep the boxed product small
 
     def given(values):
-        return _as_input(GF2, values, form)
+        return _as_input(field, values, form)
 
     def box(values):
-        return _as_input(GF2, values, "boxed")
+        return _as_input(field, values, "boxed")
 
-    raw = _oracle_rows(GF2, rng, rows, cols)
-    m = DenseMatrix(GF2, [given(r) for r in raw], cols=cols)
-    m_boxed = DenseMatrix(GF2, [box(r) for r in raw], cols=cols)
+    raw = _oracle_rows(field, rng, rows, cols)
+    m = DenseMatrix(field, [given(r) for r in raw], cols=cols)
+    m_boxed = DenseMatrix(field, [box(r) for r in raw], cols=cols)
     assert m == m_boxed
 
     red, rank, pivots = rref(m)
@@ -548,12 +578,12 @@ def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form
     assert red.entries == tuple(ref.rows)
     assert (rank, pivots) == (ref.rank, ref.pivot_columns)
     for row in red.entries:
-        _assert_canonical(GF2, row)
+        _assert_canonical(field, row)
 
     # probes are compared before and after each insertion, so the packed
     # combinations are read while they grow
-    solver, reference = SpanSolver(GF2, cols), oracles.BoxedSpanSolver(GF2, cols)
-    probes = raw[::5] + _oracle_rows(GF2, rng, 2, cols)
+    solver, reference = SpanSolver(field, cols), oracles.BoxedSpanSolver(field, cols)
+    probes = raw[::5] + _oracle_rows(field, rng, 2, cols)
     for i, r in enumerate(raw):
         assert solver.add(given(r)) == reference.add(box(r))
         if i % 8 == 0 or i == len(raw) - 1:
@@ -562,38 +592,42 @@ def test_packed_gf2_kernel_matches_boxed_reference(seed, rows, cols, inner, form
                 assert got == reference.coordinates(box(v))
                 assert solver.contains(given(v)) == (got is not None)
                 if got is not None:
-                    _assert_canonical(GF2, got)
+                    _assert_canonical(field, got)
+            assert solver.basis_rows() == reference.basis_rows()
     assert solver.rank == reference.rank == rank
-    assert solver.basis_rows() == reference.basis_rows()
     for row in solver.basis_rows():
-        _assert_canonical(GF2, row)
+        _assert_canonical(field, row)
 
     # the kernel that compute_end cuts its solution space with, on these rows
     # and on all-zero rows: it vanishes on every row, is independent, and has
     # cols - rank vectors, so it spans the nullspace
-    for a, a_raw in ((m, raw), (DenseMatrix.zeros(GF2, rows, cols), [[0] * cols] * rows)):
+    for a, a_raw in ((m, raw), (DenseMatrix.zeros(field, rows, cols), [[0] * cols] * rows)):
         kernel = [[c.value for c in v] for v in kernel_basis(a)]
-        assert all(sum(x & y for x, y in zip(r, v)) % 2 == 0 for r in a_raw for v in kernel)
-        assert oracles.raw_rank(2, kernel) == len(kernel) == cols - oracles.raw_rank(2, a_raw)
+        assert all(sum(x * y for x, y in zip(r, v)) % p == 0 for r in a_raw for v in kernel)
+        assert oracles.raw_rank(p, kernel) == len(kernel) == cols - oracles.raw_rank(p, a_raw)
 
-    other_raw = _oracle_rows(GF2, rng, cols, inner)
-    other = DenseMatrix(GF2, [given(r) for r in other_raw], cols=inner)
+    other_raw = _oracle_rows(field, rng, cols, inner)
+    other = DenseMatrix(field, [given(r) for r in other_raw], cols=inner)
     product = m * other
     assert (product.rows, product.cols) == (rows, inner)
     assert product.entries == tuple(oracles.boxed_mul(m_boxed, other))
     for row in product.entries:
-        _assert_canonical(GF2, row)
-    for v in _oracle_rows(GF2, rng, 2, cols):
-        x = _unbox(GF2, given(v))
-        got = _box(GF2, m._times_col(x))
+        _assert_canonical(field, row)
+    for v in _oracle_rows(field, rng, 2, cols):
+        x = _unbox(field, given(v))
+        got = _box(field, m._times_col(x))
         assert got == oracles.boxed_apply(m_boxed, box(v))
-        _assert_canonical(GF2, got)
+        _assert_canonical(field, got)
         if cols:
-            u = _oracle_rows(GF2, rng, 1, cols)[0]
-            dot = _box(GF2, _dots(2, [u], x))
-            assert dot == (sum((a * b for a, b in zip(box(u), box(v))), GF2.zero()),)
-            _assert_canonical(GF2, dot)
-    for w in _oracle_rows(GF2, rng, 2, rows):
-        got = _box(GF2, m._times_row(_unbox(GF2, given(w))))
+            u = _oracle_rows(field, rng, 1, cols)[0]
+            dot = _box(field, _dots(p, [u], x))
+            assert dot == (sum((a * b for a, b in zip(box(u), box(v))), field.zero()),)
+            _assert_canonical(field, dot)
+    for w in _oracle_rows(field, rng, 2, rows):
+        got = _box(field, m._times_row(_unbox(field, given(w))))
         assert got == oracles.boxed_apply_row(m_boxed, box(w))
-        _assert_canonical(GF2, got)
+        _assert_canonical(field, got)
+    # every value p - 1, so each lane of a step takes its largest sum, terms * (p - 1)^2
+    full = DenseMatrix(field, [[p - 1] * cols for _ in range(rows)], cols=cols)
+    assert full._times_col([p - 1] * cols) == [(p - 1) ** 2 * cols % p] * rows
+    assert full._times_row([p - 1] * rows) == [(p - 1) ** 2 * rows % p] * cols
