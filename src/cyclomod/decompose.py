@@ -41,8 +41,11 @@ def decompose_once(m: CyclicModule):
     Certifies m and splits it along a decomposable certificate.  Returns
     (certificate, None) for a leaf and (certificate, pair of modules)
     for a split.  verify_certificate re-checks every certificate found
-    but a local or field-generated one, which the search makes only once
-    it has passed the verifier's own test for its mode.  The halves are
+    but a local or field-generated one.  The search makes a local one
+    only once it has passed the verifier's own test.  A field-generated
+    one is certified by construction, an element built from E's basis
+    whose minimal polynomial has degree dim E, and only check_report
+    checks it in full.  The halves are
     the covering trees that the certificate check spun in block
     coordinates; the block basis is injective, so their kept words and
     restricted matrices are the ones an orbit over the ambient action

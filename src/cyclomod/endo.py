@@ -63,10 +63,12 @@ f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable ("field-generated" when J = 0, "local"
 otherwise, with the identity as x when dim E/J = 1).  A field-generated
 leaf is accepted through the verifier's own test,
-_generates_quotient_field, on the factors the loop has just found, so
-decompose_once does not run it again either.  This loop decides the
-fields, the local algebras whose residue field is larger than F, and
-those whose nilpotent candidates span less than J.  When the list
+_generates_quotient_field, on the factors the loop has just found,
+where it cannot fail: the leaf is certified by construction, and
+decompose_once does not check it again; check_report does, in full.
+This loop decides the fields, the local algebras whose residue field
+is larger than F, and those whose nilpotent candidates span less than
+J.  When the list
 leaves E/J generated by no candidate, as for Q(sqrt 2, sqrt 3, sqrt 5)
 whose elements all have degree at most 4 over Q, the loop goes on with
 x + c b for the best x so far, each basis element b in turn and
@@ -411,24 +413,27 @@ def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
                     queue.append(prod)
 
 
-def _is_two_sided_ideal(e: EndoAlgebra, ideal: Sequence, span: SpanSolver) -> bool:
-    """Whether b j and j b lie in J for every b in E and every j in `ideal`.
+def _ideal_failure(e: EndoAlgebra, ideal: Sequence) -> Optional[str]:
+    """Why the matrices `ideal` in E are not a basis of a two-sided ideal J, or None when they are.
 
-    J is the span of the matrices `ideal` in E, whose first columns were
-    inserted into `span` in that order, and nothing else.  A product in E
-    is fixed by its first column, so b j is in J exactly when b (j e_0) is
-    in J e_0.  The products j j' of every ordered pair from `ideal` cover
-    each b in J in both orders.  E is spanned by J, the identity and the
-    basis elements whose first columns extend J e_0 and e_0, the
-    identity's first column, so only those basis elements still need b j
-    and j b: |J|^2 + 2 |J| (dim E - |J| - 1) products when the identity
-    is outside J, half the 2 |J| (dim E - 1) of every basis element for a
-    hyperplane.  e_0 and those first columns are inserted into `span`
-    behind J's, so a vector lies in J e_0 when its coordinates vanish off
-    J's columns.  The test stops at the first product outside.
+    A product in E is fixed by its first column, so the matrices are
+    independent when their first columns are, and b j is in J exactly
+    when b (j e_0) is in J e_0.  The products j j' of every ordered pair
+    from `ideal` cover each b in J in both orders.  E is spanned by J,
+    the identity and the basis elements whose first columns extend J e_0
+    and e_0, the identity's first column, so only those basis elements
+    still need b j and j b: |J|^2 + 2 |J| (dim E - |J| - 1) products when
+    the identity is outside J, half the 2 |J| (dim E - 1) of every basis
+    element for a hyperplane.  One solver holds J's first columns, then
+    e_0 and those extending first columns, so a vector lies in J e_0 when
+    its coordinates vanish off J's columns.  The test stops at the first
+    product outside.
     """
-    k = span.count
+    span = SpanSolver(e.field, e.module_dim)
     firsts = [_first_column(j) for j in ideal]
+    if not all(span.add(j0) for j0 in firsts):
+        return "radical matrices are linearly dependent"
+    k = len(ideal)
     span.add(_unit(e.field.characteristic, e.module_dim, 0))
     products = [(j, y0) for j in ideal for y0 in firsts]
     for b in e.basis:
@@ -440,7 +445,9 @@ def _is_two_sided_ideal(e: EndoAlgebra, ideal: Sequence, span: SpanSolver) -> bo
         coords = span._coordinates(x)
         return coords is not None and not any(coords[k:])
 
-    return all(in_ideal(_image(x, y0)) for x, y0 in products)
+    if not all(in_ideal(_image(x, y0)) for x, y0 in products):
+        return "radical span is not a two-sided ideal"
+    return None
 
 
 def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
@@ -567,7 +574,10 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         if best_degree != e.dim - len(ideal):
             continue
         # with J = 0, best is this candidate (an earlier one would have ended
-        # the loop), so the verifier's own test reads the factors at hand
+        # the loop), and deg f = dim E leaves f its only factor, so the
+        # verifier's own test cannot turn it down here: it is called so that
+        # the search and verify_certificate accept a field-generated leaf by
+        # one condition, read on the factors at hand
         if not ideal and _generates_quotient_field(e, factors, ()):
             return Certificate("indecomposable", "field-generated", best, None, diag)
         if nilpotent is None:
@@ -634,17 +644,15 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     failure = _element_failure(e, element)
     if failure is not None:
         return failure
-    span = SpanSolver(e.field, e.module_dim)
     for j in radical:
         failure = _element_failure(e, j, "radical matrix")
         if failure is not None:
             return failure
         if not e.contains(j):
             return "radical matrix is not in the endomorphism algebra"
-        if not span.add(_first_column(j)):
-            return "radical matrices are linearly dependent"
-    if not _is_two_sided_ideal(e, radical, span):
-        return "radical span is not a two-sided ideal"
+    failure = _ideal_failure(e, radical)
+    if failure is not None:
+        return failure
     if not _nilpotent_span(e, radical):
         return "radical span is not nilpotent"
     if not e.contains(element):

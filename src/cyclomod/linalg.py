@@ -28,7 +28,11 @@ A step adds at most k multiples c*y, with c and y in [0, p), to a
 reduced vector: k is the vector length in SpanSolver and the number of
 terms in a matrix-vector step.  So w is the smallest of 1, 2, 4 and 8
 bytes, or past 8 the smallest number of bytes, whose lanes hold
-(p - 1) + k (p - 1)^2 (_lane_width).  A matrix packs its rows and its
+(p - 1) + k (p - 1)^2 (_lane_width).  Lanes of 1 byte are reduced with
+bytes.translate, of 2, 4 and 8 bytes read by struct, both in C, and
+wider lanes one at a time: reading 2-byte lanes one at a time made
+check_report on regular S5 over GF(3) and GF(5), whose 120-entry
+vectors take 2-byte lanes, three times slower.  A matrix packs its rows and its
 columns when a step first needs them, and over GF(2) a product keeps
 the packed rows it makes; endo.compute_end spins on packed GF(2) rows
 too.
@@ -170,7 +174,8 @@ def _lane_width(p: int, terms: int) -> int:
 
     A lane must hold (p - 1) + terms * (p - 1)^2 without carrying into
     the next: the smallest of 1, 2, 4 and 8 bytes that does, the widths
-    struct reads in C, and past 8 bytes the smallest number of bytes.
+    that translate and struct read in C, and past 8 bytes the smallest
+    number of bytes, read one lane at a time.
     Over GF(3) that is 1 byte up to 63 terms and 2 from 64, over
     GF(2^31 - 1) 9 bytes from 5 terms.  Over GF(2) a sum is a XOR, which
     never carries: one byte.

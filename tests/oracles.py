@@ -505,7 +505,7 @@ def enumerate_idempotents(e, cap=2 ** 22):
 def is_two_sided_ideal_all_basis(e, ideal, span):
     """Whether b j and j b lie in J for every basis element b of E and every j in `ideal`.
 
-    The all-basis test that endo._is_two_sided_ideal replaces by the
+    The all-basis test that endo._ideal_failure replaces by the
     products inside J and those with a complement of J: 2 |J| (dim E - 1)
     first-column products, b (j e_0) and j (b e_0) tested in J e_0 =
     `span`, with the identity skipped.

@@ -534,13 +534,14 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     scan = endo._scan_candidates
     monkeypatch.setattr(endo, "_scan_candidates", lambda e: itertools.chain(nilpotent, scan(e)))
     checks = []
-    is_ideal = endo._is_two_sided_ideal
+    ideal_failure = endo._ideal_failure
 
-    def spy(e, ideal, span):
-        checks.append((len(ideal), is_ideal(e, ideal, span)))
-        return checks[-1][1]
+    def spy(e, ideal):
+        failure = ideal_failure(e, ideal)
+        checks.append((len(ideal), failure is None))
+        return failure
 
-    monkeypatch.setattr(endo, "_is_two_sided_ideal", spy)
+    monkeypatch.setattr(endo, "_ideal_failure", spy)
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("decomposable", "fitting-scan")
     assert checks == [(3, False)]
@@ -558,7 +559,7 @@ def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypat
     # mode, and decompose_once does not run that test a second time: a
     # local leaf's ideal, nilpotency and field tests, a field-generated
     # leaf's field test, on the factors the candidate loop has found
-    calls = {"_is_two_sided_ideal": 0, "_nilpotent_span": 0, "_generates_quotient_field": 0, "factor": 0}
+    calls = {"_ideal_failure": 0, "_nilpotent_span": 0, "_generates_quotient_field": 0, "factor": 0}
     for name in calls:
         def spy(*args, name=name, real=getattr(endo, name)):
             calls[name] += 1
@@ -572,7 +573,7 @@ def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypat
     local = mode == "local"
     tried = cert.diagnostics.get("min_poly_tried", 0)
     assert calls == {
-        "_is_two_sided_ideal": local,
+        "_ideal_failure": local,
         "_nilpotent_span": local,
         "_generates_quotient_field": 1,
         "factor": tried + local,
@@ -588,14 +589,10 @@ def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
 
 
 def _ideal_and_oracle(e, ideal):
-    """The ideal test and the all-basis oracle on span(ideal), whose first columns must be independent.
-
-    The test extends the solver it is handed, so the oracle reads it first.
-    """
+    """The ideal test and the all-basis oracle on span(ideal), whose first columns must be independent."""
     span = endo.SpanSolver(e.field, e.module_dim)
     assert all(span.add(endo._first_column(j)) for j in ideal)
-    oracle = oracles.is_two_sided_ideal_all_basis(e, ideal, span)
-    return endo._is_two_sided_ideal(e, ideal, span), oracle
+    return endo._ideal_failure(e, ideal) is None, oracles.is_two_sided_ideal_all_basis(e, ideal, span)
 
 
 def test_ideal_test_agrees_with_the_all_basis_oracle():
