@@ -94,7 +94,6 @@ from .linalg import (
     DenseMatrix,
     SpanSolver,
     Vector,
-    _addmul,
     _box,
     _kernel_from_rref,
     _lowest_terms,
@@ -162,14 +161,15 @@ class EndoAlgebra:
         p = field.characteristic
         coords = _unbox(field, coords)
         terms = [(u, b) for u, b in zip(coords, self.basis) if u]
+        if not terms:
+            return DenseMatrix.zeros(field, n, n)
         # on kernel rows, the coordinate u / q times A / e adds u (d / e) A over
         # the denominator q d, d the lcm of the e; over GF(p), q = e = d = 1
         d = lcm(*[b._den for _, b in terms])
-        acc = [[0] * n for _ in range(n)]
-        for u, b in terms:
-            f = u * (d // b._den)
-            acc = [_addmul(p, r, f, s) for r, s in zip(acc, b._raw)]
-        return DenseMatrix._from_raw(field, acc, n) if p else DenseMatrix._from_ints(field, acc, coords.den * d, n)
+        factors = [u * (d // b._den) for u, b in terms]
+        # row i of the element sums row i of each term's matrix, reduced once
+        rows = [_sum_of_multiples(p, zip(factors, r), n) for r in zip(*[b._raw for _, b in terms])]
+        return DenseMatrix._from_raw(field, rows, n) if p else DenseMatrix._from_ints(field, rows, coords.den * d, n)
 
     def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
         coords = self._coordinates(mat)
@@ -459,11 +459,9 @@ def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
     reduced by one rref per step.  Each space lies in the one before, so
     the chain falls to 0 or stops at a nonzero space.
     """
-    # a raw row w times j^T is (j w)^T
-    transposed = [j.transpose() for j in ideal]
     space = [_first_column(j) for j in ideal]
     while space:
-        images = [t._times_row(w) for t in transposed for w in space]
+        images = [j._times_col(w) for j in ideal for w in space]
         step = rref(DenseMatrix._from_vectors(e.field, images, e.module_dim))
         if step.rank >= len(space):
             return False

@@ -18,34 +18,38 @@ and the kernel (rref, SpanSolver, products, sums and scaling) and every
 other module pass raw rows to each other.  The kernel skips every entry
 whose multiplier is zero.
 
-Over GF(p) SpanSolver and the matrix-vector steps _times_col and
-_times_row, every step of wfa.covering_tree, pack a vector into one
-int, entry j in lane j of w bytes, as the MeatAxe packs rows over small
-prime fields (Parker 1984).  Over GF(2) w is 1 and a row sum is a XOR.
-For odd p adding c times a row is one integer multiply-add, and a
-vector is reduced mod p once, when its lanes are read (_read_lanes).
-A step adds at most k multiples c*y, with c and y in [0, p), to a
-reduced vector: k is the vector length in SpanSolver and the number of
-terms in a matrix-vector step.  So w is the smallest of 1, 2, 4 and 8
-bytes, or past 8 the smallest number of bytes, whose lanes hold
-(p - 1) + k (p - 1)^2 (_lane_width).  Lanes of 1 byte are reduced with
-bytes.translate, of 2, 4 and 8 bytes read by struct, both in C, and
+Every product is one sum, _line_sum: x_j times line j of a matrix,
+over its columns (the matrix times a column x, _times_col) or its rows
+(a row x times the matrix, _times_row; row i of A*B is row i of A times
+B).  A matrix keeps its lines in the form the sum takes (_lines), made
+when a sum first needs them: over Q its integer columns or rows over one
+denominator, summed by _sum_of_multiples, and over GF(p) each line
+packed into one int.  A packed GF(p) vector holds
+entry j in lane j of w bytes, as the MeatAxe packs rows over small prime
+fields (Parker 1984), and SpanSolver packs its rows the same way.  Over
+GF(2) w is 1 and a sum is a XOR.  For odd p adding c times a line is one
+integer multiply-add, and a vector is reduced mod p once, when its lanes
+are read (_read_lanes).  A sum adds at most k multiples c*y, with c and
+y in [0, p), to a reduced vector: k is the vector length in SpanSolver
+and the number of lines summed in a product.  So w is the smallest of 1,
+2, 4 and 8 bytes, or past 8 the smallest number of bytes, whose lanes
+hold (p - 1) + k (p - 1)^2 (_lane_width).  Lanes of 1 byte are reduced
+with bytes.translate, of 2, 4 and 8 bytes read by struct, both in C, and
 wider lanes one at a time: reading 2-byte lanes one at a time made
 check_report on regular S5 over GF(3) and GF(5), whose 120-entry
-vectors take 2-byte lanes, three times slower.  A matrix packs its rows and its
-columns when a step first needs them, and over GF(2) a product keeps
-the packed rows it makes; endo.compute_end spins on packed GF(2) rows
-too.
+vectors take 2-byte lanes, three times slower.  endo.compute_end spins
+on packed GF(2) rows too.
 
-Gauss-Jordan elimination, products and compute_end's spins stay on
-lists for odd p, where a packed elimination that reduces after every
-row operation was slower, and Q's SpanSolver stays on lists.  For
-p != 2, GF(p) and Q share one Gauss-Jordan loop (_rref_rows); the field
-enters only through two steps: _pivot_row makes a pivot row, scaled to
-1 over GF(p) and primitive over Q, and _clear clears an entry with it,
-x - c*pivot_row over GF(p) and, fraction-free, a*x - c*pivot_row
-divided by its content over Q (Bareiss, Math. Comp. 22, 1968).  Every
-kernel in the package is read off rref here.
+Gauss-Jordan elimination and compute_end's spins stay on lists for odd
+p, where a packed elimination that reduces after every row operation was
+slower, and so was rref run as SpanSolver insertions, as for GF(2); Q's
+SpanSolver stays on lists.  For p != 2, GF(p) and Q
+share one Gauss-Jordan loop (_rref_rows); the field enters only through
+two steps: _pivot_row makes a pivot row, scaled to 1 over GF(p) and
+primitive over Q, and _clear clears an entry with it, x - c*pivot_row
+over GF(p) and, fraction-free, a*x - c*pivot_row divided by its content
+over Q (Bareiss, Math. Comp. 22, 1968).  Every kernel in the package is
+read off rref here.
 Reduced echelon forms, coordinates and lowest terms are unique, so they
 are the ones plain Fraction or list arithmetic gives.
 """
@@ -57,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import xor
+from operator import mul, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import FieldScalar, FieldSpec
@@ -98,17 +102,6 @@ def _scale(p: int, c, x: Sequence) -> list:
     if p:
         return [c * a % p for a in x]
     return [c * a if a else a for a in x]
-
-
-def _dots(p: int, vectors: Sequence, y: Sequence) -> list:
-    """The raw vector of the dot products v . y, one entry for each raw vector v of y's length."""
-    if p == 2:
-        y = _pack(y)
-        return _RawVector([(_pack(v) & y).bit_count() & 1 for v in vectors])
-    if p:
-        return _RawVector([sum([a * b for a, b in zip(v, y) if a]) % p for v in vectors])
-    rows, d = _common(vectors)
-    return _qvector([sum([a * b for a, b in zip(r, y) if a]) for r in rows], d * y.den)
 
 
 def _fractions(xs: Sequence, d: int) -> list:
@@ -324,7 +317,7 @@ class DenseMatrix:
     so that equal matrices have equal _raw and _den however they were made.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_den", "_packed_rows", "_packed_cols")
+    __slots__ = ("field", "rows", "cols", "_entries", "_raw", "_den", "_row_lines", "_col_lines")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence], cols: int | None = None):
         rows = [tuple(row) for row in entries]
@@ -393,19 +386,26 @@ class DenseMatrix:
         column = [row[j] for row in self._raw]
         return _RawVector(column) if self.field.characteristic else _qvector(column, self._den)
 
-    def _packed(self, columns: bool) -> list:
-        """The GF(p) rows, or columns, packed into ints, kept from a product or computed on first use.
+    def _lines(self, columns: bool) -> tuple:
+        """(lines, w, n): the columns, or rows, in the form a sum of them takes, made on first use.
 
-        The lanes are as wide as a step that sums them needs: a column is
-        summed with up to cols others, a row with up to rows others.
+        A sum of them has n entries.  Over GF(p) each line is packed into
+        one int in lanes of w bytes, as wide as the sum needs: a column is
+        summed with up to cols others, a row with up to rows others.  Over
+        Q a line is its integers over _den, and w is 0.
         """
-        slot = "_packed_cols" if columns else "_packed_rows"
+        slot = "_col_lines" if columns else "_row_lines"
         try:
             return getattr(self, slot)
-        except AttributeError:  # the slot stays empty until a GF(p) step needs it
-            lines = zip(*self._raw) if columns else self._raw
-            w = _lane_width(self.field.characteristic, self.cols if columns else self.rows)
-            object.__setattr__(self, slot, [_pack_lanes(r, w) for r in lines])
+        except AttributeError:  # the slot stays empty until a sum needs it
+            p = self.field.characteristic
+            terms, n = (self.cols, self.rows) if columns else (self.rows, self.cols)
+            lines = list(zip(*self._raw)) if columns else self._raw
+            w = 0
+            if p:
+                w = _lane_width(p, terms)
+                lines = [_pack_lanes(r, w) for r in lines]
+            object.__setattr__(self, slot, (lines, w, n))
             return getattr(self, slot)
 
     def __setattr__(self, name, value):
@@ -476,15 +476,9 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.characteristic
-        if p == 2:
-            # each row a XOR of packed rows of other; the product keeps them packed too
-            packed = other._packed(False)
-            sums = [reduce(xor, compress(packed, x), 0) for x in self._raw]
-            product = DenseMatrix._from_raw(self.field, [_unpack(r, other.cols) for r in sums], other.cols)
-            object.__setattr__(product, "_packed_rows", sums)
-            return product
-        b = other._raw
-        raw = [_row_times(p, x, b, other.cols) for x in self._raw]
+        lines = other._lines(False)
+        # row i of the product is the sum of other's rows, weighted by row i
+        raw = [_line_sum(p, lines, x) for x in self._raw]
         if p:
             return DenseMatrix._from_raw(self.field, raw, other.cols)
         return DenseMatrix._from_ints(self.field, raw, self._den * other._den, other.cols)
@@ -498,20 +492,16 @@ class DenseMatrix:
         return DenseMatrix._from_ints(self.field, raw, c.den * self._den, self.cols)
 
     def _times_col(self, x: list) -> list:
-        """The matrix times the raw column vector x, as a raw vector; zero entries of x are skipped."""
+        """The matrix times the raw column vector x, as a raw vector: the sum of x_j times column j."""
         p = self.field.characteristic
-        if p:
-            return _packed_sum(p, self._packed(True), x, self.cols, self.rows)
-        nz = [j for j, a in enumerate(x) if a]
-        out = [sum([row[j] * x[j] for j in nz]) for row in self._raw]
-        return _qvector(out, x.den * self._den)
+        out = _line_sum(p, self._lines(True), x)
+        return out if p else _qvector(out, x.den * self._den)
 
     def _times_row(self, x: list) -> list:
-        """The raw row vector x times the matrix, as a raw vector; zero entries of x are skipped."""
+        """The raw row vector x times the matrix, as a raw vector: the sum of x_i times row i."""
         p = self.field.characteristic
-        if p:
-            return _packed_sum(p, self._packed(False), x, self.rows, self.cols)
-        return _qvector(_row_times(0, x, self._raw, self.cols), x.den * self._den)
+        out = _line_sum(p, self._lines(False), x)
+        return out if p else _qvector(out, x.den * self._den)
 
     def transpose(self) -> "DenseMatrix":
         raw = self._raw
@@ -548,44 +538,34 @@ class DenseMatrix:
         return f"DenseMatrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
-def _packed_sum(p: int, packed: list, x: Sequence, terms: int, n: int) -> list:
-    """The raw vector sum of x_j * packed_j over the nonzero x_j, for packed GF(p) vectors of length n.
+def _line_sum(p: int, lines: tuple, x: Sequence) -> list:
+    """The sum of x_j times line j of a matrix, for its (lines, w, n) from _lines; zero x_j are skipped.
 
-    One integer multiply-add per term, a XOR over GF(2), and one
-    reduction mod p when the lanes are read.
+    Over GF(p) x and the sum are raw values: each packed line is added
+    with one integer multiply-add, a XOR over GF(2), and the lanes are
+    reduced mod p once, when they are read.  Over Q x and the sum are
+    integers, the sum over x's denominator times the matrix's.
     """
+    packed, w, n = lines
     if p == 2:
-        total = reduce(xor, compress(packed, x), 0)
-    else:
-        total = sum([a * y for a, y in zip(x, packed) if a])
-    return _read_lanes(p, total, _lane_width(p, terms), n)
+        return _read_lanes(2, reduce(xor, compress(packed, x), 0), 1, n)
+    if p:
+        return _read_lanes(p, sum(map(mul, compress(x, x), compress(packed, x))), w, n)
+    return _sum_of_multiples(0, compress(zip(x, packed), x), n)
 
 
-def _row_times(p: int, x: Sequence, rows: Sequence, cols: int) -> list:
-    """The row vector x times the rows, on raw GF(p) values or, for p = 0, on integers.
+def _sum_of_multiples(p: int, terms: Iterable, cols: int) -> list:
+    """The sum of c * y over the (c, y) in terms, for integer rows y of length cols, reduced mod p once.
 
-    Zero entries of x are skipped.
+    The terms are the nonzero multiples only, so a long, mostly zero
+    weight vector costs nothing for its zeros; over Q (p = 0) the sum is
+    not reduced.
     """
-    acc = [0] * cols
-    for a, row in zip(x, rows):
-        if a:
-            acc = [s + a * b for s, b in zip(acc, row)]
-    # over GF(p), reduce once at the end: the partial sums stay below len(x) * p^2
-    return [s % p for s in acc] if p else acc
-
-
-def _sum_of_multiples(p: int, terms: Sequence, cols: int) -> list:
-    """The sum of c * y over the (c, y) in terms, as _row_times does for a sparse x.
-
-    The terms are the nonzero (x_i, row_i) only, so a long, mostly zero x
-    costs nothing for its zeros.
-    """
-    if not terms:
+    acc = None
+    for c, y in terms:
+        acc = [c * b for b in y] if acc is None else [s + c * b for s, b in zip(acc, y)]
+    if acc is None:
         return [0] * cols
-    c, y = terms[0]
-    acc = [c * b for b in y]
-    for c, y in terms[1:]:
-        acc = [s + c * b for s, b in zip(acc, y)]
     return [s % p for s in acc] if p else acc
 
 

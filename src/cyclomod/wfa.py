@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     _box,
     _common,
-    _dots,
     _marked,
     _qvector,
     _RawVector,
@@ -130,7 +129,7 @@ class WeightedAutomaton:
             if letter not in self.mu:
                 raise ValueError(f"letter {letter!r} is not in the alphabet")
             x = self.mu[letter]._times_row(x)
-        return _box(field, _dots(field.characteristic, [x], self._raw_gamma))[0]
+        return _box(field, DenseMatrix._from_vectors(field, [x], self.dim)._times_col(self._raw_gamma))[0]
 
     def __repr__(self) -> str:
         return f"WeightedAutomaton(dim={self.dim}, alphabet={list(self.alphabet)}, {self.field})"
@@ -205,7 +204,7 @@ def _left_reduction(a: WeightedAutomaton):
     tree = covering_tree(field, a.dim, a._raw_lam, steps)
     n = len(tree.vectors)
     mu = {s: DenseMatrix._from_vectors(field, tree.images[s], n) for s in a.alphabet}
-    gamma = _dots(field.characteristic, tree.vectors, a._raw_gamma)
+    gamma = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_gamma))
     return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma), tree
 
 
@@ -227,7 +226,7 @@ def _right_reduction(a: WeightedAutomaton):
     steps = {s: a.mu[s]._times_col for s in a.alphabet}
     tree = covering_tree(field, a.dim, a._raw_gamma, steps)
     n = len(tree.vectors)
-    lam = _dots(field.characteristic, tree.vectors, a._raw_lam)
+    lam = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_lam))
     mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
     return WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n)), tree
 

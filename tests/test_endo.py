@@ -1072,7 +1072,7 @@ def _gathered(r, u):
     """R U through R's gather plan, for DenseMatrix R and U, as a DenseMatrix; over GF(2) on packed rows."""
     field, p = r.field, r.field.characteristic
     terms = [[(l, c) for l, c in enumerate(row) if c] for row in r._raw]
-    out = list(endo._gather_plan(p, terms)(u._packed(False) if p == 2 else u._raw, u.cols))
+    out = list(endo._gather_plan(p, terms)(u._lines(False)[0] if p == 2 else u._raw, u.cols))
     if p == 2:
         return DenseMatrix._from_raw(field, [_unpack(x, u.cols) for x in out], u.cols)
     if p:

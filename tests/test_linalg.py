@@ -13,7 +13,6 @@ from cyclomod.linalg import (
     DenseMatrix,
     SpanSolver,
     _box,
-    _dots,
     _lane_width,
     _unbox,
     _unit,
@@ -470,7 +469,7 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
         _assert_canonical(QQ, got)
         if cols:
             u = _big_q_rows(rng, 1, cols)[0]
-            dot = _box(QQ, _dots(0, [_unbox(QQ, u)], _unbox(QQ, v)))
+            dot = _box(QQ, DenseMatrix._from_vectors(QQ, [_unbox(QQ, u)], cols)._times_col(_unbox(QQ, v)))
             assert dot == (sum((a * b for a, b in zip(box(u), box(v))), QQ.zero()),)
             _assert_canonical(QQ, dot)
     for w in _big_q_rows(rng, 2, rows):
@@ -552,8 +551,8 @@ def test_packed_kernel_matches_boxed_reference(p, data, seed, form):
     The "ints" and "mixed" forms hand in values shifted by p, outside
     [0, p), which must be reduced before they are packed.  Rows and
     columns are drawn from lengths on both sides of each lane width, as
-    SpanSolver sizes its lanes by the vector length, a matrix-vector
-    product by the number of terms it sums.
+    SpanSolver sizes its lanes by the vector length, a product or a
+    matrix-vector product by the number of terms it sums.
     """
     field = gf(p)
     rows = data.draw(st.sampled_from(PACKED_LENGTHS[p] + (12, 40)), label="rows")
@@ -620,14 +619,17 @@ def test_packed_kernel_matches_boxed_reference(p, data, seed, form):
         _assert_canonical(field, got)
         if cols:
             u = _oracle_rows(field, rng, 1, cols)[0]
-            dot = _box(field, _dots(p, [u], x))
+            dot = _box(field, DenseMatrix._from_vectors(field, [u], cols)._times_col(x))
             assert dot == (sum((a * b for a, b in zip(box(u), box(v))), field.zero()),)
             _assert_canonical(field, dot)
     for w in _oracle_rows(field, rng, 2, rows):
         got = _box(field, m._times_row(_unbox(field, given(w))))
         assert got == oracles.boxed_apply_row(m_boxed, box(w))
         _assert_canonical(field, got)
-    # every value p - 1, so each lane of a step takes its largest sum, terms * (p - 1)^2
+    # every value p - 1, so each lane of a step or a product row takes its
+    # largest sum, terms * (p - 1)^2
     full = DenseMatrix(field, [[p - 1] * cols for _ in range(rows)], cols=cols)
     assert full._times_col([p - 1] * cols) == [(p - 1) ** 2 * cols % p] * rows
     assert full._times_row([p - 1] * rows) == [(p - 1) ** 2 * rows % p] * cols
+    square = DenseMatrix(field, [[p - 1] * cols for _ in range(cols)], cols=cols)
+    assert (full * square)._raw == [[(p - 1) ** 2 * cols % p] * cols] * rows
