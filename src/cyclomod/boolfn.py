@@ -202,5 +202,5 @@ def sn_action(n: int) -> AlgebraAction:
 
 def decompose_boolean(f: BooleanFunction) -> DecompositionReport:
     """Complete decomposition of the cyclic module generated by f."""
-    module = orbit_basis(sn_action(f.n), f.vector())
+    module = orbit_basis(sn_action(f.n), f.coeffs)
     return complete_decomposition(module)

@@ -85,39 +85,29 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def cmd_decompose_bool(args) -> int:
-    f = parse_anf(args.expr, args.n)
-    report = decompose_boolean(f)
-    names = monomial_names(args.n)
+def _write_report(args, report, names, gf2: bool) -> int:
+    """A decompose command's output: DOT files if asked for, then the JSON report or its signature lines."""
     if args.dot is not None:
-        _write_dot_files(args.dot, report, names, gf2=True)
+        _write_dot_files(args.dot, report, names, gf2)
     if args.cert_only:
         _emit(_summary_lines(report), args.output)
     else:
         _emit(to_text(report_to_json(report, names)), args.output)
-    print(
-        f"decomposed dim {report.module.dim} module into {len(report.summands)} summands",
-        file=sys.stderr,
-    )
+    print(f"decomposed dim {report.module.dim} module into {len(report.summands)} summands", file=sys.stderr)
     return 0
+
+
+def cmd_decompose_bool(args) -> int:
+    report = decompose_boolean(parse_anf(args.expr, args.n))
+    # the monomials are named only where a report or a graph is written
+    names = None if args.cert_only and args.dot is None else monomial_names(args.n)
+    return _write_report(args, report, names, gf2=True)
 
 
 def cmd_decompose_perm(args) -> int:
     presentation = presentation_from_json(_read_json(args.input))
     g = _parse_generator_vector(args.generator, QQ, presentation.degree)
-    module = permutation_module(presentation, g)
-    report = complete_decomposition(module)
-    if args.dot is not None:
-        _write_dot_files(args.dot, report, None, gf2=False)
-    if args.cert_only:
-        _emit(_summary_lines(report), args.output)
-    else:
-        _emit(to_text(report_to_json(report)), args.output)
-    print(
-        f"decomposed dim {report.module.dim} module into {len(report.summands)} summands",
-        file=sys.stderr,
-    )
-    return 0
+    return _write_report(args, complete_decomposition(permutation_module(presentation, g)), None, gf2=False)
 
 
 def cmd_cert(args) -> int:
@@ -129,7 +119,7 @@ def cmd_cert(args) -> int:
         if args.generator is not None:
             raise ValueError("--generator goes with --perm, not --bool")
         f = parse_anf(args.bool_expr, args.n)
-        module = orbit_basis(sn_action(args.n), f.vector())
+        module = orbit_basis(sn_action(args.n), f.coeffs)
     elif args.perm is not None:
         if args.generator is None:
             raise ValueError("--perm needs --generator")

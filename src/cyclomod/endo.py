@@ -22,19 +22,16 @@ other than 0 and 1, and any element M that is neither nilpotent nor
 invertible yields a splitting by Fitting's lemma, so the search never
 needs the idempotent itself.  A Fitting certificate's summands are the
 kernel and the image of the stable power M^(2^k), found by squaring
-until the rank stops falling.  linalg.stable_power hands back that power
-with its reduced form: the kernel basis is read off the reduced form,
-and the image basis is the power's columns at its pivot columns, which
-are its first independent columns.  An invertible candidate is turned
-down on its rank, before any product.
+until the rank stops falling (linalg.stable_power, read by _try_fitting).
 
 find_splitting_element runs one search for every field over one fixed
 candidate list, the basis elements and their pairwise sums and
 differences: the one-dimensional shortcut, a Fitting scan of that list,
 then one loop over the same list, and a primitive-element step after
 it, that factors each candidate's minimal polynomial once.  The scan
-takes one stable power per candidate, which sorts it into a Fitting
-witness, a unit, or a nilpotent element (stable rank 0).
+sorts a candidate into a Fitting witness, a unit or a nilpotent element
+by its stable power until it keeps a nilpotent one, then by one rref:
+rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x of rank r < n.
 The first time the nilpotent candidates span a hyperplane J of E, J and
 the identity go once through _local_failure, the verifier's own test of
 a local certificate, which finds J a two-sided ideal (on first columns)
@@ -56,8 +53,8 @@ whose stable power splits the module along those two ("min-poly-split",
 with f(x) as its element).  A power f^k with k > 1 makes f(x)
 nilpotent, and f(x) joins a two-sided ideal J, closed under
 multiplication by the basis.  Once some candidate's f has degree
-dim E - dim J and J is nilpotent (checked on J e_0, J^2 e_0, ..., by
-the same test as the hyperplane, once for each J), E/J is a field
+dim E - dim J and J is nilpotent (each basis matrix j has j^n e_0 = 0,
+by the same test as the hyperplane, once for each J), E/J is a field
 generated by x: the minimal polynomial of x modulo J divides
 f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable ("field-generated" when J = 0, "local"
@@ -163,6 +160,8 @@ class EndoAlgebra:
         terms = [(u, b) for u, b in zip(coords, self.basis) if u]
         if not terms:
             return DenseMatrix.zeros(field, n, n)
+        if len(terms) == 1 and terms[0][0] == 1 and (p or coords.den == 1):
+            return terms[0][1]  # a unit coordinate vector: the basis matrix itself
         # on kernel rows, the coordinate u / q times A / e adds u (d / e) A over
         # the denominator q d, d the lcm of the e; over GF(p), q = e = d = 1
         d = lcm(*[b._den for _, b in terms])
@@ -450,26 +449,30 @@ def _ideal_failure(e: EndoAlgebra, ideal: Sequence) -> Optional[str]:
     return None
 
 
-def _nilpotent_span(e: EndoAlgebra, ideal: Sequence) -> bool:
+def _nilpotent_span(ideal: Sequence) -> bool:
     """Whether J^k = 0 for some k, for J = span(ideal) inside E with J J inside J.
 
-    An element of E is fixed by its first column, so J^k = 0 exactly when
-    J^k e_0 = 0.  The chain J e_0, J^2 e_0, ... comes from matrix-vector
-    products j w, for j in the ideal and w in a basis of the step before,
-    reduced by one rref per step.  Each space lies in the one before, so
-    the chain falls to 0 or stops at a nonzero space.
+    An algebra spanned by nilpotent elements is nilpotent, so J is
+    nilpotent exactly when each matrix of `ideal` is.  Otherwise J/rad J
+    is a nonzero semisimple algebra spanned by the images of nilpotent
+    elements, which have reduced trace 0 in each simple factor, while
+    the reduced trace of a simple algebra is a nonzero linear form.
     """
-    space = [_first_column(j) for j in ideal]
-    while space:
-        images = [j._times_col(w) for j in ideal for w in space]
-        step = rref(DenseMatrix._from_vectors(e.field, images, e.module_dim))
-        if step.rank >= len(space):
-            return False
-        reduced = step.matrix
-        space = reduced._raw[:step.rank]
-        if not e.field.characteristic:
-            space = [_qvector(r, reduced._den) for r in space]
-    return True
+    return all(map(_is_nilpotent, ideal))
+
+
+def _is_nilpotent(x: DenseMatrix, steps: Optional[int] = None) -> bool:
+    """Whether x^steps = 0, for x in E; steps defaults to n, so that is whether x is nilpotent.
+
+    x^k is in E, fixed by its first column, so x^k = 0 when x^k e_0 = 0.
+    A nilpotent x of rank r has x^(r+1) = 0.
+    """
+    v = _unit(x.field.characteristic, x.rows, 0)
+    for _ in range(x.rows if steps is None else steps):
+        v = x._times_col(v)
+        if not any(v):
+            return True
+    return False
 
 
 def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
@@ -509,10 +512,16 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     scanned = 0
     for mat in _scan_candidates(e):
         scanned += 1
-        stable = stable_power(mat)
-        rank = stable[1].rank
+        # the stable rank, 0 when nilpotent.  Once a nilpotent candidate is kept,
+        # a unit shows by its rank and a nilpotent x of rank r by x^(r+1) e_0 = 0,
+        # so only a witness takes a stable power; before that, the first singular
+        # candidate is most often a witness, which the test would only delay
+        stable = None if radical else stable_power(mat)
+        rank = stable[1].rank if stable else rref(mat).rank
+        if radical and rank < n and _is_nilpotent(mat, rank + 1):
+            rank = 0
         if 0 < rank < n:
-            return _try_fitting(e, mat, stable, dict(diagnostics, scanned=scanned))
+            return _try_fitting(e, mat, stable or stable_power(mat), dict(diagnostics, scanned=scanned))
         if rank or len(radical) == hyperplane or not span.add(_first_column(mat)):
             continue
         radical.append(mat)
@@ -632,10 +641,10 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     x is element and J the span of radical.  None when every check
     passes: then J is the radical and E is local, so the module is
     indecomposable.  Nothing about how J was found is trusted, and no
-    step depends on the field.  J is checked to lie in E before the ideal
-    test reads products on first columns.  The search accepts a local
-    leaf only through this test, and verify_certificate re-checks a local
-    certificate with it.
+    step depends on the field.  J is checked to lie in E, then to be an
+    ideal, on first columns, so that J is nilpotent when its basis is.
+    The search accepts a local leaf only through this test, and
+    verify_certificate re-checks a local certificate with it.
     """
     if not isinstance(radical, (tuple, list)) or not radical:
         return "local certificate is missing its radical"
@@ -651,7 +660,7 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     failure = _ideal_failure(e, radical)
     if failure is not None:
         return failure
-    if not _nilpotent_span(e, radical):
+    if not _nilpotent_span(radical):
         return "radical span is not nilpotent"
     if not e.contains(element):
         return "local element is not in the endomorphism algebra"

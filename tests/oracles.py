@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cyclomod import endo
-from cyclomod.linalg import DenseMatrix, SpanSolver, kernel_basis
+from cyclomod.linalg import DenseMatrix, SpanSolver, _qvector, _unit, kernel_basis, rref
 from cyclomod.polynomials import Polynomial
 
 
@@ -401,6 +401,34 @@ def plain_power(m, k):
     for _ in range(k):
         acc = acc * m
     return acc
+
+
+def nilpotent_by_chain(ideal, start=None):
+    """Whether J^k w = 0 for some k and every w in start, for J = span(ideal) with J J inside J.
+
+    start defaults to e_0 alone: for a two-sided ideal J of an algebra E
+    of endomorphisms, each fixed by its first column, J^k = 0 exactly
+    when J^k e_0 = 0.  With start the unit vectors the test holds for
+    any matrices.  The chain J W, J^2 W, ... comes from matrix-vector
+    products j w, for j in the ideal and w in a basis of the step before,
+    reduced by one rref per step.  J J lies in J, so each space lies in
+    the one before, and the chain falls to 0 or stops at a nonzero space.
+    """
+    field, n = ideal[0].field, ideal[0].rows
+    p = field.characteristic
+    space = [_unit(p, n, 0)] if start is None else start
+    images = [j._times_col(w) for j in ideal for w in space]
+    space = None
+    while images:
+        step = rref(DenseMatrix._from_vectors(field, images, n))
+        if space is not None and step.rank >= len(space):
+            return False
+        reduced = step.matrix
+        space = reduced._raw[:step.rank]
+        if not p:
+            space = [_qvector(r, reduced._den) for r in space]
+        images = [j._times_col(w) for j in ideal for w in space]
+    return True
 
 
 def span_equal(field, us, vs, length):

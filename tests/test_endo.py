@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _unit, _unpack, stable_power
+from cyclomod.linalg import DenseMatrix, _unit, _unpack, rref, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
@@ -485,17 +485,125 @@ def test_local_certificates_for_jordan_blocks_over_gf2_and_gf3():
 
 def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeypatch):
     # E = GF(2)[N]/N^24: its 23 nilpotent basis elements span the radical,
-    # a hyperplane, so the scan stops there with one rank test per candidate
-    calls = []
-    power = endo.stable_power
-    monkeypatch.setattr(endo, "stable_power", lambda mat: calls.append(1) or power(mat))
+    # a hyperplane, so the scan stops there with one rank test per candidate:
+    # a stable power for the first, then, with a nilpotent candidate kept,
+    # one rref each
     e = compute_end(conjugated_jordan_module(GF2, 24, seed=24))
+    calls = {"stable_power": 0, "rref": 0}
+    for name in calls:
+        def spy(mat, name=name, real=getattr(endo, name)):
+            calls[name] += 1
+            return real(mat)
+        monkeypatch.setattr(endo, name, spy)
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert cert.diagnostics == {"endo_dim": 24, "scanned": 23, "radical_dim": 23}
-    assert len(calls) == 23
+    assert calls == {"stable_power": 1, "rref": 22}
     assert cert.element == e.identity() and len(cert.radical) == 23
     verify_certificate(e, cert)
+
+
+def _jordan_blocks():
+    """Conjugated Jordan blocks over GF(2), GF(3) and Q: E = F[N]/N^d, local with a (d - 1)-dim radical."""
+    return ([conjugated_jordan_module(GF2, d, seed=d) for d in range(2, 9)]
+            + [conjugated_jordan_module(gf(3), d, seed=d) for d in range(2, 7)]
+            + [conjugated_jordan_module(QQ, d, seed=d) for d in range(2, 6)])
+
+
+def test_nilpotent_span_agrees_with_the_chain_on_radicals_and_forged_ideals():
+    # an algebra spanned by nilpotent elements is nilpotent, so testing each
+    # basis matrix decides what the chain J e_0, J^2 e_0, ... decides: on the
+    # radicals, on all of E, and on the ideals that random elements generate
+    rng = random.Random(30)
+    verdicts = []
+    for m in _jordan_blocks():
+        e = compute_end(m)
+        cert = find_splitting_element(e)
+        ideals = [list(cert.radical), list(cert.radical) + [e.identity()]]
+        lo, hi = (-2, 2) if e.field == QQ else (0, e.field.characteristic - 1)
+        for _ in range(3):
+            ideal = []
+            endo._grow_ideal(e, ideal, endo.SpanSolver(e.field, e.module_dim),
+                             e.element([rng.randint(lo, hi) for _ in range(e.dim)]))
+            ideals += [ideal] if ideal else []
+        for ideal in ideals:
+            assert endo._ideal_failure(e, ideal) is None
+            verdicts.append(endo._nilpotent_span(ideal))
+            assert verdicts[-1] == oracles.nilpotent_by_chain(ideal)
+    # the M_2 part of M_2(GF(2)) x GF(2), grown from a nilpotent basis element:
+    # closed under products, holding idempotents, so not nilpotent
+    e = compute_end(_regular_m2_times_gf2_module())
+    ideal = []
+    endo._grow_ideal(e, ideal, endo.SpanSolver(GF2, 5), next(b for b in e.basis if _is_nilpotent(b)))
+    assert len(ideal) == 4 and endo._ideal_failure(e, ideal) is None
+    assert endo._nilpotent_span(ideal) is oracles.nilpotent_by_chain(ideal) is False
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 40
+
+
+def test_product_closed_spans_of_nilpotent_matrices_are_nilpotent():
+    # random spans of nilpotent matrices, each P U P^-1 with U strictly upper
+    # triangular, that are closed under products: the chain from every unit
+    # vector, exact for any matrices, finds each of them nilpotent
+    rng = random.Random(31)
+    sizes = []
+    for _ in range(2000):
+        field = rng.choice((GF2, gf(3)))
+        p, n = field.characteristic, rng.randint(2, 4)
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            if not mats or rng.random() < 0.5:
+                conj, inverse = unimodular_pair(rng, n)
+            u = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
+            mats.append(DenseMatrix(field, int_mul(int_mul(conj, u), inverse)))
+        span = endo.SpanSolver(field, n * n)
+        if not all(span.add(oracles.flat(x)) for x in mats):
+            continue
+        if not all(span.contains(oracles.flat(x * y)) for x in mats for y in mats):
+            continue
+        sizes.append(len(mats))
+        assert endo._nilpotent_span(mats)
+        assert oracles.nilpotent_by_chain(mats, [_unit(p, n, i) for i in range(n)])
+    assert len(sizes) >= 400 and len(sizes) - sizes.count(1) >= 80
+
+
+def test_nilpotent_candidates_die_within_rank_plus_one_column_steps():
+    # a nilpotent x of rank r has x^(r+1) = 0, and in E that is x^(r+1) e_0 = 0:
+    # the scan's test agrees with the stable power on every scan candidate of
+    # the local leaves and of the modules they come from, Fitting witnesses included
+    boolean = complete_decomposition(decompose_boolean(parse_anf(SPLIT_4_6, 5)).module)
+    s4 = complete_decomposition(regular_s4_module(gf(3)))
+    modules = _jordan_blocks() + list(boolean.summands) + list(s4.summands) + [boolean.module]
+    kinds = set()
+    for m in modules:
+        e = compute_end(m)
+        for x in _scan_candidates(e):
+            stable_rank = stable_power(x)[1].rank
+            kinds.add("nilpotent" if stable_rank == 0 else "unit" if stable_rank == m.dim else "witness")
+            assert endo._is_nilpotent(x, rref(x).rank + 1) == (stable_rank == 0) == endo._is_nilpotent(x)
+    assert kinds == {"nilpotent", "unit", "witness"}
+
+
+def test_element_of_a_unit_coordinate_vector_is_the_basis_matrix():
+    # the membership checks of the scan's own candidates rebuild no matrix;
+    # over Q the basis matrices carry denominators
+    rng = random.Random(32)
+    modules = [conjugated_jordan_module(field, 4, seed=4) for field in (GF2, gf(3))]
+    modules += [m for m in _fractional_modules(rng, 6) if _has_denominators(m)]
+    denominators = 0
+    for m in modules:
+        e = compute_end(m)
+        for i, b in enumerate(e.basis):
+            coords = [int(k == i) for k in range(e.dim)]
+            assert e.element(coords) is b
+            terms = DenseMatrix.zeros(m.field, m.dim, m.dim)
+            for c, basis_matrix in zip(coords, e.basis):
+                terms = terms + basis_matrix.scale(c)
+            assert terms == b and e.coordinates(b) == tuple(m.field.scalar(c) for c in coords)
+            # one other nonzero coordinate, 1/2 over Q, scales the basis matrix
+            other = [Fraction(c, 2) for c in coords] if m.field == QQ else [2 * c for c in coords]
+            assert e.element(other) == b.scale(other[i])
+            denominators += b._den > 1
+    assert denominators >= 1
 
 
 def _regular_m2_module(field):
@@ -583,7 +691,7 @@ def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypat
 def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
     # with every J turned down as not nilpotent, neither local exit of the
     # search makes a certificate, though decompose_once re-checks none
-    monkeypatch.setattr(endo, "_nilpotent_span", lambda e, ideal: False)
+    monkeypatch.setattr(endo, "_nilpotent_span", lambda ideal: False)
     cert, halves = decompose_once(conjugated_jordan_module(GF2, 24, 1))
     assert halves is None and (cert.verdict, cert.mode) == ("undecided", "budget-exhausted")
 
@@ -911,8 +1019,8 @@ def test_search_passes_over_an_ideal_that_is_not_nilpotent(monkeypatch):
     checks = []
     nilpotent_span = endo._nilpotent_span
 
-    def spy(e, ideal):
-        checks.append((len(ideal), nilpotent_span(e, ideal)))
+    def spy(ideal):
+        checks.append((len(ideal), nilpotent_span(ideal)))
         return checks[-1][1]
 
     monkeypatch.setattr(endo, "_nilpotent_span", spy)
