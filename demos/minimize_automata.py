@@ -35,13 +35,18 @@ print(f"\nleft reduction keeps {reduced.dim} of {doubled.dim} states")
 print(f"  prefix basis words: {[''.join(w) for w in basis.words]}")
 print(f"  new initial vector: {[str(x) for x in reduced.lam]}")
 
-# Full minimization is the right reduction followed by the left one.
+# Full minimization reads the automaton off the Hankel matrix f(uv): a
+# spin of gamma keeps columns mu(v) gamma spanning all the others, and a
+# spin of lambda keeps the words u whose rows f(uv) on them are
+# independent.  It gives what the right reduction followed by the left
+# one gives, to the byte.
 minimal = minimize(doubled)
 print(f"\nminimize: dim {doubled.dim} -> {minimal.dim}")
 print(f"  weight('aba') still {minimal.weight('aba')}")
 
-# Equivalence is decided exactly: subtract and minimize; the difference
-# vanishes identically iff the minimal automaton is 0-dimensional.
+# Equivalence is decided exactly: the difference of the two automata has
+# the zero series iff its lambda vanishes on every column its spin of
+# gamma keeps.
 print(f"  equivalent(doubled, minimal): {equivalent(doubled, minimal)}")
 print(f"  equivalent(counting, minimal): {equivalent(counting, minimal)}")
 

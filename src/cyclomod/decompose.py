@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .endo import compute_end, find_splitting_element, verify_certificate
-from .linalg import DenseMatrix, SpanSolver
+from .linalg import DenseMatrix, Echelon
 from .modules import CyclicModule, _module_from_tree, orbit_basis
 
 
@@ -135,7 +135,7 @@ def check_report(report: DecompositionReport):
         raise RuntimeError("signature does not match the leaves")
     if len(report.certificates) != len(report.summands):
         raise RuntimeError("leaves and certificates differ in number")
-    combined = SpanSolver(m.field, m.action.dim)
+    combined = Echelon(m.field, m.action.dim)
     for block, cert in zip(report.summands, report.certificates):
         leaf = orbit_basis(m.action, block._raw_generator)
         if leaf._raw_vectors != block._raw_vectors:

@@ -89,6 +89,8 @@ from typing import Optional, Sequence
 
 from .linalg import (
     DenseMatrix,
+    Echelon,
+    RrefResult,
     SpanSolver,
     Vector,
     _box,
@@ -105,7 +107,6 @@ from .linalg import (
     _sum_of_multiples,
     _unbox,
     _unit,
-    _unpack,
     _unpack_columns,
     rref,
     stable_power,
@@ -213,13 +214,15 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     a tree edge (w_j s is a basis word) gives an identity and is skipped.
     The identity is spun once, U_j = W_j, and each other edge's n
     condition rows are read on it.  The rows neither zero nor seen before
-    span the conditions; one rref of them gives the kernel basis K of the
-    solutions, and a second spin, U_j = W_j K, holds the matrices, entry
-    (i, j) of X_v in row i of U_j for each v in K.  With no condition
-    row, K = I and the first spin is the last.  Both spins run on kernel
-    rows, each R_s a gather (_gather_plan): raw values over GF(p), over Q
-    integer rows on one denominator for all the U_j, and over GF(2) rows
-    packed as linalg packs them, so a row sum is a XOR.
+    span the conditions; their reduced echelon form (over GF(2) an
+    Echelon of the packed rows, unpacked only once reduced) gives the
+    kernel basis K of the solutions, and a second spin, U_j = W_j K,
+    holds the matrices, entry (i, j) of X_v in row i of U_j for each v
+    in K.  With no condition row, K = I and the first spin is the last.
+    Both spins run on kernel rows, each R_s a gather (_gather_plan): raw
+    values over GF(p), over Q integer rows on one denominator for all the
+    U_j, and over GF(2) rows packed as linalg packs them, so a row sum is
+    a XOR.
     The matrices are returned in the basis the n^2-unknown solve gives:
     the reduced echelon form of the row-major flattened matrices with
     pivots at their last nonzero entries, over Q each the integer rows
@@ -250,8 +253,15 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     seen.discard(zero)
     k = n
     if seen:
-        rows = [_unpack(x, n) for x in seen] if p == 2 else list(map(list, seen))
-        kernel = _kernel_from_rref(field, n, rref(DenseMatrix._from_raw(field, rows, n)))
+        if p == 2:
+            echelon = Echelon(field, n)
+            for x in seen:
+                echelon._add_packed(x)
+            rows, pivots = echelon._reduced()
+            reduction = RrefResult(DenseMatrix._from_raw(field, rows, n), len(pivots), tuple(pivots))
+        else:
+            reduction = rref(DenseMatrix._from_raw(field, list(map(list, seen)), n))
+        kernel = _kernel_from_rref(field, n, reduction)
         k = len(kernel)
         rows = [list(r) for r in zip(*kernel)]
         spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, k)
@@ -391,7 +401,7 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: d
     return Certificate("decomposable", mode, mat, split, diagnostics)
 
 
-def _grow_ideal(e: EndoAlgebra, ideal: list, span: SpanSolver, z: DenseMatrix):
+def _grow_ideal(e: EndoAlgebra, ideal: list, span: Echelon, z: DenseMatrix):
     """Add z to the two-sided ideal with basis `ideal` (first columns in `span`), closing it again.
 
     A product in E is fixed by its first column, b (y e_0) or y (b e_0),
@@ -508,7 +518,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     n, hyperplane = e.module_dim, e.dim - 1
     # the nilpotent candidates with independent first columns, until they
     # span a hyperplane of E, which is then tested once as the radical
-    radical, span = [], SpanSolver(e.field, n)
+    radical, span = [], Echelon(e.field, n)
     scanned = 0
     for mat in _scan_candidates(e):
         scanned += 1
@@ -535,7 +545,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
 
     # one candidate loop for every field: factor each minimal polynomial once;
     # a power f^k with k > 1 puts the nilpotent f(x) into the ideal J
-    ideal, span = [], SpanSolver(e.field, e.module_dim)
+    ideal, span = [], Echelon(e.field, e.module_dim)
     nilpotent = True            # of J; None once J has grown and is not checked yet, False once turned down
     best, best_degree = e.identity(), 1
     degrees = []                # of the basis elements modulo the radical

@@ -26,12 +26,13 @@ when a sum first needs them: over Q its integer columns or rows over one
 denominator, summed by _sum_of_multiples, and over GF(p) each line
 packed into one int.  A packed GF(p) vector holds
 entry j in lane j of w bytes, as the MeatAxe packs rows over small prime
-fields (Parker 1984), and SpanSolver packs its rows the same way.  Over
-GF(2) w is 1 and a sum is a XOR.  For odd p adding c times a line is one
-integer multiply-add, and a vector is reduced mod p once, when its lanes
-are read (_read_lanes).  A sum adds at most k multiples c*y, with c and
-y in [0, p), to a reduced vector: k is the vector length in SpanSolver
-and the number of lines summed in a product.  So w is the smallest of 1,
+fields (Parker 1984), and SpanSolver and Echelon pack their rows the
+same way.  Over GF(2) w is 1 and a sum is a XOR.  For odd p adding c
+times a line is one integer multiply-add, and a vector is reduced mod p
+once, when its lanes are read (_read_lanes).  A sum adds at most k
+multiples c*y, with c and y in [0, p), to a reduced vector: k is the
+vector length in SpanSolver and Echelon and the number of lines summed
+in a product.  So w is the smallest of 1,
 2, 4 and 8 bytes, or past 8 the smallest number of bytes, whose lanes
 hold (p - 1) + k (p - 1)^2 (_lane_width).  Lanes of 1 byte are reduced
 with bytes.translate, of 2, 4 and 8 bytes read by struct, both in C, and
@@ -52,6 +53,13 @@ over Q (Bareiss, Math. Comp. 22, 1968).  Every kernel in the package is
 read off rref here.
 Reduced echelon forms, coordinates and lowest terms are unique, so they
 are the ones plain Fraction or list arithmetic gives.
+
+SpanSolver keeps, with each row, its combination of the inserted
+vectors, so that it can give coordinates.  Echelon only decides
+independence and keeps no combination; over Q its rows are a
+fraction-free echelon form (Bareiss), on which a step divides exactly
+and takes no gcd.  A span whose coordinates are never read is kept in an
+Echelon.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .fields import FieldScalar, FieldSpec
+from .fields import GF2, FieldScalar, FieldSpec
 
 Vector = tuple  # tuple[FieldScalar, ...]
 
@@ -626,14 +634,12 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     if p == 2:
         # row by row on packed rows; the reduced echelon form is unique, so
         # it is the one the column-by-column elimination below gives
-        kept, mask = {}, 0
+        echelon = Echelon(GF2, ncols)
         for x in map(_pack, rows):
-            x = _xor_reduce(kept, mask, x)
-            if x:
-                mask |= _xor_insert(kept, x)
-        order = sorted(kept)
-        rows[:] = [_unpack(kept[b], ncols) for b in order] + [[0] * ncols for _ in range(len(rows) - len(kept))]
-        return [(b.bit_length() - 1) >> 3 for b in order]
+            echelon._add_packed(x)
+        reduced, pivots = echelon._reduced()
+        rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
+        return pivots
     pivots = []
     r = 0
     for c in range(ncols):
@@ -900,3 +906,96 @@ class SpanSolver:
             rows = self._rows.values() if p == 2 else self._rows
             return [_box(self.field, _read_lanes(p, r & self._vector_bits, self._width, self.length)) for r in rows]
         return [_box(self.field, _qvector(r, r[c])) for r, c in zip(self._rows, self._pivots)]
+
+
+class Echelon:
+    """Incremental span of inserted vectors that keeps no coordinates.
+
+    add() inserts a vector only if it is independent of everything kept
+    so far and reports whether it did, as SpanSolver.add does, but no row
+    carries a combination of the inserted vectors.  Over GF(2) the rows
+    are packed, in the dict of _xor_reduce and _xor_insert, and over odd
+    p packed in lanes, both reduced with pivot entries 1, as SpanSolver
+    keeps them.  Over Q the rows are an integer echelon form, made
+    fraction-free (Bareiss, Math. Comp. 22, 1968): a vector passes the
+    rows in the order they were kept, and each step that clears an entry
+    divides exactly, with no gcd, by the pivot entry of an earlier row.
+    Row k is then row k of the kept numerators brought to echelon form,
+    and its entries are minors of k + 1 of them.  A vector's
+    denominator changes no span and is dropped.
+    """
+
+    __slots__ = ("field", "length", "_p", "_rows", "_pivots", "_mask", "_width")
+
+    def __init__(self, field: FieldSpec, length: int):
+        self.field = field
+        self.length = length
+        p = self._p = field.characteristic
+        self._rows = {} if p == 2 else []  # over GF(2) keyed by each row's pivot bit
+        self._pivots = []
+        self._mask = 0  # over GF(2): every pivot bit
+        self._width = _lane_width(p, length) if p else 0  # over odd p, as SpanSolver's
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, v: Vector) -> bool:
+        return self._add(_unbox(self.field, v))
+
+    def _add(self, v: list) -> bool:
+        """add() of the raw vector v."""
+        if len(v) != self.length:
+            raise ValueError(f"vector length {len(v)}, expected {self.length}")
+        p = self._p
+        if p == 2:
+            return self._add_packed(_pack(v))
+        pivots, rows = self._pivots, self._rows
+        if p:
+            # the rows are zero at each other's pivots, so every multiple goes on in one sum
+            w = self._width
+            taken = [(p - v[piv]) * row for piv, row in zip(pivots, rows) if v[piv]]
+            if taken:
+                v = _read_lanes(p, _pack_lanes(v, w) + sum(taken), w, self.length)
+            pivot = next((j for j, a in enumerate(v) if a), None)
+            if pivot is None:
+                return False
+            new = _pack_lanes(_scale(p, _inv(p, v[pivot]), v), w)
+            # keep the rows reduced against the new pivot
+            at, lane = 8 * w * pivot, (1 << 8 * w) - 1
+            for i, row in enumerate(rows):
+                a = row >> at & lane
+                if a:
+                    rows[i] = _pack_lanes(_read_lanes(p, row + (p - a) * new, w, self.length), w)
+        else:
+            # a step skipped at a zero entry would scale v by the pivot of its row over
+            # that of the row before; those ratios telescope, so v stays as it is and the
+            # next step taken divides by the pivot of the row before the last one taken
+            prev = 1
+            for piv, row in zip(pivots, rows):
+                c = v[piv]
+                if c:
+                    a = row[piv]
+                    v = [(a * x - c * y) // prev for x, y in zip(v, row)]
+                    prev = a
+            pivot = next((j for j, a in enumerate(v) if a), None)
+            if pivot is None:
+                return False
+            last = rows[-1][pivots[-1]] if rows else 1
+            new = v if last == prev else [x * last // prev for x in v]
+        rows.append(new)
+        pivots.append(pivot)
+        return True
+
+    def _add_packed(self, x: int) -> bool:
+        """add() over GF(2) of the vector packed in x, as _pack packs it."""
+        x = _xor_reduce(self._rows, self._mask, x)
+        if not x:
+            return False
+        self._mask |= _xor_insert(self._rows, x)
+        return True
+
+    def _reduced(self) -> tuple:
+        """(rows, pivots) over GF(2): the reduced echelon form of the span, raw rows in pivot order."""
+        order = sorted(self._rows)
+        return [_unpack(self._rows[b], self.length) for b in order], [(b.bit_length() - 1) >> 3 for b in order]

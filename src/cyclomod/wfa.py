@@ -8,20 +8,29 @@ the step of a from the vector of w is independent of the vectors kept
 before it, in breadth-first order with letters tried in the given
 order.  It runs on raw field values and reduces each step once.  The
 kept words form a prefix-closed set whose vectors are a basis of
-everything the root reaches.  left_reduce runs it on the row vectors
-lambda*mu(w) (reachability), right_reduce on the column vectors
-mu(w)*gamma (observability, words read backwards), and minimize chains
-the two, which is dimension minimal for series over a field.
+everything the root reaches.  Its solver either records each step's
+coordinates over the kept vectors (a SpanSolver) or only decides
+independence (an Echelon).
+
+minimize reads the minimal automaton off the rows of the Hankel matrix
+H[u, v] = weight(uv) (Fliess 1974; Berstel and Reutenauer,
+Noncommutative Rational Series, ch. 2): a spin of gamma that keeps no
+coordinates, then a spin of lambda that places Hankel rows.  equivalent
+runs the first spin only.  left_reduce (the rows lambda mu(w),
+reachability) and right_reduce (the columns mu(w) gamma, observability,
+words read backwards) stay public, and minimize gives exactly what the
+one after the other gives.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import FieldSpec
 from .linalg import (
     DenseMatrix,
+    Echelon,
     SpanSolver,
     Vector,
     _box,
@@ -140,29 +149,51 @@ class CoveringTree(NamedTuple):
 
     vectors holds canonical raw values; images[label][i] is the raw
     coordinate column, over the kept vectors, of the step of label from
-    vectors[i].
+    vectors[i].  A tree spun with an Echelon keeps no coordinates, and
+    its images are empty.
     """
 
     words: list
     vectors: list
-    solver: SpanSolver
+    solver: SpanSolver | Echelon
     images: dict
 
 
-def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> CoveringTree:
-    """Breadth-first covering tree of the raw root vector; empty when root is zero.
+def covering_tree(
+    field: FieldSpec,
+    length: int,
+    root: list,
+    steps: dict,
+    solver: SpanSolver | Echelon | None = None,
+    key: Callable | None = None,
+) -> CoveringTree:
+    """Breadth-first covering tree of the raw root vector; empty when root reduces to zero.
 
     steps maps each label, in the order letters are tried, to its step
-    on raw vectors.  Each step is applied once to each kept vector and
-    its image reduced once: a kept image's column is the next unit
-    vector, and any other image gets its coordinates from that same
-    reduction.
+    on raw vectors.  The solver, a SpanSolver of the given length unless
+    one is passed, reduces key(v), a vector of that length, for each
+    vector v, or v itself when key is None: a word is kept when that
+    vector is independent of those of the words kept before it.  Each
+    step is applied once to each kept vector and its image reduced once.
+    A SpanSolver records coordinates: a kept image's column is the next
+    unit vector, and any other image gets its coordinates from that same
+    reduction.  An Echelon records none, and images stays empty.
     """
     p = field.characteristic
-    solver = SpanSolver(field, length)
+    if solver is None:
+        solver = SpanSolver(field, length)
+    coordinates = isinstance(solver, SpanSolver)
     words, vectors = [], []
-    images = {label: [] for label in steps}
-    if solver._place(root) is None:
+    images = {label: [] for label in steps} if coordinates else {}
+
+    def place(v):
+        """None when v is kept, otherwise its coordinates; an Echelon gives ()."""
+        x = v if key is None else key(v)
+        if coordinates:
+            return solver._place(x)
+        return None if solver._add(x) else ()
+
+    if place(root) is None:
         words.append(())
         vectors.append(root)
     # kept vectors are appended behind the one being expanded, so walking
@@ -171,12 +202,13 @@ def covering_tree(field: FieldSpec, length: int, root: list, steps: dict) -> Cov
     while i < len(vectors):
         for label, step in steps.items():
             v = step(vectors[i])
-            coords = solver._place(v)
+            coords = place(v)
             if coords is None:
-                coords = _unit(p, len(vectors) + 1, len(vectors))
                 words.append(words[i] + (label,))
                 vectors.append(v)
-            images[label].append(coords)
+                coords = _unit(p, len(vectors), len(vectors) - 1)
+            if coordinates:
+                images[label].append(coords)
         i += 1
     n = len(vectors)
     for columns in images.values():
@@ -193,19 +225,31 @@ def left_reduce(a: WeightedAutomaton):
     The root vector of the covering tree is lambda itself, so the
     reduced lambda is (1, 0, ..., 0), or empty when lambda is zero.
     """
-    reduced, tree = _left_reduction(a)
+    tree = covering_tree(a.field, a.dim, a._raw_lam, _row_steps(a))
+    reduced = _row_automaton(a, tree)
     return reduced, PrefixBasis(tree.words, [_box(a.field, v) for v in tree.vectors])
 
 
-def _left_reduction(a: WeightedAutomaton):
-    """left_reduce's automaton, and its covering tree in place of the PrefixBasis."""
-    field = a.field
-    steps = {s: a.mu[s]._times_row for s in a.alphabet}
-    tree = covering_tree(field, a.dim, a._raw_lam, steps)
-    n = len(tree.vectors)
+def _row_steps(a: WeightedAutomaton) -> dict:
+    """Each label's step on raw row vectors, x -> x * mu(label)."""
+    return {s: a.mu[s]._times_row for s in a.alphabet}
+
+
+def _column_steps(a: WeightedAutomaton) -> dict:
+    """Each label's step on raw column vectors, x -> mu(label) * x."""
+    return {s: a.mu[s]._times_col for s in a.alphabet}
+
+
+def _row_automaton(a: WeightedAutomaton, tree: CoveringTree) -> WeightedAutomaton:
+    """The automaton on the kept rows x_i = lambda * mu(u_i) of a row tree of a.
+
+    lambda is e_0, the root's coordinates, mu(s) holds the coordinates of
+    the steps of s from the kept rows, and gamma_i is x_i * gamma.
+    """
+    field, n = a.field, len(tree.vectors)
     mu = {s: DenseMatrix._from_vectors(field, tree.images[s], n) for s in a.alphabet}
     gamma = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_gamma))
-    return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma), tree
+    return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma)
 
 
 def right_reduce(a: WeightedAutomaton):
@@ -215,20 +259,14 @@ def right_reduce(a: WeightedAutomaton):
     The returned word set is suffix-closed rather than prefix-closed,
     because the tree grows words from their last letter.
     """
-    reduced, tree = _right_reduction(a)
-    words = tuple(tuple(reversed(w)) for w in tree.words)
-    return reduced, PrefixBasis(words, [_box(a.field, v) for v in tree.vectors])
-
-
-def _right_reduction(a: WeightedAutomaton):
-    """right_reduce's automaton, and its covering tree in place of the PrefixBasis."""
     field = a.field
-    steps = {s: a.mu[s]._times_col for s in a.alphabet}
-    tree = covering_tree(field, a.dim, a._raw_gamma, steps)
+    tree = covering_tree(field, a.dim, a._raw_gamma, _column_steps(a))
     n = len(tree.vectors)
     lam = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_lam))
     mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
-    return WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n)), tree
+    reduced = WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n))
+    words = tuple(tuple(reversed(w)) for w in tree.words)
+    return reduced, PrefixBasis(words, [_box(field, v) for v in tree.vectors])
 
 
 def _first_unit(field: FieldSpec, n: int) -> _RawVector:
@@ -239,9 +277,34 @@ def _first_unit(field: FieldSpec, n: int) -> _RawVector:
     return _RawVector() if p else _qvector([])
 
 
+def _observable(a: WeightedAutomaton) -> DenseMatrix:
+    """The matrix whose rows are the kept columns mu(v_j) * gamma of a spin that keeps no coordinates.
+
+    They span the columns mu(v) * gamma of every word v, the observable
+    space, and the matrix takes a row x to the row (x * mu(v_j) * gamma)_j.
+    """
+    tree = covering_tree(a.field, a.dim, a._raw_gamma, _column_steps(a), Echelon(a.field, a.dim))
+    return DenseMatrix._from_vectors(a.field, tree.vectors, a.dim)
+
+
 def minimize(a: WeightedAutomaton) -> WeightedAutomaton:
-    """Minimal automaton realizing the same series (right then left reduction)."""
-    return _left_reduction(_right_reduction(a)[0])[0]
+    """Minimal automaton realizing the same series, read off the rows of its Hankel matrix.
+
+    The Hankel matrix holds f(uv) = lambda mu(u) mu(v) gamma at row u and
+    column v, and its rank is the minimal dimension.  The column pass
+    keeps columns K = (mu(v_j) gamma)_j that span every column
+    mu(v) gamma, with no coordinates.  The row pass spins the rows
+    rho(u) = lambda mu(u) and places each by rho(u) K, the Hankel row of
+    u on the columns v_j; the rows kept, and the coordinates of their
+    steps, make the automaton, with gamma_i = rho(u_i) gamma.  Since
+    mu(s) K = K C_s, with C_s the matrices of right_reduce, rho(u) K is
+    the row that left_reduce spins on right_reduce(a), so the result is
+    left_reduce(right_reduce(a)[0])[0] to the byte, without the
+    coordinates of the right reduction.
+    """
+    columns = _observable(a)
+    tree = covering_tree(a.field, columns.rows, a._raw_lam, _row_steps(a), key=columns._times_col)
+    return _row_automaton(a, tree)
 
 
 def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
@@ -288,4 +351,5 @@ def equivalent(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     if a.alphabet != b.alphabet:
         raise ValueError("equivalence needs identical alphabets")
     diff = direct_sum(a, scale(b, -1))
-    return minimize(diff).dim == 0
+    # the series of diff is zero when lambda vanishes on the observable space
+    return not any(_observable(diff)._times_col(diff._raw_lam))

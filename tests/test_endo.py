@@ -523,7 +523,7 @@ def test_nilpotent_span_agrees_with_the_chain_on_radicals_and_forged_ideals():
         lo, hi = (-2, 2) if e.field == QQ else (0, e.field.characteristic - 1)
         for _ in range(3):
             ideal = []
-            endo._grow_ideal(e, ideal, endo.SpanSolver(e.field, e.module_dim),
+            endo._grow_ideal(e, ideal, endo.Echelon(e.field, e.module_dim),
                              e.element([rng.randint(lo, hi) for _ in range(e.dim)]))
             ideals += [ideal] if ideal else []
         for ideal in ideals:
@@ -534,7 +534,7 @@ def test_nilpotent_span_agrees_with_the_chain_on_radicals_and_forged_ideals():
     # closed under products, holding idempotents, so not nilpotent
     e = compute_end(_regular_m2_times_gf2_module())
     ideal = []
-    endo._grow_ideal(e, ideal, endo.SpanSolver(GF2, 5), next(b for b in e.basis if _is_nilpotent(b)))
+    endo._grow_ideal(e, ideal, endo.Echelon(GF2, 5), next(b for b in e.basis if _is_nilpotent(b)))
     assert len(ideal) == 4 and endo._ideal_failure(e, ideal) is None
     assert endo._nilpotent_span(ideal) is oracles.nilpotent_by_chain(ideal) is False
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 40

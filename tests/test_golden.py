@@ -53,6 +53,8 @@ CASES = {
     "minimize_q": ["minimize", "{golden}/automaton_q.json"],
     # entries with denominators, read into and written out of integer rows over one denominator
     "minimize_q_fractions": ["minimize", "{golden}/automaton_q_fractions.json"],
+    # 64 states over Q: the spins' integers grow with the words, hundreds of bits deep
+    "minimize_q_64": ["minimize", "{golden}/automaton_q_64.json"],
     "decompose_bool_swap_invariant": ["decompose-bool", SWAP_INVARIANT, "-n", "3"],
     "decompose_bool_split_4_6": ["decompose-bool", SPLIT_4_6, "-n", "5"],
     # MAX_VARIABLES: 4096 monomials, the swaps applied as index maps

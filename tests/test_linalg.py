@@ -11,6 +11,7 @@ from cyclomod.endo import compute_end
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import (
     DenseMatrix,
+    Echelon,
     SpanSolver,
     _box,
     _lane_width,
@@ -185,6 +186,78 @@ def test_span_solver_matches_rref_rank():
             for r in m.entries:
                 solver.add(r)
             assert solver.rank == rref(m).rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([GF2, gf(3), gf(5), gf(2147483647), QQ]),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=16),
+    st.sampled_from([0.2, 0.5, 1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_echelon_add_reports_what_span_solver_add_does(field, length, count, density, rng):
+    # zero vectors, repeats and combinations of earlier vectors among random
+    # ones; over Q with denominators, which the echelon drops
+    if field.is_rational:
+        pick = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    else:
+        pick = lambda: rng.randrange(field.characteristic)
+    vectors = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            v = [field.zero()] * length
+        elif kind < 0.3 and vectors:
+            v = list(rng.choice(vectors))
+        elif kind < 0.5 and len(vectors) >= 2:
+            x, y = rng.sample(vectors, 2)
+            a, b = field.scalar(pick()), field.scalar(pick())
+            v = [a * s + b * t for s, t in zip(x, y)]
+        else:
+            v = [field.scalar(pick() if rng.random() < density else 0) for _ in range(length)]
+        vectors.append(v)
+    echelon, solver = Echelon(field, length), SpanSolver(field, length)
+    assert [echelon.add(v) for v in vectors] == [solver.add(v) for v in vectors]
+    assert echelon.rank == solver.rank
+    with pytest.raises(ValueError):
+        echelon.add([field.zero()] * (length + 1))
+
+
+def _bareiss_rows(vectors):
+    """Fraction-free echelon rows of integer vectors, every step taken and every division checked exact."""
+    rows, pivots = [], []
+    for v in vectors:
+        x, prev = list(v), 1
+        for piv, row in zip(pivots, rows):
+            a, c = row[piv], x[piv]
+            products = [a * s - c * t for s, t in zip(x, row)]
+            assert all(y % prev == 0 for y in products)
+            x, prev = [y // prev for y in products], a
+        if any(x):
+            rows.append(x)
+            pivots.append(next(j for j, a in enumerate(x) if a))
+    return rows
+
+
+def test_echelon_over_q_skips_zero_steps_and_keeps_the_bareiss_rows():
+    # the echelon skips a row at a zero entry and divides by the pivot of the
+    # row before the last step taken; its rows are those of every step taken
+    rng = random.Random(11)
+    for _ in range(2000):
+        length = rng.randint(1, 8)
+        vectors = []
+        for _ in range(rng.randint(1, 12)):
+            if vectors and rng.random() < 0.3:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                x, y = rng.choice(vectors), rng.choice(vectors)
+                vectors.append([a * s + b * t for s, t in zip(x, y)])
+            else:
+                vectors.append([rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(length)])
+        echelon = Echelon(QQ, length)
+        for v in vectors:
+            echelon.add(v)
+        assert [list(r) for r in echelon._rows] == _bareiss_rows(vectors)
 
 
 def test_span_equal():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclomod import GF2, QQ, gf
 from cyclomod.modules import AlgebraAction, orbit_basis
+from cyclomod.serialize import automaton_to_json, to_text
 from cyclomod.linalg import DenseMatrix
 from cyclomod.wfa import (
     PrefixBasis,
@@ -307,3 +308,85 @@ def test_covering_trees_match_the_two_pass_boxed_oracle(field, dim, letters, den
     )
     assert m.basis_words == tuple(words) and m.basis_vectors == tuple(vectors)
     assert all(_columns(m.restricted[s]) == images[s] for s in alphabet)
+
+
+def _random_automaton(field, dim, alphabet, rng, density=0.65):
+    """Random entries over GF(p), or over Q small fractions with denominators."""
+    p = field.characteristic
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    lam, gamma = [entry() for _ in range(dim)], [entry() for _ in range(dim)]
+    mu = {s: [[entry() for _ in range(dim)] for _ in range(dim)] for s in alphabet}
+    return WeightedAutomaton(field, alphabet, lam, mu, gamma)
+
+
+def _text(a):
+    return to_text(automaton_to_json(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([GF2, gf(3), gf(2147483647), QQ]),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from([("a",), ("a", "b")]),
+    st.sampled_from(["random", "redundant", "zero lambda", "zero gamma"]),
+    st.randoms(use_true_random=False),
+)
+def test_minimize_is_right_then_left_reduction_to_the_byte(field, dim, alphabet, shape, rng):
+    # the Hankel-row minimization against the composition it replaced, which
+    # stays public: same kept words, same images, same JSON text
+    if shape == "redundant":
+        a = _random_automaton(field, (dim + 1) // 2, alphabet, rng)
+        b = _random_automaton(field, dim // 2, alphabet, rng)
+        source = direct_sum(direct_sum(a, b), scale(b, -1))
+    else:
+        source = _random_automaton(field, dim, alphabet, rng)
+        zero = [0] * dim
+        mu = {s: source.mu[s] for s in alphabet}
+        if shape == "zero lambda":
+            source = WeightedAutomaton(field, alphabet, zero, mu, source.gamma)
+        elif shape == "zero gamma":
+            source = WeightedAutomaton(field, alphabet, source.lam, mu, zero)
+    expected = left_reduce(right_reduce(source)[0])[0]
+    assert _text(minimize(source)) == _text(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([GF2, gf(3), QQ]),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([("a",), ("a", "b")]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_equivalent_agrees_with_minimizing_the_difference(field, dim, alphabet, perturb, rng):
+    # b is a with a redundant block c - c added, the same series; perturbed,
+    # one entry of b moves by one, which may or may not change the series
+    a = _random_automaton(field, dim, alphabet, rng)
+    c = _random_automaton(field, rng.randint(0, 3), alphabet, rng)
+    b = direct_sum(a, direct_sum(c, scale(c, -1)))
+    if perturb and b.dim:
+        one = field.one()
+        lam, gamma = list(b.lam), list(b.gamma)
+        mu = {s: [list(row) for row in b.mu[s].entries] for s in alphabet}
+        i, j = rng.randrange(b.dim), rng.randrange(b.dim)
+        where = rng.choice(["lambda", "gamma", "mu"])
+        if where == "lambda":
+            lam[i] += one
+        elif where == "gamma":
+            gamma[i] += one
+        else:
+            row = mu[rng.choice(alphabet)][i]
+            row[j] += one
+        b = WeightedAutomaton(field, alphabet, lam, mu, gamma)
+    same = minimize(direct_sum(a, scale(b, -1))).dim == 0
+    assert equivalent(a, b) == same
+    assert equivalent(b, a) == same
+    if not perturb:
+        assert same
