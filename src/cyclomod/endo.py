@@ -90,7 +90,6 @@ from typing import Optional, Sequence
 from .linalg import (
     DenseMatrix,
     Echelon,
-    RrefResult,
     SpanSolver,
     Vector,
     _box,
@@ -103,6 +102,7 @@ from .linalg import (
     _primitive,
     _qvector,
     _RawVector,
+    _rref_packed,
     _rref_rows,
     _sum_of_multiples,
     _unbox,
@@ -214,8 +214,8 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     a tree edge (w_j s is a basis word) gives an identity and is skipped.
     The identity is spun once, U_j = W_j, and each other edge's n
     condition rows are read on it.  The rows neither zero nor seen before
-    span the conditions; their reduced echelon form (over GF(2) an
-    Echelon of the packed rows, unpacked only once reduced) gives the
+    span the conditions; their reduced echelon form (over GF(2) made on
+    the packed rows, unpacked only once reduced) gives the
     kernel basis K of the solutions, and a second spin, U_j = W_j K,
     holds the matrices, entry (i, j) of X_v in row i of U_j for each v
     in K.  With no condition row, K = I and the first spin is the last.
@@ -254,11 +254,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     k = n
     if seen:
         if p == 2:
-            echelon = Echelon(field, n)
-            for x in seen:
-                echelon._add_packed(x)
-            rows, pivots = echelon._reduced()
-            reduction = RrefResult(DenseMatrix._from_raw(field, rows, n), len(pivots), tuple(pivots))
+            reduction = _rref_packed(field, seen, n)
         else:
             reduction = rref(DenseMatrix._from_raw(field, list(map(list, seen)), n))
         kernel = _kernel_from_rref(field, n, reduction)

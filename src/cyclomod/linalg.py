@@ -56,10 +56,12 @@ are the ones plain Fraction or list arithmetic gives.
 
 SpanSolver keeps, with each row, its combination of the inserted
 vectors, so that it can give coordinates.  Echelon only decides
-independence and keeps no combination; over Q its rows are a
-fraction-free echelon form (Bareiss), on which a step divides exactly
-and takes no gcd.  A span whose coordinates are never read is kept in an
-Echelon.
+independence and keeps no combination.  Over odd p both reduce and
+insert packed rows with the same two routines (_lanes_reduce,
+_lanes_insert), SpanSolver's rows carrying their combination in the
+lanes past the vector's.  Over Q Echelon's rows are a fraction-free
+echelon form (Bareiss), on which a step divides exactly and takes no
+gcd.  A span whose coordinates are never read is kept in an Echelon.
 """
 
 from __future__ import annotations
@@ -632,14 +634,9 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     of its reduced row.  The inner lists are replaced, never changed.
     """
     if p == 2:
-        # row by row on packed rows; the reduced echelon form is unique, so
-        # it is the one the column-by-column elimination below gives
-        echelon = Echelon(GF2, ncols)
-        for x in map(_pack, rows):
-            echelon._add_packed(x)
-        reduced, pivots = echelon._reduced()
-        rows[:] = reduced + [[0] * ncols for _ in range(len(rows) - len(reduced))]
-        return pivots
+        reduced, rank, pivots = _rref_packed(GF2, map(_pack, rows), ncols)
+        rows[:] = reduced._raw + [[0] * ncols for _ in range(len(rows) - rank)]
+        return list(pivots)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -656,6 +653,53 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _rref_packed(field: FieldSpec, packed, ncols: int) -> RrefResult:
+    """The reduced echelon form over GF(2) of the rows packed in packed, as _pack packs them.
+
+    Row by row on the packed rows, unpacked only once reduced; the reduced
+    echelon form is unique, so it is the one the column-by-column
+    elimination of _rref_rows gives.  The matrix holds the rank nonzero
+    rows only, in pivot order, with no zero rows after them.
+    """
+    echelon = Echelon(field, ncols)
+    for x in packed:
+        echelon._add_packed(x)
+    order = sorted(echelon._rows)
+    rows = [_unpack(echelon._rows[b], ncols) for b in order]
+    pivots = tuple((b.bit_length() - 1) >> 3 for b in order)
+    return RrefResult(DenseMatrix._from_raw(field, rows, ncols), len(pivots), pivots)
+
+
+def _lanes_reduce(p: int, w: int, rows: list, pivots: list, v: list, lanes: int) -> list:
+    """The raw values of v, packed in lanes of w bytes, less v[piv] times each packed row.
+
+    The rows have a 1 at their pivots and are zero at each other's, so
+    the multiple of each row is fixed by v's entry at its pivot alone, and
+    every multiple goes on in one sum, read back as lanes raw values (v's
+    entries, then zeros).  v itself is not changed.
+    """
+    taken = [(p - v[piv]) * row for piv, row in zip(pivots, rows) if v[piv]]
+    if not taken:
+        return v + [0] * (lanes - len(v))
+    return _read_lanes(p, _pack_lanes(v, w) + sum(taken), w, lanes)
+
+
+def _lanes_insert(p: int, w: int, rows: list, pivots: list, x: list, pivot: int):
+    """Keep the raw row x, nonzero at pivot, as a packed row with a 1 there.
+
+    The kept rows are cleared at the new pivot, so they stay zero at each
+    other's pivots; a row has len(x) lanes of w bytes.
+    """
+    new = _pack_lanes(_scale(p, _inv(p, x[pivot]), x), w)
+    at, lane = 8 * w * pivot, (1 << 8 * w) - 1
+    for i, row in enumerate(rows):
+        a = row >> at & lane
+        if a:
+            rows[i] = _pack_lanes(_read_lanes(p, row + (p - a) * new, w, len(x)), w)
+    rows.append(new)
+    pivots.append(pivot)
 
 
 def _xor_reduce(kept: dict, mask: int, x: int) -> int:
@@ -778,11 +822,8 @@ class SpanSolver:
             x = _xor_reduce(self._rows, self._mask, _pack(v))
             return x & self._vector_bits, x >> self._shift, 1
         if p:
-            # the rows are zero at each other's pivots, so the multiple of row i
-            # is fixed by v[piv_i] alone, and every multiple goes on in one sum
-            n, w = self.length, self._width
-            taken = [(p - v[piv]) * row for piv, row in zip(self._pivots, self._rows) if v[piv]]
-            lanes = _read_lanes(p, _pack_lanes(v, w) + sum(taken), w, n + self.count)
+            n = self.length
+            lanes = _lanes_reduce(p, self._width, self._rows, self._pivots, v, n + self.count)
             return lanes[:n], lanes[n:], 1
         # over Q one common scale m clears every pivot entry of v
         d = v.den
@@ -835,17 +876,8 @@ class SpanSolver:
         if p:
             # residual = e_count - sum(alpha_i * combo_i) as a combination, and
             # alphas holds the sum: the row keeps its negation, scaled to 1 at the pivot
-            w = self._width
-            new = _pack_lanes(_scale(p, _inv(p, residual[pivot]), residual + alphas + [p - 1]), w)
+            _lanes_insert(p, self._width, self._rows, self._pivots, residual + alphas + [p - 1], pivot)
             self.count += 1
-            # keep existing rows reduced against the new pivot
-            at, lane = 8 * w * pivot, (1 << 8 * w) - 1
-            for i, row in enumerate(self._rows):
-                a = row >> at & lane
-                if a:
-                    self._rows[i] = _pack_lanes(_read_lanes(p, row + (p - a) * new, w, n + self.count), w)
-            self._rows.append(new)
-            self._pivots.append(pivot)
             return True
         self.count += 1
         combo = [0] * self.count
@@ -915,14 +947,14 @@ class Echelon:
     so far and reports whether it did, as SpanSolver.add does, but no row
     carries a combination of the inserted vectors.  Over GF(2) the rows
     are packed, in the dict of _xor_reduce and _xor_insert, and over odd
-    p packed in lanes, both reduced with pivot entries 1, as SpanSolver
-    keeps them.  Over Q the rows are an integer echelon form, made
-    fraction-free (Bareiss, Math. Comp. 22, 1968): a vector passes the
-    rows in the order they were kept, and each step that clears an entry
-    divides exactly, with no gcd, by the pivot entry of an earlier row.
-    Row k is then row k of the kept numerators brought to echelon form,
-    and its entries are minors of k + 1 of them.  A vector's
-    denominator changes no span and is dropped.
+    p packed in lanes by _lanes_reduce and _lanes_insert, both reduced
+    with pivot entries 1, as SpanSolver keeps them.  Over Q the rows are
+    an integer echelon form, made fraction-free (Bareiss, Math. Comp. 22,
+    1968): a vector passes the rows in the order they were kept, and each
+    step that clears an entry divides exactly, with no gcd, by the pivot
+    entry of an earlier row.  Row k is then row k of the kept numerators
+    brought to echelon form, and its entries are minors of k + 1 of them.
+    A vector's denominator changes no span and is dropped.
     """
 
     __slots__ = ("field", "length", "_p", "_rows", "_pivots", "_mask", "_width")
@@ -952,21 +984,7 @@ class Echelon:
             return self._add_packed(_pack(v))
         pivots, rows = self._pivots, self._rows
         if p:
-            # the rows are zero at each other's pivots, so every multiple goes on in one sum
-            w = self._width
-            taken = [(p - v[piv]) * row for piv, row in zip(pivots, rows) if v[piv]]
-            if taken:
-                v = _read_lanes(p, _pack_lanes(v, w) + sum(taken), w, self.length)
-            pivot = next((j for j, a in enumerate(v) if a), None)
-            if pivot is None:
-                return False
-            new = _pack_lanes(_scale(p, _inv(p, v[pivot]), v), w)
-            # keep the rows reduced against the new pivot
-            at, lane = 8 * w * pivot, (1 << 8 * w) - 1
-            for i, row in enumerate(rows):
-                a = row >> at & lane
-                if a:
-                    rows[i] = _pack_lanes(_read_lanes(p, row + (p - a) * new, w, self.length), w)
+            v = _lanes_reduce(p, self._width, rows, pivots, v, self.length)
         else:
             # a step skipped at a zero entry would scale v by the pivot of its row over
             # that of the row before; those ratios telescope, so v stays as it is and the
@@ -978,12 +996,14 @@ class Echelon:
                     a = row[piv]
                     v = [(a * x - c * y) // prev for x, y in zip(v, row)]
                     prev = a
-            pivot = next((j for j, a in enumerate(v) if a), None)
-            if pivot is None:
-                return False
-            last = rows[-1][pivots[-1]] if rows else 1
-            new = v if last == prev else [x * last // prev for x in v]
-        rows.append(new)
+        pivot = next((j for j, a in enumerate(v) if a), None)
+        if pivot is None:
+            return False
+        if p:
+            _lanes_insert(p, self._width, rows, pivots, v, pivot)
+            return True
+        last = rows[-1][pivots[-1]] if rows else 1
+        rows.append(v if last == prev else [x * last // prev for x in v])
         pivots.append(pivot)
         return True
 
@@ -994,8 +1014,3 @@ class Echelon:
             return False
         self._mask |= _xor_insert(self._rows, x)
         return True
-
-    def _reduced(self) -> tuple:
-        """(rows, pivots) over GF(2): the reduced echelon form of the span, raw rows in pivot order."""
-        order = sorted(self._rows)
-        return [_unpack(self._rows[b], self.length) for b in order], [(b.bit_length() - 1) >> 3 for b in order]
