@@ -23,8 +23,8 @@ over its columns (the matrix times a column x, _times_col) or its rows
 (a row x times the matrix, _times_row; row i of A*B is row i of A times
 B).  A matrix keeps its lines in the form the sum takes (_lines), made
 when a sum first needs them: over Q its integer columns or rows over one
-denominator, summed by _sum_of_multiples, and over GF(p) each line
-packed into one int.  A packed GF(p) vector holds
+denominator, and over GF(p) each line packed into one int.  A packed
+GF(p) vector holds
 entry j in lane j of w bytes, as the MeatAxe packs rows over small prime
 fields (Parker 1984), and SpanSolver and Echelon pack their rows the
 same way.  Over GF(2) w is 1 and a sum is a XOR.  For odd p adding c
@@ -40,6 +40,25 @@ wider lanes one at a time: reading 2-byte lanes one at a time made
 check_report on regular S5 over GF(3) and GF(5), whose 120-entry
 vectors take 2-byte lanes, three times slower.  endo.compute_end spins
 on packed GF(2) rows too.
+
+Over Q a sum over a matrix of fewer than 16 lines, or with more than
+half of the x_j zero, adds the lines as lists (_sum_of_multiples).  Any
+other packs the matrix's lines once, entry j in a signed lane j of w
+bytes, and adds c times a line with one integer multiply-add, as odd p
+does.  Adding 2^(8w - 1) to every lane of the sum makes it nonnegative
+with no carry between lanes, and one XOR of the top bits then leaves
+each lane in two's complement, read by struct for w = 8 and one lane at
+a time past it (_pack_signed, _read_signed).  No entry of the sum
+exceeds big * sum |x_j|, with big the largest entry of the lines, so w
+is 8, or the smallest 8 * 2^k whose lanes hold that; a matrix keeps its
+lines packed per width.  Packing a matrix costs about one sum of all its
+lines, and a sum that adds at least half of them repays about half of
+that at once.  Packed, the line sums of minimize's 32-state Q spins took
+a quarter of their time on lists, while packing every Q matrix of 4
+lines or more made perm-q, whose matrices have at most 12 lines and are
+used a few times each, 4.7% slower, and packing every matrix of 16 lines
+or more, whatever x, cost regular S5 over Q about 10 ms: its 3,208 sums
+over such matrices add 2.7 of their 20 to 120 lines on average.
 
 Gauss-Jordan elimination and compute_end's spins stay on lists for odd
 p, where a packed elimination that reduces after every row operation was
@@ -69,7 +88,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -215,6 +234,49 @@ def _read_lanes(p: int, x: int, w: int, n: int) -> list:
     if w in _LANE_FORMATS:
         return [a % p for a in struct.unpack(f"<{n}{_LANE_FORMATS[w]}", data)]
     return [int.from_bytes(data[i:i + w], "little") % p for i in range(0, n * w, w)]
+
+
+# Over Q a sum over a matrix of this many lines or more, with at most half of its
+# multipliers zero, is added on packed signed lanes; on shorter or sparser sums,
+# packing the matrix costs more than it saves
+_SIGNED_LINES = 16
+
+
+@lru_cache(maxsize=None)
+def _sign_bits(w: int, n: int) -> int:
+    """The top bit of each of n lanes of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack_signed(xs: Sequence, w: int) -> int:
+    """The sum of xs[j] * 256^(w j), for integers xs of absolute value below 2^(8w - 1).
+
+    Each entry is written in two's complement, lane j of w bytes, and
+    adding 2^(8w - 1) to every lane, one XOR of the top bits, makes the
+    lanes nonnegative: that int less the added bits is the sum.
+    """
+    n = len(xs)
+    if w == 8:
+        data = struct.pack(f"<{n}q", *xs)
+    else:
+        data = b"".join([a.to_bytes(w, "little", signed=True) for a in xs])
+    top = _sign_bits(w, n)
+    return (int.from_bytes(data, "little") ^ top) - top
+
+
+def _read_signed(x: int, w: int, n: int) -> list:
+    """The n entries of the sum x of packed signed lines, each of absolute value below 2^(8w - 1).
+
+    Adding 2^(8w - 1) to every lane makes x nonnegative with no carry
+    between lanes, and one XOR of the top bits then leaves each lane in
+    two's complement: lanes of 8 bytes are read by struct, wider ones
+    one at a time.
+    """
+    top = _sign_bits(w, n)
+    data = ((x + top) ^ top).to_bytes(n * w, "little")
+    if w == 8:
+        return list(struct.unpack(f"<{n}q", data))
+    return [int.from_bytes(data[i:i + w], "little", signed=True) for i in range(0, n * w, w)]
 
 
 class _RawVector(list):
@@ -397,12 +459,15 @@ class DenseMatrix:
         return _RawVector(column) if self.field.characteristic else _qvector(column, self._den)
 
     def _lines(self, columns: bool) -> tuple:
-        """(lines, w, n): the columns, or rows, in the form a sum of them takes, made on first use.
+        """The columns, or rows, in the form a sum of them takes, made on first use.
 
-        A sum of them has n entries.  Over GF(p) each line is packed into
-        one int in lanes of w bytes, as wide as the sum needs: a column is
-        summed with up to cols others, a row with up to rows others.  Over
-        Q a line is its integers over _den, and w is 0.
+        A sum of them has n entries.  Over GF(p) they are (lines, w, n),
+        each line packed into one int in lanes of w bytes, as wide as the
+        sum needs: a column is summed with up to cols others, a row with
+        up to rows others.  Over Q they are [lines, n, big, packed], each
+        line its integers over _den; big, their largest absolute entry, and
+        packed, a dict from a lane width to the lines packed in it, are
+        filled by _line_sum when a sum on packed lanes first needs them.
         """
         slot = "_col_lines" if columns else "_row_lines"
         try:
@@ -411,12 +476,13 @@ class DenseMatrix:
             p = self.field.characteristic
             terms, n = (self.cols, self.rows) if columns else (self.rows, self.cols)
             lines = list(zip(*self._raw)) if columns else self._raw
-            w = 0
             if p:
                 w = _lane_width(p, terms)
-                lines = [_pack_lanes(r, w) for r in lines]
-            object.__setattr__(self, slot, (lines, w, n))
-            return getattr(self, slot)
+                value = ([_pack_lanes(r, w) for r in lines], w, n)
+            else:
+                value = [lines, n, None, {}]
+            object.__setattr__(self, slot, value)
+            return value
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -549,19 +615,36 @@ class DenseMatrix:
 
 
 def _line_sum(p: int, lines: tuple, x: Sequence) -> list:
-    """The sum of x_j times line j of a matrix, for its (lines, w, n) from _lines; zero x_j are skipped.
+    """The sum of x_j times line j of a matrix, for its lines from _lines; zero x_j are skipped.
 
     Over GF(p) x and the sum are raw values: each packed line is added
     with one integer multiply-add, a XOR over GF(2), and the lanes are
     reduced mod p once, when they are read.  Over Q x and the sum are
-    integers, the sum over x's denominator times the matrix's.
+    integers, the sum over x's denominator times the matrix's.  A sum
+    over fewer than _SIGNED_LINES lines, or with more than half of x
+    zero, adds the lines as lists (_sum_of_multiples); any other adds
+    each line packed in signed lanes of w bytes with one integer
+    multiply-add, as GF(p) does.  No entry of the sum exceeds
+    big * sum |x_j|, so w is 8, or past 8 the smallest 8 * 2^k, whose
+    signed lanes hold that bound; the lines are packed once per width.
     """
-    packed, w, n = lines
-    if p == 2:
-        return _read_lanes(2, reduce(xor, compress(packed, x), 0), 1, n)
     if p:
+        packed, w, n = lines
+        if p == 2:
+            return _read_lanes(2, reduce(xor, compress(packed, x), 0), 1, n)
         return _read_lanes(p, sum(map(mul, compress(x, x), compress(packed, x))), w, n)
-    return _sum_of_multiples(0, compress(zip(x, packed), x), n)
+    rows, n, big, packed = lines
+    if len(rows) < _SIGNED_LINES or 2 * x.count(0) > len(x):
+        return _sum_of_multiples(0, compress(zip(x, rows), x), n)
+    if big is None:
+        big = lines[2] = max(map(abs, chain.from_iterable(rows)), default=0)
+    bits = (big * sum(map(abs, x))).bit_length()
+    w = 8
+    while bits >= 8 * w:
+        w *= 2
+    if w not in packed:
+        packed[w] = [_pack_signed(r, w) for r in rows]
+    return _read_signed(sum(map(mul, compress(x, x), compress(packed[w], x))), w, n)
 
 
 def _sum_of_multiples(p: int, terms: Iterable, cols: int) -> list:

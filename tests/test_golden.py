@@ -55,6 +55,8 @@ CASES = {
     "minimize_q_fractions": ["minimize", "{golden}/automaton_q_fractions.json"],
     # 64 states over Q: the spins' integers grow with the words, hundreds of bits deep
     "minimize_q_64": ["minimize", "{golden}/automaton_q_64.json"],
+    # 24 states over Q with entries up to 10^12: every packed Q sum needs signed lanes past 8 bytes
+    "minimize_q_wide": ["minimize", "{golden}/automaton_q_wide.json"],
     "decompose_bool_swap_invariant": ["decompose-bool", SWAP_INVARIANT, "-n", "3"],
     "decompose_bool_split_4_6": ["decompose-bool", SPLIT_4_6, "-n", "5"],
     # MAX_VARIABLES: 4096 monomials, the swaps applied as index maps

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclomod.endo import compute_end
@@ -493,6 +493,13 @@ def _big_q_rows(rng, rows, cols):
     cols=st.integers(min_value=0, max_value=12),
     inner=st.integers(min_value=0, max_value=12),
 )
+# a sum over 16 lines or more, with at most half of x zero, runs on packed signed
+# lanes, here wider than 8 bytes, and one over 15 on lists: rows, cols and inner
+# each cross the line, and 16 rows of no entry are packed too
+@example(seed=15, rows=15, cols=16, inner=17)
+@example(seed=16, rows=16, cols=17, inner=15)
+@example(seed=17, rows=17, cols=15, inner=16)
+@example(seed=18, rows=16, cols=0, inner=16)
 def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, cols, inner):
     rng = random.Random(seed)
 
@@ -536,7 +543,21 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
     third = DenseMatrix(QQ, [box(r) for r in _big_q_rows(rng, inner, 3)], cols=3)
     assert (product * third).entries == tuple(oracles.boxed_mul(product, third))
     assert rref(product).matrix.entries == tuple(oracles.boxed_rref(product).rows)
-    for v in _big_q_rows(rng, 2, cols):
+
+    def special(n):
+        """A zero vector, one with a single nonzero entry and one with no zero entry, of length n."""
+        def nonzero():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**20), rng.randint(1, 10**6))
+
+        single = [Fraction(0)] * n
+        if n:
+            single[rng.randrange(n)] = nonzero()
+        return [[Fraction(0)] * n, single, [nonzero() for _ in range(n)]]
+
+    # a row of the product of these with other adds no line, one, or all of other's rows
+    rows_x = DenseMatrix(QQ, [box(r) for r in special(cols)], cols=cols)
+    assert (rows_x * other).entries == tuple(oracles.boxed_mul(rows_x, other))
+    for v in _big_q_rows(rng, 2, cols) + special(cols):
         got = _box(QQ, m._times_col(_unbox(QQ, v)))
         assert got == oracles.boxed_apply(m, box(v))
         _assert_canonical(QQ, got)
@@ -545,7 +566,7 @@ def test_q_integer_kernel_matches_boxed_reference_on_large_entries(seed, rows, c
             dot = _box(QQ, DenseMatrix._from_vectors(QQ, [_unbox(QQ, u)], cols)._times_col(_unbox(QQ, v)))
             assert dot == (sum((a * b for a, b in zip(box(u), box(v))), QQ.zero()),)
             _assert_canonical(QQ, dot)
-    for w in _big_q_rows(rng, 2, rows):
+    for w in _big_q_rows(rng, 2, rows) + special(rows):
         got = _box(QQ, m._times_row(_unbox(QQ, w)))
         assert got == oracles.boxed_apply_row(m, box(w))
         _assert_canonical(QQ, got)

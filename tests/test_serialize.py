@@ -336,7 +336,7 @@ def test_every_json_golden_round_trips_through_to_text():
             continue
         assert to_text(obj) == text, name
         checked += 1
-    assert checked == 17
+    assert checked == 18
 
 
 def test_dot_output_for_swap_invariant_module():
