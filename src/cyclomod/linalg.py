@@ -62,25 +62,24 @@ over such matrices add 2.7 of their 20 to 120 lines on average.
 
 Gauss-Jordan elimination and compute_end's spins stay on lists for odd
 p, where a packed elimination that reduces after every row operation was
-slower, and so was rref run as SpanSolver insertions, as for GF(2); Q's
-SpanSolver stays on lists.  For p != 2, GF(p) and Q
-share one Gauss-Jordan loop (_rref_rows); the field enters only through
-two steps: _pivot_row makes a pivot row, scaled to 1 over GF(p) and
-primitive over Q, and _clear clears an entry with it, x - c*pivot_row
-over GF(p) and, fraction-free, a*x - c*pivot_row divided by its content
-over Q (Bareiss, Math. Comp. 22, 1968).  Every kernel in the package is
-read off rref here.
-Reduced echelon forms, coordinates and lowest terms are unique, so they
-are the ones plain Fraction or list arithmetic gives.
+slower, and so was rref run as Echelon insertions, as GF(2)'s runs on
+_xor_reduce and _xor_insert.  For p != 2, GF(p) and Q share one
+Gauss-Jordan loop (_rref_rows); the field enters only through two steps:
+_pivot_row makes a pivot row, scaled to 1 over GF(p) and primitive over
+Q, and _clear clears an entry with it, x - c*pivot_row over GF(p) and,
+fraction-free, a*x - c*pivot_row divided by its content over Q.  Every
+kernel in the package is read off rref here.  Reduced echelon forms,
+coordinates and lowest terms are unique, so they are the ones plain
+Fraction or list arithmetic gives.
 
-SpanSolver keeps, with each row, its combination of the inserted
-vectors, so that it can give coordinates.  Echelon only decides
-independence and keeps no combination.  Over odd p both reduce and
-insert packed rows with the same two routines (_lanes_reduce,
-_lanes_insert), SpanSolver's rows carrying their combination in the
-lanes past the vector's.  Over Q Echelon's rows are a fraction-free
-echelon form (Bareiss), on which a step divides exactly and takes no
-gcd.  A span whose coordinates are never read is kept in an Echelon.
+An incremental span is an Echelon: one row per independent vector, and
+one place where each field reduces a vector and keeps a row.  Over GF(p)
+the rows are packed and reduced, and over Q they are a fraction-free
+echelon form (Bareiss, Math. Comp. 22, 1968), on which a step divides
+exactly and takes no gcd.  SpanSolver is an Echelon whose vectors carry
+a tail, their combination of the inserted vectors, through the same
+steps, so that it gives coordinates; a span whose coordinates are never
+read is kept in an Echelon.
 """
 
 from __future__ import annotations
@@ -746,11 +745,13 @@ def _rref_packed(field: FieldSpec, packed, ncols: int) -> RrefResult:
     elimination of _rref_rows gives.  The matrix holds the rank nonzero
     rows only, in pivot order, with no zero rows after them.
     """
-    echelon = Echelon(field, ncols)
+    kept, mask = {}, 0
     for x in packed:
-        echelon._add_packed(x)
-    order = sorted(echelon._rows)
-    rows = [_unpack(echelon._rows[b], ncols) for b in order]
+        x = _xor_reduce(kept, mask, x)
+        if x:
+            mask |= _xor_insert(kept, x)
+    order = sorted(kept)
+    rows = [_unpack(kept[b], ncols) for b in order]
     pivots = tuple((b.bit_length() - 1) >> 3 for b in order)
     return RrefResult(DenseMatrix._from_raw(field, rows, ncols), len(pivots), pivots)
 
@@ -810,6 +811,24 @@ def _xor_insert(kept: dict, x: int) -> int:
     return low
 
 
+def _bareiss_step(x: list, row: list, a: int, c: int, prev: int) -> list:
+    """(a*x - c*row) / prev for integer lists, a division that is exact in a fraction-free echelon.
+
+    a is row's pivot entry and c x's entry there; when a = prev, x's
+    entries where row is zero are kept, with no product.  The step runs
+    over the entries x and row share: a row's tail past the end of a
+    shorter x is not computed, and x's entries past the end of a shorter
+    row, tail entries that no row taken so far reaches and so zero, are
+    kept.
+    """
+    if a == prev:
+        y = [u - c * w // a if w else u for u, w in zip(x, row)]
+    else:
+        y = [(a * u - c * w) // prev for u, w in zip(x, row)]
+    y += x[len(row):]
+    return y
+
+
 def rref(m: DenseMatrix) -> RrefResult:
     """Reduced row echelon form with pivot bookkeeping."""
     p = m.field.characteristic
@@ -847,86 +866,125 @@ def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> lis
     return basis
 
 
-class SpanSolver:
-    """Incremental span of inserted vectors, with coordinate recovery.
+class Echelon:
+    """Incremental span of inserted vectors, kept as one echelon row per independent vector.
 
-    add() inserts a vector only if it is independent of everything seen so
-    far and reports whether it did; coordinates() rewrites any vector of
-    the span as a combination of the inserted ones.  Rows are kept fully
-    reduced, so the internal basis is canonical for a given insertion
-    order.  Over GF(p) a row and its combination are one packed int, the
-    combination in the lanes above the first length, and are reduced,
-    and added to a vector, as one.  For odd p each row has a 1 at its
-    pivot and keeps its negated combination, -combo_i, so that taking a
-    row off a vector adds its combination; the rows to take off are read
-    at v's pivot entries, and the sum is read back as raw values.  Over
-    GF(2) the rows are a dict from each row's pivot, its lowest set bit,
-    to the row: a XOR never carries, so one AND with the pivot bits names
-    the rows to take off, and the residual stays packed, where reading
-    the lanes back would cost more than the whole reduction.  Over Q a
-    row and its combination are lists, row_i = sum_k combo_i[k] *
-    (k-th inserted vector), a primitive integer multiple of the reduced
-    row and its combination in the same scale.
+    add() inserts a vector only if it is independent of the rows kept so
+    far and reports whether it did; _place() does the same for a raw
+    vector, giving None when it inserts it and () when it does not.  The
+    field enters only where a vector is reduced (_reduce) and a row is
+    kept (_insert):
+    - over GF(2) the rows are packed, one byte per entry, in a dict from
+      each row's pivot, its lowest set bit, to the row, so one AND with
+      the pivot bits names the rows to take off (_xor_reduce, _xor_insert);
+    - over odd p they are packed in lanes, and every row taken off a
+      vector goes on in one sum (_lanes_reduce, _lanes_insert);
+    - over Q they are an integer echelon form made fraction-free (Bareiss,
+      Math. Comp. 22, 1968).  A vector passes the rows in the order they
+      were kept, and each step that clears an entry divides exactly, with
+      no gcd, by the pivot entry of the row taken before (_bareiss_step).
+      Row k is row k of the kept numerators brought to echelon form, and
+      its entries are minors of k + 1 of them.  A vector's denominator
+      changes no span and is dropped.
+    Over GF(p) the rows are kept reduced, with 1 at their pivots and zero
+    at each other's.  A span whose coordinates are never read is kept in
+    an Echelon; SpanSolver is an Echelon that gives coordinates.
     """
+
+    __slots__ = ("field", "length", "_p", "_rows", "_pivots", "_mask", "_width", "_vector_bits")
 
     def __init__(self, field: FieldSpec, length: int):
         self.field = field
         self.length = length
         p = self._p = field.characteristic
-        self._rows = {} if p == 2 else []  # reduced rows, one pivot each
-        self._pivots = []
-        self._combos = []  # over Q: row i as a combination of inserted vectors
+        self._rows = {} if p == 2 else []  # over GF(2) keyed by each row's pivot bit
+        self._pivots = []  # over GF(2) the dict's keys stand for them
         self._mask = 0  # over GF(2): every pivot bit
         # over GF(p): bytes per lane, at most length rows are taken off a vector at once
         self._width = _lane_width(p, length) if p else 0
-        self._shift = 8 * self._width * length  # the combination's lanes start here
-        self._vector_bits = (1 << self._shift) - 1
-        self.count = 0
+        self._vector_bits = (1 << 8 * self._width * length) - 1  # over GF(p): the lanes of a vector's entries
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: list):
-        """(residual, alphas, sigma) of the raw vector v against the rows.
+    def add(self, v: Vector) -> bool:
+        return self._place(_unbox(self.field, v)) is None
 
-        residual = sigma * v - sum(alpha_i * row_i), one scale sigma for
-        all the rows taken off: an integer row over Q, where sigma takes in
-        v's denominator.  Over GF(p) every pivot entry is 1 and so sigma is
-        1, and in place of the alphas comes their combination,
-        sum(alpha_i * combo_i): packed over GF(2), the residual too, and for
-        odd p both read off the lanes of one sum as raw values.  v itself
-        is not changed.
+    def _place(self, v: list):
+        """None when the raw vector v was independent of the rows and is now kept, () when it was not."""
+        x, pivot, prev = self._reduce(v, 0)
+        if pivot is None:
+            return ()
+        self._insert(x, pivot, prev)
+        return None
+
+    def _reduce(self, v: list, tail: int) -> tuple:
+        """(x, pivot, prev): the raw vector v, with a zero tail of tail entries after it, reduced against the rows.
+
+        x is packed over GF(2), where the tail is whatever the rows carry,
+        and raw values otherwise.  pivot is the index of x's first nonzero
+        entry among v's own, its bit over GF(2), or None when they are all
+        zero.  prev is 1 over GF(p), and over Q the pivot entry of the last
+        row taken, 1 when none is: x is then prev times v's numerators less
+        multiples of the rows.
         """
-        if len(v) != self.length:
-            raise ValueError(f"vector length {len(v)}, expected {self.length}")
+        n = self.length
+        if len(v) != n:
+            raise ValueError(f"vector length {len(v)}, expected {n}")
         p = self._p
         if p == 2:
             x = _xor_reduce(self._rows, self._mask, _pack(v))
-            return x & self._vector_bits, x >> self._shift, 1
+            return x, x & -x if x & self._vector_bits else None, 1
         if p:
-            n = self.length
-            lanes = _lanes_reduce(p, self._width, self._rows, self._pivots, v, n + self.count)
-            return lanes[:n], lanes[n:], 1
-        # over Q one common scale m clears every pivot entry of v
-        d = v.den
-        hits = []  # (i, t, q): row i is taken off t * m / q times
-        m = 1
-        for i, (row, piv) in enumerate(zip(self._rows, self._pivots)):
-            if v[piv]:
-                g = gcd(v[piv], row[piv])
-                hits.append((i, v[piv] // g, row[piv] // g))
-                m = lcm(m, row[piv] // g)
-        if m != 1:
-            v = [m * a for a in v]
-        alphas = [0] * len(self._rows)
-        for i, t, q in hits:
-            alpha = alphas[i] = t * (m // q)
-            v = _addmul(p, v, -alpha, self._rows[i])
-        return v, alphas, m * d
+            x, prev = _lanes_reduce(p, self._width, self._rows, self._pivots, v, n + tail), 1
+        else:
+            # a step skipped at a zero entry would scale x by the pivot of its row over
+            # that of the row before; those ratios telescope, so x stays as it is and the
+            # next step taken divides by the pivot of the row before the last one taken
+            x, prev = v + [0] * tail if tail else v, 1
+            for piv, row in zip(self._pivots, self._rows):
+                c = x[piv]
+                if c:
+                    a = row[piv]
+                    x = _bareiss_step(x, row, a, c, prev)
+                    prev = a
+        return x, next(compress(range(n), x), None), prev
 
-    def add(self, v: Vector) -> bool:
-        return self._insert(*self._reduce(_unbox(self.field, v)))
+    def _insert(self, x, pivot, prev: int):
+        """Keep x, reduced by _reduce and nonzero at pivot, as a row."""
+        p, rows = self._p, self._rows
+        if p == 2:
+            self._mask |= _xor_insert(rows, x)
+        elif p:
+            _lanes_insert(p, self._width, rows, self._pivots, x, pivot)
+        else:
+            # the row is scaled as if every step had been taken, to the pivot of the last row
+            last = rows[-1][self._pivots[-1]] if rows else 1
+            rows.append(x if last == prev else [a * last // prev for a in x])
+            self._pivots.append(pivot)
+
+
+class SpanSolver(Echelon):
+    """An Echelon whose rows carry their combination of the inserted vectors, for coordinates.
+
+    Inserted vector k enters with a tail past its own entries: a unit in
+    tail entry k, the set byte over GF(2), p - 1 over odd p and the
+    vector's denominator over Q.  The tail goes through every step with
+    the vector, so a row's tail records the combination that made it.  A
+    vector of the span reduced with a zero tail ends with its vector part
+    zero and its tail its coordinates, read over odd p and GF(2) as they
+    are, and over Q negated and divided by the pivot of the last row
+    taken times the vector's denominator.
+    """
+
+    __slots__ = ("count",)
+    # bound in the class's own namespace too, where bench/tracer.py looks up the layers it wraps
+    add = Echelon.add
+
+    def __init__(self, field: FieldSpec, length: int):
+        super().__init__(field, length)
+        self.count = 0  # the vectors inserted so far
 
     def _place(self, v: list) -> Optional[list]:
         """Reduce the raw vector v once, then insert it or give its coordinates.
@@ -937,50 +995,26 @@ class SpanSolver:
         zeros for the newcomers, because the inserted vectors are
         independent.
         """
-        residual, alphas, sigma = self._reduce(v)
-        if self._insert(residual, alphas, sigma):
-            return None
-        return self._combination(alphas, sigma)
-
-    def _insert(self, residual, alphas, sigma) -> bool:
-        """Insert a residual of _reduce as a row unless it is zero; reports whether it did."""
+        x, pivot, prev = self._reduce(v, self.count)
+        if pivot is None:
+            return self._read_tail(x, prev, v)
         p = self._p
         if p == 2:
-            if not residual:
-                return False
-            # the combination sits above the residual, so the row's lowest set bit is the residual's
-            self._mask |= _xor_insert(self._rows, residual | (alphas | 1 << 8 * self.count) << self._shift)
-            self.count += 1
-            return True
-        pivot = next((j for j, a in enumerate(residual) if a), None)
-        if pivot is None:
-            return False
-        n = self.length
-        if p:
-            # residual = e_count - sum(alpha_i * combo_i) as a combination, and
-            # alphas holds the sum: the row keeps its negation, scaled to 1 at the pivot
-            _lanes_insert(p, self._width, self._rows, self._pivots, residual + alphas + [p - 1], pivot)
-            self.count += 1
-            return True
+            x |= 1 << 8 * (self.length + self.count)
+        else:
+            x = x + [p - 1 if p else v.den * prev]
+        self._insert(x, pivot, prev)
         self.count += 1
-        combo = [0] * self.count
-        combo[-1] = sigma
-        for alpha, old in zip(alphas, self._combos):
-            if alpha:
-                combo[:len(old)] = _addmul(p, combo, -alpha, old)
-        # a row and its combination are made a pivot row, and cleared, as one row
-        new = _pivot_row(p, residual + combo, pivot)
-        # keep existing rows reduced against the new pivot
-        for i, row in enumerate(self._rows):
-            if row[pivot]:
-                old = self._combos[i]
-                padded = row + old + [0] * (len(combo) - len(old))
-                both = _clear(p, padded, pivot, new)
-                self._rows[i], self._combos[i] = both[:n], both[n:]
-        self._rows.append(new[:n])
-        self._pivots.append(pivot)
-        self._combos.append(new[n:])
-        return True
+        return None
+
+    def _read_tail(self, x, prev: int, v: list) -> list:
+        """The raw coordinates of v over the inserted vectors, from its reduced x, which is zero but for its tail."""
+        p, n = self._p, self.length
+        if p == 2:
+            return _unpack(x >> 8 * n, self.count)
+        if p:
+            return x[n:]
+        return _qvector([-a for a in x[n:]], prev * v.den)
 
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v over the inserted vectors, or None if outside the span."""
@@ -989,111 +1023,23 @@ class SpanSolver:
 
     def _coordinates(self, v: list) -> Optional[list]:
         """coordinates() of the raw vector v, as raw values."""
-        residual, alphas, sigma = self._reduce(v)
-        if self._nonzero(residual):
-            return None
-        return self._combination(alphas, sigma)
-
-    def _nonzero(self, residual) -> bool:
-        return residual != 0 if self._p == 2 else any(residual)
-
-    def _combination(self, alphas, sigma) -> list:
-        """Raw coordinates over the inserted vectors of a vector that _reduce took to zero."""
-        p = self._p
-        if p == 2:
-            return _unpack(alphas, self.count)
-        if p:
-            return alphas
-        coords = [0] * self.count
-        for alpha, combo in zip(alphas, self._combos):
-            if alpha:
-                k = len(combo)
-                coords[:k] = _addmul(p, coords[:k], alpha, combo)
-        return _qvector(coords, sigma)
+        x, pivot, prev = self._reduce(v, self.count)
+        return None if pivot is not None else self._read_tail(x, prev, v)
 
     def contains(self, v: Vector) -> bool:
-        residual, _, _ = self._reduce(_unbox(self.field, v))
-        return not self._nonzero(residual)
+        # over Q no tail is computed; over odd p the rows' tails are packed in the
+        # same ints as their vectors, so all the lanes are read
+        return self._reduce(_unbox(self.field, v), self.count if self._p else 0)[1] is None
 
     def basis_rows(self) -> list:
-        p = self._p
-        if p:
-            rows = self._rows.values() if p == 2 else self._rows
-            return [_box(self.field, _read_lanes(p, r & self._vector_bits, self._width, self.length)) for r in rows]
-        return [_box(self.field, _qvector(r, r[c])) for r, c in zip(self._rows, self._pivots)]
-
-
-class Echelon:
-    """Incremental span of inserted vectors that keeps no coordinates.
-
-    add() inserts a vector only if it is independent of everything kept
-    so far and reports whether it did, as SpanSolver.add does, but no row
-    carries a combination of the inserted vectors.  Over GF(2) the rows
-    are packed, in the dict of _xor_reduce and _xor_insert, and over odd
-    p packed in lanes by _lanes_reduce and _lanes_insert, both reduced
-    with pivot entries 1, as SpanSolver keeps them.  Over Q the rows are
-    an integer echelon form, made fraction-free (Bareiss, Math. Comp. 22,
-    1968): a vector passes the rows in the order they were kept, and each
-    step that clears an entry divides exactly, with no gcd, by the pivot
-    entry of an earlier row.  Row k is then row k of the kept numerators
-    brought to echelon form, and its entries are minors of k + 1 of them.
-    A vector's denominator changes no span and is dropped.
-    """
-
-    __slots__ = ("field", "length", "_p", "_rows", "_pivots", "_mask", "_width")
-
-    def __init__(self, field: FieldSpec, length: int):
-        self.field = field
-        self.length = length
-        p = self._p = field.characteristic
-        self._rows = {} if p == 2 else []  # over GF(2) keyed by each row's pivot bit
-        self._pivots = []
-        self._mask = 0  # over GF(2): every pivot bit
-        self._width = _lane_width(p, length) if p else 0  # over odd p, as SpanSolver's
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, v: Vector) -> bool:
-        return self._add(_unbox(self.field, v))
-
-    def _add(self, v: list) -> bool:
-        """add() of the raw vector v."""
-        if len(v) != self.length:
-            raise ValueError(f"vector length {len(v)}, expected {self.length}")
-        p = self._p
+        """The reduced echelon basis of the span, one row per kept row, in the order they were kept."""
+        p, n = self._p, self.length
         if p == 2:
-            return self._add_packed(_pack(v))
-        pivots, rows = self._pivots, self._rows
-        if p:
-            v = _lanes_reduce(p, self._width, rows, pivots, v, self.length)
+            rows = [_unpack(r & self._vector_bits, n) for r in self._rows.values()]
+        elif p:
+            rows = [_read_lanes(p, r & self._vector_bits, self._width, n) for r in self._rows]
         else:
-            # a step skipped at a zero entry would scale v by the pivot of its row over
-            # that of the row before; those ratios telescope, so v stays as it is and the
-            # next step taken divides by the pivot of the row before the last one taken
-            prev = 1
-            for piv, row in zip(pivots, rows):
-                c = v[piv]
-                if c:
-                    a = row[piv]
-                    v = [(a * x - c * y) // prev for x, y in zip(v, row)]
-                    prev = a
-        pivot = next((j for j, a in enumerate(v) if a), None)
-        if pivot is None:
-            return False
-        if p:
-            _lanes_insert(p, self._width, rows, pivots, v, pivot)
-            return True
-        last = rows[-1][pivots[-1]] if rows else 1
-        rows.append(v if last == prev else [x * last // prev for x in v])
-        pivots.append(pivot)
-        return True
-
-    def _add_packed(self, x: int) -> bool:
-        """add() over GF(2) of the vector packed in x, as _pack packs it."""
-        x = _xor_reduce(self._rows, self._mask, x)
-        if not x:
-            return False
-        self._mask |= _xor_insert(self._rows, x)
-        return True
+            rows = [r[:n] for r in self._rows]
+        reduced = rref(DenseMatrix._from_raw(self.field, rows, n))
+        by_pivot = dict(zip(reduced.pivot_columns, reduced.matrix.entries))
+        return [by_pivot[next(compress(range(n), r))] for r in rows]

@@ -8,9 +8,10 @@ the step of a from the vector of w is independent of the vectors kept
 before it, in breadth-first order with letters tried in the given
 order.  It runs on raw field values and reduces each step once.  The
 kept words form a prefix-closed set whose vectors are a basis of
-everything the root reaches.  Its solver either records each step's
-coordinates over the kept vectors (a SpanSolver) or only decides
-independence (an Echelon).
+everything the root reaches.  Its solver is an Echelon, which only
+decides independence, or a SpanSolver, the Echelon whose rows carry
+their combination of the kept vectors, which also gives each dependent
+step its coordinates over them from the same reduction.
 
 minimize reads the minimal automaton off the rows of the Hankel matrix
 H[u, v] = weight(uv) (Fliess 1974; Berstel and Reutenauer,
@@ -174,10 +175,10 @@ def covering_tree(
     one is passed, reduces key(v), a vector of that length, for each
     vector v, or v itself when key is None: a word is kept when that
     vector is independent of those of the words kept before it.  Each
-    step is applied once to each kept vector and its image reduced once.
-    A SpanSolver records coordinates: a kept image's column is the next
-    unit vector, and any other image gets its coordinates from that same
-    reduction.  An Echelon records none, and images stays empty.
+    step is applied once to each kept vector and its image reduced once,
+    by the solver's _place.  With a SpanSolver a kept image's column is
+    the next unit vector, and any other image's is the coordinates that
+    _place gives; an Echelon's _place gives none, and images stays empty.
     """
     p = field.characteristic
     if solver is None:
@@ -185,14 +186,7 @@ def covering_tree(
     coordinates = isinstance(solver, SpanSolver)
     words, vectors = [], []
     images = {label: [] for label in steps} if coordinates else {}
-
-    def place(v):
-        """None when v is kept, otherwise its coordinates; an Echelon gives ()."""
-        x = v if key is None else key(v)
-        if coordinates:
-            return solver._place(x)
-        return None if solver._add(x) else ()
-
+    place = solver._place if key is None else lambda v: solver._place(key(v))
     if place(root) is None:
         words.append(())
         vectors.append(root)

@@ -1,6 +1,8 @@
 """End-to-end decomposition against brute-force subspace oracles."""
 
 import dataclasses
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -19,12 +21,15 @@ from cyclomod.decompose import (
 )
 from cyclomod.boolfn import parse_anf, sn_action
 from cyclomod.perms import left_translation_action, permutation_module, symmetric_group
+from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
     F_VEC,
+    regular_s4_module,
     s3_natural_action,
     s3_regular_action,
     swap_invariant_module,
+    unimodular_pair,
 )
 
 from oracles import (
@@ -35,6 +40,7 @@ from oracles import (
     gf2_decomposable,
     raw_inverse,
 )
+from test_golden import GOLDEN
 
 
 def test_swap_invariant_module_splits_one_two():
@@ -381,3 +387,65 @@ def test_every_split_half_is_the_ambient_orbit_of_its_generator():
         internal += max(0, count // 2 - 1)
     assert min(halves.values()) >= 8, halves
     assert internal >= 10
+
+
+def _dicyclic_elements(n):
+    """Dic_n, of order 4n, as the permutations of its own elements a^k x^e by left multiplication.
+
+    x a = a^-1 x and x^2 = a^n; the element list holds a = a^1 at index 1
+    and x at index 2n.
+    """
+    pairs = [(k, e) for e in (0, 1) for k in range(2 * n)]
+    index = {g: i for i, g in enumerate(pairs)}
+
+    def times(g, h):
+        (k, e), (m, f) = g, h
+        if not e:
+            return (k + m) % (2 * n), f
+        return (k - m + n * f) % (2 * n), 1 - f
+
+    return [tuple(index[times(g, h)] for h in pairs) for g in pairs]
+
+
+def _group_action(group, field):
+    """The regular module's action over field, by permutations, and its dimension."""
+    if group == "Q8":
+        with open(os.path.join(GOLDEN, "regular_q8.json"), encoding="utf-8") as handle:
+            presentation = presentation_from_json(json.load(handle))
+    elif group == "Dic3":
+        elements = _dicyclic_elements(3)
+        presentation = left_translation_action(elements, [1, 6])
+    else:
+        return regular_s4_module(field).action, 24
+    gens = [(s, presentation.generators[s]) for s in presentation.labels]
+    return AlgebraAction.from_permutations(field, gens, presentation.degree), presentation.degree
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, gf(3)], ids=str)
+@pytest.mark.parametrize("group", ["Q8", "Dic3", "S4"])
+def test_group_module_decomposition_is_invariant_under_basis_order_and_generator(group, field):
+    # the regular module of a group, generated by e_0: its signature and the
+    # multiset of (dim, verdict) must not depend on the order or names of the
+    # generators, on which point generates it, or on the basis of the space
+    action, n = _group_action(group, field)
+    matrices = [(s, action.matrices[s]) for s in action.labels]
+    rng = random.Random(f"{group} {field}")
+    e0 = [1] + [0] * (n - 1)
+    point = [0] * n
+    point[rng.randrange(n)] = 1
+    p, q = unimodular_pair(rng, n)
+    p_mat, q_mat = DenseMatrix(field, p), DenseMatrix(field, q)
+    variants = {
+        "as given": (matrices, e0),
+        "reversed": (matrices[::-1], e0),
+        "renamed": ([(f"t{len(matrices) - i}", m) for i, (_, m) in enumerate(matrices)], e0),
+        "a random point": (matrices, point),
+        "conjugated": ([(s, p_mat * m * q_mat) for s, m in matrices[::-1]], [row[0] for row in p]),
+    }
+    outcomes = set()
+    for name, (gens, g) in variants.items():
+        report = complete_decomposition(orbit_basis(AlgebraAction(field, gens), g))
+        check_report(report)
+        verdicts = sorted((b.dim, c.verdict) for b, c in zip(report.summands, report.certificates))
+        outcomes.add((report.signature, tuple(verdicts)))
+    assert len(outcomes) == 1, outcomes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclomod import linalg
 from cyclomod.endo import compute_end
 from cyclomod.fields import GF2, QQ, FieldScalar, gf
 from cyclomod.linalg import (
@@ -258,6 +259,71 @@ def test_echelon_over_q_skips_zero_steps_and_keeps_the_bareiss_rows():
         for v in vectors:
             echelon.add(v)
         assert [list(r) for r in echelon._rows] == _bareiss_rows(vectors)
+
+
+def test_span_solver_over_q_keeps_the_bareiss_rows_of_its_augmented_vectors(monkeypatch):
+    # inserted vector k enters as its numerators and a tail with its denominator
+    # in entry k; the rows, vector part and tail, are the Bareiss rows of those
+    # augmented vectors, every step divides exactly, and a vector of the span
+    # comes back as its combination
+    steps = []
+    step = linalg._bareiss_step
+
+    def recording_step(x, row, a, c, prev):
+        assert all((a * u - c * w) % prev == 0 for u, w in zip(x, row))
+        steps.append((a, prev))
+        return step(x, row, a, c, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", recording_step)
+    rng = random.Random(12)
+    for trial in range(600):
+        length = rng.randint(1, 7)
+        if trial % 2:
+            pick = lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) if rng.random() < 0.6 else 0
+        else:
+            pick = lambda: int(rng.random() < 0.3)  # 0/1 vectors, as in a regular module: unit pivots
+        solver, echelon, inserted = SpanSolver(QQ, length), Echelon(QQ, length), []
+        for _ in range(rng.randint(1, 10)):
+            if inserted and rng.random() < 0.4:
+                # a known combination of the vectors inserted so far, zero included
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in inserted]
+                v = [sum(c * u[j] for c, u in zip(coeffs, inserted)) for j in range(length)]
+            else:
+                coeffs, v = None, [Fraction(pick()) for _ in range(length)]
+            dependent = echelon._place(_unbox(QQ, v))
+            coords = solver._place(_unbox(QQ, v))
+            assert (coords is None) == (dependent is None)
+            if coords is None:
+                inserted.append(v)
+                continue
+            assert dependent == ()
+            assert [Fraction(a, coords.den) for a in coords] == (coeffs or _coordinates_by_rref(inserted, v))
+        n, k = length, len(inserted)
+        augmented = []
+        for i, v in enumerate(inserted):
+            raw = _unbox(QQ, v)
+            augmented.append(list(raw) + [raw.den if j == i else 0 for j in range(k)])
+        assert [list(r) + [0] * (n + k - len(r)) for r in solver._rows] == _bareiss_rows(augmented)
+        assert solver.count == solver.rank == echelon.rank == k
+        for _ in range(3):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in inserted]
+            v = [sum(c * u[j] for c, u in zip(coeffs, inserted)) for j in range(n)]
+            assert [c.value for c in solver.coordinates(v)] == coeffs
+            assert solver.contains(v)
+        assert [c.value for c in solver.coordinates([0] * n)] == [0] * k
+        outside = next((_unit(0, n, j) for j in range(n) if not solver.contains(_unit(0, n, j))), None)
+        assert (outside is None) == (k == n)
+        if outside is not None:
+            assert solver.coordinates(outside) is None
+    assert any(a == prev == 1 for a, prev in steps)
+    assert any(a == prev and abs(a) > 1 for a, prev in steps)
+
+
+def _coordinates_by_rref(vectors, v):
+    """The coordinates of v over independent vectors, read off the reduced form of [vectors^T | v]."""
+    m = DenseMatrix(QQ, [list(col) + [x] for col, x in zip(zip(*vectors), v)])
+    red = rref(m)
+    return [red.matrix.entries[i][-1].value for i in range(len(vectors))]
 
 
 def test_span_equal():
