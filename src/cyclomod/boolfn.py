@@ -99,7 +99,12 @@ def monomial_name(mask: int) -> str:
 
 
 def monomial_names(n: int) -> list:
-    return [monomial_name(m) for m in range(1 << n)]
+    """monomial_name of every mask below 2^n, each built on the name of the mask without its top variable."""
+    names = ["1"]
+    for k in range(n):
+        top = f"x{k + 1}"
+        names += [top] + [f"{name}*{top}" for name in names[1:]]
+    return names
 
 
 def parse_anf(text: str, n: int) -> BooleanFunction:

@@ -13,6 +13,16 @@ complete_decomposition runs the step depth first from the whole module
 until every leaf is certified indecomposable or the search runs out of
 candidates.
 
+Some leaves are known to have End = F, the scalars, before their End is
+computed, by a dimension count.  A 1-dimensional module is one.  So are
+both halves L and R of a split whose block has an End of dimension 2:
+the maps that act as f on L and as g on R embed End(L) x End(R) into
+End(L + R), and each factor holds its identity, so
+dim End(L) + dim End(R) <= 2 forces dim End(L) = dim End(R) = 1.  Such a
+leaf gets the certificate the search would make for it, "dimension-1",
+with no compute_end, no search and no verifier call.  check_report
+still computes every leaf's End from scratch and re-checks it there.
+
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
 by the projection of g onto it along the other summand.  The check of a
@@ -30,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .endo import compute_end, find_splitting_element, verify_certificate
+from .endo import _dimension_one, compute_end, find_splitting_element, verify_certificate
 from .linalg import DenseMatrix, Echelon
 from .modules import CyclicModule, _module_from_tree, orbit_basis
 
@@ -45,15 +55,17 @@ def decompose_once(m: CyclicModule):
     only once it has passed the verifier's own test.  A field-generated
     one is certified by construction, an element built from E's basis
     whose minimal polynomial has degree dim E, and only check_report
-    checks it in full.  The halves are
-    the covering trees that the certificate check spun in block
-    coordinates; the block basis is injective, so their kept words and
-    restricted matrices are the ones an orbit over the ambient action
-    would give, and only the kept vectors are mapped to ambient
-    coordinates through the block basis.
+    checks it in full.  A 1-dimensional m is a dimension-1 leaf, and its
+    End is not computed.  The halves are the covering trees that the
+    certificate check spun in block coordinates; the block basis is
+    injective, so their kept words and restricted matrices are the ones
+    an orbit over the ambient action would give, and only the kept
+    vectors are mapped to ambient coordinates through the block basis.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no decomposition question")
+    if m.dim == 1:
+        return _dimension_one(), None
     e = compute_end(m)
     cert = find_splitting_element(e)
     if cert.mode in ("local", "field-generated"):
@@ -94,18 +106,21 @@ def complete_decomposition(m: CyclicModule) -> DecompositionReport:
         return DecompositionReport(m, (), (), (), ())
     leaves = []
     splits = []
-    stack = [m]
+    # each block with whether its End is known to be F: the halves of a
+    # block whose End has dimension 2 (see the module docstring)
+    stack = [(m, False)]
     while stack:
-        block = stack.pop()
-        cert, halves = decompose_once(block)
+        block, scalar = stack.pop()
+        cert, halves = (_dimension_one(), None) if scalar else decompose_once(block)
         if halves is None:
             leaves.append((block, cert))
             continue
         splits.append(cert)
+        scalar = cert.diagnostics["endo_dim"] == 2
         left, right = halves
         # depth-first, left side first
-        stack.append(right)
-        stack.append(left)
+        stack.append((right, scalar))
+        stack.append((left, scalar))
     if m.field.characteristic:
         leaves.sort(key=lambda pair: (pair[0].dim, pair[0]._raw_vectors))
     else:

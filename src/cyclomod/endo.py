@@ -30,8 +30,10 @@ differences: the one-dimensional shortcut, a Fitting scan of that list,
 then one loop over the same list, and a primitive-element step after
 it, that factors each candidate's minimal polynomial once.  The scan
 sorts a candidate into a Fitting witness, a unit or a nilpotent element
-by its stable power until it keeps a nilpotent one, then by one rref:
-rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x of rank r < n.
+by its stable power until it keeps a nilpotent one, then by one rank
+(linalg._rank): rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x
+of rank r < n.  Over Q neither reduces a unit: its rank is read on the
+fraction-free echelon, and its reduced form is the identity.
 The first time the nilpotent candidates span a hyperplane J of E, J and
 the identity go once through _local_failure, the verifier's own test of
 a local certificate, which finds J a two-sided ideal (on first columns)
@@ -101,6 +103,7 @@ from .linalg import (
     _part,
     _primitive,
     _qvector,
+    _rank,
     _RawVector,
     _rref_packed,
     _rref_rows,
@@ -356,6 +359,11 @@ class Certificate:
     radical: Optional[tuple] = None   # "local" only: basis matrices of the radical
 
 
+def _dimension_one() -> Certificate:
+    """The certificate of a module whose End is F, the scalars, which holds no idempotent but 0 and 1."""
+    return Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
+
+
 def _scan_candidates(e: EndoAlgebra):
     """Basis elements, then pairwise sums, then pairwise differences.
 
@@ -508,7 +516,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     if e.module_dim == 0:
         raise ValueError("the zero module has no decomposition question")
     if e.dim == 1:
-        return Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
+        return _dimension_one()
 
     diagnostics = {"endo_dim": e.dim}
     n, hyperplane = e.module_dim, e.dim - 1
@@ -523,7 +531,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # so only a witness takes a stable power; before that, the first singular
         # candidate is most often a witness, which the test would only delay
         stable = None if radical else stable_power(mat)
-        rank = stable[1].rank if stable else rref(mat).rank
+        rank = stable[1].rank if stable else _rank(mat)
         if radical and rank < n and _is_nilpotent(mat, rank + 1):
             rank = 0
         if 0 < rank < n:

@@ -668,21 +668,55 @@ def stable_power(m: DenseMatrix) -> tuple:
     rank(P^2) = rank(P) for P = m^a they are constant from a on, and P
     has the kernel and image of m^n.  Starting from rank(m), that takes
     at most ceil(log2 n) + 1 squarings; an invertible or zero m is
-    returned as it is, without a product.  When the squaring stops, the
-    reduced form at hand is the one of P^2.  It is the one of P as well:
-    their ranks agree, so ker P = ker P^2, and the row spaces, the
-    annihilators of the kernels, are equal.
+    returned as it is, without a product.
+
+    Over Q each rank is read on the fraction-free echelon (_rank), with
+    no gcd, and only P is reduced, once, when the squaring stops.  An
+    invertible m, most of what the Fitting scan tests, is not reduced at
+    all: its reduced form is the identity.  Over GF(p) each power is
+    reduced as its rank is read, which costs no more there, and when the
+    squaring stops the reduced form at hand is the one of P^2.  That is
+    rref(P): the ranks of P and P^2 agree, so ker P = ker P^2, and the
+    row spaces, the annihilators of the kernels, are equal.
     """
     if not m.is_square:
         raise ValueError("powers need a square matrix")
-    power, red = m, rref(m)
-    while 0 < red.rank < m.rows:
+    n = m.rows
+    if m.field.characteristic:
+        power, red = m, rref(m)
+        while 0 < red.rank < n:
+            square = power * power
+            square_red = rref(square)
+            if square_red.rank == red.rank:
+                return power, square_red
+            power, red = square, square_red
+        return power, red
+    power, rank = m, _rank(m)
+    if rank == n:
+        return m, RrefResult(DenseMatrix.identity(m.field, n), n, tuple(range(n)))
+    while rank:
         square = power * power
-        square_red = rref(square)
-        if square_red.rank == red.rank:
-            return power, square_red
-        power, red = square, square_red
-    return power, red
+        square_rank = _rank(square)
+        if square_rank == rank:
+            break
+        power, rank = square, square_rank
+    return power, rref(power)
+
+
+def _rank(m: DenseMatrix) -> int:
+    """The rank of m: over Q its rows inserted into an Echelon, over GF(p) rref(m).rank.
+
+    Over Q an Echelon step divides exactly and takes no gcd, where
+    Gauss-Jordan takes the content of every row it clears; on the
+    endomorphisms the Fitting scan tests, that halves the cost of a
+    rank.  Over GF(p) the reduction costs no more than the rank.
+    """
+    if m.field.characteristic:
+        return rref(m).rank
+    span = Echelon(m.field, m.cols)
+    for row in m._raw:
+        span._place(row)
+    return span.rank
 
 
 class RrefResult(NamedTuple):

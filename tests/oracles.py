@@ -1,13 +1,15 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but flat, plain_power, span_equal, min_poly, commutant_basis, the
-algebra references and the boxed kernel works on raw Python values
-(ints mod p, Fractions, int bitmasks over GF(2)) and reimplements the
-math naively, so that a bug in the library's linear algebra cannot hide
-inside its own oracle.
+Everything here but flat, plain_power, stable_power_by_rref, span_equal,
+min_poly, commutant_basis, the algebra references and the boxed kernel
+works on raw Python values (ints mod p, Fractions, int bitmasks over
+GF(2)) and reimplements the math naively, so that a bug in the
+library's linear algebra cannot hide inside its own oracle.
 flat is a matrix's entries as one row-major vector of n^2 scalars.
 plain_power (m^k by k products) and span_equal compare the library's
-matrices and spans against its stable powers and kernels.  min_poly is
+matrices and spans against its stable powers and kernels, and
+stable_power_by_rref is the stable power with every rank read on a
+Gauss-Jordan reduced form.  min_poly is
 the minimal polynomial, modulo a span of matrices, as the first
 dependence among the flattened powers I, m, m^2, ...: the reference for
 endo's first-column minimal polynomial of an element of E modulo J.
@@ -401,6 +403,23 @@ def plain_power(m, k):
     for _ in range(k):
         acc = acc * m
     return acc
+
+
+def stable_power_by_rref(m):
+    """linalg.stable_power as Gauss-Jordan alone: every power is reduced as its rank is read.
+
+    The reference for the Q stable power that reads its ranks on the
+    fraction-free echelon and reduces only the last power, or no power
+    at all for a unit.
+    """
+    power, red = m, rref(m)
+    while 0 < red.rank < m.rows:
+        square = power * power
+        square_red = rref(square)
+        if square_red.rank == red.rank:
+            return power, square_red
+        power, red = square, square_red
+    return power, red
 
 
 def nilpotent_by_chain(ideal, start=None):

@@ -28,6 +28,8 @@ def test_monomial_names():
     assert monomial_names(2) == ["1", "x1", "x2", "x1*x2"]
     assert monomial_name(0b101) == "x1*x3"
     assert monomial_names(3)[7] == "x1*x2*x3"
+    for n in range(9):
+        assert monomial_names(n) == [monomial_name(m) for m in range(1 << n)]
 
 
 def test_parse_simple():

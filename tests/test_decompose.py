@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod.linalg import DenseMatrix, rref
 from cyclomod.modules import AlgebraAction, CyclicModule, orbit_basis
-from cyclomod.endo import EndoAlgebra, compute_end
+from cyclomod.endo import Certificate, EndoAlgebra, compute_end
 from cyclomod.decompose import (
     DecompositionReport,
     check_report,
@@ -251,6 +251,16 @@ def test_check_report_rejects_each_forged_report():
     _forged(report, "a leaf carries a decomposable certificate", certificates=(split,) + report.certificates[1:])
 
 
+def test_check_report_rejects_a_dimension_one_label_on_a_larger_end():
+    # the 2-dim Jordan block is a local leaf whose End, F[N]/N^2, has
+    # dimension 2; labelled as the dimension count labels a leaf with End = F
+    action = AlgebraAction(QQ, [("u", [[0, 0], [1, 0]])])
+    report = complete_decomposition(orbit_basis(action, (1, 0)))
+    assert report.certificates[0].mode == "local" and compute_end(report.summands[0]).dim == 2
+    scalar = Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
+    _forged(report, "dimension-1 verdict on a larger algebra", certificates=(scalar,))
+
+
 def test_check_report_rejects_a_leaf_that_is_not_stable():
     # a covering tree that stopped after the generator: the line through e_0
     # is no submodule of the 2-dim Jordan block generated by e_0, and the
@@ -415,6 +425,9 @@ def _group_action(group, field):
     elif group == "Dic3":
         elements = _dicyclic_elements(3)
         presentation = left_translation_action(elements, [1, 6])
+    elif group == "S3":
+        # left translation by (1, 0, 2) and (1, 2, 0)
+        presentation = left_translation_action(symmetric_group(3), [2, 3])
     else:
         return regular_s4_module(field).action, 24
     gens = [(s, presentation.generators[s]) for s in presentation.labels]
@@ -449,3 +462,30 @@ def test_group_module_decomposition_is_invariant_under_basis_order_and_generator
         verdicts = sorted((b.dim, c.verdict) for b, c in zip(report.summands, report.certificates))
         outcomes.add((report.signature, tuple(verdicts)))
     assert len(outcomes) == 1, outcomes
+
+
+def _dimension_count_corpus():
+    for group in ("S3", "S4", "Q8", "Dic3"):
+        for field in (QQ, GF2, gf(3)):
+            action, n = _group_action(group, field)
+            yield f"regular {group} over {field}", orbit_basis(action, [1] + [0] * (n - 1))
+    for n in range(4, 9):
+        for text in ("x1", "x1 + x2*x3", "x1*x2 + x3*x4", "x1*x2*x3 + x3*x4"):
+            yield f"{text} for n = {n}", orbit_basis(sn_action(n), parse_anf(text, n).vector())
+
+
+def test_halves_of_a_two_dimensional_end_have_end_f():
+    # complete_decomposition certifies both halves of a block whose End has
+    # dimension 2 as dimension-1 leaves, and every 1-dimensional block, with
+    # no compute_end; the End computed here is the oracle for that count,
+    # and each leaf's certificate is the one the full step makes for it
+    counted = 0
+    for name, m in _dimension_count_corpus():
+        for block, half in _splits(m):
+            if compute_end(block).dim == 2:
+                assert compute_end(half).dim == 1, name
+                counted += 1
+        report = complete_decomposition(m)
+        for leaf, cert in zip(report.summands, report.certificates):
+            assert decompose_once(leaf) == (cert, None), name
+    assert counted >= 30, counted

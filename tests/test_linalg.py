@@ -161,6 +161,58 @@ def test_stable_power_edge_cases():
     assert power == plain_power(jordan, 4) and red.rank == 0
 
 
+def _q_stable_power_input(rng, n, form, den):
+    """An n x n matrix P D P^-1 / den for a unimodular P and a D of the given form."""
+    p, q = unimodular_pair(rng, n)
+    k = rng.randrange(2, n + 1)
+    if form == "unit":
+        d = [[int(i == j) * rng.choice((-3, -2, -1, 1, 2, 3)) for j in range(n)] for i in range(n)]
+    elif form == "nilpotent":
+        d = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    elif form == "falling":
+        # a nilpotent Jordan block of size k next to a unit: the rank falls
+        # by one a power, over ceil(log2 k) squarings
+        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice((-2, 1, 3)) for j in range(n)] for i in range(n)]
+    elif form == "zero":
+        d = [[0] * n for _ in range(n)]
+    else:
+        d = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+    rows = int_mul(int_mul(p, d), q)
+    return DenseMatrix(QQ, [[Fraction(x, den) for x in row] for row in rows])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n=st.integers(min_value=2, max_value=8),
+    form=st.sampled_from(["unit", "nilpotent", "falling", "zero", "random"]),
+    den=st.integers(min_value=1, max_value=12),
+)
+def test_q_stable_power_matches_the_gauss_jordan_reference(seed, n, form, den):
+    # the ranks read on the fraction-free echelon and only the last power
+    # reduced give the power and reduced form that rref of every power gives
+    m = _q_stable_power_input(random.Random(seed), n, form, den)
+    power, red = stable_power(m)
+    assert (power, red) == oracles.stable_power_by_rref(m)
+    assert red.rank == {"unit": n, "nilpotent": 0, "zero": 0}.get(form, red.rank)
+    if red.rank == n:
+        assert power is m and red.matrix == DenseMatrix.identity(QQ, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    field=st.sampled_from([GF2, gf(3), QQ]),
+    rows=st.integers(min_value=0, max_value=8),
+    cols=st.integers(min_value=0, max_value=8),
+    density=st.sampled_from([0.2, 0.5, 1.0]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_rank_is_the_rank_of_the_reduced_form(field, rows, cols, density, rng):
+    m = random_matrix(field, rng, rows, cols)
+    m = DenseMatrix(field, [[x if rng.random() < density else 0 for x in row] for row in m.entries], cols)
+    assert linalg._rank(m) == rref(m).rank
+
+
 def test_span_solver_coordinates():
     field = QQ
     solver = SpanSolver(field, 3)
