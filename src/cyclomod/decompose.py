@@ -106,21 +106,22 @@ def complete_decomposition(m: CyclicModule) -> DecompositionReport:
         return DecompositionReport(m, (), (), (), ())
     leaves = []
     splits = []
-    # each block with whether its End is known to be F: the halves of a
-    # block whose End has dimension 2 (see the module docstring)
-    stack = [(m, False)]
+    stack = [m]
     while stack:
-        block, scalar = stack.pop()
-        cert, halves = (_dimension_one(), None) if scalar else decompose_once(block)
+        block = stack.pop()
+        cert, halves = decompose_once(block)
         if halves is None:
             leaves.append((block, cert))
             continue
         splits.append(cert)
-        scalar = cert.diagnostics["endo_dim"] == 2
+        if cert.diagnostics["endo_dim"] == 2:
+            # End = F on both halves (see the module docstring)
+            leaves += [(h, _dimension_one()) for h in halves]
+            continue
         left, right = halves
         # depth-first, left side first
-        stack.append((right, scalar))
-        stack.append((left, scalar))
+        stack.append(right)
+        stack.append(left)
     if m.field.characteristic:
         leaves.sort(key=lambda pair: (pair[0].dim, pair[0]._raw_vectors))
     else:

@@ -31,7 +31,7 @@ then one loop over the same list, and a primitive-element step after
 it, that factors each candidate's minimal polynomial once.  The scan
 sorts a candidate into a Fitting witness, a unit or a nilpotent element
 by its stable power until it keeps a nilpotent one, then by one rank
-(linalg._rank): rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x
+(linalg._rank_form): rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x
 of rank r < n.  Over Q neither reduces a unit: its rank is read on the
 fraction-free echelon, and its reduced form is the identity.
 The first time the nilpotent candidates span a hyperplane J of E, J and
@@ -103,7 +103,7 @@ from .linalg import (
     _part,
     _primitive,
     _qvector,
-    _rank,
+    _rank_form,
     _RawVector,
     _rref_packed,
     _rref_rows,
@@ -531,7 +531,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # so only a witness takes a stable power; before that, the first singular
         # candidate is most often a witness, which the test would only delay
         stable = None if radical else stable_power(mat)
-        rank = stable[1].rank if stable else _rank(mat)
+        rank = stable[1].rank if stable else _rank_form(mat)[0]
         if radical and rank < n and _is_nilpotent(mat, rank + 1):
             rank = 0
         if 0 < rank < n:

@@ -670,53 +670,47 @@ def stable_power(m: DenseMatrix) -> tuple:
     at most ceil(log2 n) + 1 squarings; an invertible or zero m is
     returned as it is, without a product.
 
-    Over Q each rank is read on the fraction-free echelon (_rank), with
-    no gcd, and only P is reduced, once, when the squaring stops.  An
-    invertible m, most of what the Fitting scan tests, is not reduced at
-    all: its reduced form is the identity.  Over GF(p) each power is
-    reduced as its rank is read, which costs no more there, and when the
-    squaring stops the reduced form at hand is the one of P^2.  That is
-    rref(P): the ranks of P and P^2 agree, so ker P = ker P^2, and the
-    row spaces, the annihilators of the kernels, are equal.
+    Each rank is read by _rank_form.  Over Q that gives no reduced form,
+    and only P is reduced, once, when the squaring stops; an invertible
+    m, most of what the Fitting scan tests, is not reduced at all: its
+    reduced form is the identity.  Over GF(p) the reduced form comes
+    with the rank, and when the squaring stops the one at hand is that
+    of P^2.  Either way it is rref(P): the ranks of P and P^2 agree, so
+    ker P = ker P^2, and the row spaces, the annihilators of the
+    kernels, are equal.
     """
     if not m.is_square:
         raise ValueError("powers need a square matrix")
     n = m.rows
-    if m.field.characteristic:
-        power, red = m, rref(m)
-        while 0 < red.rank < n:
-            square = power * power
-            square_red = rref(square)
-            if square_red.rank == red.rank:
-                return power, square_red
-            power, red = square, square_red
-        return power, red
-    power, rank = m, _rank(m)
+    power, (rank, red) = m, _rank_form(m)
     if rank == n:
         return m, RrefResult(DenseMatrix.identity(m.field, n), n, tuple(range(n)))
     while rank:
         square = power * power
-        square_rank = _rank(square)
+        square_rank, square_red = _rank_form(square)
         if square_rank == rank:
+            red = square_red
             break
-        power, rank = square, square_rank
-    return power, rref(power)
+        power, rank, red = square, square_rank, square_red
+    return power, red or rref(power)
 
 
-def _rank(m: DenseMatrix) -> int:
-    """The rank of m: over Q its rows inserted into an Echelon, over GF(p) rref(m).rank.
+def _rank_form(m: DenseMatrix) -> tuple:
+    """(rank of m, rref(m) or None): over Q its rows inserted into an Echelon, over GF(p) rref(m).
 
     Over Q an Echelon step divides exactly and takes no gcd, where
     Gauss-Jordan takes the content of every row it clears; on the
     endomorphisms the Fitting scan tests, that halves the cost of a
-    rank.  Over GF(p) the reduction costs no more than the rank.
+    rank, and no reduced form is made.  Over GF(p) the reduction costs
+    no more than the rank, so the reduced form comes with it.
     """
     if m.field.characteristic:
-        return rref(m).rank
+        red = rref(m)
+        return red.rank, red
     span = Echelon(m.field, m.cols)
     for row in m._raw:
         span._place(row)
-    return span.rank
+    return span.rank, None
 
 
 class RrefResult(NamedTuple):

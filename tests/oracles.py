@@ -408,7 +408,7 @@ def plain_power(m, k):
 def stable_power_by_rref(m):
     """linalg.stable_power as Gauss-Jordan alone: every power is reduced as its rank is read.
 
-    The reference for the Q stable power that reads its ranks on the
+    The reference for the stable power that reads its Q ranks on the
     fraction-free echelon and reduces only the last power, or no power
     at all for a unit.
     """

@@ -489,7 +489,7 @@ def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeyp
     # a stable power for the first, then, with a nilpotent candidate kept,
     # one rank each
     e = compute_end(conjugated_jordan_module(GF2, 24, seed=24))
-    calls = {"stable_power": 0, "_rank": 0}
+    calls = {"stable_power": 0, "_rank_form": 0}
     for name in calls:
         def spy(mat, name=name, real=getattr(endo, name)):
             calls[name] += 1
@@ -498,7 +498,7 @@ def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeyp
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert cert.diagnostics == {"endo_dim": 24, "scanned": 23, "radical_dim": 23}
-    assert calls == {"stable_power": 1, "_rank": 22}
+    assert calls == {"stable_power": 1, "_rank_form": 22}
     assert cert.element == e.identity() and len(cert.radical) == 23
     verify_certificate(e, cert)
 

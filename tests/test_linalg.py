@@ -161,42 +161,46 @@ def test_stable_power_edge_cases():
     assert power == plain_power(jordan, 4) and red.rank == 0
 
 
-def _q_stable_power_input(rng, n, form, den):
-    """An n x n matrix P D P^-1 / den for a unimodular P and a D of the given form."""
+def _shaped_power_input(field, rng, n, form, den):
+    """An n x n matrix P D P^-1 for a unimodular P and a D of the given form, over den over Q."""
     p, q = unimodular_pair(rng, n)
     k = rng.randrange(2, n + 1)
+    units = [c for c in (-3, -2, -1, 1, 2, 3) if c % (field.characteristic or 5)]
     if form == "unit":
-        d = [[int(i == j) * rng.choice((-3, -2, -1, 1, 2, 3)) for j in range(n)] for i in range(n)]
+        d = [[int(i == j) * rng.choice(units) for j in range(n)] for i in range(n)]
     elif form == "nilpotent":
         d = [[int(j == i + 1) for j in range(n)] for i in range(n)]
     elif form == "falling":
         # a nilpotent Jordan block of size k next to a unit: the rank falls
         # by one a power, over ceil(log2 k) squarings
-        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice((-2, 1, 3)) for j in range(n)] for i in range(n)]
+        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice(units) for j in range(n)] for i in range(n)]
     elif form == "zero":
         d = [[0] * n for _ in range(n)]
     else:
         d = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
     rows = int_mul(int_mul(p, d), q)
+    if field.characteristic:
+        return DenseMatrix(field, [[x % field.characteristic for x in row] for row in rows])
     return DenseMatrix(QQ, [[Fraction(x, den) for x in row] for row in rows])
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
+    field=st.sampled_from([QQ, GF2, gf(3)]),
     seed=st.integers(min_value=0, max_value=10**6),
     n=st.integers(min_value=2, max_value=8),
     form=st.sampled_from(["unit", "nilpotent", "falling", "zero", "random"]),
     den=st.integers(min_value=1, max_value=12),
 )
-def test_q_stable_power_matches_the_gauss_jordan_reference(seed, n, form, den):
-    # the ranks read on the fraction-free echelon and only the last power
-    # reduced give the power and reduced form that rref of every power gives
-    m = _q_stable_power_input(random.Random(seed), n, form, den)
+def test_stable_power_matches_the_gauss_jordan_reference(field, seed, n, form, den):
+    # the ranks read by _rank_form and only the last power reduced give the
+    # power and reduced form that rref of every power gives
+    m = _shaped_power_input(field, random.Random(seed), n, form, den)
     power, red = stable_power(m)
     assert (power, red) == oracles.stable_power_by_rref(m)
     assert red.rank == {"unit": n, "nilpotent": 0, "zero": 0}.get(form, red.rank)
     if red.rank == n:
-        assert power is m and red.matrix == DenseMatrix.identity(QQ, n)
+        assert power is m and red.matrix == DenseMatrix.identity(field, n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -210,7 +214,8 @@ def test_q_stable_power_matches_the_gauss_jordan_reference(seed, n, form, den):
 def test_rank_is_the_rank_of_the_reduced_form(field, rows, cols, density, rng):
     m = random_matrix(field, rng, rows, cols)
     m = DenseMatrix(field, [[x if rng.random() < density else 0 for x in row] for row in m.entries], cols)
-    assert linalg._rank(m) == rref(m).rank
+    red = rref(m)
+    assert linalg._rank_form(m) == (red.rank, red if field.characteristic else None)
 
 
 def test_span_solver_coordinates():
