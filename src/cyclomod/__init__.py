@@ -34,7 +34,7 @@ from .endo import (
     verify_certificate,
 )
 from .fields import GF2, QQ, FieldScalar, FieldSpec, gf
-from .linalg import DenseMatrix, SpanSolver, kernel_basis, rref
+from .linalg import DenseMatrix, SpanSolver, rref
 from .modules import (
     ActionGraph,
     AlgebraAction,
@@ -55,7 +55,6 @@ from .serialize import (
     automaton_to_json,
     graph_to_dot,
     presentation_from_json,
-    presentation_to_json,
     report_to_json,
     to_text,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "gf",
     "DenseMatrix",
     "SpanSolver",
-    "kernel_basis",
     "rref",
     "Polynomial",
     "factor",
@@ -121,7 +119,6 @@ __all__ = [
     "automaton_to_json",
     "graph_to_dot",
     "presentation_from_json",
-    "presentation_to_json",
     "report_to_json",
     "to_text",
 ]

@@ -4,11 +4,12 @@ The decomposition is one step applied until nothing is left to split.
 decompose_once is that step: it computes the endomorphism algebra of a
 cyclic module, searches it for a splitting element, re-checks the
 certificate found and, when the certificate is decomposable, splits the
-module along it.  A local certificate is the one not re-checked there:
-the search makes it only after it has passed the verifier's own test of
-a local certificate, so each local test runs once per leaf in the
-pipeline.  check_report still re-checks every leaf in full, on an
-endomorphism algebra computed again from scratch.
+module along it.  An indecomposable certificate is the one not
+re-checked there: the search makes it only once what it rests on is
+shown, a leaf with a nonzero radical only after the verifier's one test
+has passed, so that test runs once per leaf in the pipeline.
+check_report still re-checks every leaf in full, on an endomorphism
+algebra computed again from scratch.
 complete_decomposition runs the step depth first from the whole module
 until every leaf is certified indecomposable or the search runs out of
 candidates.
@@ -51,12 +52,11 @@ def decompose_once(m: CyclicModule):
     Certifies m and splits it along a decomposable certificate.  Returns
     (certificate, None) for a leaf and (certificate, pair of modules)
     for a split.  verify_certificate re-checks every certificate found
-    but a local or field-generated one.  The search makes a local one
-    only once it has passed the verifier's own test.  A field-generated
-    one is certified by construction, an element built from E's basis
-    whose minimal polynomial has degree dim E, and only check_report
-    checks it in full.  A 1-dimensional m is a dimension-1 leaf, and its
-    End is not computed.  The halves are the covering trees that the
+    but an indecomposable one, which the search makes only once it has
+    passed the verifier's one test or, with J = 0, that test's field
+    predicate on the factors at hand; only check_report checks it in
+    full.  A 1-dimensional m is a dimension-1 leaf, and its End is not
+    computed.  The halves are the covering trees that the
     certificate check spun in block coordinates; the block basis is
     injective, so their kept words and restricted matrices are the ones
     an orbit over the ambient action would give, and only the kept
@@ -68,7 +68,7 @@ def decompose_once(m: CyclicModule):
         return _dimension_one(), None
     e = compute_end(m)
     cert = find_splitting_element(e)
-    if cert.mode in ("local", "field-generated"):
+    if cert.verdict == "indecomposable":
         return cert, None
     trees = verify_certificate(e, cert)
     if trees is None:

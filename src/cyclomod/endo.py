@@ -35,18 +35,17 @@ by its stable power until it keeps a nilpotent one, then by one rank
 of rank r < n.  Over Q neither reduces a unit: its rank is read on the
 fraction-free echelon, and its reduced form is the identity.
 The first time the nilpotent candidates span a hyperplane J of E, J and
-the identity go once through _local_failure, the verifier's own test of
-a local certificate, which finds J a two-sided ideal (on first columns)
-and nilpotent or turns it down.  If it passes, the identity is not in
-J, so E = F 1 + J, E/J = F and E is local: a "local" certificate with
-the identity as x, and no minimal polynomial is tried.  In a local
-algebra with residue field F the nilpotent elements are exactly J, so
-the test passes once the nilpotent candidates span J: after about
-dim E rank tests on the Jordan blocks and on the local leaves of the
-boolean modules and of regular S4 and S5 over GF(2) and GF(3).  In any
-other algebra it fails, and the scan goes on as if it had not been made.
-Both local exits make their certificate only once that test has passed,
-so decompose_once does not run it a second time.
+the identity go once through _indecomposable_failure, the verifier's
+one test of an indecomposable certificate, which finds J a two-sided
+ideal (on first columns) and nilpotent or turns it down.  If it passes,
+the identity is not in J, so E = F 1 + J, E/J = F and E is local: a
+"local" certificate with the identity as x, and no minimal polynomial is
+tried.  In a local algebra with residue field F the nilpotent elements
+are exactly J, so the test passes once the nilpotent candidates span J:
+after about dim E rank tests on the Jordan blocks and on the local
+leaves of the boolean modules and of regular S4 and S5 over GF(2) and
+GF(3).  In any other algebra it fails, and the scan goes on as if it had
+not been made.
 
 In the candidate loop, when a minimal polynomial has two coprime
 primary factors, with f the first irreducible one, f(x) is nilpotent on
@@ -59,15 +58,12 @@ dim E - dim J and J is nilpotent (each basis matrix j has j^n e_0 = 0,
 by the same test as the hyperplane, once for each J), E/J is a field
 generated by x: the minimal polynomial of x modulo J divides
 f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
-and the module indecomposable ("field-generated" when J = 0, "local"
-otherwise, with the identity as x when dim E/J = 1).  A field-generated
-leaf is accepted through the verifier's own test,
-_generates_quotient_field, on the factors the loop has just found,
-where it cannot fail: the leaf is certified by construction, and
-decompose_once does not check it again; check_report does, in full.
-This loop decides the fields, the local algebras whose residue field
-is larger than F, and those whose nilpotent candidates span less than
-J.  When the list
+and the module indecomposable.  With J = 0 the leaf is accepted on the
+factors the loop has just found, by the field predicate of the one test,
+_generates_quotient_field, where it cannot fail; with J != 0, by the
+one test itself.  This loop decides the fields, the local algebras whose
+residue field is larger than F, and those whose nilpotent candidates
+span less than J.  When the list
 leaves E/J generated by no candidate, as for Q(sqrt 2, sqrt 3, sqrt 5)
 whose elements all have degree at most 4 over Q, the loop goes on with
 x + c b for the best x so far, each basis element b in turn and
@@ -78,6 +74,19 @@ No Fitting element exists in a local algebra with J != 0: every element
 is a unit or nilpotent, and every minimal polynomial is a power of one
 irreducible.  Everything is exact; when the candidates run out the
 verdict is "undecided", never a guess.
+
+Every indecomposable certificate has one shape: an element x, None
+standing for the identity, and a basis of a nilpotent two-sided ideal
+J, empty when J = 0, with E/J = F[x mod J] a field.  Then J is the
+radical, E is local and the module indecomposable.  Its mode is only a
+label of that shape (_label): "local" when J != 0, else "dimension-1"
+when x is the identity, else "field-generated".  The three exits, the
+one-dimensional shortcut, the J = 0 exit of the candidate loop and
+_local_certificate, all build their certificate through _indecomposable:
+the first once E = F, the second on the field predicate and the third on
+the one test.  So decompose_once checks no indecomposable certificate a
+second time; check_report re-checks every one with
+_indecomposable_failure, in full.
 """
 
 from __future__ import annotations
@@ -352,16 +361,29 @@ class Certificate:
     """Outcome of one splitting-element search, with enough data to re-check."""
 
     verdict: str                      # "decomposable" | "indecomposable" | "undecided"
-    mode: str
-    element: Optional[DenseMatrix]
+    mode: str                         # of an indecomposable certificate, _label of its shape
+    element: Optional[DenseMatrix]    # of an indecomposable certificate, None for the identity
     summands: Optional[tuple]         # pair of tuples of raw module-coordinate vectors
     diagnostics: dict = dc_field(default_factory=dict)
-    radical: Optional[tuple] = None   # "local" only: basis matrices of the radical
+    radical: tuple = ()               # indecomposable only: basis matrices of J, empty when J = 0
+
+
+def _label(element, radical) -> str:
+    """The mode of an indecomposable certificate with x = element and J = span(radical), named by its shape."""
+    if radical:
+        return "local"
+    return "dimension-1" if element is None else "field-generated"
+
+
+def _indecomposable(element: Optional[DenseMatrix], radical: Sequence, diagnostics: dict) -> Certificate:
+    """The indecomposable certificate for x = element, None for the identity, and J = span(radical)."""
+    radical = tuple(radical)
+    return Certificate("indecomposable", _label(element, radical), element, None, diagnostics, radical)
 
 
 def _dimension_one() -> Certificate:
     """The certificate of a module whose End is F, the scalars, which holds no idempotent but 0 and 1."""
-    return Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
+    return _indecomposable(None, (), {"endo_dim": 1})
 
 
 def _scan_candidates(e: EndoAlgebra):
@@ -595,12 +617,12 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         if best_degree != e.dim - len(ideal):
             continue
         # with J = 0, best is this candidate (an earlier one would have ended
-        # the loop), and deg f = dim E leaves f its only factor, so the
-        # verifier's own test cannot turn it down here: it is called so that
-        # the search and verify_certificate accept a field-generated leaf by
-        # one condition, read on the factors at hand
+        # the loop), and deg f = dim E leaves f its only factor, so the field
+        # predicate of the one test cannot turn it down here: it is called so
+        # that the search and verify_certificate accept a J = 0 leaf by one
+        # condition, read on the factors at hand
         if not ideal and _generates_quotient_field(e, factors, ()):
-            return Certificate("indecomposable", "field-generated", best, None, diag)
+            return _indecomposable(best, (), diag)
         if nilpotent is None:
             cert = _local_certificate(e, best, ideal, dict(diagnostics, min_poly_tried=tried))
             if cert is not None:
@@ -612,15 +634,14 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
 
 
 def _local_certificate(e: EndoAlgebra, element: DenseMatrix, radical: list, diagnostics: dict) -> Optional[Certificate]:
-    """The local certificate for x = element and J = span(radical), or None when _local_failure turns them down.
+    """The certificate for x = element and J = span(radical), or None when _indecomposable_failure turns them down.
 
-    Both local exits of the search end here, so no local certificate is
-    made that has not passed the verifier's own test.
+    Both exits of the search with J != 0 end here, so no local
+    certificate is made that has not passed the verifier's one test.
     """
-    if _local_failure(e, element, radical) is not None:
+    if _indecomposable_failure(e, element, radical) is not None:
         return None
-    diag = dict(diagnostics, radical_dim=len(radical))
-    return Certificate("indecomposable", "local", element, None, diag, radical=tuple(radical))
+    return _indecomposable(element, radical, dict(diagnostics, radical_dim=len(radical)))
 
 
 def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) -> bool:
@@ -643,26 +664,24 @@ def _element_failure(e: EndoAlgebra, element, what: str = "certificate element")
     return None
 
 
-def _check_element(e: EndoAlgebra, element, what: str = "certificate element"):
-    failure = _element_failure(e, element, what)
-    if failure is not None:
-        raise RuntimeError(failure)
-
-
-def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
+def _indecomposable_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     """The message of the first failed check that J is a nilpotent ideal and E/J = F[x mod J] a field.
 
-    x is element and J the span of radical.  None when every check
-    passes: then J is the radical and E is local, so the module is
-    indecomposable.  Nothing about how J was found is trusted, and no
-    step depends on the field.  J is checked to lie in E, then to be an
-    ideal, on first columns, so that J is nilpotent when its basis is.
-    The search accepts a local leaf only through this test, and
-    verify_certificate re-checks a local certificate with it.
+    x is element, None standing for the identity where J = 0, and J the
+    span of radical, 0 when it is empty.  None when every check passes:
+    then J is the radical and E is local, so the module is
+    indecomposable.  With J = 0 that says E = F[x] is a field, and E = F
+    when x is the identity.  Nothing about how J was found is trusted,
+    and no step depends on the field.  J is checked to lie in E, then to
+    be an ideal, on first columns, so that J is nilpotent when its basis
+    is.  The search accepts a leaf with J != 0 only through this test,
+    and verify_certificate re-checks every indecomposable certificate
+    with it.
     """
-    if not isinstance(radical, (tuple, list)) or not radical:
-        return "local certificate is missing its radical"
-    failure = _element_failure(e, element)
+    if not isinstance(radical, (tuple, list)):
+        return "radical is not a sequence of matrices"
+    x = e.identity() if element is None and not radical else element
+    failure = _element_failure(e, x)
     if failure is not None:
         return failure
     for j in radical:
@@ -676,9 +695,9 @@ def _local_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
         return failure
     if not _nilpotent_span(radical):
         return "radical span is not nilpotent"
-    if not e.contains(element):
-        return "local element is not in the endomorphism algebra"
-    if not _generates_quotient_field(e, factor(_min_poly(element, radical)), radical):
+    if not e.contains(x):
+        return "certificate element is not in the endomorphism algebra"
+    if not _generates_quotient_field(e, factor(_min_poly(x, radical)), radical):
         return "element does not generate a field modulo the radical"
     return None
 
@@ -687,7 +706,8 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
     """Re-check a certificate against the algebra; raises RuntimeError on failure.
 
     A malformed certificate (an element or a summand vector of the wrong
-    shape or field) fails the check like any other wrong one.
+    shape or field) fails the check like any other wrong one, and so
+    does one that carries the witness data of another verdict.
 
     A decomposable certificate's summands L and R are checked on the
     split they claim.  One solver over L and R checks that they are
@@ -699,11 +719,20 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
     the covering trees of a and b under the restricted matrices, whose
     kept vectors span L and R, for a decomposable certificate, and None
     for any other verdict.
+
+    An indecomposable certificate is checked by one test,
+    _indecomposable_failure, once its mode is the label of its shape.
     """
+    if cert.summands is not None and cert.verdict != "decomposable":
+        raise RuntimeError(f"{cert.verdict} certificate carries witness data: summands")
+    if cert.radical and cert.verdict != "indecomposable":
+        raise RuntimeError(f"{cert.verdict} certificate carries witness data: a radical")
     if cert.verdict == "decomposable":
         if cert.element is None or cert.summands is None:
             raise RuntimeError("decomposable certificate is missing its witness")
-        _check_element(e, cert.element)
+        failure = _element_failure(e, cert.element)
+        if failure is not None:
+            raise RuntimeError(failure)
         for label, s in e.action_mats:
             if cert.element * s != s * cert.element:
                 raise RuntimeError(f"witness does not commute with generator {label!r}")
@@ -742,25 +771,14 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
             trees.append(tree)
         return tuple(trees)
     elif cert.verdict == "indecomposable":
-        if cert.mode == "dimension-1":
-            if e.dim != 1:
-                raise RuntimeError("dimension-1 verdict on a larger algebra")
-        elif cert.mode == "field-generated":
-            if cert.element is None:
-                raise RuntimeError("field-generated certificate is missing its element")
-            _check_element(e, cert.element)
-            if not e.contains(cert.element):
-                raise RuntimeError("field-generated element is not in the endomorphism algebra")
-            if not _generates_quotient_field(e, factor(_min_poly(cert.element)), ()):
-                raise RuntimeError("element does not generate a field of full dimension")
-        elif cert.mode == "local":
-            failure = _local_failure(e, cert.element, cert.radical)
-            if failure is not None:
-                raise RuntimeError(failure)
-        else:
-            raise RuntimeError(f"unknown indecomposable mode {cert.mode!r}")
+        label = _label(cert.element, cert.radical)
+        if cert.mode != label:
+            raise RuntimeError(f"mode {cert.mode!r} does not name the certificate's shape, {label!r}")
+        failure = _indecomposable_failure(e, cert.element, cert.radical)
+        if failure is not None:
+            raise RuntimeError(failure)
     elif cert.verdict == "undecided":
-        if cert.element is not None or cert.summands is not None or cert.radical is not None:
-            raise RuntimeError("undecided certificate carries witness data")
+        if cert.element is not None:
+            raise RuntimeError("undecided certificate carries witness data: an element")
     else:
         raise RuntimeError(f"unknown verdict {cert.verdict!r}")

@@ -872,13 +872,8 @@ def rref(m: DenseMatrix) -> RrefResult:
     return RrefResult(DenseMatrix._from_raw(m.field, rows, m.cols, d), len(pivots), tuple(pivots))
 
 
-def kernel_basis(m: DenseMatrix) -> list:
-    """Deterministic basis of {v : m v = 0}, one vector per free column."""
-    return [_box(m.field, v) for v in _kernel_from_rref(m.field, m.cols, rref(m))]
-
-
 def _kernel_from_rref(field: FieldSpec, cols: int, reduction: RrefResult) -> list:
-    """The kernel_basis of a matrix with cols columns, from its reduced form, as raw vectors."""
+    """The basis of {v : m v = 0}, one raw vector per free column, from the reduced form of m with cols columns."""
     red, rank, pivots = reduction
     p = field.characteristic
     reduced, d = red._raw, red._den
@@ -1058,16 +1053,3 @@ class SpanSolver(Echelon):
         # over Q no tail is computed; over odd p the rows' tails are packed in the
         # same ints as their vectors, so all the lanes are read
         return self._reduce(_unbox(self.field, v), self.count if self._p else 0)[1] is None
-
-    def basis_rows(self) -> list:
-        """The reduced echelon basis of the span, one row per kept row, in the order they were kept."""
-        p, n = self._p, self.length
-        if p == 2:
-            rows = [_unpack(r & self._vector_bits, n) for r in self._rows.values()]
-        elif p:
-            rows = [_read_lanes(p, r & self._vector_bits, self._width, n) for r in self._rows]
-        else:
-            rows = [r[:n] for r in self._rows]
-        reduced = rref(DenseMatrix._from_raw(self.field, rows, n))
-        by_pivot = dict(zip(reduced.pivot_columns, reduced.matrix.entries))
-        return [by_pivot[next(compress(range(n), r))] for r in rows]

@@ -167,13 +167,6 @@ def automaton_from_json(obj) -> WeightedAutomaton:
 # permutation presentations
 
 
-def presentation_to_json(p: PermutationPresentation) -> dict:
-    return {
-        "degree": p.degree,
-        "generators": {label: list(p.generators[label]) for label in p.labels},
-    }
-
-
 def presentation_from_json(obj) -> PermutationPresentation:
     if not isinstance(obj, dict):
         raise FormatError("$", "expected a JSON object")
@@ -214,7 +207,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         else [[vector_to_json(v) for v in side] for side in cert.summands],
         "diagnostics": {k: cert.diagnostics[k] for k in sorted(cert.diagnostics)},
     }
-    if cert.mode == "local":
+    if cert.radical:
         out["radical"] = [matrix_to_json(j) for j in cert.radical]
     return out
 

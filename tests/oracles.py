@@ -37,7 +37,18 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from cyclomod import endo
-from cyclomod.linalg import DenseMatrix, SpanSolver, _qvector, _unit, kernel_basis, rref
+from cyclomod.linalg import (
+    DenseMatrix,
+    SpanSolver,
+    _box,
+    _kernel_from_rref,
+    _qvector,
+    _read_lanes,
+    _unit,
+    _unpack,
+    rref,
+)
+from cyclomod.perms import PermutationPresentation
 from cyclomod.polynomials import Polynomial
 
 
@@ -460,7 +471,34 @@ def span_equal(field, us, vs, length):
         b.add(v)
     if a.rank != b.rank:
         return False
-    return all(a.contains(v) for v in b.basis_rows()) and all(b.contains(u) for u in a.basis_rows())
+    return all(a.contains(v) for v in basis_rows(b)) and all(b.contains(u) for u in basis_rows(a))
+
+
+def kernel_basis(m):
+    """Deterministic basis of {v : m v = 0}, one vector per free column, as FieldScalars."""
+    return [_box(m.field, v) for v in _kernel_from_rref(m.field, m.cols, rref(m))]
+
+
+def basis_rows(solver):
+    """The reduced echelon basis of a SpanSolver's span, one row per kept row, in the order they were kept."""
+    p, n = solver._p, solver.length
+    if p == 2:
+        rows = [_unpack(r & solver._vector_bits, n) for r in solver._rows.values()]
+    elif p:
+        rows = [_read_lanes(p, r & solver._vector_bits, solver._width, n) for r in solver._rows]
+    else:
+        rows = [r[:n] for r in solver._rows]
+    reduced = rref(DenseMatrix._from_raw(solver.field, rows, n))
+    by_pivot = dict(zip(reduced.pivot_columns, reduced.matrix.entries))
+    return [by_pivot[next(itertools.compress(range(n), r))] for r in rows]
+
+
+def presentation_to_json(p: PermutationPresentation) -> dict:
+    """The JSON object of a presentation, the inverse of serialize.presentation_from_json."""
+    return {
+        "degree": p.degree,
+        "generators": {label: list(p.generators[label]) for label in p.labels},
+    }
 
 
 def min_poly(m, modulo=()):

@@ -253,12 +253,13 @@ def test_check_report_rejects_each_forged_report():
 
 def test_check_report_rejects_a_dimension_one_label_on_a_larger_end():
     # the 2-dim Jordan block is a local leaf whose End, F[N]/N^2, has
-    # dimension 2; labelled as the dimension count labels a leaf with End = F
+    # dimension 2; labelled as the dimension count labels a leaf with End = F,
+    # x = 1 and J = 0, whose minimal polynomial t - 1 has degree 1, not 2
     action = AlgebraAction(QQ, [("u", [[0, 0], [1, 0]])])
     report = complete_decomposition(orbit_basis(action, (1, 0)))
     assert report.certificates[0].mode == "local" and compute_end(report.summands[0]).dim == 2
     scalar = Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
-    _forged(report, "dimension-1 verdict on a larger algebra", certificates=(scalar,))
+    _forged(report, "element does not generate a field modulo the radical", certificates=(scalar,))
 
 
 def test_check_report_rejects_a_leaf_that_is_not_stable():

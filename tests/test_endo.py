@@ -428,7 +428,7 @@ def test_undecided_quaternion_division_algebra():
     assert cert.verdict == "undecided"
     assert cert.mode == "budget-exhausted"
     assert "box_swept" not in cert.diagnostics
-    assert cert.radical is None
+    assert cert.radical == ()
     verify_certificate(e, cert)
 
 
@@ -663,10 +663,10 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     (lambda: multiquadratic_module([2, 3, 5]), "field-generated", True),
 ], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly", "multiquadratic-field"])
 def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypatch):
-    # the search accepts the leaf through the verifier's own test for its
-    # mode, and decompose_once does not run that test a second time: a
-    # local leaf's ideal, nilpotency and field tests, a field-generated
-    # leaf's field test, on the factors the candidate loop has found
+    # the search accepts the leaf through the verifier's one test, and
+    # decompose_once does not run it a second time: a local leaf's ideal,
+    # nilpotency and field tests, and for J = 0 only the test's field
+    # predicate, on the factors the candidate loop has found
     calls = {"_ideal_failure": 0, "_nilpotent_span": 0, "_generates_quotient_field": 0, "factor": 0}
     for name in calls:
         def spy(*args, name=name, real=getattr(endo, name)):
@@ -797,9 +797,9 @@ def test_verify_certificate_rejects_forged_local():
     _local_forgery(e, cert, "not a two-sided ideal", radical=(gen,))
     # not nilpotent: J = E contains the identity
     _local_forgery(e, cert, "not nilpotent", radical=e.basis)
-    # an empty radical, or none at all
-    _local_forgery(e, cert, "missing its radical", radical=())
-    _local_forgery(e, cert, "missing its radical", radical=None)
+    # an empty radical, or none at all: the shape of a J = 0 certificate
+    _local_forgery(e, cert, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=())
+    _local_forgery(e, cert, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=None)
     # dependent radical matrices
     _local_forgery(e, cert, "linearly dependent", radical=(nil, nil))
     # J = (N^2) is a nilpotent ideal, but E/J = Q[N]/N^2 is no field:
@@ -808,9 +808,9 @@ def test_verify_certificate_rejects_forged_local():
     _local_forgery(e, cert, "does not generate a field", radical=square, element=gen)
     # ... and the identity modulo J has degree 1, not dim E/J = 2
     _local_forgery(e, cert, "does not generate a field", radical=square, element=e.identity())
-    # no element, or an element outside E
+    # no element, or an element outside E: None stands for the identity only where J = 0
     _local_forgery(e, cert, "certificate element is not a matrix", element=None)
-    _local_forgery(e, cert, "local element is not in", element=outside)
+    _local_forgery(e, cert, "certificate element is not in", element=outside)
     # radical matrices of the wrong shape or over another field
     _local_forgery(e, cert, "radical matrix is 2x2", radical=(nil, DenseMatrix.zeros(QQ, 2, 2)))
     foreign = DenseMatrix.zeros(GF2, 3, 3)
@@ -818,8 +818,45 @@ def test_verify_certificate_rejects_forged_local():
     _local_forgery(e, cert, "radical matrix is not a matrix", radical=(nil, "not a matrix"))
     # an undecided certificate may not carry a radical
     _local_forgery(
-        e, cert, "witness data", verdict="undecided", mode="budget-exhausted", element=None
+        e, cert, "undecided certificate carries witness data: a radical",
+        verdict="undecided", mode="budget-exhausted", element=None,
     )
+    # nor an indecomposable one summands, or a decomposable one a radical
+    split = ((_unit(0, 3, 0),), (_unit(0, 3, 1), _unit(0, 3, 2)))
+    _local_forgery(e, cert, "indecomposable certificate carries witness data: summands", summands=split)
+    _local_forgery(
+        e, cert, "decomposable certificate carries witness data: a radical",
+        verdict="decomposable", mode="fitting-scan", element=cert.radical[0], summands=split,
+    )
+
+
+def test_verify_certificate_rejects_a_mode_that_is_not_its_shape():
+    # the mode of an indecomposable certificate is the label of its shape:
+    # "local" when J != 0, else "dimension-1" when x is the identity (None),
+    # else "field-generated"; any other mode is turned down before the one test
+    local_e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
+    local = find_splitting_element(local_e)
+    field_e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
+    field = find_splitting_element(field_e)
+    line_e = compute_end(orbit_basis(s3_natural_action(), (1, -1, 0)))
+    scalar = find_splitting_element(line_e)
+    for e, cert, mode in ((local_e, local, "local"), (field_e, field, "field-generated"), (line_e, scalar, "dimension-1")):
+        assert (cert.verdict, cert.mode) == ("indecomposable", mode)
+        assert endo._label(cert.element, cert.radical) == mode
+        verify_certificate(e, cert)
+    # local with an empty radical
+    _local_forgery(local_e, local, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=())
+    _local_forgery(field_e, field, "mode 'local' does not name the certificate's shape, 'field-generated'", mode="local")
+    # field-generated with a radical
+    _local_forgery(local_e, local, "mode 'field-generated' does not name the certificate's shape, 'local'",
+                   mode="field-generated")
+    # dimension-1 with an element, even the identity
+    _local_forgery(field_e, field, "mode 'dimension-1' does not name the certificate's shape, 'field-generated'",
+                   mode="dimension-1")
+    _local_forgery(line_e, scalar, "mode 'dimension-1' does not name the certificate's shape, 'field-generated'",
+                   element=line_e.identity())
+    # written with its own label, the identity on End = F passes as x
+    verify_certificate(line_e, dataclasses.replace(scalar, mode="field-generated", element=line_e.identity()))
 
 
 def test_verify_certificate_rejects_idempotent_radical():
@@ -842,7 +879,7 @@ def test_verify_certificate_rejects_forged_exhaustive():
     # "exhaustive" verdict carries nothing to re-check, so it is rejected
     e = compute_end(orbit_basis(AlgebraAction(GF2, [("u", [[1, 0], [0, 0]])]), (1, 1)))
     assert e.dim == 2
-    with pytest.raises(RuntimeError, match="unknown indecomposable mode"):
+    with pytest.raises(RuntimeError, match="mode 'exhaustive' does not name the certificate's shape, 'dimension-1'"):
         verify_certificate(e, Certificate("indecomposable", "exhaustive", None, None))
     assert find_splitting_element(e).verdict == "decomposable"
 
@@ -975,10 +1012,12 @@ def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
         with pytest.raises(RuntimeError, match=reason):
             verify_certificate(e, Certificate(*fields, None))
 
-    rejects("dimension-1 verdict on a larger algebra", "indecomposable", "dimension-1", None)
-    rejects("field-generated certificate is missing its element", "indecomposable", "field-generated", None)
-    # the identity is in E, but its minimal polynomial t - 1 has degree 1, not 2
-    rejects("does not generate a field of full dimension", "indecomposable", "field-generated", e.identity())
+    # x = 1 with J = 0: the identity is in E, but its minimal polynomial t - 1
+    # has degree 1, not dim E = 2, whether x is written as None or as a matrix
+    rejects("element does not generate a field modulo the radical", "indecomposable", "dimension-1", None)
+    rejects("mode 'field-generated' does not name the certificate's shape, 'dimension-1'",
+            "indecomposable", "field-generated", None)
+    rejects("element does not generate a field modulo the radical", "indecomposable", "field-generated", e.identity())
     rejects("unknown verdict 'maybe'", "maybe", "dimension-1", None)
 
 
@@ -1283,14 +1322,14 @@ def test_verify_certificate_rejects_elements_that_only_agree_in_the_first_column
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
     forged = dataclasses.replace(cert, element=_off_first_column(cert.element))
-    with pytest.raises(RuntimeError, match="field-generated element is not in the endomorphism"):
+    with pytest.raises(RuntimeError, match="certificate element is not in the endomorphism"):
         verify_certificate(e, forged)
     # local: a conjugated Jordan block, in the element and in the radical
     e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     verify_certificate(e, cert)
-    _local_forgery(e, cert, "local element is not in", element=_off_first_column(cert.element))
+    _local_forgery(e, cert, "certificate element is not in", element=_off_first_column(cert.element))
     radical = (_off_first_column(cert.radical[0]),) + tuple(cert.radical[1:])
     _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=radical)
 

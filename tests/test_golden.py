@@ -22,6 +22,7 @@ and review the diff.
 
 import contextlib
 import io
+import json
 import os
 import runpy
 import sys
@@ -31,6 +32,7 @@ import pytest
 
 from cyclomod import GF2, QQ, cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.endo import _label
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
@@ -159,6 +161,37 @@ def test_companion_over_q_min_poly_split_matches_golden_bytes():
     with open(os.path.join(GOLDEN, "decompose_companion_q.out"), encoding="utf-8", newline="") as handle:
         assert text == handle.read()
     check_report(report)
+
+
+def golden_certificates():
+    """Every certificate in the JSON goldens: each cert output, and each report's leaves and splits."""
+    certs = []
+    for name in sorted(os.listdir(GOLDEN)):
+        if not name.endswith(".out"):
+            continue
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+            text = handle.read()
+        obj = json.loads(text) if text.startswith("{") else {}
+        if "verdict" in obj:
+            certs.append(obj)
+        elif "split_certificates" in obj:
+            certs += [leaf["certificate"] for leaf in obj["summands"]] + obj["split_certificates"]
+    return certs
+
+
+def test_every_golden_certificate_is_labelled_by_its_shape():
+    # a radical is written exactly for a local certificate, and an
+    # indecomposable one has a null element, the identity, exactly when it
+    # is dimension-1: the mode is the label of the shape (element, radical)
+    certs = golden_certificates()
+    modes = []
+    for cert in certs:
+        assert ("radical" in cert) == (cert["mode"] == "local")
+        if cert["verdict"] == "indecomposable":
+            assert (cert["element"] is None) == (cert["mode"] == "dimension-1")
+            assert cert["mode"] == _label(cert["element"], cert.get("radical", []))
+            modes.append(cert["mode"])
+    assert sorted(modes) == ["dimension-1"] * 21 + ["field-generated"] * 2 + ["local"] * 3
 
 
 def demo_stdout(name):

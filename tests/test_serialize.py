@@ -25,7 +25,6 @@ from cyclomod.serialize import (
     graph_to_dot,
     matrix_from_json,
     presentation_from_json,
-    presentation_to_json,
     report_to_json,
     scalar_from_json,
     to_text,
@@ -35,6 +34,7 @@ from cyclomod.serialize import (
 from cyclomod.wfa import WeightedAutomaton
 
 from fixtures import G, conjugated_jordan_module, quaternion_module, s3_anf_action, MONOMIALS
+from oracles import presentation_to_json
 
 
 def counting_json():
