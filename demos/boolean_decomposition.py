@@ -27,7 +27,7 @@ for word, vec in zip(m.basis_words, m.basis_vectors):
     print(f"  word {label:8}  ->  {terms}")
 
 # Decompose completely: every leaf carries an indecomposability
-# certificate, or an explicit undecided flag if a budget ran out.
+# certificate, or an explicit undecided flag if the candidates ran out.
 report = decompose_boolean(f)
 print(f"\nsignature: {report.signature}")
 print(f"fully decomposed: {report.fully_decomposed}")

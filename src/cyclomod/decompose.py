@@ -26,14 +26,14 @@ still computes every leaf's End from scratch and re-checks it there.
 
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
-by the projection of g onto it along the other summand.  The check of a
-decomposable certificate writes the block's generator e_0 in the basis
-of both summands and spins each part under the block's restricted
-matrices; each orbit must be its summand.  Those two covering trees are
-the split: only their kept vectors are mapped back to ambient
-coordinates.  So no generator is searched for, no split steps a vector
-of the ambient space, and the endomorphism algebra of every block is
-spun from its generator.
+by the projection of g onto it along the other summand.  A decomposable
+certificate carries those projections of the block's generator, its
+parts e_0 = a + b, and its check spins each part under the block's
+restricted matrices.  Those two covering trees are the split: only
+their kept vectors are mapped back to ambient coordinates.  So no
+generator is searched for, no split steps a vector of the ambient
+space, and the endomorphism algebra of every block is spun from its
+generator.
 """
 
 from __future__ import annotations

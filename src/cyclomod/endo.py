@@ -20,9 +20,12 @@ a matrix in E, so the verifier checks membership first.
 The module decomposes exactly when the algebra holds an idempotent
 other than 0 and 1, and any element M that is neither nilpotent nor
 invertible yields a splitting by Fitting's lemma, so the search never
-needs the idempotent itself.  A Fitting certificate's summands are the
-kernel and the image of the stable power M^(2^k), found by squaring
-until the rank stops falling (linalg.stable_power, read by _try_fitting).
+needs the idempotent itself.  A Fitting certificate splits the module
+into the kernel and the image of the stable power M^(2^k), found by
+squaring until the rank stops falling (linalg.stable_power, read by
+_try_fitting), and carries the two parts of the generator along that
+split, e_0 = a + b.  The verifier spins a and b and adds the orbit
+dimensions.
 
 find_splitting_element runs one search for every field over one fixed
 candidate list, the basis elements and their pairwise sums and
@@ -73,7 +76,7 @@ generates E/J; over GF(p) only c < p exist, and no bound is promised.
 No Fitting element exists in a local algebra with J != 0: every element
 is a unit or nilpotent, and every minimal polynomial is a power of one
 irreducible.  Everything is exact; when the candidates run out the
-verdict is "undecided", never a guess.
+verdict is "undecided" ("candidates-exhausted"), never a guess.
 
 Every indecomposable certificate has one shape: an element x, None
 standing for the identity, and a basis of a nilpotent two-sided ideal
@@ -361,11 +364,15 @@ class Certificate:
     """Outcome of one splitting-element search, with enough data to re-check."""
 
     verdict: str                      # "decomposable" | "indecomposable" | "undecided"
-    mode: str                         # of an indecomposable certificate, _label of its shape
+    mode: str                         # one of _MODES[verdict]; of an indecomposable one, _label of its shape
     element: Optional[DenseMatrix]    # of an indecomposable certificate, None for the identity
-    summands: Optional[tuple]         # pair of tuples of raw module-coordinate vectors
+    parts: Optional[tuple]            # decomposable only: raw module-coordinate vectors (a, b), a + b = e_0
     diagnostics: dict = dc_field(default_factory=dict)
     radical: tuple = ()               # indecomposable only: basis matrices of J, empty when J = 0
+
+
+# the modes a decomposable or an undecided certificate may carry
+_MODES = {"decomposable": ("fitting-scan", "min-poly-split"), "undecided": ("candidates-exhausted",)}
 
 
 def _label(element, radical) -> str:
@@ -408,23 +415,30 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: d
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
 
     stable is stable_power(mat), whose rank the caller has already read,
-    so no product is formed here.  The summands are the kernel and the
-    image of that stable power, both read off its one reduced form: the
-    kernel from the free columns, the image from the columns of the
-    power at the pivots.  Both are generator stable because mat commutes
-    with the action, they meet trivially because the kernel and the
-    image of a stable power always do, and by rank-nullity they fill the
-    module.  verify_certificate checks that they are independent and
-    that each is the orbit of the generator's part in it, which gives
-    all three.
+    so no power is formed here.  Its kernel K and image I are read off
+    its one reduced form: K from the free columns, I from the columns of
+    the power at the pivots.  Both are generator stable because mat
+    commutes with the action, they meet trivially because the kernel and
+    the image of a stable power always do, and by rank-nullity they fill
+    the module.  The certificate's parts are e_0 = a + b along K + I,
+    from one solve over K and I; verify_certificate spins each part,
+    whose orbit is its summand, and adds their dimensions.
     """
     power, reduction = stable
-    if reduction.rank in (0, e.module_dim):
+    field, n = e.field, e.module_dim
+    if reduction.rank in (0, n):
         return None
-    ker = _kernel_from_rref(e.field, power.cols, reduction)
+    ker = _kernel_from_rref(field, n, reduction)
     im = [power._column(c) for c in reduction.pivot_columns]
-    split = (tuple(ker), tuple(im))
-    return Certificate("decomposable", mode, mat, split, diagnostics)
+    solver = SpanSolver(field, n)
+    for v in ker + im:
+        solver.add(v)
+    coords = solver._coordinates(_unit(field.characteristic, n, 0))
+    parts = tuple(
+        DenseMatrix.from_columns(field, side, rows=n)._times_col(_part(coords, start, stop))
+        for side, start, stop in ((ker, 0, len(ker)), (im, len(ker), n))
+    )
+    return Certificate("decomposable", mode, mat, parts, diagnostics)
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: Echelon, z: DenseMatrix):
@@ -630,7 +644,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
             nilpotent = False
 
     diagnostics["min_poly_tried"] = tried
-    return Certificate("undecided", "budget-exhausted", None, None, diagnostics)
+    return Certificate("undecided", "candidates-exhausted", None, None, diagnostics)
 
 
 def _local_certificate(e: EndoAlgebra, element: DenseMatrix, radical: list, diagnostics: dict) -> Optional[Certificate]:
@@ -705,80 +719,66 @@ def _indecomposable_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
 def verify_certificate(e: EndoAlgebra, cert: Certificate):
     """Re-check a certificate against the algebra; raises RuntimeError on failure.
 
-    A malformed certificate (an element or a summand vector of the wrong
-    shape or field) fails the check like any other wrong one, and so
-    does one that carries the witness data of another verdict.
+    A malformed certificate (an element or a part of the wrong shape or
+    field) fails the check like any other wrong one, and so does one
+    that carries the witness data of another verdict or a mode that is
+    not its verdict's: one of _MODES[verdict], and for an indecomposable
+    certificate the label of its shape.
 
-    A decomposable certificate's summands L and R are checked on the
-    split they claim.  One solver over L and R checks that they are
-    independent and writes e_0 = a + b along them.  The module is
-    A e_0, which lies in A a + A b, so when the orbit of a has dim |L|,
-    that of b has dim |R| and |L| + |R| is the module dimension, the
-    module is A a + A b, a direct sum.  When L also lies in A a, the
-    dimensions agree and L spans A a, a submodule; R likewise.  Returns
-    the covering trees of a and b under the restricted matrices, whose
-    kept vectors span L and R, for a decomposable certificate, and None
-    for any other verdict.
+    A decomposable certificate's witness must commute with every
+    generator, and its parts a and b must sum to the generator e_0
+    exactly.  Each part is spun under the restricted matrices; both
+    orbits must be nonzero and their dimensions must sum to the module
+    dimension.  That proves the split: A a + A b is a submodule holding
+    e_0, so it is the module, and the dimension count makes the sum
+    direct.  Returns those two covering trees, for a decomposable
+    certificate, and None for any other verdict.
 
     An indecomposable certificate is checked by one test,
-    _indecomposable_failure, once its mode is the label of its shape.
+    _indecomposable_failure.
     """
-    if cert.summands is not None and cert.verdict != "decomposable":
-        raise RuntimeError(f"{cert.verdict} certificate carries witness data: summands")
+    if cert.parts is not None and cert.verdict != "decomposable":
+        raise RuntimeError(f"{cert.verdict} certificate carries witness data: parts")
     if cert.radical and cert.verdict != "indecomposable":
         raise RuntimeError(f"{cert.verdict} certificate carries witness data: a radical")
-    if cert.verdict == "decomposable":
-        if cert.element is None or cert.summands is None:
-            raise RuntimeError("decomposable certificate is missing its witness")
-        failure = _element_failure(e, cert.element)
-        if failure is not None:
-            raise RuntimeError(failure)
-        for label, s in e.action_mats:
-            if cert.element * s != s * cert.element:
-                raise RuntimeError(f"witness does not commute with generator {label!r}")
-        if len(cert.summands) != 2:
-            raise RuntimeError(f"{len(cert.summands)} summands, expected 2")
-        left, right = cert.summands
-        if not left or not right:
-            raise RuntimeError("a summand is zero")
-        field, n = e.field, e.module_dim
-        if len(left) + len(right) != n:
-            raise RuntimeError("summand dimensions do not sum to the module dimension")
-        vectors = list(left) + list(right)
-        if any(len(v) != n for v in vectors):
-            raise RuntimeError(f"a summand vector does not have length {n}")
-        # unboxed once; the spins step them on raw values
-        try:
-            raw = [_marked(_unbox(field, v)) for v in vectors]
-        except (TypeError, ValueError):
-            raise RuntimeError(f"a summand vector is not over {field}") from None
-        solver = SpanSolver(field, n)
-        for x in raw:
-            if not solver.add(x):
-                raise RuntimeError("summand bases are not independent")
-        # n independent vectors span the module, e_0 among it
-        coords = solver._coordinates(_unit(field.characteristic, n, 0))
-        steps = {label: s._times_col for label, s in e.action_mats}
-        trees = []
-        k = len(left)
-        for part, c in ((raw[:k], _part(coords, 0, k)), (raw[k:], _part(coords, k, n))):
-            projection = DenseMatrix.from_columns(field, part, rows=n)._times_col(c)
-            tree = covering_tree(field, n, projection, steps)
-            if len(tree.words) != len(part):
-                raise RuntimeError("orbit of the generator's part in a summand has the wrong dimension")
-            if not all(tree.solver.contains(x) for x in part):
-                raise RuntimeError("summand is not the orbit of the generator's part in it")
-            trees.append(tree)
-        return tuple(trees)
-    elif cert.verdict == "indecomposable":
+    if cert.verdict == "indecomposable":
         label = _label(cert.element, cert.radical)
         if cert.mode != label:
             raise RuntimeError(f"mode {cert.mode!r} does not name the certificate's shape, {label!r}")
         failure = _indecomposable_failure(e, cert.element, cert.radical)
         if failure is not None:
             raise RuntimeError(failure)
-    elif cert.verdict == "undecided":
+        return None
+    if cert.verdict not in _MODES:
+        raise RuntimeError(f"unknown verdict {cert.verdict!r}")
+    if cert.mode not in _MODES[cert.verdict]:
+        raise RuntimeError(f"mode {cert.mode!r} is not one of the {cert.verdict} modes {_MODES[cert.verdict]}")
+    if cert.verdict == "undecided":
         if cert.element is not None:
             raise RuntimeError("undecided certificate carries witness data: an element")
-    else:
-        raise RuntimeError(f"unknown verdict {cert.verdict!r}")
+        return None
+    if cert.element is None or cert.parts is None:
+        raise RuntimeError("decomposable certificate is missing its witness")
+    failure = _element_failure(e, cert.element)
+    if failure is not None:
+        raise RuntimeError(failure)
+    for label, s in e.action_mats:
+        if cert.element * s != s * cert.element:
+            raise RuntimeError(f"witness does not commute with generator {label!r}")
+    field, n = e.field, e.module_dim
+    # unboxed once, and summed as the columns of one matrix; the spins step them on raw values
+    try:
+        parts = [_marked(_unbox(field, v)) for v in cert.parts]
+        total = DenseMatrix.from_columns(field, parts, rows=n)._times_col(_unbox(field, [1] * len(parts)))
+    except (TypeError, ValueError):
+        raise RuntimeError(f"a part is not a vector of length {n} over {field}") from None
+    if len(parts) != 2:
+        raise RuntimeError(f"{len(parts)} parts, expected 2")
+    if total != _unit(field.characteristic, n, 0):
+        raise RuntimeError("parts do not sum to the generator e_0")
+    steps = {label: s._times_col for label, s in e.action_mats}
+    trees = tuple(covering_tree(field, n, v, steps) for v in parts)
+    dims = [len(tree.words) for tree in trees]
+    if 0 in dims or sum(dims) != n:
+        raise RuntimeError(f"orbit dimensions {dims[0]} + {dims[1]} are not positive with sum {n}")
+    return trees

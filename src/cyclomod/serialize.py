@@ -202,9 +202,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "verdict": cert.verdict,
         "mode": cert.mode,
         "element": None if cert.element is None else matrix_to_json(cert.element),
-        "summands": None
-        if cert.summands is None
-        else [[vector_to_json(v) for v in side] for side in cert.summands],
+        "parts": None if cert.parts is None else [vector_to_json(v) for v in cert.parts],
         "diagnostics": {k: cert.diagnostics[k] for k in sorted(cert.diagnostics)},
     }
     if cert.radical:

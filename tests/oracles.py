@@ -357,28 +357,23 @@ def raw_mat_eq(a, b):
     return a == b
 
 
-def is_fitting_split_by_nth_power(p, element, left, right):
-    """Whether left and right are bases of the kernel and image of element^n.
+def is_fitting_split_by_parts(p, element, a, b):
+    """Whether a lies in ker element^n, b in im element^n, and a + b = e_0.
 
-    Raw values throughout; the power is n - 1 plain products, with no
-    squaring and no rank test, so it shares nothing with the library's
-    stable power.
+    element holds raw values, Fractions over Q; a and b are raw vectors,
+    over Q integers over their `den`.  The power is n - 1 plain products,
+    with no squaring and no rank test, so it shares nothing with the
+    library's stable power; only the image test takes a rank.
     """
     n = len(element)
+    a, b = ([Fraction(x, v.den) for x in v] if not p else list(v) for v in (a, b))
     power = element
     for _ in range(n - 1):
         power = raw_mat_mul(p, power, element)
-    rank = raw_rank(p, power)
-    if len(left) != n - rank or len(right) != rank:
-        return False
-    if raw_rank(p, left) != len(left) or raw_rank(p, right) != len(right):
-        return False
+    in_kernel = all(x == 0 for row in raw_mat_mul(p, power, [[x] for x in a]) for x in row)
     columns = [list(c) for c in zip(*power)]
-    in_kernel = all(
-        x == 0 for v in left for row in raw_mat_mul(p, power, [[a] for a in v]) for x in row
-    )
-    in_image = all(raw_rank(p, columns + [list(v)]) == rank for v in right)
-    return in_kernel and in_image
+    in_image = raw_rank(p, columns + [b]) == raw_rank(p, columns)
+    return in_kernel and in_image and [raw_add(p, x, y) for x, y in zip(a, b)] == [1] + [0] * (n - 1)
 
 
 def count_idempotents_brute(p, basis_matrices):

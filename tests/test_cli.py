@@ -346,7 +346,7 @@ def test_cert_bool_decomposable(capsys):
     assert obj["verdict"] == "decomposable"
     assert obj["mode"] == "fitting-scan"
     assert obj["element"] is not None
-    assert obj["summands"] is not None
+    assert len(obj["parts"]) == 2
     assert "verdict: decomposable" in err
 
 
@@ -359,7 +359,7 @@ def test_cert_bool_indecomposable(capsys):
     assert len(obj["radical"]) == obj["diagnostics"]["radical_dim"] == 1
 
 
-def test_cert_budget_exhausted_is_still_success(capsys):
+def test_cert_candidates_exhausted_is_still_success(capsys):
     # the 4-dim leaf of regular Q8 whose endomorphism algebra is the quaternions
     q8 = os.path.join(GOLDEN, "regular_q8.json")
     code, out, err = run(
@@ -368,7 +368,8 @@ def test_cert_budget_exhausted_is_still_success(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "undecided"
-    assert obj["mode"] == "budget-exhausted"
+    assert obj["mode"] == "candidates-exhausted"
+    assert obj["parts"] is None
     assert "verdict: undecided" in err
 
 

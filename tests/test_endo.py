@@ -52,7 +52,7 @@ from oracles import (
     commutant_basis,
     count_idempotents_brute,
     enumerate_idempotents,
-    is_fitting_split_by_nth_power,
+    is_fitting_split_by_parts,
     left_mult_matrix,
     radical_char0,
     span_equal,
@@ -155,12 +155,12 @@ def test_fitting_split_on_projection():
     j = ones_matrix(GF2, 3)
     cert = _fitting(e, j)
     assert cert is not None
-    ker, im = cert.summands
-    assert len(ker) == 2 and len(im) == 1
-    # the image is the invariant line through (1,1,1), which is F in ambient terms
-    line = im[0]
-    assert all(x == line[0] for x in line)
-    assert m.coordinates(F_VEC) == tuple(line)
+    a, b = cert.parts
+    assert [len(tree.words) for tree in verify_certificate(e, cert)] == [2, 1]
+    # the image is the invariant line through (1,1,1), which is F in ambient
+    # terms, and e_0 = (1,0,0) is (0,1,1) in the kernel plus (1,1,1) on it
+    assert list(a) == [0, 1, 1]
+    assert m.coordinates(F_VEC) == tuple(b)
     assert _fitting(e, DenseMatrix.identity(GF2, 3)) is None
     assert _fitting(e, DenseMatrix.zeros(GF2, 3, 3)) is None
 
@@ -191,7 +191,7 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     assert len(products) == 1
     cert = _try_fitting(e, ones_matrix(GF2, 3), stable, {})
     assert len(products) == 1
-    assert is_fitting_split_by_nth_power(2, [[1] * 3] * 3, *cert.summands)
+    assert is_fitting_split_by_parts(2, [[1] * 3] * 3, *cert.parts)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
     m = conjugated_jordan_module(QQ, 4, 3)
     e = compute_end(m)
@@ -230,7 +230,7 @@ def test_fitting_certificates_match_the_nth_power_oracle():
         for cert in complete_decomposition(m).split_certificates:
             p = m.field.characteristic
             element = [[x.value for x in row] for row in cert.element.entries]
-            assert is_fitting_split_by_nth_power(p, element, *cert.summands)
+            assert is_fitting_split_by_parts(p, element, *cert.parts)
             checked[cert.mode] += 1
     assert checked["fitting-scan"] >= 20 and checked["min-poly-split"] >= 4
 
@@ -249,10 +249,9 @@ def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
         cert = _fitting(e, mat)
         monkeypatch.undo()
         assert len(products) == 2
-        ker, im = cert.summands
-        assert (len(ker), len(im)) == (2, 1)
+        assert [len(tree.words) for tree in verify_certificate(e, cert)] == [2, 1]
         raw = [[x.value for x in row] for row in mat.entries]
-        assert is_fitting_split_by_nth_power(field.characteristic, raw, ker, im)
+        assert is_fitting_split_by_parts(field.characteristic, raw, *cert.parts)
 
 
 def test_element_is_the_basis_combination():
@@ -275,9 +274,8 @@ def test_split_search_on_swap_invariant_module():
     cert = find_splitting_element(e)
     assert cert.verdict == "decomposable"
     assert cert.mode == "fitting-scan"
-    dims = sorted(len(side) for side in cert.summands)
+    dims = sorted(len(tree.words) for tree in verify_certificate(e, cert))
     assert dims == [1, 2]
-    verify_certificate(e, cert)
 
 
 def test_search_is_deterministic():
@@ -286,7 +284,7 @@ def test_search_is_deterministic():
     b = find_splitting_element(e)
     assert a.mode == b.mode
     assert a.element == b.element
-    assert a.summands == b.summands
+    assert a.parts == b.parts
 
 
 def test_dimension_one_shortcut():
@@ -327,7 +325,7 @@ def test_exhaustive_budget_refusal():
     e = compute_end(quaternion_module())
     cert = find_splitting_element(e)
     assert cert.verdict == "undecided"
-    assert cert.mode == "budget-exhausted"
+    assert cert.mode == "candidates-exhausted"
     assert cert.diagnostics["scanned"] == 16
     assert cert.diagnostics["min_poly_tried"] == 16 + 3 * 3
     verify_certificate(e, cert)
@@ -366,9 +364,8 @@ def test_min_poly_split_rational():
     cert = find_splitting_element(e)
     assert cert.verdict == "decomposable"
     assert cert.mode == "min-poly-split"
-    assert sorted(len(side) for side in cert.summands) == [1, 1]
     assert cert.diagnostics["factor_shape"] == [[1, 1], [1, 1]]
-    verify_certificate(e, cert)
+    assert sorted(len(tree.words) for tree in verify_certificate(e, cert)) == [1, 1]
 
 
 def test_field_generated_indecomposable():
@@ -426,7 +423,7 @@ def test_undecided_quaternion_division_algebra():
     assert radical_char0(e) == []
     cert = find_splitting_element(e)
     assert cert.verdict == "undecided"
-    assert cert.mode == "budget-exhausted"
+    assert cert.mode == "candidates-exhausted"
     assert "box_swept" not in cert.diagnostics
     assert cert.radical == ()
     verify_certificate(e, cert)
@@ -693,7 +690,7 @@ def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
     # search makes a certificate, though decompose_once re-checks none
     monkeypatch.setattr(endo, "_nilpotent_span", lambda ideal: False)
     cert, halves = decompose_once(conjugated_jordan_module(GF2, 24, 1))
-    assert halves is None and (cert.verdict, cert.mode) == ("undecided", "budget-exhausted")
+    assert halves is None and (cert.verdict, cert.mode) == ("undecided", "candidates-exhausted")
 
 
 def _ideal_and_oracle(e, ideal):
@@ -819,14 +816,14 @@ def test_verify_certificate_rejects_forged_local():
     # an undecided certificate may not carry a radical
     _local_forgery(
         e, cert, "undecided certificate carries witness data: a radical",
-        verdict="undecided", mode="budget-exhausted", element=None,
+        verdict="undecided", mode="candidates-exhausted", element=None,
     )
-    # nor an indecomposable one summands, or a decomposable one a radical
-    split = ((_unit(0, 3, 0),), (_unit(0, 3, 1), _unit(0, 3, 2)))
-    _local_forgery(e, cert, "indecomposable certificate carries witness data: summands", summands=split)
+    # nor an indecomposable one parts, or a decomposable one a radical
+    split = (_unit(0, 3, 0), [0, 0, 0])
+    _local_forgery(e, cert, "indecomposable certificate carries witness data: parts", parts=split)
     _local_forgery(
         e, cert, "decomposable certificate carries witness data: a radical",
-        verdict="decomposable", mode="fitting-scan", element=cert.radical[0], summands=split,
+        verdict="decomposable", mode="fitting-scan", element=cert.radical[0], parts=split,
     )
 
 
@@ -887,18 +884,18 @@ def test_verify_certificate_rejects_forged_exhaustive():
 def test_verify_certificate_rejects_tampering():
     e = compute_end(swap_invariant_module())
     cert = find_splitting_element(e)
-    bad_side = (tuple(GF2.scalar(x) for x in (1, 0, 0)),)
+    bad_side = tuple(GF2.scalar(x) for x in (1, 0, 0))
     tampered = Certificate(
         "decomposable", cert.mode, cert.element,
-        (cert.summands[0], bad_side), cert.diagnostics,
+        (cert.parts[0], bad_side), cert.diagnostics,
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="parts do not sum to the generator e_0"):
         verify_certificate(e, tampered)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="undecided certificate carries witness data: an element"):
         verify_certificate(
-            e, Certificate("undecided", "budget-exhausted", cert.element, None)
+            e, Certificate("undecided", "candidates-exhausted", cert.element, None)
         )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="missing its witness"):
         verify_certificate(
             e, Certificate("decomposable", "fitting-scan", None, None)
         )
@@ -927,23 +924,26 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     assert cert.verdict == "decomposable"
     too_big = DenseMatrix.identity(GF2, 4)
     with pytest.raises(RuntimeError, match="4x4, expected 3x3"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.summands))
-    left, right = cert.summands
-    short = (left[0][:-1],) + tuple(left[1:])
-    with pytest.raises(RuntimeError, match="length 3"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, right)))
-    foreign = (tuple(gf(3).scalar(x) for x in left[0]),) + tuple(left[1:])
-    with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, right)))
+        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.parts))
+    a, b = cert.parts
+    malformed = "a part is not a vector of length 3 over GF\\(2\\)"
+    for short in (a[:-1], tuple(a) + (0,), 7):
+        with pytest.raises(RuntimeError, match=malformed):
+            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, b)))
+    foreign = tuple(gf(3).scalar(x) for x in a)
+    with pytest.raises(RuntimeError, match=malformed):
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, b)))
     # entries that are no value of the field at all
     for bad in (Fraction(1, 2), 0.5, None, "x"):
-        odd = ((bad,) + tuple(left[0][1:]),) + tuple(left[1:])
-        with pytest.raises(RuntimeError, match="not over GF\\(2\\)"):
-            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, right)))
-    with pytest.raises(RuntimeError, match="3 summands"):
-        verify_certificate(
-            e, Certificate("decomposable", cert.mode, cert.element, (left, right, right))
-        )
+        odd = (bad,) + tuple(a[1:])
+        with pytest.raises(RuntimeError, match=malformed):
+            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, b)))
+    # a single vector is no pair of parts, and neither is a sequence of one or three
+    with pytest.raises(RuntimeError, match=malformed):
+        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, a))
+    for count in ((a,), (a, b, b)):
+        with pytest.raises(RuntimeError, match=f"{len(count)} parts, expected 2"):
+            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, count))
     line = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
     assert line.dim == 2
     with pytest.raises(RuntimeError, match="3x3, expected 2x2"):
@@ -963,25 +963,52 @@ def test_verify_certificate_rejects_each_forged_split():
     cert = find_splitting_element(e)
     assert cert.verdict == "decomposable"
     verify_certificate(e, cert)
-    (line,), plane = cert.summands
+    a, b = cert.parts
     # a matrix outside E: it moves e_0 to e_0 and e_1 to e_0 + e_1
     sheared = DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     _local_forgery(e, cert, "witness does not commute with generator 's1'", element=sheared)
-    _local_forgery(e, cert, "a summand is zero", summands=((line,) + plane, ()))
-    _local_forgery(e, cert, "summand bases are not independent", summands=(plane, (plane[0],)))
-    # e_0 and span(e_1, e_2) fill the module but are not submodules: e_0
-    # is its own part of the generator, and its orbit is the whole module
-    units = ((_unit(2, 3, 0),), (_unit(2, 3, 1), _unit(2, 3, 2)))
-    _local_forgery(e, cert, "orbit of the generator's part in a summand has the wrong dimension", summands=units)
+    # parts whose sum is not e_0, each part being a true summand's generator
+    _local_forgery(e, cert, "parts do not sum to the generator e_0", parts=(a, a))
+    _local_forgery(e, cert, "parts do not sum to the generator e_0", parts=(b, b))
+    # e_0 = 0 + e_0: the zero orbit, and the whole module as the other
+    _local_forgery(e, cert, "orbit dimensions 0 \\+ 3 are not positive", parts=([0, 0, 0], _unit(2, 3, 0)))
+    _local_forgery(e, cert, "orbit dimensions 3 \\+ 0 are not positive", parts=(_unit(2, 3, 0), [0, 0, 0]))
+    # e_0 = (1,1,0) + (0,1,0) over GF(2): both parts are nonzero, but their
+    # orbits overlap, so their dimensions add up past the module's
+    _local_forgery(e, cert, "orbit dimensions 2 \\+ 3 are not positive with sum 3", parts=([1, 1, 0], [0, 1, 0]))
 
 
-def test_verify_certificate_rejects_a_summand_that_is_not_its_orbit():
-    # e_0 = (1, 1, 1) + (0, 1, 1): the part (0, 1, 1) spins a 2-dim orbit,
-    # the dimension of span(e_2, e_1), but that orbit is not span(e_2, e_1)
-    e = compute_end(swap_invariant_module())
+def test_verify_certificate_rejects_parts_whose_orbits_overlap():
+    # e_0 = 2 e_0 + (-e_0) over Q: both parts spin the whole natural S3
+    # module, 3 + 3 dimensions in a module of 3
+    e = compute_end(orbit_basis(s3_natural_action(), (1, 0, 0)))
     cert = find_splitting_element(e)
-    forged = (([1, 1, 1],), ([0, 0, 1], [0, 1, 0]))
-    _local_forgery(e, cert, "summand is not the orbit of the generator's part in it", summands=forged)
+    assert cert.verdict == "decomposable"
+    assert [len(tree.words) for tree in verify_certificate(e, cert)] == [2, 1]
+    overlap = ([2, 0, 0], [-1, 0, 0])
+    _local_forgery(e, cert, "orbit dimensions 3 \\+ 3 are not positive with sum 3", parts=overlap)
+    # the true parts with their roles swapped still prove the split
+    verify_certificate(e, dataclasses.replace(cert, parts=cert.parts[::-1]))
+
+
+def test_verify_certificate_checks_every_mode_against_its_verdict():
+    # a decomposable certificate is "fitting-scan" or "min-poly-split", an
+    # undecided one "candidates-exhausted", and no other mode passes
+    e = compute_end(swap_invariant_module())
+    split = find_splitting_element(e)
+    verify_certificate(e, dataclasses.replace(split, mode="min-poly-split"))
+    _local_forgery(e, split, "mode 'trust-me' is not one of the decomposable modes", mode="trust-me")
+    _local_forgery(e, split, "mode 'local' is not one of the decomposable modes", mode="local")
+    # the quaternion leaf of regular Q8, generated by (1 - x) / 2 for the central involution x
+    with open(os.path.join(GOLDEN, "regular_q8.json"), encoding="utf-8") as handle:
+        q8 = presentation_from_json(json.load(handle))
+    half = Fraction(1, 2)
+    q = compute_end(permutation_module(q8, (half, 0, 0, 0, -half, 0, 0, 0)))
+    undecided = find_splitting_element(q)
+    assert (undecided.verdict, undecided.mode, q.dim) == ("undecided", "candidates-exhausted", 4)
+    assert verify_certificate(q, undecided) is None
+    for mode in ("trust-me", "budget-exhausted", "fitting-scan"):
+        _local_forgery(q, undecided, f"mode '{mode}' is not one of the undecided modes", mode=mode)
 
 
 def test_verify_certificate_returns_the_split_it_checked():
@@ -990,9 +1017,12 @@ def test_verify_certificate_returns_the_split_it_checked():
     assert cert.verdict == "decomposable"
     trees = verify_certificate(e, cert)
     assert len(trees) == 2
-    for tree, summand in zip(trees, cert.summands):
-        assert len(tree.words) == len(summand)
-        assert span_equal(GF2, tree.vectors, summand, e.module_dim)
+    # each tree is the orbit of its part, spun from it
+    for tree, part in zip(trees, cert.parts):
+        assert tree.words[0] == () and list(tree.vectors[0]) == list(part)
+    # and the two orbits together fill the module
+    whole = [_unit(2, 3, i) for i in range(3)]
+    assert span_equal(GF2, trees[0].vectors + trees[1].vectors, whole, e.module_dim)
     leaf = compute_end(orbit_basis(s3_natural_action(), (1, 1, 1)))
     indecomposable = find_splitting_element(leaf)
     assert indecomposable.verdict == "indecomposable"

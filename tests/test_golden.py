@@ -32,7 +32,7 @@ import pytest
 
 from cyclomod import GF2, QQ, cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
-from cyclomod.endo import _label
+from cyclomod.endo import _MODES, _label
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
@@ -71,6 +71,10 @@ CASES = {
     # a generator with denominators: every basis vector and certificate carries them
     "decompose_perm_regular_s3_fractional": [
         "decompose-perm", "{golden}/regular_s3.json", "--generator=1/2,-1/3,0,0,2,0",
+    ],
+    # one certificate of a module with denominators: its two parts are Q vectors over a denominator
+    "cert_perm_regular_s3_fractional": [
+        "cert", "--perm", "{golden}/regular_s3.json", "--generator=1/2,-1/3,0,0,2,0",
     ],
     "decompose_perm_regular_q8": [
         "decompose-perm", "{golden}/regular_q8.json", "--generator", "1,0,0,0,0,0,0,0",
@@ -164,7 +168,12 @@ def test_companion_over_q_min_poly_split_matches_golden_bytes():
 
 
 def golden_certificates():
-    """Every certificate in the JSON goldens: each cert output, and each report's leaves and splits."""
+    """Every certificate in the JSON goldens, with the characteristic of its field.
+
+    Each cert output counts, and each report's leaves and splits.  A report
+    names its field; a cert output does not, and is over GF(2) for --bool
+    and over Q for --perm.
+    """
     certs = []
     for name in sorted(os.listdir(GOLDEN)):
         if not name.endswith(".out"):
@@ -173,25 +182,37 @@ def golden_certificates():
             text = handle.read()
         obj = json.loads(text) if text.startswith("{") else {}
         if "verdict" in obj:
-            certs.append(obj)
+            certs.append((2 if name.startswith("cert_bool") else 0, obj))
         elif "split_certificates" in obj:
-            certs += [leaf["certificate"] for leaf in obj["summands"]] + obj["split_certificates"]
+            p = int(obj["field"].removeprefix("p:"))
+            certs += [(p, c) for c in [leaf["certificate"] for leaf in obj["summands"]] + obj["split_certificates"]]
     return certs
 
 
 def test_every_golden_certificate_is_labelled_by_its_shape():
     # a radical is written exactly for a local certificate, and an
     # indecomposable one has a null element, the identity, exactly when it
-    # is dimension-1: the mode is the label of the shape (element, radical)
+    # is dimension-1: the mode is the label of the shape (element, radical).
+    # Any other verdict's mode is one of its fixed modes, and only a
+    # decomposable certificate has parts, two that sum to e_0
     certs = golden_certificates()
     modes = []
-    for cert in certs:
+    others = []
+    for p, cert in certs:
         assert ("radical" in cert) == (cert["mode"] == "local")
+        assert (cert["parts"] is not None) == (cert["verdict"] == "decomposable")
         if cert["verdict"] == "indecomposable":
             assert (cert["element"] is None) == (cert["mode"] == "dimension-1")
             assert cert["mode"] == _label(cert["element"], cert.get("radical", []))
             modes.append(cert["mode"])
+        else:
+            assert cert["mode"] in _MODES[cert["verdict"]]
+            others.append(cert["mode"])
+        if cert["parts"] is not None:
+            total = [Fraction(a) + Fraction(b) for a, b in zip(*cert["parts"])]
+            assert [x % p if p else x for x in total] == [1] + [0] * (len(total) - 1)
     assert sorted(modes) == ["dimension-1"] * 21 + ["field-generated"] * 2 + ["local"] * 3
+    assert sorted(others) == ["candidates-exhausted"] + ["fitting-scan"] * 22 + ["min-poly-split"]
 
 
 def demo_stdout(name):

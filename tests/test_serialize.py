@@ -246,7 +246,7 @@ def test_certificate_json_diagnostic_keys_sorted():
             "verdict",
             "mode",
             "element",
-            "summands",
+            "parts",
             "diagnostics",
         }
 
@@ -276,7 +276,7 @@ def test_only_local_certificates_carry_a_radical():
     undecided = find_splitting_element(compute_end(quaternion_module()))
     certs.append(undecided)
     modes = {c.mode for c in certs}
-    assert {"dimension-1", "field-generated", "budget-exhausted"} <= modes
+    assert {"dimension-1", "field-generated", "candidates-exhausted"} <= modes
     assert "local" not in modes
     for cert in certs:
         assert "radical" not in certificate_to_json(cert)
@@ -336,7 +336,7 @@ def test_every_json_golden_round_trips_through_to_text():
             continue
         assert to_text(obj) == text, name
         checked += 1
-    assert checked == 18
+    assert checked == 19
 
 
 def test_dot_output_for_swap_invariant_module():
