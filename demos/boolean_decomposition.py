@@ -39,11 +39,13 @@ for k, (block, cert) in enumerate(zip(report.summands, report.certificates)):
 
 # How the split was found: the endomorphism algebra of A*f contains a
 # non-nilpotent, non-invertible element; Fitting's lemma splits on it.
+# The certificate is the generator's two parts along that split,
+# e_0 = a + b; each part spins its summand.
 split = report.split_certificates[0]
 print(f"\nsplit certificate mode: {split.mode}")
-print("splitting element on the module basis:")
-for row in split.element.entries:
-    print("  [" + " ".join(str(x) for x in row) + "]")
+print("the generator's two parts on the module basis:")
+for name, part in zip("ab", split.parts):
+    print(f"  {name} = [" + " ".join(str(x) for x in part) + "]")
 
 # The action graph renders with graphviz:  dot -Tpng -o module.png
 dot = graph_to_dot(action_graph(m, NAMES), "module", gf2=True)

@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perm.add_argument("--cert-only", action="store_true", help="print only signature lines")
     p_perm.set_defaults(func=cmd_decompose_perm)
 
-    p_cert = subs.add_parser("cert", help="one splitting-element certificate, no recursion")
+    p_cert = subs.add_parser("cert", help="one certificate of the whole module, no recursion")
     p_cert.add_argument("--bool", dest="bool_expr", default=None, help="ANF expression")
     p_cert.add_argument("-n", type=int, default=None, help="number of variables (with --bool)")
     p_cert.add_argument("--perm", default=None, help="presentation JSON path")

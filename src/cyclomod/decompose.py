@@ -20,15 +20,16 @@ both halves L and R of a split whose block has an End of dimension 2:
 the maps that act as f on L and as g on R embed End(L) x End(R) into
 End(L + R), and each factor holds its identity, so
 dim End(L) + dim End(R) <= 2 forces dim End(L) = dim End(R) = 1.  Such a
-leaf gets the certificate the search would make for it, "dimension-1",
-with no compute_end, no search and no verifier call.  check_report
-still computes every leaf's End from scratch and re-checks it there.
+leaf gets the certificate the search would make for it, a "local" one
+with x = 1 and J = 0, with no compute_end, no search and no verifier
+call.  check_report still computes every leaf's End from scratch and
+re-checks it there.
 
 Every block of the tree is a CyclicModule over the original ambient
 action.  A direct summand of a cyclic module A*g is cyclic, generated
 by the projection of g onto it along the other summand.  A decomposable
-certificate carries those projections of the block's generator, its
-parts e_0 = a + b, and its check spins each part under the block's
+certificate is those projections of the block's generator, its parts
+e_0 = a + b, and nothing else; its check spins each part under the block's
 restricted matrices.  Those two covering trees are the split: only
 their kept vectors are mapped back to ambient coordinates.  So no
 generator is searched for, no split steps a vector of the ambient
@@ -55,7 +56,7 @@ def decompose_once(m: CyclicModule):
     but an indecomposable one, which the search makes only once it has
     passed the verifier's one test or, with J = 0, that test's field
     predicate on the factors at hand; only check_report checks it in
-    full.  A 1-dimensional m is a dimension-1 leaf, and its End is not
+    full.  A 1-dimensional m is a leaf with End = F, and its End is not
     computed.  The halves are the covering trees that the
     certificate check spun in block coordinates; the block basis is
     injective, so their kept words and restricted matrices are the ones

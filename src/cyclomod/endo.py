@@ -23,8 +23,8 @@ invertible yields a splitting by Fitting's lemma, so the search never
 needs the idempotent itself.  A Fitting certificate splits the module
 into the kernel and the image of the stable power M^(2^k), found by
 squaring until the rank stops falling (linalg.stable_power, read by
-_try_fitting), and carries the two parts of the generator along that
-split, e_0 = a + b.  The verifier spins a and b and adds the orbit
+_try_fitting), and carries only the two parts of the generator along
+that split, e_0 = a + b.  The verifier spins a and b and adds the orbit
 dimensions.
 
 find_splitting_element runs one search for every field over one fixed
@@ -53,8 +53,8 @@ not been made.
 In the candidate loop, when a minimal polynomial has two coprime
 primary factors, with f the first irreducible one, f(x) is nilpotent on
 the f-primary summand and invertible on the rest: a Fitting element
-whose stable power splits the module along those two ("min-poly-split",
-with f(x) as its element).  A power f^k with k > 1 makes f(x)
+whose stable power splits the module along those two
+("min-poly-split").  A power f^k with k > 1 makes f(x)
 nilpotent, and f(x) joins a two-sided ideal J, closed under
 multiplication by the basis.  Once some candidate's f has degree
 dim E - dim J and J is nilpotent (each basis matrix j has j^n e_0 = 0,
@@ -78,18 +78,20 @@ is a unit or nilpotent, and every minimal polynomial is a power of one
 irreducible.  Everything is exact; when the candidates run out the
 verdict is "undecided" ("candidates-exhausted"), never a guess.
 
-Every indecomposable certificate has one shape: an element x, None
-standing for the identity, and a basis of a nilpotent two-sided ideal
-J, empty when J = 0, with E/J = F[x mod J] a field.  Then J is the
-radical, E is local and the module indecomposable.  Its mode is only a
-label of that shape (_label): "local" when J != 0, else "dimension-1"
-when x is the identity, else "field-generated".  The three exits, the
-one-dimensional shortcut, the J = 0 exit of the candidate loop and
-_local_certificate, all build their certificate through _indecomposable:
-the first once E = F, the second on the field predicate and the third on
-the one test.  So decompose_once checks no indecomposable certificate a
-second time; check_report re-checks every one with
-_indecomposable_failure, in full.
+Every indecomposable certificate has one shape and one mode, "local":
+an element x, None standing for the identity, and a basis of a
+nilpotent two-sided ideal J, empty when J = 0, with E/J = F[x mod J] a
+field.  Then J is the radical, E is local and the module
+indecomposable.  The three exits, the one-dimensional shortcut, the
+J = 0 exit of the candidate loop and _local_certificate, all build their
+certificate through _indecomposable: the first once E = F, the second
+on the field predicate and the third on the one test.  So
+decompose_once checks no indecomposable certificate a second time;
+check_report re-checks every one with _indecomposable_failure, in full.
+
+A certificate carries only what its check reads: a split its two parts,
+a local leaf its x and J, an undecided leaf nothing.  The element whose
+stable power gave a split is not kept.
 """
 
 from __future__ import annotations
@@ -361,31 +363,28 @@ def _spin(plans: dict, steps: list, rows: list, k: int) -> list:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of one splitting-element search, with enough data to re-check."""
+    """Outcome of one splitting-element search, with the data its re-check reads and no more."""
 
     verdict: str                      # "decomposable" | "indecomposable" | "undecided"
-    mode: str                         # one of _MODES[verdict]; of an indecomposable one, _label of its shape
-    element: Optional[DenseMatrix]    # of an indecomposable certificate, None for the identity
+    mode: str                         # one of _MODES[verdict]
+    element: Optional[DenseMatrix]    # indecomposable only: x, None for the identity
     parts: Optional[tuple]            # decomposable only: raw module-coordinate vectors (a, b), a + b = e_0
     diagnostics: dict = dc_field(default_factory=dict)
     radical: tuple = ()               # indecomposable only: basis matrices of J, empty when J = 0
 
 
-# the modes a decomposable or an undecided certificate may carry
-_MODES = {"decomposable": ("fitting-scan", "min-poly-split"), "undecided": ("candidates-exhausted",)}
-
-
-def _label(element, radical) -> str:
-    """The mode of an indecomposable certificate with x = element and J = span(radical), named by its shape."""
-    if radical:
-        return "local"
-    return "dimension-1" if element is None else "field-generated"
+# the modes each verdict may carry, and its witness data
+_MODES = {
+    "decomposable": ("fitting-scan", "min-poly-split"),
+    "indecomposable": ("local",),
+    "undecided": ("candidates-exhausted",),
+}
+_WITNESS = {"decomposable": ("parts",), "indecomposable": ("element", "radical"), "undecided": ()}
 
 
 def _indecomposable(element: Optional[DenseMatrix], radical: Sequence, diagnostics: dict) -> Certificate:
     """The indecomposable certificate for x = element, None for the identity, and J = span(radical)."""
-    radical = tuple(radical)
-    return Certificate("indecomposable", _label(element, radical), element, None, diagnostics, radical)
+    return Certificate("indecomposable", "local", element, None, diagnostics, tuple(radical))
 
 
 def _dimension_one() -> Certificate:
@@ -411,18 +410,19 @@ def _scan_candidates(e: EndoAlgebra):
                 yield e.basis[i] - e.basis[j]
 
 
-def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: dict, mode: str = "fitting-scan"):
+def _try_fitting(e: EndoAlgebra, stable: tuple, diagnostics: dict, mode: str = "fitting-scan"):
     """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
 
-    stable is stable_power(mat), whose rank the caller has already read,
-    so no power is formed here.  Its kernel K and image I are read off
-    its one reduced form: K from the free columns, I from the columns of
-    the power at the pivots.  Both are generator stable because mat
-    commutes with the action, they meet trivially because the kernel and
-    the image of a stable power always do, and by rank-nullity they fill
-    the module.  The certificate's parts are e_0 = a + b along K + I,
-    from one solve over K and I; verify_certificate spins each part,
-    whose orbit is its summand, and adds their dimensions.
+    stable is stable_power of that element, whose rank the caller has
+    already read, so no power is formed here.  Its kernel K and image I
+    are read off its one reduced form: K from the free columns, I from
+    the columns of the power at the pivots.  Both are generator stable
+    because the element commutes with the action, they meet trivially
+    because the kernel and the image of a stable power always do, and by
+    rank-nullity they fill the module.  The certificate is the parts
+    e_0 = a + b along K + I, from one solve over K and I;
+    verify_certificate spins each part, whose orbit is its summand, and
+    adds their dimensions.
     """
     power, reduction = stable
     field, n = e.field, e.module_dim
@@ -438,7 +438,7 @@ def _try_fitting(e: EndoAlgebra, mat: DenseMatrix, stable: tuple, diagnostics: d
         DenseMatrix.from_columns(field, side, rows=n)._times_col(_part(coords, start, stop))
         for side, start, stop in ((ker, 0, len(ker)), (im, len(ker), n))
     )
-    return Certificate("decomposable", mode, mat, parts, diagnostics)
+    return Certificate("decomposable", mode, None, parts, diagnostics)
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: Echelon, z: DenseMatrix):
@@ -571,7 +571,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         if radical and rank < n and _is_nilpotent(mat, rank + 1):
             rank = 0
         if 0 < rank < n:
-            return _try_fitting(e, mat, stable or stable_power(mat), dict(diagnostics, scanned=scanned))
+            return _try_fitting(e, stable or stable_power(mat), dict(diagnostics, scanned=scanned))
         if rank or len(radical) == hyperplane or not span.add(_first_column(mat)):
             continue
         radical.append(mat)
@@ -615,7 +615,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         if len(factors) >= 2:
             # f0(x) is nilpotent on the f0-primary summand and invertible on the rest
             split = factors[0][0].evaluate_matrix(mat)
-            return _try_fitting(e, split, stable_power(split), diag, "min-poly-split")
+            return _try_fitting(e, stable_power(split), diag, "min-poly-split")
         ((f, k),) = factors
         if tried <= e.dim:
             degrees.append(f.degree)
@@ -719,52 +719,38 @@ def _indecomposable_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
 def verify_certificate(e: EndoAlgebra, cert: Certificate):
     """Re-check a certificate against the algebra; raises RuntimeError on failure.
 
+    The verdict's mode must be one of _MODES[verdict], and the
+    certificate may carry only its verdict's witness data, _WITNESS[verdict].
     A malformed certificate (an element or a part of the wrong shape or
-    field) fails the check like any other wrong one, and so does one
-    that carries the witness data of another verdict or a mode that is
-    not its verdict's: one of _MODES[verdict], and for an indecomposable
-    certificate the label of its shape.
+    field) fails the check like any other wrong one.
 
-    A decomposable certificate's witness must commute with every
-    generator, and its parts a and b must sum to the generator e_0
-    exactly.  Each part is spun under the restricted matrices; both
+    A decomposable certificate's parts a and b must sum to the generator
+    e_0 exactly.  Each part is spun under the restricted matrices; both
     orbits must be nonzero and their dimensions must sum to the module
     dimension.  That proves the split: A a + A b is a submodule holding
     e_0, so it is the module, and the dimension count makes the sum
-    direct.  Returns those two covering trees, for a decomposable
-    certificate, and None for any other verdict.
+    direct.  Only E's field, dimension and action matrices are read, and
+    no matrix product is formed.  Returns those two covering trees, for a
+    decomposable certificate, and None for any other verdict.
 
     An indecomposable certificate is checked by one test,
     _indecomposable_failure.
     """
-    if cert.parts is not None and cert.verdict != "decomposable":
-        raise RuntimeError(f"{cert.verdict} certificate carries witness data: parts")
-    if cert.radical and cert.verdict != "indecomposable":
-        raise RuntimeError(f"{cert.verdict} certificate carries witness data: a radical")
-    if cert.verdict == "indecomposable":
-        label = _label(cert.element, cert.radical)
-        if cert.mode != label:
-            raise RuntimeError(f"mode {cert.mode!r} does not name the certificate's shape, {label!r}")
-        failure = _indecomposable_failure(e, cert.element, cert.radical)
-        if failure is not None:
-            raise RuntimeError(failure)
-        return None
     if cert.verdict not in _MODES:
         raise RuntimeError(f"unknown verdict {cert.verdict!r}")
     if cert.mode not in _MODES[cert.verdict]:
         raise RuntimeError(f"mode {cert.mode!r} is not one of the {cert.verdict} modes {_MODES[cert.verdict]}")
-    if cert.verdict == "undecided":
-        if cert.element is not None:
-            raise RuntimeError("undecided certificate carries witness data: an element")
+    for name, value in (("element", cert.element), ("parts", cert.parts), ("radical", cert.radical or None)):
+        if value is not None and name not in _WITNESS[cert.verdict]:
+            raise RuntimeError(f"{cert.verdict} certificate carries witness data: {name}")
+    if cert.verdict == "indecomposable":
+        failure = _indecomposable_failure(e, cert.element, cert.radical)
+        if failure is not None:
+            raise RuntimeError(failure)
+    if cert.verdict != "decomposable":
         return None
-    if cert.element is None or cert.parts is None:
-        raise RuntimeError("decomposable certificate is missing its witness")
-    failure = _element_failure(e, cert.element)
-    if failure is not None:
-        raise RuntimeError(failure)
-    for label, s in e.action_mats:
-        if cert.element * s != s * cert.element:
-            raise RuntimeError(f"witness does not commute with generator {label!r}")
+    if cert.parts is None:
+        raise RuntimeError("decomposable certificate is missing its parts")
     field, n = e.field, e.module_dim
     # unboxed once, and summed as the columns of one matrix; the spins step them on raw values
     try:

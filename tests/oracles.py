@@ -376,6 +376,33 @@ def is_fitting_split_by_parts(p, element, a, b):
     return in_kernel and in_image and [raw_add(p, x, y) for x, y in zip(a, b)] == [1] + [0] * (n - 1)
 
 
+def is_split_by_parts(p, generators, a, b):
+    """Whether a + b = e_0 and the orbits of a and b are nonzero with dimensions summing to n.
+
+    generators are the n x n matrices of the action, raw values,
+    Fractions over Q, acting on columns; a and b are raw vectors, over Q
+    integers over their `den`.  Each orbit is closed breadth-first by
+    plain matrix-vector products, a vector kept when raw_rank grows, so
+    it shares nothing with the library's covering trees.  Then A a + A b
+    holds e_0, so it is the module, and the dimension count makes the
+    sum direct.
+    """
+    a, b = ([Fraction(x, v.den) for x in v] if not p else list(v) for v in (a, b))
+    n = len(a)
+
+    def orbit_dim(v):
+        kept, queue = [], [v]
+        while queue:
+            w = queue.pop(0)
+            if raw_rank(p, kept + [w]) > len(kept):
+                kept.append(w)
+                queue += [[row[0] for row in raw_mat_mul(p, g, [[x] for x in w])] for g in generators]
+        return len(kept)
+
+    dims = orbit_dim(a), orbit_dim(b)
+    return 0 not in dims and sum(dims) == n and [raw_add(p, x, y) for x, y in zip(a, b)] == [1] + [0] * (n - 1)
+
+
 def count_idempotents_brute(p, basis_matrices):
     """Idempotent count in the span of commuting-candidate basis matrices."""
     if not basis_matrices:

@@ -345,7 +345,8 @@ def test_cert_bool_decomposable(capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "decomposable"
     assert obj["mode"] == "fitting-scan"
-    assert obj["element"] is not None
+    # a split is its two parts: no element is written
+    assert obj["element"] is None
     assert len(obj["parts"]) == 2
     assert "verdict: decomposable" in err
 
@@ -378,8 +379,9 @@ def test_cert_perm_fixed_vector(tmp_path, capsys):
     code, out, _ = run(capsys, ["cert", "--perm", path, "--generator", "1,1,1"])
     assert code == 0
     obj = json.loads(out)
-    assert obj["verdict"] == "indecomposable"
-    assert obj["mode"] == "dimension-1"
+    assert (obj["verdict"], obj["mode"]) == ("indecomposable", "local")
+    # End = F: x is the identity, written as null, and J = 0
+    assert obj["element"] is None and "radical" not in obj
 
 
 def test_cert_source_validation(tmp_path, capsys):

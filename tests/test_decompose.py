@@ -56,8 +56,9 @@ def test_swap_invariant_module_splits_one_two():
     assert tuple(int(bool(x)) for x in v) == F_VEC
     plane = report.summands[1]
     assert plane.dim == 2
-    assert report.certificates[0].mode == "dimension-1"
-    assert report.certificates[1].mode == "dimension-1"
+    # End = F on both leaves: x is the identity and J = 0
+    for cert in report.certificates:
+        assert (cert.mode, cert.element, cert.radical) == ("local", None, ())
     assert len(report.split_certificates) == 1
     assert report.split_certificates[0].mode == "fitting-scan"
 
@@ -253,12 +254,13 @@ def test_check_report_rejects_each_forged_report():
 
 def test_check_report_rejects_a_dimension_one_label_on_a_larger_end():
     # the 2-dim Jordan block is a local leaf whose End, F[N]/N^2, has
-    # dimension 2; labelled as the dimension count labels a leaf with End = F,
-    # x = 1 and J = 0, whose minimal polynomial t - 1 has degree 1, not 2
+    # dimension 2; given the certificate the dimension count gives a leaf
+    # with End = F, x = 1 and J = 0, whose minimal polynomial t - 1 has
+    # degree 1, not 2
     action = AlgebraAction(QQ, [("u", [[0, 0], [1, 0]])])
     report = complete_decomposition(orbit_basis(action, (1, 0)))
-    assert report.certificates[0].mode == "local" and compute_end(report.summands[0]).dim == 2
-    scalar = Certificate("indecomposable", "dimension-1", None, None, {"endo_dim": 1})
+    assert report.certificates[0].radical and compute_end(report.summands[0]).dim == 2
+    scalar = Certificate("indecomposable", "local", None, None, {"endo_dim": 1})
     _forged(report, "element does not generate a field modulo the radical", certificates=(scalar,))
 
 

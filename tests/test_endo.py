@@ -7,6 +7,7 @@ import math
 import os
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -146,7 +147,7 @@ def test_nilpotent_invertible_membership():
 
 def _fitting(e, mat):
     """_try_fitting on mat's own stable power, as the search hands it in."""
-    return _try_fitting(e, mat, stable_power(mat), {})
+    return _try_fitting(e, stable_power(mat), {})
 
 
 def test_fitting_split_on_projection():
@@ -189,7 +190,7 @@ def test_try_fitting_pays_for_its_power_once(monkeypatch):
     # certificate is read off the power handed in, with no product of its own
     stable = stable_power(ones_matrix(GF2, 3))
     assert len(products) == 1
-    cert = _try_fitting(e, ones_matrix(GF2, 3), stable, {})
+    cert = _try_fitting(e, stable, {})
     assert len(products) == 1
     assert is_fitting_split_by_parts(2, [[1] * 3] * 3, *cert.parts)
     # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
@@ -224,14 +225,21 @@ def _min_poly_split_modules():
 
 
 def test_fitting_certificates_match_the_nth_power_oracle():
-    # a min-poly-split certificate is a Fitting one too, for the element f(x)
+    # every split of the decomposition tree, walked by decompose_once, is
+    # a split by its parts under its block's restricted matrices
     checked = {"fitting-scan": 0, "min-poly-split": 0}
     for m in itertools.chain(_golden_and_test_modules(), _min_poly_split_modules()):
-        for cert in complete_decomposition(m).split_certificates:
-            p = m.field.characteristic
-            element = [[x.value for x in row] for row in cert.element.entries]
-            assert is_fitting_split_by_parts(p, element, *cert.parts)
+        p = m.field.characteristic
+        stack = [m]
+        while stack:
+            block = stack.pop()
+            cert, halves = decompose_once(block)
+            if halves is None:
+                continue
+            generators = [[[x.value for x in row] for row in block.restricted[s].entries] for s in block.action.labels]
+            assert oracles.is_split_by_parts(p, generators, *cert.parts)
             checked[cert.mode] += 1
+            stack += halves
     assert checked["fitting-scan"] >= 20 and checked["min-poly-split"] >= 4
 
 
@@ -295,8 +303,9 @@ def test_dimension_one_shortcut():
     e = compute_end(m)
     assert e.dim == 1
     cert = find_splitting_element(e)
-    assert cert.verdict == "indecomposable"
-    assert cert.mode == "dimension-1"
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    # End = F: x is the identity, written as None, and J = 0
+    assert cert.element is None and cert.radical == ()
     verify_certificate(e, cert)
 
 
@@ -311,8 +320,8 @@ def test_exhaustive_indecomposable_quadratic_extension():
     e = compute_end(m)
     assert e.dim == 2
     cert = find_splitting_element(e)
-    assert cert.verdict == "indecomposable"
-    assert cert.mode == "field-generated"
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert cert.element is not None and cert.radical == ()
     assert cert.diagnostics["factor_shape"] == [[2, 1]]
     assert len(enumerate_idempotents(e)) == 2
     verify_certificate(e, cert)
@@ -338,7 +347,7 @@ def test_primitive_element_step_decides_a_multiquadratic_field():
     e = compute_end(multiquadratic_module((2, 3, 5)))
     assert e.dim == 8
     cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    assert (cert.verdict, cert.mode, cert.radical) == ("indecomposable", "local", ())
     assert cert.diagnostics["min_poly_degree"] == 8
     assert cert.diagnostics["min_poly_tried"] > cert.diagnostics["scanned"] == 64
     verify_certificate(e, cert)
@@ -376,9 +385,8 @@ def test_field_generated_indecomposable():
     e = compute_end(orbit_basis(action, (1, 0)))
     assert e.dim == 2
     cert = find_splitting_element(e)
-    assert cert.verdict == "indecomposable"
-    assert cert.mode == "field-generated"
-    assert cert.element is not None
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert cert.element is not None and cert.radical == ()
     verify_certificate(e, cert)
 
 
@@ -391,7 +399,7 @@ def test_field_leaf_of_degree_33():
     report = complete_decomposition(orbit_basis(AlgebraAction(QQ, [("a", comp)]), [1] + [0] * (d - 1)))
     assert report.signature == (d,)
     (cert,) = report.certificates
-    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    assert (cert.verdict, cert.mode, cert.radical) == ("indecomposable", "local", ())
     check_report(report)
 
 
@@ -654,12 +662,12 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     verify_certificate(e, cert)
 
 
-@pytest.mark.parametrize("make, mode, min_poly_loop", [
-    (lambda: conjugated_jordan_module(GF2, 24, 1), "local", False),
-    (lambda: multiquadratic_module([2, 3, 5], dual=True), "local", True),
-    (lambda: multiquadratic_module([2, 3, 5]), "field-generated", True),
+@pytest.mark.parametrize("make, local, min_poly_loop", [
+    (lambda: conjugated_jordan_module(GF2, 24, 1), True, False),
+    (lambda: multiquadratic_module([2, 3, 5], dual=True), True, True),
+    (lambda: multiquadratic_module([2, 3, 5]), False, True),
 ], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly", "multiquadratic-field"])
-def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypatch):
+def test_each_local_test_runs_once_per_leaf(make, local, min_poly_loop, monkeypatch):
     # the search accepts the leaf through the verifier's one test, and
     # decompose_once does not run it a second time: a local leaf's ideal,
     # nilpotency and field tests, and for J = 0 only the test's field
@@ -671,11 +679,11 @@ def test_each_local_test_runs_once_per_leaf(make, mode, min_poly_loop, monkeypat
             return real(*args)
         monkeypatch.setattr(endo, name, spy)
     cert, halves = decompose_once(make())
-    assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", mode)
+    assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert bool(cert.radical) == local
     assert ("min_poly_tried" in cert.diagnostics) == min_poly_loop
     # one factorization per candidate tried, and the local test's one of the
     # element's minimal polynomial modulo J
-    local = mode == "local"
     tried = cert.diagnostics.get("min_poly_tried", 0)
     assert calls == {
         "_ideal_failure": local,
@@ -710,7 +718,7 @@ def test_ideal_test_agrees_with_the_all_basis_oracle():
     for m in modules:
         report = complete_decomposition(m)
         for leaf, cert in zip(report.summands, report.certificates):
-            if cert.mode == "local":
+            if cert.radical:
                 radicals += 1
                 assert _ideal_and_oracle(compute_end(leaf), list(cert.radical)) == (True, True)
     assert radicals == 14
@@ -740,7 +748,7 @@ def test_local_radical_is_the_trace_form_radical():
     for m in modules + [rotation_block_module()]:
         e = compute_end(m)
         cert = find_splitting_element(e)
-        assert cert.mode == "local"
+        assert cert.mode == "local" and cert.radical
         flats = [[oracles.flat(j) for j in mats] for mats in (cert.radical, radical_char0(e))]
         assert span_equal(QQ, *flats, e.module_dim ** 2)
 
@@ -794,9 +802,10 @@ def test_verify_certificate_rejects_forged_local():
     _local_forgery(e, cert, "not a two-sided ideal", radical=(gen,))
     # not nilpotent: J = E contains the identity
     _local_forgery(e, cert, "not nilpotent", radical=e.basis)
-    # an empty radical, or none at all: the shape of a J = 0 certificate
-    _local_forgery(e, cert, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=())
-    _local_forgery(e, cert, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=None)
+    # an empty radical: x = 1 with J = 0, whose minimal polynomial t - 1 has
+    # degree 1, not dim E = 3; and a radical that is no sequence at all
+    _local_forgery(e, cert, "does not generate a field", radical=())
+    _local_forgery(e, cert, "radical is not a sequence of matrices", radical=None)
     # dependent radical matrices
     _local_forgery(e, cert, "linearly dependent", radical=(nil, nil))
     # J = (N^2) is a nilpotent ideal, but E/J = Q[N]/N^2 is no field:
@@ -815,45 +824,38 @@ def test_verify_certificate_rejects_forged_local():
     _local_forgery(e, cert, "radical matrix is not a matrix", radical=(nil, "not a matrix"))
     # an undecided certificate may not carry a radical
     _local_forgery(
-        e, cert, "undecided certificate carries witness data: a radical",
+        e, cert, "undecided certificate carries witness data: radical",
         verdict="undecided", mode="candidates-exhausted", element=None,
     )
     # nor an indecomposable one parts, or a decomposable one a radical
     split = (_unit(0, 3, 0), [0, 0, 0])
     _local_forgery(e, cert, "indecomposable certificate carries witness data: parts", parts=split)
     _local_forgery(
-        e, cert, "decomposable certificate carries witness data: a radical",
-        verdict="decomposable", mode="fitting-scan", element=cert.radical[0], parts=split,
+        e, cert, "decomposable certificate carries witness data: radical",
+        verdict="decomposable", mode="fitting-scan", element=None, parts=split,
     )
 
 
-def test_verify_certificate_rejects_a_mode_that_is_not_its_shape():
-    # the mode of an indecomposable certificate is the label of its shape:
-    # "local" when J != 0, else "dimension-1" when x is the identity (None),
-    # else "field-generated"; any other mode is turned down before the one test
+def test_verify_certificate_rejects_an_indecomposable_mode_other_than_local():
+    # every indecomposable certificate is "local", whatever its shape: J != 0,
+    # or J = 0 with x the identity (None) or an element generating E; the
+    # retired shape labels and any other mode are turned down by the one
+    # mode table, before the one test
     local_e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
     local = find_splitting_element(local_e)
     field_e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
     field = find_splitting_element(field_e)
     line_e = compute_end(orbit_basis(s3_natural_action(), (1, -1, 0)))
     scalar = find_splitting_element(line_e)
-    for e, cert, mode in ((local_e, local, "local"), (field_e, field, "field-generated"), (line_e, scalar, "dimension-1")):
-        assert (cert.verdict, cert.mode) == ("indecomposable", mode)
-        assert endo._label(cert.element, cert.radical) == mode
+    shapes = [(bool(c.radical), c.element is None) for c in (local, field, scalar)]
+    assert shapes == [(True, False), (False, False), (False, True)]
+    for e, cert in ((local_e, local), (field_e, field), (line_e, scalar)):
+        assert (cert.verdict, cert.mode) == ("indecomposable", "local")
         verify_certificate(e, cert)
-    # local with an empty radical
-    _local_forgery(local_e, local, "mode 'local' does not name the certificate's shape, 'field-generated'", radical=())
-    _local_forgery(field_e, field, "mode 'local' does not name the certificate's shape, 'field-generated'", mode="local")
-    # field-generated with a radical
-    _local_forgery(local_e, local, "mode 'field-generated' does not name the certificate's shape, 'local'",
-                   mode="field-generated")
-    # dimension-1 with an element, even the identity
-    _local_forgery(field_e, field, "mode 'dimension-1' does not name the certificate's shape, 'field-generated'",
-                   mode="dimension-1")
-    _local_forgery(line_e, scalar, "mode 'dimension-1' does not name the certificate's shape, 'field-generated'",
-                   element=line_e.identity())
-    # written with its own label, the identity on End = F passes as x
-    verify_certificate(line_e, dataclasses.replace(scalar, mode="field-generated", element=line_e.identity()))
+        for mode in ("dimension-1", "field-generated", "trust-me"):
+            _local_forgery(e, cert, f"mode '{mode}' is not one of the indecomposable modes", mode=mode)
+    # the identity on End = F passes as x, written as a matrix
+    verify_certificate(line_e, dataclasses.replace(scalar, element=line_e.identity()))
 
 
 def test_verify_certificate_rejects_idempotent_radical():
@@ -876,7 +878,7 @@ def test_verify_certificate_rejects_forged_exhaustive():
     # "exhaustive" verdict carries nothing to re-check, so it is rejected
     e = compute_end(orbit_basis(AlgebraAction(GF2, [("u", [[1, 0], [0, 0]])]), (1, 1)))
     assert e.dim == 2
-    with pytest.raises(RuntimeError, match="mode 'exhaustive' does not name the certificate's shape, 'dimension-1'"):
+    with pytest.raises(RuntimeError, match="mode 'exhaustive' is not one of the indecomposable modes"):
         verify_certificate(e, Certificate("indecomposable", "exhaustive", None, None))
     assert find_splitting_element(e).verdict == "decomposable"
 
@@ -891,11 +893,11 @@ def test_verify_certificate_rejects_tampering():
     )
     with pytest.raises(RuntimeError, match="parts do not sum to the generator e_0"):
         verify_certificate(e, tampered)
-    with pytest.raises(RuntimeError, match="undecided certificate carries witness data: an element"):
+    with pytest.raises(RuntimeError, match="undecided certificate carries witness data: element"):
         verify_certificate(
-            e, Certificate("undecided", "candidates-exhausted", cert.element, None)
+            e, Certificate("undecided", "candidates-exhausted", e.identity(), None)
         )
-    with pytest.raises(RuntimeError, match="missing its witness"):
+    with pytest.raises(RuntimeError, match="missing its parts"):
         verify_certificate(
             e, Certificate("decomposable", "fitting-scan", None, None)
         )
@@ -910,9 +912,9 @@ def test_verify_certificate_rejects_forged_indecomposable():
     # x^2 - 2 is irreducible of degree dim E, but the element is not in E
     outside = DenseMatrix(QQ, [[0, 2], [1, 0]])
     assert not e.contains(outside)
-    with pytest.raises(RuntimeError):
-        verify_certificate(e, Certificate("indecomposable", "field-generated", outside, None))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="certificate element is not in the endomorphism algebra"):
+        verify_certificate(e, Certificate("indecomposable", "local", outside, None))
+    with pytest.raises(RuntimeError, match="mode 'trust-me' is not one of the indecomposable modes"):
         verify_certificate(e, Certificate("indecomposable", "trust-me", None, None))
 
 
@@ -922,39 +924,36 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     e = compute_end(swap_invariant_module())
     cert = find_splitting_element(e)
     assert cert.verdict == "decomposable"
-    too_big = DenseMatrix.identity(GF2, 4)
-    with pytest.raises(RuntimeError, match="4x4, expected 3x3"):
-        verify_certificate(e, Certificate("decomposable", cert.mode, too_big, cert.parts))
     a, b = cert.parts
     malformed = "a part is not a vector of length 3 over GF\\(2\\)"
     for short in (a[:-1], tuple(a) + (0,), 7):
         with pytest.raises(RuntimeError, match=malformed):
-            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (short, b)))
+            verify_certificate(e, Certificate("decomposable", cert.mode, None, (short, b)))
     foreign = tuple(gf(3).scalar(x) for x in a)
     with pytest.raises(RuntimeError, match=malformed):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (foreign, b)))
+        verify_certificate(e, Certificate("decomposable", cert.mode, None, (foreign, b)))
     # entries that are no value of the field at all
     for bad in (Fraction(1, 2), 0.5, None, "x"):
         odd = (bad,) + tuple(a[1:])
         with pytest.raises(RuntimeError, match=malformed):
-            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, (odd, b)))
+            verify_certificate(e, Certificate("decomposable", cert.mode, None, (odd, b)))
     # a single vector is no pair of parts, and neither is a sequence of one or three
     with pytest.raises(RuntimeError, match=malformed):
-        verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, a))
+        verify_certificate(e, Certificate("decomposable", cert.mode, None, a))
     for count in ((a,), (a, b, b)):
         with pytest.raises(RuntimeError, match=f"{len(count)} parts, expected 2"):
-            verify_certificate(e, Certificate("decomposable", cert.mode, cert.element, count))
+            verify_certificate(e, Certificate("decomposable", cert.mode, None, count))
     line = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
     assert line.dim == 2
     with pytest.raises(RuntimeError, match="3x3, expected 2x2"):
         verify_certificate(
             line,
-            Certificate("indecomposable", "field-generated", DenseMatrix.identity(QQ, 3), None),
+            Certificate("indecomposable", "local", DenseMatrix.identity(QQ, 3), None),
         )
     with pytest.raises(RuntimeError, match="not a matrix over QQ"):
         verify_certificate(
             line,
-            Certificate("indecomposable", "field-generated", DenseMatrix.identity(GF2, 2), None),
+            Certificate("indecomposable", "local", DenseMatrix.identity(GF2, 2), None),
         )
 
 
@@ -964,9 +963,12 @@ def test_verify_certificate_rejects_each_forged_split():
     assert cert.verdict == "decomposable"
     verify_certificate(e, cert)
     a, b = cert.parts
-    # a matrix outside E: it moves e_0 to e_0 and e_1 to e_0 + e_1
+    # a split is its parts alone: an element, in E or not, is data its check
+    # does not read, and is turned down
+    assert cert.element is None
     sheared = DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    _local_forgery(e, cert, "witness does not commute with generator 's1'", element=sheared)
+    for element in (sheared, e.identity()):
+        _local_forgery(e, cert, "decomposable certificate carries witness data: element", element=element)
     # parts whose sum is not e_0, each part being a true summand's generator
     _local_forgery(e, cert, "parts do not sum to the generator e_0", parts=(a, a))
     _local_forgery(e, cert, "parts do not sum to the generator e_0", parts=(b, b))
@@ -1011,6 +1013,21 @@ def test_verify_certificate_checks_every_mode_against_its_verdict():
         _local_forgery(q, undecided, f"mode '{mode}' is not one of the undecided modes", mode=mode)
 
 
+def test_verify_certificate_of_a_split_forms_no_matrix_product(monkeypatch):
+    # the parts are checked by two spins of matrix-vector steps, on E's
+    # field, dimension and action matrices alone: its basis is not read
+    products = _record_products(monkeypatch)
+    for m in (swap_invariant_module(), regular_s4_module(QQ), regular_s4_module(gf(3))):
+        e = compute_end(m)
+        cert = find_splitting_element(e)
+        assert cert.verdict == "decomposable"
+        products.clear()
+        bare = types.SimpleNamespace(field=e.field, module_dim=e.module_dim, action_mats=e.action_mats)
+        trees = verify_certificate(bare, cert)
+        assert products == []
+        assert sum(len(tree.words) for tree in trees) == m.dim
+
+
 def test_verify_certificate_returns_the_split_it_checked():
     e = compute_end(swap_invariant_module())
     cert = find_splitting_element(e)
@@ -1044,11 +1061,10 @@ def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
 
     # x = 1 with J = 0: the identity is in E, but its minimal polynomial t - 1
     # has degree 1, not dim E = 2, whether x is written as None or as a matrix
-    rejects("element does not generate a field modulo the radical", "indecomposable", "dimension-1", None)
-    rejects("mode 'field-generated' does not name the certificate's shape, 'dimension-1'",
-            "indecomposable", "field-generated", None)
-    rejects("element does not generate a field modulo the radical", "indecomposable", "field-generated", e.identity())
-    rejects("unknown verdict 'maybe'", "maybe", "dimension-1", None)
+    rejects("element does not generate a field modulo the radical", "indecomposable", "local", None)
+    rejects("mode 'field-generated' is not one of the indecomposable modes", "indecomposable", "field-generated", None)
+    rejects("element does not generate a field modulo the radical", "indecomposable", "local", e.identity())
+    rejects("unknown verdict 'maybe'", "maybe", "local", None)
 
 
 def _regular_m2_times_gf2_module():
@@ -1347,17 +1363,17 @@ def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
 
 
 def test_verify_certificate_rejects_elements_that_only_agree_in_the_first_column():
-    # field-generated: the rotation module, E = Q[i]
+    # J = 0: the rotation module, E = Q[i] generated by x
     e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
     cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode) == ("indecomposable", "field-generated")
+    assert (cert.verdict, cert.mode, cert.radical) == ("indecomposable", "local", ())
     forged = dataclasses.replace(cert, element=_off_first_column(cert.element))
     with pytest.raises(RuntimeError, match="certificate element is not in the endomorphism"):
         verify_certificate(e, forged)
-    # local: a conjugated Jordan block, in the element and in the radical
+    # J != 0: a conjugated Jordan block, in the element and in the radical
     e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
     cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert (cert.verdict, cert.mode) == ("indecomposable", "local") and cert.radical
     verify_certificate(e, cert)
     _local_forgery(e, cert, "certificate element is not in", element=_off_first_column(cert.element))
     radical = (_off_first_column(cert.radical[0]),) + tuple(cert.radical[1:])
@@ -1391,12 +1407,12 @@ def test_first_column_min_poly_modulo_every_local_radical():
     leaves += [conjugated_jordan_module(gf(3), d, seed=d) for d in range(2, 7)]
     leaves.append(rotation_block_module())
     boolean = complete_decomposition(decompose_boolean(parse_anf(SPLIT_4_6, 5)).module)
-    assert [c.mode for c in boolean.certificates].count("local") == 1
-    leaves += [leaf for leaf, c in zip(boolean.summands, boolean.certificates) if c.mode == "local"]
+    assert [bool(c.radical) for c in boolean.certificates].count(True) == 1
+    leaves += [leaf for leaf, c in zip(boolean.summands, boolean.certificates) if c.radical]
     for m in leaves:
         e = compute_end(m)
         cert = find_splitting_element(e)
-        assert cert.mode == "local"
+        assert cert.mode == "local" and cert.radical
         for x in [cert.element, *_scan_candidates(e)]:
             assert _min_poly(x, cert.radical) == oracles.min_poly(x, cert.radical)
 

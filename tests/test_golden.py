@@ -10,7 +10,7 @@ tests/fixtures.py builds; decompose_regular_s4_gf3.out,
 the report of the regular S4 module over GF(3), the one golden that
 runs the odd-p kernel end to end (the CLI decomposes over GF(2) or Q
 only); and decompose_companion_q.out, the one report that carries a
-min-poly-split certificate, whose element depends on the order of the
+min-poly-split certificate, whose parts depend on the order of the
 factors over Q.  Each demo in demos/ is run in-process as well, and its
 stdout must equal tests/golden/demo_<name>.out.  After a change that is meant
 to alter the output, rewrite the files with
@@ -32,7 +32,7 @@ import pytest
 
 from cyclomod import GF2, QQ, cli, gf
 from cyclomod.decompose import check_report, complete_decomposition
-from cyclomod.endo import _MODES, _label
+from cyclomod.endo import _MODES
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, report_to_json, to_text
 from cyclomod.wfa import equivalent, minimize
@@ -78,6 +78,12 @@ CASES = {
     ],
     "decompose_perm_regular_q8": [
         "decompose-perm", "{golden}/regular_q8.json", "--generator", "1,0,0,0,0,0,0,0",
+    ],
+    # a local certificate whose radical J has a basis of two matrices
+    "cert_bool_local_n4": ["cert", "--bool", "x1*x2 + x3*x4 + x1*x3", "-n", "4"],
+    # the quaternion leaf of regular Q8, generated by 1 - x for the central involution x: undecided
+    "cert_perm_regular_q8_quaternion": [
+        "cert", "--perm", "{golden}/regular_q8.json", "--generator=1,0,0,0,-1,0,0,0",
     ],
 }
 
@@ -136,7 +142,8 @@ def test_regular_s4_over_gf3_matches_golden_bytes():
     report, text = regular_s4_gf3()
     assert report.signature == (3,) * 8
     modes = {c.mode for c in report.certificates + report.split_certificates}
-    assert {"local", "fitting-scan", "dimension-1"} <= modes
+    assert modes == {"local", "fitting-scan"}
+    assert any(c.radical for c in report.certificates) and not all(c.radical for c in report.certificates)
     with open(os.path.join(GOLDEN, "decompose_regular_s4_gf3.out"), encoding="utf-8", newline="") as handle:
         assert text == handle.read()
     check_report(report)
@@ -161,7 +168,9 @@ def test_companion_over_q_min_poly_split_matches_golden_bytes():
     report, text = companion_q()
     assert report.signature == (2, 2)
     modes = sorted(c.mode for c in report.certificates + report.split_certificates)
-    assert modes == ["field-generated", "field-generated", "min-poly-split"]
+    assert modes == ["local", "local", "min-poly-split"]
+    # each leaf is a quadratic field, x its generator and J = 0
+    assert all(c.element is not None and not c.radical for c in report.certificates)
     with open(os.path.join(GOLDEN, "decompose_companion_q.out"), encoding="utf-8", newline="") as handle:
         assert text == handle.read()
     check_report(report)
@@ -189,30 +198,30 @@ def golden_certificates():
     return certs
 
 
-def test_every_golden_certificate_is_labelled_by_its_shape():
-    # a radical is written exactly for a local certificate, and an
-    # indecomposable one has a null element, the identity, exactly when it
-    # is dimension-1: the mode is the label of the shape (element, radical).
-    # Any other verdict's mode is one of its fixed modes, and only a
-    # decomposable certificate has parts, two that sum to e_0
+def test_every_golden_certificate_carries_only_its_verdicts_witness():
+    # an indecomposable certificate is "local", its witness an element x,
+    # null for the identity, and a radical J, written only when J != 0; a
+    # decomposable one is its mode and two parts that sum to e_0, with a
+    # null element; an undecided one carries no witness at all
     certs = golden_certificates()
-    modes = []
+    shapes = []
     others = []
     for p, cert in certs:
-        assert ("radical" in cert) == (cert["mode"] == "local")
+        assert cert["mode"] in _MODES[cert["verdict"]]
+        assert ("radical" in cert) <= (cert["verdict"] == "indecomposable")
         assert (cert["parts"] is not None) == (cert["verdict"] == "decomposable")
         if cert["verdict"] == "indecomposable":
-            assert (cert["element"] is None) == (cert["mode"] == "dimension-1")
-            assert cert["mode"] == _label(cert["element"], cert.get("radical", []))
-            modes.append(cert["mode"])
+            shapes.append(("radical" in cert, cert["element"] is not None))
         else:
-            assert cert["mode"] in _MODES[cert["verdict"]]
+            assert cert["element"] is None
             others.append(cert["mode"])
         if cert["parts"] is not None:
             total = [Fraction(a) + Fraction(b) for a, b in zip(*cert["parts"])]
             assert [x % p if p else x for x in total] == [1] + [0] * (len(total) - 1)
-    assert sorted(modes) == ["dimension-1"] * 21 + ["field-generated"] * 2 + ["local"] * 3
-    assert sorted(others) == ["candidates-exhausted"] + ["fitting-scan"] * 22 + ["min-poly-split"]
+    # (J != 0, x not the identity): x = 1 with J = 0 on 21 leaves, a field
+    # generated by x on 2, and a nonzero radical on 4
+    assert sorted(shapes) == [(False, False)] * 21 + [(False, True)] * 2 + [(True, True)] * 4
+    assert sorted(others) == ["candidates-exhausted"] * 2 + ["fitting-scan"] * 22 + ["min-poly-split"]
 
 
 def demo_stdout(name):

@@ -251,10 +251,10 @@ def test_certificate_json_diagnostic_keys_sorted():
         }
 
 
-def test_only_local_certificates_carry_a_radical():
+def test_only_certificates_with_a_nonzero_radical_write_one():
     jordan = complete_decomposition(conjugated_jordan_module(QQ, 3, seed=1))
     (local,) = jordan.certificates
-    assert local.mode == "local"
+    assert local.mode == "local" and local.radical
     obj = certificate_to_json(local)
     assert list(obj)[-1] == "radical"
     assert obj["radical"] == [
@@ -275,9 +275,15 @@ def test_only_local_certificates_carry_a_radical():
     certs = [c for r in reports for c in list(r.certificates) + list(r.split_certificates)]
     undecided = find_splitting_element(compute_end(quaternion_module()))
     certs.append(undecided)
-    modes = {c.mode for c in certs}
-    assert {"dimension-1", "field-generated", "candidates-exhausted"} <= modes
-    assert "local" not in modes
+    # splits, undecided leaves, and local leaves with J = 0 whose x is the
+    # identity (None) or an element generating the field E
+    shapes = {(c.verdict, c.element is None, bool(c.radical)) for c in certs}
+    assert shapes == {
+        ("decomposable", True, False),
+        ("undecided", True, False),
+        ("indecomposable", True, False),
+        ("indecomposable", False, False),
+    }
     for cert in certs:
         assert "radical" not in certificate_to_json(cert)
 
@@ -336,7 +342,7 @@ def test_every_json_golden_round_trips_through_to_text():
             continue
         assert to_text(obj) == text, name
         checked += 1
-    assert checked == 19
+    assert checked == 21
 
 
 def test_dot_output_for_swap_invariant_module():
