@@ -8,7 +8,7 @@ smallest one, exactly, over the rationals or any prime field.
 
 from cyclomod import QQ
 from cyclomod.serialize import automaton_to_json, to_text
-from cyclomod.wfa import WeightedAutomaton, direct_sum, equivalent, left_reduce, minimize
+from cyclomod.wfa import WeightedAutomaton, direct_sum, equivalent, minimize
 
 # The counting automaton: weight(w) = number of a's in w.
 counting = WeightedAutomaton(
@@ -27,19 +27,13 @@ for word in ["", "a", "ab", "aba", "bbb", "aaaa"]:
 doubled = direct_sum(counting, counting)
 print(f"\ndirect sum: dim {doubled.dim}, weight('aba') = {doubled.weight('aba')}")
 
-# left_reduce builds a covering tree: breadth-first over words, keeping
-# a word exactly when its row vector leaves the span of the rows kept so
-# far.  The kept words are prefix closed and become the new states.
-reduced, basis = left_reduce(doubled)
-print(f"\nleft reduction keeps {reduced.dim} of {doubled.dim} states")
-print(f"  prefix basis words: {[''.join(w) for w in basis.words]}")
-print(f"  new initial vector: {[str(x) for x in reduced.lam]}")
-
-# Full minimization reads the automaton off the Hankel matrix f(uv): a
-# spin of gamma keeps columns mu(v) gamma spanning all the others, and a
-# spin of lambda keeps the words u whose rows f(uv) on them are
-# independent.  It gives what the right reduction followed by the left
-# one gives, to the byte.
+# Minimization reads the automaton off the Hankel matrix f(uv).  Each
+# spin is a covering tree: breadth-first over words, keeping a word
+# exactly when its vector leaves the span of those kept so far.  A spin
+# of gamma keeps columns mu(v) gamma spanning all the others, and a spin
+# of lambda keeps the words u whose rows f(uv) on them are independent;
+# those words are prefix closed and become the new states.  It gives what
+# the right reduction followed by the left one gives, to the byte.
 minimal = minimize(doubled)
 print(f"\nminimize: dim {doubled.dim} -> {minimal.dim}")
 print(f"  weight('aba') still {minimal.weight('aba')}")

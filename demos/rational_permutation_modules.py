@@ -6,15 +6,12 @@ module is semisimple, so complete decompositions always exist; the
 search still has to find them, and every leaf is certified.
 """
 
+from itertools import permutations
+
 from cyclomod import QQ
 from cyclomod.decompose import complete_decomposition
 from cyclomod.endo import compute_end
-from cyclomod.perms import (
-    PermutationPresentation,
-    left_translation_action,
-    permutation_module,
-    symmetric_group,
-)
+from cyclomod.perms import PermutationPresentation, permutation_module
 
 # --- the natural S_3 module on Q^3 --------------------------------------
 
@@ -39,11 +36,15 @@ for k, block in enumerate(report.summands):
 
 # --- the regular module: S_3 acting on itself ----------------------------
 
-elements = symmetric_group(3)
+elements = list(permutations(range(3)))
 print(f"\ngroup elements (lexicographic): {elements}")
-s1 = elements.index((1, 0, 2))
-s2 = elements.index((0, 2, 1))
-regular = left_translation_action(elements, [s1, s2])
+# left translation by g sends element e, at index j, to g o e, where
+# (g o e)[i] = g[e[i]]: the generator g moves basis vector j to the index of g o e
+index = {e: j for j, e in enumerate(elements)}
+regular = PermutationPresentation(6, [
+    (label, tuple(index[tuple(g[i] for i in e)] for e in elements))
+    for label, g in [("s1", (1, 0, 2)), ("s2", (0, 2, 1))]
+])
 m6 = permutation_module(regular, (1, 0, 0, 0, 0, 0))
 print(f"regular module: dim {m6.dim}")
 

@@ -42,12 +42,7 @@ from .modules import (
     action_graph,
     orbit_basis,
 )
-from .perms import (
-    PermutationPresentation,
-    left_translation_action,
-    permutation_module,
-    symmetric_group,
-)
+from .perms import PermutationPresentation, permutation_module
 from .polynomials import Polynomial, factor
 from .serialize import (
     FormatError,
@@ -58,16 +53,7 @@ from .serialize import (
     report_to_json,
     to_text,
 )
-from .wfa import (
-    PrefixBasis,
-    WeightedAutomaton,
-    direct_sum,
-    equivalent,
-    left_reduce,
-    minimize,
-    right_reduce,
-    scale,
-)
+from .wfa import WeightedAutomaton, direct_sum, equivalent, minimize, scale
 
 __all__ = [
     "GF2",
@@ -80,13 +66,10 @@ __all__ = [
     "rref",
     "Polynomial",
     "factor",
-    "PrefixBasis",
     "WeightedAutomaton",
     "direct_sum",
     "equivalent",
-    "left_reduce",
     "minimize",
-    "right_reduce",
     "scale",
     "ActionGraph",
     "AlgebraAction",
@@ -111,9 +94,7 @@ __all__ = [
     "parse_anf",
     "sn_action",
     "PermutationPresentation",
-    "left_translation_action",
     "permutation_module",
-    "symmetric_group",
     "FormatError",
     "automaton_from_json",
     "automaton_to_json",

@@ -113,7 +113,7 @@ from .linalg import (
     _lowest_terms,
     _marked,
     _neg,
-    _pack,
+    _pack_lanes,
     _part,
     _primitive,
     _qvector,
@@ -259,7 +259,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
     steps = [(w[-1], index[w[:-1]]) for w in m.basis_words[1:]]
     tree_edges = set(steps)
     rows = DenseMatrix.identity(field, n)._raw
-    spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, n)
+    spun = _spin(plans, steps, [_pack_lanes(r, 1) for r in rows] if p == 2 else rows, n)
     zero = 0 if p == 2 else (0,) * n
     seen = {zero}
     for s in labels:
@@ -277,7 +277,7 @@ def compute_end(m: CyclicModule) -> EndoAlgebra:
         kernel = _kernel_from_rref(field, n, reduction)
         k = len(kernel)
         rows = [list(r) for r in zip(*kernel)]
-        spun = _spin(plans, steps, [_pack(r) for r in rows] if p == 2 else rows, k)
+        spun = _spin(plans, steps, [_pack_lanes(r, 1) for r in rows] if p == 2 else rows, k)
     # the flats of X_v, the columns of the stacked rows, reversed for pivots
     # at the last nonzero entries
     stacked = [spun[j][i] for i in reversed(range(n)) for j in reversed(range(n))]

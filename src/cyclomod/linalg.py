@@ -169,20 +169,6 @@ def _primitive(xs: list) -> list:
     return [a // g for a in xs] if g > 1 else xs
 
 
-def _pack(xs: Sequence) -> int:
-    """A raw GF(2) vector as one int, entry j in byte j; a row sum is then a XOR.
-
-    A byte per entry, not a bit, because bytes() packs and to_bytes
-    unpacks in C, where packing bits would take a Python loop.
-    """
-    return int.from_bytes(bytes(xs), "little")
-
-
-def _unpack(x: int, n: int) -> list:
-    """The raw GF(2) vector of length n packed in x."""
-    return list(x.to_bytes(n, "little"))
-
-
 def _unpack_columns(packed: Sequence, n: int) -> list:
     """The columns of the matrix whose rows are the packed GF(2) vectors of length n: every n-th byte of them."""
     stacked = b"".join([x.to_bytes(n, "little") for x in packed])
@@ -217,7 +203,12 @@ def _mod_table(p: int) -> bytes:
 
 
 def _pack_lanes(xs: Sequence, w: int) -> int:
-    """Nonnegative ints below 256^w as one int, entry j in lane j of w bytes."""
+    """Nonnegative ints below 256^w as one int, entry j in lane j of w bytes.
+
+    A GF(2) vector takes a byte per entry (w = 1), not a bit, so that a
+    row sum is a XOR and bytes() packs and to_bytes unpacks in C, where
+    packing bits would take a Python loop.
+    """
     if w == 1:
         return int.from_bytes(bytes(xs), "little")
     if w in _LANE_FORMATS:
@@ -744,7 +735,7 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
     of its reduced row.  The inner lists are replaced, never changed.
     """
     if p == 2:
-        reduced, rank, pivots = _rref_packed(GF2, map(_pack, rows), ncols)
+        reduced, rank, pivots = _rref_packed(GF2, [_pack_lanes(r, 1) for r in rows], ncols)
         rows[:] = reduced._raw + [[0] * ncols for _ in range(len(rows) - rank)]
         return list(pivots)
     pivots = []
@@ -766,7 +757,7 @@ def _rref_rows(p: int, rows: list, ncols: int) -> list:
 
 
 def _rref_packed(field: FieldSpec, packed, ncols: int) -> RrefResult:
-    """The reduced echelon form over GF(2) of the rows packed in packed, as _pack packs them.
+    """The reduced echelon form over GF(2) of the rows packed in packed, as _pack_lanes(row, 1) packs them.
 
     Row by row on the packed rows, unpacked only once reduced; the reduced
     echelon form is unique, so it is the one the column-by-column
@@ -779,7 +770,7 @@ def _rref_packed(field: FieldSpec, packed, ncols: int) -> RrefResult:
         if x:
             mask |= _xor_insert(kept, x)
     order = sorted(kept)
-    rows = [_unpack(kept[b], ncols) for b in order]
+    rows = [_read_lanes(2, kept[b], 1, ncols) for b in order]
     pivots = tuple((b.bit_length() - 1) >> 3 for b in order)
     return RrefResult(DenseMatrix._from_raw(field, rows, ncols), len(pivots), pivots)
 
@@ -957,7 +948,7 @@ class Echelon:
             raise ValueError(f"vector length {len(v)}, expected {n}")
         p = self._p
         if p == 2:
-            x = _xor_reduce(self._rows, self._mask, _pack(v))
+            x = _xor_reduce(self._rows, self._mask, _pack_lanes(v, 1))
             return x, x & -x if x & self._vector_bits else None, 1
         if p:
             x, prev = _lanes_reduce(p, self._width, self._rows, self._pivots, v, n + tail), 1
@@ -1034,7 +1025,7 @@ class SpanSolver(Echelon):
         """The raw coordinates of v over the inserted vectors, from its reduced x, which is zero but for its tail."""
         p, n = self._p, self.length
         if p == 2:
-            return _unpack(x >> 8 * n, self.count)
+            return _read_lanes(2, x >> 8 * n, 1, self.count)
         if p:
             return x[n:]
         return _qvector([-a for a in x[n:]], prev * v.den)

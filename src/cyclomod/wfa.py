@@ -2,7 +2,7 @@
 
 An automaton (lambda, mu, gamma) realizes the series
     weight(w) = lambda * mu(w_1) * ... * mu(w_k) * gamma.
-covering_tree is the one routine behind every reduction here and behind
+covering_tree is the one routine behind minimize, equivalent and
 modules.orbit_basis: from a root vector it keeps a word wa exactly when
 the step of a from the vector of w is independent of the vectors kept
 before it, in breadth-first order with letters tried in the given
@@ -16,11 +16,9 @@ step its coordinates over them from the same reduction.
 minimize reads the minimal automaton off the rows of the Hankel matrix
 H[u, v] = weight(uv) (Fliess 1974; Berstel and Reutenauer,
 Noncommutative Rational Series, ch. 2): a spin of gamma that keeps no
-coordinates, then a spin of lambda that places Hankel rows.  equivalent
-runs the first spin only.  left_reduce (the rows lambda mu(w),
-reachability) and right_reduce (the columns mu(w) gamma, observability,
-words read backwards) stay public, and minimize gives exactly what the
-one after the other gives.
+coordinates, then a spin of lambda that places Hankel rows.  It is the
+package's only reduction.  equivalent runs the first spin only;
+direct_sum and scale build the difference it decides on.
 """
 
 from __future__ import annotations
@@ -43,27 +41,6 @@ from .linalg import (
     _unbox,
     _unit,
 )
-
-
-class PrefixBasis:
-    """Kept words and their vectors, in covering-tree order."""
-
-    __slots__ = ("words", "vectors", "word_to_index")
-
-    def __init__(self, words: Sequence[tuple], vectors: Sequence[Vector]):
-        if len(words) != len(vectors):
-            raise ValueError("words and vectors differ in length")
-        object.__setattr__(self, "words", tuple(tuple(w) for w in words))
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in vectors))
-        object.__setattr__(
-            self, "word_to_index", {w: i for i, w in enumerate(self.words)}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrefixBasis is immutable")
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 class WeightedAutomaton:
@@ -213,71 +190,14 @@ def covering_tree(
     return CoveringTree(words, vectors, solver, images)
 
 
-def left_reduce(a: WeightedAutomaton):
-    """Reachability reduction; returns (reduced automaton, PrefixBasis).
-
-    The root vector of the covering tree is lambda itself, so the
-    reduced lambda is (1, 0, ..., 0), or empty when lambda is zero.
-    """
-    tree = covering_tree(a.field, a.dim, a._raw_lam, _row_steps(a))
-    reduced = _row_automaton(a, tree)
-    return reduced, PrefixBasis(tree.words, [_box(a.field, v) for v in tree.vectors])
-
-
-def _row_steps(a: WeightedAutomaton) -> dict:
-    """Each label's step on raw row vectors, x -> x * mu(label)."""
-    return {s: a.mu[s]._times_row for s in a.alphabet}
-
-
-def _column_steps(a: WeightedAutomaton) -> dict:
-    """Each label's step on raw column vectors, x -> mu(label) * x."""
-    return {s: a.mu[s]._times_col for s in a.alphabet}
-
-
-def _row_automaton(a: WeightedAutomaton, tree: CoveringTree) -> WeightedAutomaton:
-    """The automaton on the kept rows x_i = lambda * mu(u_i) of a row tree of a.
-
-    lambda is e_0, the root's coordinates, mu(s) holds the coordinates of
-    the steps of s from the kept rows, and gamma_i is x_i * gamma.
-    """
-    field, n = a.field, len(tree.vectors)
-    mu = {s: DenseMatrix._from_vectors(field, tree.images[s], n) for s in a.alphabet}
-    gamma = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_gamma))
-    return WeightedAutomaton(field, a.alphabet, _first_unit(field, n), mu, gamma)
-
-
-def right_reduce(a: WeightedAutomaton):
-    """Observability reduction: the covering tree of the columns mu(w) * gamma.
-
-    The reduced gamma is (1, 0, ..., 0), or empty when gamma is zero.
-    The returned word set is suffix-closed rather than prefix-closed,
-    because the tree grows words from their last letter.
-    """
-    field = a.field
-    tree = covering_tree(field, a.dim, a._raw_gamma, _column_steps(a))
-    n = len(tree.vectors)
-    lam = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_lam))
-    mu = {s: DenseMatrix.from_columns(field, tree.images[s], rows=n) for s in a.alphabet}
-    reduced = WeightedAutomaton(field, a.alphabet, lam, mu, _first_unit(field, n))
-    words = tuple(tuple(reversed(w)) for w in tree.words)
-    return reduced, PrefixBasis(words, [_box(field, v) for v in tree.vectors])
-
-
-def _first_unit(field: FieldSpec, n: int) -> _RawVector:
-    """The raw e_0 of length n, the root's coordinates in its own tree; empty when n = 0."""
-    p = field.characteristic
-    if n:
-        return _marked(_unit(p, n, 0))
-    return _RawVector() if p else _qvector([])
-
-
 def _observable(a: WeightedAutomaton) -> DenseMatrix:
     """The matrix whose rows are the kept columns mu(v_j) * gamma of a spin that keeps no coordinates.
 
     They span the columns mu(v) * gamma of every word v, the observable
     space, and the matrix takes a row x to the row (x * mu(v_j) * gamma)_j.
     """
-    tree = covering_tree(a.field, a.dim, a._raw_gamma, _column_steps(a), Echelon(a.field, a.dim))
+    steps = {s: a.mu[s]._times_col for s in a.alphabet}
+    tree = covering_tree(a.field, a.dim, a._raw_gamma, steps, Echelon(a.field, a.dim))
     return DenseMatrix._from_vectors(a.field, tree.vectors, a.dim)
 
 
@@ -291,14 +211,23 @@ def minimize(a: WeightedAutomaton) -> WeightedAutomaton:
     rho(u) = lambda mu(u) and places each by rho(u) K, the Hankel row of
     u on the columns v_j; the rows kept, and the coordinates of their
     steps, make the automaton, with gamma_i = rho(u_i) gamma.  Since
-    mu(s) K = K C_s, with C_s the matrices of right_reduce, rho(u) K is
-    the row that left_reduce spins on right_reduce(a), so the result is
-    left_reduce(right_reduce(a)[0])[0] to the byte, without the
-    coordinates of the right reduction.
+    mu(s) K = K C_s, with C_s the matrices of the right (observability)
+    reduction, rho(u) K is the row that the left (reachability) reduction
+    spins on the right-reduced automaton, so the result is that of right
+    then left reduction to the byte, without the coordinates of the right
+    reduction.  The tests check it against tests/oracles.boxed_minimize,
+    those two reductions run entry by entry on FieldScalars.
     """
+    field = a.field
     columns = _observable(a)
-    tree = covering_tree(a.field, columns.rows, a._raw_lam, _row_steps(a), key=columns._times_col)
-    return _row_automaton(a, tree)
+    steps = {s: a.mu[s]._times_row for s in a.alphabet}
+    tree = covering_tree(field, columns.rows, a._raw_lam, steps, key=columns._times_col)
+    # lambda is e_0, the root's coordinates, mu(s) holds the coordinates of
+    # the steps of s from the kept rows, and gamma_i is rho(u_i) gamma
+    n = len(tree.vectors)
+    mu = {s: DenseMatrix._from_vectors(field, tree.images[s], n) for s in a.alphabet}
+    gamma = _marked(DenseMatrix._from_vectors(field, tree.vectors, a.dim)._times_col(a._raw_gamma))
+    return WeightedAutomaton(field, a.alphabet, [int(i == 0) for i in range(n)], mu, gamma)
 
 
 def direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:

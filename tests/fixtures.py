@@ -8,11 +8,12 @@ with s1 fixing A and swapping B, C and s2 swapping A, B and fixing C.
 The sum F = A+B+C spans the invariant line inside span{A, B, C}.
 """
 
+import itertools
 import random
 
 from cyclomod import GF2, QQ
 from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.perms import left_translation_action, symmetric_group
+from cyclomod.perms import PermutationPresentation
 from cyclomod.wfa import WeightedAutomaton
 
 
@@ -70,29 +71,47 @@ def compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def s3_elements():
-    """All six permutations of {0,1,2} in lexicographic order."""
-    return [
-        (0, 1, 2),
-        (0, 2, 1),
-        (1, 0, 2),
-        (1, 2, 0),
-        (2, 0, 1),
-        (2, 1, 0),
-    ]
+def symmetric_group(k):
+    """All permutations of {0..k-1} in lexicographic order."""
+    return list(itertools.permutations(range(k)))
+
+
+def generated_group(generators):
+    """The group of permutations the generators generate, in lexicographic order."""
+    identity = tuple(range(len(generators[0])))
+    elements, queue = {identity}, [identity]
+    for g in queue:
+        for s in generators:
+            h = compose(s, g)
+            if h not in elements:
+                elements.add(h)
+                queue.append(h)
+    return sorted(elements)
+
+
+def regular_presentation(elements, generator_indices):
+    """Left translation by elements[i], i in generator_indices, on the element list.
+
+    Generator k is labelled s{k+1}; it sends basis vector j to the index
+    of elements[i] o elements[j], so the list must be closed under it.
+    """
+    index = {g: j for j, g in enumerate(elements)}
+    return PermutationPresentation(len(elements), [
+        (f"s{k + 1}", tuple(index[compose(elements[i], g)] for g in elements))
+        for k, i in enumerate(generator_indices)
+    ])
+
+
+def regular_module(field, elements, generator_indices):
+    """The module of regular_presentation over field, generated by e_0."""
+    p = regular_presentation(elements, generator_indices)
+    action = AlgebraAction.from_permutations(field, [(s, p.generators[s]) for s in p.labels], p.degree)
+    return orbit_basis(action, [1] + [0] * (p.degree - 1))
 
 
 def s3_regular_action():
-    """Left translation by s1 = (0 1), s2 = (1 2) on the six group elements."""
-    elements = s3_elements()
-    index = {g: i for i, g in enumerate(elements)}
-    mats = []
-    for gen in [(1, 0, 2), (0, 2, 1)]:
-        rows = [[0] * 6 for _ in range(6)]
-        for j, g in enumerate(elements):
-            rows[index[compose(gen, g)]][j] = 1
-        mats.append(rows)
-    return AlgebraAction(QQ, [("s1", mats[0]), ("s2", mats[1])])
+    """Left translation by s1 = (0 1), s2 = (1 2) on the six elements of S3, in lexicographic order."""
+    return regular_presentation(symmetric_group(3), [2, 1]).action()
 
 
 def regular_s4_module(field):
@@ -101,9 +120,7 @@ def regular_s4_module(field):
     The generators are left translation by (0 1) and by the 4-cycle.
     """
     elements = symmetric_group(4)
-    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
-    action = AlgebraAction.from_permutations(field, [(s, s4.generators[s]) for s in s4.labels], 24)
-    return orbit_basis(action, [1] + [0] * 23)
+    return regular_module(field, elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
 
 
 def unimodular_pair(rng, d):

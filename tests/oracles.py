@@ -25,7 +25,9 @@ boxed_mul, boxed_apply, boxed_apply_row) runs the same eliminations
 entry by entry on FieldScalars: the reference the raw-value kernel in
 linalg must match entry for entry.  boxed_covering_tree is the
 two-pass covering tree on that kernel, the reference for the one-pass
-raw wfa.covering_tree behind orbit_basis and the automaton reductions.  The boxed polynomial arithmetic
+raw wfa.covering_tree behind orbit_basis, and boxed_minimize, right
+reduction then left reduction on it, the reference for wfa.minimize.
+The boxed polynomial arithmetic
 (boxed_poly_*) is the same for the raw coefficient helpers in
 polynomials.
 """
@@ -45,11 +47,11 @@ from cyclomod.linalg import (
     _qvector,
     _read_lanes,
     _unit,
-    _unpack,
     rref,
 )
 from cyclomod.perms import PermutationPresentation
 from cyclomod.polynomials import Polynomial
+from cyclomod.wfa import WeightedAutomaton
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +507,7 @@ def basis_rows(solver):
     """The reduced echelon basis of a SpanSolver's span, one row per kept row, in the order they were kept."""
     p, n = solver._p, solver.length
     if p == 2:
-        rows = [_unpack(r & solver._vector_bits, n) for r in solver._rows.values()]
+        rows = [_read_lanes(2, r & solver._vector_bits, 1, n) for r in solver._rows.values()]
     elif p:
         rows = [_read_lanes(p, r & solver._vector_bits, solver._width, n) for r in solver._rows]
     else:
@@ -814,6 +816,34 @@ def boxed_covering_tree(field, length, root, labels, step):
         i += 1
     images = {label: [solver.coordinates(v) for v in successors[label]] for label in labels}
     return words, vectors, images, solver
+
+
+def _boxed_dot(field, u, v):
+    return sum((a * b for a, b in zip(u, v)), field.zero())
+
+
+def boxed_minimize(a):
+    """The minimal automaton of a by right reduction, then left reduction, on the boxed kernel.
+
+    Right: the tree of gamma under v -> mu(s) v keeps columns c_j; the
+    reduced automaton has lambda'_j = lambda c_j, mu'(s) with the
+    coordinates of mu(s) c_j in column j, and gamma' the coordinates of
+    gamma.  Left: the tree of lambda' under x -> x mu'(s) keeps rows r_i;
+    the result has lambda'' the coordinates of lambda', mu''(s) with the
+    coordinates of r_i mu'(s) in row i, and gamma''_i = r_i gamma'.
+    """
+    field, labels = a.field, a.alphabet
+    _, columns, right, solver = boxed_covering_tree(
+        field, a.dim, a.gamma, labels, lambda s, v: boxed_apply(a.mu[s], v)
+    )
+    lam = [_boxed_dot(field, c, a.lam) for c in columns]
+    gamma = solver.coordinates(a.gamma)
+    # (x mu'(s))_j is x times column j of mu'(s), the coordinates of mu(s) c_j
+    _, rows, left, solver = boxed_covering_tree(
+        field, len(columns), lam, labels, lambda s, x: [_boxed_dot(field, x, c) for c in right[s]]
+    )
+    mu = {s: [list(r) for r in left[s]] for s in labels}
+    return WeightedAutomaton(field, labels, solver.coordinates(lam), mu, [_boxed_dot(field, r, gamma) for r in rows])
 
 
 def boxed_mul(a, b):

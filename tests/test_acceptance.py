@@ -14,15 +14,18 @@ from cyclomod.decompose import check_report, complete_decomposition
 from cyclomod.endo import compute_end
 from cyclomod.linalg import DenseMatrix, SpanSolver
 from cyclomod.modules import AlgebraAction, orbit_basis
-from cyclomod.perms import (
-    PermutationPresentation,
-    left_translation_action,
-    permutation_module,
-    symmetric_group,
-)
+from cyclomod.perms import PermutationPresentation, permutation_module
 from cyclomod.wfa import WeightedAutomaton, equivalent, minimize
 
-from fixtures import F_VEC, G, anf_vector, s3_anf_action, swap_invariant_module
+from fixtures import (
+    F_VEC,
+    G,
+    anf_vector,
+    regular_presentation,
+    s3_anf_action,
+    swap_invariant_module,
+    symmetric_group,
+)
 from oracles import (
     all_words,
     count_idempotents_brute,
@@ -221,7 +224,7 @@ def test_06_rational_permutation_modules():
     assert line[0] == line[1] == line[2] != 0
 
     elements = symmetric_group(3)
-    pres = left_translation_action(elements, [elements.index((1, 0, 2)), elements.index((0, 2, 1))])
+    pres = regular_presentation(elements, [elements.index((1, 0, 2)), elements.index((0, 2, 1))])
     m6 = permutation_module(pres, tuple(QQ.scalar(c) for c in (1, 0, 0, 0, 0, 0)))
     report6 = complete_decomposition(m6)
     check_report(report6)
@@ -259,7 +262,7 @@ def krull_schmidt_corpus():
     nat = PermutationPresentation(3, [("s1", [1, 0, 2]), ("s2", [0, 2, 1])]).action()
     corpus.append((QQ, [("s1", nat.matrices["s1"]), ("s2", nat.matrices["s2"])], (1, 0, 0)))
     elements = symmetric_group(3)
-    reg = left_translation_action(elements, [2, 1]).action()
+    reg = regular_presentation(elements, [2, 1]).action()
     corpus.append((QQ, [("s1", reg.matrices["s1"]), ("s2", reg.matrices["s2"])], (1, 0, 0, 0, 0, 0)))
 
     rng = random.Random(1729)

@@ -20,15 +20,16 @@ from cyclomod.decompose import (
     decompose_once,
 )
 from cyclomod.boolfn import parse_anf, sn_action
-from cyclomod.perms import left_translation_action, permutation_module, symmetric_group
 from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
     F_VEC,
+    regular_presentation,
     regular_s4_module,
     s3_natural_action,
     s3_regular_action,
     swap_invariant_module,
+    symmetric_group,
     unimodular_pair,
 )
 
@@ -356,13 +357,9 @@ def _split_corpus():
     yield GF2, swap_invariant_module()
     yield GF2, orbit_basis(sn_action(5), parse_anf("x1*x2*x3 + x4*x5", 5).vector())
     yield QQ, orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0))
-    elements = symmetric_group(4)
-    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
-    yield QQ, permutation_module(s4, [1] + [0] * 23)
-    for field in (GF2, gf(3)):
-        # regular S4 in characteristics dividing its order
-        action = AlgebraAction.from_permutations(field, [(s, s4.generators[s]) for s in s4.labels], 24)
-        yield field, orbit_basis(action, [1] + [0] * 23)
+    # regular S4 over Q, and in the characteristics dividing its order
+    for field in (QQ, GF2, gf(3)):
+        yield field, regular_s4_module(field)
     rng = random.Random(6007)
     for field in (GF2, gf(3), QQ):
         lo, hi = (-1, 1) if field.characteristic == 0 else (0, field.characteristic - 1)
@@ -427,10 +424,10 @@ def _group_action(group, field):
             presentation = presentation_from_json(json.load(handle))
     elif group == "Dic3":
         elements = _dicyclic_elements(3)
-        presentation = left_translation_action(elements, [1, 6])
+        presentation = regular_presentation(elements, [1, 6])
     elif group == "S3":
         # left translation by (1, 0, 2) and (1, 2, 0)
-        presentation = left_translation_action(symmetric_group(3), [2, 3])
+        presentation = regular_presentation(symmetric_group(3), [2, 3])
     else:
         return regular_s4_module(field).action, 24
     gens = [(s, presentation.generators[s]) for s in presentation.labels]

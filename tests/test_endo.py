@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _unit, _unpack, rref, stable_power
+from cyclomod.linalg import DenseMatrix, _read_lanes, _unit, rref, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
@@ -30,7 +30,7 @@ from cyclomod.endo import (
     find_splitting_element,
     verify_certificate,
 )
-from cyclomod.perms import left_translation_action, permutation_module, symmetric_group
+from cyclomod.perms import permutation_module
 from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
@@ -38,12 +38,14 @@ from fixtures import (
     int_mul,
     multiquadratic_module,
     quaternion_module,
+    regular_presentation,
     regular_s4_module,
     unimodular_pair,
     s3_anf_action,
     s3_regular_action,
     swap_invariant_module,
     s3_natural_action,
+    symmetric_group,
     G,
     F_VEC,
 )
@@ -1241,7 +1243,7 @@ def test_spun_commutant_equals_general_solve():
     # restricted matrices with denominators: the Q spin runs on integer rows over one denominator
     fractional = _fractional_modules(rng, 20)
     elements = symmetric_group(4)
-    s4 = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    s4 = regular_presentation(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
     g = [0] * 24
     g[elements.index((0, 1, 2, 3))], g[elements.index((1, 0, 2, 3))] = 1, -1
     top = permutation_module(s4, g)
@@ -1267,7 +1269,7 @@ def _gathered(r, u):
     terms = [[(l, c) for l, c in enumerate(row) if c] for row in r._raw]
     out = list(endo._gather_plan(p, terms)(u._lines(False)[0] if p == 2 else u._raw, u.cols))
     if p == 2:
-        return DenseMatrix._from_raw(field, [_unpack(x, u.cols) for x in out], u.cols)
+        return DenseMatrix._from_raw(field, [_read_lanes(2, x, 1, u.cols) for x in out], u.cols)
     if p:
         return DenseMatrix._from_raw(field, out, u.cols)
     return DenseMatrix._from_ints(field, out, r._den * u._den, u.cols)
@@ -1322,7 +1324,7 @@ def test_commutant_takes_two_spins_and_one_kernel(monkeypatch):
     s4 = regular_s4_module(QQ)
     modules += [s4, *complete_decomposition(s4).summands]
     elements = symmetric_group(4)
-    action = left_translation_action(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
+    action = regular_presentation(elements, [elements.index((1, 0, 2, 3)), elements.index((1, 2, 3, 0))])
     g = [0] * 24
     g[elements.index((0, 1, 2, 3))], g[elements.index((1, 0, 2, 3))] = 1, -1
     top = permutation_module(action, g)

@@ -1,22 +1,19 @@
-"""Permutation presentations, translation actions, and Maschke spot checks."""
+"""Permutation presentations, regular modules of small groups, and Maschke spot checks."""
 
 import itertools
 import random
+from math import lcm
 
 import pytest
 
-from cyclomod import QQ
+from cyclomod import QQ, gf
 from cyclomod.linalg import DenseMatrix, SpanSolver, rref
 from cyclomod.decompose import complete_decomposition, check_report
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import report_to_json, to_text
-from cyclomod.perms import (
-    PermutationPresentation,
-    compose,
-    left_translation_action,
-    permutation_module,
-    symmetric_group,
-)
+from cyclomod.perms import PermutationPresentation, permutation_module
+
+from fixtures import compose, generated_group, regular_module, regular_presentation, symmetric_group
 
 
 def s3_presentation():
@@ -125,7 +122,7 @@ def test_trivial_group_module():
 def test_left_translation_s3():
     elements = symmetric_group(3)
     gens = [elements.index((1, 0, 2)), elements.index((0, 2, 1))]
-    p = left_translation_action(elements, gens)
+    p = regular_presentation(elements, gens)
     assert p.degree == 6
     assert p.labels == ("s1", "s2")
     m = permutation_module(p, (1, 0, 0, 0, 0, 0))
@@ -138,7 +135,7 @@ def test_left_translation_s3():
 
 def test_left_translation_cyclic_three():
     elements = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    p = left_translation_action(elements, [1])
+    p = regular_presentation(elements, [1])
     assert p.degree == 3
     assert p.generators["s1"] == (1, 2, 0) or p.generators["s1"] == (2, 0, 1)
     m = permutation_module(p, (1, 0, 0))
@@ -150,22 +147,45 @@ def test_left_translation_cyclic_three():
 
 
 def test_left_translation_trivial_group():
-    p = left_translation_action([(0,)], [])
+    p = regular_presentation([(0,)], [])
     assert p.degree == 1
     assert p.labels == ()
 
 
-def test_closure_violation_witness():
-    elements = [(0, 1, 2), (1, 0, 2), (0, 2, 1)]
-    with pytest.raises(ValueError) as err:
-        left_translation_action(elements, [1])
-    assert "closure violation" in str(err.value)
-    with pytest.raises(ValueError):
-        left_translation_action(elements, [7])
-    with pytest.raises(ValueError):
-        left_translation_action([(0, 1), (0, 1)], [0])
-    with pytest.raises(ValueError):
-        left_translation_action([], [])
+# Generators as permutations, a prime p that does not divide |G| with
+# p = 1 mod the exponent of G, and the degrees chi(1) of the irreducible
+# characters (James and Liebeck, Representations and Characters of Groups)
+SPLITTING_FIELD_CASES = {
+    "S3": ([(1, 0, 2), (0, 2, 1)], 7, (1, 1, 2)),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 13, (1, 1, 2, 3, 3)),
+    "A4": ([(1, 2, 0, 3), (1, 0, 3, 2)], 13, (1, 1, 1, 3)),
+    "D4": ([(1, 2, 3, 0), (0, 3, 2, 1)], 5, (1, 1, 1, 1, 2)),
+    # left multiplication by i and j on 1, i, j, k, -1, -i, -j, -k
+    "Q8": ([(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)], 5, (1, 1, 1, 1, 2)),
+    "C7": ([(1, 2, 3, 4, 5, 6, 0)], 29, (1,) * 7),
+}
+
+
+def _order(g):
+    identity, h, k = tuple(range(len(g))), g, 1
+    while h != identity:
+        h, k = compose(g, h), k + 1
+    return k
+
+
+@pytest.mark.parametrize("group", list(SPLITTING_FIELD_CASES))
+def test_regular_module_over_a_splitting_field_has_the_character_degrees(group):
+    # GF(p) is then a splitting field of G and of characteristic prime to
+    # |G|, so the regular module is the sum, over the irreducible characters
+    # chi, of chi(1) copies of an absolutely simple module of dimension chi(1)
+    generators, p, degrees = SPLITTING_FIELD_CASES[group]
+    elements = generated_group(generators)
+    assert len(elements) == sum(d * d for d in degrees)
+    assert len(elements) % p and p % lcm(*map(_order, elements)) == 1
+    report = complete_decomposition(regular_module(gf(p), elements, [elements.index(g) for g in generators]))
+    check_report(report)
+    assert report.fully_decomposed
+    assert report.signature == tuple(sorted(d for d in degrees for _ in range(d)))
 
 
 def _height_one_vectors(d):

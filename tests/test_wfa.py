@@ -10,25 +10,9 @@ from cyclomod import GF2, QQ, gf
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.serialize import automaton_to_json, to_text
 from cyclomod.linalg import DenseMatrix
-from cyclomod.wfa import (
-    PrefixBasis,
-    WeightedAutomaton,
-    direct_sum,
-    equivalent,
-    left_reduce,
-    minimize,
-    right_reduce,
-    scale,
-)
+from cyclomod.wfa import WeightedAutomaton, direct_sum, equivalent, minimize, scale
 
-from oracles import (
-    all_words,
-    boxed_apply,
-    boxed_apply_row,
-    boxed_covering_tree,
-    hankel_rank,
-    naive_weight,
-)
+from oracles import all_words, boxed_apply, boxed_covering_tree, boxed_minimize, hankel_rank, naive_weight
 
 
 def counting_automaton():
@@ -92,36 +76,6 @@ def test_weight_matches_naive_oracle():
             a = build(field, ("a", "b"), raw)
             for w in all_words(("a", "b"), 3):
                 assert a.weight(w).value == naive_weight(p, *raw, w)
-
-
-def test_left_reduce_prefix_closed_unit_lambda():
-    rng = random.Random(907)
-    for field, p in [(GF2, 2), (gf(3), 3), (QQ, 0)]:
-        for _ in range(10):
-            raw = random_raw(rng, p, 4, ("a", "b"))
-            a = build(field, ("a", "b"), raw)
-            reduced, basis = left_reduce(a)
-            assert all(w[:-1] in basis.word_to_index for w in basis.words if w)
-            assert reduced.dim == len(basis)
-            if reduced.dim > 0:
-                assert basis.words[0] == ()
-                expected = [field.one()] + [field.zero()] * (reduced.dim - 1)
-                assert list(reduced.lam) == expected
-            # the reduction must preserve every word weight
-            for w in all_words(("a", "b"), 4):
-                assert reduced.weight(w).value == naive_weight(p, *raw, w)
-
-
-def test_right_reduce_suffix_closed():
-    rng = random.Random(908)
-    for _ in range(10):
-        raw = random_raw(rng, 2, 4, ("a", "b"))
-        a = build(GF2, ("a", "b"), raw)
-        reduced, basis = right_reduce(a)
-        kept = set(basis.words)
-        assert all(w[1:] in kept for w in basis.words if w)
-        for w in all_words(("a", "b"), 4):
-            assert reduced.weight(w).value == naive_weight(2, *raw, w)
 
 
 def test_minimize_counting():
@@ -213,18 +167,10 @@ def test_zero_automata():
     assert zero.dim == 0
     assert zero.weight("abba").value == 0
     dead_start = WeightedAutomaton(QQ, ("a",), [0, 0], {"a": [[0, 1], [1, 0]]}, [1, 1])
-    reduced, basis = left_reduce(dead_start)
-    assert reduced.dim == 0 and len(basis) == 0
+    assert minimize(dead_start).dim == 0
     dead_end = WeightedAutomaton(QQ, ("a",), [1, 1], {"a": [[0, 1], [1, 0]]}, [0, 0])
     assert minimize(dead_end).dim == 0
     assert equivalent(dead_end, WeightedAutomaton.zero(QQ, ("a",)))
-
-
-def test_prefix_basis_validation():
-    with pytest.raises(ValueError):
-        PrefixBasis([()], [])
-    b = PrefixBasis([(), ("a",)], [(1, 0), (0, 1)])
-    assert len(b) == 2 and b.word_to_index == {(): 0, ("a",): 1}
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,10 +195,6 @@ def _columns(m):
     return list(zip(*m.entries))
 
 
-def _boxed_dot(field, u, v):
-    return sum((a * b for a, b in zip(u, v)), field.zero())
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([GF2, gf(3), QQ]),
@@ -263,9 +205,9 @@ def _boxed_dot(field, u, v):
     st.randoms(use_true_random=False),
 )
 def test_covering_trees_match_the_two_pass_boxed_oracle(field, dim, letters, density, zero_root, rng):
-    # words, vectors and images of every covering-tree user against the
-    # boxed tree that reduces each successor with add and again with
-    # coordinates; density 0 gives zero generators, and zero_root a zero root
+    # words, vectors and images of orbit_basis against the boxed tree that
+    # reduces each successor with add and again with coordinates; density 0
+    # gives zero generators, and zero_root a zero root
     p = field.characteristic
 
     def entry():
@@ -280,27 +222,7 @@ def test_covering_trees_match_the_two_pass_boxed_oracle(field, dim, letters, den
 
     alphabet = ("a", "b")[:letters]
     mu = {s: DenseMatrix(field, [[entry() for _ in range(dim)] for _ in range(dim)], cols=dim) for s in alphabet}
-    lam, gamma = vector(), [field.scalar(entry()) for _ in range(dim)]
-    a = WeightedAutomaton(field, alphabet, lam, mu, gamma)
-
-    reduced, basis = left_reduce(a)
-    words, vectors, images, solver = boxed_covering_tree(
-        field, dim, lam, alphabet, lambda s, v: boxed_apply_row(mu[s], v)
-    )
-    assert basis.words == tuple(words) and basis.vectors == tuple(vectors)
-    assert all(list(reduced.mu[s].entries) == images[s] for s in alphabet)
-    assert reduced.lam == solver.coordinates(lam)
-    assert reduced.gamma == tuple(_boxed_dot(field, v, gamma) for v in vectors)
-
-    reduced, basis = right_reduce(WeightedAutomaton(field, alphabet, gamma, mu, lam))
-    words, vectors, images, solver = boxed_covering_tree(
-        field, dim, lam, alphabet, lambda s, v: boxed_apply(mu[s], v)
-    )
-    assert basis.words == tuple(tuple(reversed(w)) for w in words)
-    assert basis.vectors == tuple(vectors)
-    assert all(_columns(reduced.mu[s]) == images[s] for s in alphabet)
-    assert reduced.gamma == solver.coordinates(lam)
-    assert reduced.lam == tuple(_boxed_dot(field, v, gamma) for v in vectors)
+    lam = vector()
 
     m = orbit_basis(AlgebraAction(field, list(mu.items()), dim=dim), lam)
     words, vectors, images, _ = boxed_covering_tree(
@@ -339,8 +261,8 @@ def _text(a):
     st.randoms(use_true_random=False),
 )
 def test_minimize_is_right_then_left_reduction_to_the_byte(field, dim, alphabet, shape, rng):
-    # the Hankel-row minimization against the composition it replaced, which
-    # stays public: same kept words, same images, same JSON text
+    # the Hankel-row minimization against the composition it replaced, run
+    # entry by entry on FieldScalars: same kept words, same images, same JSON text
     if shape == "redundant":
         a = _random_automaton(field, (dim + 1) // 2, alphabet, rng)
         b = _random_automaton(field, dim // 2, alphabet, rng)
@@ -353,7 +275,7 @@ def test_minimize_is_right_then_left_reduction_to_the_byte(field, dim, alphabet,
             source = WeightedAutomaton(field, alphabet, zero, mu, source.gamma)
         elif shape == "zero gamma":
             source = WeightedAutomaton(field, alphabet, source.lam, mu, zero)
-    expected = left_reduce(right_reduce(source)[0])[0]
+    expected = boxed_minimize(source)
     assert _text(minimize(source)) == _text(expected)
 
 
