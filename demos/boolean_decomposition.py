@@ -48,6 +48,6 @@ for name, part in zip("ab", split.parts):
     print(f"  {name} = [" + " ".join(str(x) for x in part) + "]")
 
 # The action graph renders with graphviz:  dot -Tpng -o module.png
-dot = graph_to_dot(action_graph(m, NAMES), "module", gf2=True)
+dot = graph_to_dot(action_graph(m, NAMES), "module")
 print("\nDOT source of the module action graph:")
 print(dot)

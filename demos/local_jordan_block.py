@@ -3,12 +3,14 @@
 A single nilpotent Jordan block N acting on F^d is indecomposable, yet
 no element of its endomorphism algebra E = F[N]/N^d witnesses that on
 its own: every element is a unit or nilpotent, and every minimal
-polynomial is a power of one irreducible.  The search collects the
-nilpotent parts f(x) of the candidates it factors into an ideal J, here
-J = (N).  The "local" certificate names J and an element x whose
-minimal polynomial modulo J is irreducible of degree dim E - dim J;
-then E/J is a field, E is local, and the module cannot split.  The
-same certificate, checked the same way, serves over Q and over GF(2).
+polynomial is a power of one irreducible.  The search's Fitting scan
+keeps the nilpotent candidates it meets until they span a hyperplane J
+of E, here J = (N), and the verifier's one test finds J a nilpotent
+two-sided ideal.  Then E = F 1 + J, so E/J = F is a field generated by
+the identity, E is local, and the module cannot split.  The "local"
+certificate writes J as the first columns j e_0 of its basis and x, the
+identity, as null.  The same certificate, checked the same way, serves
+over Q and over GF(2).
 """
 
 from cyclomod import GF2, QQ
@@ -36,5 +38,5 @@ for field in (QQ, GF2):
     cert = report.certificates[0]
     print(f"  verdict: {cert.verdict} ({cert.mode})")
     print(f"  dim End = {cert.diagnostics['endo_dim']}, dim J = {len(cert.radical)}")
-# dim End = 4 and dim J = 3 over both fields: E/J is the prime field, so
-# the identity is the element x.
+# dim End = 4 and dim J = 3 over both fields: J is a hyperplane, E/J is the
+# prime field, and x is the identity, written null (cert.element is None).

@@ -53,9 +53,9 @@ def _emit(text: str, output: Optional[str]):
         raise ValueError(f"cannot write {output}: {err}") from None
 
 
-def _write_dot_files(directory: str, report, names, gf2: bool):
+def _write_dot_files(directory: str, report, names):
     blocks = [("module", report.module)] + [(f"summand_{k:02d}", b) for k, b in enumerate(report.summands)]
-    dots = [(name, graph_to_dot(action_graph(block, names), name, gf2=gf2)) for name, block in blocks]
+    dots = [(name, graph_to_dot(action_graph(block, names), name)) for name, block in blocks]
     try:
         os.makedirs(directory, exist_ok=True)
         for name, text in dots:
@@ -85,10 +85,10 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def _write_report(args, report, names, gf2: bool) -> int:
+def _write_report(args, report, names) -> int:
     """A decompose command's output: DOT files if asked for, then the JSON report or its signature lines."""
     if args.dot is not None:
-        _write_dot_files(args.dot, report, names, gf2)
+        _write_dot_files(args.dot, report, names)
     if args.cert_only:
         _emit(_summary_lines(report), args.output)
     else:
@@ -101,13 +101,13 @@ def cmd_decompose_bool(args) -> int:
     report = decompose_boolean(parse_anf(args.expr, args.n))
     # the monomials are named only where a report or a graph is written
     names = None if args.cert_only and args.dot is None else monomial_names(args.n)
-    return _write_report(args, report, names, gf2=True)
+    return _write_report(args, report, names)
 
 
 def cmd_decompose_perm(args) -> int:
     presentation = presentation_from_json(_read_json(args.input))
     g = _parse_generator_vector(args.generator, QQ, presentation.degree)
-    return _write_report(args, complete_decomposition(permutation_module(presentation, g)), None, gf2=False)
+    return _write_report(args, complete_decomposition(permutation_module(presentation, g)), None)
 
 
 def cmd_cert(args) -> int:

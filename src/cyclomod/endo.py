@@ -15,7 +15,9 @@ after compute_end is on that column: EndoAlgebra's coordinates (with one
 exact check of the whole matrix), the span and products of the ideal J,
 and the minimal polynomial of x modulo J, the first dependence among
 e_0, x e_0, x^2 e_0, ... modulo J e_0.  A column step is exact only for
-a matrix in E, so the verifier checks membership first.
+a matrix in E, so a certificate carries first columns and no matrix, and
+the verifier reads each one back into E, as the X in E with that first
+column, turning down a vector outside E e_0.
 
 The module decomposes exactly when the algebra holds an idempotent
 other than 0 and 1, and any element M that is neither nilpotent nor
@@ -42,8 +44,8 @@ the identity go once through _indecomposable_failure, the verifier's
 one test of an indecomposable certificate, which finds J a two-sided
 ideal (on first columns) and nilpotent or turns it down.  If it passes,
 the identity is not in J, so E = F 1 + J, E/J = F and E is local: a
-"local" certificate with the identity as x, and no minimal polynomial is
-tried.  In a local algebra with residue field F the nilpotent elements
+"local" certificate with x the identity, written None, and no minimal
+polynomial is tried.  In a local algebra with residue field F the nilpotent elements
 are exactly J, so the test passes once the nilpotent candidates span J:
 after about dim E rank tests on the Jordan blocks and on the local
 leaves of the boolean modules and of regular S4 and S5 over GF(2) and
@@ -62,9 +64,9 @@ by the same test as the hyperplane, once for each J), E/J is a field
 generated by x: the minimal polynomial of x modulo J divides
 f^k and has degree at most dim E/J = deg f, so it is f.  Then E is local
 and the module indecomposable.  With J = 0 the leaf is accepted on the
-factors the loop has just found, by the field predicate of the one test,
-_generates_quotient_field, where it cannot fail; with J != 0, by the
-one test itself.  This loop decides the fields, the local algebras whose
+factors the loop has just found: x is then the candidate just factored,
+and deg f = dim E leaves f its only factor; with J != 0, by the one test
+itself.  This loop decides the fields, the local algebras whose
 residue field is larger than F, and those whose nilpotent candidates
 span less than J.  When the list
 leaves E/J generated by no candidate, as for Q(sqrt 2, sqrt 3, sqrt 5)
@@ -79,19 +81,22 @@ irreducible.  Everything is exact; when the candidates run out the
 verdict is "undecided" ("candidates-exhausted"), never a guess.
 
 Every indecomposable certificate has one shape and one mode, "local":
-an element x, None standing for the identity, and a basis of a
-nilpotent two-sided ideal J, empty when J = 0, with E/J = F[x mod J] a
-field.  Then J is the radical, E is local and the module
-indecomposable.  The three exits, the one-dimensional shortcut, the
-J = 0 exit of the candidate loop and _local_certificate, all build their
-certificate through _indecomposable: the first once E = F, the second
-on the field predicate and the third on the one test.  So
+the first column x e_0 of an element x, None standing for the identity
+whatever J is, and the first columns j e_0 of a basis of a nilpotent
+two-sided ideal J, empty when J = 0, with E/J = F[x mod J] a field.
+Then J is the radical, E is local and the module indecomposable.  The
+three exits, the one-dimensional shortcut, the J = 0 exit of the
+candidate loop and _local_certificate, all build their certificate
+through _indecomposable: the first once E = F, the second on the
+factors at hand and the third on the one test, run on the
+certificate's own vectors.  So
 decompose_once checks no indecomposable certificate a second time;
 check_report re-checks every one with _indecomposable_failure, in full.
 
-A certificate carries only what its check reads: a split its two parts,
-a local leaf its x and J, an undecided leaf nothing.  The element whose
-stable power gave a split is not kept.
+A certificate carries only what its check reads, and no matrix: a
+split its two parts, a local leaf the first columns of x and of J's
+basis, an undecided leaf nothing.  The element whose stable power gave
+a split is not kept.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ from .linalg import (
     _pack_lanes,
     _part,
     _primitive,
+    _QVector,
     _qvector,
     _rank_form,
     _RawVector,
@@ -367,10 +373,10 @@ class Certificate:
 
     verdict: str                      # "decomposable" | "indecomposable" | "undecided"
     mode: str                         # one of _MODES[verdict]
-    element: Optional[DenseMatrix]    # indecomposable only: x, None for the identity
+    element: Optional[list]           # indecomposable only: x e_0 as a raw vector, None for the identity
     parts: Optional[tuple]            # decomposable only: raw module-coordinate vectors (a, b), a + b = e_0
     diagnostics: dict = dc_field(default_factory=dict)
-    radical: tuple = ()               # indecomposable only: basis matrices of J, empty when J = 0
+    radical: tuple = ()               # indecomposable only: j e_0 for each basis element j of J, empty when J = 0
 
 
 # the modes each verdict may carry, and its witness data
@@ -383,8 +389,9 @@ _WITNESS = {"decomposable": ("parts",), "indecomposable": ("element", "radical")
 
 
 def _indecomposable(element: Optional[DenseMatrix], radical: Sequence, diagnostics: dict) -> Certificate:
-    """The indecomposable certificate for x = element, None for the identity, and J = span(radical)."""
-    return Certificate("indecomposable", "local", element, None, diagnostics, tuple(radical))
+    """The indecomposable certificate for x = element, None for the identity, and J = span(radical), on first columns."""
+    x = None if element is None else _first_column(element)
+    return Certificate("indecomposable", "local", x, None, diagnostics, tuple(map(_first_column, radical)))
 
 
 def _dimension_one() -> Certificate:
@@ -578,7 +585,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # a nilpotent ideal of codimension 1 misses the identity, so
         # E = F 1 + J and E/J = F: E is local, and the identity generates E/J
         if len(radical) == hyperplane:
-            cert = _local_certificate(e, e.identity(), radical, dict(diagnostics, scanned=scanned))
+            cert = _local_certificate(e, None, radical, dict(diagnostics, scanned=scanned))
             if cert is not None:
                 return cert
     diagnostics["scanned"] = scanned
@@ -630,12 +637,8 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
         # dim E/J = deg f, so it is f: E/J = F[x mod J] is a field
         if best_degree != e.dim - len(ideal):
             continue
-        # with J = 0, best is this candidate (an earlier one would have ended
-        # the loop), and deg f = dim E leaves f its only factor, so the field
-        # predicate of the one test cannot turn it down here: it is called so
-        # that the search and verify_certificate accept a J = 0 leaf by one
-        # condition, read on the factors at hand
-        if not ideal and _generates_quotient_field(e, factors, ()):
+        # with J = 0, best is this candidate and deg f = dim E, so f is its only factor
+        if not ideal:
             return _indecomposable(best, (), diag)
         if nilpotent is None:
             cert = _local_certificate(e, best, ideal, dict(diagnostics, min_poly_tried=tried))
@@ -647,15 +650,15 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     return Certificate("undecided", "candidates-exhausted", None, None, diagnostics)
 
 
-def _local_certificate(e: EndoAlgebra, element: DenseMatrix, radical: list, diagnostics: dict) -> Optional[Certificate]:
-    """The certificate for x = element and J = span(radical), or None when _indecomposable_failure turns them down.
+def _local_certificate(e: EndoAlgebra, element: Optional[DenseMatrix], radical: list, diagnostics: dict) -> Optional[Certificate]:
+    """The certificate for x = element, None for the identity, and J = span(radical), or None when _indecomposable_failure turns it down.
 
     Both exits of the search with J != 0 end here, so no local
-    certificate is made that has not passed the verifier's one test.
+    certificate is made that has not passed the verifier's one test, on
+    the certificate's own vectors.
     """
-    if _indecomposable_failure(e, element, radical) is not None:
-        return None
-    return _indecomposable(element, radical, dict(diagnostics, radical_dim=len(radical)))
+    cert = _indecomposable(element, radical, dict(diagnostics, radical_dim=len(radical)))
+    return None if _indecomposable_failure(e, cert.element, cert.radical) is not None else cert
 
 
 def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) -> bool:
@@ -668,50 +671,54 @@ def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) 
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
 
 
-def _element_failure(e: EndoAlgebra, element, what: str = "certificate element") -> Optional[str]:
-    """Why element is not an n x n matrix over the field of E, or None when it is."""
-    n = e.module_dim
-    if not isinstance(element, DenseMatrix) or element.field != e.field:
-        return f"{what} is not a matrix over {e.field}"
-    if (element.rows, element.cols) != (n, n):
-        return f"{what} is {element.rows}x{element.cols}, expected {n}x{n}"
-    return None
+def _raw_vector(field, n: int, v) -> Optional[list]:
+    """v as a raw vector of length n over field, or None when it is not one.
+
+    A raw vector is taken as it is, so over Q it must be a raw Q vector.
+    """
+    try:
+        raw = _marked(_unbox(field, v))
+    except (TypeError, ValueError):
+        return None
+    return raw if len(raw) == n and (field.characteristic or isinstance(raw, _QVector)) else None
+
+
+def _read_element(e: EndoAlgebra, v) -> Optional[DenseMatrix]:
+    """The X in E with X e_0 = v, or None when v is not a vector of length n over E's field in E e_0."""
+    raw = _raw_vector(e.field, e.module_dim, v)
+    coords = None if raw is None else e._solver._coordinates(raw)
+    return None if coords is None else e.element(coords)
 
 
 def _indecomposable_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
     """The message of the first failed check that J is a nilpotent ideal and E/J = F[x mod J] a field.
 
-    x is element, None standing for the identity where J = 0, and J the
-    span of radical, 0 when it is empty.  None when every check passes:
-    then J is the radical and E is local, so the module is
-    indecomposable.  With J = 0 that says E = F[x] is a field, and E = F
-    when x is the identity.  Nothing about how J was found is trusted,
-    and no step depends on the field.  J is checked to lie in E, then to
+    element is x e_0, None standing for the identity, and radical the
+    vectors j e_0 of a basis of J, empty for J = 0.  Each vector is read
+    back into E, as the X in E with that first column, and must be one.
+    None when every check passes: then J is the radical and E is local,
+    so the module is indecomposable.  With J = 0 that says E = F[x] is a
+    field, and E = F when x is the identity.  Nothing about how J was
+    found is trusted, and no step depends on the field.  J is checked to
     be an ideal, on first columns, so that J is nilpotent when its basis
     is.  The search accepts a leaf with J != 0 only through this test,
     and verify_certificate re-checks every indecomposable certificate
     with it.
     """
     if not isinstance(radical, (tuple, list)):
-        return "radical is not a sequence of matrices"
-    x = e.identity() if element is None and not radical else element
-    failure = _element_failure(e, x)
+        return "radical is not a sequence of vectors"
+    x = e.identity() if element is None else _read_element(e, element)
+    if x is None:
+        return "certificate element is not X e_0 for an X in the endomorphism algebra"
+    ideal = [_read_element(e, j) for j in radical]
+    if any(j is None for j in ideal):
+        return "radical vector is not X e_0 for an X in the endomorphism algebra"
+    failure = _ideal_failure(e, ideal)
     if failure is not None:
         return failure
-    for j in radical:
-        failure = _element_failure(e, j, "radical matrix")
-        if failure is not None:
-            return failure
-        if not e.contains(j):
-            return "radical matrix is not in the endomorphism algebra"
-    failure = _ideal_failure(e, radical)
-    if failure is not None:
-        return failure
-    if not _nilpotent_span(radical):
+    if not _nilpotent_span(ideal):
         return "radical span is not nilpotent"
-    if not e.contains(x):
-        return "certificate element is not in the endomorphism algebra"
-    if not _generates_quotient_field(e, factor(_min_poly(x, radical)), radical):
+    if not _generates_quotient_field(e, factor(_min_poly(x, ideal)), ideal):
         return "element does not generate a field modulo the radical"
     return None
 
@@ -721,8 +728,9 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
 
     The verdict's mode must be one of _MODES[verdict], and the
     certificate may carry only its verdict's witness data, _WITNESS[verdict].
-    A malformed certificate (an element or a part of the wrong shape or
-    field) fails the check like any other wrong one.
+    A malformed certificate (an element, a radical vector or a part that
+    is no vector of length n over E's field) fails the check like any
+    other wrong one.
 
     A decomposable certificate's parts a and b must sum to the generator
     e_0 exactly.  Each part is spun under the restricted matrices; both
@@ -753,11 +761,10 @@ def verify_certificate(e: EndoAlgebra, cert: Certificate):
         raise RuntimeError("decomposable certificate is missing its parts")
     field, n = e.field, e.module_dim
     # unboxed once, and summed as the columns of one matrix; the spins step them on raw values
-    try:
-        parts = [_marked(_unbox(field, v)) for v in cert.parts]
-        total = DenseMatrix.from_columns(field, parts, rows=n)._times_col(_unbox(field, [1] * len(parts)))
-    except (TypeError, ValueError):
-        raise RuntimeError(f"a part is not a vector of length {n} over {field}") from None
+    parts = [_raw_vector(field, n, v) for v in cert.parts] if isinstance(cert.parts, (tuple, list)) else [None]
+    if None in parts:
+        raise RuntimeError(f"a part is not a vector of length {n} over {field}")
+    total = DenseMatrix.from_columns(field, parts, rows=n)._times_col(_unbox(field, [1] * len(parts)))
     if len(parts) != 2:
         raise RuntimeError(f"{len(parts)} parts, expected 2")
     if total != _unit(field.characteristic, n, 0):

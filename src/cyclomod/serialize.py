@@ -201,12 +201,12 @@ def certificate_to_json(cert: Certificate) -> dict:
     out = {
         "verdict": cert.verdict,
         "mode": cert.mode,
-        "element": None if cert.element is None else matrix_to_json(cert.element),
+        "element": None if cert.element is None else vector_to_json(cert.element),
         "parts": None if cert.parts is None else [vector_to_json(v) for v in cert.parts],
         "diagnostics": {k: cert.diagnostics[k] for k in sorted(cert.diagnostics)},
     }
     if cert.radical:
-        out["radical"] = [matrix_to_json(j) for j in cert.radical]
+        out["radical"] = [vector_to_json(j) for j in cert.radical]
     return out
 
 
@@ -320,14 +320,14 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def graph_to_dot(graph: ActionGraph, name: str = "module", gf2: bool = False) -> str:
-    """Deterministic DOT digraph; edge labels carry the generator name and,
-    away from GF(2), a ",<coeff>" suffix for coefficients other than 1."""
+def graph_to_dot(graph: ActionGraph, name: str = "module") -> str:
+    """Deterministic DOT digraph; edge labels carry the generator name and
+    a ",<coeff>" suffix for coefficients other than 1 (none over GF(2))."""
     lines = [f"digraph {name} {{"]
     for i, label in enumerate(graph.node_labels):
         lines.append(f'  n{i} [label="{_dot_escape(label)}"];')
     for j, i, gen, coeff in graph.edges:
-        if gf2 or coeff == 1:
+        if coeff == 1:
             text = gen
         else:
             text = f"{gen},{coeff}"

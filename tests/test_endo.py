@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _read_lanes, _unit, rref, stable_power
+from cyclomod.linalg import DenseMatrix, _RawVector, _read_lanes, _unit, rref, stable_power
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
@@ -417,8 +417,9 @@ def test_undecided_local_jordan_block():
     cert = find_splitting_element(e)
     assert cert.verdict == "indecomposable"
     assert cert.mode == "local"
-    assert cert.element == e.identity()
-    assert len(cert.radical) == 1 and _is_nilpotent(cert.radical[0])
+    assert cert.element is None
+    _, radical = _witness(e, cert)
+    assert len(radical) == 1 and _is_nilpotent(radical[0])
     assert "box_swept" not in cert.diagnostics
     verify_certificate(e, cert)
 
@@ -506,7 +507,7 @@ def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeyp
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert cert.diagnostics == {"endo_dim": 24, "scanned": 23, "radical_dim": 23}
     assert calls == {"stable_power": 1, "_rank_form": 22}
-    assert cert.element == e.identity() and len(cert.radical) == 23
+    assert cert.element is None and len(cert.radical) == 23
     verify_certificate(e, cert)
 
 
@@ -526,7 +527,8 @@ def test_nilpotent_span_agrees_with_the_chain_on_radicals_and_forged_ideals():
     for m in _jordan_blocks():
         e = compute_end(m)
         cert = find_splitting_element(e)
-        ideals = [list(cert.radical), list(cert.radical) + [e.identity()]]
+        _, radical = _witness(e, cert)
+        ideals = [radical, radical + [e.identity()]]
         lo, hi = (-2, 2) if e.field == QQ else (0, e.field.characteristic - 1)
         for _ in range(3):
             ideal = []
@@ -670,29 +672,34 @@ def test_search_turns_down_a_nilpotent_hyperplane_that_is_not_an_ideal(field, mo
     (lambda: multiquadratic_module([2, 3, 5]), False, True),
 ], ids=["jordan-gf2-24-hyperplane", "multiquadratic-dual-min-poly", "multiquadratic-field"])
 def test_each_local_test_runs_once_per_leaf(make, local, min_poly_loop, monkeypatch):
-    # the search accepts the leaf through the verifier's one test, and
-    # decompose_once does not run it a second time: a local leaf's ideal,
-    # nilpotency and field tests, and for J = 0 only the test's field
-    # predicate, on the factors the candidate loop has found
+    # the search accepts a leaf with J != 0 through the verifier's one test,
+    # and decompose_once does not run it a second time; a leaf with J = 0 is
+    # accepted on the factors the candidate loop has found, with no test at
+    # all.  verify_certificate, as check_report calls it, then runs the one
+    # test once more, in full
     calls = {"_ideal_failure": 0, "_nilpotent_span": 0, "_generates_quotient_field": 0, "factor": 0}
     for name in calls:
         def spy(*args, name=name, real=getattr(endo, name)):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(endo, name, spy)
-    cert, halves = decompose_once(make())
+    m = make()
+    cert, halves = decompose_once(m)
     assert halves is None and (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert bool(cert.radical) == local
     assert ("min_poly_tried" in cert.diagnostics) == min_poly_loop
     # one factorization per candidate tried, and the local test's one of the
     # element's minimal polynomial modulo J
     tried = cert.diagnostics.get("min_poly_tried", 0)
-    assert calls == {
+    search = {
         "_ideal_failure": local,
         "_nilpotent_span": local,
-        "_generates_quotient_field": 1,
+        "_generates_quotient_field": local,
         "factor": tried + local,
     }
+    assert calls == search
+    verify_certificate(compute_end(m), cert)
+    assert calls == {name: count + 1 for name, count in search.items()}
 
 
 def test_no_local_certificate_leaves_the_pipeline_unchecked(monkeypatch):
@@ -722,7 +729,8 @@ def test_ideal_test_agrees_with_the_all_basis_oracle():
         for leaf, cert in zip(report.summands, report.certificates):
             if cert.radical:
                 radicals += 1
-                assert _ideal_and_oracle(compute_end(leaf), list(cert.radical)) == (True, True)
+                e = compute_end(leaf)
+                assert _ideal_and_oracle(e, _witness(e, cert)[1]) == (True, True)
     assert radicals == 14
     rng = random.Random(24)
     for field in (GF2, gf(3), QQ):
@@ -751,7 +759,7 @@ def test_local_radical_is_the_trace_form_radical():
         e = compute_end(m)
         cert = find_splitting_element(e)
         assert cert.mode == "local" and cert.radical
-        flats = [[oracles.flat(j) for j in mats] for mats in (cert.radical, radical_char0(e))]
+        flats = [[oracles.flat(j) for j in mats] for mats in (_witness(e, cert)[1], radical_char0(e))]
         assert span_equal(QQ, *flats, e.module_dim ** 2)
 
 
@@ -789,41 +797,45 @@ def _local_forgery(e, cert, reason, **changes):
         verify_certificate(e, dataclasses.replace(cert, **changes))
 
 
+def _witness(e, cert):
+    """x and the basis of J read back into E from a certificate's first columns, x = 1 where it is None."""
+    x = e.identity() if cert.element is None else endo._read_element(e, cert.element)
+    return x, [endo._read_element(e, j) for j in cert.radical]
+
+
+def _malformed(v):
+    """Entries that are no raw vector of v's length over GF(2): short, long, no sequence, and wrong scalars."""
+    wrong = [v[:-1], tuple(v) + (0,), 7, tuple(gf(3).scalar(x) for x in v)]
+    return wrong + [(bad,) + tuple(v[1:]) for bad in (Fraction(1, 2), 0.5, None, "x")]
+
+
 def test_verify_certificate_rejects_forged_local():
     e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
     cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode) == ("indecomposable", "local")
+    assert (cert.verdict, cert.mode, cert.element) == ("indecomposable", "local", None)
     verify_certificate(e, cert)
-    nil = cert.radical[0]
-    # a radical matrix outside E
-    outside = DenseMatrix(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    assert not e.contains(outside)
-    _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=(nil, outside))
+    column = endo._first_column
+    _, radical = _witness(e, cert)
+    nil = column(radical[0])
     # not an ideal: the square of a generator of J falls outside its line
-    gen = next(j for j in cert.radical if not (j * j).is_zero())
-    _local_forgery(e, cert, "not a two-sided ideal", radical=(gen,))
+    gen = next(j for j in radical if not (j * j).is_zero())
+    _local_forgery(e, cert, "not a two-sided ideal", radical=(column(gen),))
     # not nilpotent: J = E contains the identity
-    _local_forgery(e, cert, "not nilpotent", radical=e.basis)
+    _local_forgery(e, cert, "not nilpotent", radical=tuple(map(column, e.basis)))
     # an empty radical: x = 1 with J = 0, whose minimal polynomial t - 1 has
     # degree 1, not dim E = 3; and a radical that is no sequence at all
     _local_forgery(e, cert, "does not generate a field", radical=())
-    _local_forgery(e, cert, "radical is not a sequence of matrices", radical=None)
-    # dependent radical matrices
+    _local_forgery(e, cert, "radical is not a sequence of vectors", radical=None)
+    # dependent radical vectors
     _local_forgery(e, cert, "linearly dependent", radical=(nil, nil))
     # J = (N^2) is a nilpotent ideal, but E/J = Q[N]/N^2 is no field:
     # N modulo J has minimal polynomial t^2, reducible ...
-    square = (gen * gen,)
-    _local_forgery(e, cert, "does not generate a field", radical=square, element=gen)
-    # ... and the identity modulo J has degree 1, not dim E/J = 2
-    _local_forgery(e, cert, "does not generate a field", radical=square, element=e.identity())
-    # no element, or an element outside E: None stands for the identity only where J = 0
-    _local_forgery(e, cert, "certificate element is not a matrix", element=None)
-    _local_forgery(e, cert, "certificate element is not in", element=outside)
-    # radical matrices of the wrong shape or over another field
-    _local_forgery(e, cert, "radical matrix is 2x2", radical=(nil, DenseMatrix.zeros(QQ, 2, 2)))
-    foreign = DenseMatrix.zeros(GF2, 3, 3)
-    _local_forgery(e, cert, "radical matrix is not a matrix over QQ", radical=(nil, foreign))
-    _local_forgery(e, cert, "radical matrix is not a matrix", radical=(nil, "not a matrix"))
+    square = (column(gen * gen),)
+    _local_forgery(e, cert, "does not generate a field", radical=square, element=column(gen))
+    # ... and the identity modulo J, written as null or as e_0, has degree 1,
+    # not dim E/J = 2: null stands for the identity whatever J is
+    _local_forgery(e, cert, "does not generate a field", radical=square, element=None)
+    _local_forgery(e, cert, "does not generate a field", radical=square, element=_unit(0, 3, 0))
     # an undecided certificate may not carry a radical
     _local_forgery(
         e, cert, "undecided certificate carries witness data: radical",
@@ -838,9 +850,26 @@ def test_verify_certificate_rejects_forged_local():
     )
 
 
+def test_a_null_element_is_the_identity_whatever_j():
+    # x = None is the identity, which generates E/J exactly when E/J = F,
+    # that is when J is a hyperplane of E: the Jordan block's certificate
+    e = compute_end(conjugated_jordan_module(QQ, 4, seed=4))
+    cert = find_splitting_element(e)
+    assert cert.element is None and len(cert.radical) == e.dim - 1
+    verify_certificate(e, cert)
+    # E/J = Q(i) has degree 2: the certificate passes with its own x and
+    # is turned down with x = None
+    e = compute_end(rotation_block_module())
+    cert = find_splitting_element(e)
+    assert cert.element is not None and len(cert.radical) == e.dim - 2
+    verify_certificate(e, cert)
+    _local_forgery(e, cert, "element does not generate a field modulo the radical", element=None)
+
+
 def test_verify_certificate_rejects_an_indecomposable_mode_other_than_local():
-    # every indecomposable certificate is "local", whatever its shape: J != 0,
-    # or J = 0 with x the identity (None) or an element generating E; the
+    # every indecomposable certificate is "local", whatever its shape: J != 0
+    # with x the identity (None), or J = 0 with x the identity or an element
+    # generating E; the
     # retired shape labels and any other mode are turned down by the one
     # mode table, before the one test
     local_e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
@@ -850,14 +879,14 @@ def test_verify_certificate_rejects_an_indecomposable_mode_other_than_local():
     line_e = compute_end(orbit_basis(s3_natural_action(), (1, -1, 0)))
     scalar = find_splitting_element(line_e)
     shapes = [(bool(c.radical), c.element is None) for c in (local, field, scalar)]
-    assert shapes == [(True, False), (False, False), (False, True)]
+    assert shapes == [(True, True), (False, False), (False, True)]
     for e, cert in ((local_e, local), (field_e, field), (line_e, scalar)):
         assert (cert.verdict, cert.mode) == ("indecomposable", "local")
         verify_certificate(e, cert)
         for mode in ("dimension-1", "field-generated", "trust-me"):
             _local_forgery(e, cert, f"mode '{mode}' is not one of the indecomposable modes", mode=mode)
-    # the identity on End = F passes as x, written as a matrix
-    verify_certificate(line_e, dataclasses.replace(scalar, element=line_e.identity()))
+    # the identity on End = F passes as x, written as its first column e_0
+    verify_certificate(line_e, dataclasses.replace(scalar, element=_unit(0, 2, 0)))
 
 
 def test_verify_certificate_rejects_idempotent_radical():
@@ -870,7 +899,7 @@ def test_verify_certificate_rejects_idempotent_radical():
     (_, u), = e.action_mats
     idem = u - e.identity()
     assert idem * idem == idem and e.contains(idem)
-    forged = Certificate("indecomposable", "local", e.identity(), None, radical=(idem,))
+    forged = Certificate("indecomposable", "local", None, None, radical=(endo._first_column(idem),))
     with pytest.raises(RuntimeError, match="not nilpotent"):
         verify_certificate(e, forged)
 
@@ -911,11 +940,16 @@ def test_verify_certificate_rejects_forged_indecomposable():
     action = AlgebraAction(QQ, [("u", [[1, 0], [0, 2]])])
     e = compute_end(orbit_basis(action, (1, 1)))
     assert e.dim == 2
-    # x^2 - 2 is irreducible of degree dim E, but the element is not in E
+    # [[0, 2], [1, 0]] is outside E, with x^2 - 2 irreducible of degree dim E,
+    # but a certificate can only write its first column (0, 1), which the
+    # verifier reads as the X in E with X e_0 = (0, 1).  Every vector of Q^2
+    # is X e_0 for one X in E, diagonal on the two lines, and none generates
+    # a field
     outside = DenseMatrix(QQ, [[0, 2], [1, 0]])
     assert not e.contains(outside)
-    with pytest.raises(RuntimeError, match="certificate element is not in the endomorphism algebra"):
-        verify_certificate(e, Certificate("indecomposable", "local", outside, None))
+    for v in (endo._first_column(outside), [1, 0], [1, 1], [2, -1], [Fraction(1, 2), 3]):
+        with pytest.raises(RuntimeError, match="element does not generate a field modulo the radical"):
+            verify_certificate(e, Certificate("indecomposable", "local", v, None))
     with pytest.raises(RuntimeError, match="mode 'trust-me' is not one of the indecomposable modes"):
         verify_certificate(e, Certificate("indecomposable", "trust-me", None, None))
 
@@ -928,35 +962,31 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
     assert cert.verdict == "decomposable"
     a, b = cert.parts
     malformed = "a part is not a vector of length 3 over GF\\(2\\)"
-    for short in (a[:-1], tuple(a) + (0,), 7):
+    for bad in _malformed(a):
         with pytest.raises(RuntimeError, match=malformed):
-            verify_certificate(e, Certificate("decomposable", cert.mode, None, (short, b)))
-    foreign = tuple(gf(3).scalar(x) for x in a)
-    with pytest.raises(RuntimeError, match=malformed):
-        verify_certificate(e, Certificate("decomposable", cert.mode, None, (foreign, b)))
-    # entries that are no value of the field at all
-    for bad in (Fraction(1, 2), 0.5, None, "x"):
-        odd = (bad,) + tuple(a[1:])
-        with pytest.raises(RuntimeError, match=malformed):
-            verify_certificate(e, Certificate("decomposable", cert.mode, None, (odd, b)))
+            verify_certificate(e, Certificate("decomposable", cert.mode, None, (bad, b)))
     # a single vector is no pair of parts, and neither is a sequence of one or three
     with pytest.raises(RuntimeError, match=malformed):
         verify_certificate(e, Certificate("decomposable", cert.mode, None, a))
     for count in ((a,), (a, b, b)):
         with pytest.raises(RuntimeError, match=f"{len(count)} parts, expected 2"):
             verify_certificate(e, Certificate("decomposable", cert.mode, None, count))
+    # the same entries as x and as one radical vector of a local certificate
+    jordan = compute_end(conjugated_jordan_module(GF2, 4, seed=4))
+    local = find_splitting_element(jordan)
+    assert local.radical
+    verify_certificate(jordan, local)
+    for bad in _malformed(local.radical[0]):
+        _local_forgery(jordan, local, "certificate element is not X e_0", element=bad)
+        _local_forgery(jordan, local, "radical vector is not X e_0", radical=(bad,) + local.radical[1:])
+    # over Q: x written as a matrix, or over GF(2), as scalars or as raw
+    # values, which carry no field; and a part of raw GF(2) values
     line = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
-    assert line.dim == 2
-    with pytest.raises(RuntimeError, match="3x3, expected 2x2"):
-        verify_certificate(
-            line,
-            Certificate("indecomposable", "local", DenseMatrix.identity(QQ, 3), None),
-        )
-    with pytest.raises(RuntimeError, match="not a matrix over QQ"):
-        verify_certificate(
-            line,
-            Certificate("indecomposable", "local", DenseMatrix.identity(GF2, 2), None),
-        )
+    for bad in (DenseMatrix.identity(QQ, 2), (GF2.one(), GF2.zero()), _RawVector([1, 1])):
+        with pytest.raises(RuntimeError, match="certificate element is not X e_0"):
+            verify_certificate(line, Certificate("indecomposable", "local", bad, None))
+    with pytest.raises(RuntimeError, match="a part is not a vector of length 2 over QQ"):
+        verify_certificate(line, Certificate("decomposable", "fitting-scan", None, (_RawVector([1, 0]), [0, 0])))
 
 
 def test_verify_certificate_rejects_each_forged_split():
@@ -1062,10 +1092,10 @@ def test_verify_certificate_rejects_each_forged_indecomposable_verdict():
             verify_certificate(e, Certificate(*fields, None))
 
     # x = 1 with J = 0: the identity is in E, but its minimal polynomial t - 1
-    # has degree 1, not dim E = 2, whether x is written as None or as a matrix
+    # has degree 1, not dim E = 2, whether x is written as None or as e_0
     rejects("element does not generate a field modulo the radical", "indecomposable", "local", None)
     rejects("mode 'field-generated' is not one of the indecomposable modes", "indecomposable", "field-generated", None)
-    rejects("element does not generate a field modulo the radical", "indecomposable", "local", e.identity())
+    rejects("element does not generate a field modulo the radical", "indecomposable", "local", _unit(0, 2, 0))
     rejects("unknown verdict 'maybe'", "maybe", "local", None)
 
 
@@ -1364,22 +1394,22 @@ def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
         assert not e.contains(forged)
 
 
-def test_verify_certificate_rejects_elements_that_only_agree_in_the_first_column():
-    # J = 0: the rotation module, E = Q[i] generated by x
-    e = compute_end(orbit_basis(AlgebraAction(QQ, [("u", [[0, -1], [1, 0]])]), (1, 0)))
+def test_verify_certificate_rejects_a_first_column_outside_e_e0():
+    # a local leaf over GF(2) with n = 6 and dim E = 3: E e_0 is a 3-dim
+    # subspace, and a vector outside it is X e_0 for no X in E, as x or as a
+    # radical vector
+    e = compute_end(orbit_basis(sn_action(4), parse_anf("x1*x2 + x3*x4 + x1*x3", 4).coeffs))
     cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode, cert.radical) == ("indecomposable", "local", ())
-    forged = dataclasses.replace(cert, element=_off_first_column(cert.element))
-    with pytest.raises(RuntimeError, match="certificate element is not in the endomorphism"):
-        verify_certificate(e, forged)
-    # J != 0: a conjugated Jordan block, in the element and in the radical
-    e = compute_end(conjugated_jordan_module(QQ, 3, seed=1))
-    cert = find_splitting_element(e)
-    assert (cert.verdict, cert.mode) == ("indecomposable", "local") and cert.radical
+    assert (cert.verdict, cert.mode, e.module_dim, e.dim) == ("indecomposable", "local", 6, 3)
+    assert cert.radical
     verify_certificate(e, cert)
-    _local_forgery(e, cert, "certificate element is not in", element=_off_first_column(cert.element))
-    radical = (_off_first_column(cert.radical[0]),) + tuple(cert.radical[1:])
-    _local_forgery(e, cert, "radical matrix is not in the endomorphism", radical=radical)
+    firsts = [endo._first_column(b) for b in e.basis]
+    outside = [v for v in (_unit(2, 6, i) for i in range(6)) if not span_equal(GF2, firsts + [v], firsts, 6)]
+    assert outside
+    for v in outside:
+        _local_forgery(e, cert, "certificate element is not X e_0 for an X in the endomorphism", element=v)
+        radical = (v,) + cert.radical[1:]
+        _local_forgery(e, cert, "radical vector is not X e_0 for an X in the endomorphism", radical=radical)
 
 
 def test_first_column_min_poly_equals_the_matrix_power_oracle():
@@ -1415,8 +1445,9 @@ def test_first_column_min_poly_modulo_every_local_radical():
         e = compute_end(m)
         cert = find_splitting_element(e)
         assert cert.mode == "local" and cert.radical
-        for x in [cert.element, *_scan_candidates(e)]:
-            assert _min_poly(x, cert.radical) == oracles.min_poly(x, cert.radical)
+        x, radical = _witness(e, cert)
+        for y in [x, *_scan_candidates(e)]:
+            assert _min_poly(y, radical) == oracles.min_poly(y, radical)
 
 
 def test_radical_semisimple_is_zero():

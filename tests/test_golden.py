@@ -79,8 +79,10 @@ CASES = {
     "decompose_perm_regular_q8": [
         "decompose-perm", "{golden}/regular_q8.json", "--generator", "1,0,0,0,0,0,0,0",
     ],
-    # a local certificate whose radical J has a basis of two matrices
+    # a local certificate whose radical J has a basis of two first columns, x the identity (null)
     "cert_bool_local_n4": ["cert", "--bool", "x1*x2 + x3*x4 + x1*x3", "-n", "4"],
+    # a local certificate with J = 0 and x not the identity: End = Q(omega), a field of degree 2
+    "cert_perm_cyclic_3_field": ["cert", "--perm", "{golden}/cyclic_3.json", "--generator=1,-1,0"],
     # the quaternion leaf of regular Q8, generated by 1 - x for the central involution x: undecided
     "cert_perm_regular_q8_quaternion": [
         "cert", "--perm", "{golden}/regular_q8.json", "--generator=1,0,0,0,-1,0,0,0",
@@ -177,11 +179,12 @@ def test_companion_over_q_min_poly_split_matches_golden_bytes():
 
 
 def golden_certificates():
-    """Every certificate in the JSON goldens, with the characteristic of its field.
+    """Every certificate in the JSON goldens, with the characteristic of its field and its module's dimension.
 
     Each cert output counts, and each report's leaves and splits.  A report
     names its field; a cert output does not, and is over GF(2) for --bool
-    and over Q for --perm.
+    and over Q for --perm.  The dimension is a report leaf's, and None for
+    a split, whose block is not written, and for a cert output.
     """
     certs = []
     for name in sorted(os.listdir(GOLDEN)):
@@ -191,25 +194,32 @@ def golden_certificates():
             text = handle.read()
         obj = json.loads(text) if text.startswith("{") else {}
         if "verdict" in obj:
-            certs.append((2 if name.startswith("cert_bool") else 0, obj))
+            certs.append((2 if name.startswith("cert_bool") else 0, None, obj))
         elif "split_certificates" in obj:
             p = int(obj["field"].removeprefix("p:"))
-            certs += [(p, c) for c in [leaf["certificate"] for leaf in obj["summands"]] + obj["split_certificates"]]
+            certs += [(p, leaf["dim"], leaf["certificate"]) for leaf in obj["summands"]]
+            certs += [(p, None, c) for c in obj["split_certificates"]]
     return certs
 
 
 def test_every_golden_certificate_carries_only_its_verdicts_witness():
-    # an indecomposable certificate is "local", its witness an element x,
-    # null for the identity, and a radical J, written only when J != 0; a
-    # decomposable one is its mode and two parts that sum to e_0, with a
-    # null element; an undecided one carries no witness at all
+    # an indecomposable certificate is "local", its witness the first column
+    # of an element x, null for the identity, and the first columns of a basis
+    # of a radical J, written only when J != 0; a decomposable one is its mode
+    # and two parts that sum to e_0, with a null element; an undecided one
+    # carries no witness at all.  Every witness is a flat list of scalar
+    # strings, as long as the module
     certs = golden_certificates()
     shapes = []
     others = []
-    for p, cert in certs:
+    for p, n, cert in certs:
         assert cert["mode"] in _MODES[cert["verdict"]]
         assert ("radical" in cert) <= (cert["verdict"] == "indecomposable")
         assert (cert["parts"] is not None) == (cert["verdict"] == "decomposable")
+        vectors = [cert["element"]] * (cert["element"] is not None) + cert.get("radical", []) + (cert["parts"] or [])
+        assert all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in vectors)
+        lengths = {len(v) for v in vectors}
+        assert len(lengths) <= 1 and (n is None or lengths <= {n})
         if cert["verdict"] == "indecomposable":
             shapes.append(("radical" in cert, cert["element"] is not None))
         else:
@@ -219,8 +229,8 @@ def test_every_golden_certificate_carries_only_its_verdicts_witness():
             total = [Fraction(a) + Fraction(b) for a, b in zip(*cert["parts"])]
             assert [x % p if p else x for x in total] == [1] + [0] * (len(total) - 1)
     # (J != 0, x not the identity): x = 1 with J = 0 on 21 leaves, a field
-    # generated by x on 2, and a nonzero radical on 4
-    assert sorted(shapes) == [(False, False)] * 21 + [(False, True)] * 2 + [(True, True)] * 4
+    # generated by x on 3, and x = 1 with a nonzero radical on 4
+    assert sorted(shapes) == [(False, False)] * 21 + [(False, True)] * 3 + [(True, False)] * 4
     assert sorted(others) == ["candidates-exhausted"] * 2 + ["fitting-scan"] * 22 + ["min-poly-split"]
 
 

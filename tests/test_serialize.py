@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomod.decompose import complete_decomposition
-from cyclomod.endo import compute_end, find_splitting_element
+from cyclomod.endo import _read_element, compute_end, find_splitting_element
 from cyclomod.fields import GF2, QQ, gf
 from cyclomod.linalg import DenseMatrix
 from cyclomod.modules import AlgebraAction, action_graph, graph_from_parts, orbit_basis
@@ -257,9 +257,10 @@ def test_only_certificates_with_a_nonzero_radical_write_one():
     assert local.mode == "local" and local.radical
     obj = certificate_to_json(local)
     assert list(obj)[-1] == "radical"
-    assert obj["radical"] == [
-        [[str(x.value) for x in row] for row in j.entries] for j in local.radical
-    ]
+    # J's basis travels as first columns, and x, the identity, as null
+    e = compute_end(jordan.module)
+    columns = [[str(row[0].value) for row in _read_element(e, j).entries] for j in local.radical]
+    assert obj["radical"] == columns and obj["element"] is None
     assert len(obj["radical"]) == 2
     assert json.loads(to_text(report_to_json(jordan)))["summands"][0]["certificate"] == obj
 
@@ -342,13 +343,13 @@ def test_every_json_golden_round_trips_through_to_text():
             continue
         assert to_text(obj) == text, name
         checked += 1
-    assert checked == 21
+    assert checked == 22
 
 
 def test_dot_output_for_swap_invariant_module():
     m = orbit_basis(s3_anf_action(), G)
     graph = action_graph(m, MONOMIALS)
-    text = graph_to_dot(graph, "module", gf2=True)
+    text = graph_to_dot(graph, "module")
     lines = text.splitlines()
     assert lines[0] == "digraph module {"
     assert lines[-1] == "}"
@@ -381,7 +382,7 @@ def test_dot_coefficient_suffix_over_q():
     )
     text = graph_to_dot(graph)
     assert ',2"' in text  # coefficient shown away from GF(2)
-    assert graph_to_dot(action_graph(report.module), gf2=False).count(",") >= 0
+    assert graph_to_dot(action_graph(report.module)).count(",") >= 0
 
 
 def test_dot_escapes_quotes():
