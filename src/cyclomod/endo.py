@@ -11,8 +11,8 @@ order; over Q no step here makes a Fraction, a minimal polynomial's
 coefficients included.
 
 An element X of E is fixed by its first column X e_0, and all work
-after compute_end is on that column: EndoAlgebra's coordinates (with one
-exact check of the whole matrix), the span and products of the ideal J,
+after compute_end is on that column: EndoAlgebra's membership test (with
+one exact check of the whole matrix), the span and products of the ideal J,
 and the minimal polynomial of x modulo J, the first dependence among
 e_0, x e_0, x^2 e_0, ... modulo J e_0.  A column step is exact only for
 a matrix in E, so a certificate carries first columns and no matrix, and
@@ -20,25 +20,27 @@ the verifier reads each one back into E, as the X in E with that first
 column, turning down a vector outside E e_0.
 
 The module decomposes exactly when the algebra holds an idempotent
-other than 0 and 1, and any element M that is neither nilpotent nor
+other than 0 and 1, and any element x that is neither nilpotent nor
 invertible yields a splitting by Fitting's lemma, so the search never
-needs the idempotent itself.  A Fitting certificate splits the module
-into the kernel and the image of the stable power M^(2^k), found by
-squaring until the rank stops falling (linalg.stable_power, read by
-_try_fitting), and carries only the two parts of the generator along
-that split, e_0 = a + b.  The verifier spins a and b and adds the orbit
-dimensions.
+needs the idempotent itself.  A split is read off a minimal polynomial
+f = g h of x with g and h coprime, found on first columns: the module is
+ker g(x) + ker h(x), and e(x), for e = s h with s h = 1 modulo g, is the
+projection onto ker g(x) (primary decomposition; Hoffman & Kunze,
+Linear Algebra, 6.8).  For f = t^k h with h(0) != 0 the two are the
+kernel and the image of x^n, Fitting's split.  A certificate carries
+only the two parts of the generator along it, a = e(x) e_0 and
+b = e_0 - a, and the verifier spins them and adds the orbit dimensions.
 
 find_splitting_element runs one search for every field over one fixed
 candidate list, the basis elements and their pairwise sums and
 differences: the one-dimensional shortcut, a Fitting scan of that list,
 then one loop over the same list, and a primitive-element step after
 it, that factors each candidate's minimal polynomial once.  The scan
-sorts a candidate into a Fitting witness, a unit or a nilpotent element
-by its stable power until it keeps a nilpotent one, then by one rank
-(linalg._rank_form): rank n for a unit, x^(r+1) e_0 = 0 for a nilpotent x
-of rank r < n.  Over Q neither reduces a unit: its rank is read on the
-fraction-free echelon, and its reduced form is the identity.
+sorts a candidate by one rank (linalg._rank_form), rank n for a unit;
+a singular x of rank r is nilpotent when x^(r+1) e_0 = 0, tested once a
+nilpotent candidate is kept, or when its minimal polynomial is t^k, and
+a Fitting witness otherwise.  Over Q a rank is read on the fraction-free
+echelon.
 The first time the nilpotent candidates span a hyperplane J of E, J and
 the identity go once through _indecomposable_failure, the verifier's
 one test of an indecomposable certificate, which finds J a two-sided
@@ -52,13 +54,11 @@ leaves of the boolean modules and of regular S4 and S5 over GF(2) and
 GF(3).  In any other algebra it fails, and the scan goes on as if it had
 not been made.
 
-In the candidate loop, when a minimal polynomial has two coprime
-primary factors, with f the first irreducible one, f(x) is nilpotent on
-the f-primary summand and invertible on the rest: a Fitting element
-whose stable power splits the module along those two
-("min-poly-split").  A power f^k with k > 1 makes f(x)
-nilpotent, and f(x) joins a two-sided ideal J, closed under
-multiplication by the basis.  Once some candidate's f has degree
+In the candidate loop, a minimal polynomial with two coprime primary
+factors splits the module as the scan does, with g = f^k for its first
+irreducible factor f and h the rest ("min-poly-split").  A power f^k
+with k > 1 makes f(x) nilpotent, and f(x) joins a two-sided ideal J,
+closed under multiplication by the basis.  Once some candidate's f has degree
 dim E - dim J and J is nilpotent (each basis matrix j has j^n e_0 = 0,
 by the same test as the hyperplane, once for each J), E/J is a field
 generated by x: the minimal polynomial of x modulo J divides
@@ -95,8 +95,8 @@ check_report re-checks every one with _indecomposable_failure, in full.
 
 A certificate carries only what its check reads, and no matrix: a
 split its two parts, a local leaf the first columns of x and of J's
-basis, an undecided leaf nothing.  The element whose stable power gave
-a split is not kept.
+basis, an undecided leaf nothing.  The element whose minimal polynomial
+gave a split is not kept.
 """
 
 from __future__ import annotations
@@ -112,14 +112,11 @@ from .linalg import (
     DenseMatrix,
     Echelon,
     SpanSolver,
-    Vector,
-    _box,
     _kernel_from_rref,
     _lowest_terms,
     _marked,
     _neg,
     _pack_lanes,
-    _part,
     _primitive,
     _QVector,
     _qvector,
@@ -132,17 +129,16 @@ from .linalg import (
     _unit,
     _unpack_columns,
     rref,
-    stable_power,
 )
 from .modules import CyclicModule
-from .polynomials import Polynomial, factor
+from .polynomials import Polynomial, _pmul, factor
 from .wfa import covering_tree
 
 
 class EndoAlgebra:
     """The commutant algebra, with coordinates over a fixed matrix basis.
 
-    An element X is fixed by its first column X e_0, so coordinates()
+    An element X is fixed by its first column X e_0, so _coordinates()
     solves for it over the basis' first columns, a solve of length
     module_dim, then checks exactly that the matrix is the combination
     found.  A basis with dependent first columns is turned down.
@@ -194,12 +190,8 @@ class EndoAlgebra:
         rows = [_sum_of_multiples(p, zip(factors, r), n) for r in zip(*[b._raw for _, b in terms])]
         return DenseMatrix._from_raw(field, rows, n) if p else DenseMatrix._from_ints(field, rows, coords.den * d, n)
 
-    def coordinates(self, mat: DenseMatrix) -> Optional[Vector]:
-        coords = self._coordinates(mat)
-        return None if coords is None else _box(self.field, coords)
-
     def _coordinates(self, mat: DenseMatrix) -> Optional[list]:
-        """coordinates() as raw values."""
+        """The raw coordinates of mat over the basis, or None when mat is not in E."""
         if (mat.rows, mat.cols) != (self.module_dim, self.module_dim):
             raise ValueError("matrix shape does not match the module")
         if mat.field != self.field:
@@ -417,35 +409,65 @@ def _scan_candidates(e: EndoAlgebra):
                 yield e.basis[i] - e.basis[j]
 
 
-def _try_fitting(e: EndoAlgebra, stable: tuple, diagnostics: dict, mode: str = "fitting-scan"):
-    """A Fitting certificate for an element of E that is neither nilpotent nor invertible.
+def _fitting_witness(e: EndoAlgebra, x: DenseMatrix, diagnostics: dict) -> Optional[Certificate]:
+    """The Fitting certificate of x, or None when x is nilpotent or a unit.
 
-    stable is stable_power of that element, whose rank the caller has
-    already read, so no power is formed here.  Its kernel K and image I
-    are read off its one reduced form: K from the free columns, I from
-    the columns of the power at the pivots.  Both are generator stable
-    because the element commutes with the action, they meet trivially
-    because the kernel and the image of a stable power always do, and by
-    rank-nullity they fill the module.  The certificate is the parts
-    e_0 = a + b along K + I, from one solve over K and I;
-    verify_certificate spins each part, whose orbit is its summand, and
-    adds their dimensions.
+    x has the minimal polynomial t^k h with h(0) != 0, nilpotent for h = 1
+    and a unit for k = 0; otherwise the split is ker x^k + ker h(x), the
+    kernel and the image of x^n.
     """
-    power, reduction = stable
+    f, krylov = _min_poly(x)
+    k = next(compress(range(f.degree), f._raw), f.degree)
+    if 0 < k < f.degree:
+        return _fitting_split(e, krylov, [0] * k + [1], f._raw[k:], diagnostics)
+    return None
+
+
+def _fitting_split(e: EndoAlgebra, krylov: list, g: list, h: list, diagnostics: dict, mode: str = "fitting-scan") -> Certificate:
+    """The certificate of the split ker g(x) + ker h(x), for x with minimal polynomial g h, g and h coprime.
+
+    g and h are raw coefficients, g monic; over Q integers, each standing
+    for its rational multiple, g the monic one.  krylov holds x^i e_0 for
+    i < deg g h.  The projection onto ker g(x) is e(x) for e = s h, with
+    s h = 1 modulo g, so s is read off one solve of length deg g: the
+    coordinates of 1 over the t^i h mod g, i < deg g, which are
+    independent because h is a unit modulo g.  The parts of e_0 are
+    a = e(x) e_0, one combination of the krylov vectors, and b = e_0 - a.
+    """
     field, n = e.field, e.module_dim
-    if reduction.rank in (0, n):
-        return None
-    ker = _kernel_from_rref(field, n, reduction)
-    im = [power._column(c) for c in reduction.pivot_columns]
-    solver = SpanSolver(field, n)
-    for v in ker + im:
-        solver.add(v)
-    coords = solver._coordinates(_unit(field.characteristic, n, 0))
-    parts = tuple(
-        DenseMatrix.from_columns(field, side, rows=n)._times_col(_part(coords, start, stop))
-        for side, start, stop in ((ker, 0, len(ker)), (im, len(ker), n))
-    )
-    return Certificate("decomposable", mode, None, parts, diagnostics)
+    p, m = field.characteristic, len(g) - 1
+    g = g if p else _qvector(g, g[-1])
+    w = [0] * m if p else _qvector([0] * m)
+    for c in reversed(h):  # h mod g, by Horner
+        w = _times_t(p, w, g, c)
+    solver = SpanSolver(field, m)
+    for _ in range(m):
+        solver._place(w)
+        w = _times_t(p, w, g)
+    s = solver._coordinates(_unit(p, m, 0))
+    coeffs = _pmul(p, s, h)
+    coeffs += [0] * (len(krylov) - len(coeffs))
+    a = DenseMatrix.from_columns(field, krylov, rows=n)._times_col(coeffs if p else _qvector(coeffs, s.den))
+    d = getattr(a, "den", 1)
+    b = [d * (i == 0) - c for i, c in enumerate(a)]
+    return Certificate("decomposable", mode, None, (a, [c % p for c in b] if p else _qvector(b, d)), diagnostics)
+
+
+def _times_t(p: int, w: list, g: list, c=0) -> list:
+    """t w + c modulo the monic raw g, for a raw w of degree below deg g and a raw constant c, an integer over Q."""
+    dg, dw = getattr(g, "den", 1), getattr(w, "den", 1)
+    # over Q, (t w + c) - w_top g over the denominator dw dg, its t^(deg g) term cancelled
+    x = [dg * u - w[-1] * v for u, v in zip([c * dw] + w[:-1], g)]
+    return [u % p for u in x] if p else _qvector(x, dw * dg)
+
+
+def _power_product(p: int, factors: Sequence) -> list:
+    """The raw product of the f^k over the (f, k) in factors, over Q of their numerators."""
+    out = [1]
+    for f, k in factors:
+        for _ in range(k):
+            out = _pmul(p, out, f._raw)
+    return out
 
 
 def _grow_ideal(e: EndoAlgebra, ideal: list, span: Echelon, z: DenseMatrix):
@@ -532,8 +554,8 @@ def _is_nilpotent(x: DenseMatrix, steps: Optional[int] = None) -> bool:
     return False
 
 
-def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
-    """Minimal polynomial of x in E modulo the span J of the independent matrices `ideal` in E.
+def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> tuple:
+    """(f, krylov): the minimal polynomial f of x in E modulo the span J of the independent matrices `ideal` in E, and the x^i e_0, i < deg f.
 
     f(x) lies in J exactly when f(x) e_0 lies in J e_0, so it is the first
     dependence among e_0, x e_0, x^2 e_0, ... modulo J e_0; n + 1 vectors suffice.
@@ -544,12 +566,14 @@ def _min_poly(x: DenseMatrix, ideal: Sequence = ()) -> Polynomial:
     solver = SpanSolver(field, n)
     for j in ideal:
         solver.add(_first_column(j))
-    v = _unit(p, n, 0)
+    v, krylov = _marked(_unit(p, n, 0)), []
     for _ in range(n + 1):
         coords = solver._place(v)
         if coords is not None:
             coeffs = [_neg(p, c) for c in coords[len(ideal):]]
-            return Polynomial._from_raw(field, coeffs + [1] if p else _qvector(coeffs + [coords.den], coords.den))
+            f = Polynomial._from_raw(field, coeffs + [1] if p else _qvector(coeffs + [coords.den], coords.den))
+            return f, krylov
+        krylov.append(v)
         v = _image(x, v)
     raise RuntimeError("no dependence among the first columns of the powers")
 
@@ -563,23 +587,25 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
 
     diagnostics = {"endo_dim": e.dim}
     n, hyperplane = e.module_dim, e.dim - 1
+    p = e.field.characteristic
     # the nilpotent candidates with independent first columns, until they
     # span a hyperplane of E, which is then tested once as the radical
     radical, span = [], Echelon(e.field, n)
     scanned = 0
     for mat in _scan_candidates(e):
         scanned += 1
-        # the stable rank, 0 when nilpotent.  Once a nilpotent candidate is kept,
-        # a unit shows by its rank and a nilpotent x of rank r by x^(r+1) e_0 = 0,
-        # so only a witness takes a stable power; before that, the first singular
-        # candidate is most often a witness, which the test would only delay
-        stable = None if radical else stable_power(mat)
-        rank = stable[1].rank if stable else _rank_form(mat)[0]
-        if radical and rank < n and _is_nilpotent(mat, rank + 1):
-            rank = 0
-        if 0 < rank < n:
-            return _try_fitting(e, stable or stable_power(mat), dict(diagnostics, scanned=scanned))
-        if rank or len(radical) == hyperplane or not span.add(_first_column(mat)):
+        # a unit shows by its rank.  A singular x of rank r has a minimal polynomial
+        # t^k h, nilpotent for h = 1 and else a witness; once a nilpotent candidate
+        # is kept, x^(r+1) e_0 = 0 shows a nilpotent x first.  Before that, the first
+        # singular candidate is most often a witness, which the test would only delay
+        rank = _rank_form(mat)
+        if rank == n:
+            continue
+        if not (radical and _is_nilpotent(mat, rank + 1)):
+            cert = _fitting_witness(e, mat, dict(diagnostics, scanned=scanned))
+            if cert is not None:
+                return cert
+        if len(radical) == hyperplane or not span.add(_first_column(mat)):
             continue
         radical.append(mat)
         # a nilpotent ideal of codimension 1 misses the identity, so
@@ -596,7 +622,6 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     nilpotent = True            # of J; None once J has grown and is not checked yet, False once turned down
     best, best_degree = e.identity(), 1
     degrees = []                # of the basis elements modulo the radical
-    p = e.field.characteristic
 
     def candidates():
         yield from _scan_candidates(e)
@@ -611,7 +636,7 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
     tried = 0
     for mat in candidates():
         tried += 1
-        mp = _min_poly(mat)
+        mp, krylov = _min_poly(mat)
         factors = factor(mp)
         diag = dict(
             diagnostics,
@@ -620,9 +645,9 @@ def find_splitting_element(e: EndoAlgebra) -> Certificate:
             factor_shape=[[f.degree, k] for f, k in factors],
         )
         if len(factors) >= 2:
-            # f0(x) is nilpotent on the f0-primary summand and invertible on the rest
-            split = factors[0][0].evaluate_matrix(mat)
-            return _try_fitting(e, stable_power(split), diag, "min-poly-split")
+            # the module is the f0^k0-primary summand plus the rest
+            g, h = _power_product(p, factors[:1]), _power_product(p, factors[1:])
+            return _fitting_split(e, krylov, g, h, diag, "min-poly-split")
         ((f, k),) = factors
         if tried <= e.dim:
             degrees.append(f.degree)
@@ -665,7 +690,7 @@ def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) 
     """Whether x modulo the radical J has an irreducible minimal polynomial of degree dim E/J.
 
     factors is the factorization of that minimal polynomial,
-    factor(_min_poly(x, radical)).  The polynomial has degree at most
+    factor(_min_poly(x, radical)[0]).  The polynomial has degree at most
     dim E/J, so one factor of degree dim E/J can only occur once.
     """
     return len(factors) == 1 and factors[0][0].degree == e.dim - len(radical)
@@ -674,13 +699,17 @@ def _generates_quotient_field(e: EndoAlgebra, factors: list, radical: Sequence) 
 def _raw_vector(field, n: int, v) -> Optional[list]:
     """v as a raw vector of length n over field, or None when it is not one.
 
-    A raw vector is taken as it is, so over Q it must be a raw Q vector.
+    A raw vector is taken as it is, so its entries are checked: over GF(p)
+    ints in [0, p), the values the packed kernels take, and over Q it must
+    be a raw Q vector.
     """
     try:
         raw = _marked(_unbox(field, v))
     except (TypeError, ValueError):
         return None
-    return raw if len(raw) == n and (field.characteristic or isinstance(raw, _QVector)) else None
+    p = field.characteristic
+    valid = all(type(a) is int and 0 <= a < p for a in raw) if p else isinstance(raw, _QVector)
+    return raw if len(raw) == n and valid else None
 
 
 def _read_element(e: EndoAlgebra, v) -> Optional[DenseMatrix]:
@@ -718,7 +747,7 @@ def _indecomposable_failure(e: EndoAlgebra, element, radical) -> Optional[str]:
         return failure
     if not _nilpotent_span(ideal):
         return "radical span is not nilpotent"
-    if not _generates_quotient_field(e, factor(_min_poly(x, ideal)), ideal):
+    if not _generates_quotient_field(e, factor(_min_poly(x, ideal)[0]), ideal):
         return "element does not generate a field modulo the radical"
     return None
 

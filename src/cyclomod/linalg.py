@@ -652,56 +652,21 @@ def _sum_of_multiples(p: int, terms: Iterable, cols: int) -> list:
     return [s % p for s in acc] if p else acc
 
 
-def stable_power(m: DenseMatrix) -> tuple:
-    """(P, rref(P)) for a power P = m^(2^k) whose rank has stopped falling.
+def _rank_form(m: DenseMatrix) -> int:
+    """The rank of m, read on a form: over Q its rows inserted into an Echelon, over GF(p) rref(m).
 
-    The ranks of m, m^2, m^3, ... fall by non-increasing steps, so once
-    rank(P^2) = rank(P) for P = m^a they are constant from a on, and P
-    has the kernel and image of m^n.  Starting from rank(m), that takes
-    at most ceil(log2 n) + 1 squarings; an invertible or zero m is
-    returned as it is, without a product.
-
-    Each rank is read by _rank_form.  Over Q that gives no reduced form,
-    and only P is reduced, once, when the squaring stops; an invertible
-    m, most of what the Fitting scan tests, is not reduced at all: its
-    reduced form is the identity.  Over GF(p) the reduced form comes
-    with the rank, and when the squaring stops the one at hand is that
-    of P^2.  Either way it is rref(P): the ranks of P and P^2 agree, so
-    ker P = ker P^2, and the row spaces, the annihilators of the
-    kernels, are equal.
-    """
-    if not m.is_square:
-        raise ValueError("powers need a square matrix")
-    n = m.rows
-    power, (rank, red) = m, _rank_form(m)
-    if rank == n:
-        return m, RrefResult(DenseMatrix.identity(m.field, n), n, tuple(range(n)))
-    while rank:
-        square = power * power
-        square_rank, square_red = _rank_form(square)
-        if square_rank == rank:
-            red = square_red
-            break
-        power, rank, red = square, square_rank, square_red
-    return power, red or rref(power)
-
-
-def _rank_form(m: DenseMatrix) -> tuple:
-    """(rank of m, rref(m) or None): over Q its rows inserted into an Echelon, over GF(p) rref(m).
-
-    Over Q an Echelon step divides exactly and takes no gcd, where
-    Gauss-Jordan takes the content of every row it clears; on the
-    endomorphisms the Fitting scan tests, that halves the cost of a
-    rank, and no reduced form is made.  Over GF(p) the reduction costs
-    no more than the rank, so the reduced form comes with it.
+    The Fitting scan reads the rank of every candidate with it.  Over Q
+    an Echelon step divides exactly and takes no gcd, where Gauss-Jordan
+    takes the content of every row it clears; on the endomorphisms the
+    scan tests, that halves the cost of a rank, and no reduced form is
+    made.
     """
     if m.field.characteristic:
-        red = rref(m)
-        return red.rank, red
+        return rref(m).rank
     span = Echelon(m.field, m.cols)
     for row in m._raw:
         span._place(row)
-    return span.rank, None
+    return span.rank
 
 
 class RrefResult(NamedTuple):

@@ -1,15 +1,19 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here but flat, plain_power, stable_power_by_rref, span_equal,
-min_poly, commutant_basis, the algebra references and the boxed kernel
+Everything here but flat, plain_power, stable_power_by_rref,
+fitting_parts_by_stable_power, endo_coordinates, span_equal, min_poly,
+commutant_basis, the algebra references and the boxed kernel
 works on raw Python values (ints mod p, Fractions, int bitmasks over
 GF(2)) and reimplements the math naively, so that a bug in the
 library's linear algebra cannot hide inside its own oracle.
 flat is a matrix's entries as one row-major vector of n^2 scalars.
 plain_power (m^k by k products) and span_equal compare the library's
-matrices and spans against its stable powers and kernels, and
+matrices and spans against powers and kernels, and
 stable_power_by_rref is the stable power with every rank read on a
-Gauss-Jordan reduced form.  min_poly is
+Gauss-Jordan reduced form, and fitting_parts_by_stable_power the parts
+of e_0 along its kernel and image, the reference for the Fitting parts
+endo reads off a minimal polynomial.  endo_coordinates is an element's
+coordinates over E's basis, read on its first column.  min_poly is
 the minimal polynomial, modulo a span of matrices, as the first
 dependence among the flattened powers I, m, m^2, ...: the reference for
 endo's first-column minimal polynomial of an element of E modulo J.
@@ -441,11 +445,10 @@ def plain_power(m, k):
 
 
 def stable_power_by_rref(m):
-    """linalg.stable_power as Gauss-Jordan alone: every power is reduced as its rank is read.
+    """(P, rref(P)) for a power P = m^(2^k) whose rank has stopped falling, every power reduced as its rank is read.
 
-    The reference for the stable power that reads its Q ranks on the
-    fraction-free echelon and reduces only the last power, or no power
-    at all for a unit.
+    The ranks of m, m^2, ... fall by non-increasing steps, so P has the
+    kernel and the image of m^n, the two summands of Fitting's lemma.
     """
     power, red = m, rref(m)
     while 0 < red.rank < m.rows:
@@ -455,6 +458,41 @@ def stable_power_by_rref(m):
             return power, square_red
         power, red = square, square_red
     return power, red
+
+
+def fitting_parts_by_stable_power(m):
+    """The parts e_0 = a + b along ker P + im P, for P the stable power of m, as FieldScalars; None when P is 0 or invertible.
+
+    The kernel is read off P's reduced form, the image is P's columns at
+    its pivots, and one solve over both, on FieldScalars, gives the
+    parts: the split the Fitting search made before it read its parts
+    off the minimal polynomial.
+    """
+    power, red = stable_power_by_rref(m)
+    if red.rank in (0, m.rows):
+        return None
+    kernel = kernel_basis(power)
+    image = [tuple(row[c] for row in power.entries) for c in red.pivot_columns]
+    solver = BoxedSpanSolver(m.field, m.rows)
+    for v in kernel + image:
+        solver.add(v)
+    coords = solver.coordinates(_box(m.field, _unit(m.field.characteristic, m.rows, 0)))
+    zero = (m.field.zero(),) * m.rows
+    return tuple(
+        tuple(sum((c * v[i] for c, v in zip(coords[start:stop], side)), zero[i]) for i in range(m.rows))
+        for side, start, stop in ((kernel, 0, len(kernel)), (image, len(kernel), m.rows))
+    )
+
+
+def endo_coordinates(e, mat):
+    """The coordinates of mat over the basis of E, as FieldScalars, or None when mat is not in E.
+
+    mat is fixed by its first column when it is in E, so its coordinates
+    are those of mat e_0 over the basis' first columns, and it is in E
+    when the element with those coordinates is mat.
+    """
+    coords = e._solver._coordinates(mat._column(0))
+    return None if coords is None or e.element(coords) != mat else _box(e.field, coords)
 
 
 def nilpotent_by_chain(ideal, start=None):
@@ -635,7 +673,7 @@ def left_mult_matrix(e, i):
     """Left multiplication by e.basis[i], in algebra coordinates."""
     columns = []
     for b in e.basis:
-        coords = e.coordinates(e.basis[i] * b)
+        coords = endo_coordinates(e, e.basis[i] * b)
         if coords is None:
             raise RuntimeError("algebra basis is not multiplicatively closed")
         columns.append(coords)

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cyclomod import cli
-from cyclomod.fields import FieldScalar
+from cyclomod.decompose import check_report, complete_decomposition
+from cyclomod.fields import QQ, FieldScalar
 from cyclomod.serialize import automaton_from_json
 from cyclomod.wfa import equivalent
 
-from test_golden import GOLDEN
+from fixtures import conjugated_jordan_module
+from test_golden import GOLDEN, companion_q_module
 
 SWAP_INVARIANT = "x1 + x2 + x3 + x1*x3 + x2*x3 + x1*x2*x3"
 
@@ -178,18 +180,8 @@ def _scalar_count(automaton):
     return len(automaton["lambda"]) + len(automaton["gamma"]) + sum(len(row) for m in mu for row in m)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["decompose-perm", os.path.join(GOLDEN, "regular_s3.json"), "--generator", "1,0,0,0,0,0", "--cert-only"],
-        # the quaternion leaf factors minimal polynomials over Q on integer coefficients
-        ["decompose-perm", os.path.join(GOLDEN, "regular_q8.json"), "--generator", "1,0,0,0,0,0,0,0", "--cert-only"],
-        ["minimize", os.path.join(GOLDEN, "automaton_q.json")],
-    ],
-)
-def test_fractions_are_made_only_where_input_is_parsed_or_output_written(argv, capsys, monkeypatch):
-    # over Q every step hands the next integer rows over one denominator;
-    # a Fraction is made only for an entry parsed or printed, at most one each
+def _count_fractions(monkeypatch):
+    """A list to which every Fraction made from now on appends its class."""
     made = []
     new = Fraction.__new__
 
@@ -207,6 +199,22 @@ def test_fractions_are_made_only_where_input_is_parsed_or_output_written(argv, c
             return coprime(cls, *args)
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose-perm", os.path.join(GOLDEN, "regular_s3.json"), "--generator", "1,0,0,0,0,0", "--cert-only"],
+        # the quaternion leaf factors minimal polynomials over Q on integer coefficients
+        ["decompose-perm", os.path.join(GOLDEN, "regular_q8.json"), "--generator", "1,0,0,0,0,0,0,0", "--cert-only"],
+        ["minimize", os.path.join(GOLDEN, "automaton_q.json")],
+    ],
+)
+def test_fractions_are_made_only_where_input_is_parsed_or_output_written(argv, capsys, monkeypatch):
+    # over Q every step hands the next integer rows over one denominator;
+    # a Fraction is made only for an entry parsed or printed, at most one each
+    made = _count_fractions(monkeypatch)
     code, out, _ = run(capsys, argv)
     assert code == 0
     if argv[0] == "minimize":
@@ -216,6 +224,21 @@ def test_fractions_are_made_only_where_input_is_parsed_or_output_written(argv, c
     else:
         parsed, printed = len(argv[3].split(",")), 0  # the generator's entries; --cert-only prints none
     assert len(made) <= parsed + printed
+
+
+@pytest.mark.parametrize("module", [companion_q_module, lambda: conjugated_jordan_module(QQ, 10, seed=10)],
+                         ids=["companion-min-poly-split", "jordan-block"])
+def test_q_decompositions_make_no_fraction_between_input_and_output(module, monkeypatch):
+    # a min-poly split over Q, whose parts come from a solve on the factors'
+    # integer numerators, and a local leaf over Q, whose radical is tested on
+    # first columns: decomposing and re-checking make no Fraction at all
+    m = module()
+    made = _count_fractions(monkeypatch)
+    report = complete_decomposition(m)
+    check_report(report)
+    assert sorted(c.mode for c in report.certificates + report.split_certificates) in (
+        ["local", "local", "min-poly-split"], ["local"])
+    assert made == []
 
 
 def test_decompose_bool_dot_directory(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cyclomod import GF2, QQ, gf
 from cyclomod import endo
 from cyclomod.boolfn import decompose_boolean, parse_anf, sn_action
-from cyclomod.linalg import DenseMatrix, _RawVector, _read_lanes, _unit, rref, stable_power
+from cyclomod.linalg import DenseMatrix, _box, _RawVector, _read_lanes, _unit, rref
 from cyclomod.modules import AlgebraAction, orbit_basis
 from cyclomod.decompose import check_report, complete_decomposition, decompose_once
 from cyclomod.endo import (
@@ -25,12 +25,12 @@ from cyclomod.endo import (
     EndoAlgebra,
     _min_poly,
     _scan_candidates,
-    _try_fitting,
     compute_end,
     find_splitting_element,
     verify_certificate,
 )
 from cyclomod.perms import permutation_module
+from cyclomod.polynomials import factor
 from cyclomod.serialize import presentation_from_json
 
 from fixtures import (
@@ -103,10 +103,10 @@ def test_element_coordinate_roundtrip():
     e = compute_end(swap_invariant_module())
     for coords in [(1, 0), (0, 1), (1, 1)]:
         mat = e.element(coords)
-        back = e.coordinates(mat)
+        back = oracles.endo_coordinates(e, mat)
         assert back is not None
         assert e.element(back) == mat
-    assert e.coordinates(DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])) is None
+    assert oracles.endo_coordinates(e, DenseMatrix(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])) is None
 
 
 def test_all_four_elements_idempotent():
@@ -129,7 +129,7 @@ def test_all_four_elements_idempotent():
 
 
 def _is_nilpotent(mat):
-    return stable_power(mat)[1].rank == 0
+    return oracles.stable_power_by_rref(mat)[1].rank == 0
 
 
 def test_nilpotent_invertible_membership():
@@ -148,8 +148,8 @@ def test_nilpotent_invertible_membership():
 
 
 def _fitting(e, mat):
-    """_try_fitting on mat's own stable power, as the search hands it in."""
-    return _try_fitting(e, stable_power(mat), {})
+    """The scan's Fitting certificate of mat, None for a unit or a nilpotent element."""
+    return endo._fitting_witness(e, mat, {})
 
 
 def test_fitting_split_on_projection():
@@ -181,26 +181,195 @@ def _record_products(monkeypatch):
     return products
 
 
-def test_try_fitting_pays_for_its_power_once(monkeypatch):
+def test_fitting_split_forms_no_matrix_product(monkeypatch):
+    # a split is read off the first-column minimal polynomial: no power of
+    # the witness, nor of a unit or a nilpotent candidate, is formed
     products = _record_products(monkeypatch)
     e = compute_end(swap_invariant_module())
     products.clear()
-    # invertible: the rank of the candidate decides, with no product
     assert _fitting(e, DenseMatrix.identity(GF2, 3)) is None
-    assert products == []
-    # a projection is stable at power 1: one squaring shows it, and the
-    # certificate is read off the power handed in, with no product of its own
-    stable = stable_power(ones_matrix(GF2, 3))
-    assert len(products) == 1
-    cert = _try_fitting(e, stable, {})
-    assert len(products) == 1
+    cert = _fitting(e, ones_matrix(GF2, 3))
     assert is_fitting_split_by_parts(2, [[1] * 3] * 3, *cert.parts)
-    # a nilpotent 4x4 Jordan block reaches rank 0 after two squarings
+    # a nilpotent 4x4 Jordan block, and a witness t^2 (t - c) of every field
     m = conjugated_jordan_module(QQ, 4, 3)
     e = compute_end(m)
     products.clear()
     assert _fitting(e, m.restricted["n"]) is None
-    assert len(products) == 2
+    rng = random.Random(14)
+    for field in (GF2, gf(3), QQ):
+        for m in _jordan_beside_units(rng, field, 4):
+            e = compute_end(m)
+            products.clear()
+            cert = _fitting(e, m.restricted["a"])
+            assert cert is not None and products == []
+            raw = [[x.value for x in row] for row in m.restricted["a"].entries]
+            assert is_fitting_split_by_parts(field.characteristic, raw, *cert.parts)
+    assert products == []
+
+
+def _jordan_beside_units(rng, field, count):
+    """Cyclic modules of A = P (J_k(0) + D) P^-1, for a nilpotent Jordan block of size k >= 2 beside a unit diagonal D.
+
+    A is a Fitting witness whose minimal polynomial has the factor t^k;
+    over GF(2), D is the identity.
+    """
+    units = [c for c in (-3, -2, -1, 1, 2, 3) if c % (field.characteristic or 5)]
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        k = rng.randint(2, n - 1)
+        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice(units) for j in range(n)] for i in range(n)]
+        conj, inverse = unimodular_pair(rng, n)
+        a = int_mul(int_mul(conj, d), inverse)
+        out.append(orbit_basis(AlgebraAction(field, [("a", a)]), [sum(row) for row in conj]))
+    return out
+
+
+def _min_poly_split(e, x):
+    """(cert, k0, f0(x)): the candidate loop's split of x, for f0^k0 its first primary factor, f0(x) on FieldScalars.
+
+    None when the minimal polynomial of x has one primary factor.
+    """
+    f, krylov = _min_poly(x)
+    factors = factor(f)
+    if len(factors) < 2:
+        return None
+    p = e.field.characteristic
+    g, h = endo._power_product(p, factors[:1]), endo._power_product(p, factors[1:])
+    f0, k0 = factors[0]
+    cert = endo._fitting_split(e, krylov, g, h, {}, "min-poly-split")
+    return cert, k0, oracles.boxed_poly_of_matrix(e.field, f0.coeffs, x)
+
+
+def test_fitting_parts_match_the_stable_power_reference():
+    # the parts read off the minimal polynomial t^k h are those along the
+    # kernel and the image of the stable power, one solve over both; a
+    # min-poly split's, with f0^k0 its first primary factor, are those of
+    # the stable power of f0(x).  Every element tried is a scan candidate,
+    # a generator in E or a random element of E
+    rng = random.Random(15)
+    counts = {}
+    for field in (GF2, gf(3), QQ):
+        p = field.characteristic
+        modules = _jordan_beside_units(rng, field, 12) + _random_modules(rng, field, 12)
+        modules += _fractional_modules(rng, 6) if p == 0 else []
+        for m in modules:
+            e = compute_end(m)
+            lo, hi = (-2, 2) if p == 0 else (0, p - 1)
+            elements = list(itertools.islice(_scan_candidates(e), 12)) + [a for a in m.restricted.values() if e.contains(a)]
+            elements += [e.element([rng.randint(lo, hi) for _ in range(e.dim)]) for _ in range(4)]
+            for x in elements:
+                ref = oracles.fitting_parts_by_stable_power(x)
+                cert = _fitting(e, x)
+                if ref is None:
+                    assert cert is None
+                    kind = "unit or nilpotent"
+                else:
+                    assert tuple(_box(field, v) for v in cert.parts) == ref
+                    k = next(i for i, c in enumerate(_min_poly(x)[0].coeffs) if c)
+                    kind = "k >= 2" if k >= 2 else "k = 1"
+                counts[field, kind] = counts.get((field, kind), 0) + 1
+                split = _min_poly_split(e, x)
+                if split is None:
+                    continue
+                cert, k0, f0x = split
+                assert tuple(_box(field, v) for v in cert.parts) == oracles.fitting_parts_by_stable_power(DenseMatrix(field, f0x))
+                kind = "k0 >= 2" if k0 >= 2 else "k0 = 1"
+                counts[field, kind] = counts.get((field, kind), 0) + 1
+    assert len(counts) == 15 and min(counts.values()) >= 20, counts
+
+
+def _shaped_matrix(field, rng, n, form, den):
+    """An integer n x n matrix P D P^-1 for a unimodular P and a D of the given form, over den over Q."""
+    conj, inverse = unimodular_pair(rng, n)
+    k = rng.randrange(1, n + 1)
+    units = [c for c in (-3, -2, -1, 1, 2, 3) if c % (field.characteristic or 5)]
+    if form == "invertible":
+        d = [[int(i == j) * rng.choice(units) for j in range(n)] for i in range(n)]
+    elif form == "nilpotent":
+        d = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    elif form == "falling":
+        # a nilpotent Jordan block of size k next to a unit: the rank falls by one a power
+        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice(units) for j in range(n)] for i in range(n)]
+    elif form == "idempotent":
+        d = [[int(i == j < k) for j in range(n)] for i in range(n)]
+    else:
+        d = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+    rows = int_mul(int_mul(conj, d), inverse)
+    return [[Fraction(x, den) for x in row] for row in rows] if field == QQ else rows
+
+
+def _nth_power_rank(p, raw):
+    """The rank of the n-th power of an n x n matrix of raw values, Fractions over Q, by plain products."""
+    power = raw
+    for _ in range(len(raw) - 1):
+        power = oracles.raw_mat_mul(p, power, raw)
+    return oracles.raw_rank(p, power)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    field=st.sampled_from([GF2, gf(3), QQ]),
+    n=st.integers(min_value=2, max_value=7),
+    form=st.sampled_from(["random", "falling", "idempotent", "invertible", "nilpotent"]),
+    den=st.integers(min_value=1, max_value=12),
+)
+def test_fitting_parts_lie_in_the_kernel_and_image_of_the_nth_power(seed, field, n, form, den):
+    # on the module of one shaped matrix A, for A and random elements x of E:
+    # the scan splits x exactly when 0 < rank x^n < dim, along
+    # ker x^n + im x^n, and a min-poly split along ker f0(x)^n + im f0(x)^n,
+    # each checked with plain products
+    rng = random.Random(seed)
+    p = field.characteristic
+    action = AlgebraAction(field, [("a", _shaped_matrix(field, rng, n, form, den))])
+    m = orbit_basis(action, [rng.randint(-1, 1) or 1 for _ in range(n)])
+    e = compute_end(m)
+    lo, hi = (-2, 2) if p == 0 else (0, p - 1)
+    for x in [m.restricted["a"]] + [e.element([rng.randint(lo, hi) for _ in range(e.dim)]) for _ in range(3)]:
+        raw = [[c.value for c in row] for row in x.entries]
+        cert = _fitting(e, x)
+        assert (cert is not None) == (0 < _nth_power_rank(p, raw) < m.dim)
+        if cert is not None:
+            assert is_fitting_split_by_parts(p, raw, *cert.parts)
+        split = _min_poly_split(e, x)
+        if split is not None:
+            cert, _, f0x = split
+            assert is_fitting_split_by_parts(p, [[c.value for c in row] for row in f0x], *cert.parts)
+
+
+def test_fitting_split_edge_cases():
+    # E = F on a 1-dim module: a unit or 0, never split
+    e = compute_end(orbit_basis(AlgebraAction(QQ, [("a", [[5]])]), [1]))
+    assert _fitting(e, e.identity().scale(5)) is None and _fitting(e, DenseMatrix.zeros(QQ, 1, 1)) is None
+    # 0, nilpotent elements and a unit of the local E = Q[N]/N^4
+    m = conjugated_jordan_module(QQ, 4, 3)
+    e = compute_end(m)
+    nil = m.restricted["n"]
+    for x in (DenseMatrix.zeros(QQ, 4, 4), nil, nil * nil, e.identity() + nil):
+        assert _fitting(e, x) is None
+    for field in (GF2, gf(3), QQ):
+        p = field.characteristic
+        conj, inverse = unimodular_pair(random.Random(5), 4)
+        # an idempotent x, f = t (t - 1): a = (1 - x) e_0 in ker x, b = x e_0
+        proj = int_mul(int_mul(conj, [[int(i == j < 2) for j in range(4)] for i in range(4)]), inverse)
+        m = orbit_basis(AlgebraAction(field, [("a", proj)]), [sum(row) for row in conj])
+        x, e = m.restricted["a"], compute_end(m)
+        assert endo._min_poly(x)[0].degree == m.dim == 2
+        a, b = _fitting(e, x).parts
+        assert _box(field, b) == _box(field, x._column(0))
+        assert _box(field, a) == _box(field, (e.identity() - x)._column(0))
+        # f = t h with deg h = 2 > deg t: h is reduced modulo t before the solve
+        d = [[0, 0, 0], [0, 0, 1], [0, -1, -1]] if p == 2 else [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+        conj, inverse = unimodular_pair(random.Random(6), 3)
+        m = orbit_basis(AlgebraAction(field, [("a", int_mul(int_mul(conj, d), inverse))]), [sum(row) for row in conj])
+        x = m.restricted["a"]
+        f = endo._min_poly(x)[0]
+        assert (m.dim, f.degree, f.coeffs[0], bool(f.coeffs[1])) == (3, 3, field.zero(), True)
+        e = compute_end(m)
+        cert = _fitting(e, x)
+        assert is_fitting_split_by_parts(p, [[c.value for c in row] for row in x.entries], *cert.parts)
+        assert [len(tree.words) for tree in verify_certificate(e, cert)] == [1, 2]
 
 
 def _golden_and_test_modules():
@@ -224,6 +393,7 @@ def _min_poly_split_modules():
     yield orbit_basis(AlgebraAction(QQ, [("u", [[0, 4], [1, 0]])]), (1, 0))
     yield orbit_basis(AlgebraAction(gf(2147483647), [("u", [[2, 0], [0, 3]])]), (1, 1))
     yield regular_s4_module(gf(5))
+    yield orbit_basis(AlgebraAction(QQ, [("c", _companion([36, 33, 10, 1]))]), (1, 0, 0))
 
 
 def test_fitting_certificates_match_the_nth_power_oracle():
@@ -247,7 +417,9 @@ def test_fitting_certificates_match_the_nth_power_oracle():
 
 def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
     # A = P (J_2(0) + 1) P^-1 on F^3: rank A = 2, rank A^2 = rank A^4 = 1,
-    # so A itself is not a stable power and its kernel meets its image
+    # so A's own kernel meets its image, and the split is that of A^2:
+    # ker A^2 + ker (A - 1), read off the minimal polynomial t^2 (t - 1)
+    # with no product formed
     rng = random.Random(11)
     for field in (GF2, gf(3), QQ):
         p, q = unimodular_pair(rng, 3)
@@ -258,7 +430,7 @@ def test_fitting_split_squares_past_a_nilpotent_part(monkeypatch):
         products = _record_products(monkeypatch)
         cert = _fitting(e, mat)
         monkeypatch.undo()
-        assert len(products) == 2
+        assert products == []
         assert [len(tree.words) for tree in verify_certificate(e, cert)] == [2, 1]
         raw = [[x.value for x in row] for row in mat.entries]
         assert is_fitting_split_by_parts(field.characteristic, raw, *cert.parts)
@@ -379,6 +551,31 @@ def test_min_poly_split_rational():
     assert sorted(len(tree.words) for tree in verify_certificate(e, cert)) == [1, 1]
 
 
+def _companion(coeffs):
+    """The companion matrix of the monic polynomial with integer coefficients coeffs, low degree first."""
+    n = len(coeffs) - 1
+    return [[int(j == i - 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+
+
+@pytest.mark.parametrize("coeffs, shape", [
+    ([36, 33, 10, 1], [[1, 2], [1, 1]]),            # (t + 3)^2 (t + 4)
+    ([-16, 16, 0, -4, 1], [[1, 3], [1, 1]]),        # (t - 2)^3 (t + 2)
+])
+def test_min_poly_split_on_a_repeated_first_factor(coeffs, shape):
+    # every scanned element is a unit or nilpotent, and the first minimal
+    # polynomial has f0^k0 with k0 >= 2 first: the split is ker f0(x)^k0 +
+    # the rest, the kernel and the image of the stable power of f0(x)
+    m = orbit_basis(AlgebraAction(QQ, [("c", _companion(coeffs))]), [1] + [0] * (len(coeffs) - 2))
+    e = compute_end(m)
+    cert = find_splitting_element(e)
+    assert (cert.mode, cert.diagnostics["min_poly_tried"], cert.diagnostics["factor_shape"]) == ("min-poly-split", 1, shape)
+    x = e.basis[0]
+    f0 = factor(_min_poly(x)[0])[0][0]
+    f0x = DenseMatrix(QQ, oracles.boxed_poly_of_matrix(QQ, f0.coeffs, x))
+    assert tuple(_box(QQ, v) for v in cert.parts) == oracles.fitting_parts_by_stable_power(f0x)
+    assert [len(tree.words) for tree in verify_certificate(e, cert)] == [shape[0][1], 1]
+
+
 def test_field_generated_indecomposable():
     # rotation by 90 degrees: the commutant is Q adjoined a square root
     # of -1, a field, so the module cannot split
@@ -493,20 +690,21 @@ def test_local_certificates_for_jordan_blocks_over_gf2_and_gf3():
 
 def test_local_leaf_ends_when_the_nilpotent_candidates_span_a_hyperplane(monkeypatch):
     # E = GF(2)[N]/N^24: its 23 nilpotent basis elements span the radical,
-    # a hyperplane, so the scan stops there with one rank test per candidate:
-    # a stable power for the first, then, with a nilpotent candidate kept,
-    # one rank each
+    # a hyperplane, so the scan stops there with one rank test per candidate.
+    # The first singular candidate takes a minimal polynomial, t^k; with a
+    # nilpotent candidate kept, x^(r+1) e_0 = 0 shows the others nilpotent.
+    # The local test factors one more minimal polynomial, the identity's modulo J
     e = compute_end(conjugated_jordan_module(GF2, 24, seed=24))
-    calls = {"stable_power": 0, "_rank_form": 0}
+    calls = {"_min_poly": 0, "_rank_form": 0}
     for name in calls:
-        def spy(mat, name=name, real=getattr(endo, name)):
+        def spy(*args, name=name, real=getattr(endo, name)):
             calls[name] += 1
-            return real(mat)
+            return real(*args)
         monkeypatch.setattr(endo, name, spy)
     cert = find_splitting_element(e)
     assert (cert.verdict, cert.mode) == ("indecomposable", "local")
     assert cert.diagnostics == {"endo_dim": 24, "scanned": 23, "radical_dim": 23}
-    assert calls == {"stable_power": 1, "_rank_form": 22}
+    assert calls == {"_min_poly": 2, "_rank_form": 23}
     assert cert.element is None and len(cert.radical) == 23
     verify_certificate(e, cert)
 
@@ -578,7 +776,8 @@ def test_product_closed_spans_of_nilpotent_matrices_are_nilpotent():
 def test_nilpotent_candidates_die_within_rank_plus_one_column_steps():
     # a nilpotent x of rank r has x^(r+1) = 0, and in E that is x^(r+1) e_0 = 0:
     # the scan's test agrees with the stable power on every scan candidate of
-    # the local leaves and of the modules they come from, Fitting witnesses included
+    # the local leaves and of the modules they come from, Fitting witnesses
+    # included, and so does the class read off the minimal polynomial
     boolean = complete_decomposition(decompose_boolean(parse_anf(SPLIT_4_6, 5)).module)
     s4 = complete_decomposition(regular_s4_module(gf(3)))
     modules = _jordan_blocks() + list(boolean.summands) + list(s4.summands) + [boolean.module]
@@ -586,9 +785,11 @@ def test_nilpotent_candidates_die_within_rank_plus_one_column_steps():
     for m in modules:
         e = compute_end(m)
         for x in _scan_candidates(e):
-            stable_rank = stable_power(x)[1].rank
-            kinds.add("nilpotent" if stable_rank == 0 else "unit" if stable_rank == m.dim else "witness")
+            stable_rank = oracles.stable_power_by_rref(x)[1].rank
+            kind = "nilpotent" if stable_rank == 0 else "unit" if stable_rank == m.dim else "witness"
+            kinds.add(kind)
             assert endo._is_nilpotent(x, rref(x).rank + 1) == (stable_rank == 0) == endo._is_nilpotent(x)
+            assert (_fitting(e, x) is not None) == (kind == "witness")
     assert kinds == {"nilpotent", "unit", "witness"}
 
 
@@ -607,7 +808,7 @@ def test_element_of_a_unit_coordinate_vector_is_the_basis_matrix():
             terms = DenseMatrix.zeros(m.field, m.dim, m.dim)
             for c, basis_matrix in zip(coords, e.basis):
                 terms = terms + basis_matrix.scale(c)
-            assert terms == b and e.coordinates(b) == tuple(m.field.scalar(c) for c in coords)
+            assert terms == b and oracles.endo_coordinates(e, b) == tuple(m.field.scalar(c) for c in coords)
             # one other nonzero coordinate, 1/2 over Q, scales the basis matrix
             other = [Fraction(c, 2) for c in coords] if m.field == QQ else [2 * c for c in coords]
             assert e.element(other) == b.scale(other[i])
@@ -987,6 +1188,33 @@ def test_verify_certificate_fails_malformed_shapes_as_a_check():
             verify_certificate(line, Certificate("indecomposable", "local", bad, None))
     with pytest.raises(RuntimeError, match="a part is not a vector of length 2 over QQ"):
         verify_certificate(line, Certificate("decomposable", "fitting-scan", None, (_RawVector([1, 0]), [0, 0])))
+
+
+def test_verify_certificate_fails_raw_values_out_of_range_as_a_check():
+    # a raw vector is taken without unboxing, so its GF(p) values are
+    # checked to lie in [0, p) before a packed kernel reads them: a part, an
+    # element and a radical vector out of range fail the check
+    rng = random.Random(16)
+    for field in (GF2, gf(3)):
+        p = field.characteristic
+        forged = [[v] + [0] * 3 for v in (-1, p, 5, 1.0)]
+        split = compute_end(_jordan_beside_units(rng, field, 1)[0])
+        cert = find_splitting_element(split)
+        assert cert.verdict == "decomposable"
+        a, b = cert.parts
+        n = split.module_dim
+        for v in forged:
+            part = _RawVector(v[:1] + [0] * (n - 1))
+            with pytest.raises(RuntimeError, match=f"a part is not a vector of length {n} over"):
+                verify_certificate(split, Certificate("decomposable", cert.mode, None, (part, b)))
+            with pytest.raises(RuntimeError, match=f"a part is not a vector of length {n} over"):
+                verify_certificate(split, Certificate("decomposable", cert.mode, None, (a, part)))
+        jordan = compute_end(conjugated_jordan_module(field, 4, seed=4))
+        local = find_splitting_element(jordan)
+        assert local.radical
+        for v in map(_RawVector, forged):
+            _local_forgery(jordan, local, "certificate element is not X e_0", element=v)
+            _local_forgery(jordan, local, "radical vector is not X e_0", radical=(v,) + local.radical[1:])
 
 
 def test_verify_certificate_rejects_each_forged_split():
@@ -1376,9 +1604,9 @@ def _off_first_column(mat):
 
 
 def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
-    # an element of E is fixed by its first column, so coordinates() solves
-    # on that column alone; the exact check must turn away a matrix that
-    # agrees with an element there and nowhere else
+    # an element of E is fixed by its first column, so its coordinates are
+    # solved on that column alone; the exact check must turn away a matrix
+    # that agrees with an element there and nowhere else
     rng = random.Random(12)
     modules = [orbit_basis(s3_regular_action(), (1, 0, 0, 0, 0, 0)), swap_invariant_module()]
     modules += [m for field in (GF2, gf(3), QQ) for m in _random_modules(rng, field, 6) if m.dim >= 2]
@@ -1387,10 +1615,10 @@ def test_first_column_coordinates_reject_a_matrix_that_differs_elsewhere():
         e = compute_end(m)
         coords = [rng.randint(-2, 2) for _ in range(e.dim)]
         x = e.element(coords)
-        assert e.coordinates(x) == tuple(m.field.scalar(c) for c in coords)
+        assert oracles.endo_coordinates(e, x) == tuple(m.field.scalar(c) for c in coords)
         forged = _off_first_column(x)
         assert [r[0] for r in forged.entries] == [r[0] for r in x.entries]
-        assert e.coordinates(forged) is None
+        assert oracles.endo_coordinates(e, forged) is None
         assert not e.contains(forged)
 
 
@@ -1427,7 +1655,10 @@ def test_first_column_min_poly_equals_the_matrix_power_oracle():
         extra = [[rng.randint(lo, hi) for _ in range(e.dim)] for _ in range(4)]
         elements = list(_scan_candidates(e)) + [e.element(c) for c in extra if any(c)]
         for x in elements:
-            assert _min_poly(x) == oracles.min_poly(x)
+            f, krylov = _min_poly(x)
+            assert f == oracles.min_poly(x)
+            # and the vectors it was read on are x^i e_0, i < deg f
+            assert krylov == [oracles.plain_power(x, i)._column(0) for i in range(f.degree)]
             checked += 1
     assert checked >= 400
 
@@ -1447,7 +1678,7 @@ def test_first_column_min_poly_modulo_every_local_radical():
         assert cert.mode == "local" and cert.radical
         x, radical = _witness(e, cert)
         for y in [x, *_scan_candidates(e)]:
-            assert _min_poly(y, radical) == oracles.min_poly(y, radical)
+            assert _min_poly(y, radical)[0] == oracles.min_poly(y, radical)
 
 
 def test_radical_semisimple_is_zero():
@@ -1469,7 +1700,7 @@ def test_radical_of_jordan_commutant():
 def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
     e = compute_end(orbit_basis(s3_natural_action(), (1, 0, 0)))
     # a trace-form kernel that wrongly held the identity
-    monkeypatch.setattr(oracles, "kernel_basis", lambda gram: [e.coordinates(e.identity())])
+    monkeypatch.setattr(oracles, "kernel_basis", lambda gram: [oracles.endo_coordinates(e, e.identity())])
     with pytest.raises(RuntimeError, match="radical candidate is not nilpotent"):
         radical_char0(e)
 
@@ -1482,7 +1713,7 @@ def test_radical_needs_char0():
 
 def test_left_mult_matrix_of_identity():
     e = compute_end(swap_invariant_module())
-    ident_coords = e.coordinates(e.identity())
+    ident_coords = oracles.endo_coordinates(e, e.identity())
     # left multiplication by the identity element is the identity map
     acc = DenseMatrix.zeros(e.field, e.dim, e.dim)
     for c, i in zip(ident_coords, range(e.dim)):

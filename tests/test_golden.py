@@ -151,18 +151,24 @@ def test_regular_s4_over_gf3_matches_golden_bytes():
     check_report(report)
 
 
-def companion_q():
-    """The decomposition of the cyclic module of the companion matrix of (t^2 - 1/2)(t^2 - 2/9) over Q.
+def companion_q_module():
+    """The cyclic module of the companion matrix of (t^2 - 1/2)(t^2 - 2/9) over Q.
 
     f = t^4 - 13/18 t^2 + 1/9, and the companion matrix C takes e_i to
     e_(i+1) and e_3 to -(c_0 e_0 + ... + c_3 e_3), so e_0 generates Q^4
     and End = Q[C] = Q[t]/(f), a product of two quadratic fields.  The
     split is taken on the minimal polynomial of a candidate, whose first
-    factor, as rationals, is t^2 - 1/2.
+    factor, as rationals, is t^2 - 1/2: the first part lies in its
+    primary summand.
     """
     c = [Fraction(1, 9), 0, Fraction(-13, 18), 0]
     companion = [[int(j == i - 1) for j in range(3)] + [-c[i]] for i in range(4)]
-    report = complete_decomposition(orbit_basis(AlgebraAction(QQ, [("c", companion)]), [1, 0, 0, 0]))
+    return orbit_basis(AlgebraAction(QQ, [("c", companion)]), [1, 0, 0, 0])
+
+
+def companion_q():
+    """The decomposition of companion_q_module() and its report's JSON text."""
+    report = complete_decomposition(companion_q_module())
     return report, to_text(report_to_json(report))
 
 

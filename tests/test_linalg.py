@@ -1,4 +1,4 @@
-"""Exact matrices: rref, kernels, stable powers, incremental spans."""
+"""Exact matrices: rref, kernels, ranks, incremental spans."""
 
 import random
 from fractions import Fraction
@@ -19,21 +19,15 @@ from cyclomod.linalg import (
     _unbox,
     _unit,
     rref,
-    stable_power,
 )
 from cyclomod.modules import AlgebraAction, orbit_basis
 
 import oracles
-from fixtures import int_mul, unimodular_pair
-from oracles import basis_rows, kernel_basis, plain_power, rank_by_minors, span_equal
+from oracles import basis_rows, kernel_basis, rank_by_minors, span_equal
 
 
 def raw_entries(m):
     return [[c.value for c in row] for row in m.entries]
-
-
-def pivot_columns(m, reduction):
-    return [[row[c] for row in m.entries] for c in reduction.pivot_columns]
 
 
 def random_matrix(field, rng, rows, cols):
@@ -106,102 +100,6 @@ def test_kernel_basis_annihilates_and_spans():
             assert len(basis) == m.cols - rref(m).rank
 
 
-def _stable_power_input(field, rng, n, form):
-    """A random n x n matrix, or P D P^-1 for a unimodular P and a shaped D."""
-    if form == "random":
-        return random_matrix(field, rng, n, n)
-    p, q = unimodular_pair(rng, n)
-    if form == "invertible":
-        return DenseMatrix(field, p)
-    k = rng.randrange(1, n + 1)
-    if form == "jordan":
-        # a nilpotent Jordan block of size k next to the identity
-        d = [[int(j == i + 1 and j < k) or int(i == j >= k) for j in range(n)] for i in range(n)]
-    else:
-        # an idempotent of rank k
-        d = [[int(i == j < k) for j in range(n)] for i in range(n)]
-    return DenseMatrix(field, int_mul(int_mul(p, d), q))
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    field=st.sampled_from([GF2, gf(3), QQ]),
-    n=st.integers(min_value=2, max_value=7),
-    form=st.sampled_from(["random", "jordan", "idempotent", "invertible"]),
-)
-def test_stable_power_has_the_kernel_and_image_of_the_nth_power(seed, field, n, form):
-    m = _stable_power_input(field, random.Random(seed), n, form)
-    power, red = stable_power(m)
-    nth = plain_power(m, n)
-    assert red == rref(power)
-    assert red.rank == rref(nth).rank
-    assert kernel_basis(power) == kernel_basis(nth)
-    # the image: the columns at the pivots of each reduced form
-    assert span_equal(field, pivot_columns(power, red), pivot_columns(nth, rref(nth)), n)
-    # P is m^(2^k) for at most ceil(log2 n) + 1 squarings
-    assert power in [plain_power(m, 2 ** k) for k in range((n - 1).bit_length() + 2)]
-    if form == "invertible":
-        assert power is m and red.rank == n
-
-
-def test_stable_power_edge_cases():
-    z = DenseMatrix.zeros(QQ, 3, 3)
-    assert stable_power(z) == (z, rref(z))
-    empty = DenseMatrix.zeros(QQ, 0, 0)
-    assert stable_power(empty) == (empty, rref(empty))
-    five = DenseMatrix(QQ, [[5]])
-    assert stable_power(five) == (five, rref(five))
-    with pytest.raises(ValueError):
-        stable_power(DenseMatrix(QQ, [[1, 2]]))
-    # a 4x4 Jordan block needs two squarings to vanish
-    jordan = DenseMatrix(QQ, [[int(j == i + 1) for j in range(4)] for i in range(4)])
-    power, red = stable_power(jordan)
-    assert power == plain_power(jordan, 4) and red.rank == 0
-
-
-def _shaped_power_input(field, rng, n, form, den):
-    """An n x n matrix P D P^-1 for a unimodular P and a D of the given form, over den over Q."""
-    p, q = unimodular_pair(rng, n)
-    k = rng.randrange(2, n + 1)
-    units = [c for c in (-3, -2, -1, 1, 2, 3) if c % (field.characteristic or 5)]
-    if form == "unit":
-        d = [[int(i == j) * rng.choice(units) for j in range(n)] for i in range(n)]
-    elif form == "nilpotent":
-        d = [[int(j == i + 1) for j in range(n)] for i in range(n)]
-    elif form == "falling":
-        # a nilpotent Jordan block of size k next to a unit: the rank falls
-        # by one a power, over ceil(log2 k) squarings
-        d = [[int(j == i + 1 and j < k) or (i == j >= k) * rng.choice(units) for j in range(n)] for i in range(n)]
-    elif form == "zero":
-        d = [[0] * n for _ in range(n)]
-    else:
-        d = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
-    rows = int_mul(int_mul(p, d), q)
-    if field.characteristic:
-        return DenseMatrix(field, [[x % field.characteristic for x in row] for row in rows])
-    return DenseMatrix(QQ, [[Fraction(x, den) for x in row] for row in rows])
-
-
-@settings(max_examples=160, deadline=None)
-@given(
-    field=st.sampled_from([QQ, GF2, gf(3)]),
-    seed=st.integers(min_value=0, max_value=10**6),
-    n=st.integers(min_value=2, max_value=8),
-    form=st.sampled_from(["unit", "nilpotent", "falling", "zero", "random"]),
-    den=st.integers(min_value=1, max_value=12),
-)
-def test_stable_power_matches_the_gauss_jordan_reference(field, seed, n, form, den):
-    # the ranks read by _rank_form and only the last power reduced give the
-    # power and reduced form that rref of every power gives
-    m = _shaped_power_input(field, random.Random(seed), n, form, den)
-    power, red = stable_power(m)
-    assert (power, red) == oracles.stable_power_by_rref(m)
-    assert red.rank == {"unit": n, "nilpotent": 0, "zero": 0}.get(form, red.rank)
-    if red.rank == n:
-        assert power is m and red.matrix == DenseMatrix.identity(field, n)
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     field=st.sampled_from([GF2, gf(3), QQ]),
@@ -214,7 +112,7 @@ def test_rank_is_the_rank_of_the_reduced_form(field, rows, cols, density, rng):
     m = random_matrix(field, rng, rows, cols)
     m = DenseMatrix(field, [[x if rng.random() < density else 0 for x in row] for row in m.entries], cols)
     red = rref(m)
-    assert linalg._rank_form(m) == (red.rank, red if field.characteristic else None)
+    assert linalg._rank_form(m) == red.rank
 
 
 def test_span_solver_coordinates():

@@ -356,7 +356,7 @@ def test_q_polynomials_are_one_raw_vector_whoever_makes_them():
     assert str(got[0][0]) == "t + 1/3" and str(poly(QQ, [Fraction(-7, 2), 0, 2])) == "2*t^2 + -7/2"
     # t + 1/3 made by the constructor, _from_raw, the minimal polynomial of
     # the 1x1 matrix (-1/3), and factor; and the zero polynomial made twice
-    from_min_poly = endo._min_poly(DenseMatrix(QQ, [[Fraction(-1, 3)]]))
+    from_min_poly = endo._min_poly(DenseMatrix(QQ, [[Fraction(-1, 3)]]))[0]
     made = [
         [third, Polynomial._from_raw(QQ, _qvector([1, 3], 3)), from_min_poly, got[0][0]],
         [poly(QQ, []), poly(QQ, [0, Fraction(0)]), Polynomial._from_raw(QQ, _qvector([]))],
